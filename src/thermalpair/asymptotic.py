@@ -22,13 +22,20 @@ class ConvergenceError(RuntimeError):
     """Long-time evolution did not reach the predicted stationary state."""
 
 
-def spectral_gap(M: np.ndarray, rel_tol: float = 1e-10) -> float:
+# |Re eigenvalue| below this fraction of the largest counts as zero in spectral_gap
+_GAP_REL_TOL = 1e-10
+
+# the convergence check of asymptotic_state evolves to T = _HORIZON / gap
+_HORIZON = 200.0
+
+
+def spectral_gap(M: np.ndarray) -> float:
     """Smallest nonzero |Re eigenvalue| of the generator (relaxation rate)."""
     re = np.abs(np.linalg.eigvals(M).real)
     scale = re.max()
     if scale == 0:
         raise ValueError("generator has no decaying modes")
-    nonzero = re[re > rel_tol * scale]
+    nonzero = re[re > _GAP_REL_TOL * scale]
     if nonzero.size == 0:
         raise ValueError("generator has no decaying modes")
     return float(nonzero.min())
@@ -97,15 +104,14 @@ def equilibrium_closed_form(R: float, tau: float, n=(0.0, 0.0, 1.0)) -> np.ndarr
 
 
 def asymptotic_state(M: np.ndarray, rho0: np.ndarray, params: ModelParams,
-                     check: bool = True, conv_tol: float = 1e-8,
-                     horizon: float = 200.0) -> np.ndarray:
+                     check: bool = True, conv_tol: float = 1e-8) -> np.ndarray:
     """Predicted long-time state of rho0 under the generator M.
 
     ell = 0: the tau-conserving member of the closed-form family.
     ell > 0: the unique trace-one null-space element.
 
     With check=True the prediction is compared against the actual
-    evolution at T = horizon / spectral gap; disagreement beyond conv_tol
+    evolution at T = _HORIZON / spectral gap; disagreement beyond conv_tol
     in trace norm raises ConvergenceError.  (At zero temperature and
     ell = 0 the stationary manifold is larger than the tau family, since
     singlet/ground coherences do not decay, so the check can fail
@@ -128,7 +134,7 @@ def asymptotic_state(M: np.ndarray, rho0: np.ndarray, params: ModelParams,
         rho_inf = 0.5 * (rho_inf + rho_inf.conj().T)
 
     if check:
-        T = horizon / spectral_gap(M)
+        T = _HORIZON / spectral_gap(M)
         rho_T = dynamics.evolve(M, rho0, T)
         dist = dynamics.trace_norm(rho_T - rho_inf)
         if dist > conv_tol:

@@ -5,8 +5,7 @@ input); all dimensionful outputs are reported in units of omega, so CSV
 and JSON carry only dimensionless groups (beta*omega, omega*ell, omega*t,
 rates over omega).  Standard output carries data only; diagnostics go to
 standard error.  Identical configs produce byte-identical output: floats
-are printed with 17 significant digits, orderings are fixed, and the
-worker pool gathers sweep rows in grid order.
+are printed with 17 significant digits and orderings are fixed.
 
 Exit codes: 0 ok, 2 config validation failure, 3 discriminant/oracle
 disagreement (implementation bug guard), 4 positivity failure during
@@ -19,7 +18,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,8 +71,6 @@ class SweepRecord:
     discriminant_margin: float
     generated: str                      # "true" | "false" | "boundary"
     oracle_generated: bool
-    asympt_concurrence: float | None = None
-    stationary_dim: int | None = None
 
 
 def _fmt(x: float) -> str:
@@ -86,13 +82,28 @@ def _require(cond: bool, msg: str):
         raise ConfigError(msg)
 
 
+def _number(value, what: str, integral: bool = False):
+    """A finite number (an integral one when integral is set), or ConfigError.
+
+    Numeric strings are accepted; bools, other strings and non-finite
+    values are not.
+    """
+    _require(not isinstance(value, bool), f"{what} must be a number, got {value!r}")
+    try:
+        x = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{what} must be a number, got {value!r}") from None
+    _require(math.isfinite(x), f"{what} must be finite, got {value!r}")
+    if integral:
+        _require(x.is_integer(), f"{what} must be an integer, got {value!r}")
+        return int(x)
+    return x
+
+
 def _parse_axis(raw) -> np.ndarray:
     _require(isinstance(raw, (list, tuple)) and len(raw) == 3,
              "n must be a 3-vector")
-    try:
-        return np.asarray([float(x) for x in raw])
-    except (TypeError, ValueError):
-        raise ConfigError("n must contain three numbers") from None
+    return np.asarray([_number(x, "n entry") for x in raw])
 
 
 def _parse_complex_matrix(entries) -> np.ndarray:
@@ -102,7 +113,7 @@ def _parse_complex_matrix(entries) -> np.ndarray:
     for e in entries:
         _require(isinstance(e, (list, tuple)) and len(e) == 2,
                  "complex entries must be [re, im] pairs")
-        vals.append(complex(float(e[0]), float(e[1])))
+        vals.append(complex(_number(e[0], "matrix entry"), _number(e[1], "matrix entry")))
     return np.array(vals, dtype=complex).reshape(4, 4)
 
 
@@ -141,18 +152,16 @@ def _parse_time_grid(raw) -> np.ndarray:
         raw = {"times": raw}
     _require(isinstance(raw, dict), "time_grid must be an object or a list of times")
     if "times" in raw:
-        try:
-            times = np.asarray([float(t) for t in raw["times"]], dtype=float)
-        except (TypeError, ValueError):
-            raise ConfigError("time_grid times must be numbers") from None
-        _require(times.ndim == 1 and len(times) > 0, "time_grid must be nonempty")
+        _require(isinstance(raw["times"], list), "time_grid times must be a list")
+        times = np.asarray([_number(t, "time_grid time") for t in raw["times"]], dtype=float)
+        _require(len(times) > 0, "time_grid must be nonempty")
         _require(times[0] >= 0 and np.all(np.diff(times) > 0),
                  "time_grid must be sorted, strictly increasing and nonnegative")
         return times
     _require(set(raw) <= {"t_max", "n_samples"} and "t_max" in raw,
              "time_grid needs t_max (and optional n_samples) or times")
-    t_max = float(raw["t_max"])
-    n_samples = int(raw.get("n_samples", 101))
+    t_max = _number(raw["t_max"], "time_grid t_max")
+    n_samples = _number(raw.get("n_samples", 101), "time_grid n_samples", integral=True)
     _require(t_max > 0 and n_samples >= 2, "need t_max > 0 and n_samples >= 2")
     return np.linspace(0.0, t_max, n_samples)
 
@@ -164,7 +173,9 @@ def _parse_sweep(raw) -> SweepSpec:
     def linrange(spec, name, positive):
         _require(isinstance(spec, (list, tuple)) and len(spec) == 3,
                  f"sweep.{name} must be [min, max, steps]")
-        lo, hi, steps = float(spec[0]), float(spec[1]), int(spec[2])
+        lo = _number(spec[0], f"sweep.{name} minimum")
+        hi = _number(spec[1], f"sweep.{name} maximum")
+        steps = _number(spec[2], f"sweep.{name} steps", integral=True)
         _require(steps >= 1 and hi >= lo, f"sweep.{name} range is empty")
         _require(lo > 0 if positive else lo >= 0, f"sweep.{name} minimum out of range")
         return np.linspace(lo, hi, steps)
@@ -180,15 +191,14 @@ def parse_config(doc: dict) -> RunConfig:
     unknown = set(doc) - known
     _require(not unknown, f"unknown config keys: {sorted(unknown)}")
 
-    omega = doc.get("omega", 1.0)
+    omega = _number(doc.get("omega", 1.0), "omega")
     beta = doc.get("beta", 1.0)
-    ell = doc.get("ell", 0.0)
-    if beta == "inf":
-        beta = math.inf
+    beta = math.inf if beta == "inf" else _number(beta, "beta")
+    ell = _number(doc.get("ell", 0.0), "ell")
     n = _parse_axis(doc.get("n", [0.0, 0.0, 1.0]))
     try:
-        params = ModelParams(omega=float(omega), beta=float(beta), ell=float(ell), n=n)
-    except (TypeError, ValueError) as exc:
+        params = ModelParams(omega=omega, beta=beta, ell=ell, n=n)
+    except ValueError as exc:
         raise ConfigError(f"invalid model parameters: {exc}") from None
 
     tol = Tolerances()
@@ -196,7 +206,7 @@ def parse_config(doc: dict) -> RunConfig:
     _require(isinstance(raw_tol, dict), "tolerances must be an object")
     for key, value in raw_tol.items():
         _require(hasattr(tol, key), f"unknown tolerance {key!r}")
-        value = float(value)
+        value = _number(value, f"tolerance {key}")
         _require(value > 0, f"tolerance {key} must be positive")
         setattr(tol, key, value)
 
@@ -210,18 +220,22 @@ def parse_config(doc: dict) -> RunConfig:
                      include_hs=include_hs, tolerances=tol)
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a finite number")
+
+
 def load_config(path: str | None) -> RunConfig:
-    if path is None or path == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    try:
+        if path is None or path == "-":
+            text = sys.stdin.read()
+        else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
-            raise ConfigError(f"cannot read config: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config: {exc}") from None
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text, parse_constant=_reject_constant)
+    except (ValueError, RecursionError) as exc:  # also over-long integers and deep nesting
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     return parse_config(doc)
 
@@ -262,34 +276,20 @@ def _sweep_point(omega, n, beta_omega, omega_ell, include_hs, tol) -> SweepRecor
     verdict = entanglement.generation_test(state, K, params=params,
                                            boundary_tol=tol.boundary)
     oracle = entanglement.small_time_ppt_oracle(M, state.density(), tol.oracle_dt / omega)
-    dim = len(asymptotic.stationary_basis(M, tol=tol.nullspace))
-    conc = None
-    if omega_ell == 0:
-        conc = asymptotic.asymptotic_concurrence(verdict.R, dynamics.tau(state.density()))
     return SweepRecord(beta_omega=beta_omega, omega_ell=omega_ell,
                        R=verdict.R, S=verdict.S, rs_margin=verdict.rs_margin,
                        discriminant_margin=verdict.margin / omega**2,
-                       generated=verdict.label, oracle_generated=oracle,
-                       asympt_concurrence=conc, stationary_dim=dim)
+                       generated=verdict.label, oracle_generated=oracle)
 
 
-def cmd_phase_diagram(config: RunConfig, out_path: str | None, threads: int) -> int:
+def cmd_phase_diagram(config: RunConfig, out_path: str | None) -> int:
     """Sweep the (beta*omega, omega*ell) grid with the canonical initial state."""
     if config.sweep is None:
         raise ConfigError("phase-diagram requires a sweep section")
     tol = config.tolerances
-    grid = [(bw, wl) for bw in config.sweep.beta_omega for wl in config.sweep.omega_ell]
-
-    def work(point):
-        bw, wl = point
-        return _sweep_point(config.params.omega, config.params.n, bw, wl,
+    records = [_sweep_point(config.params.omega, config.params.n, bw, wl,
                             config.include_hs, tol)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(work, grid))
-    else:
-        records = [work(p) for p in grid]
+               for bw in config.sweep.beta_omega for wl in config.sweep.omega_ell]
 
     mismatches = [r for r in records
                   if abs(r.rs_margin) > tol.oracle_band
@@ -390,8 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="JSON config path (default: standard input)")
         p.add_argument("--out", default=None,
                        help="output path (default: standard output)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for sweeps (output order is fixed)")
         p.add_argument("--include-hs", action="store_true",
                        help="add the free-Hamiltonian commutator to the generator")
     return parser
@@ -406,14 +404,11 @@ def main(argv=None) -> int:
         return 2
     if args.include_hs:
         config.include_hs = True
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return 2
     try:
         if args.command == "coefficients":
             return cmd_coefficients(config, args.out)
         if args.command == "phase-diagram":
-            return cmd_phase_diagram(config, args.out, args.threads)
+            return cmd_phase_diagram(config, args.out)
         if args.command == "evolve":
             return cmd_evolve(config, args.out)
         if args.command == "asymptotic":

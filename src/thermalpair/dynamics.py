@@ -49,8 +49,16 @@ def pauli_op(atom: int, axis: int) -> np.ndarray:
     return np.kron(s, IDENTITY2) if atom == 1 else np.kron(IDENTITY2, s)
 
 
-# cached single-atom Pauli operators, indexed [atom-1][axis-1]
-_PAULI_OPS = tuple(tuple(pauli_op(a, i) for i in (1, 2, 3)) for a in (1, 2))
+def _basis_element(sp: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    """Superoperator of rho -> (1/2)(2 sq rho sp - sp sq rho - rho sp sq)."""
+    spq = sp @ sq
+    return 0.5 * (2.0 * np.kron(sp.T, sq) - np.kron(IDENTITY4, spq) - np.kron(spq.T, IDENTITY4))
+
+
+# generator basis: M = sum_pq K[p, q] _BASIS[p, q], p and q running over
+# (atom, axis) in the row order of KossakowskiMatrix.matrix
+_PAULI_OPS = tuple(pauli_op(a, i) for a in (1, 2) for i in (1, 2, 3))
+_BASIS = np.array([[_basis_element(sp, sq) for sq in _PAULI_OPS] for sp in _PAULI_OPS])
 
 # sigma_i (x) sigma_i, used by the total-spin correlator tau
 _SIGMA_SIGMA = tuple(np.kron(SIGMA[i], SIGMA[i]) for i in range(3))
@@ -78,18 +86,27 @@ def unvec(v: np.ndarray) -> np.ndarray:
     return np.asarray(v, dtype=complex).reshape(4, 4, order="F")
 
 
-def validate_density_matrix(rho: np.ndarray, herm_tol: float = 1e-12,
-                            trace_tol: float = 1e-12, eig_floor: float = -1e-10) -> np.ndarray:
+# input-state checks of validate_density_matrix
+_HERM_TOL = 1e-12
+_TRACE_TOL = 1e-12
+_EIG_FLOOR = -1e-10
+
+# RK45 cross-check of evolve_traj: integrator rtol and max-norm agreement
+_RK_RTOL = 1e-10
+_RK_AGREE_TOL = 1e-8
+
+
+def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     """Check Hermiticity, unit trace and positivity of a two-qubit state."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"density matrix must be 4x4, got shape {rho.shape}")
-    if np.abs(rho - rho.conj().T).max() > herm_tol:
+    if np.abs(rho - rho.conj().T).max() > _HERM_TOL:
         raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(rho) - 1.0) > trace_tol:
+    if abs(np.trace(rho) - 1.0) > _TRACE_TOL:
         raise ValueError(f"density matrix trace is {np.trace(rho)}, expected 1")
     min_eig = np.linalg.eigvalsh(rho).min()
-    if min_eig < eig_floor:
+    if min_eig < _EIG_FLOOR:
         raise ValueError(f"density matrix has negative eigenvalue {min_eig}")
     return rho
 
@@ -118,19 +135,7 @@ def dissipator_apply(K: KossakowskiMatrix, rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"state must be 4x4, got shape {rho.shape}")
-    blocks = ((1, 1, K.c11), (2, 2, K.c22), (1, 2, K.c12), (2, 1, K.c21))
-    out = np.zeros((4, 4), dtype=complex)
-    for a, b, c in blocks:
-        for i in range(3):
-            si = _PAULI_OPS[a - 1][i]
-            for j in range(3):
-                cij = c[i, j]
-                if cij == 0:
-                    continue
-                sj = _PAULI_OPS[b - 1][j]
-                sij = si @ sj
-                out += 0.5 * cij * (2.0 * sj @ rho @ si - sij @ rho - rho @ sij)
-    return out
+    return unvec(build_superoperator(K) @ vec(rho))
 
 
 def hamiltonian(params: ModelParams) -> np.ndarray:
@@ -143,24 +148,11 @@ def build_superoperator(K: KossakowskiMatrix, params: ModelParams | None = None,
                         include_hs: bool = False) -> np.ndarray:
     """16x16 matrix M with M vec(rho) = vec(d rho / dt).
 
-    Assembled through the Kronecker identities of column-major
-    vectorization, independently of `dissipator_apply` (the two routes
-    cross-check each other in the tests).  With include_hs the commutator
-    -i[H_S, .] at the bare frequency is added; params is then required.
+    M = sum_pq K[p, q] _BASIS[p, q] is linear in the 6x6 Kossakowski
+    matrix.  With include_hs the commutator -i[H_S, .] at the bare
+    frequency is added; params is then required.
     """
-    blocks = ((1, 1, K.c11), (2, 2, K.c22), (1, 2, K.c12), (2, 1, K.c21))
-    M = np.zeros((16, 16), dtype=complex)
-    for a, b, c in blocks:
-        for i in range(3):
-            si = _PAULI_OPS[a - 1][i]
-            for j in range(3):
-                cij = c[i, j]
-                if cij == 0:
-                    continue
-                sj = _PAULI_OPS[b - 1][j]
-                sij = si @ sj
-                M += 0.5 * cij * (2.0 * np.kron(si.T, sj)
-                                  - np.kron(IDENTITY4, sij) - np.kron(sij.T, IDENTITY4))
+    M = np.tensordot(K.matrix, _BASIS, axes=([0, 1], [0, 1]))
     if include_hs:
         if params is None:
             raise ValueError("params required when include_hs is set")
@@ -213,15 +205,14 @@ class Trajectory:
             raise ValueError("times must be strictly increasing")
 
 
-def evolve_traj(M: np.ndarray, rho0: np.ndarray, times, rk_check: bool = True,
-                rk_rtol: float = 1e-10, agree_tol: float = 1e-8,
+def evolve_traj(M: np.ndarray, rho0: np.ndarray, times,
                 pos_tol: float = 1e-8) -> Trajectory:
     """Sample the evolution on a sorted nonnegative time grid.
 
-    Samples come from the matrix exponential; when rk_check is set the
-    same trajectory is integrated with adaptive RK45 at rtol=rk_rtol and
-    the two must agree to agree_tol in max-norm (two independent
-    numerical routes through a non-normal generator).
+    Samples come from the matrix exponential; the same trajectory is
+    integrated with adaptive RK45 at rtol=_RK_RTOL and the two must agree
+    to _RK_AGREE_TOL in max-norm (two independent numerical routes through
+    a non-normal generator).
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
@@ -231,17 +222,17 @@ def evolve_traj(M: np.ndarray, rho0: np.ndarray, times, rk_check: bool = True,
     rho0 = validate_density_matrix(rho0)
     states = [evolve(M, rho0, float(t), pos_tol=pos_tol) for t in times]
 
-    if rk_check and times[-1] > 0:
+    if times[-1] > 0:
         sol = solve_ivp(lambda _t, y: M @ y, (0.0, float(times[-1])), vec(rho0),
-                        t_eval=times, method="RK45", rtol=rk_rtol, atol=1e-12)
+                        t_eval=times, method="RK45", rtol=_RK_RTOL, atol=1e-12)
         if not sol.success:
             raise RuntimeError(f"RK45 cross-check integration failed: {sol.message}")
         worst = 0.0
         for k in range(len(times)):
             worst = max(worst, np.abs(states[k] - unvec(sol.y[:, k])).max())
-        if worst > agree_tol:
-            raise RuntimeError(
-                f"matrix-exponential and RK45 trajectories disagree: {worst:.3e} > {agree_tol:.1e}")
+        if worst > _RK_AGREE_TOL:
+            raise RuntimeError(f"matrix-exponential and RK45 trajectories disagree: "
+                               f"{worst:.3e} > {_RK_AGREE_TOL:.1e}")
         log.debug("expm/RK45 max-norm disagreement: %.3e", worst)
 
     return Trajectory(times=times, states=states)

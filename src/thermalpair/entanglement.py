@@ -12,9 +12,9 @@ Kossakowski blocks and two complex 3-vectors u, v encoding the initial
 state; for the canonical state (|->, |+> along the Hamiltonian axis) the
 test collapses to R^2 + S^2 > 1 with R = tanh(beta omega / 2) and
 S = sinc(omega ell).  Two independent numerical oracles are provided: a
-small-time evolution followed by the partial-transpose test, and direct
-minimization of the initial entanglement-production rate over probe
-vectors.
+small-time evolution followed by the partial-transpose test, and the
+exact minimum (a compressed eigensolve) of the initial
+entanglement-production rate over probe vectors.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import dynamics
 from .spectral import KossakowskiMatrix, ModelParams, temperature_ratio, _sinc, _unit_vector
@@ -250,15 +249,12 @@ def criterion_rs(params: ModelParams):
     return R, S, R * R + S * S - 1.0
 
 
-def min_q_rate(state: ProductState, K: KossakowskiMatrix,
-               restarts: int = 0, seed: int = 0):
+def min_q_rate(state: ProductState, K: KossakowskiMatrix):
     """Minimize q_rate over normalized probes chi with q_probe(chi, rho0) = 0.
 
     The constraint set is the orthogonal complement of the product vector
     carried by PT(rho0), so the exact minimum is the smallest eigenvalue
-    of the compressed rate matrix; with restarts > 0 a seeded
-    random-restart minimization of the same Rayleigh quotient is run as
-    well and the best value of all routes is returned.
+    of the compressed rate matrix.
 
     Returns (minimum rate, minimizing probe vector).
     """
@@ -274,37 +270,21 @@ def min_q_rate(state: ProductState, K: KossakowskiMatrix,
     comp = 0.5 * (comp + comp.conj().T)
 
     evals, evecs = np.linalg.eigh(comp)
-    best_val = float(evals[0])
-    best_chi = P @ evecs[:, 0]
-
-    if restarts > 0:
-        rng = np.random.default_rng(seed)
-
-        def rayleigh(x):
-            y = x[:3] + 1j * x[3:]
-            nrm2 = np.real(y.conj() @ y)
-            return float(np.real(y.conj() @ comp @ y) / nrm2)
-
-        for _ in range(restarts):
-            x0 = rng.normal(size=6)
-            res = minimize(rayleigh, x0, method="BFGS")
-            if res.fun < best_val:
-                best_val = float(res.fun)
-                y = res.x[:3] + 1j * res.x[3:]
-                best_chi = P @ (y / np.linalg.norm(y))
-
-    return best_val, best_chi
+    return float(evals[0]), P @ evecs[:, 0]
 
 
-def small_time_ppt_oracle(M: np.ndarray, rho0: np.ndarray, dt: float,
-                          neg_tol: float = 1e-13) -> bool:
+# partial-transpose eigenvalues below -_ORACLE_NEG_TOL count as negative in the oracle
+_ORACLE_NEG_TOL = 1e-13
+
+
+def small_time_ppt_oracle(M: np.ndarray, rho0: np.ndarray, dt: float) -> bool:
     """Evolve a product state by dt and test the partial transpose.
 
     Independent verification of the discriminant verdict: evolve rho0 by
     a short dt (of order 1e-3 per unit frequency) and report whether the
-    partial transpose develops an eigenvalue below -neg_tol.
+    partial transpose develops an eigenvalue below -_ORACLE_NEG_TOL.
     """
     if not (dt > 0):
         raise ValueError(f"dt must be positive, got {dt}")
     rho = dynamics.evolve(M, rho0, dt)
-    return min_eig_pt(rho) < -neg_tol
+    return min_eig_pt(rho) < -_ORACLE_NEG_TOL

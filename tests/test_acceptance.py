@@ -19,7 +19,6 @@ from thermalpair import (
     choi_matrix,
     concurrence,
     criterion_rs,
-    dissipator_apply,
     equilibrium_closed_form,
     evolve,
     evolve_traj,
@@ -39,7 +38,7 @@ from thermalpair import (
 from thermalpair.asymptotic import spectral_gap
 from thermalpair.spectral import KossakowskiCoefficients
 
-from util import random_density, random_params
+from util import dissipator_reference, random_density, random_params
 
 E3 = np.array([0.0, 0.0, 1.0])
 BETA_OMEGA_GRID = np.linspace(0.1, 10.0, 40)
@@ -162,7 +161,7 @@ def test_criterion_6_stationarity_and_convergence():
             beta = math.inf if R == 1.0 else 2.0 * math.atanh(R)
             K = build_kossakowski_closed(ModelParams(omega=1.0, beta=beta, ell=0.0))
         for t in np.round(np.arange(-3.0, 1.0001, 0.5), 10):
-            resid = np.abs(dissipator_apply(K, equilibrium_closed_form(R, t))).max()
+            resid = np.abs(dissipator_reference(K, equilibrium_closed_form(R, t))).max()
             worst_resid = max(worst_resid, resid)
     stat_ok = worst_resid < 1e-12
 

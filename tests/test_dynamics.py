@@ -24,7 +24,7 @@ from thermalpair import (
 )
 from thermalpair.dynamics import SIGMA, hamiltonian
 
-from util import random_density, random_params
+from util import dissipator_reference, random_density, random_params
 
 E3 = np.array([0.0, 0.0, 1.0])
 P_L0 = ModelParams(omega=1.0, beta=1.0, ell=0.0)
@@ -98,12 +98,25 @@ def test_dissipator_rejects_wrong_shape():
 # -------------------------------------------------------------- superoperator
 
 def test_superoperator_matches_dissipator():
+    # the basis-tensor contraction against the explicit sum over K's entries
     rng = np.random.default_rng(22)
+    corners = set()
     for _ in range(100):
+        p = random_params(rng)
+        if math.isinf(p.beta):
+            corners.add("beta=inf")
+        if p.ell == 0:
+            corners.add("ell=0")
+        K = build_kossakowski_closed(p)
         rho = random_density(rng)
-        lhs = unvec(M_L0 @ vec(rho))
-        rhs = dissipator_apply(K_L0, rho)
-        assert np.abs(lhs - rhs).max() < 1e-13
+        expected = dissipator_reference(K, rho)
+        assert np.abs(dissipator_apply(K, rho) - expected).max() < 1e-13
+        assert np.abs(unvec(build_superoperator(K, p) @ vec(rho)) - expected).max() < 1e-13
+        h = hamiltonian(p)
+        expected -= 1j * (h @ rho - rho @ h)
+        M_h = build_superoperator(K, p, include_hs=True)
+        assert np.abs(unvec(M_h @ vec(rho)) - expected).max() < 1e-13
+    assert corners == {"beta=inf", "ell=0"}
 
 
 def test_superoperator_spectrum():
@@ -135,7 +148,7 @@ def test_superoperator_with_hamiltonian():
     rng = np.random.default_rng(25)
     for _ in range(20):
         rho = random_density(rng)
-        expected = dissipator_apply(K, rho) - 1j * (h @ rho - rho @ h)
+        expected = dissipator_reference(K, rho) - 1j * (h @ rho - rho @ h)
         assert np.abs(unvec(M @ vec(rho)) - expected).max() < 1e-13
     ev = np.linalg.eigvals(M)
     assert ev.real.max() <= 1e-12 * np.abs(ev).max()

@@ -161,15 +161,6 @@ def test_min_q_rate_boundary_case():
     assert val >= -1e-12 * np.linalg.norm(K.matrix, 2)
 
 
-def test_min_q_rate_restarts_agree_with_eigensolve():
-    p = ModelParams(omega=1.0, beta=2.0, ell=0.7)
-    K = build_kossakowski_closed(p)
-    state = canonical_state(E3)
-    exact, _ = min_q_rate(state, K)
-    restarted, _ = min_q_rate(state, K, restarts=50, seed=5)
-    assert restarted == pytest.approx(exact, rel=1e-6, abs=1e-12)
-
-
 # ------------------------------------------------------------------ u/v vectors
 
 def test_uv_vectors_canonical():

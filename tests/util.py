@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from thermalpair import ModelParams, ProductState
+from thermalpair import ModelParams, ProductState, pauli_op
 
 
 def random_density(rng, dim=4):
@@ -54,3 +54,21 @@ def random_params(rng, allow_zero_temperature=True, allow_zero_ell=True):
     if allow_zero_ell and rng.random() < 0.1:
         ell = 0.0
     return ModelParams(omega=omega, beta=beta, ell=ell, n=random_bloch(rng))
+
+
+def dissipator_reference(K, rho):
+    """d rho / dt as the explicit sum over the four blocks of K:
+
+    (1/2) sum_{ab,ij} C^(ab)_ij (2 s_j^b rho s_i^a - s_i^a s_j^b rho - rho s_i^a s_j^b),
+
+    a route independent of the basis tensor behind build_superoperator.
+    """
+    out = np.zeros((4, 4), dtype=complex)
+    for a, b, c in ((1, 1, K.c11), (2, 2, K.c22), (1, 2, K.c12), (2, 1, K.c21)):
+        for i in range(3):
+            si = pauli_op(a, i + 1)
+            for j in range(3):
+                sj = pauli_op(b, j + 1)
+                sij = si @ sj
+                out += 0.5 * c[i, j] * (2.0 * sj @ rho @ si - sij @ rho - rho @ sij)
+    return out
