@@ -29,6 +29,11 @@ PHASE_HEADER = "beta_omega,omega_ell,R,S,rs_margin,discriminant_margin,generated
 EVOLVE_HEADER = "t,trace,min_eig,min_eig_pt,concurrence,tau"
 
 
+# count caps: a time grid's samples and a sweep's grid points
+MAX_SAMPLES = 100_000
+MAX_SWEEP_POINTS = 1_000_000
+
+
 class ConfigError(ValueError):
     """Invalid run configuration."""
 
@@ -153,6 +158,8 @@ def _parse_time_grid(raw) -> np.ndarray:
     _require(isinstance(raw, dict), "time_grid must be an object or a list of times")
     if "times" in raw:
         _require(isinstance(raw["times"], list), "time_grid times must be a list")
+        _require(len(raw["times"]) <= MAX_SAMPLES,
+                 f"time_grid has more than {MAX_SAMPLES} times")
         times = np.asarray([_number(t, "time_grid time") for t in raw["times"]], dtype=float)
         _require(len(times) > 0, "time_grid must be nonempty")
         _require(times[0] >= 0 and np.all(np.diff(times) > 0),
@@ -163,6 +170,7 @@ def _parse_time_grid(raw) -> np.ndarray:
     t_max = _number(raw["t_max"], "time_grid t_max")
     n_samples = _number(raw.get("n_samples", 101), "time_grid n_samples", integral=True)
     _require(t_max > 0 and n_samples >= 2, "need t_max > 0 and n_samples >= 2")
+    _require(n_samples <= MAX_SAMPLES, f"time_grid n_samples exceeds {MAX_SAMPLES}")
     return np.linspace(0.0, t_max, n_samples)
 
 
@@ -170,7 +178,7 @@ def _parse_sweep(raw) -> SweepSpec:
     _require(isinstance(raw, dict) and set(raw) == {"beta_omega", "omega_ell"},
              "sweep needs beta_omega and omega_ell ranges")
 
-    def linrange(spec, name, positive):
+    def axis(spec, name, positive):
         _require(isinstance(spec, (list, tuple)) and len(spec) == 3,
                  f"sweep.{name} must be [min, max, steps]")
         lo = _number(spec[0], f"sweep.{name} minimum")
@@ -178,10 +186,13 @@ def _parse_sweep(raw) -> SweepSpec:
         steps = _number(spec[2], f"sweep.{name} steps", integral=True)
         _require(steps >= 1 and hi >= lo, f"sweep.{name} range is empty")
         _require(lo > 0 if positive else lo >= 0, f"sweep.{name} minimum out of range")
-        return np.linspace(lo, hi, steps)
+        return lo, hi, steps
 
-    return SweepSpec(beta_omega=linrange(raw["beta_omega"], "beta_omega", True),
-                     omega_ell=linrange(raw["omega_ell"], "omega_ell", False))
+    beta_omega = axis(raw["beta_omega"], "beta_omega", True)
+    omega_ell = axis(raw["omega_ell"], "omega_ell", False)
+    _require(beta_omega[2] * omega_ell[2] <= MAX_SWEEP_POINTS,
+             f"sweep has more than {MAX_SWEEP_POINTS} grid points")
+    return SweepSpec(beta_omega=np.linspace(*beta_omega), omega_ell=np.linspace(*omega_ell))
 
 
 def parse_config(doc: dict) -> RunConfig:
@@ -205,7 +216,7 @@ def parse_config(doc: dict) -> RunConfig:
     raw_tol = doc.get("tolerances", {})
     _require(isinstance(raw_tol, dict), "tolerances must be an object")
     for key, value in raw_tol.items():
-        _require(hasattr(tol, key), f"unknown tolerance {key!r}")
+        _require(key in vars(tol), f"unknown tolerance {key!r}")
         value = _number(value, f"tolerance {key}")
         _require(value > 0, f"tolerance {key} must be positive")
         setattr(tol, key, value)

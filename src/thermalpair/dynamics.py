@@ -19,12 +19,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from .spectral import KossakowskiMatrix, ModelParams
 
 log = logging.getLogger(__name__)
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on first use: only the RK45 guard needs it."""
+    from scipy.integrate import solve_ivp as _solve_ivp
+    return _solve_ivp(*args, **kwargs)
+
 
 SIGMA = (
     np.array([[0, 1], [1, 0]], dtype=complex),

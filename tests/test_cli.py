@@ -90,6 +90,10 @@ def test_malformed_json_exits_2(tmp_path):
     {"sweep": {"beta_omega": [0.5, math.inf, 3], "omega_ell": [0.0, 1.0, 2]}},
     {"sweep": {"beta_omega": [0.5, 1.0, "a"], "omega_ell": [0.0, 1.0, 2]}},
     {"omega": 10**400},
+    {"time_grid": {"t_max": 5, "n_samples": 10**15}},
+    {"sweep": {"beta_omega": [0.5, 1.0, 10**15], "omega_ell": [0.0, 1.0, 2]}},
+    {"sweep": {"beta_omega": [0.5, 1.0, 2000], "omega_ell": [0.0, 1.0, 2000]}},
+    {"tolerances": {"__class__": 1.0}},
 ])
 def test_invalid_config_exits_2(tmp_path, config):
     res = run_cli("coefficients", config=config, tmp_path=tmp_path)
@@ -282,3 +286,30 @@ def test_asymptotic_convergence_failure_exits_5(tmp_path):
     res = run_cli("asymptotic", config=config, tmp_path=tmp_path)
     assert res.returncode == 5
     assert "error" in res.stderr
+
+
+# ------------------------------------------------------------------ startup
+
+def test_only_evolve_imports_scipy_integrate(tmp_path):
+    # scipy.integrate serves only the RK45 guard of evolve; loading it at
+    # import time would add its subpackages to every subcommand's cold start
+    sweep, point = tmp_path / "sweep.json", tmp_path / "point.json"
+    sweep.write_text(json.dumps(
+        {"sweep": {"beta_omega": [1.0, 1.0, 1], "omega_ell": [0.5, 0.5, 1]}}), encoding="utf-8")
+    point.write_text(json.dumps(
+        {"beta": 1.0, "ell": 2.0, "time_grid": {"t_max": 1.0, "n_samples": 3}}),
+        encoding="utf-8")
+    code = (
+        "import sys\n"
+        "from thermalpair import cli\n"
+        "def run(sub, cfg):\n"
+        "    assert cli.main([sub, '--config', cfg, '--out', cfg + '.out']) == 0\n"
+        "assert 'scipy.integrate' not in sys.modules\n"
+        f"run('phase-diagram', {str(sweep)!r})\n"
+        f"run('asymptotic', {str(point)!r})\n"
+        "assert 'scipy.integrate' not in sys.modules\n"
+        f"run('evolve', {str(point)!r})\n"
+        "assert 'scipy.integrate' in sys.modules\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr

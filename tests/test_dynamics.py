@@ -22,6 +22,7 @@ from thermalpair import (
     validate_density_matrix,
     vec,
 )
+from thermalpair import dynamics
 from thermalpair.dynamics import SIGMA, hamiltonian
 
 from util import dissipator_reference, random_density, random_params
@@ -223,6 +224,32 @@ def test_evolve_traj_agrees_with_rk_and_conserves():
     for rho in traj.states:
         assert abs(np.trace(rho).real - 1.0) < 1e-12
         assert abs(tau(rho) - tau0) < 1e-9  # collective generator conserves tau
+
+
+def test_evolve_traj_guard_fires_on_disagreement(monkeypatch):
+    real = dynamics.solve_ivp
+
+    def perturbed(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        sol.y = sol.y + 1e-6
+        return sol
+
+    monkeypatch.setattr(dynamics, "solve_ivp", perturbed)
+    with pytest.raises(RuntimeError, match="disagree"):
+        evolve_traj(M_L0, canonical_state(E3).density(), [0.0, 1.0, 2.0])
+
+
+def test_evolve_traj_guard_fires_on_failed_integration(monkeypatch):
+    real = dynamics.solve_ivp
+
+    def failed(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        sol.success, sol.message = False, "step size too small"
+        return sol
+
+    monkeypatch.setattr(dynamics, "solve_ivp", failed)
+    with pytest.raises(RuntimeError, match="integration failed"):
+        evolve_traj(M_L0, canonical_state(E3).density(), [0.0, 1.0, 2.0])
 
 
 def test_evolve_traj_rejects_bad_grid():
