@@ -32,6 +32,9 @@ EVOLVE_HEADER = "t,trace,min_eig,min_eig_pt,concurrence,tau"
 # count caps: a time grid's samples and a sweep's grid points
 MAX_SAMPLES = 100_000
 MAX_SWEEP_POINTS = 1_000_000
+# below this beta*omega the thermal factor coth(beta*omega/2) overflows the
+# Kossakowski coefficients
+MIN_BETA_OMEGA = 1e-300
 
 
 class ConfigError(ValueError):
@@ -171,7 +174,10 @@ def _parse_time_grid(raw) -> np.ndarray:
     n_samples = _number(raw.get("n_samples", 101), "time_grid n_samples", integral=True)
     _require(t_max > 0 and n_samples >= 2, "need t_max > 0 and n_samples >= 2")
     _require(n_samples <= MAX_SAMPLES, f"time_grid n_samples exceeds {MAX_SAMPLES}")
-    return np.linspace(0.0, t_max, n_samples)
+    times = np.linspace(0.0, t_max, n_samples)
+    _require(np.all(np.diff(times) > 0), f"time_grid t_max {t_max!r} is too small "
+             f"for {n_samples} distinct samples")
+    return times
 
 
 def _parse_sweep(raw) -> SweepSpec:
@@ -185,7 +191,8 @@ def _parse_sweep(raw) -> SweepSpec:
         hi = _number(spec[1], f"sweep.{name} maximum")
         steps = _number(spec[2], f"sweep.{name} steps", integral=True)
         _require(steps >= 1 and hi >= lo, f"sweep.{name} range is empty")
-        _require(lo > 0 if positive else lo >= 0, f"sweep.{name} minimum out of range")
+        _require(lo >= MIN_BETA_OMEGA if positive else lo >= 0,
+                 f"sweep.{name} minimum out of range")
         return lo, hi, steps
 
     beta_omega = axis(raw["beta_omega"], "beta_omega", True)
@@ -211,6 +218,7 @@ def parse_config(doc: dict) -> RunConfig:
         params = ModelParams(omega=omega, beta=beta, ell=ell, n=n)
     except ValueError as exc:
         raise ConfigError(f"invalid model parameters: {exc}") from None
+    _require(beta * omega >= MIN_BETA_OMEGA, f"beta*omega must be at least {MIN_BETA_OMEGA}")
 
     tol = Tolerances()
     raw_tol = doc.get("tolerances", {})
@@ -331,13 +339,9 @@ def cmd_evolve(config: RunConfig, out_path: str | None) -> int:
     params = config.params
     K = build_kossakowski_closed(params)
     M = dynamics.build_superoperator(K, params, include_hs=config.include_hs)
-    times_abs = config.times / params.omega
-    try:
-        traj = dynamics.evolve_traj(M, config.rho0, times_abs,
-                                    pos_tol=config.tolerances.positivity)
-    except dynamics.PositivityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+    traj = dynamics.evolve_traj(M, config.rho0, config.times / params.omega,
+                                pos_tol=config.tolerances.positivity)
+    rho_inf = asymptotic.asymptotic_state(M, config.rho0, params, check=False)
 
     lines = [EVOLVE_HEADER]
     for t_dimless, rho in zip(config.times, traj.states):
@@ -351,7 +355,6 @@ def cmd_evolve(config: RunConfig, out_path: str | None) -> int:
         ]))
     _write_out("\n".join(lines) + "\n", out_path)
 
-    rho_inf = asymptotic.asymptotic_state(M, config.rho0, params, check=False)
     dist = dynamics.trace_norm(traj.states[-1] - rho_inf)
     summary = {"final_time": float(config.times[-1]),
                "trace_distance_to_asymptotic": dist,
@@ -370,12 +373,8 @@ def cmd_asymptotic(config: RunConfig, out_path: str | None) -> int:
     K = build_kossakowski_closed(params)
     M = dynamics.build_superoperator(K, params, include_hs=config.include_hs)
     dim = len(asymptotic.stationary_basis(M, tol=config.tolerances.nullspace))
-    try:
-        rho_inf = asymptotic.asymptotic_state(M, config.rho0, params, check=True,
-                                              conv_tol=config.tolerances.convergence)
-    except asymptotic.ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
+    rho_inf = asymptotic.asymptotic_state(M, config.rho0, params, check=True,
+                                          conv_tol=config.tolerances.convergence)
     R, _, _ = entanglement.criterion_rs(params)
     doc = {"stationary_dim": dim,
            "rho_infinity": _complex_pairs(rho_inf),
@@ -427,6 +426,12 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except dynamics.PositivityError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
+    except asymptotic.ConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 5
     raise AssertionError(f"unhandled command {args.command}")
 
 

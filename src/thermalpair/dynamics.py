@@ -19,17 +19,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .spectral import KossakowskiMatrix, ModelParams
 
 log = logging.getLogger(__name__)
-
-
-def solve_ivp(*args, **kwargs):
-    """scipy.integrate.solve_ivp, imported on first use: only the RK45 guard needs it."""
-    from scipy.integrate import solve_ivp as _solve_ivp
-    return _solve_ivp(*args, **kwargs)
 
 
 SIGMA = (
@@ -42,7 +35,8 @@ IDENTITY4 = np.eye(4, dtype=complex)
 
 
 class PositivityError(RuntimeError):
-    """Evolution produced a state with an eigenvalue below tolerance."""
+    """Evolution produced a state with an eigenvalue below tolerance or a
+    non-finite entry."""
 
 
 def pauli_op(atom: int, axis: int) -> np.ndarray:
@@ -100,6 +94,123 @@ _EIG_FLOOR = -1e-10
 # RK45 cross-check of evolve_traj: integrator rtol and max-norm agreement
 _RK_RTOL = 1e-10
 _RK_AGREE_TOL = 1e-8
+
+# [13/13] Pade approximant of exp (Higham, SIAM J. Matrix Anal. Appl. 26,
+# 1179 (2005)): numerator coefficients b_0..b_13 (the denominator has
+# (-1)^k b_k) and the 1-norm up to which it needs no scaling
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+           33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+# coefficients over (I, A^2, A^4, A^6) of the four sums W0..W3 behind
+# U = A (A^6 W0 + W2) and V = A^6 W1 + W3
+_PADE13_SUMS = np.array([(0.0, *_PADE13[9:14:2]), (0.0, *_PADE13[8:13:2]),
+                         _PADE13[1:8:2], _PADE13[0:7:2]], dtype=complex)
+
+
+def expm(A: np.ndarray) -> np.ndarray:
+    """Matrix exponential (complex) by scaling and squaring with the [13/13]
+    Pade approximant (Higham 2005, Algorithm 2.3).
+
+    A is scaled by 2^-s so that its 1-norm is at most _THETA13, the
+    approximant r = (V - U)^-1 (V + U) is formed from even powers of the
+    scaled A, and r is squared s times.
+    """
+    A = np.asarray(A)
+    norm = np.abs(A).sum(axis=0).max()
+    s = math.ceil(math.log2(norm / _THETA13)) if _THETA13 < norm < math.inf else 0
+    A = A * 2.0**-s
+    n = A.shape[0]
+    powers = np.empty((4, n, n), dtype=complex)
+    powers[0] = np.eye(n)
+    np.matmul(A, A, out=powers[1])
+    np.matmul(powers[1], powers[1], out=powers[2])
+    np.matmul(powers[2], powers[1], out=powers[3])
+    W = (_PADE13_SUMS @ powers.reshape(4, n * n)).reshape(4, n, n)
+    high = powers[3] @ W[:2]
+    U = A @ (high[0] + W[2])
+    V = high[1] + W[3]
+    R = np.linalg.solve(V - U, V + U)
+    for _ in range(s):
+        R = R @ R
+    return R
+
+
+# Dormand-Prince 5(4) pair (J. Comput. Appl. Math. 6, 19 (1980)): stage
+# coefficients, fifth-order weights and error weights.  The seventh stage is
+# the derivative at the new point and becomes the next step's first stage.
+_DP_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 5, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0],
+    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+])
+_DP_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
+_DP_E = np.array([-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525,
+                  1 / 40])
+# step-size control: safety factor and the bounds on the change of h per step
+_DP_SAFETY, _DP_MIN_FACTOR, _DP_MAX_FACTOR = 0.9, 0.2, 10.0
+
+
+def _rms(x: np.ndarray) -> float:
+    return float(np.linalg.norm(x)) / math.sqrt(x.size)
+
+
+def solve_ivp(M: np.ndarray, y0: np.ndarray, times: np.ndarray, rtol: float,
+              atol: float) -> np.ndarray:
+    """Adaptive Dormand-Prince 5(4) solution of dy/dt = M y, y(0) = y0, at the
+    sorted nonnegative sample times: a (len(y0), len(times)) array.
+
+    Step control is the usual one for this pair: the RMS of the error
+    estimate over atol + max(|y|, |y_new|) rtol must stay below 1, and h changes by a
+    factor of 0.9 err^(-1/5) clipped to [0.2, 10] (at most 1 right after a
+    rejected step), and h never starts a step below 10 ulp(t).  Steps are
+    shortened to land exactly on every sample time, so no sample is
+    interpolated.  Raises RuntimeError if a rejected step shrinks h below
+    10 ulp(t) or the solution turns non-finite.
+    """
+    y = np.asarray(y0, dtype=complex)
+    out = np.empty((len(y), len(times)), dtype=complex)
+    K = np.empty((7, len(y)), dtype=complex)
+    K[0] = M @ y
+    # first step from the sizes of y and dy/dt (Hairer, Norsett & Wanner,
+    # Solving ODEs I, Sec. II.4); the controller corrects it within a few steps
+    scale = atol + rtol * np.abs(y)
+    d0, d1 = _rms(y / scale), _rms(K[0] / scale)
+    h = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    t, rejected = 0.0, False
+    for k, target in enumerate(times):
+        while t < target:
+            min_step = 10 * math.ulp(t)
+            h = max(h, min_step)
+            step = min(h, target - t)
+            for i in range(1, 6):
+                K[i] = M @ (y + step * (_DP_A[i, :i] @ K[:i]))
+            y_new = y + step * (_DP_B @ K[:6])
+            K[6] = M @ y_new
+            err = _rms(step * (_DP_E @ K) / (atol + rtol * np.maximum(np.abs(y), np.abs(y_new))))
+            if not math.isfinite(err):
+                raise RuntimeError(f"RK45 cross-check integration failed: non-finite "
+                                   f"solution at t={t:.6g}")
+            if err < 1.0:
+                factor = _DP_MAX_FACTOR if err == 0 else min(_DP_MAX_FACTOR,
+                                                             _DP_SAFETY * err**-0.2)
+                if rejected:
+                    factor = min(1.0, factor)
+                # a step shortened to land on a sample does not shrink the next one
+                h = max(h, step * factor) if step < h else step * factor
+                t = target if step == target - t else t + step
+                y, K[0], rejected = y_new, K[6], False
+            else:
+                h = step * max(_DP_MIN_FACTOR, _DP_SAFETY * err**-0.2)
+                rejected = True
+                if h < min_step:
+                    raise RuntimeError(f"RK45 cross-check integration failed: step size "
+                                       f"{h:.3g} at t={t:.6g}")
+        out[:, k] = y
+    return out
 
 
 def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
@@ -170,8 +281,9 @@ def build_superoperator(K: KossakowskiMatrix, params: ModelParams | None = None,
 def evolve(M: np.ndarray, rho0: np.ndarray, t: float, pos_tol: float = 1e-8) -> np.ndarray:
     """rho(t) = unvec(expm(t M) vec(rho0)), re-Hermitized and renormalized.
 
-    Raises PositivityError if the result dips below -pos_tol; smaller
-    Hermiticity/trace deviations are logged and repaired.
+    Raises PositivityError if the result dips below -pos_tol or is not
+    finite (the exponential of a generator too large for its rounding);
+    smaller Hermiticity/trace deviations are logged and repaired.
     """
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"time must be finite and >= 0, got {t}")
@@ -190,6 +302,8 @@ def evolve(M: np.ndarray, rho0: np.ndarray, t: float, pos_tol: float = 1e-8) -> 
         log.debug("evolve deviations at t=%g: hermiticity %.3g, trace %.3g",
                   t, herm_dev, trace_dev)
     rho = rho / tr
+    if not np.isfinite(rho).all():
+        raise PositivityError(f"evolved state is not finite at t={t}")
     min_eig = np.linalg.eigvalsh(rho).min()
     if min_eig < -pos_tol:
         raise PositivityError(f"state eigenvalue {min_eig} below -{pos_tol} at t={t}")
@@ -229,13 +343,10 @@ def evolve_traj(M: np.ndarray, rho0: np.ndarray, times,
     states = [evolve(M, rho0, float(t), pos_tol=pos_tol) for t in times]
 
     if times[-1] > 0:
-        sol = solve_ivp(lambda _t, y: M @ y, (0.0, float(times[-1])), vec(rho0),
-                        t_eval=times, method="RK45", rtol=_RK_RTOL, atol=1e-12)
-        if not sol.success:
-            raise RuntimeError(f"RK45 cross-check integration failed: {sol.message}")
+        ys = solve_ivp(M, vec(rho0), times, _RK_RTOL, 1e-12)
         worst = 0.0
         for k in range(len(times)):
-            worst = max(worst, np.abs(states[k] - unvec(sol.y[:, k])).max())
+            worst = max(worst, np.abs(states[k] - unvec(ys[:, k])).max())
         if worst > _RK_AGREE_TOL:
             raise RuntimeError(f"matrix-exponential and RK45 trajectories disagree: "
                                f"{worst:.3e} > {_RK_AGREE_TOL:.1e}")

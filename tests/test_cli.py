@@ -94,6 +94,9 @@ def test_malformed_json_exits_2(tmp_path):
     {"sweep": {"beta_omega": [0.5, 1.0, 10**15], "omega_ell": [0.0, 1.0, 2]}},
     {"sweep": {"beta_omega": [0.5, 1.0, 2000], "omega_ell": [0.0, 1.0, 2000]}},
     {"tolerances": {"__class__": 1.0}},
+    {"beta": 5e-324},
+    {"time_grid": {"t_max": 5e-324}},
+    {"sweep": {"beta_omega": [2.2e-311, 1.0, 1], "omega_ell": [0.0, 0.0, 1]}},
 ])
 def test_invalid_config_exits_2(tmp_path, config):
     res = run_cli("coefficients", config=config, tmp_path=tmp_path)
@@ -101,6 +104,20 @@ def test_invalid_config_exits_2(tmp_path, config):
     assert res.stdout == ""
     assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("sub,config,code", [
+    # coth(beta*omega/2) ~ 1e38: the evolved oracle state overflows
+    ("phase-diagram", {"sweep": {"beta_omega": [1e-38, 1.0, 1], "omega_ell": [0.0, 0.0, 1]}},
+     4),
+    # ell -> 0+ at zero temperature: the asymptotic state behind the summary fails
+    ("evolve", {"beta": "inf", "ell": 6e-8, "time_grid": [0.0, 1.0]}, 5),
+], ids=["sweep-overflow", "evolve-crossover"])
+def test_numerical_failure_exits_with_its_code(tmp_path, sub, config, code):
+    res = run_cli(sub, config=config, tmp_path=tmp_path)
+    assert res.returncode == code
+    assert res.stdout == ""
+    assert "error: " in res.stderr and "Traceback" not in res.stderr
 
 
 @pytest.mark.parametrize("text", [
@@ -290,9 +307,9 @@ def test_asymptotic_convergence_failure_exits_5(tmp_path):
 
 # ------------------------------------------------------------------ startup
 
-def test_only_evolve_imports_scipy_integrate(tmp_path):
-    # scipy.integrate serves only the RK45 guard of evolve; loading it at
-    # import time would add its subpackages to every subcommand's cold start
+def test_no_subcommand_imports_scipy(tmp_path):
+    # the package runs on numpy alone; scipy is a test-side reference, and
+    # loading it would add its import to every subcommand's cold start
     sweep, point = tmp_path / "sweep.json", tmp_path / "point.json"
     sweep.write_text(json.dumps(
         {"sweep": {"beta_omega": [1.0, 1.0, 1], "omega_ell": [0.5, 0.5, 1]}}), encoding="utf-8")
@@ -302,14 +319,12 @@ def test_only_evolve_imports_scipy_integrate(tmp_path):
     code = (
         "import sys\n"
         "from thermalpair import cli\n"
-        "def run(sub, cfg):\n"
-        "    assert cli.main([sub, '--config', cfg, '--out', cfg + '.out']) == 0\n"
-        "assert 'scipy.integrate' not in sys.modules\n"
-        f"run('phase-diagram', {str(sweep)!r})\n"
-        f"run('asymptotic', {str(point)!r})\n"
-        "assert 'scipy.integrate' not in sys.modules\n"
-        f"run('evolve', {str(point)!r})\n"
-        "assert 'scipy.integrate' in sys.modules\n"
+        "for sub, cfg in (('phase-diagram', sys.argv[1]), ('asymptotic', sys.argv[2]),\n"
+        "                 ('evolve', sys.argv[2]), ('coefficients', sys.argv[2])):\n"
+        "    assert cli.main([sub, '--config', cfg, '--out', cfg + '.out']) == 0, sub\n"
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "assert not loaded, loaded\n"
     )
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    res = subprocess.run([sys.executable, "-c", code, str(sweep), str(point)],
+                         capture_output=True, text=True)
     assert res.returncode == 0, res.stderr

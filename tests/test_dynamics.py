@@ -1,6 +1,7 @@
 """Operator algebra, dissipator, superoperator and time evolution."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -206,6 +207,72 @@ def test_positivity_preserved_forward():
         assert abs(np.trace(rho_t).real - 1.0) < 1e-12
 
 
+# ------------------------------------------- matrix exponential and RK45
+
+def _corner_generators(seed, count):
+    """(label, M) for `count` seeded random_params, include_hs on every
+    other one; asserts that beta = inf, ell = 0 and include_hs all occur."""
+    rng = np.random.default_rng(seed)
+    out, seen = [], set()
+    for k in range(count):
+        p = random_params(rng)
+        include_hs = k % 2 == 1
+        seen |= {"beta_inf"} if math.isinf(p.beta) else set()
+        seen |= {"ell_0"} if p.ell == 0 else set()
+        seen |= {"include_hs"} if include_hs else set()
+        out.append((f"{p} include_hs={include_hs}",
+                    build_superoperator(build_kossakowski_closed(p), p, include_hs=include_hs)))
+    assert seen == {"beta_inf", "ell_0", "include_hs"}
+    return out
+
+
+def test_expm_matches_scipy():
+    from scipy.linalg import expm as scipy_expm  # reference route, tests only
+
+    for label, M in _corner_generators(41, 120):
+        for t in (1e-6, 0.3, 5.0, 400.0, 1e5):
+            ref = scipy_expm(t * M)
+            diff = np.abs(dynamics.expm(t * M) - ref).max()
+            # 1e-10, or the rounding of the entries of t M where that is larger
+            # (1-norm above ~5e5, undamped include_hs oscillations at t = 1e5):
+            # there both routes are ~1e-10 away from a 40-digit reference
+            tol = max(1e-10, np.finfo(float).eps * np.abs(t * M).sum(axis=0).max())
+            assert diff <= tol * max(1.0, np.abs(ref).max()), (label, t, diff)
+
+
+def test_expm_closed_forms():
+    np.testing.assert_allclose(dynamics.expm(np.zeros((16, 16), dtype=complex)),
+                               np.eye(16), rtol=0, atol=1e-15)
+    d = np.array([-300.0, -2.0, 0.0, 1e-9, 1.5j, 3.0 - 40.0j])
+    np.testing.assert_allclose(dynamics.expm(np.diag(d)), np.diag(np.exp(d)),
+                               rtol=1e-13, atol=1e-300)
+    # nilpotent, N^4 = 0: exp(N) = I + N + N^2/2 + N^3/6
+    N = np.triu(np.full((4, 4), 7.0), 1)
+    np.testing.assert_allclose(dynamics.expm(N), np.eye(4) + N + N @ N / 2 + N @ N @ N / 6,
+                               rtol=1e-14)
+
+
+GRIDS = {
+    "uniform": np.linspace(0.0, 40.0, 41),
+    "log": np.geomspace(1e-4, 100.0, 30),
+    "log_from_zero": np.concatenate([[0.0], np.geomspace(1e-3, 200.0, 25)]),
+}
+
+
+@pytest.mark.parametrize("grid", sorted(GRIDS))
+def test_solve_ivp_matches_expm(grid):
+    rng = np.random.default_rng(42)
+    for label, M in _corner_generators(41, 40):
+        times = GRIDS[grid]
+        y0 = vec(random_density(rng))
+        ys = dynamics.solve_ivp(M, y0, times, dynamics._RK_RTOL, 1e-12)
+        assert ys.shape == (16, len(times))
+        if times[0] == 0:
+            np.testing.assert_array_equal(ys[:, 0], y0)
+        ref = np.array([dynamics.expm(t * M) @ y0 for t in times]).T
+        assert np.abs(ys - ref).max() <= dynamics._RK_AGREE_TOL, label
+
+
 # ---------------------------------------------------------------- trajectory
 
 def test_evolve_traj_trivial_grid():
@@ -226,13 +293,21 @@ def test_evolve_traj_agrees_with_rk_and_conserves():
         assert abs(tau(rho) - tau0) < 1e-9  # collective generator conserves tau
 
 
+def test_solve_ivp_at_extreme_scales():
+    # rates of 1e300 over times of 1e-300: dy/dt overflows the first-step
+    # estimate, and the step size starts from 10 ulp(0) instead
+    y0 = vec(canonical_state(E3).density())
+    times = np.array([0.0, 1e-300, 3e-300])
+    ys = dynamics.solve_ivp(1e300 * M_L0, y0, times, dynamics._RK_RTOL, 1e-12)
+    ref = np.array([dynamics.expm(t * M_L0) @ y0 for t in (0.0, 1.0, 3.0)]).T
+    assert np.abs(ys - ref).max() <= dynamics._RK_AGREE_TOL
+
+
 def test_evolve_traj_guard_fires_on_disagreement(monkeypatch):
     real = dynamics.solve_ivp
 
-    def perturbed(*args, **kwargs):
-        sol = real(*args, **kwargs)
-        sol.y = sol.y + 1e-6
-        return sol
+    def perturbed(*args):
+        return real(*args) + 1e-6
 
     monkeypatch.setattr(dynamics, "solve_ivp", perturbed)
     with pytest.raises(RuntimeError, match="disagree"):
@@ -240,16 +315,27 @@ def test_evolve_traj_guard_fires_on_disagreement(monkeypatch):
 
 
 def test_evolve_traj_guard_fires_on_failed_integration(monkeypatch):
+    # the RK45 route alone sees a generator with a NaN entry
     real = dynamics.solve_ivp
 
-    def failed(*args, **kwargs):
-        sol = real(*args, **kwargs)
-        sol.success, sol.message = False, "step size too small"
-        return sol
+    def failed(M, *args):
+        M = M.copy()
+        M[3, 5] = np.nan
+        return real(M, *args)
 
     monkeypatch.setattr(dynamics, "solve_ivp", failed)
     with pytest.raises(RuntimeError, match="integration failed"):
         evolve_traj(M_L0, canonical_state(E3).density(), [0.0, 1.0, 2.0])
+
+
+def test_solve_ivp_fails_on_nan_generator():
+    M = M_L0.copy()
+    M[3, 5] = np.nan
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match="integration failed"):
+        dynamics.solve_ivp(M, vec(singlet_density()), np.array([0.0, 1.0, 2.0]),
+                           dynamics._RK_RTOL, 1e-12)
+    assert time.perf_counter() - start < 5.0
 
 
 def test_evolve_traj_rejects_bad_grid():
