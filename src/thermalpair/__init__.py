@@ -59,13 +59,9 @@ from .entanglement import (
 )
 from .asymptotic import (
     ConvergenceError,
-    EquilibriumFamily,
-    asymptotic_concurrence,
     asymptotic_state,
-    equilibrium_closed_form,
-    equilibrium_coefficients,
     spectral_gap,
-    stationary_basis,
+    stationary_projector,
     threshold_tau,
 )
 

@@ -48,7 +48,6 @@ class Tolerances:
     oracle_band: float = 1e-3     # |rs_margin| band outside which oracle must agree
     positivity: float = 1e-8      # hard positivity failure threshold
     convergence: float = 1e-8     # asymptotic cross-check, trace norm
-    nullspace: float = 1e-10      # singular-value cutoff for stationary states
 
 
 @dataclass
@@ -202,6 +201,24 @@ def _parse_sweep(raw) -> SweepSpec:
     return SweepSpec(beta_omega=np.linspace(*beta_omega), omega_ell=np.linspace(*omega_ell))
 
 
+def _check_omega_scales(omega: float, beta_omega: float, times, sweep):
+    """The quantities derived from omega fit a float, or ConfigError: the
+    sample times in units of 1/omega, and the discriminant's scale
+    (omega coth(beta*omega/2))^2, taken at beta*omega and at a sweep's
+    smallest beta_omega, must be a finite, normal number."""
+    if times is not None:
+        with np.errstate(over="ignore", under="ignore"):
+            t = times / omega
+        _require(np.all(np.isfinite(t)) and np.all(np.diff(t) > 0),
+                 f"time_grid in units of 1/omega is not finite and strictly increasing "
+                 f"at omega {omega!r}")
+    for bw in (beta_omega,) if sweep is None else (beta_omega, float(sweep.beta_omega[0])):
+        scale = omega / math.tanh(bw / 2.0)
+        _require(sys.float_info.min <= scale * scale < math.inf,
+                 f"omega {omega!r} out of range: (omega coth(beta*omega/2))^2 at "
+                 f"beta*omega {bw!r} is not a finite normal float")
+
+
 def parse_config(doc: dict) -> RunConfig:
     _require(isinstance(doc, dict), "config must be a JSON object")
     known = {"omega", "beta", "ell", "n", "initial_state", "time_grid",
@@ -235,6 +252,7 @@ def parse_config(doc: dict) -> RunConfig:
     rho0 = _parse_initial_state(doc.get("initial_state"), params.n)
     times = _parse_time_grid(doc["time_grid"]) if "time_grid" in doc else None
     sweep = _parse_sweep(doc["sweep"]) if "sweep" in doc else None
+    _check_omega_scales(omega, beta * omega, times, sweep)
     return RunConfig(params=params, rho0=rho0, times=times, sweep=sweep,
                      include_hs=include_hs, tolerances=tol)
 
@@ -341,7 +359,7 @@ def cmd_evolve(config: RunConfig, out_path: str | None) -> int:
     M = dynamics.build_superoperator(K, params, include_hs=config.include_hs)
     traj = dynamics.evolve_traj(M, config.rho0, config.times / params.omega,
                                 pos_tol=config.tolerances.positivity)
-    rho_inf = asymptotic.asymptotic_state(M, config.rho0, params, check=False)
+    rho_inf, _ = asymptotic.asymptotic_state(M, config.rho0, params, check=False)
 
     lines = [EVOLVE_HEADER]
     for t_dimless, rho in zip(config.times, traj.states):
@@ -372,9 +390,8 @@ def cmd_asymptotic(config: RunConfig, out_path: str | None) -> int:
     params = config.params
     K = build_kossakowski_closed(params)
     M = dynamics.build_superoperator(K, params, include_hs=config.include_hs)
-    dim = len(asymptotic.stationary_basis(M, tol=config.tolerances.nullspace))
-    rho_inf = asymptotic.asymptotic_state(M, config.rho0, params, check=True,
-                                          conv_tol=config.tolerances.convergence)
+    rho_inf, dim = asymptotic.asymptotic_state(M, config.rho0, params, check=True,
+                                               conv_tol=config.tolerances.convergence)
     R, _, _ = entanglement.criterion_rs(params)
     doc = {"stationary_dim": dim,
            "rho_infinity": _complex_pairs(rho_inf),
@@ -400,8 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="JSON config path (default: standard input)")
         p.add_argument("--out", default=None,
                        help="output path (default: standard output)")
-        p.add_argument("--include-hs", action="store_true",
-                       help="add the free-Hamiltonian commutator to the generator")
     return parser
 
 
@@ -412,8 +427,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.include_hs:
-        config.include_hs = True
     try:
         if args.command == "coefficients":
             return cmd_coefficients(config, args.out)

@@ -1,4 +1,5 @@
-"""Stationary states, the closed-form equilibrium family and its concurrence."""
+"""Stationary projector and asymptotic states, checked against the
+closed-form ell = 0 equilibrium family and its concurrence."""
 
 import math
 
@@ -8,28 +9,29 @@ import pytest
 from thermalpair import (
     ConvergenceError,
     ModelParams,
-    asymptotic_concurrence,
     asymptotic_state,
     build_kossakowski_closed,
     build_superoperator,
     canonical_state,
     concurrence,
-    equilibrium_closed_form,
-    equilibrium_coefficients,
     kossakowski_from_coefficients,
     min_eig_pt,
     singlet_density,
+    singlet_ket,
     spectral_gap,
-    stationary_basis,
+    stationary_projector,
     tau,
     temperature_ratio,
     threshold_tau,
     trace_norm,
+    unvec,
     validate_density_matrix,
+    vec,
 )
 from thermalpair.spectral import KossakowskiCoefficients
 
-from util import dissipator_reference, random_density
+from util import (asymptotic_concurrence, dissipator_reference, equilibrium_closed_form,
+                  equilibrium_coefficients, random_density, random_params)
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -53,32 +55,85 @@ def generator_for_ratio(R):
     return build_superoperator(build_kossakowski_closed(p), p)
 
 
-# ------------------------------------------------------------- null space
+def coherent_ground_singlet():
+    """Equal mixture of the singlet and the ground state |--> with a
+    coherence between them, which no ell = 0, zero-temperature
+    dissipator damps."""
+    ground = np.zeros(4, dtype=complex)
+    ground[3] = 1.0
+    s = singlet_ket()
+    return (0.5 * np.outer(s, s.conj()) + 0.5 * np.outer(ground, ground)
+            + 0.3 * (np.outer(s, ground) + np.outer(ground, s.conj())))
+
+
+def stationary_dim(M):
+    return round(np.trace(stationary_projector(M)).real)
+
+
+# ------------------------------------------------------- stationary projector
 
 def test_stationary_dimension_degenerate_at_zero_separation():
     p = ModelParams(omega=1.0, beta=1.0, ell=0.0)
     M = build_superoperator(build_kossakowski_closed(p), p)
-    assert len(stationary_basis(M)) == 2
+    assert stationary_dim(M) == 2
 
 
 def test_stationary_dimension_unique_at_finite_separation():
     p = ModelParams(omega=1.0, beta=1.0, ell=2.0)
     M = build_superoperator(build_kossakowski_closed(p), p)
-    assert len(stationary_basis(M)) == 1
+    assert stationary_dim(M) == 1
+
+
+def test_stationary_dimension_at_zero_temperature_and_separation():
+    # ground, singlet and the two coherences between them
+    p = ModelParams(omega=1.0, beta=math.inf, ell=0.0)
+    M = build_superoperator(build_kossakowski_closed(p), p)
+    assert stationary_dim(M) == 4
+    M_h = build_superoperator(build_kossakowski_closed(p), p, include_hs=True)
+    assert stationary_dim(M_h) == 2  # the coherences oscillate at omega
 
 
 def test_stationary_basis_elements_are_stationary():
+    # the range of P: every column, devectorized, is a stationary operator
     for ell in (0.0, 2.0):
         p = ModelParams(omega=1.0, beta=1.0, ell=ell)
         K = build_kossakowski_closed(p)
-        M = build_superoperator(K, p)
-        for b in stationary_basis(M):
-            assert np.abs(dissipator_reference(K, b)).max() < 1e-12
+        P = stationary_projector(build_superoperator(K, p))
+        for col in P.T:
+            assert np.abs(dissipator_reference(K, unvec(col))).max() < 1e-12
 
 
 def test_stationary_basis_rejects_bad_shape():
     with pytest.raises(ValueError):
-        stationary_basis(np.zeros((4, 4)))
+        stationary_projector(np.zeros((4, 4)))
+
+
+def test_stationary_projector_properties():
+    """On seeded random parameters, with include_hs on every other one:
+    P^2 = P, M P = P M = 0, vec(I)^dag P = vec(I)^dag, and at finite
+    temperature and ell = 0, P rho0 is the closed-form equilibrium."""
+    rng = np.random.default_rng(52)
+    vec_id = vec(np.eye(4))
+    seen = set()
+    for k in range(120):
+        p = random_params(rng)
+        include_hs = k % 2 == 1
+        seen |= {"beta_inf"} if math.isinf(p.beta) else set()
+        seen |= {"ell_0"} if p.ell == 0 else set()
+        seen |= {"include_hs"} if include_hs else set()
+        M = build_superoperator(build_kossakowski_closed(p), p, include_hs=include_hs)
+        P = stationary_projector(M)
+        scale = np.abs(M).max()
+        label = f"{p} include_hs={include_hs}"
+        assert np.abs(P @ P - P).max() < 1e-12, label
+        assert np.abs(M @ P).max() < 1e-12 * scale, label
+        assert np.abs(P @ M).max() < 1e-12 * scale, label
+        assert np.abs(vec_id.conj() @ P - vec_id.conj()).max() < 1e-12, label
+        if p.ell == 0 and not math.isinf(p.beta):
+            rho0 = random_density(rng)
+            expected = equilibrium_closed_form(temperature_ratio(p), tau(rho0), p.n)
+            assert np.abs(unvec(P @ vec(rho0)) - expected).max() < 1e-12, label
+    assert seen == {"beta_inf", "ell_0", "include_hs"}
 
 
 # ----------------------------------------------------- closed-form family
@@ -118,7 +173,6 @@ def test_equilibrium_family_is_stationary():
         M = generator_for_ratio(R)
         for t in TAU_GRID:
             rho = equilibrium_closed_form(R, t)
-            from thermalpair.dynamics import unvec, vec
             assert np.abs(unvec(M @ vec(rho))).max() < 1e-12, (R, t)
 
 
@@ -168,7 +222,8 @@ def test_concurrence_positive_region_matches_threshold():
 def test_asymptotic_state_canonical_at_zero_separation():
     p = ModelParams(omega=1.0, beta=1.0, ell=0.0)
     M = build_superoperator(build_kossakowski_closed(p), p)
-    rho_inf = asymptotic_state(M, canonical_state(E3).density(), p)
+    rho_inf, dim = asymptotic_state(M, canonical_state(E3).density(), p)
+    assert dim == 2
     # tau = -1 for orthogonal pure states: concurrence 2R^2/(3+R^2)
     assert concurrence(rho_inf) == pytest.approx(0.13290729341780352129, abs=1e-10)
 
@@ -176,7 +231,7 @@ def test_asymptotic_state_canonical_at_zero_separation():
 def test_asymptotic_state_singlet_is_fixed():
     p = ModelParams(omega=1.0, beta=0.5, ell=0.0)
     M = build_superoperator(build_kossakowski_closed(p), p)
-    rho_inf = asymptotic_state(M, singlet_density(), p)
+    rho_inf, _ = asymptotic_state(M, singlet_density(), p)
     assert trace_norm(rho_inf - singlet_density()) < 1e-10
 
 
@@ -184,20 +239,32 @@ def test_asymptotic_state_unique_and_separable_at_finite_separation():
     rng = np.random.default_rng(51)
     p = ModelParams(omega=1.0, beta=1.0, ell=2.0)
     M = build_superoperator(build_kossakowski_closed(p), p)
-    rho_a = asymptotic_state(M, random_density(rng), p)
-    rho_b = asymptotic_state(M, random_density(rng), p)
+    rho_a, dim = asymptotic_state(M, random_density(rng), p)
+    rho_b, _ = asymptotic_state(M, random_density(rng), p)
+    assert dim == 1
     assert trace_norm(rho_a - rho_b) < 1e-10  # independent of the initial state
     assert min_eig_pt(rho_a) >= -1e-12
     assert concurrence(rho_a) < 1e-10
 
 
+def test_asymptotic_state_keeps_conserved_coherences():
+    # zero temperature, ell = 0: the singlet/ground coherence is conserved,
+    # so the state is its own limit, which the tau family alone would miss
+    p = ModelParams(omega=1.0, beta=math.inf, ell=0.0)
+    M = build_superoperator(build_kossakowski_closed(p), p)
+    rho0 = coherent_ground_singlet()
+    rho_inf, dim = asymptotic_state(M, rho0, p)
+    assert dim == 4
+    assert trace_norm(rho_inf - rho0) < 1e-12
+
+
 def test_asymptotic_state_convergence_check_fires():
-    # deliberately wrong generator (different temperature than params)
-    p = ModelParams(omega=1.0, beta=1.0, ell=0.0)
-    p_other = ModelParams(omega=1.0, beta=5.0, ell=0.0)
-    M_other = build_superoperator(build_kossakowski_closed(p_other), p_other)
+    # with the free Hamiltonian the singlet/ground coherence rotates at
+    # omega forever: no stationary state is reached
+    p = ModelParams(omega=1.0, beta=math.inf, ell=0.0)
+    M = build_superoperator(build_kossakowski_closed(p), p, include_hs=True)
     with pytest.raises(ConvergenceError):
-        asymptotic_state(M_other, canonical_state(E3).density(), p)
+        asymptotic_state(M, coherent_ground_singlet(), p)
 
 
 def test_spectral_gap_positive():

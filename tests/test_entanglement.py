@@ -13,7 +13,6 @@ from thermalpair import (
     canonical_state,
     concurrence,
     criterion_rs,
-    equilibrium_closed_form,
     generation_test,
     is_entangled,
     min_eig_pt,
@@ -28,7 +27,7 @@ from thermalpair import (
 )
 from thermalpair.spectral import kossakowski_coefficients
 
-from util import (random_bloch, random_density, random_params,
+from util import (equilibrium_closed_form, random_bloch, random_density, random_params,
                   random_product_state, random_rotation,
                   random_separable_density, random_unit_complex)
 

@@ -65,7 +65,7 @@ OPTIONAL = {
         st.lists(st.floats(-1.0, 1.0), min_size=32, max_size=32).map(_density_pairs),
     ),
     "tolerances": st.dictionaries(st.sampled_from(["boundary", "oracle_dt", "oracle_band",
-                                                   "positivity", "convergence", "nullspace"]),
+                                                   "positivity", "convergence"]),
                                   st.floats(1e-14, 1e-1), max_size=2),
 }
 
@@ -89,16 +89,15 @@ def configs(draw):
 
 
 @settings(derandomize=True, max_examples=500, deadline=None, database=None)
-@given(st.sampled_from(["coefficients", "phase-diagram", "evolve", "asymptotic"]),
-       configs(), st.booleans())
-def test_main_exits_with_a_documented_code(sub, doc, include_hs_flag):
+@given(st.sampled_from(["coefficients", "phase-diagram", "evolve", "asymptotic"]), configs())
+def test_main_exits_with_a_documented_code(sub, doc):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "config.json"
         cfg.write_text(json.dumps(doc), encoding="utf-8")
         argv = [sub, "--config", str(cfg), "--out", str(Path(tmp) / "out")]
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
-            code = cli.main(argv + ["--include-hs"] * include_hs_flag)
+            code = cli.main(argv)
     assert code in EXIT_CODES, (code, err.getvalue())
     assert "Traceback" not in err.getvalue()
     if code != 0:

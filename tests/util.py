@@ -1,8 +1,13 @@
-"""Shared random generators for the property tests (all explicitly seeded)."""
+"""Shared random generators for the property tests (all explicitly seeded)
+and closed-form references the library's numerical routes are checked against."""
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from thermalpair import ModelParams, ProductState, pauli_op
+from thermalpair.dynamics import SIGMA
+from thermalpair.spectral import _unit_vector
 
 
 def random_density(rng, dim=4):
@@ -72,3 +77,61 @@ def dissipator_reference(K, rho):
                 sij = si @ sj
                 out += 0.5 * c[i, j] * (2.0 * sj @ rho @ si - sij @ rho - rho @ sij)
     return out
+
+
+@dataclass(frozen=True)
+class EquilibriumFamily:
+    """Coefficients (a, b, c) of the ell = 0 equilibrium state."""
+
+    a: float
+    b: float
+    c: float
+    R: float
+    tau: float
+
+
+def equilibrium_coefficients(R: float, tau: float) -> EquilibriumFamily:
+    if not (0.0 <= R <= 1.0):
+        raise ValueError(f"R must lie in [0, 1], got {R}")
+    if not (-3.0 <= tau <= 1.0):
+        raise ValueError(f"tau must lie in [-3, 1], got {tau}")
+    a = R * (tau + 3.0) / (3.0 + R * R)
+    # b = (tau - R^2)/(3 + R^2): fixed by linearity of the asymptotic map in
+    # the initial state together with conservation of tau (3b + c = tau);
+    # also the unique choice reproducing the singlet at tau = -3 and the
+    # ground state at (R, tau) = (1, 1).  Checked against the stationary
+    # projector in test_asymptotic.
+    b = (tau - R * R) / (3.0 + R * R)
+    return EquilibriumFamily(a=a, b=b, c=R * a, R=R, tau=tau)
+
+
+def equilibrium_closed_form(R: float, tau: float, n=(0.0, 0.0, 1.0)) -> np.ndarray:
+    """Closed-form ell = 0 equilibrium state rho_inf(R, tau).
+
+    rho_inf = (1/4)[1 - a n.(sigma (x) 1 + 1 (x) sigma)
+                      + sum_ij (b d_ij + c n_i n_j) sigma_i (x) sigma_j]
+    """
+    fam = equilibrium_coefficients(R, tau)
+    n = _unit_vector(n)
+    rho = np.eye(4, dtype=complex)
+    for i in range(3):
+        rho -= fam.a * n[i] * (pauli_op(1, i + 1) + pauli_op(2, i + 1))
+        for j in range(3):
+            coeff = fam.b * (i == j) + fam.c * n[i] * n[j]
+            rho += coeff * np.kron(SIGMA[i], SIGMA[j])
+    return rho / 4.0
+
+
+def asymptotic_concurrence(R: float, tau: float) -> float:
+    """Concurrence of the ell = 0 equilibrium state, linear in tau:
+    max{0, (3 - R^2)/(2(3 + R^2)) ((5R^2 - 3)/(3 - R^2) - tau)}.
+
+    Equals 1 at tau = -3 (singlet) for any R and 1/2 at (R, tau) = (1, -1).
+    """
+    if not (0.0 <= R <= 1.0):
+        raise ValueError(f"R must lie in [0, 1], got {R}")
+    if not (-3.0 <= tau <= 1.0):
+        raise ValueError(f"tau must lie in [-3, 1], got {tau}")
+    r2 = R * R
+    val = (3.0 - r2) / (2.0 * (3.0 + r2)) * ((5.0 * r2 - 3.0) / (3.0 - r2) - tau)
+    return max(val, 0.0)
