@@ -11,23 +11,16 @@ from .spectral import (
     KossakowskiCoefficients,
     KossakowskiMatrix,
     ModelParams,
-    PsiTensors,
-    SpectralValues,
     build_kossakowski_closed,
-    build_kossakowski_spectral,
     kossakowski_coefficients,
     kossakowski_from_coefficients,
     psd_check,
-    psi_tensors,
-    spectral_density,
     temperature_ratio,
 )
 from .dynamics import (
     PositivityError,
     Trajectory,
     build_superoperator,
-    choi_matrix,
-    dissipator_apply,
     evolve,
     evolve_traj,
     pauli_op,
@@ -48,12 +41,8 @@ from .entanglement import (
     concurrence,
     criterion_rs,
     generation_test,
-    is_entangled,
     min_eig_pt,
-    min_q_rate,
     partial_transpose,
-    q_probe,
-    q_rate,
     small_time_ppt_oracle,
     uv_vectors,
 )

@@ -8,8 +8,9 @@ standard error.  Identical configs produce byte-identical output: floats
 are printed with 17 significant digits and orderings are fixed.
 
 Exit codes: 0 ok, 2 config validation failure, 3 discriminant/oracle
-disagreement (implementation bug guard), 4 positivity failure during
-evolution, 5 asymptotic convergence-check failure.
+disagreement (implementation bug guard), 4 positivity failure (a
+Kossakowski matrix that is not positive semidefinite, or an evolved state
+below tolerance), 5 asymptotic convergence-check failure.
 """
 
 from __future__ import annotations
@@ -32,6 +33,10 @@ EVOLVE_HEADER = "t,trace,min_eig,min_eig_pt,concurrence,tau"
 # count caps: a time grid's samples and a sweep's grid points
 MAX_SAMPLES = 100_000
 MAX_SWEEP_POINTS = 1_000_000
+# cap on the work of evolve's RK45 cross-check, (t_max / omega) |M|_1: the
+# explicit integrator's step count grows with it, at about 1 s of run time
+# per 1e5 of work
+MAX_RK_WORK = 2e5
 # below this beta*omega the thermal factor coth(beta*omega/2) overflows the
 # Kossakowski coefficients
 MIN_BETA_OMEGA = 1e-300
@@ -305,14 +310,14 @@ def cmd_coefficients(config: RunConfig, out_path: str | None) -> int:
     return 0
 
 
-def _sweep_point(omega, n, beta_omega, omega_ell, include_hs, tol) -> SweepRecord:
+def _sweep_point(omega, n, state, rho0, beta_omega, omega_ell, include_hs,
+                 tol) -> SweepRecord:
     params = ModelParams(omega=omega, beta=beta_omega / omega, ell=omega_ell / omega, n=n)
     K = build_kossakowski_closed(params)
     M = dynamics.build_superoperator(K, params, include_hs=include_hs)
-    state = entanglement.canonical_state(n)
     verdict = entanglement.generation_test(state, K, params=params,
                                            boundary_tol=tol.boundary)
-    oracle = entanglement.small_time_ppt_oracle(M, state.density(), tol.oracle_dt / omega)
+    oracle = entanglement.small_time_ppt_oracle(M, rho0, tol.oracle_dt / omega)
     return SweepRecord(beta_omega=beta_omega, omega_ell=omega_ell,
                        R=verdict.R, S=verdict.S, rs_margin=verdict.rs_margin,
                        discriminant_margin=verdict.margin / omega**2,
@@ -324,7 +329,9 @@ def cmd_phase_diagram(config: RunConfig, out_path: str | None) -> int:
     if config.sweep is None:
         raise ConfigError("phase-diagram requires a sweep section")
     tol = config.tolerances
-    records = [_sweep_point(config.params.omega, config.params.n, bw, wl,
+    state = entanglement.canonical_state(config.params.n)
+    rho0 = state.density()
+    records = [_sweep_point(config.params.omega, config.params.n, state, rho0, bw, wl,
                             config.include_hs, tol)
                for bw in config.sweep.beta_omega for wl in config.sweep.omega_ell]
 
@@ -357,6 +364,11 @@ def cmd_evolve(config: RunConfig, out_path: str | None) -> int:
     params = config.params
     K = build_kossakowski_closed(params)
     M = dynamics.build_superoperator(K, params, include_hs=config.include_hs)
+    work = config.times[-1] / params.omega * np.abs(M).sum(axis=0).max()
+    if work > MAX_RK_WORK:
+        raise ConfigError(f"time_grid t_max {float(config.times[-1])!r} is too long for the "
+                          f"RK45 cross-check: (t_max/omega) |M|_1 = {work:.3g} exceeds "
+                          f"MAX_RK_WORK = {MAX_RK_WORK:.0e}")
     traj = dynamics.evolve_traj(M, config.rho0, config.times / params.omega,
                                 pos_tol=config.tolerances.positivity)
     rho_inf, _ = asymptotic.asymptotic_state(M, config.rho0, params, check=False)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import KossakowskiMatrix, ModelParams
+from .spectral import KossakowskiMatrix, ModelParams, psd_check
 
 log = logging.getLogger(__name__)
 
@@ -35,8 +35,9 @@ IDENTITY4 = np.eye(4, dtype=complex)
 
 
 class PositivityError(RuntimeError):
-    """Evolution produced a state with an eigenvalue below tolerance or a
-    non-finite entry."""
+    """The Kossakowski matrix is not positive semidefinite (the generator is
+    not completely positive), or evolution produced a state with an
+    eigenvalue below tolerance or a non-finite entry."""
 
 
 def pauli_op(atom: int, axis: int) -> np.ndarray:
@@ -90,6 +91,13 @@ def unvec(v: np.ndarray) -> np.ndarray:
 _HERM_TOL = 1e-12
 _TRACE_TOL = 1e-12
 _EIG_FLOOR = -1e-10
+
+# complete positivity of build_superoperator: the Kossakowski matrix may have
+# eigenvalues below zero by at most this fraction of its largest entry.  The
+# closed form has an exact zero eigenvalue (along n in C11 - C12) that
+# rounding moves either way, so the bound is relative; the largest entry is
+# within a factor 6 of the largest |eigenvalue| and needs no second eigensolve.
+_CP_REL_TOL = 1e-12
 
 # RK45 cross-check of evolve_traj: integrator rtol and max-norm agreement
 _RK_RTOL = 1e-10
@@ -242,19 +250,6 @@ def trace_norm(a: np.ndarray) -> float:
     return float(np.linalg.svd(np.asarray(a, dtype=complex), compute_uv=False).sum())
 
 
-def dissipator_apply(K: KossakowskiMatrix, rho: np.ndarray) -> np.ndarray:
-    """d rho / dt of the dissipative generator for state rho.
-
-    (1/2) sum_{ab,ij} C^(ab)_ij (2 s_j^b rho s_i^a - s_i^a s_j^b rho - rho s_i^a s_j^b)
-
-    The output is traceless and Hermitian for Hermitian rho.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError(f"state must be 4x4, got shape {rho.shape}")
-    return unvec(build_superoperator(K) @ vec(rho))
-
-
 def hamiltonian(params: ModelParams) -> np.ndarray:
     """Free two-atom Hamiltonian (omega/2)(n.sigma (x) 1 + 1 (x) n.sigma)."""
     h1 = sum(params.n[i] * SIGMA[i] for i in range(3))
@@ -267,9 +262,18 @@ def build_superoperator(K: KossakowskiMatrix, params: ModelParams | None = None,
 
     M = sum_pq K[p, q] _BASIS[p, q] is linear in the 6x6 Kossakowski
     matrix.  With include_hs the commutator -i[H_S, .] at the bare
-    frequency is added; params is then required.
+    frequency is added; params is then required.  K >= 0 is the whole
+    complete-positivity condition of a Lindblad generator: a minimum
+    eigenvalue (psd_check) below -_CP_REL_TOL times K's largest entry
+    raises PositivityError.
     """
-    M = np.tensordot(K.matrix, _BASIS, axes=([0, 1], [0, 1]))
+    k = K.matrix
+    min_eig = psd_check(k)
+    if min_eig < -_CP_REL_TOL * np.abs(k).max():
+        raise PositivityError(f"Kossakowski matrix is not positive semidefinite: minimum "
+                              f"eigenvalue {min_eig:.3e}, the generator is not completely "
+                              f"positive")
+    M = np.tensordot(k, _BASIS, axes=([0, 1], [0, 1]))
     if include_hs:
         if params is None:
             raise ValueError("params required when include_hs is set")
@@ -281,13 +285,16 @@ def build_superoperator(K: KossakowskiMatrix, params: ModelParams | None = None,
 def evolve(M: np.ndarray, rho0: np.ndarray, t: float, pos_tol: float = 1e-8) -> np.ndarray:
     """rho(t) = unvec(expm(t M) vec(rho0)), re-Hermitized and renormalized.
 
-    Raises PositivityError if the result dips below -pos_tol or is not
-    finite (the exponential of a generator too large for its rounding);
-    smaller Hermiticity/trace deviations are logged and repaired.
+    rho0 must already be a valid 4x4 density matrix (an array, as
+    validate_density_matrix returns it); it is not checked again here, so
+    the callers that take a state from outside (evolve_traj,
+    asymptotic_state, the CLI's config parser) validate it once.  Raises
+    PositivityError if the result dips below -pos_tol or is not finite
+    (the exponential of a generator too large for its rounding); smaller
+    Hermiticity/trace deviations are logged and repaired.
     """
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"time must be finite and >= 0, got {t}")
-    rho0 = validate_density_matrix(rho0)
     if t == 0:
         return rho0.copy()
     rho = unvec(expm(t * M) @ vec(rho0))
@@ -316,13 +323,6 @@ class Trajectory:
 
     times: np.ndarray
     states: list
-
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        if len(self.times) != len(self.states):
-            raise ValueError("times and states length mismatch")
-        if len(self.times) > 1 and not np.all(np.diff(self.times) > 0):
-            raise ValueError("times must be strictly increasing")
 
 
 def evolve_traj(M: np.ndarray, rho0: np.ndarray, times,
@@ -353,22 +353,3 @@ def evolve_traj(M: np.ndarray, rho0: np.ndarray, times,
         log.debug("expm/RK45 max-norm disagreement: %.3e", worst)
 
     return Trajectory(times=times, states=states)
-
-
-def choi_matrix(M: np.ndarray, t: float) -> np.ndarray:
-    """Choi matrix sum_kl E_kl (x) Phi_t(E_kl) of the map Phi_t = expm(t M).
-
-    Positive semidefiniteness certifies complete positivity of the map.
-    """
-    if not (math.isfinite(t) and t >= 0):
-        raise ValueError(f"time must be finite and >= 0, got {t}")
-    E = expm(t * M)
-    choi = np.zeros((16, 16), dtype=complex)
-    for k in range(4):
-        for l in range(4):
-            unit = np.zeros((4, 4), dtype=complex)
-            unit[k, l] = 1.0
-            # vec(E_kl) is the basis vector at column-major index 4l + k
-            phi = unvec(E[:, 4 * l + k])
-            choi += np.kron(unit, phi)
-    return choi

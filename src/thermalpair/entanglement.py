@@ -11,10 +11,10 @@ Whether the common bath starts entangling a pure product state
 Kossakowski blocks and two complex 3-vectors u, v encoding the initial
 state; for the canonical state (|->, |+> along the Hamiltonian axis) the
 test collapses to R^2 + S^2 > 1 with R = tanh(beta omega / 2) and
-S = sinc(omega ell).  Two independent numerical oracles are provided: a
-small-time evolution followed by the partial-transpose test, and the
-exact minimum (a compressed eigensolve) of the initial
-entanglement-production rate over probe vectors.
+S = sinc(omega ell).  A small-time evolution followed by the
+partial-transpose test is the independent oracle the phase diagram checks
+the verdict against; the tests add a second one, the exact minimum of the
+initial entanglement-production rate over probe vectors.
 """
 
 from __future__ import annotations
@@ -124,11 +124,6 @@ def min_eig_pt(rho: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(0.5 * (pt + pt.conj().T)).min())
 
 
-def is_entangled(rho: np.ndarray, tol: float = 1e-12) -> bool:
-    """Exact two-qubit criterion: entangled iff min_eig_pt < -tol."""
-    return min_eig_pt(rho) < -tol
-
-
 _SIGMA2_SIGMA2 = np.kron(dynamics.SIGMA[1], dynamics.SIGMA[1])
 
 
@@ -151,37 +146,6 @@ def concurrence(rho: np.ndarray) -> float:
     rho_flip = _SIGMA2_SIGMA2 @ rho.conj() @ _SIGMA2_SIGMA2
     lam = np.linalg.svd(_psd_sqrt(rho_flip) @ _psd_sqrt(rho), compute_uv=False)
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
-
-
-def q_probe(chi: np.ndarray, rho: np.ndarray) -> float:
-    """<chi| PT(rho) |chi> for a normalized probe vector chi.
-
-    Negative values witness entanglement of rho; a product probe can
-    never give a negative value.
-    """
-    chi = np.asarray(chi, dtype=complex).reshape(-1)
-    if chi.shape != (4,):
-        raise ValueError(f"probe must be a 4-vector, got shape {chi.shape}")
-    nrm = np.linalg.norm(chi)
-    if nrm == 0:
-        raise ValueError("probe vector must be nonzero")
-    chi = chi / nrm
-    return float(np.real(chi.conj() @ partial_transpose(rho) @ chi))
-
-
-def q_rate(chi: np.ndarray, rho0: np.ndarray, K: KossakowskiMatrix) -> float:
-    """Initial rate <chi| PT(d rho/dt) |chi> of the probe expectation.
-
-    rho0 is meant to be a pure product state with q_probe(chi, rho0) = 0;
-    a negative rate then witnesses entanglement generation at t = 0+.
-    """
-    chi = np.asarray(chi, dtype=complex).reshape(-1)
-    nrm = np.linalg.norm(chi)
-    if nrm == 0:
-        raise ValueError("probe vector must be nonzero")
-    chi = chi / nrm
-    drho = dynamics.dissipator_apply(K, rho0)
-    return float(np.real(chi.conj() @ partial_transpose(drho) @ chi))
 
 
 def _su2_from_bloch(b) -> np.ndarray:
@@ -249,30 +213,6 @@ def criterion_rs(params: ModelParams):
     return R, S, R * R + S * S - 1.0
 
 
-def min_q_rate(state: ProductState, K: KossakowskiMatrix):
-    """Minimize q_rate over normalized probes chi with q_probe(chi, rho0) = 0.
-
-    The constraint set is the orthogonal complement of the product vector
-    carried by PT(rho0), so the exact minimum is the smallest eigenvalue
-    of the compressed rate matrix.
-
-    Returns (minimum rate, minimizing probe vector).
-    """
-    k1, k2 = state.kets()
-    rho0 = state.density()
-    rate_matrix = partial_transpose(dynamics.dissipator_apply(K, rho0))
-    rate_matrix = 0.5 * (rate_matrix + rate_matrix.conj().T)
-    w = np.kron(k1, k2.conj())  # range of PT(rho0)
-    # orthonormal basis of the 3-dim complement of w
-    q, _ = np.linalg.qr(np.column_stack([w, np.eye(4)]))
-    P = q[:, 1:]
-    comp = P.conj().T @ rate_matrix @ P
-    comp = 0.5 * (comp + comp.conj().T)
-
-    evals, evecs = np.linalg.eigh(comp)
-    return float(evals[0]), P @ evecs[:, 0]
-
-
 # partial-transpose eigenvalues below -_ORACLE_NEG_TOL count as negative in the oracle
 _ORACLE_NEG_TOL = 1e-13
 
@@ -280,7 +220,8 @@ _ORACLE_NEG_TOL = 1e-13
 def small_time_ppt_oracle(M: np.ndarray, rho0: np.ndarray, dt: float) -> bool:
     """Evolve a product state by dt and test the partial transpose.
 
-    Independent verification of the discriminant verdict: evolve rho0 by
+    Independent verification of the discriminant verdict: evolve rho0 (a
+    valid density matrix, which dynamics.evolve does not check again) by
     a short dt (of order 1e-3 per unit frequency) and report whether the
     partial transpose develops an eigenvalue below -_ORACLE_NEG_TOL.
     """

@@ -16,10 +16,11 @@ evaluated at z in {+omega, -omega, 0}, and through the geometric psi
 tensors built from n.  The resulting coefficient matrix has the 2x2 block
 structure [[C11, C12], [C12, C11]] with 3x3 Hermitian blocks; it must be
 positive semidefinite for the generated semigroup to be completely
-positive.  Two independent constructions are provided: the frequency-sum
-(`build_kossakowski_spectral`) and the closed form in terms of the six
-coefficients A, B, C, A', B', C' (`build_kossakowski_closed`).  They agree
-to ~1e-14 and cross-validate each other in the test suite.
+positive, which `psd_check` measures and `dynamics.build_superoperator`
+enforces.  The matrix is built from the closed form in terms of the six
+coefficients A, B, C, A', B', C' (`build_kossakowski_closed`); the
+independent frequency-sum construction it is checked against lives in
+the test suite.
 """
 
 from __future__ import annotations
@@ -76,15 +77,6 @@ class ModelParams:
 
 
 @dataclass(frozen=True)
-class SpectralValues:
-    """Bath spectra at one frequency: g11 same-atom, g12 cross-atom."""
-
-    g11: float
-    g12: float
-    z: float
-
-
-@dataclass(frozen=True)
 class KossakowskiCoefficients:
     """Closed-form coefficients of the block Kossakowski matrix.
 
@@ -98,15 +90,6 @@ class KossakowskiCoefficients:
     Ap: float
     Bp: float
     Cp: float
-
-
-@dataclass(frozen=True)
-class PsiTensors:
-    """Geometric projectors onto the 0, +, - frequency sectors of n."""
-
-    psi0: np.ndarray
-    psi_plus: np.ndarray
-    psi_minus: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -134,38 +117,6 @@ class KossakowskiMatrix:
 def _sinc(x: float) -> float:
     """sin(x)/x with the exact value 1 at x = 0."""
     return float(np.sinc(x / np.pi))
-
-
-def _bose_weighted(beta: float, z: float) -> float:
-    """z / (1 - exp(-beta z)) for finite beta, stable for all real z.
-
-    A series branch handles |beta z| < 1e-6 (the expression is 0/0 at
-    z = 0); the two-sided exponential form avoids overflow for large
-    |beta z| of either sign.
-    """
-    x = beta * z
-    if abs(x) < 1e-6:
-        # x/(1 - e^-x) = 1 + x/2 + x^2/12 - x^4/720 + O(x^6)
-        return (1.0 + x / 2.0 + x * x / 12.0 - x**4 / 720.0) / beta
-    if x > 0:
-        return z / -math.expm1(-x)
-    return z * math.exp(x) / math.expm1(x)
-
-
-def spectral_density(params: ModelParams, z: float) -> SpectralValues:
-    """Evaluate the thermal spectra g11 and g12 at frequency z.
-
-    Zero temperature gives g11(z) = z/2pi for z > 0 and 0 for z <= 0.
-    The cross spectrum carries the sinc(ell z) suppression factor.
-    """
-    if not math.isfinite(z):
-        raise ValueError(f"frequency must be finite, got {z}")
-    if params.zero_temperature:
-        g11 = z / TWO_PI if z > 0 else 0.0
-    else:
-        g11 = _bose_weighted(params.beta, z) / TWO_PI
-    g12 = g11 * _sinc(params.ell * z)
-    return SpectralValues(g11=g11, g12=g12, z=z)
 
 
 def kossakowski_coefficients(params: ModelParams) -> KossakowskiCoefficients:
@@ -196,40 +147,6 @@ def temperature_ratio(params: ModelParams) -> float:
     return math.tanh(params.beta * params.omega / 2.0)
 
 
-def psi_tensors(n) -> PsiTensors:
-    """psi0 = n n^T and psi+- = (1 - n n^T +- i eps.n)/2 for unit n."""
-    n = _unit_vector(n)
-    p0 = np.outer(n, n).astype(complex)
-    eps_n = np.einsum("ijk,k->ij", _EPSILON, n)
-    perp = np.eye(3) - np.outer(n, n)
-    return PsiTensors(
-        psi0=p0,
-        psi_plus=0.5 * (perp + 1j * eps_n),
-        psi_minus=0.5 * (perp - 1j * eps_n),
-    )
-
-
-def build_kossakowski_spectral(params: ModelParams) -> KossakowskiMatrix:
-    """Assemble the Kossakowski blocks from the frequency sum.
-
-    C^(ab)_ij = sum_{xi in {+,-,0}} g_ab(xi omega) sum_k psi^(xi)_ki psi^(-xi)_kj
-    """
-    psi = psi_tensors(params.n)
-    pairs = (
-        (psi.psi_plus, psi.psi_minus, +params.omega),
-        (psi.psi_minus, psi.psi_plus, -params.omega),
-        (psi.psi0, psi.psi0, 0.0),
-    )
-    c11 = np.zeros((3, 3), dtype=complex)
-    c12 = np.zeros((3, 3), dtype=complex)
-    for psi_xi, psi_mxi, z in pairs:
-        weight = np.einsum("ki,kj->ij", psi_xi, psi_mxi)
-        sv = spectral_density(params, z)
-        c11 += sv.g11 * weight
-        c12 += sv.g12 * weight
-    return KossakowskiMatrix(c11=c11, c12=c12, n=params.n)
-
-
 def kossakowski_from_coefficients(coeffs: KossakowskiCoefficients, n) -> KossakowskiMatrix:
     """Blocks A 1 - iB eps.n + C nn^T (and primed analogue) for given coefficients."""
     n = _unit_vector(n)
@@ -251,7 +168,8 @@ def psd_check(K) -> float:
 
     Accepts a KossakowskiMatrix or a raw 6x6 array; a non-Hermitian array
     is rejected.  Complete positivity of the generated semigroup requires
-    the returned value >= -1e-12 times the spectral norm.
+    the returned value >= 0 up to rounding; `dynamics.build_superoperator`
+    enforces it on every generator it builds.
     """
     m = K.matrix if isinstance(K, KossakowskiMatrix) else np.asarray(K, dtype=complex)
     if m.shape != (6, 6):

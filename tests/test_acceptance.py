@@ -12,10 +12,8 @@ import numpy as np
 from thermalpair import (
     ModelParams,
     build_kossakowski_closed,
-    build_kossakowski_spectral,
     build_superoperator,
     canonical_state,
-    choi_matrix,
     concurrence,
     criterion_rs,
     evolve,
@@ -36,8 +34,8 @@ from thermalpair import (
 from thermalpair.asymptotic import spectral_gap
 from thermalpair.spectral import KossakowskiCoefficients
 
-from util import (asymptotic_concurrence, dissipator_reference, equilibrium_closed_form,
-                  random_density, random_params)
+from util import (asymptotic_concurrence, build_kossakowski_spectral, choi_matrix,
+                  dissipator_reference, equilibrium_closed_form, random_density, random_params)
 
 E3 = np.array([0.0, 0.0, 1.0])
 BETA_OMEGA_GRID = np.linspace(0.1, 10.0, 40)

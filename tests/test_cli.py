@@ -4,9 +4,12 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
+
+from thermalpair import cli, spectral
 
 
 def run_cli(*args, config=None, tmp_path=None, stdin=None):
@@ -125,6 +128,38 @@ def test_numerical_failure_exits_with_its_code(tmp_path, sub, config, code):
     assert res.returncode == code
     assert res.stdout == ""
     assert "error: " in res.stderr and "Traceback" not in res.stderr
+
+
+def test_rk45_work_over_cap_exits_2_before_integrating(tmp_path):
+    # (t_max/omega) |M|_1 = 1.9e6: the RK45 cross-check would take about 20 s
+    config = {"beta": 0.001, "ell": 1, "time_grid": {"t_max": 1000, "n_samples": 3}}
+    start = time.perf_counter()
+    res = run_cli("evolve", config=config, tmp_path=tmp_path)
+    assert time.perf_counter() - start < 1.0
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+    assert "MAX_RK_WORK" in res.stderr and "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("sub", ["phase-diagram", "evolve", "asymptotic"])
+def test_non_psd_kossakowski_matrix_exits_4(tmp_path, monkeypatch, capsys, sub):
+    # at ell = 0 the cross block equals C11; scaled by 1.5 it gives K the
+    # eigenvalues -0.5 times those of C11
+    def corrupted(params):
+        K = spectral.build_kossakowski_closed(params)
+        return spectral.KossakowskiMatrix(c11=K.c11, c12=1.5 * K.c12, n=K.n)
+
+    monkeypatch.setattr(cli, "build_kossakowski_closed", corrupted)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"ell": 0.0, "time_grid": {"t_max": 1.0, "n_samples": 3},
+                                "sweep": {"beta_omega": [1.0, 1.0, 1],
+                                          "omega_ell": [0.0, 0.0, 1]}}), encoding="utf-8")
+    assert cli.main([sub, "--config", str(path)]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: Kossakowski matrix is not positive semidefinite")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("text", [

@@ -12,8 +12,6 @@ from thermalpair import (
     build_kossakowski_closed,
     build_superoperator,
     canonical_state,
-    choi_matrix,
-    dissipator_apply,
     evolve,
     evolve_traj,
     pauli_op,
@@ -26,7 +24,8 @@ from thermalpair import (
 from thermalpair import dynamics
 from thermalpair.dynamics import SIGMA, hamiltonian
 
-from util import dissipator_reference, random_density, random_params
+from util import (choi_matrix, dissipator_apply, dissipator_reference, random_density,
+                  random_params)
 
 E3 = np.array([0.0, 0.0, 1.0])
 P_L0 = ModelParams(omega=1.0, beta=1.0, ell=0.0)

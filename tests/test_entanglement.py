@@ -14,12 +14,8 @@ from thermalpair import (
     concurrence,
     criterion_rs,
     generation_test,
-    is_entangled,
     min_eig_pt,
-    min_q_rate,
     partial_transpose,
-    q_probe,
-    q_rate,
     singlet_density,
     singlet_ket,
     small_time_ppt_oracle,
@@ -27,9 +23,9 @@ from thermalpair import (
 )
 from thermalpair.spectral import kossakowski_coefficients
 
-from util import (equilibrium_closed_form, random_bloch, random_density, random_params,
-                  random_product_state, random_rotation,
-                  random_separable_density, random_unit_complex)
+from util import (equilibrium_closed_form, is_entangled, min_q_rate, q_probe, q_rate,
+                  random_bloch, random_density, random_params, random_product_state,
+                  random_rotation, random_separable_density, random_unit_complex)
 
 E3 = np.array([0.0, 0.0, 1.0])
 

@@ -13,17 +13,15 @@ import pytest
 from thermalpair import (
     ModelParams,
     build_kossakowski_closed,
-    build_kossakowski_spectral,
     kossakowski_coefficients,
     kossakowski_from_coefficients,
     psd_check,
-    psi_tensors,
-    spectral_density,
     temperature_ratio,
 )
 from thermalpair.spectral import KossakowskiCoefficients
 
-from util import random_params, random_rotation
+from util import (build_kossakowski_spectral, psi_tensors, random_params, random_rotation,
+                  spectral_density)
 
 E3 = np.array([0.0, 0.0, 1.0])
 

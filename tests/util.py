@@ -1,13 +1,19 @@
-"""Shared random generators for the property tests (all explicitly seeded)
-and closed-form references the library's numerical routes are checked against."""
+"""Shared random generators for the property tests (all explicitly seeded),
+closed-form references the library's numerical routes are checked against,
+and the independent cross-check routes that no subcommand runs: the
+frequency-sum Kossakowski matrix, the dissipator's action on a state, the
+Choi matrix of the evolved map and the probe functionals of the
+entanglement-generation test."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from thermalpair import ModelParams, ProductState, pauli_op
-from thermalpair.dynamics import SIGMA
-from thermalpair.spectral import _unit_vector
+from thermalpair import (KossakowskiMatrix, ModelParams, ProductState, build_superoperator,
+                         min_eig_pt, partial_transpose, pauli_op, unvec, vec)
+from thermalpair.dynamics import SIGMA, expm
+from thermalpair.spectral import TWO_PI, _EPSILON, _sinc, _unit_vector
 
 
 def random_density(rng, dim=4):
@@ -135,3 +141,191 @@ def asymptotic_concurrence(R: float, tau: float) -> float:
     r2 = R * R
     val = (3.0 - r2) / (2.0 * (3.0 + r2)) * ((5.0 * r2 - 3.0) / (3.0 - r2) - tau)
     return max(val, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# frequency-sum construction of the Kossakowski matrix (spectral)
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class SpectralValues:
+    """Bath spectra at one frequency: g11 same-atom, g12 cross-atom."""
+
+    g11: float
+    g12: float
+    z: float
+
+
+@dataclass(frozen=True)
+class PsiTensors:
+    """Geometric projectors onto the 0, +, - frequency sectors of n."""
+
+    psi0: np.ndarray
+    psi_plus: np.ndarray
+    psi_minus: np.ndarray
+
+
+def _bose_weighted(beta: float, z: float) -> float:
+    """z / (1 - exp(-beta z)) for finite beta, stable for all real z.
+
+    A series branch handles |beta z| < 1e-6 (the expression is 0/0 at
+    z = 0); the two-sided exponential form avoids overflow for large
+    |beta z| of either sign.
+    """
+    x = beta * z
+    if abs(x) < 1e-6:
+        # x/(1 - e^-x) = 1 + x/2 + x^2/12 - x^4/720 + O(x^6)
+        return (1.0 + x / 2.0 + x * x / 12.0 - x**4 / 720.0) / beta
+    if x > 0:
+        return z / -math.expm1(-x)
+    return z * math.exp(x) / math.expm1(x)
+
+
+def spectral_density(params: ModelParams, z: float) -> SpectralValues:
+    """Evaluate the thermal spectra g11 and g12 at frequency z.
+
+    Zero temperature gives g11(z) = z/2pi for z > 0 and 0 for z <= 0.
+    The cross spectrum carries the sinc(ell z) suppression factor.
+    """
+    if not math.isfinite(z):
+        raise ValueError(f"frequency must be finite, got {z}")
+    if params.zero_temperature:
+        g11 = z / TWO_PI if z > 0 else 0.0
+    else:
+        g11 = _bose_weighted(params.beta, z) / TWO_PI
+    g12 = g11 * _sinc(params.ell * z)
+    return SpectralValues(g11=g11, g12=g12, z=z)
+
+
+def psi_tensors(n) -> PsiTensors:
+    """psi0 = n n^T and psi+- = (1 - n n^T +- i eps.n)/2 for unit n."""
+    n = _unit_vector(n)
+    p0 = np.outer(n, n).astype(complex)
+    eps_n = np.einsum("ijk,k->ij", _EPSILON, n)
+    perp = np.eye(3) - np.outer(n, n)
+    return PsiTensors(
+        psi0=p0,
+        psi_plus=0.5 * (perp + 1j * eps_n),
+        psi_minus=0.5 * (perp - 1j * eps_n),
+    )
+
+
+def build_kossakowski_spectral(params: ModelParams) -> KossakowskiMatrix:
+    """Assemble the Kossakowski blocks from the frequency sum.
+
+    C^(ab)_ij = sum_{xi in {+,-,0}} g_ab(xi omega) sum_k psi^(xi)_ki psi^(-xi)_kj
+    """
+    psi = psi_tensors(params.n)
+    pairs = (
+        (psi.psi_plus, psi.psi_minus, +params.omega),
+        (psi.psi_minus, psi.psi_plus, -params.omega),
+        (psi.psi0, psi.psi0, 0.0),
+    )
+    c11 = np.zeros((3, 3), dtype=complex)
+    c12 = np.zeros((3, 3), dtype=complex)
+    for psi_xi, psi_mxi, z in pairs:
+        weight = np.einsum("ki,kj->ij", psi_xi, psi_mxi)
+        sv = spectral_density(params, z)
+        c11 += sv.g11 * weight
+        c12 += sv.g12 * weight
+    return KossakowskiMatrix(c11=c11, c12=c12, n=params.n)
+
+
+# ---------------------------------------------------------------------------
+# the generator applied to a state, and the Choi matrix of its map (dynamics)
+# ---------------------------------------------------------------------------
+
+def dissipator_apply(K: KossakowskiMatrix, rho: np.ndarray) -> np.ndarray:
+    """d rho / dt of the dissipative generator for state rho.
+
+    (1/2) sum_{ab,ij} C^(ab)_ij (2 s_j^b rho s_i^a - s_i^a s_j^b rho - rho s_i^a s_j^b)
+
+    The output is traceless and Hermitian for Hermitian rho.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (4, 4):
+        raise ValueError(f"state must be 4x4, got shape {rho.shape}")
+    return unvec(build_superoperator(K) @ vec(rho))
+
+
+def choi_matrix(M: np.ndarray, t: float) -> np.ndarray:
+    """Choi matrix sum_kl E_kl (x) Phi_t(E_kl) of the map Phi_t = expm(t M).
+
+    Positive semidefiniteness certifies complete positivity of the map.
+    """
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"time must be finite and >= 0, got {t}")
+    E = expm(t * M)
+    choi = np.zeros((16, 16), dtype=complex)
+    for k in range(4):
+        for l in range(4):
+            unit = np.zeros((4, 4), dtype=complex)
+            unit[k, l] = 1.0
+            # vec(E_kl) is the basis vector at column-major index 4l + k
+            phi = unvec(E[:, 4 * l + k])
+            choi += np.kron(unit, phi)
+    return choi
+
+
+# ---------------------------------------------------------------------------
+# probe functionals of the generation test (entanglement)
+# ---------------------------------------------------------------------------
+
+def is_entangled(rho: np.ndarray, tol: float = 1e-12) -> bool:
+    """Exact two-qubit criterion: entangled iff min_eig_pt < -tol."""
+    return min_eig_pt(rho) < -tol
+
+
+def q_probe(chi: np.ndarray, rho: np.ndarray) -> float:
+    """<chi| PT(rho) |chi> for a normalized probe vector chi.
+
+    Negative values witness entanglement of rho; a product probe can
+    never give a negative value.
+    """
+    chi = np.asarray(chi, dtype=complex).reshape(-1)
+    if chi.shape != (4,):
+        raise ValueError(f"probe must be a 4-vector, got shape {chi.shape}")
+    nrm = np.linalg.norm(chi)
+    if nrm == 0:
+        raise ValueError("probe vector must be nonzero")
+    chi = chi / nrm
+    return float(np.real(chi.conj() @ partial_transpose(rho) @ chi))
+
+
+def q_rate(chi: np.ndarray, rho0: np.ndarray, K: KossakowskiMatrix) -> float:
+    """Initial rate <chi| PT(d rho/dt) |chi> of the probe expectation.
+
+    rho0 is meant to be a pure product state with q_probe(chi, rho0) = 0;
+    a negative rate then witnesses entanglement generation at t = 0+.
+    """
+    chi = np.asarray(chi, dtype=complex).reshape(-1)
+    nrm = np.linalg.norm(chi)
+    if nrm == 0:
+        raise ValueError("probe vector must be nonzero")
+    chi = chi / nrm
+    drho = dissipator_apply(K, rho0)
+    return float(np.real(chi.conj() @ partial_transpose(drho) @ chi))
+
+
+def min_q_rate(state: ProductState, K: KossakowskiMatrix):
+    """Minimize q_rate over normalized probes chi with q_probe(chi, rho0) = 0.
+
+    The constraint set is the orthogonal complement of the product vector
+    carried by PT(rho0), so the exact minimum is the smallest eigenvalue
+    of the compressed rate matrix.
+
+    Returns (minimum rate, minimizing probe vector).
+    """
+    k1, k2 = state.kets()
+    rho0 = state.density()
+    rate_matrix = partial_transpose(dissipator_apply(K, rho0))
+    rate_matrix = 0.5 * (rate_matrix + rate_matrix.conj().T)
+    w = np.kron(k1, k2.conj())  # range of PT(rho0)
+    # orthonormal basis of the 3-dim complement of w
+    q, _ = np.linalg.qr(np.column_stack([w, np.eye(4)]))
+    P = q[:, 1:]
+    comp = P.conj().T @ rate_matrix @ P
+    comp = 0.5 * (comp + comp.conj().T)
+
+    evals, evecs = np.linalg.eigh(comp)
+    return float(evals[0]), P @ evecs[:, 0]
