@@ -28,8 +28,10 @@ _GAP_REL_TOL = 1e-10
 # singular values of M below this fraction of the largest span its null space
 _NULLSPACE_REL_TOL = 1e-10
 
-# the convergence check of asymptotic_state evolves to T = _HORIZON / gap
+# the convergence check of asymptotic_state evolves to T = _HORIZON / gap and
+# raises ConvergenceError beyond _CONV_TOL in trace norm from the prediction
 _HORIZON = 200.0
+_CONV_TOL = 1e-8
 
 
 def spectral_gap(M: np.ndarray) -> float:
@@ -65,13 +67,13 @@ def stationary_projector(M: np.ndarray) -> np.ndarray:
 
 
 def asymptotic_state(M: np.ndarray, rho0: np.ndarray, params: ModelParams,
-                     check: bool = True, conv_tol: float = 1e-8) -> tuple[np.ndarray, int]:
+                     check: bool = True) -> tuple[np.ndarray, int]:
     """(rho_inf, stationary dimension) of rho0 under the generator M.
 
     rho_inf = unvec(P vec(rho0)) with P the stationary projector.  For
     ell > 0 a null space of dimension other than 1 raises ConvergenceError.
     With check=True the prediction is compared against the actual
-    evolution at T = _HORIZON / spectral gap; disagreement beyond conv_tol
+    evolution at T = _HORIZON / spectral gap; disagreement beyond _CONV_TOL
     in trace norm raises ConvergenceError.  (With include_hs at zero
     temperature and ell = 0 the singlet/ground coherences oscillate without
     decaying, so the check fails for initial states carrying them.)
@@ -90,7 +92,7 @@ def asymptotic_state(M: np.ndarray, rho0: np.ndarray, params: ModelParams,
         T = _HORIZON / spectral_gap(M)
         rho_T = dynamics.evolve(M, rho0, T)
         dist = dynamics.trace_norm(rho_T - rho_inf)
-        if dist > conv_tol:
+        if dist > _CONV_TOL:
             raise ConvergenceError(
                 f"evolution at T={T:.3g} is {dist:.3e} (trace norm) from the predicted state")
     return rho_inf, dim

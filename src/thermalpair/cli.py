@@ -10,7 +10,7 @@ are printed with 17 significant digits and orderings are fixed.
 Exit codes: 0 ok, 2 config validation failure, 3 discriminant/oracle
 disagreement (implementation bug guard), 4 positivity failure (a
 Kossakowski matrix that is not positive semidefinite, or an evolved state
-below tolerance), 5 asymptotic convergence-check failure.
+that fails a positivity check), 5 asymptotic convergence-check failure.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,19 +40,14 @@ MAX_RK_WORK = 2e5
 # below this beta*omega the thermal factor coth(beta*omega/2) overflows the
 # Kossakowski coefficients
 MIN_BETA_OMEGA = 1e-300
+# phase-diagram guard: the small-time oracle evolves by _ORACLE_DT / omega and
+# must agree with the discriminant wherever |rs_margin| > _ORACLE_BAND
+_ORACLE_DT = 1e-3
+_ORACLE_BAND = 1e-3
 
 
 class ConfigError(ValueError):
     """Invalid run configuration."""
-
-
-@dataclass
-class Tolerances:
-    boundary: float = 1e-12       # generation-test boundary band, relative to |K|^2
-    oracle_dt: float = 1e-3       # small-time oracle step, units 1/omega
-    oracle_band: float = 1e-3     # |rs_margin| band outside which oracle must agree
-    positivity: float = 1e-8      # hard positivity failure threshold
-    convergence: float = 1e-8     # asymptotic cross-check, trace norm
 
 
 @dataclass
@@ -68,7 +63,6 @@ class RunConfig:
     times: np.ndarray | None = None        # units 1/omega
     sweep: SweepSpec | None = None
     include_hs: bool = False
-    tolerances: Tolerances = field(default_factory=Tolerances)
 
 
 @dataclass
@@ -227,7 +221,7 @@ def _check_omega_scales(omega: float, beta_omega: float, times, sweep):
 def parse_config(doc: dict) -> RunConfig:
     _require(isinstance(doc, dict), "config must be a JSON object")
     known = {"omega", "beta", "ell", "n", "initial_state", "time_grid",
-             "sweep", "tolerances", "include_hs"}
+             "sweep", "include_hs"}
     unknown = set(doc) - known
     _require(not unknown, f"unknown config keys: {sorted(unknown)}")
 
@@ -242,15 +236,6 @@ def parse_config(doc: dict) -> RunConfig:
         raise ConfigError(f"invalid model parameters: {exc}") from None
     _require(beta * omega >= MIN_BETA_OMEGA, f"beta*omega must be at least {MIN_BETA_OMEGA}")
 
-    tol = Tolerances()
-    raw_tol = doc.get("tolerances", {})
-    _require(isinstance(raw_tol, dict), "tolerances must be an object")
-    for key, value in raw_tol.items():
-        _require(key in vars(tol), f"unknown tolerance {key!r}")
-        value = _number(value, f"tolerance {key}")
-        _require(value > 0, f"tolerance {key} must be positive")
-        setattr(tol, key, value)
-
     include_hs = doc.get("include_hs", False)
     _require(isinstance(include_hs, bool), "include_hs must be a boolean")
 
@@ -259,7 +244,7 @@ def parse_config(doc: dict) -> RunConfig:
     sweep = _parse_sweep(doc["sweep"]) if "sweep" in doc else None
     _check_omega_scales(omega, beta * omega, times, sweep)
     return RunConfig(params=params, rho0=rho0, times=times, sweep=sweep,
-                     include_hs=include_hs, tolerances=tol)
+                     include_hs=include_hs)
 
 
 def _reject_constant(name: str):
@@ -310,14 +295,12 @@ def cmd_coefficients(config: RunConfig, out_path: str | None) -> int:
     return 0
 
 
-def _sweep_point(omega, n, state, rho0, beta_omega, omega_ell, include_hs,
-                 tol) -> SweepRecord:
+def _sweep_point(omega, n, state, rho0, beta_omega, omega_ell, include_hs) -> SweepRecord:
     params = ModelParams(omega=omega, beta=beta_omega / omega, ell=omega_ell / omega, n=n)
     K = build_kossakowski_closed(params)
     M = dynamics.build_superoperator(K, params, include_hs=include_hs)
-    verdict = entanglement.generation_test(state, K, params=params,
-                                           boundary_tol=tol.boundary)
-    oracle = entanglement.small_time_ppt_oracle(M, rho0, tol.oracle_dt / omega)
+    verdict = entanglement.generation_test(state, K, params=params)
+    oracle = entanglement.small_time_ppt_oracle(M, rho0, _ORACLE_DT / omega)
     return SweepRecord(beta_omega=beta_omega, omega_ell=omega_ell,
                        R=verdict.R, S=verdict.S, rs_margin=verdict.rs_margin,
                        discriminant_margin=verdict.margin / omega**2,
@@ -328,15 +311,14 @@ def cmd_phase_diagram(config: RunConfig, out_path: str | None) -> int:
     """Sweep the (beta*omega, omega*ell) grid with the canonical initial state."""
     if config.sweep is None:
         raise ConfigError("phase-diagram requires a sweep section")
-    tol = config.tolerances
     state = entanglement.canonical_state(config.params.n)
     rho0 = state.density()
     records = [_sweep_point(config.params.omega, config.params.n, state, rho0, bw, wl,
-                            config.include_hs, tol)
+                            config.include_hs)
                for bw in config.sweep.beta_omega for wl in config.sweep.omega_ell]
 
     mismatches = [r for r in records
-                  if abs(r.rs_margin) > tol.oracle_band
+                  if abs(r.rs_margin) > _ORACLE_BAND
                   and (r.generated == "true") != r.oracle_generated]
     if mismatches:
         r = mismatches[0]
@@ -369,8 +351,7 @@ def cmd_evolve(config: RunConfig, out_path: str | None) -> int:
         raise ConfigError(f"time_grid t_max {float(config.times[-1])!r} is too long for the "
                           f"RK45 cross-check: (t_max/omega) |M|_1 = {work:.3g} exceeds "
                           f"MAX_RK_WORK = {MAX_RK_WORK:.0e}")
-    traj = dynamics.evolve_traj(M, config.rho0, config.times / params.omega,
-                                pos_tol=config.tolerances.positivity)
+    traj = dynamics.evolve_traj(M, config.rho0, config.times / params.omega)
     rho_inf, _ = asymptotic.asymptotic_state(M, config.rho0, params, check=False)
 
     lines = [EVOLVE_HEADER]
@@ -402,8 +383,7 @@ def cmd_asymptotic(config: RunConfig, out_path: str | None) -> int:
     params = config.params
     K = build_kossakowski_closed(params)
     M = dynamics.build_superoperator(K, params, include_hs=config.include_hs)
-    rho_inf, dim = asymptotic.asymptotic_state(M, config.rho0, params, check=True,
-                                               conv_tol=config.tolerances.convergence)
+    rho_inf, dim = asymptotic.asymptotic_state(M, config.rho0, params, check=True)
     R, _, _ = entanglement.criterion_rs(params)
     doc = {"stationary_dim": dim,
            "rho_infinity": _complex_pairs(rho_inf),

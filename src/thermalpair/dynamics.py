@@ -50,16 +50,19 @@ def pauli_op(atom: int, axis: int) -> np.ndarray:
     return np.kron(s, IDENTITY2) if atom == 1 else np.kron(IDENTITY2, s)
 
 
-def _basis_element(sp: np.ndarray, sq: np.ndarray) -> np.ndarray:
-    """Superoperator of rho -> (1/2)(2 sq rho sp - sp sq rho - rho sp sq)."""
-    spq = sp @ sq
-    return 0.5 * (2.0 * np.kron(sp.T, sq) - np.kron(IDENTITY4, spq) - np.kron(spq.T, IDENTITY4))
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of 4x4 matrices in the last two axes, broadcast over the leading ones."""
+    prod = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return prod.reshape(*prod.shape[:-4], 16, 16)
 
 
 # generator basis: M = sum_pq K[p, q] _BASIS[p, q], p and q running over
-# (atom, axis) in the row order of KossakowskiMatrix.matrix
-_PAULI_OPS = tuple(pauli_op(a, i) for a in (1, 2) for i in (1, 2, 3))
-_BASIS = np.array([[_basis_element(sp, sq) for sq in _PAULI_OPS] for sp in _PAULI_OPS])
+# (atom, axis) in the row order of KossakowskiMatrix.matrix; _BASIS[p, q] is
+# the superoperator of rho -> (1/2)(2 sq rho sp - sp sq rho - rho sp sq)
+_PAULI_OPS = np.array([pauli_op(a, i) for a in (1, 2) for i in (1, 2, 3)])
+_PQ = _PAULI_OPS[:, None] @ _PAULI_OPS[None, :]
+_BASIS = 0.5 * (2.0 * _kron(_PAULI_OPS.swapaxes(1, 2)[:, None], _PAULI_OPS[None, :])
+                - _kron(IDENTITY4, _PQ) - _kron(_PQ.swapaxes(2, 3), IDENTITY4))
 
 # sigma_i (x) sigma_i, used by the total-spin correlator tau
 _SIGMA_SIGMA = tuple(np.kron(SIGMA[i], SIGMA[i]) for i in range(3))
@@ -99,9 +102,14 @@ _EIG_FLOOR = -1e-10
 # within a factor 6 of the largest |eigenvalue| and needs no second eigensolve.
 _CP_REL_TOL = 1e-12
 
-# RK45 cross-check of evolve_traj: integrator rtol and max-norm agreement
+# RK45 cross-check of evolve_traj: the integrator's relative and absolute
+# error bounds, and the max-norm agreement with the matrix exponential
 _RK_RTOL = 1e-10
+_RK_ATOL = 1e-12
 _RK_AGREE_TOL = 1e-8
+
+# evolve raises PositivityError below this state eigenvalue
+_POS_TOL = 1e-8
 
 # [13/13] Pade approximant of exp (Higham, SIAM J. Matrix Anal. Appl. 26,
 # 1179 (2005)): numerator coefficients b_0..b_13 (the denominator has
@@ -166,15 +174,14 @@ def _rms(x: np.ndarray) -> float:
     return float(np.linalg.norm(x)) / math.sqrt(x.size)
 
 
-def solve_ivp(M: np.ndarray, y0: np.ndarray, times: np.ndarray, rtol: float,
-              atol: float) -> np.ndarray:
+def solve_ivp(M: np.ndarray, y0: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Adaptive Dormand-Prince 5(4) solution of dy/dt = M y, y(0) = y0, at the
     sorted nonnegative sample times: a (len(y0), len(times)) array.
 
     Step control is the usual one for this pair: the RMS of the error
-    estimate over atol + max(|y|, |y_new|) rtol must stay below 1, and h changes by a
-    factor of 0.9 err^(-1/5) clipped to [0.2, 10] (at most 1 right after a
-    rejected step), and h never starts a step below 10 ulp(t).  Steps are
+    estimate over _RK_ATOL + max(|y|, |y_new|) _RK_RTOL must stay below 1,
+    h changes by a factor of 0.9 err^(-1/5) clipped to [0.2, 10] (at most 1
+    right after a rejected step), and h never starts a step below 10 ulp(t).  Steps are
     shortened to land exactly on every sample time, so no sample is
     interpolated.  Raises RuntimeError if a rejected step shrinks h below
     10 ulp(t) or the solution turns non-finite.
@@ -185,7 +192,7 @@ def solve_ivp(M: np.ndarray, y0: np.ndarray, times: np.ndarray, rtol: float,
     K[0] = M @ y
     # first step from the sizes of y and dy/dt (Hairer, Norsett & Wanner,
     # Solving ODEs I, Sec. II.4); the controller corrects it within a few steps
-    scale = atol + rtol * np.abs(y)
+    scale = _RK_ATOL + _RK_RTOL * np.abs(y)
     d0, d1 = _rms(y / scale), _rms(K[0] / scale)
     h = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     t, rejected = 0.0, False
@@ -198,7 +205,8 @@ def solve_ivp(M: np.ndarray, y0: np.ndarray, times: np.ndarray, rtol: float,
                 K[i] = M @ (y + step * (_DP_A[i, :i] @ K[:i]))
             y_new = y + step * (_DP_B @ K[:6])
             K[6] = M @ y_new
-            err = _rms(step * (_DP_E @ K) / (atol + rtol * np.maximum(np.abs(y), np.abs(y_new))))
+            err = _rms(step * (_DP_E @ K)
+                       / (_RK_ATOL + _RK_RTOL * np.maximum(np.abs(y), np.abs(y_new))))
             if not math.isfinite(err):
                 raise RuntimeError(f"RK45 cross-check integration failed: non-finite "
                                    f"solution at t={t:.6g}")
@@ -282,25 +290,36 @@ def build_superoperator(K: KossakowskiMatrix, params: ModelParams | None = None,
     return M
 
 
-def evolve(M: np.ndarray, rho0: np.ndarray, t: float, pos_tol: float = 1e-8) -> np.ndarray:
+def evolve(M: np.ndarray, rho0: np.ndarray, t: float) -> np.ndarray:
     """rho(t) = unvec(expm(t M) vec(rho0)), re-Hermitized and renormalized.
 
     rho0 must already be a valid 4x4 density matrix (an array, as
     validate_density_matrix returns it); it is not checked again here, so
     the callers that take a state from outside (evolve_traj,
     asymptotic_state, the CLI's config parser) validate it once.  Raises
-    PositivityError if the result dips below -pos_tol or is not finite
-    (the exponential of a generator too large for its rounding); smaller
-    Hermiticity/trace deviations are logged and repaired.
+    PositivityError if the exponential's result is not finite (a generator
+    too large for its rounding) or has no positive trace, or if the state
+    dips below -_POS_TOL; smaller Hermiticity/trace deviations of a state
+    that passes are logged and repaired.
     """
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"time must be finite and >= 0, got {t}")
     if t == 0:
         return rho0.copy()
-    rho = unvec(expm(t * M) @ vec(rho0))
+    # an overflow is reported once, as the PositivityError below
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho = unvec(expm(t * M) @ vec(rho0))
+    if not np.isfinite(rho).all():
+        raise PositivityError(f"evolved state is not finite at t={t}")
     herm_dev = np.abs(rho - rho.conj().T).max()
     rho = 0.5 * (rho + rho.conj().T)
     tr = np.trace(rho).real
+    if not 0 < tr < math.inf:
+        raise PositivityError(f"evolved state has trace {tr} at t={t}")
+    rho = rho / tr
+    min_eig = np.linalg.eigvalsh(rho).min()
+    if min_eig < -_POS_TOL:
+        raise PositivityError(f"state eigenvalue {min_eig} below -{_POS_TOL} at t={t}")
     trace_dev = abs(tr - 1.0)
     if herm_dev > 1e-10 or trace_dev > 1e-10:
         log.warning("evolve deviations at t=%g: hermiticity %.3g, trace %.3g",
@@ -308,12 +327,6 @@ def evolve(M: np.ndarray, rho0: np.ndarray, t: float, pos_tol: float = 1e-8) -> 
     else:
         log.debug("evolve deviations at t=%g: hermiticity %.3g, trace %.3g",
                   t, herm_dev, trace_dev)
-    rho = rho / tr
-    if not np.isfinite(rho).all():
-        raise PositivityError(f"evolved state is not finite at t={t}")
-    min_eig = np.linalg.eigvalsh(rho).min()
-    if min_eig < -pos_tol:
-        raise PositivityError(f"state eigenvalue {min_eig} below -{pos_tol} at t={t}")
     return rho
 
 
@@ -325,14 +338,13 @@ class Trajectory:
     states: list
 
 
-def evolve_traj(M: np.ndarray, rho0: np.ndarray, times,
-                pos_tol: float = 1e-8) -> Trajectory:
+def evolve_traj(M: np.ndarray, rho0: np.ndarray, times) -> Trajectory:
     """Sample the evolution on a sorted nonnegative time grid.
 
     Samples come from the matrix exponential; the same trajectory is
-    integrated with adaptive RK45 at rtol=_RK_RTOL and the two must agree
-    to _RK_AGREE_TOL in max-norm (two independent numerical routes through
-    a non-normal generator).
+    integrated with adaptive RK45 (solve_ivp) and the two must agree to
+    _RK_AGREE_TOL in max-norm (two independent numerical routes through a
+    non-normal generator).
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
@@ -340,10 +352,10 @@ def evolve_traj(M: np.ndarray, rho0: np.ndarray, times,
     if times[0] < 0 or (len(times) > 1 and not np.all(np.diff(times) > 0)):
         raise ValueError("time grid must be sorted, strictly increasing and nonnegative")
     rho0 = validate_density_matrix(rho0)
-    states = [evolve(M, rho0, float(t), pos_tol=pos_tol) for t in times]
+    states = [evolve(M, rho0, float(t)) for t in times]
 
     if times[-1] > 0:
-        ys = solve_ivp(M, vec(rho0), times, _RK_RTOL, 1e-12)
+        ys = solve_ivp(M, vec(rho0), times)
         worst = 0.0
         for k in range(len(times)):
             worst = max(worst, np.abs(states[k] - unvec(ys[:, k])).max())

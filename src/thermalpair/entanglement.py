@@ -85,8 +85,8 @@ class UVVectors:
 class GenerationVerdict:
     """Outcome of the discriminant test.
 
-    generated is None inside the boundary band |margin| <= tol * scale
-    (strict inequality test, inconclusive at the boundary).  R, S and
+    generated is None inside generation_test's boundary band (strict
+    inequality test, inconclusive at the boundary).  R, S and
     rs_margin are filled only when model parameters are supplied, for
     comparison with the canonical-state reduction R^2 + S^2 - 1.
     """
@@ -181,14 +181,17 @@ def uv_vectors(state: ProductState) -> UVVectors:
     return UVVectors(u=u, v=v)
 
 
+# generation_test verdicts within this fraction of |K|_2^2 of zero are inconclusive
+_BOUNDARY_REL_TOL = 1e-12
+
+
 def generation_test(state: ProductState, K: KossakowskiMatrix,
-                    params: ModelParams | None = None,
-                    boundary_tol: float = 1e-12) -> GenerationVerdict:
+                    params: ModelParams | None = None) -> GenerationVerdict:
     """Discriminant test for entanglement generation out of a product state.
 
     margin = |<u| Re C12 |v>|^2 - <u|C11|u> <v|C22^T|v>; the bath starts
     entangling the pair iff margin > 0 (strict).  Verdicts within
-    boundary_tol * |K|_2^2 of zero are reported as inconclusive.
+    _BOUNDARY_REL_TOL * |K|_2^2 of zero are reported as inconclusive.
     """
     uv = uv_vectors(state)
     u, v = uv.u, uv.v
@@ -196,7 +199,7 @@ def generation_test(state: ProductState, K: KossakowskiMatrix,
     rhs = abs(u.conj() @ np.real(K.c12) @ v) ** 2
     margin = float(rhs - lhs)
     scale = float(np.linalg.norm(K.matrix, 2) ** 2)
-    band = boundary_tol * scale
+    band = _BOUNDARY_REL_TOL * scale
     generated = None if abs(margin) <= band else margin > 0
 
     R = S = rs = None

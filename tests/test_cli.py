@@ -106,6 +106,8 @@ def test_malformed_json_exits_2(tmp_path):
     {"omega": 1e-300, "sweep": {"beta_omega": [1, 1, 1], "omega_ell": [0, 1, 2]}},
     {"omega": 1e300, "beta": 1e-308, "ell": 0.5},
     {"omega": 1e300, "beta": 1e-310, "ell": 0.5},
+    # guard thresholds are module constants, not config
+    {"tolerances": {"positivity": 1e-8}},
 ])
 def test_invalid_config_exits_2(tmp_path, config):
     res = run_cli("coefficients", config=config, tmp_path=tmp_path)
@@ -119,15 +121,35 @@ def test_invalid_config_exits_2(tmp_path, config):
     # coth(beta*omega/2) ~ 1e38: the evolved oracle state overflows
     ("phase-diagram", {"sweep": {"beta_omega": [1e-38, 1.0, 1], "omega_ell": [0.0, 0.0, 1]}},
      4),
+    # coth ~ 1e50: the squarings of the oracle's matrix exponential overflow
+    ("phase-diagram", {"sweep": {"beta_omega": [1e-50, 1.0, 1], "omega_ell": [0.0, 0.0, 1]}},
+     4),
     # ell -> 0+ at zero temperature: the asymptotic state behind the summary fails
     ("evolve", {"beta": "inf", "ell": 6e-8, "time_grid": [0.0, 1.0]}, 5),
     ("asymptotic", {"ell": 1e-7}, 5),
-], ids=["sweep-overflow", "evolve-crossover", "asymptotic-crossover"])
+], ids=["sweep-overflow", "sweep-expm-overflow", "evolve-crossover", "asymptotic-crossover"])
 def test_numerical_failure_exits_with_its_code(tmp_path, sub, config, code):
     res = run_cli(sub, config=config, tmp_path=tmp_path)
     assert res.returncode == code
     assert res.stdout == ""
-    assert "error: " in res.stderr and "Traceback" not in res.stderr
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("sub,config", [
+    # a loose convergence threshold let a state 0.707 from the evolved one pass
+    ("asymptotic", {"beta": "inf", "ell": 0, "include_hs": True,
+                    "initial_state": {"product": {"bloch1": [1, 0, 0], "bloch2": [-1, 0, 0]}},
+                    "tolerances": {"convergence": 1e300}}),
+    # a long oracle step and a wide band let generated contradict the oracle
+    ("phase-diagram", {"sweep": {"beta_omega": [0.5, 5, 4], "omega_ell": [0, 3, 4]},
+                       "tolerances": {"oracle_dt": 1e3, "oracle_band": 1e300}}),
+], ids=["asymptotic-convergence", "phase-diagram-oracle"])
+def test_config_cannot_loosen_a_guard(tmp_path, sub, config):
+    res = run_cli(sub, config=config, tmp_path=tmp_path)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == "error: unknown config keys: ['tolerances']\n"
 
 
 def test_rk45_work_over_cap_exits_2_before_integrating(tmp_path):

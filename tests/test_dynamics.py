@@ -24,8 +24,8 @@ from thermalpair import (
 from thermalpair import dynamics
 from thermalpair.dynamics import SIGMA, hamiltonian
 
-from util import (choi_matrix, dissipator_apply, dissipator_reference, random_density,
-                  random_params)
+from util import (basis_element, choi_matrix, dissipator_apply, dissipator_reference,
+                  random_density, random_params)
 
 E3 = np.array([0.0, 0.0, 1.0])
 P_L0 = ModelParams(omega=1.0, beta=1.0, ell=0.0)
@@ -97,6 +97,13 @@ def test_dissipator_rejects_wrong_shape():
 
 
 # -------------------------------------------------------------- superoperator
+
+def test_basis_equals_kron_reference():
+    ops = [pauli_op(a, i) for a in (1, 2) for i in (1, 2, 3)]
+    ref = np.array([[basis_element(sp, sq) for sq in ops] for sp in ops])
+    assert dynamics._BASIS.shape == ref.shape and dynamics._BASIS.dtype == ref.dtype
+    assert dynamics._BASIS.tobytes() == ref.tobytes()  # bit for bit, signs of zero included
+
 
 def test_superoperator_matches_dissipator():
     # the basis-tensor contraction against the explicit sum over K's entries
@@ -194,6 +201,12 @@ def test_evolve_flags_positivity_violation():
         evolve(-M_L0, canonical_state(E3).density(), 5.0)
 
 
+def test_evolve_flags_nonpositive_trace():
+    # exp(i pi) = -1 maps rho0 to -rho0, a finite result of trace -1
+    with pytest.raises(PositivityError, match="trace"):
+        evolve(1j * math.pi * np.eye(16), singlet_density(), 1.0)
+
+
 def test_positivity_preserved_forward():
     rng = np.random.default_rng(27)
     for _ in range(20):
@@ -264,7 +277,7 @@ def test_solve_ivp_matches_expm(grid):
     for label, M in _corner_generators(41, 40):
         times = GRIDS[grid]
         y0 = vec(random_density(rng))
-        ys = dynamics.solve_ivp(M, y0, times, dynamics._RK_RTOL, 1e-12)
+        ys = dynamics.solve_ivp(M, y0, times)
         assert ys.shape == (16, len(times))
         if times[0] == 0:
             np.testing.assert_array_equal(ys[:, 0], y0)
@@ -297,7 +310,7 @@ def test_solve_ivp_at_extreme_scales():
     # estimate, and the step size starts from 10 ulp(0) instead
     y0 = vec(canonical_state(E3).density())
     times = np.array([0.0, 1e-300, 3e-300])
-    ys = dynamics.solve_ivp(1e300 * M_L0, y0, times, dynamics._RK_RTOL, 1e-12)
+    ys = dynamics.solve_ivp(1e300 * M_L0, y0, times)
     ref = np.array([dynamics.expm(t * M_L0) @ y0 for t in (0.0, 1.0, 3.0)]).T
     assert np.abs(ys - ref).max() <= dynamics._RK_AGREE_TOL
 
@@ -332,8 +345,7 @@ def test_solve_ivp_fails_on_nan_generator():
     M[3, 5] = np.nan
     start = time.perf_counter()
     with pytest.raises(RuntimeError, match="integration failed"):
-        dynamics.solve_ivp(M, vec(singlet_density()), np.array([0.0, 1.0, 2.0]),
-                           dynamics._RK_RTOL, 1e-12)
+        dynamics.solve_ivp(M, vec(singlet_density()), np.array([0.0, 1.0, 2.0]))
     assert time.perf_counter() - start < 5.0
 
 

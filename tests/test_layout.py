@@ -1,8 +1,11 @@
-"""Reachability lint: the package holds only what its subcommands run.
+"""Layout lint: the package holds only what its subcommands run, and no
+guard threshold is a parameter.
 
 Every top-level function and class of src/thermalpair must be referenced
 somewhere in src/ besides its own definition and the package's exports;
 independent cross-check routes that only tests call belong in tests/util.py.
+Every guard threshold is a module constant beside the guard that reads it,
+so no function in src/ takes a parameter whose name ends in "tol".
 """
 
 import ast
@@ -29,9 +32,13 @@ def _references(node, skip=None) -> set:
     return found
 
 
+def _trees() -> dict:
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
 def test_every_top_level_definition_is_used_in_the_package():
-    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"}
+    trees = {module: tree for module, tree in _trees().items() if module != "__init__"}
     refs = {module: _references(tree) for module, tree in trees.items()}
     unused = []
     for module, tree in trees.items():
@@ -43,3 +50,17 @@ def test_every_top_level_definition_is_used_in_the_package():
             if node.name not in elsewhere | _references(tree, skip=node):
                 unused.append(f"{module}.{node.name}")
     assert not unused, f"defined in src/ but used only outside it: {unused}"
+
+
+def test_no_function_takes_a_tolerance_parameter():
+    found = []
+    for module, tree in _trees().items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                      *(a for a in (args.vararg, args.kwarg) if a is not None)]
+            name = getattr(node, "name", "<lambda>")
+            found += [f"{module}.{name}({p.arg})" for p in params if p.arg.endswith("tol")]
+    assert not found, f"guard thresholds taken as parameters: {found}"

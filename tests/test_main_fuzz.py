@@ -64,9 +64,6 @@ OPTIONAL = {
             {"bloch1": unit, "bloch2": unit})}),
         st.lists(st.floats(-1.0, 1.0), min_size=32, max_size=32).map(_density_pairs),
     ),
-    "tolerances": st.dictionaries(st.sampled_from(["boundary", "oracle_dt", "oracle_band",
-                                                   "positivity", "convergence"]),
-                                  st.floats(1e-14, 1e-1), max_size=2),
 }
 
 

@@ -67,6 +67,14 @@ def random_params(rng, allow_zero_temperature=True, allow_zero_ell=True):
     return ModelParams(omega=omega, beta=beta, ell=ell, n=random_bloch(rng))
 
 
+def basis_element(sp: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    """Superoperator of rho -> (1/2)(2 sq rho sp - sp sq rho - rho sp sq), from
+    np.kron: the reference for the broadcast products behind dynamics._BASIS."""
+    spq = sp @ sq
+    eye = np.eye(4, dtype=complex)
+    return 0.5 * (2.0 * np.kron(sp.T, sq) - np.kron(eye, spq) - np.kron(spq.T, eye))
+
+
 def dissipator_reference(K, rho):
     """d rho / dt as the explicit sum over the four blocks of K:
 
