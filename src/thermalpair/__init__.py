@@ -35,7 +35,6 @@ from .dynamics import (
 from .entanglement import (
     GenerationVerdict,
     ProductState,
-    UVVectors,
     bloch_ket,
     canonical_state,
     concurrence,

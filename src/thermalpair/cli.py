@@ -299,10 +299,11 @@ def _sweep_point(omega, n, state, rho0, beta_omega, omega_ell, include_hs) -> Sw
     params = ModelParams(omega=omega, beta=beta_omega / omega, ell=omega_ell / omega, n=n)
     K = build_kossakowski_closed(params)
     M = dynamics.build_superoperator(K, params, include_hs=include_hs)
-    verdict = entanglement.generation_test(state, K, params=params)
+    verdict = entanglement.generation_test(state, K)
+    R, S, rs_margin = entanglement.criterion_rs(params)
     oracle = entanglement.small_time_ppt_oracle(M, rho0, _ORACLE_DT / omega)
     return SweepRecord(beta_omega=beta_omega, omega_ell=omega_ell,
-                       R=verdict.R, S=verdict.S, rs_margin=verdict.rs_margin,
+                       R=R, S=S, rs_margin=rs_margin,
                        discriminant_margin=verdict.margin / omega**2,
                        generated=verdict.label, oracle_generated=oracle)
 
@@ -346,7 +347,8 @@ def cmd_evolve(config: RunConfig, out_path: str | None) -> int:
     params = config.params
     K = build_kossakowski_closed(params)
     M = dynamics.build_superoperator(K, params, include_hs=config.include_hs)
-    work = config.times[-1] / params.omega * np.abs(M).sum(axis=0).max()
+    with np.errstate(over="ignore"):  # an overflow to inf fails the cap below
+        work = config.times[-1] / params.omega * np.abs(M).sum(axis=0).max()
     if work > MAX_RK_WORK:
         raise ConfigError(f"time_grid t_max {float(config.times[-1])!r} is too long for the "
                           f"RK45 cross-check: (t_max/omega) |M|_1 = {work:.3g} exceeds "

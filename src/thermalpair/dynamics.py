@@ -14,15 +14,13 @@ no role in the temperature-dependent entanglement physics.
 
 from __future__ import annotations
 
-import logging
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .spectral import KossakowskiMatrix, ModelParams, psd_check
-
-log = logging.getLogger(__name__)
 
 
 SIGMA = (
@@ -300,7 +298,8 @@ def evolve(M: np.ndarray, rho0: np.ndarray, t: float) -> np.ndarray:
     PositivityError if the exponential's result is not finite (a generator
     too large for its rounding) or has no positive trace, or if the state
     dips below -_POS_TOL; smaller Hermiticity/trace deviations of a state
-    that passes are logged and repaired.
+    that passes are repaired, with one standard-error line when either
+    exceeds 1e-10.
     """
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"time must be finite and >= 0, got {t}")
@@ -322,11 +321,8 @@ def evolve(M: np.ndarray, rho0: np.ndarray, t: float) -> np.ndarray:
         raise PositivityError(f"state eigenvalue {min_eig} below -{_POS_TOL} at t={t}")
     trace_dev = abs(tr - 1.0)
     if herm_dev > 1e-10 or trace_dev > 1e-10:
-        log.warning("evolve deviations at t=%g: hermiticity %.3g, trace %.3g",
-                    t, herm_dev, trace_dev)
-    else:
-        log.debug("evolve deviations at t=%g: hermiticity %.3g, trace %.3g",
-                  t, herm_dev, trace_dev)
+        print(f"evolve deviations at t={t:g}: hermiticity {herm_dev:.3g}, "
+              f"trace {trace_dev:.3g}", file=sys.stderr)
     return rho
 
 
@@ -362,6 +358,5 @@ def evolve_traj(M: np.ndarray, rho0: np.ndarray, times) -> Trajectory:
         if worst > _RK_AGREE_TOL:
             raise RuntimeError(f"matrix-exponential and RK45 trajectories disagree: "
                                f"{worst:.3e} > {_RK_AGREE_TOL:.1e}")
-        log.debug("expm/RK45 max-norm disagreement: %.3e", worst)
 
     return Trajectory(times=times, states=states)

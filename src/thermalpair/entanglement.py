@@ -27,9 +27,6 @@ import numpy as np
 from . import dynamics
 from .spectral import KossakowskiMatrix, ModelParams, temperature_ratio, _sinc, _unit_vector
 
-# <+|sigma_j|-> for j = 1, 2, 3
-_M_PLUS_MINUS = np.array([1.0, -1j, 0.0])
-
 
 def bloch_ket(b) -> np.ndarray:
     """Pure qubit state with Bloch vector b: (cos(th/2), e^{i ph} sin(th/2)).
@@ -74,29 +71,16 @@ def canonical_state(n=(0.0, 0.0, 1.0)) -> ProductState:
 
 
 @dataclass(frozen=True)
-class UVVectors:
-    """Complex 3-vectors encoding the product state in the generation test."""
-
-    u: np.ndarray
-    v: np.ndarray
-
-
-@dataclass(frozen=True)
 class GenerationVerdict:
     """Outcome of the discriminant test.
 
     generated is None inside generation_test's boundary band (strict
-    inequality test, inconclusive at the boundary).  R, S and
-    rs_margin are filled only when model parameters are supplied, for
-    comparison with the canonical-state reduction R^2 + S^2 - 1.
+    inequality test, inconclusive at the boundary).
     """
 
     margin: float
     generated: bool | None
     scale: float
-    R: float | None = None
-    S: float | None = None
-    rs_margin: float | None = None
 
     @property
     def label(self) -> str:
@@ -148,65 +132,44 @@ def concurrence(rho: np.ndarray) -> float:
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
 
-def _su2_from_bloch(b) -> np.ndarray:
-    """Unitary with U|-> the Bloch-b state and U|+> its antipode.
+# the Pauli matrices stacked: bra @ _SIGMAS @ ket is the 3-vector <bra|sigma_i|ket>
+_SIGMAS = np.array(dynamics.SIGMA)
 
-    The antipodal construction fixes the phase of the complement so that
-    U is the identity for b = -e3 and the sigma1 spin flip for b = +e3.
+
+def uv_vectors(state: ProductState) -> tuple[np.ndarray, np.ndarray]:
+    """(u, v) with u_i = <phi'|sigma_i|phi> and v_i = <psi|sigma_i|psi'>.
+
+    phi, psi are the single-atom kets and phi', psi' their antipodes
+    (bloch_ket(-b)).  This is u_i = sum_j O_ij <+|sigma_j|-> for the Pauli
+    rotation U^dag sigma_i U = sum_j O_ij sigma_j of U = [|phi'>, |phi>],
+    and likewise for v.  Both vectors have norm sqrt(2); a phase of either
+    ket only rephases u or v, which the discriminant is insensitive to.
     """
-    b = np.asarray(b, dtype=float)
-    return np.column_stack([bloch_ket(-b), bloch_ket(b)])
-
-
-def _pauli_rotation(U: np.ndarray) -> np.ndarray:
-    """Orthogonal O with U^dag sigma_i U = sum_j O_ij sigma_j."""
-    O = np.zeros((3, 3))
-    for i in range(3):
-        X = U.conj().T @ dynamics.SIGMA[i] @ U
-        for j in range(3):
-            O[i, j] = 0.5 * np.real(np.trace(X @ dynamics.SIGMA[j]))
-    return O
-
-
-def uv_vectors(state: ProductState) -> UVVectors:
-    """u_i = sum_j U_ij <+|s_j|->, v_i = sum_j V_ij <-|s_j|+>.
-
-    U, V are the Pauli rotations induced by the unitaries mapping |-> to
-    the two single-atom states.  Both vectors have norm sqrt(2); the
-    column-phase freedom of the unitaries only rephases u and v, which
-    the discriminant is insensitive to.
-    """
-    u = _pauli_rotation(_su2_from_bloch(state.bloch1)) @ _M_PLUS_MINUS
-    v = _pauli_rotation(_su2_from_bloch(state.bloch2)) @ np.conj(_M_PLUS_MINUS)
-    return UVVectors(u=u, v=v)
+    phi, psi = state.kets()
+    u = bloch_ket(-state.bloch1).conj() @ _SIGMAS @ phi
+    v = psi.conj() @ _SIGMAS @ bloch_ket(-state.bloch2)
+    return u, v
 
 
 # generation_test verdicts within this fraction of |K|_2^2 of zero are inconclusive
 _BOUNDARY_REL_TOL = 1e-12
 
 
-def generation_test(state: ProductState, K: KossakowskiMatrix,
-                    params: ModelParams | None = None) -> GenerationVerdict:
+def generation_test(state: ProductState, K: KossakowskiMatrix) -> GenerationVerdict:
     """Discriminant test for entanglement generation out of a product state.
 
     margin = |<u| Re C12 |v>|^2 - <u|C11|u> <v|C22^T|v>; the bath starts
     entangling the pair iff margin > 0 (strict).  Verdicts within
     _BOUNDARY_REL_TOL * |K|_2^2 of zero are reported as inconclusive.
     """
-    uv = uv_vectors(state)
-    u, v = uv.u, uv.v
+    u, v = uv_vectors(state)
     lhs = np.real(u.conj() @ K.c11 @ u) * np.real(v.conj() @ K.c22.T @ v)
     rhs = abs(u.conj() @ np.real(K.c12) @ v) ** 2
     margin = float(rhs - lhs)
     scale = float(np.linalg.norm(K.matrix, 2) ** 2)
     band = _BOUNDARY_REL_TOL * scale
     generated = None if abs(margin) <= band else margin > 0
-
-    R = S = rs = None
-    if params is not None:
-        R, S, rs = criterion_rs(params)
-    return GenerationVerdict(margin=margin, generated=generated, scale=scale,
-                             R=R, S=S, rs_margin=rs)
+    return GenerationVerdict(margin=margin, generated=generated, scale=scale)
 
 
 def criterion_rs(params: ModelParams):

@@ -45,8 +45,9 @@ def _unit_vector(n) -> np.ndarray:
     n = np.asarray(n, dtype=float)
     if n.shape != (3,):
         raise ValueError(f"axis must be a real 3-vector, got shape {n.shape}")
-    if abs(np.linalg.norm(n) - 1.0) > _UNIT_TOL:
-        raise ValueError(f"axis must be a unit vector, |n| = {np.linalg.norm(n)!r}")
+    norm = math.hypot(*n)
+    if not abs(norm - 1.0) <= _UNIT_TOL:  # a NaN entry fails too
+        raise ValueError(f"axis must be a unit vector, |n| = {norm!r}")
     return n
 
 

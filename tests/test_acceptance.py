@@ -55,11 +55,12 @@ def test_criterion_1_reduction_sign_match():
     for bw in BETA_OMEGA_GRID:
         for wl in OMEGA_ELL_GRID:
             p = ModelParams(omega=1.0, beta=bw, ell=wl)
-            verdict = generation_test(state, build_kossakowski_closed(p), params=p)
-            if abs(verdict.rs_margin) <= 1e-10:
+            verdict = generation_test(state, build_kossakowski_closed(p))
+            _, _, rs = criterion_rs(p)
+            if abs(rs) <= 1e-10:
                 continue
             checked += 1
-            if np.sign(verdict.margin) != np.sign(verdict.rs_margin):
+            if np.sign(verdict.margin) != np.sign(rs):
                 mismatches += 1
     _report(1, "generation criterion reduction", mismatches == 0,
             f"{mismatches} sign mismatches on {checked} grid points")

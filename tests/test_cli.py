@@ -108,6 +108,9 @@ def test_malformed_json_exits_2(tmp_path):
     {"omega": 1e300, "beta": 1e-310, "ell": 0.5},
     # guard thresholds are module constants, not config
     {"tolerances": {"positivity": 1e-8}},
+    # |n| overflows a float: no numpy overflow warning before the error line
+    {"n": [1e200, 1e200, 0]},
+    {"initial_state": {"product": {"bloch1": [1e200, 1e200, 0], "bloch2": [0, 0, 1]}}},
 ])
 def test_invalid_config_exits_2(tmp_path, config):
     res = run_cli("coefficients", config=config, tmp_path=tmp_path)
@@ -127,7 +130,10 @@ def test_invalid_config_exits_2(tmp_path, config):
     # ell -> 0+ at zero temperature: the asymptotic state behind the summary fails
     ("evolve", {"beta": "inf", "ell": 6e-8, "time_grid": [0.0, 1.0]}, 5),
     ("asymptotic", {"ell": 1e-7}, 5),
-], ids=["sweep-overflow", "sweep-expm-overflow", "evolve-crossover", "asymptotic-crossover"])
+    # (t_max/omega) |M|_1 overflows: the RK45 work cap rejects it without a numpy warning
+    ("evolve", {"time_grid": {"times": [0, 1e308]}}, 2),
+], ids=["sweep-overflow", "sweep-expm-overflow", "evolve-crossover", "asymptotic-crossover",
+        "evolve-rk-work-overflow"])
 def test_numerical_failure_exits_with_its_code(tmp_path, sub, config, code):
     res = run_cli(sub, config=config, tmp_path=tmp_path)
     assert res.returncode == code

@@ -207,6 +207,18 @@ def test_evolve_flags_nonpositive_trace():
         evolve(1j * math.pi * np.eye(16), singlet_density(), 1.0)
 
 
+def test_evolve_reports_a_repaired_trace_deviation_on_one_stderr_line(capsys):
+    # at t = 5000 the matrix exponential's 21 squarings leave a trace
+    # deviation above 1e-10, which evolve repairs and reports
+    p = ModelParams(omega=1.0, beta=0.001, ell=1.0)
+    M = build_superoperator(build_kossakowski_closed(p), p)
+    evolve(M, canonical_state(E3).density(), 5000.0)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("evolve deviations at t=5000:")
+
+
 def test_positivity_preserved_forward():
     rng = np.random.default_rng(27)
     for _ in range(20):

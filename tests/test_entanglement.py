@@ -25,7 +25,8 @@ from thermalpair.spectral import kossakowski_coefficients
 
 from util import (equilibrium_closed_form, is_entangled, min_q_rate, q_probe, q_rate,
                   random_bloch, random_density, random_params, random_product_state,
-                  random_rotation, random_separable_density, random_unit_complex)
+                  random_rotation, random_separable_density, random_unit_complex,
+                  uv_vectors_rotation)
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -159,23 +160,37 @@ def test_min_q_rate_boundary_case():
 # ------------------------------------------------------------------ u/v vectors
 
 def test_uv_vectors_canonical():
-    uv = uv_vectors(canonical_state(E3))
-    np.testing.assert_allclose(uv.u, [1.0, -1j, 0.0], atol=1e-15)
-    np.testing.assert_allclose(uv.v, uv.u, atol=1e-15)
+    u, v = uv_vectors(canonical_state(E3))
+    np.testing.assert_allclose(u, [1.0, -1j, 0.0], atol=1e-15)
+    np.testing.assert_allclose(v, u, atol=1e-15)
 
 
 def test_uv_vectors_both_ground():
-    uv = uv_vectors(ProductState(-E3, -E3))
-    np.testing.assert_allclose(uv.u, [1.0, -1j, 0.0], atol=1e-15)
-    np.testing.assert_allclose(uv.v, [1.0, +1j, 0.0], atol=1e-15)
+    u, v = uv_vectors(ProductState(-E3, -E3))
+    np.testing.assert_allclose(u, [1.0, -1j, 0.0], atol=1e-15)
+    np.testing.assert_allclose(v, [1.0, +1j, 0.0], atol=1e-15)
 
 
 def test_uv_vector_norms():
     rng = np.random.default_rng(38)
     for _ in range(50):
-        uv = uv_vectors(random_product_state(rng))
-        assert np.linalg.norm(uv.u) == pytest.approx(math.sqrt(2.0), rel=1e-12)
-        assert np.linalg.norm(uv.v) == pytest.approx(math.sqrt(2.0), rel=1e-12)
+        u, v = uv_vectors(random_product_state(rng))
+        assert np.linalg.norm(u) == pytest.approx(math.sqrt(2.0), rel=1e-12)
+        assert np.linalg.norm(v) == pytest.approx(math.sqrt(2.0), rel=1e-12)
+
+
+def test_uv_vectors_match_the_pauli_rotation_route():
+    # the bra-sigma-ket products against the SU(2) -> SO(3) rotations they
+    # replace, on random product states and on every pair of the six poles
+    rng = np.random.default_rng(43)
+    poles = [s * e for e in np.eye(3) for s in (1.0, -1.0)]
+    states = [random_product_state(rng) for _ in range(200)]
+    states += [ProductState(b1, b2) for b1 in poles for b2 in poles]
+    for state in states:
+        u, v = uv_vectors(state)
+        u_ref, v_ref = uv_vectors_rotation(state)
+        np.testing.assert_allclose(u, u_ref, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(v, v_ref, rtol=0, atol=1e-15)
 
 
 # -------------------------------------------------------------- generation test
@@ -183,14 +198,14 @@ def test_uv_vector_norms():
 def test_generation_frozen_grid_points():
     state = canonical_state(E3)
     p = ModelParams(omega=1.0, beta=1.0, ell=0.5)
-    verdict = generation_test(state, build_kossakowski_closed(p), params=p)
+    verdict = generation_test(state, build_kossakowski_closed(p))
     assert verdict.generated is True
-    assert verdict.rs_margin == pytest.approx(1.132947655297793155 - 1.0, rel=1e-12)
+    assert criterion_rs(p)[2] == pytest.approx(1.132947655297793155 - 1.0, rel=1e-12)
 
     p = ModelParams(omega=1.0, beta=1.0, ell=3.0)
-    verdict = generation_test(state, build_kossakowski_closed(p), params=p)
+    verdict = generation_test(state, build_kossakowski_closed(p))
     assert verdict.generated is False
-    assert verdict.rs_margin == pytest.approx(0.21576502888683003315 - 1.0, rel=1e-12)
+    assert criterion_rs(p)[2] == pytest.approx(0.21576502888683003315 - 1.0, rel=1e-12)
 
 
 def test_generation_margin_equals_canonical_reduction():
@@ -200,10 +215,9 @@ def test_generation_margin_equals_canonical_reduction():
     for _ in range(50):
         p = random_params(rng)
         p = ModelParams(omega=p.omega, beta=p.beta, ell=p.ell, n=E3)
-        verdict = generation_test(canonical_state(p.n), build_kossakowski_closed(p),
-                                  params=p)
+        verdict = generation_test(canonical_state(p.n), build_kossakowski_closed(p))
         A = kossakowski_coefficients(p).A
-        assert verdict.margin == pytest.approx(4.0 * A * A * verdict.rs_margin,
+        assert verdict.margin == pytest.approx(4.0 * A * A * criterion_rs(p)[2],
                                                rel=1e-10, abs=1e-13 * verdict.scale)
 
 

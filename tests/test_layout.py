@@ -5,7 +5,9 @@ Every top-level function and class of src/thermalpair must be referenced
 somewhere in src/ besides its own definition and the package's exports;
 independent cross-check routes that only tests call belong in tests/util.py.
 Every guard threshold is a module constant beside the guard that reads it,
-so no function in src/ takes a parameter whose name ends in "tol".
+so no function in src/ takes a parameter whose name ends in "tol".  The
+package imports only numpy and a short list of standard-library modules,
+which keeps its share of the start-up time small.
 """
 
 import ast
@@ -14,6 +16,8 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "thermalpair"
 # the console entry point, called from outside the package
 ENTRY_POINTS = {("cli", "main")}
+# the top-level modules src/ may import besides its own
+ALLOWED_IMPORTS = {"__future__", "argparse", "dataclasses", "json", "math", "sys", "numpy"}
 
 
 def _references(node, skip=None) -> set:
@@ -64,3 +68,18 @@ def test_no_function_takes_a_tolerance_parameter():
             name = getattr(node, "name", "<lambda>")
             found += [f"{module}.{name}({p.arg})" for p in params if p.arg.endswith("tol")]
     assert not found, f"guard thresholds taken as parameters: {found}"
+
+
+def test_imports_only_the_allowed_modules():
+    found = []
+    for module, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{module}: {name}" for name in names
+                      if name.split(".")[0] not in ALLOWED_IMPORTS | {"thermalpair"}]
+    assert not found, f"imports outside the allowlist: {found}"

@@ -109,6 +109,7 @@ def test_spectral_density_rejects_nonfinite():
     {"omega": 1.0, "beta": 1.0, "ell": -0.1},
     {"omega": 1.0, "beta": 1.0, "ell": 0.0, "n": [0.0, 0.0, 2.0]},
     {"omega": math.inf, "beta": 1.0, "ell": 0.0},
+    {"omega": 1.0, "beta": 1.0, "ell": 0.0, "n": [math.nan, 0.0, 0.0]},
 ])
 def test_invalid_params_rejected(kwargs):
     with pytest.raises(ValueError):

@@ -3,15 +3,16 @@ closed-form references the library's numerical routes are checked against,
 and the independent cross-check routes that no subcommand runs: the
 frequency-sum Kossakowski matrix, the dissipator's action on a state, the
 Choi matrix of the evolved map and the probe functionals of the
-entanglement-generation test."""
+entanglement-generation test with the Pauli-rotation route to its u and v."""
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from thermalpair import (KossakowskiMatrix, ModelParams, ProductState, build_superoperator,
-                         min_eig_pt, partial_transpose, pauli_op, unvec, vec)
+from thermalpair import (KossakowskiMatrix, ModelParams, ProductState, bloch_ket,
+                         build_superoperator, min_eig_pt, partial_transpose, pauli_op, unvec,
+                         vec)
 from thermalpair.dynamics import SIGMA, expm
 from thermalpair.spectral import TWO_PI, _EPSILON, _sinc, _unit_vector
 
@@ -337,3 +338,39 @@ def min_q_rate(state: ProductState, K: KossakowskiMatrix):
 
     evals, evecs = np.linalg.eigh(comp)
     return float(evals[0]), P @ evecs[:, 0]
+
+
+def _su2_from_bloch(b) -> np.ndarray:
+    """Unitary with U|-> the Bloch-b state and U|+> its antipode.
+
+    The antipodal construction fixes the phase of the complement so that
+    U is the identity for b = -e3 and the sigma1 spin flip for b = +e3.
+    """
+    b = np.asarray(b, dtype=float)
+    return np.column_stack([bloch_ket(-b), bloch_ket(b)])
+
+
+def _pauli_rotation(U: np.ndarray) -> np.ndarray:
+    """Orthogonal O with U^dag sigma_i U = sum_j O_ij sigma_j."""
+    O = np.zeros((3, 3))
+    for i in range(3):
+        X = U.conj().T @ SIGMA[i] @ U
+        for j in range(3):
+            O[i, j] = 0.5 * np.real(np.trace(X @ SIGMA[j]))
+    return O
+
+
+# <+|sigma_j|-> for j = 1, 2, 3
+_M_PLUS_MINUS = np.array([1.0, -1j, 0.0])
+
+
+def uv_vectors_rotation(state: ProductState):
+    """(u, v) with u_i = sum_j U_ij <+|s_j|->, v_i = sum_j V_ij <-|s_j|+>.
+
+    U, V are the Pauli rotations induced by the unitaries mapping |-> to
+    the two single-atom states: the route the library's bra-sigma-ket
+    products are checked against.
+    """
+    u = _pauli_rotation(_su2_from_bloch(state.bloch1)) @ _M_PLUS_MINUS
+    v = _pauli_rotation(_su2_from_bloch(state.bloch2)) @ np.conj(_M_PLUS_MINUS)
+    return u, v
