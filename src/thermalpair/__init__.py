@@ -13,17 +13,16 @@ from .spectral import (
     ModelParams,
     build_kossakowski_closed,
     kossakowski_coefficients,
+    kossakowski_eigenvalues,
     kossakowski_from_coefficients,
-    psd_check,
     temperature_ratio,
 )
 from .dynamics import (
     PositivityError,
-    Trajectory,
+    bloch_ket,
     build_superoperator,
     evolve,
     evolve_traj,
-    pauli_op,
     singlet_density,
     singlet_ket,
     tau,
@@ -35,7 +34,6 @@ from .dynamics import (
 from .entanglement import (
     GenerationVerdict,
     ProductState,
-    bloch_ket,
     canonical_state,
     concurrence,
     criterion_rs,

@@ -297,9 +297,8 @@ def cmd_coefficients(config: RunConfig, out_path: str | None) -> int:
 
 def _sweep_point(omega, n, state, rho0, beta_omega, omega_ell, include_hs) -> SweepRecord:
     params = ModelParams(omega=omega, beta=beta_omega / omega, ell=omega_ell / omega, n=n)
-    K = build_kossakowski_closed(params)
-    M = dynamics.build_superoperator(K, params, include_hs=include_hs)
-    verdict = entanglement.generation_test(state, K)
+    M = dynamics.build_superoperator(params, include_hs)
+    verdict = entanglement.generation_test(state, build_kossakowski_closed(params))
     R, S, rs_margin = entanglement.criterion_rs(params)
     oracle = entanglement.small_time_ppt_oracle(M, rho0, _ORACLE_DT / omega)
     return SweepRecord(beta_omega=beta_omega, omega_ell=omega_ell,
@@ -345,19 +344,18 @@ def cmd_evolve(config: RunConfig, out_path: str | None) -> int:
     if config.times is None:
         raise ConfigError("evolve requires a time_grid section")
     params = config.params
-    K = build_kossakowski_closed(params)
-    M = dynamics.build_superoperator(K, params, include_hs=config.include_hs)
+    M = dynamics.build_superoperator(params, config.include_hs)
     with np.errstate(over="ignore"):  # an overflow to inf fails the cap below
         work = config.times[-1] / params.omega * np.abs(M).sum(axis=0).max()
     if work > MAX_RK_WORK:
         raise ConfigError(f"time_grid t_max {float(config.times[-1])!r} is too long for the "
                           f"RK45 cross-check: (t_max/omega) |M|_1 = {work:.3g} exceeds "
                           f"MAX_RK_WORK = {MAX_RK_WORK:.0e}")
-    traj = dynamics.evolve_traj(M, config.rho0, config.times / params.omega)
+    states = dynamics.evolve_traj(M, config.rho0, config.times / params.omega)
     rho_inf, _ = asymptotic.asymptotic_state(M, config.rho0, params, check=False)
 
     lines = [EVOLVE_HEADER]
-    for t_dimless, rho in zip(config.times, traj.states):
+    for t_dimless, rho in zip(config.times, states):
         lines.append(",".join([
             _fmt(t_dimless),
             _fmt(np.trace(rho).real),
@@ -368,7 +366,7 @@ def cmd_evolve(config: RunConfig, out_path: str | None) -> int:
         ]))
     _write_out("\n".join(lines) + "\n", out_path)
 
-    dist = dynamics.trace_norm(traj.states[-1] - rho_inf)
+    dist = dynamics.trace_norm(states[-1] - rho_inf)
     summary = {"final_time": float(config.times[-1]),
                "trace_distance_to_asymptotic": dist,
                "asymptotic_concurrence": entanglement.concurrence(rho_inf)}
@@ -383,8 +381,7 @@ def cmd_evolve(config: RunConfig, out_path: str | None) -> int:
 def cmd_asymptotic(config: RunConfig, out_path: str | None) -> int:
     """Stationary-state report for the configured parameters and initial state."""
     params = config.params
-    K = build_kossakowski_closed(params)
-    M = dynamics.build_superoperator(K, params, include_hs=config.include_hs)
+    M = dynamics.build_superoperator(params, config.include_hs)
     rho_inf, dim = asymptotic.asymptotic_state(M, config.rho0, params, check=True)
     R, _, _ = entanglement.criterion_rs(params)
     doc = {"stationary_dim": dim,

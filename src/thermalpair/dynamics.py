@@ -6,21 +6,21 @@ Basis and vectorization conventions used throughout the package:
   - vec(.) stacks matrix columns (column-major), so that
     vec(A rho B) = kron(B.T, A) vec(rho).
 
-The generator is the purely dissipative Kossakowski-Lindblad form; the
-free-Hamiltonian commutator -i[H_S, .] (bare frequency, no Lamb shift) can
-be switched on with `include_hs` but is excluded by default since it plays
-no role in the temperature-dependent entanglement physics.
+The generator is the purely dissipative Kossakowski-Lindblad form, built
+at the axis n = e3 from six fixed dissipators and turned to n by one local
+frame; the free-Hamiltonian commutator -i[H_S, .] (bare frequency, no Lamb
+shift) can be switched on with `include_hs` but is excluded by default
+since it plays no role in the temperature-dependent entanglement physics.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import KossakowskiMatrix, ModelParams, psd_check
+from .spectral import ModelParams, _unit_vector, kossakowski_coefficients, kossakowski_eigenvalues
 
 
 SIGMA = (
@@ -28,8 +28,6 @@ SIGMA = (
     np.array([[0, -1j], [1j, 0]], dtype=complex),
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
-IDENTITY2 = np.eye(2, dtype=complex)
-IDENTITY4 = np.eye(4, dtype=complex)
 
 
 class PositivityError(RuntimeError):
@@ -38,29 +36,29 @@ class PositivityError(RuntimeError):
     eigenvalue below tolerance or a non-finite entry."""
 
 
-def pauli_op(atom: int, axis: int) -> np.ndarray:
-    """sigma_axis acting on one atom: sigma (x) 1 for atom 1, 1 (x) sigma for atom 2."""
-    if atom not in (1, 2):
-        raise ValueError(f"atom index must be 1 or 2, got {atom}")
-    if axis not in (1, 2, 3):
-        raise ValueError(f"axis index must be 1, 2 or 3, got {axis}")
-    s = SIGMA[axis - 1]
-    return np.kron(s, IDENTITY2) if atom == 1 else np.kron(IDENTITY2, s)
+def _dissipator(L: np.ndarray) -> np.ndarray:
+    """Superoperator of D[L] rho = L rho L^dag - (1/2){L^dag L, rho}."""
+    LdL = L.conj().T @ L
+    eye = np.eye(4)
+    return np.kron(L.conj(), L) - 0.5 * np.kron(eye, LdL) - 0.5 * np.kron(LdL.T, eye)
 
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of 4x4 matrices in the last two axes, broadcast over the leading ones."""
-    prod = a[..., :, None, :, None] * b[..., None, :, None, :]
-    return prod.reshape(*prod.shape[:-4], 16, 16)
+# the generator at n = e3 is sum_k lambda_k _DISSIPATORS[k], lambda from
+# spectral.kossakowski_eigenvalues: for s = +1 (collective), then s = -1
+# (relative), D[L] with L = sigma- (x) 1 + s 1 (x) sigma-, D[L^dag] and
+# (1/2) D[Z] with Z = sigma3 (x) 1 + s 1 (x) sigma3
+_SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]])  # |-><+|
+_DISSIPATORS = []
+for _s in (1.0, -1.0):
+    _L = np.kron(_SIGMA_MINUS, np.eye(2)) + _s * np.kron(np.eye(2), _SIGMA_MINUS)
+    _Z = np.kron(SIGMA[2].real, np.eye(2)) + _s * np.kron(np.eye(2), SIGMA[2].real)
+    _DISSIPATORS += [_dissipator(_L), _dissipator(_L.T), 0.5 * _dissipator(_Z)]
+_DISSIPATORS = np.array(_DISSIPATORS)
 
-
-# generator basis: M = sum_pq K[p, q] _BASIS[p, q], p and q running over
-# (atom, axis) in the row order of KossakowskiMatrix.matrix; _BASIS[p, q] is
-# the superoperator of rho -> (1/2)(2 sq rho sp - sp sq rho - rho sp sq)
-_PAULI_OPS = np.array([pauli_op(a, i) for a in (1, 2) for i in (1, 2, 3)])
-_PQ = _PAULI_OPS[:, None] @ _PAULI_OPS[None, :]
-_BASIS = 0.5 * (2.0 * _kron(_PAULI_OPS.swapaxes(1, 2)[:, None], _PAULI_OPS[None, :])
-                - _kron(IDENTITY4, _PQ) - _kron(_PQ.swapaxes(2, 3), IDENTITY4))
+# charge m_a - m_b of |a><b| in vec order, with m = (1, 0, 0, -1) the total
+# sigma3 / 2 of |a>: at e3, -i[H_S, .] is the diagonal -i omega _CHARGE
+_M3 = np.array([1.0, 0.0, 0.0, -1.0])
+_CHARGE = (_M3[:, None] - _M3[None, :]).reshape(-1, order="F")
 
 # sigma_i (x) sigma_i, used by the total-spin correlator tau
 _SIGMA_SIGMA = tuple(np.kron(SIGMA[i], SIGMA[i]) for i in range(3))
@@ -94,10 +92,10 @@ _TRACE_TOL = 1e-12
 _EIG_FLOOR = -1e-10
 
 # complete positivity of build_superoperator: the Kossakowski matrix may have
-# eigenvalues below zero by at most this fraction of its largest entry.  The
-# closed form has an exact zero eigenvalue (along n in C11 - C12) that
-# rounding moves either way, so the bound is relative; the largest entry is
-# within a factor 6 of the largest |eigenvalue| and needs no second eigensolve.
+# eigenvalues below zero by at most this fraction of its largest eigenvalue
+# over 6, which is at most its largest entry since |K|_2 <= 6 max|K_ij|.  The
+# relative dephasing rate is an exact zero eigenvalue that rounding moves
+# either way, so the bound is relative.
 _CP_REL_TOL = 1e-12
 
 # RK45 cross-check of evolve_traj: the integrator's relative and absolute
@@ -189,9 +187,12 @@ def solve_ivp(M: np.ndarray, y0: np.ndarray, times: np.ndarray) -> np.ndarray:
     K = np.empty((7, len(y)), dtype=complex)
     K[0] = M @ y
     # first step from the sizes of y and dy/dt (Hairer, Norsett & Wanner,
-    # Solving ODEs I, Sec. II.4); the controller corrects it within a few steps
+    # Solving ODEs I, Sec. II.4); the controller corrects it within a few steps.
+    # An overflow here or a non-finite error norm below is no warning: the
+    # step-size floor and the non-finite check handle them.
     scale = _RK_ATOL + _RK_RTOL * np.abs(y)
-    d0, d1 = _rms(y / scale), _rms(K[0] / scale)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d0, d1 = _rms(y / scale), _rms(K[0] / scale)
     h = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     t, rejected = 0.0, False
     for k, target in enumerate(times):
@@ -203,8 +204,9 @@ def solve_ivp(M: np.ndarray, y0: np.ndarray, times: np.ndarray) -> np.ndarray:
                 K[i] = M @ (y + step * (_DP_A[i, :i] @ K[:i]))
             y_new = y + step * (_DP_B @ K[:6])
             K[6] = M @ y_new
-            err = _rms(step * (_DP_E @ K)
-                       / (_RK_ATOL + _RK_RTOL * np.maximum(np.abs(y), np.abs(y_new))))
+            with np.errstate(over="ignore", invalid="ignore"):
+                err = _rms(step * (_DP_E @ K)
+                           / (_RK_ATOL + _RK_RTOL * np.maximum(np.abs(y), np.abs(y_new))))
             if not math.isfinite(err):
                 raise RuntimeError(f"RK45 cross-check integration failed: non-finite "
                                    f"solution at t={t:.6g}")
@@ -256,36 +258,52 @@ def trace_norm(a: np.ndarray) -> float:
     return float(np.linalg.svd(np.asarray(a, dtype=complex), compute_uv=False).sum())
 
 
-def hamiltonian(params: ModelParams) -> np.ndarray:
-    """Free two-atom Hamiltonian (omega/2)(n.sigma (x) 1 + 1 (x) n.sigma)."""
-    h1 = sum(params.n[i] * SIGMA[i] for i in range(3))
-    return 0.5 * params.omega * (np.kron(h1, IDENTITY2) + np.kron(IDENTITY2, h1))
+def bloch_ket(b) -> np.ndarray:
+    """Pure qubit state with Bloch vector b: (cos(th/2), e^{i ph} sin(th/2)).
+
+    The larger half-angle factor is sqrt((1 +- cos th)/2) and the other
+    sin th over twice it, so both keep full precision near the poles.  The
+    azimuth is 0 on the poles, so b = (0, 0, +-1) gives |+> and |-> exactly.
+    """
+    b = _unit_vector(b)
+    norm = math.hypot(*b)
+    sin_th, cos_th = math.hypot(b[0], b[1]) / norm, b[2] / norm
+    if cos_th >= 0:
+        c = math.sqrt((1.0 + cos_th) / 2.0)
+        s = sin_th / (2.0 * c)
+    else:
+        s = math.sqrt((1.0 - cos_th) / 2.0)
+        c = sin_th / (2.0 * s)
+    phi = 0.0 if sin_th == 0.0 else math.atan2(b[1], b[0])
+    return np.array([c, complex(math.cos(phi), math.sin(phi)) * s])
 
 
-def build_superoperator(K: KossakowskiMatrix, params: ModelParams | None = None,
-                        include_hs: bool = False) -> np.ndarray:
+def build_superoperator(params: ModelParams, include_hs: bool = False) -> np.ndarray:
     """16x16 matrix M with M vec(rho) = vec(d rho / dt).
 
-    M = sum_pq K[p, q] _BASIS[p, q] is linear in the 6x6 Kossakowski
-    matrix.  With include_hs the commutator -i[H_S, .] at the bare
-    frequency is added; params is then required.  K >= 0 is the whole
+    At n = e3, M is sum_k lambda_k _DISSIPATORS[k] with lambda the six
+    eigenvalues of the Kossakowski matrix (spectral.kossakowski_eigenvalues);
+    with include_hs the commutator -i[H_S, .] at the bare frequency adds
+    -i omega _CHARGE to its diagonal.  The generator at n is S M S^dag, with
+    S = kron(V*, V) the superoperator of rho -> V rho V^dag for the local
+    frame V = U (x) U, U = [|n>, |-n>].  K >= 0 is the whole
     complete-positivity condition of a Lindblad generator: a minimum
-    eigenvalue (psd_check) below -_CP_REL_TOL times K's largest entry
-    raises PositivityError.
+    eigenvalue below -_CP_REL_TOL / 6 times the largest raises
+    PositivityError.
     """
-    k = K.matrix
-    min_eig = psd_check(k)
-    if min_eig < -_CP_REL_TOL * np.abs(k).max():
+    lam = kossakowski_eigenvalues(kossakowski_coefficients(params))
+    if lam.min() < -_CP_REL_TOL * lam.max() / 6:
         raise PositivityError(f"Kossakowski matrix is not positive semidefinite: minimum "
-                              f"eigenvalue {min_eig:.3e}, the generator is not completely "
+                              f"eigenvalue {lam.min():.3e}, the generator is not completely "
                               f"positive")
-    M = np.tensordot(k, _BASIS, axes=([0, 1], [0, 1]))
+    M = np.tensordot(lam, _DISSIPATORS, axes=1)
     if include_hs:
-        if params is None:
-            raise ValueError("params required when include_hs is set")
-        h = hamiltonian(params)
-        M += -1j * (np.kron(IDENTITY4, h) - np.kron(h.T, IDENTITY4))
-    return M
+        M = M - 1j * params.omega * np.diag(_CHARGE)
+    a, b = bloch_ket(params.n)
+    U = np.array([[a, -b.conjugate()], [b, a.conjugate()]])
+    V = (U[:, None, :, None] * U[None, :, None, :]).reshape(4, 4)
+    S = (V.conj()[:, None, :, None] * V[None, :, None, :]).reshape(16, 16)
+    return S @ M @ S.conj().T
 
 
 def evolve(M: np.ndarray, rho0: np.ndarray, t: float) -> np.ndarray:
@@ -326,16 +344,8 @@ def evolve(M: np.ndarray, rho0: np.ndarray, t: float) -> np.ndarray:
     return rho
 
 
-@dataclass
-class Trajectory:
-    """Time-ordered state samples rho(t_k) on a fixed grid."""
-
-    times: np.ndarray
-    states: list
-
-
-def evolve_traj(M: np.ndarray, rho0: np.ndarray, times) -> Trajectory:
-    """Sample the evolution on a sorted nonnegative time grid.
+def evolve_traj(M: np.ndarray, rho0: np.ndarray, times) -> list:
+    """The states rho(t_k) on a sorted nonnegative time grid.
 
     Samples come from the matrix exponential; the same trajectory is
     integrated with adaptive RK45 (solve_ivp) and the two must agree to
@@ -359,4 +369,4 @@ def evolve_traj(M: np.ndarray, rho0: np.ndarray, times) -> Trajectory:
             raise RuntimeError(f"matrix-exponential and RK45 trajectories disagree: "
                                f"{worst:.3e} > {_RK_AGREE_TOL:.1e}")
 
-    return Trajectory(times=times, states=states)
+    return states

@@ -19,26 +19,12 @@ initial entanglement-production rate over probe vectors.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import dynamics
 from .spectral import KossakowskiMatrix, ModelParams, temperature_ratio, _sinc, _unit_vector
-
-
-def bloch_ket(b) -> np.ndarray:
-    """Pure qubit state with Bloch vector b: (cos(th/2), e^{i ph} sin(th/2)).
-
-    Half angles come from sqrt((1 +- b3)/2) and the azimuth is forced to 0
-    on the poles, so |+> and |-> are reproduced exactly at b = (0, 0, +-1).
-    """
-    b = _unit_vector(b)
-    c = math.sqrt(max(0.0, (1.0 + b[2]) / 2.0))
-    s = math.sqrt(max(0.0, (1.0 - b[2]) / 2.0))
-    phi = 0.0 if (b[0] == 0.0 and b[1] == 0.0) else math.atan2(b[1], b[0])
-    return np.array([c, complex(math.cos(phi), math.sin(phi)) * s])
 
 
 @dataclass(frozen=True)
@@ -53,7 +39,7 @@ class ProductState:
         object.__setattr__(self, "bloch2", _unit_vector(self.bloch2))
 
     def kets(self):
-        return bloch_ket(self.bloch1), bloch_ket(self.bloch2)
+        return dynamics.bloch_ket(self.bloch1), dynamics.bloch_ket(self.bloch2)
 
     def ket(self) -> np.ndarray:
         k1, k2 = self.kets()
@@ -146,8 +132,8 @@ def uv_vectors(state: ProductState) -> tuple[np.ndarray, np.ndarray]:
     ket only rephases u or v, which the discriminant is insensitive to.
     """
     phi, psi = state.kets()
-    u = bloch_ket(-state.bloch1).conj() @ _SIGMAS @ phi
-    v = psi.conj() @ _SIGMAS @ bloch_ket(-state.bloch2)
+    u = dynamics.bloch_ket(-state.bloch1).conj() @ _SIGMAS @ phi
+    v = psi.conj() @ _SIGMAS @ dynamics.bloch_ket(-state.bloch2)
     return u, v
 
 

@@ -16,11 +16,16 @@ evaluated at z in {+omega, -omega, 0}, and through the geometric psi
 tensors built from n.  The resulting coefficient matrix has the 2x2 block
 structure [[C11, C12], [C12, C11]] with 3x3 Hermitian blocks; it must be
 positive semidefinite for the generated semigroup to be completely
-positive, which `psd_check` measures and `dynamics.build_superoperator`
-enforces.  The matrix is built from the closed form in terms of the six
+positive.  The matrix is built from the closed form in terms of the six
 coefficients A, B, C, A', B', C' (`build_kossakowski_closed`); the
 independent frequency-sum construction it is checked against lives in
 the test suite.
+
+Its six eigenvalues (`kossakowski_eigenvalues`) are the lowering, raising
+and dephasing rates of the collective and the relative channel; the
+relative ones carry 1 - sinc(omega ell) and vanish at ell = 0, where the
+singlet is dark.  `dynamics.build_superoperator` builds the generator from
+them and enforces their positivity.
 """
 
 from __future__ import annotations
@@ -164,18 +169,16 @@ def build_kossakowski_closed(params: ModelParams) -> KossakowskiMatrix:
     return kossakowski_from_coefficients(kossakowski_coefficients(params), params.n)
 
 
-def psd_check(K) -> float:
-    """Minimum eigenvalue of the 6x6 Hermitian Kossakowski form.
+def kossakowski_eigenvalues(coeffs: KossakowskiCoefficients) -> np.ndarray:
+    """The six eigenvalues of the Kossakowski matrix, which do not depend on n.
 
-    Accepts a KossakowskiMatrix or a raw 6x6 array; a non-Hermitian array
-    is rejected.  Complete positivity of the generated semigroup requires
-    the returned value >= 0 up to rounding; `dynamics.build_superoperator`
-    enforces it on every generator it builds.
+    For the collective (s = +1) and then the relative (s = -1) channel, with
+    a_s = A + s A', b_s = B + s B' and c_s = C + s C': a_s + b_s (lowering
+    along n), a_s - b_s (raising) and a_s + c_s (dephasing).  a_+ + c_+ is
+    2 g0, and a_- + c_- is zero up to rounding.
     """
-    m = K.matrix if isinstance(K, KossakowskiMatrix) else np.asarray(K, dtype=complex)
-    if m.shape != (6, 6):
-        raise ValueError(f"expected a 6x6 matrix, got shape {m.shape}")
-    scale = max(np.abs(m).max(), 1.0)
-    if np.abs(m - m.conj().T).max() > 1e-12 * scale:
-        raise ValueError("matrix is not Hermitian")
-    return float(np.linalg.eigvalsh(m).min())
+    rates = []
+    for s in (1.0, -1.0):
+        a, b, c = coeffs.A + s * coeffs.Ap, coeffs.B + s * coeffs.Bp, coeffs.C + s * coeffs.Cp
+        rates += [a + b, a - b, a + c]
+    return np.array(rates)

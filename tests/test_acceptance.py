@@ -21,7 +21,6 @@ from thermalpair import (
     generation_test,
     kossakowski_from_coefficients,
     min_eig_pt,
-    psd_check,
     small_time_ppt_oracle,
     stationary_projector,
     tau,
@@ -79,7 +78,7 @@ def test_criterion_2_small_time_oracle_equivalence():
             if abs(rs) <= 1e-3:
                 continue
             checked += 1
-            M = build_superoperator(build_kossakowski_closed(p), p)
+            M = build_superoperator(p)
             oracle = small_time_ppt_oracle(M, rho0, 1e-3)
             if oracle != (rs > 0):
                 mismatches += 1
@@ -111,17 +110,17 @@ def test_criterion_3_zero_separation_robustness():
 def test_criterion_4_complete_positivity():
     """Kossakowski PSD on 1000 draws; Choi of exp(0.1 M/omega) PSD on 50."""
     rng = np.random.default_rng(101)
-    worst_rel = math.inf
+    worst_rel, worst_herm = math.inf, 0.0
     for _ in range(1000):
-        K = build_kossakowski_closed(random_params(rng))
-        norm = np.linalg.norm(K.matrix, 2)
-        worst_rel = min(worst_rel, psd_check(K) / norm)
-    psd_ok = worst_rel >= -1e-12
+        m = build_kossakowski_closed(random_params(rng)).matrix
+        worst_herm = max(worst_herm, np.abs(m - m.conj().T).max() / max(np.abs(m).max(), 1.0))
+        worst_rel = min(worst_rel, np.linalg.eigvalsh(m).min() / np.linalg.norm(m, 2))
+    psd_ok = worst_rel >= -1e-12 and worst_herm <= 1e-12
 
     worst_choi = math.inf
     for _ in range(50):
         p = random_params(rng)
-        M = build_superoperator(build_kossakowski_closed(p), p)
+        M = build_superoperator(p)
         worst_choi = min(worst_choi, np.linalg.eigvalsh(choi_matrix(M, 0.1 / p.omega)).min())
     choi_ok = worst_choi >= -1e-10
     _report(4, "complete positivity", psd_ok and choi_ok,
@@ -164,7 +163,7 @@ def test_criterion_6_stationarity_and_convergence():
     stat_ok = worst_resid < 1e-12
 
     p = ModelParams(omega=1.0, beta=1.0, ell=0.0)
-    M = build_superoperator(build_kossakowski_closed(p), p)
+    M = build_superoperator(p)
     R = temperature_ratio(p)
     T = 200.0 / spectral_gap(M)
     from scipy.linalg import expm
@@ -185,16 +184,16 @@ def test_criterion_6_stationarity_and_convergence():
 def test_criterion_7_conservation_laws():
     """tau constant to 1e-9, trace to 1e-12, positivity to -1e-10 on trajectories."""
     p = ModelParams(omega=1.0, beta=1.0, ell=0.0)
-    M = build_superoperator(build_kossakowski_closed(p), p)
+    M = build_superoperator(p)
     rng = np.random.default_rng(103)
     times = np.linspace(0.0, 50.0, 26)
     worst_tau = worst_trace = 0.0
     worst_eig = math.inf
     for _ in range(5):
         rho0 = random_density(rng)
-        traj = evolve_traj(M, rho0, times)  # includes the RK45 cross-check
+        states = evolve_traj(M, rho0, times)  # includes the RK45 cross-check
         tau0 = tau(rho0)
-        for rho in traj.states:
+        for rho in states:
             worst_tau = max(worst_tau, abs(tau(rho) - tau0))
             worst_trace = max(worst_trace, abs(np.trace(rho).real - 1.0))
             worst_eig = min(worst_eig, np.linalg.eigvalsh(rho).min())
@@ -211,7 +210,7 @@ def test_criterion_8_finite_separation_separability():
     for wl in (0.5, 1.0, 2.0, 5.0):
         for bw in (0.5, 1.0, 2.0):
             p = ModelParams(omega=1.0, beta=bw, ell=wl)
-            M = build_superoperator(build_kossakowski_closed(p), p)
+            M = build_superoperator(p)
             P = stationary_projector(M)
             dim = round(np.trace(P).real)
             rho_inf = unvec(P @ vec(rho0))

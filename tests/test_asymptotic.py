@@ -31,7 +31,8 @@ from thermalpair import (
 from thermalpair.spectral import KossakowskiCoefficients
 
 from util import (asymptotic_concurrence, dissipator_reference, equilibrium_closed_form,
-                  equilibrium_coefficients, random_density, random_params)
+                  equilibrium_coefficients, random_density, random_params,
+                  superoperator_reference)
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -48,11 +49,9 @@ def generator_for_ratio(R):
     """
     if R == 0.0:
         coeffs = KossakowskiCoefficients(A=1.0, B=0.0, C=0.0, Ap=1.0, Bp=0.0, Cp=0.0)
-        K = kossakowski_from_coefficients(coeffs, E3)
-        return build_superoperator(K, None)
+        return superoperator_reference(kossakowski_from_coefficients(coeffs, E3))
     beta = math.inf if R == 1.0 else 2.0 * math.atanh(R)
-    p = ModelParams(omega=1.0, beta=beta, ell=0.0)
-    return build_superoperator(build_kossakowski_closed(p), p)
+    return build_superoperator(ModelParams(omega=1.0, beta=beta, ell=0.0))
 
 
 def coherent_ground_singlet():
@@ -74,22 +73,22 @@ def stationary_dim(M):
 
 def test_stationary_dimension_degenerate_at_zero_separation():
     p = ModelParams(omega=1.0, beta=1.0, ell=0.0)
-    M = build_superoperator(build_kossakowski_closed(p), p)
+    M = build_superoperator(p)
     assert stationary_dim(M) == 2
 
 
 def test_stationary_dimension_unique_at_finite_separation():
     p = ModelParams(omega=1.0, beta=1.0, ell=2.0)
-    M = build_superoperator(build_kossakowski_closed(p), p)
+    M = build_superoperator(p)
     assert stationary_dim(M) == 1
 
 
 def test_stationary_dimension_at_zero_temperature_and_separation():
     # ground, singlet and the two coherences between them
     p = ModelParams(omega=1.0, beta=math.inf, ell=0.0)
-    M = build_superoperator(build_kossakowski_closed(p), p)
+    M = build_superoperator(p)
     assert stationary_dim(M) == 4
-    M_h = build_superoperator(build_kossakowski_closed(p), p, include_hs=True)
+    M_h = build_superoperator(p, include_hs=True)
     assert stationary_dim(M_h) == 2  # the coherences oscillate at omega
 
 
@@ -98,7 +97,7 @@ def test_stationary_basis_elements_are_stationary():
     for ell in (0.0, 2.0):
         p = ModelParams(omega=1.0, beta=1.0, ell=ell)
         K = build_kossakowski_closed(p)
-        P = stationary_projector(build_superoperator(K, p))
+        P = stationary_projector(build_superoperator(p))
         for col in P.T:
             assert np.abs(dissipator_reference(K, unvec(col))).max() < 1e-12
 
@@ -121,7 +120,7 @@ def test_stationary_projector_properties():
         seen |= {"beta_inf"} if math.isinf(p.beta) else set()
         seen |= {"ell_0"} if p.ell == 0 else set()
         seen |= {"include_hs"} if include_hs else set()
-        M = build_superoperator(build_kossakowski_closed(p), p, include_hs=include_hs)
+        M = build_superoperator(p, include_hs)
         P = stationary_projector(M)
         scale = np.abs(M).max()
         label = f"{p} include_hs={include_hs}"
@@ -221,7 +220,7 @@ def test_concurrence_positive_region_matches_threshold():
 
 def test_asymptotic_state_canonical_at_zero_separation():
     p = ModelParams(omega=1.0, beta=1.0, ell=0.0)
-    M = build_superoperator(build_kossakowski_closed(p), p)
+    M = build_superoperator(p)
     rho_inf, dim = asymptotic_state(M, canonical_state(E3).density(), p)
     assert dim == 2
     # tau = -1 for orthogonal pure states: concurrence 2R^2/(3+R^2)
@@ -230,7 +229,7 @@ def test_asymptotic_state_canonical_at_zero_separation():
 
 def test_asymptotic_state_singlet_is_fixed():
     p = ModelParams(omega=1.0, beta=0.5, ell=0.0)
-    M = build_superoperator(build_kossakowski_closed(p), p)
+    M = build_superoperator(p)
     rho_inf, _ = asymptotic_state(M, singlet_density(), p)
     assert trace_norm(rho_inf - singlet_density()) < 1e-10
 
@@ -238,7 +237,7 @@ def test_asymptotic_state_singlet_is_fixed():
 def test_asymptotic_state_unique_and_separable_at_finite_separation():
     rng = np.random.default_rng(51)
     p = ModelParams(omega=1.0, beta=1.0, ell=2.0)
-    M = build_superoperator(build_kossakowski_closed(p), p)
+    M = build_superoperator(p)
     rho_a, dim = asymptotic_state(M, random_density(rng), p)
     rho_b, _ = asymptotic_state(M, random_density(rng), p)
     assert dim == 1
@@ -251,7 +250,7 @@ def test_asymptotic_state_keeps_conserved_coherences():
     # zero temperature, ell = 0: the singlet/ground coherence is conserved,
     # so the state is its own limit, which the tau family alone would miss
     p = ModelParams(omega=1.0, beta=math.inf, ell=0.0)
-    M = build_superoperator(build_kossakowski_closed(p), p)
+    M = build_superoperator(p)
     rho0 = coherent_ground_singlet()
     rho_inf, dim = asymptotic_state(M, rho0, p)
     assert dim == 4
@@ -262,7 +261,7 @@ def test_asymptotic_state_convergence_check_fires():
     # with the free Hamiltonian the singlet/ground coherence rotates at
     # omega forever: no stationary state is reached
     p = ModelParams(omega=1.0, beta=math.inf, ell=0.0)
-    M = build_superoperator(build_kossakowski_closed(p), p, include_hs=True)
+    M = build_superoperator(p, include_hs=True)
     with pytest.raises(ConvergenceError):
         asymptotic_state(M, coherent_ground_singlet(), p)
 
@@ -270,7 +269,7 @@ def test_asymptotic_state_convergence_check_fires():
 def test_spectral_gap_positive():
     for ell in (0.0, 0.5, 2.0):
         p = ModelParams(omega=1.0, beta=1.0, ell=ell)
-        M = build_superoperator(build_kossakowski_closed(p), p)
+        M = build_superoperator(p)
         assert spectral_gap(M) > 0.01
 
 

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from thermalpair import cli, spectral
+from thermalpair import cli, dynamics, spectral
 
 
 def run_cli(*args, config=None, tmp_path=None, stdin=None):
@@ -172,13 +172,15 @@ def test_rk45_work_over_cap_exits_2_before_integrating(tmp_path):
 
 @pytest.mark.parametrize("sub", ["phase-diagram", "evolve", "asymptotic"])
 def test_non_psd_kossakowski_matrix_exits_4(tmp_path, monkeypatch, capsys, sub):
-    # at ell = 0 the cross block equals C11; scaled by 1.5 it gives K the
-    # eigenvalues -0.5 times those of C11
+    # at ell = 0 the primed coefficients equal the unprimed ones; scaled by
+    # 1.5 they give the relative channel the rates -0.5 times those of the
+    # single-atom block
     def corrupted(params):
-        K = spectral.build_kossakowski_closed(params)
-        return spectral.KossakowskiMatrix(c11=K.c11, c12=1.5 * K.c12, n=K.n)
+        c = spectral.kossakowski_coefficients(params)
+        return spectral.KossakowskiCoefficients(A=c.A, B=c.B, C=c.C, Ap=1.5 * c.Ap,
+                                                Bp=1.5 * c.Bp, Cp=1.5 * c.Cp)
 
-    monkeypatch.setattr(cli, "build_kossakowski_closed", corrupted)
+    monkeypatch.setattr(dynamics, "kossakowski_coefficients", corrupted)
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"ell": 0.0, "time_grid": {"t_max": 1.0, "n_samples": 3},
                                 "sweep": {"beta_omega": [1.0, 1.0, 1],

@@ -280,17 +280,17 @@ def test_probe_optimality_matches_discriminant():
 def test_small_time_oracle_frozen_points():
     state = canonical_state(E3)
     p = ModelParams(omega=1.0, beta=1.0, ell=0.5)
-    M = build_superoperator(build_kossakowski_closed(p), p)
+    M = build_superoperator(p)
     assert small_time_ppt_oracle(M, state.density(), 1e-3) is True
 
     p = ModelParams(omega=1.0, beta=1.0, ell=3.0)
-    M = build_superoperator(build_kossakowski_closed(p), p)
+    M = build_superoperator(p)
     assert small_time_ppt_oracle(M, state.density(), 1e-3) is False
 
 
 def test_small_time_oracle_rejects_bad_dt():
     p = ModelParams(omega=1.0, beta=1.0, ell=0.5)
-    M = build_superoperator(build_kossakowski_closed(p), p)
+    M = build_superoperator(p)
     with pytest.raises(ValueError):
         small_time_ppt_oracle(M, canonical_state(E3).density(), 0.0)
 
@@ -306,7 +306,7 @@ def test_oracle_agrees_for_generic_product_states():
         verdict = generation_test(state, K)
         if verdict.generated is None or abs(verdict.margin) < 1e-6 * verdict.scale:
             continue
-        M = build_superoperator(K, p)
+        M = build_superoperator(p)
         oracle = small_time_ppt_oracle(M, state.density(), 1e-3 / p.omega)
         assert oracle == verdict.generated
         checked += 1
@@ -317,6 +317,5 @@ def test_oracle_insensitive_to_hamiltonian_term():
     # the free Hamiltonian is local, so it cannot change the verdict
     state = canonical_state(E3)
     p = ModelParams(omega=1.0, beta=1.0, ell=0.5)
-    K = build_kossakowski_closed(p)
-    M_h = build_superoperator(K, p, include_hs=True)
+    M_h = build_superoperator(p, include_hs=True)
     assert small_time_ppt_oracle(M_h, state.density(), 1e-3) is True

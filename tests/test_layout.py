@@ -1,9 +1,10 @@
 """Layout lint: the package holds only what its subcommands run, and no
 guard threshold is a parameter.
 
-Every top-level function and class of src/thermalpair must be referenced
-somewhere in src/ besides its own definition and the package's exports;
-independent cross-check routes that only tests call belong in tests/util.py.
+Every top-level function, class and module-level constant of
+src/thermalpair must be referenced somewhere in src/ besides its own
+definition and the package's exports; independent cross-check routes that
+only tests call belong in tests/util.py, and a constant nothing reads goes.
 Every guard threshold is a module constant beside the guard that reads it,
 so no function in src/ takes a parameter whose name ends in "tol".  The
 package imports only numpy and a short list of standard-library modules,
@@ -21,14 +22,15 @@ ALLOWED_IMPORTS = {"__future__", "argparse", "dataclasses", "json", "math", "sys
 
 
 def _references(node, skip=None) -> set:
-    """Names and attribute names used anywhere under node, except inside skip."""
+    """Names read and attribute names used anywhere under node, except inside
+    skip; a name that is only assigned to is not used."""
     found = set()
     stack = [node]
     while stack:
         n = stack.pop()
         if n is skip:
             continue
-        if isinstance(n, ast.Name):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
             found.add(n.id)
         elif isinstance(n, ast.Attribute):
             found.add(n.attr)
@@ -41,6 +43,17 @@ def _trees() -> dict:
             for path in sorted(PACKAGE.glob("*.py"))}
 
 
+def _defined_names(node) -> list:
+    """Names a top-level statement defines: a function or class, or the
+    plain names an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return []
+
+
 def test_every_top_level_definition_is_used_in_the_package():
     trees = {module: tree for module, tree in _trees().items() if module != "__init__"}
     refs = {module: _references(tree) for module, tree in trees.items()}
@@ -48,11 +61,11 @@ def test_every_top_level_definition_is_used_in_the_package():
     for module, tree in trees.items():
         elsewhere = set().union(*(r for other, r in refs.items() if other != module))
         for node in tree.body:
-            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    or (module, node.name) in ENTRY_POINTS):
-                continue
-            if node.name not in elsewhere | _references(tree, skip=node):
-                unused.append(f"{module}.{node.name}")
+            for name in _defined_names(node):
+                if (module, name) in ENTRY_POINTS:
+                    continue
+                if name not in elsewhere | _references(tree, skip=node):
+                    unused.append(f"{module}.{name}")
     assert not unused, f"defined in src/ but used only outside it: {unused}"
 
 

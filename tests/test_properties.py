@@ -1,4 +1,5 @@
-"""Seeded properties over ModelParams: complete positivity of K, trace and
+"""Seeded properties over ModelParams: K's closed-form eigenvalues and the
+complete-positivity guard, M against the reference route, trace and
 Hermiticity preservation of M, the canonical-state reduction of the
 discriminant, concurrence against the partial-transpose verdict, and the
 Gibbs state as a stationary state (the bath is KMS)."""
@@ -10,8 +11,11 @@ from hypothesis import given, settings, strategies as st
 
 from thermalpair import (ModelParams, build_kossakowski_closed, build_superoperator,
                          canonical_state, concurrence, criterion_rs, evolve, generation_test,
-                         min_eig_pt, psd_check, unvec, vec)
-from thermalpair.dynamics import hamiltonian
+                         kossakowski_coefficients, kossakowski_eigenvalues, min_eig_pt, unvec,
+                         vec)
+from thermalpair.dynamics import _CP_REL_TOL
+
+from util import hamiltonian, superoperator_reference
 
 
 def _log_uniform(lo, hi):
@@ -39,15 +43,25 @@ def models(draw):
                          ell=draw(omega_ell) / omega, n=np.array(draw(unit)))
     include_hs = draw(st.booleans())
     K = build_kossakowski_closed(params)
-    return params, include_hs, K, build_superoperator(K, params, include_hs=include_hs)
+    return params, include_hs, K, build_superoperator(params, include_hs)
 
 
 @SETTINGS
 @given(models())
 def test_kossakowski_passes_the_cp_guard(model):
-    _, _, K, _ = model
+    params, _, K, _ = model
     eigs = np.linalg.eigvalsh(K.matrix)
-    assert psd_check(K) >= -1e-12 * np.abs(eigs).max()
+    lam = kossakowski_eigenvalues(kossakowski_coefficients(params))
+    assert np.abs(np.sort(lam) - eigs).max() <= 1e-14 * np.abs(eigs).max()
+    assert lam.min() >= -_CP_REL_TOL * lam.max() / 6
+
+
+@SETTINGS
+@given(models())
+def test_generator_matches_the_reference_route(model):
+    params, include_hs, K, M = model
+    ref = superoperator_reference(K, params, include_hs)
+    assert np.abs(M - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 @SETTINGS

@@ -14,8 +14,8 @@ from thermalpair import (
     ModelParams,
     build_kossakowski_closed,
     kossakowski_coefficients,
+    kossakowski_eigenvalues,
     kossakowski_from_coefficients,
-    psd_check,
     temperature_ratio,
 )
 from thermalpair.spectral import KossakowskiCoefficients
@@ -254,29 +254,34 @@ def test_rotation_covariance():
 def test_positivity_on_random_draws():
     rng = np.random.default_rng(17)
     for _ in range(300):
-        K = build_kossakowski_closed(random_params(rng))
-        norm = np.linalg.norm(K.matrix, 2)
-        assert psd_check(K) >= -1e-12 * norm
+        m = build_kossakowski_closed(random_params(rng)).matrix
+        assert np.abs(m - m.conj().T).max() <= 1e-12 * max(np.abs(m).max(), 1.0)
+        assert np.linalg.eigvalsh(m).min() >= -1e-12 * np.linalg.norm(m, 2)
 
 
-# --------------------------------------------------------------- psd_check
+# ------------------------------------------------ closed-form eigenvalues
 
-def test_psd_check_zero_matrix():
-    assert psd_check(np.zeros((6, 6), dtype=complex)) == 0.0
+def test_kossakowski_eigenvalues_match_eigvalsh_for_any_coefficients():
+    # the closed form holds for every real A, B, C, A', B', C' and axis, also
+    # where K is not positive semidefinite
+    rng = np.random.default_rng(18)
+    for _ in range(200):
+        coeffs = KossakowskiCoefficients(*rng.normal(size=6))
+        n = rng.normal(size=3)
+        K = kossakowski_from_coefficients(coeffs, n / np.linalg.norm(n))
+        eigs = np.linalg.eigvalsh(K.matrix)
+        lam = kossakowski_eigenvalues(coeffs)
+        assert np.abs(np.sort(lam) - eigs).max() <= 1e-14 * np.abs(eigs).max()
 
 
-def test_psd_check_rejects_non_hermitian():
-    m = np.zeros((6, 6), dtype=complex)
-    m[0, 1] = 1.0
-    with pytest.raises(ValueError):
-        psd_check(m)
-
-
-def test_psd_check_detects_corrupted_cross_block():
-    K = build_kossakowski_closed(ModelParams(omega=1.0, beta=1.0, ell=0.0))
-    corrupted = np.block([[K.c11, 2.0 * K.c12], [2.0 * K.c12, K.c11]])
-    # at ell = 0 the doubled cross block gives min eig = -(A + B)
-    assert psd_check(corrupted) == pytest.approx(-0.25177941275449163618, abs=1e-14)
+def test_kossakowski_eigenvalues_detect_corrupted_cross_block():
+    c = kossakowski_coefficients(ModelParams(omega=1.0, beta=1.0, ell=0.0))
+    corrupted = KossakowskiCoefficients(A=c.A, B=c.B, C=c.C,
+                                        Ap=2.0 * c.Ap, Bp=2.0 * c.Bp, Cp=2.0 * c.Cp)
+    # at ell = 0 the doubled cross block gives min eig = -(A + B), the
+    # relative lowering rate
+    lam = kossakowski_eigenvalues(corrupted)
+    assert lam[3] == lam.min() == pytest.approx(-0.25177941275449163618, abs=1e-14)
 
 
 def test_from_coefficients_roundtrip():

@@ -1,8 +1,10 @@
 """Shared random generators for the property tests (all explicitly seeded),
 closed-form references the library's numerical routes are checked against,
 and the independent cross-check routes that no subcommand runs: the
-frequency-sum Kossakowski matrix, the dissipator's action on a state, the
-Choi matrix of the evolved map and the probe functionals of the
+frequency-sum Kossakowski matrix, the dissipator's action on a state as the
+explicit sum over K's entries (with the Pauli operators and the free
+Hamiltonian it is built from), the generator assembled from it column by
+column, the Choi matrix of the evolved map and the probe functionals of the
 entanglement-generation test with the Pauli-rotation route to its u and v."""
 
 import math
@@ -10,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from thermalpair import (KossakowskiMatrix, ModelParams, ProductState, bloch_ket,
-                         build_superoperator, min_eig_pt, partial_transpose, pauli_op, unvec,
-                         vec)
+from thermalpair import (KossakowskiMatrix, ModelParams, ProductState, bloch_ket, min_eig_pt,
+                         partial_transpose, unvec, vec)
 from thermalpair.dynamics import SIGMA, expm
 from thermalpair.spectral import TWO_PI, _EPSILON, _sinc, _unit_vector
 
@@ -68,12 +69,20 @@ def random_params(rng, allow_zero_temperature=True, allow_zero_ell=True):
     return ModelParams(omega=omega, beta=beta, ell=ell, n=random_bloch(rng))
 
 
-def basis_element(sp: np.ndarray, sq: np.ndarray) -> np.ndarray:
-    """Superoperator of rho -> (1/2)(2 sq rho sp - sp sq rho - rho sp sq), from
-    np.kron: the reference for the broadcast products behind dynamics._BASIS."""
-    spq = sp @ sq
-    eye = np.eye(4, dtype=complex)
-    return 0.5 * (2.0 * np.kron(sp.T, sq) - np.kron(eye, spq) - np.kron(spq.T, eye))
+def pauli_op(atom: int, axis: int) -> np.ndarray:
+    """sigma_axis acting on one atom: sigma (x) 1 for atom 1, 1 (x) sigma for atom 2."""
+    if atom not in (1, 2):
+        raise ValueError(f"atom index must be 1 or 2, got {atom}")
+    if axis not in (1, 2, 3):
+        raise ValueError(f"axis index must be 1, 2 or 3, got {axis}")
+    s = SIGMA[axis - 1]
+    return np.kron(s, np.eye(2)) if atom == 1 else np.kron(np.eye(2), s)
+
+
+def hamiltonian(params: ModelParams) -> np.ndarray:
+    """Free two-atom Hamiltonian (omega/2)(n.sigma (x) 1 + 1 (x) n.sigma)."""
+    h1 = sum(params.n[i] * SIGMA[i] for i in range(3))
+    return 0.5 * params.omega * (np.kron(h1, np.eye(2)) + np.kron(np.eye(2), h1))
 
 
 def dissipator_reference(K, rho):
@@ -81,7 +90,8 @@ def dissipator_reference(K, rho):
 
     (1/2) sum_{ab,ij} C^(ab)_ij (2 s_j^b rho s_i^a - s_i^a s_j^b rho - rho s_i^a s_j^b),
 
-    a route independent of the basis tensor behind build_superoperator.
+    a route independent of the closed-form eigenvalues and the fixed
+    dissipators behind build_superoperator.
     """
     out = np.zeros((4, 4), dtype=complex)
     for a, b, c in ((1, 1, K.c11), (2, 2, K.c22), (1, 2, K.c12), (2, 1, K.c21)):
@@ -245,16 +255,29 @@ def build_kossakowski_spectral(params: ModelParams) -> KossakowskiMatrix:
 # ---------------------------------------------------------------------------
 
 def dissipator_apply(K: KossakowskiMatrix, rho: np.ndarray) -> np.ndarray:
-    """d rho / dt of the dissipative generator for state rho.
-
-    (1/2) sum_{ab,ij} C^(ab)_ij (2 s_j^b rho s_i^a - s_i^a s_j^b rho - rho s_i^a s_j^b)
+    """d rho / dt of the dissipative generator for state rho (dissipator_reference
+    on a checked 4x4 state).
 
     The output is traceless and Hermitian for Hermitian rho.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"state must be 4x4, got shape {rho.shape}")
-    return unvec(build_superoperator(K) @ vec(rho))
+    return dissipator_reference(K, rho)
+
+
+def superoperator_reference(K: KossakowskiMatrix, params: ModelParams | None = None,
+                            include_hs: bool = False) -> np.ndarray:
+    """The 16x16 generator of K, assembled column by column from
+    dissipator_reference applied to the matrix units; include_hs adds the
+    commutator -i[H_S, .] of params.  This also builds generators of a K
+    that no ModelParams gives, such as the infinite-temperature limit."""
+    h = hamiltonian(params) if include_hs else np.zeros((4, 4))
+    M = np.zeros((16, 16), dtype=complex)
+    for k in range(16):
+        unit = unvec(np.eye(16)[k])
+        M[:, k] = vec(dissipator_reference(K, unit) - 1j * (h @ unit - unit @ h))
+    return M
 
 
 def choi_matrix(M: np.ndarray, t: float) -> np.ndarray:
