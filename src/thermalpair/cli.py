@@ -202,7 +202,8 @@ def _parse_sweep(raw) -> SweepSpec:
 
 def _check_omega_scales(omega: float, beta_omega: float, times, sweep):
     """The quantities derived from omega fit a float, or ConfigError: the
-    sample times in units of 1/omega, and the discriminant's scale
+    sample times in units of 1/omega and a sweep's largest beta and ell
+    must be finite, and the discriminant's scale
     (omega coth(beta*omega/2))^2, taken at beta*omega and at a sweep's
     smallest beta_omega, must be a finite, normal number."""
     if times is not None:
@@ -210,6 +211,12 @@ def _check_omega_scales(omega: float, beta_omega: float, times, sweep):
             t = times / omega
         _require(np.all(np.isfinite(t)) and np.all(np.diff(t) > 0),
                  f"time_grid in units of 1/omega is not finite and strictly increasing "
+                 f"at omega {omega!r}")
+    if sweep is not None:
+        with np.errstate(over="ignore", under="ignore"):
+            largest = np.array([sweep.beta_omega[-1], sweep.omega_ell[-1]]) / omega
+        _require(np.all(np.isfinite(largest)),
+                 f"sweep beta_omega / omega or omega_ell / omega is not finite "
                  f"at omega {omega!r}")
     for bw in (beta_omega,) if sweep is None else (beta_omega, float(sweep.beta_omega[0])):
         scale = omega / math.tanh(bw / 2.0)

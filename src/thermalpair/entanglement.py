@@ -146,13 +146,14 @@ def generation_test(state: ProductState, K: KossakowskiMatrix) -> GenerationVerd
 
     margin = |<u| Re C12 |v>|^2 - <u|C11|u> <v|C22^T|v>; the bath starts
     entangling the pair iff margin > 0 (strict).  Verdicts within
-    _BOUNDARY_REL_TOL * |K|_2^2 of zero are reported as inconclusive.
+    _BOUNDARY_REL_TOL * |K|_2^2 of zero are reported as inconclusive, with
+    |K|_2 = K.norm, the largest of K's six closed-form eigenvalues (no SVD).
     """
     u, v = uv_vectors(state)
     lhs = np.real(u.conj() @ K.c11 @ u) * np.real(v.conj() @ K.c22.T @ v)
     rhs = abs(u.conj() @ np.real(K.c12) @ v) ** 2
     margin = float(rhs - lhs)
-    scale = float(np.linalg.norm(K.matrix, 2) ** 2)
+    scale = K.norm ** 2
     band = _BOUNDARY_REL_TOL * scale
     generated = None if abs(margin) <= band else margin > 0
     return GenerationVerdict(margin=margin, generated=generated, scale=scale)

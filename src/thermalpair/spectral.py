@@ -25,7 +25,9 @@ Its six eigenvalues (`kossakowski_eigenvalues`) are the lowering, raising
 and dephasing rates of the collective and the relative channel; the
 relative ones carry 1 - sinc(omega ell) and vanish at ell = 0, where the
 singlet is dark.  `dynamics.build_superoperator` builds the generator from
-them and enforces their positivity.
+them and enforces their positivity, and the largest of their magnitudes is
+the spectral norm |K|_2 that sizes the generation test's boundary band, so
+no SVD of the 6x6 matrix is taken.
 """
 
 from __future__ import annotations
@@ -100,11 +102,16 @@ class KossakowskiCoefficients:
 
 @dataclass(frozen=True)
 class KossakowskiMatrix:
-    """Block Kossakowski matrix; c22 = c11 and c21 = c12 by symmetry."""
+    """Block Kossakowski matrix; c22 = c11 and c21 = c12 by symmetry.
+
+    norm is the spectral norm |K|_2 of the 6x6 form [[c11, c12], [c12, c11]]:
+    the largest magnitude of K's six closed-form eigenvalues.
+    """
 
     c11: np.ndarray
     c12: np.ndarray
     n: np.ndarray
+    norm: float
 
     @property
     def c22(self) -> np.ndarray:
@@ -113,11 +120,6 @@ class KossakowskiMatrix:
     @property
     def c21(self) -> np.ndarray:
         return self.c12
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """6x6 Hermitian form, indexed by (atom, direction)."""
-        return np.block([[self.c11, self.c12], [self.c12, self.c11]])
 
 
 def _sinc(x: float) -> float:
@@ -154,14 +156,16 @@ def temperature_ratio(params: ModelParams) -> float:
 
 
 def kossakowski_from_coefficients(coeffs: KossakowskiCoefficients, n) -> KossakowskiMatrix:
-    """Blocks A 1 - iB eps.n + C nn^T (and primed analogue) for given coefficients."""
+    """Blocks A 1 - iB eps.n + C nn^T (and primed analogue) for given coefficients,
+    with |K|_2 from the closed-form eigenvalues."""
     n = _unit_vector(n)
     eps_n = np.einsum("ijk,k->ij", _EPSILON, n)
     nn = np.outer(n, n)
     eye = np.eye(3)
     c11 = coeffs.A * eye - 1j * coeffs.B * eps_n + coeffs.C * nn
     c12 = coeffs.Ap * eye - 1j * coeffs.Bp * eps_n + coeffs.Cp * nn
-    return KossakowskiMatrix(c11=c11, c12=c12, n=n)
+    norm = float(np.abs(kossakowski_eigenvalues(coeffs)).max())
+    return KossakowskiMatrix(c11=c11, c12=c12, n=n, norm=norm)
 
 
 def build_kossakowski_closed(params: ModelParams) -> KossakowskiMatrix:

@@ -34,7 +34,8 @@ from thermalpair.asymptotic import spectral_gap
 from thermalpair.spectral import KossakowskiCoefficients
 
 from util import (asymptotic_concurrence, build_kossakowski_spectral, choi_matrix,
-                  dissipator_reference, equilibrium_closed_form, random_density, random_params)
+                  dissipator_reference, equilibrium_closed_form, kossakowski_6x6, random_density,
+                  random_params)
 
 E3 = np.array([0.0, 0.0, 1.0])
 BETA_OMEGA_GRID = np.linspace(0.1, 10.0, 40)
@@ -112,7 +113,7 @@ def test_criterion_4_complete_positivity():
     rng = np.random.default_rng(101)
     worst_rel, worst_herm = math.inf, 0.0
     for _ in range(1000):
-        m = build_kossakowski_closed(random_params(rng)).matrix
+        m = kossakowski_6x6(build_kossakowski_closed(random_params(rng)))
         worst_herm = max(worst_herm, np.abs(m - m.conj().T).max() / max(np.abs(m).max(), 1.0))
         worst_rel = min(worst_rel, np.linalg.eigvalsh(m).min() / np.linalg.norm(m, 2))
     psd_ok = worst_rel >= -1e-12 and worst_herm <= 1e-12
@@ -229,8 +230,8 @@ def test_criterion_9_cross_construction():
     worst = 0.0
     for _ in range(1000):
         p = random_params(rng)
-        diff = np.abs(build_kossakowski_spectral(p).matrix
-                      - build_kossakowski_closed(p).matrix).max()
+        diff = np.abs(kossakowski_6x6(build_kossakowski_spectral(p))
+                      - kossakowski_6x6(build_kossakowski_closed(p))).max()
         worst = max(worst, diff)
     _report(9, "cross-construction equivalence", worst < 1e-13,
             f"worst entrywise difference {worst:.2e}")

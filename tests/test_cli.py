@@ -111,6 +111,9 @@ def test_malformed_json_exits_2(tmp_path):
     # |n| overflows a float: no numpy overflow warning before the error line
     {"n": [1e200, 1e200, 0]},
     {"initial_state": {"product": {"bloch1": [1e200, 1e200, 0], "bloch2": [0, 0, 1]}}},
+    # a sweep's beta = beta_omega / omega or ell = omega_ell / omega overflows
+    {"omega": 0.25, "sweep": {"beta_omega": [1, 1, 1], "omega_ell": [0, 1e308, 2]}},
+    {"omega": 0.25, "sweep": {"beta_omega": [1e308, 1e308, 1], "omega_ell": [0, 1, 2]}},
 ])
 def test_invalid_config_exits_2(tmp_path, config):
     res = run_cli("coefficients", config=config, tmp_path=tmp_path)
@@ -388,6 +391,20 @@ def test_asymptotic_convergence_failure_exits_5(tmp_path):
 
 
 # ------------------------------------------------------------------ startup
+
+def test_phase_diagram_takes_no_svd(tmp_path, monkeypatch):
+    # the boundary band is sized from K's closed-form eigenvalues, so the
+    # sweep path needs neither an SVD nor a matrix norm, also at ell = 0
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the phase diagram called an SVD or a matrix norm")
+
+    monkeypatch.setattr(np.linalg, "svd", forbidden)
+    monkeypatch.setattr(np.linalg, "norm", forbidden)
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(
+        {"sweep": {"beta_omega": [0.5, 4.0, 3], "omega_ell": [0.0, 2.0, 3]}}), encoding="utf-8")
+    assert cli.main(["phase-diagram", "--config", str(path),
+                     "--out", str(tmp_path / "out.csv")]) == 0
 
 def test_no_subcommand_imports_scipy(tmp_path):
     # the package runs on numpy alone; scipy is a test-side reference, and

@@ -23,7 +23,7 @@ from thermalpair import (
 )
 from thermalpair.spectral import kossakowski_coefficients
 
-from util import (equilibrium_closed_form, is_entangled, min_q_rate, q_probe, q_rate,
+from util import (equilibrium_closed_form, is_entangled, kossakowski_6x6, min_q_rate, q_probe, q_rate,
                   random_bloch, random_density, random_params, random_product_state,
                   random_rotation, random_separable_density, random_unit_complex,
                   uv_vectors_rotation)
@@ -154,7 +154,7 @@ def test_min_q_rate_boundary_case():
     p = ModelParams(omega=1.0, beta=math.inf, ell=math.pi)
     K = build_kossakowski_closed(p)
     val, _ = min_q_rate(canonical_state(E3), K)
-    assert val >= -1e-12 * np.linalg.norm(K.matrix, 2)
+    assert val >= -1e-12 * np.linalg.norm(kossakowski_6x6(K), 2)
 
 
 # ------------------------------------------------------------------ u/v vectors
@@ -268,7 +268,7 @@ def test_probe_optimality_matches_discriminant():
         if verdict.generated is None or abs(verdict.margin) < 1e-9 * verdict.scale:
             continue
         val, _ = min_q_rate(state, K)
-        rate_scale = np.linalg.norm(K.matrix, 2)
+        rate_scale = np.linalg.norm(kossakowski_6x6(K), 2)
         if verdict.generated:
             assert val < -1e-12 * rate_scale
         else:

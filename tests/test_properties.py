@@ -15,7 +15,7 @@ from thermalpair import (ModelParams, build_kossakowski_closed, build_superopera
                          vec)
 from thermalpair.dynamics import _CP_REL_TOL
 
-from util import hamiltonian, superoperator_reference
+from util import hamiltonian, kossakowski_6x6, superoperator_reference
 
 
 def _log_uniform(lo, hi):
@@ -50,9 +50,11 @@ def models(draw):
 @given(models())
 def test_kossakowski_passes_the_cp_guard(model):
     params, _, K, _ = model
-    eigs = np.linalg.eigvalsh(K.matrix)
+    eigs = np.linalg.eigvalsh(kossakowski_6x6(K))
     lam = kossakowski_eigenvalues(kossakowski_coefficients(params))
     assert np.abs(np.sort(lam) - eigs).max() <= 1e-14 * np.abs(eigs).max()
+    svd_norm = np.linalg.norm(kossakowski_6x6(K), 2)
+    assert abs(K.norm - svd_norm) <= 1e-14 * svd_norm
     assert lam.min() >= -_CP_REL_TOL * lam.max() / 6
 
 

@@ -20,7 +20,7 @@ from thermalpair import (
 )
 from thermalpair.spectral import KossakowskiCoefficients
 
-from util import (build_kossakowski_spectral, psi_tensors, random_params, random_rotation,
+from util import (build_kossakowski_spectral, kossakowski_6x6, psi_tensors, random_params, random_rotation,
                   spectral_density)
 
 E3 = np.array([0.0, 0.0, 1.0])
@@ -228,7 +228,8 @@ def test_construction_equivalence():
         p = random_params(rng)
         Ks = build_kossakowski_spectral(p)
         Kc = build_kossakowski_closed(p)
-        assert np.abs(Ks.matrix - Kc.matrix).max() < 1e-13
+        assert np.abs(kossakowski_6x6(Ks) - kossakowski_6x6(Kc)).max() < 1e-13
+        assert abs(Ks.norm - Kc.norm) <= 1e-13 * Ks.norm
 
 
 def test_transverse_and_longitudinal_eigenvalues():
@@ -254,7 +255,7 @@ def test_rotation_covariance():
 def test_positivity_on_random_draws():
     rng = np.random.default_rng(17)
     for _ in range(300):
-        m = build_kossakowski_closed(random_params(rng)).matrix
+        m = kossakowski_6x6(build_kossakowski_closed(random_params(rng)))
         assert np.abs(m - m.conj().T).max() <= 1e-12 * max(np.abs(m).max(), 1.0)
         assert np.linalg.eigvalsh(m).min() >= -1e-12 * np.linalg.norm(m, 2)
 
@@ -269,7 +270,7 @@ def test_kossakowski_eigenvalues_match_eigvalsh_for_any_coefficients():
         coeffs = KossakowskiCoefficients(*rng.normal(size=6))
         n = rng.normal(size=3)
         K = kossakowski_from_coefficients(coeffs, n / np.linalg.norm(n))
-        eigs = np.linalg.eigvalsh(K.matrix)
+        eigs = np.linalg.eigvalsh(kossakowski_6x6(K))
         lam = kossakowski_eigenvalues(coeffs)
         assert np.abs(np.sort(lam) - eigs).max() <= 1e-14 * np.abs(eigs).max()
 

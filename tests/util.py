@@ -230,7 +230,8 @@ def psi_tensors(n) -> PsiTensors:
 
 
 def build_kossakowski_spectral(params: ModelParams) -> KossakowskiMatrix:
-    """Assemble the Kossakowski blocks from the frequency sum.
+    """Assemble the Kossakowski blocks from the frequency sum, with |K|_2 from
+    an SVD of the 6x6 form rather than from the closed-form eigenvalues.
 
     C^(ab)_ij = sum_{xi in {+,-,0}} g_ab(xi omega) sum_k psi^(xi)_ki psi^(-xi)_kj
     """
@@ -247,7 +248,13 @@ def build_kossakowski_spectral(params: ModelParams) -> KossakowskiMatrix:
         sv = spectral_density(params, z)
         c11 += sv.g11 * weight
         c12 += sv.g12 * weight
-    return KossakowskiMatrix(c11=c11, c12=c12, n=params.n)
+    norm = float(np.linalg.norm(np.block([[c11, c12], [c12, c11]]), 2))
+    return KossakowskiMatrix(c11=c11, c12=c12, n=params.n, norm=norm)
+
+
+def kossakowski_6x6(K: KossakowskiMatrix) -> np.ndarray:
+    """6x6 Hermitian form of K, indexed by (atom, direction)."""
+    return np.block([[K.c11, K.c12], [K.c12, K.c11]])
 
 
 # ---------------------------------------------------------------------------
