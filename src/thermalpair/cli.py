@@ -11,6 +11,12 @@ Exit codes: 0 ok, 2 config validation failure, 3 discriminant/oracle
 disagreement (implementation bug guard), 4 positivity failure (a
 Kossakowski matrix that is not positive semidefinite, or an evolved state
 that fails a positivity check), 5 asymptotic convergence-check failure.
+
+In-process use: ``main(argv)`` may be called any number of times in one
+process.  It returns the exit code, except that a usage error (an unknown
+subcommand or option) raises ``SystemExit(2)`` from argparse.  Its argument
+parser is built once, when this module is imported, and no state is kept
+from one call to the next.
 """
 
 from __future__ import annotations
@@ -418,8 +424,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once and reused by every call: parsing leaves it unchanged, while a
+# parser built per call leaves its reference cycles to the garbage collector
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         config = load_config(args.config)
     except ConfigError as exc:

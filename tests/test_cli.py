@@ -1,5 +1,7 @@
 """End-to-end CLI contract: config handling, formats, determinism, exit codes."""
 
+import argparse
+import gc
 import json
 import math
 import subprocess
@@ -388,6 +390,73 @@ def test_asymptotic_convergence_failure_exits_5(tmp_path):
     assert res.returncode == 5
     assert res.stdout == ""
     assert "error: " in res.stderr and "Traceback" not in res.stderr
+
+
+# --------------------------------------------------------- in-process calls
+
+def _cyclic_garbage(call) -> int:
+    """Objects in reference cycles that one call of call() leaves, found by a
+    full collection with the collector off during the call; a first call
+    warms caches and lazy imports."""
+    call()
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def test_cli_op_leaves_no_cyclic_garbage(tmp_path):
+    # main parses with one parser built at import, so an op leaves at most
+    # what the standard library's indented JSON encoder leaves: its nested
+    # closures form cycles (an empty document leaves one object fewer)
+    sweep, point = tmp_path / "sweep.json", tmp_path / "point.json"
+    sweep.write_text(json.dumps(
+        {"sweep": {"beta_omega": [0.5, 4.0, 3], "omega_ell": [0.0, 2.0, 3]}}), encoding="utf-8")
+    point.write_text(json.dumps(
+        {"beta": 1.0, "ell": 2.0, "time_grid": {"t_max": 1.0, "n_samples": 3}}), encoding="utf-8")
+
+    def run(sub, path):
+        assert cli.main([sub, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+
+    allowance = _cyclic_garbage(lambda: json.dumps({"key": 0.0}, indent=2))
+    assert _cyclic_garbage(lambda: run("phase-diagram", sweep)) == 0
+    for sub in ("asymptotic", "evolve", "coefficients"):
+        left = _cyclic_garbage(lambda: run(sub, point))
+        assert left <= allowance, f"{sub} left {left} cyclic objects, allowance {allowance}"
+
+
+def test_parser_reuse_keeps_calls_independent(tmp_path, monkeypatch, capsys):
+    path, out = tmp_path / "sweep.json", tmp_path / "grid.csv"
+    path.write_text(json.dumps(SWEEP), encoding="utf-8")
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    argv = ["phase-diagram", "--config", str(path)]
+
+    # an --out from one call does not carry over to the next
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert cli.main(argv) == 0
+    expected = capsys.readouterr().out
+    assert expected.encode("utf-8") == out.read_bytes()
+
+    # a usage error leaves the parser as it was
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bogus"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == expected
+
+    assert built == [], f"main constructed argument parsers: {built}"
 
 
 # ------------------------------------------------------------------ startup
