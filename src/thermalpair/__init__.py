@@ -23,6 +23,7 @@ from .dynamics import (
     build_superoperator,
     evolve,
     evolve_traj,
+    local_frame,
     singlet_density,
     singlet_ket,
     tau,

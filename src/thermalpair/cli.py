@@ -7,6 +7,11 @@ rates over omega).  Standard output carries data only; diagnostics go to
 standard error.  Identical configs produce byte-identical output: floats
 are printed with 17 significant digits and orderings are fixed.
 
+The library runs at the axis e3; the axis n enters only here, as the
+local frame V = dynamics.local_frame(n): the initial state goes in as
+V^dag rho0 V and asymptotic's rho_infinity comes back as V rho V^dag.
+No other output changes under V, and the phase diagram ignores n.
+
 Exit codes: 0 ok, 2 config validation failure, 3 discriminant/oracle
 disagreement (implementation bug guard), 4 positivity failure (a
 Kossakowski matrix that is not positive semidefinite, or an evolved state
@@ -39,7 +44,8 @@ EVOLVE_HEADER = "t,trace,min_eig,min_eig_pt,concurrence,tau"
 # count caps: a time grid's samples and a sweep's grid points
 MAX_SAMPLES = 100_000
 MAX_SWEEP_POINTS = 1_000_000
-# cap on the work of evolve's RK45 cross-check, (t_max / omega) |M|_1: the
+# cap on the work of evolve's RK45 cross-check, (t_max / omega) |M|_1 of the
+# generator at e3 that it integrates, so the same at every axis n: the
 # explicit integrator's step count grows with it, at about 1 s of run time
 # per 1e5 of work
 MAX_RK_WORK = 2e5
@@ -65,7 +71,8 @@ class SweepSpec:
 @dataclass
 class RunConfig:
     params: ModelParams
-    rho0: np.ndarray
+    frame: np.ndarray                      # V = dynamics.local_frame(n)
+    rho0: np.ndarray                       # V^dag (the initial state) V
     times: np.ndarray | None = None        # units 1/omega
     sweep: SweepSpec | None = None
     include_hs: bool = False
@@ -129,7 +136,10 @@ def _parse_complex_matrix(entries) -> np.ndarray:
     return np.array(vals, dtype=complex).reshape(4, 4)
 
 
-def _parse_initial_state(raw, n) -> np.ndarray:
+def _parse_initial_state(raw, frame) -> np.ndarray:
+    """V^dag rho0 V for the initial state rho0, validated in the lab frame;
+    the named states are built in the frame, where the canonical one is
+    |-> (x) |+> and the singlet is the same."""
     if raw is None:
         raw = {"named": "canonical"}
     _require(isinstance(raw, dict) and len(raw) == 1,
@@ -139,24 +149,24 @@ def _parse_initial_state(raw, n) -> np.ndarray:
         if value == "singlet":
             return dynamics.singlet_density()
         if value == "canonical":
-            return entanglement.canonical_state(n).density()
+            return entanglement.canonical_state().density()
         raise ConfigError(f"unknown named state {value!r} (singlet|canonical)")
     if tag == "product":
         _require(isinstance(value, dict) and set(value) == {"bloch1", "bloch2"},
                  "product initial state needs bloch1 and bloch2")
         try:
-            state = entanglement.ProductState(_parse_axis(value["bloch1"]),
-                                              _parse_axis(value["bloch2"]))
+            rho = entanglement.ProductState(_parse_axis(value["bloch1"]),
+                                            _parse_axis(value["bloch2"])).density()
         except ValueError as exc:
             raise ConfigError(f"invalid product state: {exc}") from None
-        return state.density()
-    if tag == "matrix":
-        rho = _parse_complex_matrix(value)
+    elif tag == "matrix":
         try:
-            return dynamics.validate_density_matrix(rho)
+            rho = dynamics.validate_density_matrix(_parse_complex_matrix(value))
         except ValueError as exc:
             raise ConfigError(f"matrix initial state invalid: {exc}") from None
-    raise ConfigError(f"unknown initial_state tag {tag!r}")
+    else:
+        raise ConfigError(f"unknown initial_state tag {tag!r}")
+    return frame.conj().T @ rho @ frame
 
 
 def _parse_time_grid(raw) -> np.ndarray:
@@ -164,6 +174,7 @@ def _parse_time_grid(raw) -> np.ndarray:
         raw = {"times": raw}
     _require(isinstance(raw, dict), "time_grid must be an object or a list of times")
     if "times" in raw:
+        _require(set(raw) == {"times"}, "time_grid times takes no other key")
         _require(isinstance(raw["times"], list), "time_grid times must be a list")
         _require(len(raw["times"]) <= MAX_SAMPLES,
                  f"time_grid has more than {MAX_SAMPLES} times")
@@ -242,21 +253,24 @@ def parse_config(doc: dict) -> RunConfig:
     beta = doc.get("beta", 1.0)
     beta = math.inf if beta == "inf" else _number(beta, "beta")
     ell = _number(doc.get("ell", 0.0), "ell")
-    n = _parse_axis(doc.get("n", [0.0, 0.0, 1.0]))
     try:
-        params = ModelParams(omega=omega, beta=beta, ell=ell, n=n)
+        params = ModelParams(omega=omega, beta=beta, ell=ell)
     except ValueError as exc:
         raise ConfigError(f"invalid model parameters: {exc}") from None
+    try:
+        frame = dynamics.local_frame(_parse_axis(doc.get("n", [0.0, 0.0, 1.0])))
+    except ValueError as exc:
+        raise ConfigError(f"invalid axis n: {exc}") from None
     _require(beta * omega >= MIN_BETA_OMEGA, f"beta*omega must be at least {MIN_BETA_OMEGA}")
 
     include_hs = doc.get("include_hs", False)
     _require(isinstance(include_hs, bool), "include_hs must be a boolean")
 
-    rho0 = _parse_initial_state(doc.get("initial_state"), params.n)
+    rho0 = _parse_initial_state(doc.get("initial_state"), frame)
     times = _parse_time_grid(doc["time_grid"]) if "time_grid" in doc else None
     sweep = _parse_sweep(doc["sweep"]) if "sweep" in doc else None
     _check_omega_scales(omega, beta * omega, times, sweep)
-    return RunConfig(params=params, rho0=rho0, times=times, sweep=sweep,
+    return RunConfig(params=params, frame=frame, rho0=rho0, times=times, sweep=sweep,
                      include_hs=include_hs)
 
 
@@ -308,8 +322,8 @@ def cmd_coefficients(config: RunConfig, out_path: str | None) -> int:
     return 0
 
 
-def _sweep_point(omega, n, state, rho0, beta_omega, omega_ell, include_hs) -> SweepRecord:
-    params = ModelParams(omega=omega, beta=beta_omega / omega, ell=omega_ell / omega, n=n)
+def _sweep_point(omega, state, rho0, beta_omega, omega_ell, include_hs) -> SweepRecord:
+    params = ModelParams(omega=omega, beta=beta_omega / omega, ell=omega_ell / omega)
     M = dynamics.build_superoperator(params, include_hs)
     verdict = entanglement.generation_test(state, build_kossakowski_closed(params))
     R, S, rs_margin = entanglement.criterion_rs(params)
@@ -324,10 +338,9 @@ def cmd_phase_diagram(config: RunConfig, out_path: str | None) -> int:
     """Sweep the (beta*omega, omega*ell) grid with the canonical initial state."""
     if config.sweep is None:
         raise ConfigError("phase-diagram requires a sweep section")
-    state = entanglement.canonical_state(config.params.n)
+    state = entanglement.canonical_state()
     rho0 = state.density()
-    records = [_sweep_point(config.params.omega, config.params.n, state, rho0, bw, wl,
-                            config.include_hs)
+    records = [_sweep_point(config.params.omega, state, rho0, bw, wl, config.include_hs)
                for bw in config.sweep.beta_omega for wl in config.sweep.omega_ell]
 
     mismatches = [r for r in records
@@ -398,7 +411,7 @@ def cmd_asymptotic(config: RunConfig, out_path: str | None) -> int:
     rho_inf, dim = asymptotic.asymptotic_state(M, config.rho0, params, check=True)
     R, _, _ = entanglement.criterion_rs(params)
     doc = {"stationary_dim": dim,
-           "rho_infinity": _complex_pairs(rho_inf),
+           "rho_infinity": _complex_pairs(config.frame @ rho_inf @ config.frame.conj().T),
            "concurrence": entanglement.concurrence(rho_inf),
            "tau": dynamics.tau(rho_inf),
            "threshold_tau": asymptotic.threshold_tau(R)}

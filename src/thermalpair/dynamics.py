@@ -7,10 +7,11 @@ Basis and vectorization conventions used throughout the package:
     vec(A rho B) = kron(B.T, A) vec(rho).
 
 The generator is the purely dissipative Kossakowski-Lindblad form, built
-at the axis n = e3 from six fixed dissipators and turned to n by one local
-frame; the free-Hamiltonian commutator -i[H_S, .] (bare frequency, no Lamb
-shift) can be switched on with `include_hs` but is excluded by default
-since it plays no role in the temperature-dependent entanglement physics.
+at the axis n = e3 from six fixed dissipators (`local_frame(n)` takes a
+state at another axis to e3 and back); the free-Hamiltonian commutator
+-i[H_S, .] (bare frequency, no Lamb shift) can be switched on with
+`include_hs` but is excluded by default since it plays no role in the
+temperature-dependent entanglement physics.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .spectral import ModelParams, _unit_vector, kossakowski_coefficients, kossakowski_eigenvalues
+from .spectral import ModelParams, kossakowski_coefficients, kossakowski_eigenvalues
 
 
 SIGMA = (
@@ -258,6 +259,19 @@ def trace_norm(a: np.ndarray) -> float:
     return float(np.linalg.svd(np.asarray(a, dtype=complex), compute_uv=False).sum())
 
 
+_UNIT_TOL = 1e-12
+
+
+def _unit_vector(v) -> np.ndarray:
+    v = np.asarray(v, dtype=float)
+    if v.shape != (3,):
+        raise ValueError(f"axis must be a real 3-vector, got shape {v.shape}")
+    norm = math.hypot(*v)
+    if not abs(norm - 1.0) <= _UNIT_TOL:  # a NaN entry fails too
+        raise ValueError(f"axis must be a unit vector, |n| = {norm!r}")
+    return v
+
+
 def bloch_ket(b) -> np.ndarray:
     """Pure qubit state with Bloch vector b: (cos(th/2), e^{i ph} sin(th/2)).
 
@@ -278,15 +292,23 @@ def bloch_ket(b) -> np.ndarray:
     return np.array([c, complex(math.cos(phi), math.sin(phi)) * s])
 
 
-def build_superoperator(params: ModelParams, include_hs: bool = False) -> np.ndarray:
-    """16x16 matrix M with M vec(rho) = vec(d rho / dt).
+def local_frame(n) -> np.ndarray:
+    """V = U (x) U, U = [|n>, |-n>] with |n> = bloch_ket(n): V^dag rho V is a
+    state at the axis n in the frame where the axis is e3, V rho V^dag takes
+    it back.  Spectrum, partial-transpose spectrum, concurrence and tau
+    do not change under V."""
+    a, b = bloch_ket(n)
+    U = np.array([[a, -b.conjugate()], [b, a.conjugate()]])
+    return np.kron(U, U)
 
-    At n = e3, M is sum_k lambda_k _DISSIPATORS[k] with lambda the six
-    eigenvalues of the Kossakowski matrix (spectral.kossakowski_eigenvalues);
-    with include_hs the commutator -i[H_S, .] at the bare frequency adds
-    -i omega _CHARGE to its diagonal.  The generator at n is S M S^dag, with
-    S = kron(V*, V) the superoperator of rho -> V rho V^dag for the local
-    frame V = U (x) U, U = [|n>, |-n>].  K >= 0 is the whole
+
+def build_superoperator(params: ModelParams, include_hs: bool = False) -> np.ndarray:
+    """16x16 matrix M with M vec(rho) = vec(d rho / dt) at the axis n = e3.
+
+    M is sum_k lambda_k _DISSIPATORS[k] with lambda the six eigenvalues of
+    the Kossakowski matrix (spectral.kossakowski_eigenvalues); with
+    include_hs the commutator -i[H_S, .] at the bare frequency adds
+    -i omega _CHARGE to its diagonal.  K >= 0 is the whole
     complete-positivity condition of a Lindblad generator: a minimum
     eigenvalue below -_CP_REL_TOL / 6 times the largest raises
     PositivityError.
@@ -299,11 +321,7 @@ def build_superoperator(params: ModelParams, include_hs: bool = False) -> np.nda
     M = np.tensordot(lam, _DISSIPATORS, axes=1)
     if include_hs:
         M = M - 1j * params.omega * np.diag(_CHARGE)
-    a, b = bloch_ket(params.n)
-    U = np.array([[a, -b.conjugate()], [b, a.conjugate()]])
-    V = (U[:, None, :, None] * U[None, :, None, :]).reshape(4, 4)
-    S = (V.conj()[:, None, :, None] * V[None, :, None, :]).reshape(16, 16)
-    return S @ M @ S.conj().T
+    return M
 
 
 def evolve(M: np.ndarray, rho0: np.ndarray, t: float) -> np.ndarray:

@@ -9,8 +9,8 @@ computational product basis.
 Whether the common bath starts entangling a pure product state
 |phi> (x) |psi> at t = 0+ is decided by a discriminant built from the
 Kossakowski blocks and two complex 3-vectors u, v encoding the initial
-state; for the canonical state (|->, |+> along the Hamiltonian axis) the
-test collapses to R^2 + S^2 > 1 with R = tanh(beta omega / 2) and
+state; for the canonical state |-> (x) |+> (ground and excited along the
+axis e3) the test collapses to R^2 + S^2 > 1 with R = tanh(beta omega / 2) and
 S = sinc(omega ell).  A small-time evolution followed by the
 partial-transpose test is the independent oracle the phase diagram checks
 the verdict against; the tests add a second one, the exact minimum of the
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics
-from .spectral import KossakowskiMatrix, ModelParams, temperature_ratio, _sinc, _unit_vector
+from .spectral import KossakowskiMatrix, ModelParams, temperature_ratio, _sinc
 
 
 @dataclass(frozen=True)
@@ -35,25 +35,20 @@ class ProductState:
     bloch2: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "bloch1", _unit_vector(self.bloch1))
-        object.__setattr__(self, "bloch2", _unit_vector(self.bloch2))
+        object.__setattr__(self, "bloch1", dynamics._unit_vector(self.bloch1))
+        object.__setattr__(self, "bloch2", dynamics._unit_vector(self.bloch2))
 
     def kets(self):
         return dynamics.bloch_ket(self.bloch1), dynamics.bloch_ket(self.bloch2)
 
-    def ket(self) -> np.ndarray:
-        k1, k2 = self.kets()
-        return np.kron(k1, k2)
-
     def density(self) -> np.ndarray:
-        k = self.ket()
+        k = np.kron(*self.kets())
         return np.outer(k, k.conj())
 
 
-def canonical_state(n=(0.0, 0.0, 1.0)) -> ProductState:
-    """Ground (x) excited along the Hamiltonian axis: |-> (x) |+> for n = e3."""
-    n = _unit_vector(n)
-    return ProductState(bloch1=-n, bloch2=n)
+def canonical_state() -> ProductState:
+    """Ground (x) excited along the axis e3: |-> (x) |+>."""
+    return ProductState(bloch1=(0.0, 0.0, -1.0), bloch2=(0.0, 0.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -66,7 +61,6 @@ class GenerationVerdict:
 
     margin: float
     generated: bool | None
-    scale: float
 
     @property
     def label(self) -> str:
@@ -144,19 +138,17 @@ _BOUNDARY_REL_TOL = 1e-12
 def generation_test(state: ProductState, K: KossakowskiMatrix) -> GenerationVerdict:
     """Discriminant test for entanglement generation out of a product state.
 
-    margin = |<u| Re C12 |v>|^2 - <u|C11|u> <v|C22^T|v>; the bath starts
+    margin = |<u| Re C12 |v>|^2 - <u|C11|u> <v|C11^T|v>; the bath starts
     entangling the pair iff margin > 0 (strict).  Verdicts within
     _BOUNDARY_REL_TOL * |K|_2^2 of zero are reported as inconclusive, with
     |K|_2 = K.norm, the largest of K's six closed-form eigenvalues (no SVD).
     """
     u, v = uv_vectors(state)
-    lhs = np.real(u.conj() @ K.c11 @ u) * np.real(v.conj() @ K.c22.T @ v)
+    lhs = np.real(u.conj() @ K.c11 @ u) * np.real(v.conj() @ K.c11.T @ v)
     rhs = abs(u.conj() @ np.real(K.c12) @ v) ** 2
     margin = float(rhs - lhs)
-    scale = K.norm ** 2
-    band = _BOUNDARY_REL_TOL * scale
-    generated = None if abs(margin) <= band else margin > 0
-    return GenerationVerdict(margin=margin, generated=generated, scale=scale)
+    generated = None if abs(margin) <= _BOUNDARY_REL_TOL * K.norm ** 2 else margin > 0
+    return GenerationVerdict(margin=margin, generated=generated)
 
 
 def criterion_rs(params: ModelParams):

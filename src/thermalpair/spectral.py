@@ -5,7 +5,6 @@ Physical conventions (natural units, hbar = c = k_B = 1):
   - beta  : inverse bath temperature, > 0; math.inf encodes the
             zero-temperature bath exactly (no large-float stand-in)
   - ell   : spatial separation of the atoms, >= 0 (units time since c = 1)
-  - n     : real unit 3-vector; each free atom Hamiltonian is (omega/2) n.sigma
 
 The bath enters the reduced dynamics only through two real spectra,
 
@@ -13,13 +12,15 @@ The bath enters the reduced dynamics only through two real spectra,
     g12(z) = g11(z) * sin(ell z) / (ell z)        (cross-atom)
 
 evaluated at z in {+omega, -omega, 0}, and through the geometric psi
-tensors built from n.  The resulting coefficient matrix has the 2x2 block
-structure [[C11, C12], [C12, C11]] with 3x3 Hermitian blocks; it must be
-positive semidefinite for the generated semigroup to be completely
-positive.  The matrix is built from the closed form in terms of the six
-coefficients A, B, C, A', B', C' (`build_kossakowski_closed`); the
-independent frequency-sum construction it is checked against lives in
-the test suite.
+tensors built from the axis n of the atom Hamiltonians (omega/2) n.sigma.
+One rotation of both atoms turns n into e3, so n is only a frame: the
+library works at e3 (`dynamics.local_frame` turns states to it).  The
+coefficient matrix has the 2x2 block structure [[C11, C12], [C12, C11]]
+with 3x3 Hermitian blocks; it must be positive semidefinite for the
+generated semigroup to be completely positive.  The matrix is built from
+the closed form in terms of the six coefficients A, B, C, A', B', C'
+(`build_kossakowski_closed`); the independent frequency-sum construction
+it is checked against lives in the test suite.
 
 Its six eigenvalues (`kossakowski_eigenvalues`) are the lowering, raising
 and dephasing rates of the collective and the relative channel; the
@@ -33,29 +34,15 @@ no SVD of the 6x6 matrix is taken.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-# Levi-Civita symbol, epsilon[i, j, k]
-_EPSILON = np.zeros((3, 3, 3))
-for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-    _EPSILON[_i, _j, _k] = 1.0
-    _EPSILON[_j, _i, _k] = -1.0
-
-_UNIT_TOL = 1e-12
-
-
-def _unit_vector(n) -> np.ndarray:
-    n = np.asarray(n, dtype=float)
-    if n.shape != (3,):
-        raise ValueError(f"axis must be a real 3-vector, got shape {n.shape}")
-    norm = math.hypot(*n)
-    if not abs(norm - 1.0) <= _UNIT_TOL:  # a NaN entry fails too
-        raise ValueError(f"axis must be a unit vector, |n| = {norm!r}")
-    return n
+# eps.e3 (the Levi-Civita symbol contracted with the axis e3) and e3 e3^T
+_EPS_E3 = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+_E3_E3 = np.diag([0.0, 0.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -68,7 +55,6 @@ class ModelParams:
     omega: float
     beta: float
     ell: float
-    n: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 1.0]))
 
     def __post_init__(self):
         if not (math.isfinite(self.omega) and self.omega > 0):
@@ -77,7 +63,6 @@ class ModelParams:
             raise ValueError(f"beta must be > 0 (or inf), got {self.beta}")
         if not (math.isfinite(self.ell) and self.ell >= 0):
             raise ValueError(f"ell must be finite and >= 0, got {self.ell}")
-        object.__setattr__(self, "n", _unit_vector(self.n))
 
     @property
     def zero_temperature(self) -> bool:
@@ -88,8 +73,8 @@ class ModelParams:
 class KossakowskiCoefficients:
     """Closed-form coefficients of the block Kossakowski matrix.
 
-    Unprimed values parametrize the same-atom block C11 = A 1 - iB eps.n
-    + C nn^T; primed values the cross-atom block C12.  Units 1/time.
+    Unprimed values parametrize the same-atom block C11 = A 1 - iB eps.e3
+    + C e3 e3^T; primed values the cross-atom block C12.  Units 1/time.
     """
 
     A: float
@@ -102,7 +87,8 @@ class KossakowskiCoefficients:
 
 @dataclass(frozen=True)
 class KossakowskiMatrix:
-    """Block Kossakowski matrix; c22 = c11 and c21 = c12 by symmetry.
+    """Block Kossakowski matrix at the axis e3, [[c11, c12], [c12, c11]]: the
+    second atom's blocks equal the first's by symmetry.
 
     norm is the spectral norm |K|_2 of the 6x6 form [[c11, c12], [c12, c11]]:
     the largest magnitude of K's six closed-form eigenvalues.
@@ -110,16 +96,7 @@ class KossakowskiMatrix:
 
     c11: np.ndarray
     c12: np.ndarray
-    n: np.ndarray
     norm: float
-
-    @property
-    def c22(self) -> np.ndarray:
-        return self.c11
-
-    @property
-    def c21(self) -> np.ndarray:
-        return self.c12
 
 
 def _sinc(x: float) -> float:
@@ -155,30 +132,27 @@ def temperature_ratio(params: ModelParams) -> float:
     return math.tanh(params.beta * params.omega / 2.0)
 
 
-def kossakowski_from_coefficients(coeffs: KossakowskiCoefficients, n) -> KossakowskiMatrix:
-    """Blocks A 1 - iB eps.n + C nn^T (and primed analogue) for given coefficients,
-    with |K|_2 from the closed-form eigenvalues."""
-    n = _unit_vector(n)
-    eps_n = np.einsum("ijk,k->ij", _EPSILON, n)
-    nn = np.outer(n, n)
+def kossakowski_from_coefficients(coeffs: KossakowskiCoefficients) -> KossakowskiMatrix:
+    """Blocks A 1 - iB eps.e3 + C e3 e3^T (and primed analogue) for given
+    coefficients, with |K|_2 from the closed-form eigenvalues."""
     eye = np.eye(3)
-    c11 = coeffs.A * eye - 1j * coeffs.B * eps_n + coeffs.C * nn
-    c12 = coeffs.Ap * eye - 1j * coeffs.Bp * eps_n + coeffs.Cp * nn
+    c11 = coeffs.A * eye - 1j * coeffs.B * _EPS_E3 + coeffs.C * _E3_E3
+    c12 = coeffs.Ap * eye - 1j * coeffs.Bp * _EPS_E3 + coeffs.Cp * _E3_E3
     norm = float(np.abs(kossakowski_eigenvalues(coeffs)).max())
-    return KossakowskiMatrix(c11=c11, c12=c12, n=n, norm=norm)
+    return KossakowskiMatrix(c11=c11, c12=c12, norm=norm)
 
 
 def build_kossakowski_closed(params: ModelParams) -> KossakowskiMatrix:
     """Assemble the Kossakowski blocks from the closed-form coefficients."""
-    return kossakowski_from_coefficients(kossakowski_coefficients(params), params.n)
+    return kossakowski_from_coefficients(kossakowski_coefficients(params))
 
 
 def kossakowski_eigenvalues(coeffs: KossakowskiCoefficients) -> np.ndarray:
-    """The six eigenvalues of the Kossakowski matrix, which do not depend on n.
+    """The six eigenvalues of the Kossakowski matrix, the same at every axis.
 
     For the collective (s = +1) and then the relative (s = -1) channel, with
     a_s = A + s A', b_s = B + s B' and c_s = C + s C': a_s + b_s (lowering
-    along n), a_s - b_s (raising) and a_s + c_s (dephasing).  a_+ + c_+ is
+    along the axis), a_s - b_s (raising) and a_s + c_s (dephasing).  a_+ + c_+ is
     2 g0, and a_- + c_- is zero up to rounding.
     """
     rates = []

@@ -35,7 +35,7 @@ from thermalpair.spectral import KossakowskiCoefficients
 
 from util import (asymptotic_concurrence, build_kossakowski_spectral, choi_matrix,
                   dissipator_reference, equilibrium_closed_form, kossakowski_6x6, random_density,
-                  random_params)
+                  random_params, random_rotation)
 
 E3 = np.array([0.0, 0.0, 1.0])
 BETA_OMEGA_GRID = np.linspace(0.1, 10.0, 40)
@@ -49,7 +49,7 @@ def _report(num: int, name: str, ok: bool, detail: str):
 
 def test_criterion_1_reduction_sign_match():
     """Discriminant sign equals sign of R^2 + S^2 - 1 on the 40x40 grid."""
-    state = canonical_state(E3)
+    state = canonical_state()
     mismatches = 0
     checked = 0
     for bw in BETA_OMEGA_GRID:
@@ -68,7 +68,7 @@ def test_criterion_1_reduction_sign_match():
 
 def test_criterion_2_small_time_oracle_equivalence():
     """Small-time PPT oracle (dt = 1e-3/omega) agrees wherever |rs| > 1e-3."""
-    state = canonical_state(E3)
+    state = canonical_state()
     rho0 = state.density()
     mismatches = 0
     checked = 0
@@ -89,7 +89,7 @@ def test_criterion_2_small_time_oracle_equivalence():
 
 def test_criterion_3_zero_separation_robustness():
     """ell = 0 generates at every finite temperature; R = 0 limit does not."""
-    state = canonical_state(E3)
+    state = canonical_state()
     ok = True
     details = []
     for bw in (0.01, 0.1, 1.0, 10.0):
@@ -100,8 +100,9 @@ def test_criterion_3_zero_separation_robustness():
             details.append(f"beta*omega={bw} verdict {verdict.label}")
     # synthetic infinite-temperature limit: rate-scaled coefficients with B = 0
     coeffs = KossakowskiCoefficients(A=1.0, B=0.0, C=0.0, Ap=1.0, Bp=0.0, Cp=0.0)
-    verdict = generation_test(state, kossakowski_from_coefficients(coeffs, E3))
-    if not (verdict.margin <= 1e-12 * verdict.scale and verdict.generated is not True):
+    K = kossakowski_from_coefficients(coeffs)
+    verdict = generation_test(state, K)
+    if not (verdict.margin <= 1e-12 * K.norm ** 2 and verdict.generated is not True):
         ok = False
         details.append(f"R=0 margin {verdict.margin}")
     _report(3, "ell = 0 robustness", ok, "; ".join(details) or
@@ -154,7 +155,7 @@ def test_criterion_6_stationarity_and_convergence():
     for R in np.round(np.arange(0.0, 1.0001, 0.1), 10):
         if R == 0.0:
             coeffs = KossakowskiCoefficients(A=1.0, B=0.0, C=0.0, Ap=1.0, Bp=0.0, Cp=0.0)
-            K = kossakowski_from_coefficients(coeffs, E3)
+            K = kossakowski_from_coefficients(coeffs)
         else:
             beta = math.inf if R == 1.0 else 2.0 * math.atanh(R)
             K = build_kossakowski_closed(ModelParams(omega=1.0, beta=beta, ell=0.0))
@@ -207,7 +208,7 @@ def test_criterion_8_finite_separation_separability():
     """The unique stationary state at ell > 0 is separable (PPT, zero concurrence)."""
     ok = True
     details = []
-    rho0 = canonical_state(E3).density()
+    rho0 = canonical_state().density()
     for wl in (0.5, 1.0, 2.0, 5.0):
         for bw in (0.5, 1.0, 2.0):
             p = ModelParams(omega=1.0, beta=bw, ell=wl)
@@ -225,13 +226,17 @@ def test_criterion_8_finite_separation_separability():
 
 
 def test_criterion_9_cross_construction():
-    """Frequency-sum and closed-form constructions agree to 1e-13 on 1000 draws."""
+    """Frequency-sum and closed-form constructions agree to 1e-13 on 1000 draws:
+    the frequency sum at the axis O e3, for a random rotation O, and the
+    closed form at e3 turned by O."""
     rng = np.random.default_rng(104)
     worst = 0.0
     for _ in range(1000):
         p = random_params(rng)
-        diff = np.abs(kossakowski_6x6(build_kossakowski_spectral(p))
-                      - kossakowski_6x6(build_kossakowski_closed(p))).max()
+        O = random_rotation(rng)
+        O2 = np.kron(np.eye(2), O)
+        diff = np.abs(kossakowski_6x6(build_kossakowski_spectral(p, O @ E3))
+                      - O2 @ kossakowski_6x6(build_kossakowski_closed(p)) @ O2.T).max()
         worst = max(worst, diff)
     _report(9, "cross-construction equivalence", worst < 1e-13,
             f"worst entrywise difference {worst:.2e}")

@@ -34,8 +34,6 @@ from util import (asymptotic_concurrence, dissipator_reference, equilibrium_clos
                   equilibrium_coefficients, random_density, random_params,
                   superoperator_reference)
 
-E3 = np.array([0.0, 0.0, 1.0])
-
 R_GRID = np.round(np.arange(0.0, 1.0001, 0.1), 10)
 TAU_GRID = np.round(np.arange(-3.0, 1.0001, 0.5), 10)
 
@@ -49,7 +47,7 @@ def generator_for_ratio(R):
     """
     if R == 0.0:
         coeffs = KossakowskiCoefficients(A=1.0, B=0.0, C=0.0, Ap=1.0, Bp=0.0, Cp=0.0)
-        return superoperator_reference(kossakowski_from_coefficients(coeffs, E3))
+        return superoperator_reference(kossakowski_from_coefficients(coeffs))
     beta = math.inf if R == 1.0 else 2.0 * math.atanh(R)
     return build_superoperator(ModelParams(omega=1.0, beta=beta, ell=0.0))
 
@@ -130,7 +128,7 @@ def test_stationary_projector_properties():
         assert np.abs(vec_id.conj() @ P - vec_id.conj()).max() < 1e-12, label
         if p.ell == 0 and not math.isinf(p.beta):
             rho0 = random_density(rng)
-            expected = equilibrium_closed_form(temperature_ratio(p), tau(rho0), p.n)
+            expected = equilibrium_closed_form(temperature_ratio(p), tau(rho0))
             assert np.abs(unvec(P @ vec(rho0)) - expected).max() < 1e-12, label
     assert seen == {"beta_inf", "ell_0", "include_hs"}
 
@@ -221,7 +219,7 @@ def test_concurrence_positive_region_matches_threshold():
 def test_asymptotic_state_canonical_at_zero_separation():
     p = ModelParams(omega=1.0, beta=1.0, ell=0.0)
     M = build_superoperator(p)
-    rho_inf, dim = asymptotic_state(M, canonical_state(E3).density(), p)
+    rho_inf, dim = asymptotic_state(M, canonical_state().density(), p)
     assert dim == 2
     # tau = -1 for orthogonal pure states: concurrence 2R^2/(3+R^2)
     assert concurrence(rho_inf) == pytest.approx(0.13290729341780352129, abs=1e-10)

@@ -13,6 +13,8 @@ import pytest
 
 from thermalpair import cli, dynamics, spectral
 
+from util import equilibrium_closed_form
+
 
 def run_cli(*args, config=None, tmp_path=None, stdin=None):
     cmd = [sys.executable, "-m", "thermalpair", *args]
@@ -116,6 +118,8 @@ def test_malformed_json_exits_2(tmp_path):
     # a sweep's beta = beta_omega / omega or ell = omega_ell / omega overflows
     {"omega": 0.25, "sweep": {"beta_omega": [1, 1, 1], "omega_ell": [0, 1e308, 2]}},
     {"omega": 0.25, "sweep": {"beta_omega": [1e308, 1e308, 1], "omega_ell": [0, 1, 2]}},
+    # a list of times takes no other key
+    {"ell": 0.5, "time_grid": {"times": [0, 1], "t_max": 5, "bogus": 1}},
 ])
 def test_invalid_config_exits_2(tmp_path, config):
     res = run_cli("coefficients", config=config, tmp_path=tmp_path)
@@ -173,6 +177,21 @@ def test_rk45_work_over_cap_exits_2_before_integrating(tmp_path):
     assert res.stdout == ""
     assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
     assert "MAX_RK_WORK" in res.stderr and "Traceback" not in res.stderr
+
+
+def test_rk45_work_cap_gives_the_same_verdict_at_every_axis(tmp_path, capsys):
+    # the cap reads |M|_1 of the generator at e3 that RK45 integrates: here
+    # (t_max/omega) |M|_1 = 2.2e5, just over the cap, at every axis n.  The
+    # generator turned to n = e1 has |M|_1 = 0.77 times that, so a cap read
+    # off it would let this grid run at e1 and reject it at e3.
+    config = {"beta": "inf", "ell": 5.0, "time_grid": {"t_max": 1.58e5, "n_samples": 3}}
+    results = []
+    for n in ([0.0, 0.0, 1.0], [1.0, 0.0, 0.0]):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**config, "n": n}), encoding="utf-8")
+        results.append((cli.main(["evolve", "--config", str(path)]), capsys.readouterr().err))
+    assert results[0] == results[1]
+    assert results[0][0] == 2 and "MAX_RK_WORK" in results[0][1]
 
 
 @pytest.mark.parametrize("sub", ["phase-diagram", "evolve", "asymptotic"])
@@ -381,6 +400,17 @@ def test_asymptotic_and_evolve_agree_on_conserved_coherence(tmp_path):
     assert res.returncode == 0, res.stderr
     summary = json.loads((tmp_path / "traj.csv.summary.json").read_text(encoding="utf-8"))
     assert summary["trace_distance_to_asymptotic"] < 1e-8
+
+
+def test_asymptotic_state_at_an_axis_is_the_closed_form_equilibrium(tmp_path):
+    # rho_infinity is reported in the lab frame: the canonical state along n
+    # has tau = -1 and relaxes to the ell = 0 equilibrium along n
+    n = [2.0 / 3.0, -1.0 / 3.0, 2.0 / 3.0]
+    res = run_cli("asymptotic", config={"beta": 1.0, "ell": 0.0, "n": n}, tmp_path=tmp_path)
+    assert res.returncode == 0, res.stderr
+    rho = np.array([complex(*z) for z in json.loads(res.stdout)["rho_infinity"]]).reshape(4, 4)
+    expected = equilibrium_closed_form(math.tanh(0.5), -1.0, n)
+    np.testing.assert_allclose(rho, expected, rtol=0, atol=1e-12)
 
 
 def test_asymptotic_convergence_failure_exits_5(tmp_path):

@@ -9,12 +9,14 @@ import pytest
 from thermalpair import (
     ModelParams,
     PositivityError,
+    ProductState,
     bloch_ket,
     build_kossakowski_closed,
     build_superoperator,
     canonical_state,
     evolve,
     evolve_traj,
+    local_frame,
     singlet_density,
     tau,
     unvec,
@@ -25,7 +27,7 @@ from thermalpair import dynamics
 from thermalpair.dynamics import SIGMA
 
 from util import (choi_matrix, dissipator_apply, dissipator_reference, hamiltonian, pauli_op,
-                  random_density, random_params)
+                  random_bloch, random_density, random_params)
 
 E3 = np.array([0.0, 0.0, 1.0])
 P_L0 = ModelParams(omega=1.0, beta=1.0, ell=0.0)
@@ -112,7 +114,7 @@ def test_superoperator_matches_dissipator():
         rho = random_density(rng)
         expected = dissipator_reference(build_kossakowski_closed(p), rho)
         assert np.abs(unvec(build_superoperator(p) @ vec(rho)) - expected).max() < 1e-13
-        h = hamiltonian(p)
+        h = hamiltonian(p, E3)
         expected -= 1j * (h @ rho - rho @ h)
         M_h = build_superoperator(p, include_hs=True)
         assert np.abs(unvec(M_h @ vec(rho)) - expected).max() < 1e-13
@@ -128,12 +130,31 @@ def test_superoperator_conserves_charge_at_e3():
     rng = np.random.default_rng(30)
     draws = [P_L0, ModelParams(omega=1.0, beta=math.inf, ell=0.0)]
     draws += [random_params(rng) for _ in range(20)]
-    for d in draws:
-        p = ModelParams(omega=d.omega, beta=d.beta, ell=d.ell, n=E3)
+    for p in draws:
         M = build_superoperator(p)
         assert np.all(M[q[:, None] != q[None, :]] == 0), p
         diff = build_superoperator(p, include_hs=True) - M
         np.testing.assert_array_equal(diff, np.diag(-1j * p.omega * q))
+
+
+def test_local_frame_takes_the_axis_to_e3():
+    # V is unitary, takes the canonical state at n to |-> (x) |+> and leaves
+    # the singlet as it is
+    rng = np.random.default_rng(44)
+    for n in [E3, -E3] + [random_bloch(rng) for _ in range(50)]:
+        V = local_frame(n)
+        np.testing.assert_allclose(V.conj().T @ V, np.eye(4), rtol=0, atol=1e-15)
+        rho = ProductState(-n, n).density()
+        np.testing.assert_allclose(V.conj().T @ rho @ V, canonical_state().density(),
+                                   rtol=0, atol=1e-15)
+        np.testing.assert_allclose(V.conj().T @ singlet_density() @ V, singlet_density(),
+                                   rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [[0.0, 0.0, 2.0], [math.nan, 0.0, 0.0], [0.0, 1.0]])
+def test_local_frame_rejects_a_non_unit_axis(n):
+    with pytest.raises(ValueError):
+        local_frame(n)
 
 
 def test_bloch_ket_is_accurate_near_the_poles():
@@ -176,7 +197,7 @@ def test_superoperator_with_hamiltonian():
     p = ModelParams(omega=1.3, beta=0.7, ell=0.4)
     K = build_kossakowski_closed(p)
     M = build_superoperator(p, include_hs=True)
-    h = hamiltonian(p)
+    h = hamiltonian(p, E3)
     rng = np.random.default_rng(25)
     for _ in range(20):
         rho = random_density(rng)
@@ -189,7 +210,7 @@ def test_superoperator_with_hamiltonian():
 # -------------------------------------------------------------------- evolve
 
 def test_evolve_identity_at_zero_time():
-    rho0 = canonical_state(E3).density()
+    rho0 = canonical_state().density()
     np.testing.assert_array_equal(evolve(M_L0, rho0, 0.0), rho0)
 
 
@@ -217,7 +238,7 @@ def test_evolve_rejects_negative_time():
 def test_evolve_flags_positivity_violation():
     # reversed generator drives a pure product state out of the state space
     with pytest.raises(PositivityError):
-        evolve(-M_L0, canonical_state(E3).density(), 5.0)
+        evolve(-M_L0, canonical_state().density(), 5.0)
 
 
 def test_evolve_flags_nonpositive_trace():
@@ -231,7 +252,7 @@ def test_evolve_reports_a_repaired_trace_deviation_on_one_stderr_line(capsys):
     # deviation of 5e-9, above 1e-10, which evolve repairs and reports
     p = ModelParams(omega=1.0, beta=0.001, ell=1.0)
     M = build_superoperator(p)
-    evolve(M, canonical_state(E3).density(), 1e5)
+    evolve(M, canonical_state().density(), 1e5)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1
@@ -319,7 +340,7 @@ def test_solve_ivp_matches_expm(grid):
 # ---------------------------------------------------------------- trajectory
 
 def test_evolve_traj_trivial_grid():
-    rho0 = canonical_state(E3).density()
+    rho0 = canonical_state().density()
     states = evolve_traj(M_L0, rho0, [0.0])
     assert len(states) == 1
     np.testing.assert_array_equal(states[0], rho0)
@@ -339,7 +360,7 @@ def test_evolve_traj_agrees_with_rk_and_conserves():
 def test_solve_ivp_at_extreme_scales():
     # rates of 1e300 over times of 1e-300: dy/dt overflows the first-step
     # estimate, and the step size starts from 10 ulp(0) instead
-    y0 = vec(canonical_state(E3).density())
+    y0 = vec(canonical_state().density())
     times = np.array([0.0, 1e-300, 3e-300])
     ys = dynamics.solve_ivp(1e300 * M_L0, y0, times)
     ref = np.array([dynamics.expm(t * M_L0) @ y0 for t in (0.0, 1.0, 3.0)]).T
@@ -354,7 +375,7 @@ def test_evolve_traj_guard_fires_on_disagreement(monkeypatch):
 
     monkeypatch.setattr(dynamics, "solve_ivp", perturbed)
     with pytest.raises(RuntimeError, match="disagree"):
-        evolve_traj(M_L0, canonical_state(E3).density(), [0.0, 1.0, 2.0])
+        evolve_traj(M_L0, canonical_state().density(), [0.0, 1.0, 2.0])
 
 
 def test_evolve_traj_guard_fires_on_failed_integration(monkeypatch):
@@ -368,7 +389,7 @@ def test_evolve_traj_guard_fires_on_failed_integration(monkeypatch):
 
     monkeypatch.setattr(dynamics, "solve_ivp", failed)
     with pytest.raises(RuntimeError, match="integration failed"):
-        evolve_traj(M_L0, canonical_state(E3).density(), [0.0, 1.0, 2.0])
+        evolve_traj(M_L0, canonical_state().density(), [0.0, 1.0, 2.0])
 
 
 def test_solve_ivp_fails_on_nan_generator():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from thermalpair import (
+    KossakowskiMatrix,
     ModelParams,
     ProductState,
     build_kossakowski_closed,
@@ -73,7 +74,7 @@ def test_singlet_partial_transpose_spectrum():
 def test_separable_reference_points():
     assert min_eig_pt(np.eye(4, dtype=complex) / 4.0) == pytest.approx(0.25, abs=1e-15)
     assert not is_entangled(np.eye(4, dtype=complex) / 4.0)
-    rho_mp = canonical_state(E3).density()
+    rho_mp = canonical_state().density()
     assert min_eig_pt(rho_mp) == pytest.approx(0.0, abs=1e-15)
     assert not is_entangled(rho_mp)
 
@@ -132,7 +133,7 @@ def test_q_probe_rejects_zero_vector():
 def test_q_rate_finite_for_any_probe():
     rng = np.random.default_rng(37)
     K = build_kossakowski_closed(ModelParams(omega=1.0, beta=1.0, ell=0.0))
-    rho0 = canonical_state(E3).density()
+    rho0 = canonical_state().density()
     for _ in range(10):
         val = q_rate(random_unit_complex(rng), rho0, K)
         assert math.isfinite(val)
@@ -141,7 +142,7 @@ def test_q_rate_finite_for_any_probe():
 def test_min_q_rate_negative_when_generation_occurs():
     p = ModelParams(omega=1.0, beta=1.0, ell=0.0)
     K = build_kossakowski_closed(p)
-    state = canonical_state(E3)
+    state = canonical_state()
     val, chi = min_q_rate(state, K)
     assert val < -1e-3
     # the returned probe reproduces the rate and starts at Q(0) = 0
@@ -153,14 +154,14 @@ def test_min_q_rate_boundary_case():
     # R = 1, S = 0: the reduction sits exactly on R^2 + S^2 = 1
     p = ModelParams(omega=1.0, beta=math.inf, ell=math.pi)
     K = build_kossakowski_closed(p)
-    val, _ = min_q_rate(canonical_state(E3), K)
+    val, _ = min_q_rate(canonical_state(), K)
     assert val >= -1e-12 * np.linalg.norm(kossakowski_6x6(K), 2)
 
 
 # ------------------------------------------------------------------ u/v vectors
 
 def test_uv_vectors_canonical():
-    u, v = uv_vectors(canonical_state(E3))
+    u, v = uv_vectors(canonical_state())
     np.testing.assert_allclose(u, [1.0, -1j, 0.0], atol=1e-15)
     np.testing.assert_allclose(v, u, atol=1e-15)
 
@@ -196,7 +197,7 @@ def test_uv_vectors_match_the_pauli_rotation_route():
 # -------------------------------------------------------------- generation test
 
 def test_generation_frozen_grid_points():
-    state = canonical_state(E3)
+    state = canonical_state()
     p = ModelParams(omega=1.0, beta=1.0, ell=0.5)
     verdict = generation_test(state, build_kossakowski_closed(p))
     assert verdict.generated is True
@@ -211,20 +212,20 @@ def test_generation_frozen_grid_points():
 def test_generation_margin_equals_canonical_reduction():
     # for the canonical state the discriminant is exactly 4 A^2 (R^2 + S^2 - 1)
     rng = np.random.default_rng(39)
-    state = canonical_state(E3)
+    state = canonical_state()
     for _ in range(50):
         p = random_params(rng)
-        p = ModelParams(omega=p.omega, beta=p.beta, ell=p.ell, n=E3)
-        verdict = generation_test(canonical_state(p.n), build_kossakowski_closed(p))
+        K = build_kossakowski_closed(p)
+        verdict = generation_test(state, K)
         A = kossakowski_coefficients(p).A
         assert verdict.margin == pytest.approx(4.0 * A * A * criterion_rs(p)[2],
-                                               rel=1e-10, abs=1e-13 * verdict.scale)
+                                               rel=1e-10, abs=1e-13 * K.norm ** 2)
 
 
 def test_generation_always_at_zero_separation():
     for bw in (0.01, 0.1, 1.0, 10.0):
         p = ModelParams(omega=1.0, beta=bw, ell=0.0)
-        verdict = generation_test(canonical_state(E3), build_kossakowski_closed(p))
+        verdict = generation_test(canonical_state(), build_kossakowski_closed(p))
         assert verdict.generated is True
 
 
@@ -245,16 +246,19 @@ def test_criterion_rs_values():
 
 
 def test_generation_verdict_rotation_invariance():
+    # turning K (to the axis O e3) and both Bloch vectors by one rotation O
+    # leaves the discriminant as it is
     rng = np.random.default_rng(40)
     for _ in range(20):
         p = random_params(rng, allow_zero_temperature=False)
         state = random_product_state(rng)
-        verdict = generation_test(state, build_kossakowski_closed(p))
+        K = build_kossakowski_closed(p)
+        verdict = generation_test(state, K)
         O = random_rotation(rng)
-        p_rot = ModelParams(omega=p.omega, beta=p.beta, ell=p.ell, n=O @ p.n)
+        K_rot = KossakowskiMatrix(c11=O @ K.c11 @ O.T, c12=O @ K.c12 @ O.T, norm=K.norm)
         state_rot = ProductState(O @ state.bloch1, O @ state.bloch2)
-        verdict_rot = generation_test(state_rot, build_kossakowski_closed(p_rot))
-        assert abs(verdict.margin - verdict_rot.margin) < 1e-12 * verdict.scale
+        verdict_rot = generation_test(state_rot, K_rot)
+        assert abs(verdict.margin - verdict_rot.margin) < 1e-12 * K.norm ** 2
 
 
 def test_probe_optimality_matches_discriminant():
@@ -265,7 +269,7 @@ def test_probe_optimality_matches_discriminant():
         state = random_product_state(rng)
         K = build_kossakowski_closed(p)
         verdict = generation_test(state, K)
-        if verdict.generated is None or abs(verdict.margin) < 1e-9 * verdict.scale:
+        if verdict.generated is None or abs(verdict.margin) < 1e-9 * K.norm ** 2:
             continue
         val, _ = min_q_rate(state, K)
         rate_scale = np.linalg.norm(kossakowski_6x6(K), 2)
@@ -278,7 +282,7 @@ def test_probe_optimality_matches_discriminant():
 # ------------------------------------------------------------ small-time oracle
 
 def test_small_time_oracle_frozen_points():
-    state = canonical_state(E3)
+    state = canonical_state()
     p = ModelParams(omega=1.0, beta=1.0, ell=0.5)
     M = build_superoperator(p)
     assert small_time_ppt_oracle(M, state.density(), 1e-3) is True
@@ -292,7 +296,7 @@ def test_small_time_oracle_rejects_bad_dt():
     p = ModelParams(omega=1.0, beta=1.0, ell=0.5)
     M = build_superoperator(p)
     with pytest.raises(ValueError):
-        small_time_ppt_oracle(M, canonical_state(E3).density(), 0.0)
+        small_time_ppt_oracle(M, canonical_state().density(), 0.0)
 
 
 def test_oracle_agrees_for_generic_product_states():
@@ -304,7 +308,7 @@ def test_oracle_agrees_for_generic_product_states():
         state = random_product_state(rng)
         K = build_kossakowski_closed(p)
         verdict = generation_test(state, K)
-        if verdict.generated is None or abs(verdict.margin) < 1e-6 * verdict.scale:
+        if verdict.generated is None or abs(verdict.margin) < 1e-6 * K.norm ** 2:
             continue
         M = build_superoperator(p)
         oracle = small_time_ppt_oracle(M, state.density(), 1e-3 / p.omega)
@@ -315,7 +319,7 @@ def test_oracle_agrees_for_generic_product_states():
 
 def test_oracle_insensitive_to_hamiltonian_term():
     # the free Hamiltonian is local, so it cannot change the verdict
-    state = canonical_state(E3)
+    state = canonical_state()
     p = ModelParams(omega=1.0, beta=1.0, ell=0.5)
     M_h = build_superoperator(p, include_hs=True)
     assert small_time_ppt_oracle(M_h, state.density(), 1e-3) is True

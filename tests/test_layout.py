@@ -3,8 +3,10 @@ guard threshold is a parameter.
 
 Every top-level function, class and module-level constant of
 src/thermalpair must be referenced somewhere in src/ besides its own
-definition and the package's exports; independent cross-check routes that
-only tests call belong in tests/util.py, and a constant nothing reads goes.
+definition and the package's exports, and every dataclass field and
+property must be read as an attribute somewhere in src/; independent
+cross-check routes that only tests call belong in tests/util.py, and a
+constant or member nothing reads goes.
 Every guard threshold is a module constant beside the guard that reads it,
 so no function in src/ takes a parameter whose name ends in "tol".  The
 package imports only numpy and a short list of standard-library modules,
@@ -67,6 +69,32 @@ def test_every_top_level_definition_is_used_in_the_package():
                 if name not in elsewhere | _references(tree, skip=node):
                     unused.append(f"{module}.{name}")
     assert not unused, f"defined in src/ but used only outside it: {unused}"
+
+
+def _decorator_names(node) -> set:
+    """Plain names of node's decorators, whether called, as dataclass(frozen=True), or not."""
+    return {getattr(d.func if isinstance(d, ast.Call) else d, "id", None)
+            for d in node.decorator_list}
+
+
+def test_every_dataclass_field_and_property_is_read_in_the_package():
+    trees = _trees()
+    read = {n.attr for tree in trees.values() for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    unread = []
+    for module, tree in trees.items():
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            is_dataclass = "dataclass" in _decorator_names(cls)
+            for node in cls.body:
+                if is_dataclass and isinstance(node, ast.AnnAssign):
+                    name = node.target.id
+                elif isinstance(node, ast.FunctionDef) and "property" in _decorator_names(node):
+                    name = node.name
+                else:
+                    continue
+                if name not in read:
+                    unread.append(f"{module}.{cls.name}.{name}")
+    assert not unread, f"class members that only tests read: {unread}"
 
 
 def test_no_function_takes_a_tolerance_parameter():

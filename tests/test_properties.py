@@ -1,21 +1,27 @@
 """Seeded properties over ModelParams: K's closed-form eigenvalues and the
 complete-positivity guard, M against the reference route, trace and
 Hermiticity preservation of M, the canonical-state reduction of the
-discriminant, concurrence against the partial-transpose verdict, and the
-Gibbs state as a stationary state (the bath is KMS)."""
+discriminant, concurrence against the partial-transpose verdict, the
+Gibbs state as a stationary state (the bath is KMS), and the axis n as a
+local frame only: the generator at n, and the CLI's phase diagram and
+trajectories at n, against those at e3."""
 
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from thermalpair import (ModelParams, build_kossakowski_closed, build_superoperator,
-                         canonical_state, concurrence, criterion_rs, evolve, generation_test,
-                         kossakowski_coefficients, kossakowski_eigenvalues, min_eig_pt, unvec,
-                         vec)
+                         canonical_state, cli, concurrence, criterion_rs, evolve,
+                         generation_test, kossakowski_coefficients, kossakowski_eigenvalues,
+                         local_frame, min_eig_pt, unvec, vec)
 from thermalpair.dynamics import _CP_REL_TOL
 
-from util import hamiltonian, kossakowski_6x6, superoperator_reference
+from util import (build_kossakowski_spectral, hamiltonian, kossakowski_6x6,
+                  superoperator_reference)
 
 
 def _log_uniform(lo, hi):
@@ -32,6 +38,7 @@ def _unit(v):
 beta_omega = st.one_of(st.just(math.inf), _log_uniform(1e-3, 1e3))
 omega_ell = st.one_of(st.just(0.0), _log_uniform(1e-12, 1e-3), st.floats(0.0, 20.0))
 unit = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).map(_unit)
+E3 = (0.0, 0.0, 1.0)
 SETTINGS = settings(derandomize=True, max_examples=300, deadline=None, database=None)
 
 
@@ -40,7 +47,7 @@ def models(draw):
     """(params, include_hs, K, M) at a drawn corner."""
     omega = draw(_log_uniform(0.25, 4.0))
     params = ModelParams(omega=omega, beta=draw(beta_omega) / omega,
-                         ell=draw(omega_ell) / omega, n=np.array(draw(unit)))
+                         ell=draw(omega_ell) / omega)
     include_hs = draw(st.booleans())
     K = build_kossakowski_closed(params)
     return params, include_hs, K, build_superoperator(params, include_hs)
@@ -62,7 +69,7 @@ def test_kossakowski_passes_the_cp_guard(model):
 @given(models())
 def test_generator_matches_the_reference_route(model):
     params, include_hs, K, M = model
-    ref = superoperator_reference(K, params, include_hs)
+    ref = superoperator_reference(K, hamiltonian(params, E3) if include_hs else None)
     assert np.abs(M - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
@@ -88,7 +95,7 @@ def test_generator_preserves_trace_and_hermiticity(model):
 @given(models())
 def test_discriminant_sign_matches_rs_margin(model):
     params, _, K, _ = model
-    verdict = generation_test(canonical_state(params.n), K)
+    verdict = generation_test(canonical_state(), K)
     _, _, rs_margin = criterion_rs(params)
     if verdict.generated is not None:   # outside the boundary band
         assert verdict.generated == (rs_margin > 0), (verdict, rs_margin)
@@ -101,7 +108,7 @@ def test_concurrence_is_positive_exactly_when_partial_transpose_is_negative(mode
     # the canonical state, mixed with white noise so that separable states
     # are full rank and keep their partial transpose away from 0
     params, _, _, M = model
-    rho0 = (1.0 - noise) * canonical_state(params.n).density() + noise * np.eye(4) / 4.0
+    rho0 = (1.0 - noise) * canonical_state().density() + noise * np.eye(4) / 4.0
     rho = evolve(M, rho0, omega_t / params.omega)
     c, m = concurrence(rho), min_eig_pt(rho)
     if m < -1e-10:
@@ -114,10 +121,94 @@ def test_concurrence_is_positive_exactly_when_partial_transpose_is_negative(mode
 @given(models())
 def test_gibbs_state_is_stationary(model):
     params, _, _, M = model
-    e, v = np.linalg.eigh(hamiltonian(params))
+    e, v = np.linalg.eigh(hamiltonian(params, E3))
     if math.isinf(params.beta):
         gibbs = np.outer(v[:, 0], v[:, 0].conj())    # the ground state
     else:
         w = np.exp(-params.beta * (e - e[0]))
         gibbs = (v * w) @ v.conj().T / w.sum()
     assert np.linalg.norm(M @ vec(gibbs)) <= 1e-14 * np.linalg.norm(M)
+
+
+# ---------------------------------------------------------- n is only a frame
+
+FRAME_SETTINGS = settings(derandomize=True, max_examples=40, deadline=None, database=None)
+
+
+def _rotation_from_e3(n):
+    """A proper rotation O with O e3 = n: a turn by the polar angle about e2,
+    then by the azimuth about e3."""
+    th, ph = math.atan2(math.hypot(n[0], n[1]), n[2]), math.atan2(n[1], n[0])
+    c, s, cp, sp = math.cos(th), math.sin(th), math.cos(ph), math.sin(ph)
+    return np.array([[cp * c, -sp, cp * s], [sp * c, cp, sp * s], [-s, 0.0, c]])
+
+
+def _run_cli(sub, config):
+    """(exit code, output, evolve summary or None) of one in-process call."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "config.json", Path(tmp) / "out"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        code = cli.main([sub, "--config", str(path), "--out", str(out)])
+        summary = Path(str(out) + ".summary.json")
+        return (code, out.read_text(encoding="utf-8") if code == 0 else None,
+                json.loads(summary.read_text(encoding="utf-8")) if summary.exists() else None)
+
+
+@SETTINGS
+@given(models(), unit)
+def test_generator_at_an_axis_is_the_generator_at_e3_in_its_frame(model, n):
+    # the reference route builds K and H_S at n itself; S = kron(V*, V) is
+    # the superoperator of rho -> V rho V^dag
+    params, include_hs, _, M = model
+    V = local_frame(n)
+    S = np.kron(V.conj(), V)
+    ref = superoperator_reference(build_kossakowski_spectral(params, n),
+                                  hamiltonian(params, n) if include_hs else None)
+    assert np.abs(S @ M @ S.conj().T - ref).max() <= 3e-15 * np.abs(ref).max()
+
+
+@FRAME_SETTINGS
+@given(_log_uniform(0.25, 4.0), unit, st.booleans(),
+       st.tuples(_log_uniform(1e-2, 30.0), _log_uniform(1e-2, 30.0)).map(sorted),
+       st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 10.0)).map(sorted))
+def test_phase_diagram_does_not_depend_on_the_axis(omega, n, include_hs, bw, wl):
+    config = {"omega": omega, "include_hs": include_hs,
+              "sweep": {"beta_omega": [*bw, 3], "omega_ell": [*wl, 3]}}
+    code, at_n, _ = _run_cli("phase-diagram", {**config, "n": n})
+    code_e3, at_e3, _ = _run_cli("phase-diagram", {**config, "n": list(E3)})
+    assert code == code_e3 == 0
+    for row, row_e3 in zip(at_n.splitlines()[1:], at_e3.splitlines()[1:]):
+        x, y = row.split(","), row_e3.split(",")
+        assert x[:5] + x[6:] == y[:5] + y[6:]
+        K = build_kossakowski_closed(ModelParams(omega=omega, beta=float(x[0]) / omega,
+                                                 ell=float(x[1]) / omega))
+        assert abs(float(x[5]) - float(y[5])) <= 1e-14 * K.norm ** 2 / omega ** 2
+    assert len(at_n.splitlines()) == len(at_e3.splitlines()) == 10
+
+
+@FRAME_SETTINGS
+@given(_log_uniform(0.25, 4.0), beta_omega, omega_ell, st.booleans(), unit, unit, unit)
+def test_evolve_at_an_axis_matches_e3_with_the_bloch_vectors_turned(omega, bw, wl, include_hs,
+                                                                    n, b1, b2):
+    O = _rotation_from_e3(n)
+    config = {"omega": omega, "beta": "inf" if math.isinf(bw) else bw / omega,
+              "ell": wl / omega, "include_hs": include_hs, "time_grid": [0.0, 0.5, 2.0, 5.0]}
+    code, at_n, summary = _run_cli("evolve", {
+        **config, "n": n, "initial_state": {"product": {"bloch1": b1, "bloch2": b2}}})
+    code_e3, at_e3, summary_e3 = _run_cli("evolve", {
+        **config, "initial_state": {"product": {"bloch1": list(O.T @ b1),
+                                                "bloch2": list(O.T @ b2)}}})
+    assert code == code_e3
+    if code != 0:
+        return
+    rows = np.array([line.split(",") for line in at_n.splitlines()[1:]], dtype=float)
+    rows_e3 = np.array([line.split(",") for line in at_e3.splitlines()[1:]], dtype=float)
+    # t, trace, min_eig, min_eig_pt and tau; concurrence to bench/check.py's
+    # CONCURRENCE_TOL, as square roots of near-zero eigenvalues amplify rounding
+    np.testing.assert_allclose(rows[:, [0, 1, 2, 3, 5]], rows_e3[:, [0, 1, 2, 3, 5]],
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(rows[:, 4], rows_e3[:, 4], rtol=0, atol=1e-7)
+    assert summary["final_time"] == summary_e3["final_time"]
+    assert abs(summary["trace_distance_to_asymptotic"]
+               - summary_e3["trace_distance_to_asymptotic"]) <= 1e-12
+    assert abs(summary["asymptotic_concurrence"] - summary_e3["asymptotic_concurrence"]) <= 1e-7

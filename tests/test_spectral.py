@@ -107,9 +107,9 @@ def test_spectral_density_rejects_nonfinite():
     {"omega": 1.0, "beta": 0.0, "ell": 0.0},
     {"omega": 1.0, "beta": -2.0, "ell": 0.0},
     {"omega": 1.0, "beta": 1.0, "ell": -0.1},
-    {"omega": 1.0, "beta": 1.0, "ell": 0.0, "n": [0.0, 0.0, 2.0]},
+    {"omega": 1.0, "beta": math.nan, "ell": 0.0},
     {"omega": math.inf, "beta": 1.0, "ell": 0.0},
-    {"omega": 1.0, "beta": 1.0, "ell": 0.0, "n": [math.nan, 0.0, 0.0]},
+    {"omega": 1.0, "beta": 1.0, "ell": math.inf},
 ])
 def test_invalid_params_rejected(kwargs):
     with pytest.raises(ValueError):
@@ -226,7 +226,7 @@ def test_construction_equivalence():
     rng = np.random.default_rng(15)
     for _ in range(300):
         p = random_params(rng)
-        Ks = build_kossakowski_spectral(p)
+        Ks = build_kossakowski_spectral(p, E3)
         Kc = build_kossakowski_closed(p)
         assert np.abs(kossakowski_6x6(Ks) - kossakowski_6x6(Kc)).max() < 1e-13
         assert abs(Ks.norm - Kc.norm) <= 1e-13 * Ks.norm
@@ -235,19 +235,20 @@ def test_construction_equivalence():
 def test_transverse_and_longitudinal_eigenvalues():
     p = ModelParams(omega=1.0, beta=1.0, ell=0.0)
     c = kossakowski_coefficients(p)
-    eigs = np.sort(np.linalg.eigvalsh(build_kossakowski_spectral(p).c11))
+    eigs = np.sort(np.linalg.eigvalsh(build_kossakowski_spectral(p, E3).c11))
     expected = np.sort([c.A - c.B, c.A + c.B, c.A + c.C])
     np.testing.assert_allclose(eigs, expected, atol=1e-14)
 
 
 def test_rotation_covariance():
+    # K at the axis O e3, from the frequency sum, is the closed-form K at e3
+    # turned by O, for any proper rotation O
     rng = np.random.default_rng(16)
     for _ in range(30):
         p = random_params(rng, allow_zero_temperature=False)
         O = random_rotation(rng)
         K = build_kossakowski_closed(p)
-        K_rot = build_kossakowski_closed(
-            ModelParams(omega=p.omega, beta=p.beta, ell=p.ell, n=O @ p.n))
+        K_rot = build_kossakowski_spectral(p, O @ E3)
         np.testing.assert_allclose(K_rot.c11, O @ K.c11 @ O.T, atol=1e-13)
         np.testing.assert_allclose(K_rot.c12, O @ K.c12 @ O.T, atol=1e-13)
 
@@ -263,14 +264,15 @@ def test_positivity_on_random_draws():
 # ------------------------------------------------ closed-form eigenvalues
 
 def test_kossakowski_eigenvalues_match_eigvalsh_for_any_coefficients():
-    # the closed form holds for every real A, B, C, A', B', C' and axis, also
-    # where K is not positive semidefinite
+    # the closed form holds for every real A, B, C, A', B', C' and axis (K
+    # turned by a rotation O on both atoms), also where K is not positive
+    # semidefinite
     rng = np.random.default_rng(18)
     for _ in range(200):
         coeffs = KossakowskiCoefficients(*rng.normal(size=6))
-        n = rng.normal(size=3)
-        K = kossakowski_from_coefficients(coeffs, n / np.linalg.norm(n))
-        eigs = np.linalg.eigvalsh(kossakowski_6x6(K))
+        O = np.kron(np.eye(2), random_rotation(rng))
+        K = kossakowski_from_coefficients(coeffs)
+        eigs = np.linalg.eigvalsh(O @ kossakowski_6x6(K) @ O.T)
         lam = kossakowski_eigenvalues(coeffs)
         assert np.abs(np.sort(lam) - eigs).max() <= 1e-14 * np.abs(eigs).max()
 
@@ -287,6 +289,6 @@ def test_kossakowski_eigenvalues_detect_corrupted_cross_block():
 
 def test_from_coefficients_roundtrip():
     coeffs = KossakowskiCoefficients(A=1.0, B=0.25, C=-0.5, Ap=0.8, Bp=0.2, Cp=-0.4)
-    K = kossakowski_from_coefficients(coeffs, E3)
+    K = kossakowski_from_coefficients(coeffs)
     assert K.c11[2, 2] == pytest.approx(1.0 - 0.5)
     assert K.c12[0, 1] == pytest.approx(-0.2j)

@@ -14,8 +14,14 @@ import numpy as np
 
 from thermalpair import (KossakowskiMatrix, ModelParams, ProductState, bloch_ket, min_eig_pt,
                          partial_transpose, unvec, vec)
-from thermalpair.dynamics import SIGMA, expm
-from thermalpair.spectral import TWO_PI, _EPSILON, _sinc, _unit_vector
+from thermalpair.dynamics import SIGMA, _unit_vector, expm
+from thermalpair.spectral import TWO_PI, _sinc
+
+# Levi-Civita symbol, epsilon[i, j, k]
+_EPSILON = np.zeros((3, 3, 3))
+for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+    _EPSILON[_i, _j, _k] = 1.0
+    _EPSILON[_j, _i, _k] = -1.0
 
 
 def random_density(rng, dim=4):
@@ -66,7 +72,7 @@ def random_params(rng, allow_zero_temperature=True, allow_zero_ell=True):
     ell = float(rng.uniform(0.0, 12.0)) / omega
     if allow_zero_ell and rng.random() < 0.1:
         ell = 0.0
-    return ModelParams(omega=omega, beta=beta, ell=ell, n=random_bloch(rng))
+    return ModelParams(omega=omega, beta=beta, ell=ell)
 
 
 def pauli_op(atom: int, axis: int) -> np.ndarray:
@@ -79,9 +85,9 @@ def pauli_op(atom: int, axis: int) -> np.ndarray:
     return np.kron(s, np.eye(2)) if atom == 1 else np.kron(np.eye(2), s)
 
 
-def hamiltonian(params: ModelParams) -> np.ndarray:
+def hamiltonian(params: ModelParams, n) -> np.ndarray:
     """Free two-atom Hamiltonian (omega/2)(n.sigma (x) 1 + 1 (x) n.sigma)."""
-    h1 = sum(params.n[i] * SIGMA[i] for i in range(3))
+    h1 = sum(n[i] * SIGMA[i] for i in range(3))
     return 0.5 * params.omega * (np.kron(h1, np.eye(2)) + np.kron(np.eye(2), h1))
 
 
@@ -94,7 +100,7 @@ def dissipator_reference(K, rho):
     dissipators behind build_superoperator.
     """
     out = np.zeros((4, 4), dtype=complex)
-    for a, b, c in ((1, 1, K.c11), (2, 2, K.c22), (1, 2, K.c12), (2, 1, K.c21)):
+    for a, b, c in ((1, 1, K.c11), (2, 2, K.c11), (1, 2, K.c12), (2, 1, K.c12)):
         for i in range(3):
             si = pauli_op(a, i + 1)
             for j in range(3):
@@ -229,13 +235,14 @@ def psi_tensors(n) -> PsiTensors:
     )
 
 
-def build_kossakowski_spectral(params: ModelParams) -> KossakowskiMatrix:
-    """Assemble the Kossakowski blocks from the frequency sum, with |K|_2 from
-    an SVD of the 6x6 form rather than from the closed-form eigenvalues.
+def build_kossakowski_spectral(params: ModelParams, n) -> KossakowskiMatrix:
+    """Assemble the Kossakowski blocks at the axis n from the frequency sum,
+    with |K|_2 from an SVD of the 6x6 form rather than from the closed-form
+    eigenvalues.
 
     C^(ab)_ij = sum_{xi in {+,-,0}} g_ab(xi omega) sum_k psi^(xi)_ki psi^(-xi)_kj
     """
-    psi = psi_tensors(params.n)
+    psi = psi_tensors(n)
     pairs = (
         (psi.psi_plus, psi.psi_minus, +params.omega),
         (psi.psi_minus, psi.psi_plus, -params.omega),
@@ -249,7 +256,7 @@ def build_kossakowski_spectral(params: ModelParams) -> KossakowskiMatrix:
         c11 += sv.g11 * weight
         c12 += sv.g12 * weight
     norm = float(np.linalg.norm(np.block([[c11, c12], [c12, c11]]), 2))
-    return KossakowskiMatrix(c11=c11, c12=c12, n=params.n, norm=norm)
+    return KossakowskiMatrix(c11=c11, c12=c12, norm=norm)
 
 
 def kossakowski_6x6(K: KossakowskiMatrix) -> np.ndarray:
@@ -273,13 +280,13 @@ def dissipator_apply(K: KossakowskiMatrix, rho: np.ndarray) -> np.ndarray:
     return dissipator_reference(K, rho)
 
 
-def superoperator_reference(K: KossakowskiMatrix, params: ModelParams | None = None,
-                            include_hs: bool = False) -> np.ndarray:
+def superoperator_reference(K: KossakowskiMatrix, h: np.ndarray | None = None) -> np.ndarray:
     """The 16x16 generator of K, assembled column by column from
-    dissipator_reference applied to the matrix units; include_hs adds the
-    commutator -i[H_S, .] of params.  This also builds generators of a K
-    that no ModelParams gives, such as the infinite-temperature limit."""
-    h = hamiltonian(params) if include_hs else np.zeros((4, 4))
+    dissipator_reference applied to the matrix units; a Hamiltonian h adds
+    the commutator -i[h, .].  This also builds generators of a K that no
+    ModelParams gives, such as the infinite-temperature limit."""
+    if h is None:
+        h = np.zeros((4, 4))
     M = np.zeros((16, 16), dtype=complex)
     for k in range(16):
         unit = unvec(np.eye(16)[k])
