@@ -9,12 +9,9 @@ atom separation.
 
 from .spectral import (
     KossakowskiCoefficients,
-    KossakowskiMatrix,
     ModelParams,
-    build_kossakowski_closed,
     kossakowski_coefficients,
     kossakowski_eigenvalues,
-    kossakowski_from_coefficients,
     temperature_ratio,
 )
 from .dynamics import (
@@ -33,7 +30,6 @@ from .dynamics import (
     vec,
 )
 from .entanglement import (
-    GenerationVerdict,
     ProductState,
     canonical_state,
     concurrence,
@@ -42,7 +38,6 @@ from .entanglement import (
     min_eig_pt,
     partial_transpose,
     small_time_ppt_oracle,
-    uv_vectors,
 )
 from .asymptotic import (
     ConvergenceError,

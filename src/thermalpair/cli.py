@@ -12,6 +12,11 @@ local frame V = dynamics.local_frame(n): the initial state goes in as
 V^dag rho0 V and asymptotic's rho_infinity comes back as V rho V^dag.
 No other output changes under V, and the phase diagram ignores n.
 
+The phase diagram starts from the canonical state |-> (x) |+>: at each
+grid point it evaluates the generation discriminant in closed form from
+K's coefficients (`entanglement.generation_test`) and checks the verdict
+against the small-time oracle, which evolves that state.
+
 Exit codes: 0 ok, 2 config validation failure, 3 discriminant/oracle
 disagreement (implementation bug guard), 4 positivity failure (a
 Kossakowski matrix that is not positive semidefinite, or an evolved state
@@ -35,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import asymptotic, dynamics, entanglement
-from .spectral import ModelParams, build_kossakowski_closed, kossakowski_coefficients
+from .spectral import ModelParams, kossakowski_coefficients
 
 PHASE_HEADER = "beta_omega,omega_ell,R,S,rs_margin,discriminant_margin,generated,oracle_generated"
 EVOLVE_HEADER = "t,trace,min_eig,min_eig_pt,concurrence,tau"
@@ -322,25 +327,24 @@ def cmd_coefficients(config: RunConfig, out_path: str | None) -> int:
     return 0
 
 
-def _sweep_point(omega, state, rho0, beta_omega, omega_ell, include_hs) -> SweepRecord:
+def _sweep_point(omega, rho0, beta_omega, omega_ell, include_hs) -> SweepRecord:
     params = ModelParams(omega=omega, beta=beta_omega / omega, ell=omega_ell / omega)
     M = dynamics.build_superoperator(params, include_hs)
-    verdict = entanglement.generation_test(state, build_kossakowski_closed(params))
+    margin, label = entanglement.generation_test(kossakowski_coefficients(params))
     R, S, rs_margin = entanglement.criterion_rs(params)
     oracle = entanglement.small_time_ppt_oracle(M, rho0, _ORACLE_DT / omega)
     return SweepRecord(beta_omega=beta_omega, omega_ell=omega_ell,
                        R=R, S=S, rs_margin=rs_margin,
-                       discriminant_margin=verdict.margin / omega**2,
-                       generated=verdict.label, oracle_generated=oracle)
+                       discriminant_margin=margin / omega**2,
+                       generated=label, oracle_generated=oracle)
 
 
 def cmd_phase_diagram(config: RunConfig, out_path: str | None) -> int:
     """Sweep the (beta*omega, omega*ell) grid with the canonical initial state."""
     if config.sweep is None:
         raise ConfigError("phase-diagram requires a sweep section")
-    state = entanglement.canonical_state()
-    rho0 = state.density()
-    records = [_sweep_point(config.params.omega, state, rho0, bw, wl, config.include_hs)
+    rho0 = entanglement.canonical_state().density()
+    records = [_sweep_point(config.params.omega, rho0, bw, wl, config.include_hs)
                for bw in config.sweep.beta_omega for wl in config.sweep.omega_ell]
 
     mismatches = [r for r in records

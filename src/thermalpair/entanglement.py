@@ -6,12 +6,15 @@ concurrence quantifies the entanglement (0 separable, 1 for Bell states);
 the complex conjugation in its spin-flip step is taken in the fixed
 computational product basis.
 
-Whether the common bath starts entangling a pure product state
-|phi> (x) |psi> at t = 0+ is decided by a discriminant built from the
-Kossakowski blocks and two complex 3-vectors u, v encoding the initial
-state; for the canonical state |-> (x) |+> (ground and excited along the
-axis e3) the test collapses to R^2 + S^2 > 1 with R = tanh(beta omega / 2) and
-S = sinc(omega ell).  A small-time evolution followed by the
+Whether the common bath starts entangling a pure product state at t = 0+
+is decided by the discriminant of Benatti, Floreanini & Piani (PRL 91,
+070402, 2003), built from the Kossakowski blocks and two complex
+3-vectors u, v encoding the state.  The package evaluates it only at the
+canonical state |-> (x) |+> (ground and excited along the axis e3), where
+u = v = (1, -i, 0) and it is a closed form in K's coefficients that
+collapses to R^2 + S^2 > 1 with R = tanh(beta omega / 2) and
+S = sinc(omega ell); the general test for any product state is the
+reference in the test suite.  A small-time evolution followed by the
 partial-transpose test is the independent oracle the phase diagram checks
 the verdict against; the tests add a second one, the exact minimum of the
 initial entanglement-production rate over probe vectors.
@@ -24,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics
-from .spectral import KossakowskiMatrix, ModelParams, temperature_ratio, _sinc
+from .spectral import (KossakowskiCoefficients, ModelParams, kossakowski_eigenvalues,
+                       temperature_ratio, _sinc)
 
 
 @dataclass(frozen=True)
@@ -49,24 +53,6 @@ class ProductState:
 def canonical_state() -> ProductState:
     """Ground (x) excited along the axis e3: |-> (x) |+>."""
     return ProductState(bloch1=(0.0, 0.0, -1.0), bloch2=(0.0, 0.0, 1.0))
-
-
-@dataclass(frozen=True)
-class GenerationVerdict:
-    """Outcome of the discriminant test.
-
-    generated is None inside generation_test's boundary band (strict
-    inequality test, inconclusive at the boundary).
-    """
-
-    margin: float
-    generated: bool | None
-
-    @property
-    def label(self) -> str:
-        if self.generated is None:
-            return "boundary"
-        return "true" if self.generated else "false"
 
 
 def partial_transpose(rho: np.ndarray) -> np.ndarray:
@@ -112,43 +98,27 @@ def concurrence(rho: np.ndarray) -> float:
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
 
-# the Pauli matrices stacked: bra @ _SIGMAS @ ket is the 3-vector <bra|sigma_i|ket>
-_SIGMAS = np.array(dynamics.SIGMA)
-
-
-def uv_vectors(state: ProductState) -> tuple[np.ndarray, np.ndarray]:
-    """(u, v) with u_i = <phi'|sigma_i|phi> and v_i = <psi|sigma_i|psi'>.
-
-    phi, psi are the single-atom kets and phi', psi' their antipodes
-    (bloch_ket(-b)).  This is u_i = sum_j O_ij <+|sigma_j|-> for the Pauli
-    rotation U^dag sigma_i U = sum_j O_ij sigma_j of U = [|phi'>, |phi>],
-    and likewise for v.  Both vectors have norm sqrt(2); a phase of either
-    ket only rephases u or v, which the discriminant is insensitive to.
-    """
-    phi, psi = state.kets()
-    u = dynamics.bloch_ket(-state.bloch1).conj() @ _SIGMAS @ phi
-    v = psi.conj() @ _SIGMAS @ dynamics.bloch_ket(-state.bloch2)
-    return u, v
-
-
 # generation_test verdicts within this fraction of |K|_2^2 of zero are inconclusive
 _BOUNDARY_REL_TOL = 1e-12
 
 
-def generation_test(state: ProductState, K: KossakowskiMatrix) -> GenerationVerdict:
-    """Discriminant test for entanglement generation out of a product state.
+def generation_test(coeffs: KossakowskiCoefficients) -> tuple[float, str]:
+    """Discriminant test for entanglement generation out of |-> (x) |+>.
 
-    margin = |<u| Re C12 |v>|^2 - <u|C11|u> <v|C11^T|v>; the bath starts
-    entangling the pair iff margin > 0 (strict).  Verdicts within
-    _BOUNDARY_REL_TOL * |K|_2^2 of zero are reported as inconclusive, with
-    |K|_2 = K.norm, the largest of K's six closed-form eigenvalues (no SVD).
+    Returns (margin, label).  The general product-state discriminant
+    |<u| Re C12 |v>|^2 - <u|C11|u> <v|C11^T|v> at u = v = (1, -i, 0) is
+    margin = (2A')^2 - (2A - 2B)(2A + 2B), here in the order that contraction
+    rounds in; it equals 4 A^2 (R^2 + S^2 - 1).  The bath starts entangling
+    the pair iff margin > 0 (strict).  label is "true" or "false", or
+    "boundary" within _BOUNDARY_REL_TOL * |K|_2^2 of zero, with |K|_2 the
+    largest magnitude of K's six closed-form eigenvalues (no SVD).
     """
-    u, v = uv_vectors(state)
-    lhs = np.real(u.conj() @ K.c11 @ u) * np.real(v.conj() @ K.c11.T @ v)
-    rhs = abs(u.conj() @ np.real(K.c12) @ v) ** 2
-    margin = float(rhs - lhs)
-    generated = None if abs(margin) <= _BOUNDARY_REL_TOL * K.norm ** 2 else margin > 0
-    return GenerationVerdict(margin=margin, generated=generated)
+    A, B = coeffs.A, coeffs.B
+    margin = (2.0 * coeffs.Ap) ** 2 - (2.0 * A - 2.0 * B) * (2.0 * A + 2.0 * B)
+    norm = float(np.abs(kossakowski_eigenvalues(coeffs)).max())
+    if abs(margin) <= _BOUNDARY_REL_TOL * norm ** 2:
+        return margin, "boundary"
+    return margin, "true" if margin > 0 else "false"
 
 
 def criterion_rs(params: ModelParams):

@@ -16,13 +16,14 @@ tensors built from the axis n of the atom Hamiltonians (omega/2) n.sigma.
 One rotation of both atoms turns n into e3, so n is only a frame: the
 library works at e3 (`dynamics.local_frame` turns states to it).  The
 coefficient matrix has the 2x2 block structure [[C11, C12], [C12, C11]]
-with 3x3 Hermitian blocks; it must be positive semidefinite for the
-generated semigroup to be completely positive.  The matrix is built from
-the closed form in terms of the six coefficients A, B, C, A', B', C'
-(`build_kossakowski_closed`); the independent frequency-sum construction
-it is checked against lives in the test suite.
+with 3x3 Hermitian blocks C11 = A 1 - iB eps.e3 + C e3 e3^T and C12 its
+primed analogue; it must be positive semidefinite for the generated
+semigroup to be completely positive.  The package holds K only as the six
+coefficients A, B, C, A', B', C' (`kossakowski_coefficients`) and its six
+eigenvalues; the 3x3 blocks, and the independent frequency-sum
+construction they are checked against, live in the test suite.
 
-Its six eigenvalues (`kossakowski_eigenvalues`) are the lowering, raising
+The eigenvalues (`kossakowski_eigenvalues`) are the lowering, raising
 and dephasing rates of the collective and the relative channel; the
 relative ones carry 1 - sinc(omega ell) and vanish at ell = 0, where the
 singlet is dark.  `dynamics.build_superoperator` builds the generator from
@@ -39,10 +40,6 @@ from dataclasses import dataclass
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
-
-# eps.e3 (the Levi-Civita symbol contracted with the axis e3) and e3 e3^T
-_EPS_E3 = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-_E3_E3 = np.diag([0.0, 0.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -85,20 +82,6 @@ class KossakowskiCoefficients:
     Cp: float
 
 
-@dataclass(frozen=True)
-class KossakowskiMatrix:
-    """Block Kossakowski matrix at the axis e3, [[c11, c12], [c12, c11]]: the
-    second atom's blocks equal the first's by symmetry.
-
-    norm is the spectral norm |K|_2 of the 6x6 form [[c11, c12], [c12, c11]]:
-    the largest magnitude of K's six closed-form eigenvalues.
-    """
-
-    c11: np.ndarray
-    c12: np.ndarray
-    norm: float
-
-
 def _sinc(x: float) -> float:
     """sin(x)/x with the exact value 1 at x = 0."""
     return float(np.sinc(x / np.pi))
@@ -130,21 +113,6 @@ def temperature_ratio(params: ModelParams) -> float:
     if params.zero_temperature:
         return 1.0
     return math.tanh(params.beta * params.omega / 2.0)
-
-
-def kossakowski_from_coefficients(coeffs: KossakowskiCoefficients) -> KossakowskiMatrix:
-    """Blocks A 1 - iB eps.e3 + C e3 e3^T (and primed analogue) for given
-    coefficients, with |K|_2 from the closed-form eigenvalues."""
-    eye = np.eye(3)
-    c11 = coeffs.A * eye - 1j * coeffs.B * _EPS_E3 + coeffs.C * _E3_E3
-    c12 = coeffs.Ap * eye - 1j * coeffs.Bp * _EPS_E3 + coeffs.Cp * _E3_E3
-    norm = float(np.abs(kossakowski_eigenvalues(coeffs)).max())
-    return KossakowskiMatrix(c11=c11, c12=c12, norm=norm)
-
-
-def build_kossakowski_closed(params: ModelParams) -> KossakowskiMatrix:
-    """Assemble the Kossakowski blocks from the closed-form coefficients."""
-    return kossakowski_from_coefficients(kossakowski_coefficients(params))
 
 
 def kossakowski_eigenvalues(coeffs: KossakowskiCoefficients) -> np.ndarray:

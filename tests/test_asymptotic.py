@@ -10,11 +10,9 @@ from thermalpair import (
     ConvergenceError,
     ModelParams,
     asymptotic_state,
-    build_kossakowski_closed,
     build_superoperator,
     canonical_state,
     concurrence,
-    kossakowski_from_coefficients,
     min_eig_pt,
     singlet_density,
     singlet_ket,
@@ -30,9 +28,9 @@ from thermalpair import (
 )
 from thermalpair.spectral import KossakowskiCoefficients
 
-from util import (asymptotic_concurrence, dissipator_reference, equilibrium_closed_form,
-                  equilibrium_coefficients, random_density, random_params,
-                  superoperator_reference)
+from util import (asymptotic_concurrence, build_kossakowski_spectral, dissipator_reference,
+                  equilibrium_closed_form, equilibrium_coefficients, kossakowski_from_coefficients,
+                  random_density, random_params, superoperator_reference)
 
 R_GRID = np.round(np.arange(0.0, 1.0001, 0.1), 10)
 TAU_GRID = np.round(np.arange(-3.0, 1.0001, 0.5), 10)
@@ -94,7 +92,7 @@ def test_stationary_basis_elements_are_stationary():
     # the range of P: every column, devectorized, is a stationary operator
     for ell in (0.0, 2.0):
         p = ModelParams(omega=1.0, beta=1.0, ell=ell)
-        K = build_kossakowski_closed(p)
+        K = build_kossakowski_spectral(p, (0.0, 0.0, 1.0))
         P = stationary_projector(build_superoperator(p))
         for col in P.T:
             assert np.abs(dissipator_reference(K, unvec(col))).max() < 1e-12

@@ -505,6 +505,30 @@ def test_phase_diagram_takes_no_svd(tmp_path, monkeypatch):
     assert cli.main(["phase-diagram", "--config", str(path),
                      "--out", str(tmp_path / "out.csv")]) == 0
 
+
+def test_phase_diagram_builds_the_canonical_kets_once(tmp_path, monkeypatch):
+    # the discriminant at |-+> is a closed form in K's coefficients, so no
+    # grid point rebuilds the state's kets: the count does not grow with the grid
+    calls = []
+    bloch_ket = dynamics.bloch_ket
+
+    def counting(b):
+        calls.append(b)
+        return bloch_ket(b)
+
+    monkeypatch.setattr(dynamics, "bloch_ket", counting)
+    counts = []
+    for sweep in ({"beta_omega": [1.0, 1.0, 1], "omega_ell": [0.5, 0.5, 1]},
+                  {"beta_omega": [0.5, 4.0, 4], "omega_ell": [0.0, 2.0, 4]}):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"sweep": sweep}), encoding="utf-8")
+        calls.clear()
+        assert cli.main(["phase-diagram", "--config", str(path),
+                         "--out", str(tmp_path / "out.csv")]) == 0
+        counts.append(len(calls))
+    assert counts[0] == counts[1], counts
+
+
 def test_no_subcommand_imports_scipy(tmp_path):
     # the package runs on numpy alone; scipy is a test-side reference, and
     # loading it would add its import to every subcommand's cold start

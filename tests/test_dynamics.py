@@ -11,7 +11,6 @@ from thermalpair import (
     PositivityError,
     ProductState,
     bloch_ket,
-    build_kossakowski_closed,
     build_superoperator,
     canonical_state,
     evolve,
@@ -26,12 +25,13 @@ from thermalpair import (
 from thermalpair import dynamics
 from thermalpair.dynamics import SIGMA
 
-from util import (choi_matrix, dissipator_apply, dissipator_reference, hamiltonian, pauli_op,
-                  random_bloch, random_density, random_params)
+from util import (build_kossakowski_spectral, choi_matrix, dissipator_apply,
+                  dissipator_reference, hamiltonian, pauli_op, random_bloch, random_density,
+                  random_params)
 
 E3 = np.array([0.0, 0.0, 1.0])
 P_L0 = ModelParams(omega=1.0, beta=1.0, ell=0.0)
-K_L0 = build_kossakowski_closed(P_L0)
+K_L0 = build_kossakowski_spectral(P_L0, E3)
 M_L0 = build_superoperator(P_L0)
 
 
@@ -66,7 +66,7 @@ def test_pauli_op_rejects_bad_indices():
 
 def test_singlet_is_dark_state_at_zero_separation():
     for beta in (0.3, 1.0, math.inf):
-        K = build_kossakowski_closed(ModelParams(omega=1.0, beta=beta, ell=0.0))
+        K = build_kossakowski_spectral(ModelParams(omega=1.0, beta=beta, ell=0.0), E3)
         drho = dissipator_apply(K, singlet_density())
         assert np.abs(drho).max() < 1e-14
 
@@ -74,7 +74,7 @@ def test_singlet_is_dark_state_at_zero_separation():
 def test_dissipator_is_traceless_and_hermiticity_preserving():
     rng = np.random.default_rng(21)
     for _ in range(50):
-        K = build_kossakowski_closed(random_params(rng))
+        K = build_kossakowski_spectral(random_params(rng), E3)
         rho = random_density(rng)
         drho = dissipator_apply(K, rho)
         assert abs(np.trace(drho)) < 1e-13
@@ -112,7 +112,7 @@ def test_superoperator_matches_dissipator():
         if p.ell == 0:
             corners.add("ell=0")
         rho = random_density(rng)
-        expected = dissipator_reference(build_kossakowski_closed(p), rho)
+        expected = dissipator_reference(build_kossakowski_spectral(p, E3), rho)
         assert np.abs(unvec(build_superoperator(p) @ vec(rho)) - expected).max() < 1e-13
         h = hamiltonian(p, E3)
         expected -= 1j * (h @ rho - rho @ h)
@@ -195,7 +195,7 @@ def test_superoperator_preserves_trace_and_hermiticity():
 
 def test_superoperator_with_hamiltonian():
     p = ModelParams(omega=1.3, beta=0.7, ell=0.4)
-    K = build_kossakowski_closed(p)
+    K = build_kossakowski_spectral(p, E3)
     M = build_superoperator(p, include_hs=True)
     h = hamiltonian(p, E3)
     rng = np.random.default_rng(25)

@@ -6,27 +6,26 @@ import numpy as np
 import pytest
 
 from thermalpair import (
-    KossakowskiMatrix,
     ModelParams,
     ProductState,
-    build_kossakowski_closed,
     build_superoperator,
     canonical_state,
     concurrence,
     criterion_rs,
     generation_test,
+    kossakowski_eigenvalues,
     min_eig_pt,
     partial_transpose,
     singlet_density,
     singlet_ket,
     small_time_ppt_oracle,
-    uv_vectors,
 )
 from thermalpair.spectral import kossakowski_coefficients
 
-from util import (equilibrium_closed_form, is_entangled, kossakowski_6x6, min_q_rate, q_probe, q_rate,
-                  random_bloch, random_density, random_params, random_product_state,
-                  random_rotation, random_separable_density, random_unit_complex,
+from util import (KossakowskiMatrix, build_kossakowski_spectral, equilibrium_closed_form,
+                  generation_discriminant, is_entangled, kossakowski_6x6, min_q_rate, q_probe,
+                  q_rate, random_bloch, random_density, random_params, random_product_state,
+                  random_rotation, random_separable_density, random_unit_complex, uv_vectors,
                   uv_vectors_rotation)
 
 E3 = np.array([0.0, 0.0, 1.0])
@@ -132,7 +131,7 @@ def test_q_probe_rejects_zero_vector():
 
 def test_q_rate_finite_for_any_probe():
     rng = np.random.default_rng(37)
-    K = build_kossakowski_closed(ModelParams(omega=1.0, beta=1.0, ell=0.0))
+    K = build_kossakowski_spectral(ModelParams(omega=1.0, beta=1.0, ell=0.0), E3)
     rho0 = canonical_state().density()
     for _ in range(10):
         val = q_rate(random_unit_complex(rng), rho0, K)
@@ -141,7 +140,7 @@ def test_q_rate_finite_for_any_probe():
 
 def test_min_q_rate_negative_when_generation_occurs():
     p = ModelParams(omega=1.0, beta=1.0, ell=0.0)
-    K = build_kossakowski_closed(p)
+    K = build_kossakowski_spectral(p, E3)
     state = canonical_state()
     val, chi = min_q_rate(state, K)
     assert val < -1e-3
@@ -153,7 +152,7 @@ def test_min_q_rate_negative_when_generation_occurs():
 def test_min_q_rate_boundary_case():
     # R = 1, S = 0: the reduction sits exactly on R^2 + S^2 = 1
     p = ModelParams(omega=1.0, beta=math.inf, ell=math.pi)
-    K = build_kossakowski_closed(p)
+    K = build_kossakowski_spectral(p, E3)
     val, _ = min_q_rate(canonical_state(), K)
     assert val >= -1e-12 * np.linalg.norm(kossakowski_6x6(K), 2)
 
@@ -197,36 +196,34 @@ def test_uv_vectors_match_the_pauli_rotation_route():
 # -------------------------------------------------------------- generation test
 
 def test_generation_frozen_grid_points():
-    state = canonical_state()
     p = ModelParams(omega=1.0, beta=1.0, ell=0.5)
-    verdict = generation_test(state, build_kossakowski_closed(p))
-    assert verdict.generated is True
+    _, label = generation_test(kossakowski_coefficients(p))
+    assert label == "true"
     assert criterion_rs(p)[2] == pytest.approx(1.132947655297793155 - 1.0, rel=1e-12)
 
     p = ModelParams(omega=1.0, beta=1.0, ell=3.0)
-    verdict = generation_test(state, build_kossakowski_closed(p))
-    assert verdict.generated is False
+    _, label = generation_test(kossakowski_coefficients(p))
+    assert label == "false"
     assert criterion_rs(p)[2] == pytest.approx(0.21576502888683003315 - 1.0, rel=1e-12)
 
 
 def test_generation_margin_equals_canonical_reduction():
     # for the canonical state the discriminant is exactly 4 A^2 (R^2 + S^2 - 1)
     rng = np.random.default_rng(39)
-    state = canonical_state()
     for _ in range(50):
         p = random_params(rng)
-        K = build_kossakowski_closed(p)
-        verdict = generation_test(state, K)
-        A = kossakowski_coefficients(p).A
-        assert verdict.margin == pytest.approx(4.0 * A * A * criterion_rs(p)[2],
-                                               rel=1e-10, abs=1e-13 * K.norm ** 2)
+        c = kossakowski_coefficients(p)
+        margin, _ = generation_test(c)
+        norm = np.abs(kossakowski_eigenvalues(c)).max()
+        assert margin == pytest.approx(4.0 * c.A * c.A * criterion_rs(p)[2],
+                                       rel=1e-10, abs=1e-13 * norm ** 2)
 
 
 def test_generation_always_at_zero_separation():
     for bw in (0.01, 0.1, 1.0, 10.0):
         p = ModelParams(omega=1.0, beta=bw, ell=0.0)
-        verdict = generation_test(canonical_state(), build_kossakowski_closed(p))
-        assert verdict.generated is True
+        _, label = generation_test(kossakowski_coefficients(p))
+        assert label == "true"
 
 
 def test_criterion_rs_values():
@@ -252,12 +249,12 @@ def test_generation_verdict_rotation_invariance():
     for _ in range(20):
         p = random_params(rng, allow_zero_temperature=False)
         state = random_product_state(rng)
-        K = build_kossakowski_closed(p)
-        verdict = generation_test(state, K)
+        K = build_kossakowski_spectral(p, E3)
+        verdict = generation_discriminant(state, K)
         O = random_rotation(rng)
         K_rot = KossakowskiMatrix(c11=O @ K.c11 @ O.T, c12=O @ K.c12 @ O.T, norm=K.norm)
         state_rot = ProductState(O @ state.bloch1, O @ state.bloch2)
-        verdict_rot = generation_test(state_rot, K_rot)
+        verdict_rot = generation_discriminant(state_rot, K_rot)
         assert abs(verdict.margin - verdict_rot.margin) < 1e-12 * K.norm ** 2
 
 
@@ -267,8 +264,8 @@ def test_probe_optimality_matches_discriminant():
     for _ in range(40):
         p = random_params(rng)
         state = random_product_state(rng)
-        K = build_kossakowski_closed(p)
-        verdict = generation_test(state, K)
+        K = build_kossakowski_spectral(p, E3)
+        verdict = generation_discriminant(state, K)
         if verdict.generated is None or abs(verdict.margin) < 1e-9 * K.norm ** 2:
             continue
         val, _ = min_q_rate(state, K)
@@ -306,8 +303,8 @@ def test_oracle_agrees_for_generic_product_states():
     for _ in range(30):
         p = random_params(rng)
         state = random_product_state(rng)
-        K = build_kossakowski_closed(p)
-        verdict = generation_test(state, K)
+        K = build_kossakowski_spectral(p, E3)
+        verdict = generation_discriminant(state, K)
         if verdict.generated is None or abs(verdict.margin) < 1e-6 * K.norm ** 2:
             continue
         M = build_superoperator(p)

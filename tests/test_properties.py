@@ -1,7 +1,8 @@
 """Seeded properties over ModelParams: K's closed-form eigenvalues and the
 complete-positivity guard, M against the reference route, trace and
-Hermiticity preservation of M, the canonical-state reduction of the
-discriminant, concurrence against the partial-transpose verdict, the
+Hermiticity preservation of M, the closed-form discriminant against the
+general product-state one at |-+> and its canonical-state reduction,
+concurrence against the partial-transpose verdict, the
 Gibbs state as a stationary state (the bath is KMS), and the axis n as a
 local frame only: the generator at n, and the CLI's phase diagram and
 trajectories at n, against those at e3."""
@@ -12,16 +13,15 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from thermalpair import (ModelParams, build_kossakowski_closed, build_superoperator,
-                         canonical_state, cli, concurrence, criterion_rs, evolve,
-                         generation_test, kossakowski_coefficients, kossakowski_eigenvalues,
-                         local_frame, min_eig_pt, unvec, vec)
+from thermalpair import (ModelParams, build_superoperator, canonical_state, cli, concurrence,
+                         criterion_rs, evolve, generation_test, kossakowski_coefficients,
+                         kossakowski_eigenvalues, local_frame, min_eig_pt, unvec, vec)
 from thermalpair.dynamics import _CP_REL_TOL
 
-from util import (build_kossakowski_spectral, hamiltonian, kossakowski_6x6,
-                  superoperator_reference)
+from util import (build_kossakowski_spectral, generation_discriminant, hamiltonian,
+                  kossakowski_6x6, kossakowski_from_coefficients, superoperator_reference)
 
 
 def _log_uniform(lo, hi):
@@ -49,7 +49,7 @@ def models(draw):
     params = ModelParams(omega=omega, beta=draw(beta_omega) / omega,
                          ell=draw(omega_ell) / omega)
     include_hs = draw(st.booleans())
-    K = build_kossakowski_closed(params)
+    K = kossakowski_from_coefficients(kossakowski_coefficients(params))
     return params, include_hs, K, build_superoperator(params, include_hs)
 
 
@@ -94,11 +94,29 @@ def test_generator_preserves_trace_and_hermiticity(model):
 @SETTINGS
 @given(models())
 def test_discriminant_sign_matches_rs_margin(model):
-    params, _, K, _ = model
-    verdict = generation_test(canonical_state(), K)
+    params, _, _, _ = model
+    margin, label = generation_test(kossakowski_coefficients(params))
     _, _, rs_margin = criterion_rs(params)
-    if verdict.generated is not None:   # outside the boundary band
-        assert verdict.generated == (rs_margin > 0), (verdict, rs_margin)
+    if label != "boundary":
+        assert (label == "true") == (rs_margin > 0), (margin, label, rs_margin)
+
+
+# beta = inf and omega*ell a multiple of pi put R^2 + S^2 - 1 within rounding of 0
+@SETTINGS
+@given(_log_uniform(0.25, 4.0), st.one_of(st.just(math.inf), _log_uniform(1e-3, 60.0)),
+       st.one_of(st.just(0.0), _log_uniform(1e-8, 1e-3), st.floats(0.0, 20.0)))
+@example(1.0, math.inf, math.pi)
+@example(2.5, math.inf, 2.0 * math.pi)
+def test_closed_form_discriminant_is_the_general_one_at_the_canonical_state(omega, bw, wl):
+    # the general discriminant at u = v = (1, -i, 0), from the 3x3 blocks;
+    # the closed form rounds as that contraction does, so the margins agree
+    # bit for bit in practice
+    coeffs = kossakowski_coefficients(ModelParams(omega=omega, beta=bw / omega, ell=wl / omega))
+    K = kossakowski_from_coefficients(coeffs)
+    ref = generation_discriminant(canonical_state(), K)
+    margin, label = generation_test(coeffs)
+    assert label == ref.label, (margin, label, ref)
+    assert abs(margin - ref.margin) <= 1e-15 * K.norm ** 2, (margin, ref.margin)
 
 
 @SETTINGS
@@ -180,8 +198,8 @@ def test_phase_diagram_does_not_depend_on_the_axis(omega, n, include_hs, bw, wl)
     for row, row_e3 in zip(at_n.splitlines()[1:], at_e3.splitlines()[1:]):
         x, y = row.split(","), row_e3.split(",")
         assert x[:5] + x[6:] == y[:5] + y[6:]
-        K = build_kossakowski_closed(ModelParams(omega=omega, beta=float(x[0]) / omega,
-                                                 ell=float(x[1]) / omega))
+        K = kossakowski_from_coefficients(kossakowski_coefficients(
+            ModelParams(omega=omega, beta=float(x[0]) / omega, ell=float(x[1]) / omega)))
         assert abs(float(x[5]) - float(y[5])) <= 1e-14 * K.norm ** 2 / omega ** 2
     assert len(at_n.splitlines()) == len(at_e3.splitlines()) == 10
 

@@ -12,16 +12,14 @@ import pytest
 
 from thermalpair import (
     ModelParams,
-    build_kossakowski_closed,
     kossakowski_coefficients,
     kossakowski_eigenvalues,
-    kossakowski_from_coefficients,
     temperature_ratio,
 )
 from thermalpair.spectral import KossakowskiCoefficients
 
-from util import (build_kossakowski_spectral, kossakowski_6x6, psi_tensors, random_params, random_rotation,
-                  spectral_density)
+from util import (build_kossakowski_spectral, kossakowski_6x6, kossakowski_from_coefficients,
+                  psi_tensors, random_params, random_rotation, spectral_density)
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -208,8 +206,13 @@ def test_psi_tensors_reject_non_unit():
 
 # ----------------------------------------------------- matrix constructions
 
+def closed_form(p):
+    """K's blocks from the library's closed-form coefficients."""
+    return kossakowski_from_coefficients(kossakowski_coefficients(p))
+
+
 def test_closed_form_entries_along_e3():
-    K = build_kossakowski_closed(ModelParams(omega=1.0, beta=1.0, ell=0.0))
+    K = closed_form(ModelParams(omega=1.0, beta=1.0, ell=0.0))
     B = 0.079577471545947667884
     assert K.c11[0, 1] == pytest.approx(-1j * B, abs=1e-16)
     assert K.c11[1, 0] == pytest.approx(+1j * B, abs=1e-16)
@@ -217,7 +220,7 @@ def test_closed_form_entries_along_e3():
 
 
 def test_closed_form_primed_ratio():
-    K = build_kossakowski_closed(ModelParams(omega=1.0, beta=1.0, ell=0.5))
+    K = closed_form(ModelParams(omega=1.0, beta=1.0, ell=0.5))
     ratio = K.c12[0, 1] / K.c11[0, 1]  # Bp / B = sinc(0.5)
     assert ratio == pytest.approx(0.95885107720840600055, rel=1e-14)
 
@@ -227,7 +230,7 @@ def test_construction_equivalence():
     for _ in range(300):
         p = random_params(rng)
         Ks = build_kossakowski_spectral(p, E3)
-        Kc = build_kossakowski_closed(p)
+        Kc = closed_form(p)
         assert np.abs(kossakowski_6x6(Ks) - kossakowski_6x6(Kc)).max() < 1e-13
         assert abs(Ks.norm - Kc.norm) <= 1e-13 * Ks.norm
 
@@ -247,7 +250,7 @@ def test_rotation_covariance():
     for _ in range(30):
         p = random_params(rng, allow_zero_temperature=False)
         O = random_rotation(rng)
-        K = build_kossakowski_closed(p)
+        K = closed_form(p)
         K_rot = build_kossakowski_spectral(p, O @ E3)
         np.testing.assert_allclose(K_rot.c11, O @ K.c11 @ O.T, atol=1e-13)
         np.testing.assert_allclose(K_rot.c12, O @ K.c12 @ O.T, atol=1e-13)
@@ -256,7 +259,7 @@ def test_rotation_covariance():
 def test_positivity_on_random_draws():
     rng = np.random.default_rng(17)
     for _ in range(300):
-        m = kossakowski_6x6(build_kossakowski_closed(random_params(rng)))
+        m = kossakowski_6x6(closed_form(random_params(rng)))
         assert np.abs(m - m.conj().T).max() <= 1e-12 * max(np.abs(m).max(), 1.0)
         assert np.linalg.eigvalsh(m).min() >= -1e-12 * np.linalg.norm(m, 2)
 

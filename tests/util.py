@@ -1,20 +1,24 @@
 """Shared random generators for the property tests (all explicitly seeded),
 closed-form references the library's numerical routes are checked against,
-and the independent cross-check routes that no subcommand runs: the
-frequency-sum Kossakowski matrix, the dissipator's action on a state as the
+and the independent cross-check routes that no subcommand runs: the 3x3
+blocks of the Kossakowski matrix, from arbitrary coefficients or from the
+frequency sum at any axis; the dissipator's action on a state as the
 explicit sum over K's entries (with the Pauli operators and the free
-Hamiltonian it is built from), the generator assembled from it column by
-column, the Choi matrix of the evolved map and the probe functionals of the
-entanglement-generation test with the Pauli-rotation route to its u and v."""
+Hamiltonian it is built from); the generator assembled from it column by
+column; the Choi matrix of the evolved map; and the general
+entanglement-generation discriminant for any product state, with its u and
+v (also by the Pauli-rotation route) and its probe functionals.  The
+library evaluates that discriminant only at |-> (x) |+>, in closed form."""
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from thermalpair import (KossakowskiMatrix, ModelParams, ProductState, bloch_ket, min_eig_pt,
-                         partial_transpose, unvec, vec)
+from thermalpair import (KossakowskiCoefficients, ModelParams, ProductState, bloch_ket,
+                         kossakowski_eigenvalues, min_eig_pt, partial_transpose, unvec, vec)
 from thermalpair.dynamics import SIGMA, _unit_vector, expm
+from thermalpair.entanglement import _BOUNDARY_REL_TOL
 from thermalpair.spectral import TWO_PI, _sinc
 
 # Levi-Civita symbol, epsilon[i, j, k]
@@ -166,6 +170,30 @@ def asymptotic_concurrence(R: float, tau: float) -> float:
     r2 = R * R
     val = (3.0 - r2) / (2.0 * (3.0 + r2)) * ((5.0 * r2 - 3.0) / (3.0 - r2) - tau)
     return max(val, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the 3x3 blocks of the Kossakowski matrix
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class KossakowskiMatrix:
+    """Block Kossakowski matrix [[c11, c12], [c12, c11]]: the second atom's
+    blocks equal the first's by symmetry.  norm is its spectral norm |K|_2."""
+
+    c11: np.ndarray
+    c12: np.ndarray
+    norm: float
+
+
+def kossakowski_from_coefficients(coeffs: KossakowskiCoefficients) -> KossakowskiMatrix:
+    """Blocks A 1 - iB eps.e3 + C e3 e3^T (and the primed analogue) at the
+    axis e3 for any coefficients, with |K|_2 from the closed-form eigenvalues."""
+    eye, eps_e3, e3_e3 = np.eye(3), _EPSILON[:, :, 2], np.diag([0.0, 0.0, 1.0])
+    c11 = coeffs.A * eye - 1j * coeffs.B * eps_e3 + coeffs.C * e3_e3
+    c12 = coeffs.Ap * eye - 1j * coeffs.Bp * eps_e3 + coeffs.Cp * e3_e3
+    norm = float(np.abs(kossakowski_eigenvalues(coeffs)).max())
+    return KossakowskiMatrix(c11=c11, c12=c12, norm=norm)
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +405,56 @@ def min_q_rate(state: ProductState, K: KossakowskiMatrix):
     return float(evals[0]), P @ evecs[:, 0]
 
 
+# the Pauli matrices stacked: bra @ _SIGMAS @ ket is the 3-vector <bra|sigma_i|ket>
+_SIGMAS = np.array(SIGMA)
+
+
+def uv_vectors(state: ProductState) -> tuple[np.ndarray, np.ndarray]:
+    """(u, v) with u_i = <phi'|sigma_i|phi> and v_i = <psi|sigma_i|psi'>.
+
+    phi, psi are the single-atom kets and phi', psi' their antipodes
+    (bloch_ket(-b)).  This is u_i = sum_j O_ij <+|sigma_j|-> for the Pauli
+    rotation U^dag sigma_i U = sum_j O_ij sigma_j of U = [|phi'>, |phi>],
+    and likewise for v.  Both vectors have norm sqrt(2); a phase of either
+    ket only rephases u or v, which the discriminant is insensitive to.
+    """
+    phi, psi = state.kets()
+    u = bloch_ket(-state.bloch1).conj() @ _SIGMAS @ phi
+    v = psi.conj() @ _SIGMAS @ bloch_ket(-state.bloch2)
+    return u, v
+
+
+@dataclass(frozen=True)
+class GenerationVerdict:
+    """Outcome of the general discriminant test; generated is None inside
+    the boundary band (strict inequality, inconclusive at the boundary)."""
+
+    margin: float
+    generated: bool | None
+
+    @property
+    def label(self) -> str:
+        if self.generated is None:
+            return "boundary"
+        return "true" if self.generated else "false"
+
+
+def generation_discriminant(state: ProductState, K: KossakowskiMatrix) -> GenerationVerdict:
+    """The discriminant test for entanglement generation out of any pure
+    product state (Benatti, Floreanini & Piani, PRL 91, 070402, 2003).
+
+    margin = |<u| Re C12 |v>|^2 - <u|C11|u> <v|C11^T|v>; the bath starts
+    entangling the pair iff margin > 0 (strict).  Verdicts within the
+    library's band, _BOUNDARY_REL_TOL * |K|_2^2 of zero, are inconclusive.
+    """
+    u, v = uv_vectors(state)
+    lhs = np.real(u.conj() @ K.c11 @ u) * np.real(v.conj() @ K.c11.T @ v)
+    rhs = abs(u.conj() @ np.real(K.c12) @ v) ** 2
+    margin = float(rhs - lhs)
+    generated = None if abs(margin) <= _BOUNDARY_REL_TOL * K.norm ** 2 else margin > 0
+    return GenerationVerdict(margin=margin, generated=generated)
+
+
 def _su2_from_bloch(b) -> np.ndarray:
     """Unitary with U|-> the Bloch-b state and U|+> its antipode.
 
@@ -405,7 +483,7 @@ def uv_vectors_rotation(state: ProductState):
     """(u, v) with u_i = sum_j U_ij <+|s_j|->, v_i = sum_j V_ij <-|s_j|+>.
 
     U, V are the Pauli rotations induced by the unitaries mapping |-> to
-    the two single-atom states: the route the library's bra-sigma-ket
+    the two single-atom states: the route uv_vectors' bra-sigma-ket
     products are checked against.
     """
     u = _pauli_rotation(_su2_from_bloch(state.bloch1)) @ _M_PLUS_MINUS
