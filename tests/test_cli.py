@@ -168,7 +168,8 @@ def test_config_cannot_loosen_a_guard(tmp_path, sub, config):
 
 
 def test_rk45_work_over_cap_exits_2_before_integrating(tmp_path):
-    # (t_max/omega) |M|_1 = 1.9e6: the RK45 cross-check would take about 20 s
+    # (t_max/omega) |M|_1 = 1.9e6: at the 1.3 to 2 s per 1e5 of work measured
+    # for cli.MAX_RK_WORK, the RK45 cross-check would take 25 to 40 s
     config = {"beta": 0.001, "ell": 1, "time_grid": {"t_max": 1000, "n_samples": 3}}
     start = time.perf_counter()
     res = run_cli("evolve", config=config, tmp_path=tmp_path)
@@ -493,12 +494,17 @@ def test_parser_reuse_keeps_calls_independent(tmp_path, monkeypatch, capsys):
 
 def test_phase_diagram_takes_no_svd(tmp_path, monkeypatch):
     # the boundary band is sized from K's closed-form eigenvalues, so the
-    # sweep path needs neither an SVD nor a matrix norm, also at ell = 0
+    # sweep path needs neither an SVD nor a matrix norm, also at ell = 0; the
+    # oracle's step has |dt M|_1 <= dynamics._THETA_T, so it applies exp(dt M)
+    # to the state by a Taylor series and forms no Pade exponential, whose
+    # LU solve would be the only one in the sweep
     def forbidden(*args, **kwargs):
-        raise AssertionError("the phase diagram called an SVD or a matrix norm")
+        raise AssertionError("the phase diagram called an SVD, a matrix norm, a linear "
+                             "solve or a matrix exponential")
 
-    monkeypatch.setattr(np.linalg, "svd", forbidden)
-    monkeypatch.setattr(np.linalg, "norm", forbidden)
+    for module, name in ((np.linalg, "svd"), (np.linalg, "norm"), (np.linalg, "solve"),
+                         (dynamics, "expm")):
+        monkeypatch.setattr(module, name, forbidden)
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps(
         {"sweep": {"beta_omega": [0.5, 4.0, 3], "omega_ell": [0.0, 2.0, 3]}}), encoding="utf-8")

@@ -293,6 +293,8 @@ def _corner_generators(seed, count):
 def test_expm_matches_scipy():
     from scipy.linalg import expm as scipy_expm  # reference route, tests only
 
+    eps, theta = np.finfo(float).eps, dynamics._THETA_T
+    rng = np.random.default_rng(7)
     for label, M in _corner_generators(41, 120):
         for t in (1e-6, 0.3, 5.0, 400.0, 1e5):
             ref = scipy_expm(t * M)
@@ -300,8 +302,18 @@ def test_expm_matches_scipy():
             # 1e-10, or the rounding of the entries of t M where that is larger
             # (1-norm above ~5e5, undamped include_hs oscillations at t = 1e5):
             # there both routes are ~1e-10 away from a 40-digit reference
-            tol = max(1e-10, np.finfo(float).eps * np.abs(t * M).sum(axis=0).max())
+            tol = max(1e-10, eps * np.abs(t * M).sum(axis=0).max())
             assert diff <= tol * max(1.0, np.abs(ref).max()), (label, t, diff)
+
+        # exp(tM) v at |tM|_1 on both sides of the Taylor/Pade switch; 0.039
+        # is the small-time oracle's step at beta*omega = 0.05
+        norm_M = np.abs(M).sum(axis=0).max()
+        v = vec(random_density(rng))
+        for norm in (1e-6, 0.039, theta * (1 - 2**-40), theta * (1 + 2**-20)):
+            A = M * (norm / norm_M)
+            assert (np.abs(A).sum(axis=0).max() <= theta) == (norm < theta), (label, norm)
+            diff = np.abs(dynamics.expm_multiply(A, v) - scipy_expm(A) @ v).max()
+            assert diff <= 4 * eps * np.abs(v).max(), (label, norm, diff)
 
 
 def test_expm_closed_forms():
