@@ -7,7 +7,8 @@ projector that commutes with the semigroup, so rho_inf = unvec(P vec(rho0))
 (Albert & Jiang, PRA 89, 022118, 2014).  At ell = 0 the conserved tau
 selects a member of the tau-labelled equilibrium family, and at zero
 temperature the conserved singlet/ground coherences survive as well; for
-ell > 0 the null space is one-dimensional and the state is unique.
+ell > 0 the null space is one-dimensional and the state is unique.  M is
+the dissipator alone; with the free Hamiltonian, P is masked (`_AT_REST`).
 """
 
 from __future__ import annotations
@@ -32,6 +33,10 @@ _NULLSPACE_REL_TOL = 1e-10
 # raises ConvergenceError beyond _CONV_TOL in trace norm from the prediction
 _HORIZON = 200.0
 _CONV_TOL = 1e-8
+
+# P's mask for M - i[H_S, .], which turns |a><b| (entry a + 4b of vec) unless
+# m_a = m_b; M has no non-decaying mode outside its null space
+_AT_REST = np.array([1, 0, 0, 0, 0, 1, 1, 0, 0, 1, 1, 0, 0, 0, 0, 1], dtype=float)
 
 
 def spectral_gap(M: np.ndarray) -> float:
@@ -67,19 +72,21 @@ def stationary_projector(M: np.ndarray) -> np.ndarray:
 
 
 def asymptotic_state(M: np.ndarray, rho0: np.ndarray, params: ModelParams,
-                     check: bool = True) -> tuple[np.ndarray, int]:
+                     check: bool = True, include_hs: bool = False) -> tuple[np.ndarray, int]:
     """(rho_inf, stationary dimension) of rho0 under the generator M.
 
-    rho_inf = unvec(P vec(rho0)) with P the stationary projector.  For
-    ell > 0 a null space of dimension other than 1 raises ConvergenceError.
-    With check=True the prediction is compared against the actual
-    evolution at T = _HORIZON / spectral gap; disagreement beyond _CONV_TOL
-    in trace norm raises ConvergenceError.  (With include_hs at zero
-    temperature and ell = 0 the singlet/ground coherences oscillate without
-    decaying, so the check fails for initial states carrying them.)
+    rho_inf = unvec(P vec(rho0)) with P the stationary projector, masked by
+    _AT_REST with include_hs.  For ell > 0 a null space of dimension other
+    than 1 raises ConvergenceError.  With check=True the prediction is
+    compared against the evolution under M at T = _HORIZON / spectral gap;
+    disagreement beyond _CONV_TOL in trace norm raises ConvergenceError, as
+    with include_hs at beta = inf and ell = 0 for a state that carries the
+    singlet/ground coherences, which the Hamiltonian turns forever.
     """
     rho0 = dynamics.validate_density_matrix(rho0)
     P = stationary_projector(M)
+    if include_hs:
+        P = P * _AT_REST
     dim = round(np.trace(P).real)
     if params.ell > 0 and dim != 1:
         raise ConvergenceError(

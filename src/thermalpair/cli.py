@@ -50,7 +50,7 @@ EVOLVE_HEADER = "t,trace,min_eig,min_eig_pt,concurrence,tau"
 MAX_SAMPLES = 100_000
 MAX_SWEEP_POINTS = 1_000_000
 # cap on the work of evolve's RK45 cross-check, (t_max / omega) |M|_1 of the
-# generator at e3 that it integrates, so the same at every axis n: the
+# dissipator at e3 that it integrates, so the same at every n and include_hs: the
 # explicit integrator's step count grows with it.  Work 1.91e5 (beta 0.001,
 # ell 1, t_max 100) took 2.5 to 3.9 s on a 2-vCPU Xeon VM (Python 3.11,
 # numpy 2.4), about 1.3 to 2 s of run time per 1e5 of work
@@ -328,10 +328,11 @@ def cmd_coefficients(config: RunConfig, out_path: str | None) -> int:
     return 0
 
 
-def _sweep_point(omega, rho0, beta_omega, omega_ell, include_hs) -> SweepRecord:
+def _sweep_point(omega, rho0, beta_omega, omega_ell) -> SweepRecord:
     params = ModelParams(omega=omega, beta=beta_omega / omega, ell=omega_ell / omega)
-    M = dynamics.build_superoperator(params, include_hs)
-    margin, label = entanglement.generation_test(kossakowski_coefficients(params))
+    coeffs = kossakowski_coefficients(params)
+    M = dynamics.build_superoperator(coeffs)
+    margin, label = entanglement.generation_test(coeffs)
     R, S, rs_margin = entanglement.criterion_rs(params)
     oracle = entanglement.small_time_ppt_oracle(M, rho0, _ORACLE_DT / omega)
     return SweepRecord(beta_omega=beta_omega, omega_ell=omega_ell,
@@ -345,7 +346,7 @@ def cmd_phase_diagram(config: RunConfig, out_path: str | None) -> int:
     if config.sweep is None:
         raise ConfigError("phase-diagram requires a sweep section")
     rho0 = entanglement.canonical_state().density()
-    records = [_sweep_point(config.params.omega, rho0, bw, wl, config.include_hs)
+    records = [_sweep_point(config.params.omega, rho0, bw, wl)
                for bw in config.sweep.beta_omega for wl in config.sweep.omega_ell]
 
     mismatches = [r for r in records
@@ -375,7 +376,7 @@ def cmd_evolve(config: RunConfig, out_path: str | None) -> int:
     if config.times is None:
         raise ConfigError("evolve requires a time_grid section")
     params = config.params
-    M = dynamics.build_superoperator(params, config.include_hs)
+    M = dynamics.build_superoperator(kossakowski_coefficients(params))
     with np.errstate(over="ignore"):  # an overflow to inf fails the cap below
         work = config.times[-1] / params.omega * np.abs(M).sum(axis=0).max()
     if work > MAX_RK_WORK:
@@ -383,7 +384,8 @@ def cmd_evolve(config: RunConfig, out_path: str | None) -> int:
                           f"RK45 cross-check: (t_max/omega) |M|_1 = {work:.3g} exceeds "
                           f"MAX_RK_WORK = {MAX_RK_WORK:.0e}")
     states = dynamics.evolve_traj(M, config.rho0, config.times / params.omega)
-    rho_inf, _ = asymptotic.asymptotic_state(M, config.rho0, params, check=False)
+    rho_inf, _ = asymptotic.asymptotic_state(M, config.rho0, params, check=False,
+                                             include_hs=config.include_hs)
 
     lines = [EVOLVE_HEADER]
     for t_dimless, rho in zip(config.times, states):
@@ -412,8 +414,9 @@ def cmd_evolve(config: RunConfig, out_path: str | None) -> int:
 def cmd_asymptotic(config: RunConfig, out_path: str | None) -> int:
     """Stationary-state report for the configured parameters and initial state."""
     params = config.params
-    M = dynamics.build_superoperator(params, config.include_hs)
-    rho_inf, dim = asymptotic.asymptotic_state(M, config.rho0, params, check=True)
+    M = dynamics.build_superoperator(kossakowski_coefficients(params))
+    rho_inf, dim = asymptotic.asymptotic_state(M, config.rho0, params, check=True,
+                                               include_hs=config.include_hs)
     R, _, _ = entanglement.criterion_rs(params)
     doc = {"stationary_dim": dim,
            "rho_infinity": _complex_pairs(config.frame @ rho_inf @ config.frame.conj().T),

@@ -6,12 +6,12 @@ Basis and vectorization conventions used throughout the package:
   - vec(.) stacks matrix columns (column-major), so that
     vec(A rho B) = kron(B.T, A) vec(rho).
 
-The generator is the purely dissipative Kossakowski-Lindblad form, built
-at the axis n = e3 from six fixed dissipators (`local_frame(n)` takes a
-state at another axis to e3 and back); the free-Hamiltonian commutator
--i[H_S, .] (bare frequency, no Lamb shift) can be switched on with
-`include_hs` but is excluded by default since it plays no role in the
-temperature-dependent entanglement physics.
+The generator is the Kossakowski dissipator D alone, built at the axis
+n = e3 from six fixed dissipators (`local_frame(n)` takes a state at
+another axis to e3 and back).  The free Hamiltonian's -i[H_S, .] commutes
+with D, so it only turns both atoms by one local unitary, which no emitted
+quantity sees; `asymptotic.asymptotic_state` applies its one effect, on
+which stationary states survive.
 
 Evolution applies exp(t M) to vec(rho0) (`expm_multiply`): a Taylor series
 of matrix-vector products while |t M|_1 <= _THETA_T, which holds for the
@@ -27,7 +27,7 @@ import sys
 
 import numpy as np
 
-from .spectral import ModelParams, kossakowski_coefficients, kossakowski_eigenvalues
+from .spectral import KossakowskiCoefficients, kossakowski_eigenvalues
 
 
 SIGMA = (
@@ -61,11 +61,6 @@ for _s in (1.0, -1.0):
     _Z = np.kron(SIGMA[2].real, np.eye(2)) + _s * np.kron(np.eye(2), SIGMA[2].real)
     _DISSIPATORS += [_dissipator(_L), _dissipator(_L.T), 0.5 * _dissipator(_Z)]
 _DISSIPATORS = np.array(_DISSIPATORS)
-
-# charge m_a - m_b of |a><b| in vec order, with m = (1, 0, 0, -1) the total
-# sigma3 / 2 of |a>: at e3, -i[H_S, .] is the diagonal -i omega _CHARGE
-_M3 = np.array([1.0, 0.0, 0.0, -1.0])
-_CHARGE = (_M3[:, None] - _M3[None, :]).reshape(-1, order="F")
 
 # sigma_i (x) sigma_i, used by the total-spin correlator tau
 _SIGMA_SIGMA = tuple(np.kron(SIGMA[i], SIGMA[i]) for i in range(3))
@@ -335,26 +330,21 @@ def local_frame(n) -> np.ndarray:
     return np.kron(U, U)
 
 
-def build_superoperator(params: ModelParams, include_hs: bool = False) -> np.ndarray:
+def build_superoperator(coeffs: KossakowskiCoefficients) -> np.ndarray:
     """16x16 matrix M with M vec(rho) = vec(d rho / dt) at the axis n = e3.
 
     M is sum_k lambda_k _DISSIPATORS[k] with lambda the six eigenvalues of
-    the Kossakowski matrix (spectral.kossakowski_eigenvalues); with
-    include_hs the commutator -i[H_S, .] at the bare frequency adds
-    -i omega _CHARGE to its diagonal.  K >= 0 is the whole
-    complete-positivity condition of a Lindblad generator: a minimum
-    eigenvalue below -_CP_REL_TOL / 6 times the largest raises
-    PositivityError.
+    the Kossakowski matrix of coeffs (spectral.kossakowski_eigenvalues), and
+    no Hamiltonian term.  K >= 0 is the whole complete-positivity condition
+    of a Lindblad generator: a minimum eigenvalue below -_CP_REL_TOL / 6
+    times the largest raises PositivityError.
     """
-    lam = kossakowski_eigenvalues(kossakowski_coefficients(params))
+    lam = kossakowski_eigenvalues(coeffs)
     if lam.min() < -_CP_REL_TOL * lam.max() / 6:
         raise PositivityError(f"Kossakowski matrix is not positive semidefinite: minimum "
                               f"eigenvalue {lam.min():.3e}, the generator is not completely "
                               f"positive")
-    M = np.tensordot(lam, _DISSIPATORS, axes=1)
-    if include_hs:
-        M = M - 1j * params.omega * np.diag(_CHARGE)
-    return M
+    return np.tensordot(lam, _DISSIPATORS, axes=1)
 
 
 def evolve(M: np.ndarray, rho0: np.ndarray, t: float) -> np.ndarray:

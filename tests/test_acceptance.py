@@ -83,7 +83,7 @@ def test_criterion_2_small_time_oracle_equivalence():
             if abs(rs) <= 1e-3:
                 continue
             checked += 1
-            M = build_superoperator(p)
+            M = build_superoperator(kossakowski_coefficients(p))
             oracle = small_time_ppt_oracle(M, rho0, 1e-3)
             if oracle != (rs > 0):
                 mismatches += 1
@@ -126,7 +126,7 @@ def test_criterion_4_complete_positivity():
     worst_choi = math.inf
     for _ in range(50):
         p = random_params(rng)
-        M = build_superoperator(p)
+        M = build_superoperator(kossakowski_coefficients(p))
         worst_choi = min(worst_choi, np.linalg.eigvalsh(choi_matrix(M, 0.1 / p.omega)).min())
     choi_ok = worst_choi >= -1e-10
     _report(4, "complete positivity", psd_ok and choi_ok,
@@ -169,7 +169,7 @@ def test_criterion_6_stationarity_and_convergence():
     stat_ok = worst_resid < 1e-12
 
     p = ModelParams(omega=1.0, beta=1.0, ell=0.0)
-    M = build_superoperator(p)
+    M = build_superoperator(kossakowski_coefficients(p))
     R = temperature_ratio(p)
     T = 200.0 / spectral_gap(M)
     from scipy.linalg import expm
@@ -190,7 +190,7 @@ def test_criterion_6_stationarity_and_convergence():
 def test_criterion_7_conservation_laws():
     """tau constant to 1e-9, trace to 1e-12, positivity to -1e-10 on trajectories."""
     p = ModelParams(omega=1.0, beta=1.0, ell=0.0)
-    M = build_superoperator(p)
+    M = build_superoperator(kossakowski_coefficients(p))
     rng = np.random.default_rng(103)
     times = np.linspace(0.0, 50.0, 26)
     worst_tau = worst_trace = 0.0
@@ -216,7 +216,7 @@ def test_criterion_8_finite_separation_separability():
     for wl in (0.5, 1.0, 2.0, 5.0):
         for bw in (0.5, 1.0, 2.0):
             p = ModelParams(omega=1.0, beta=bw, ell=wl)
-            M = build_superoperator(p)
+            M = build_superoperator(kossakowski_coefficients(p))
             P = stationary_projector(M)
             dim = round(np.trace(P).real)
             rho_inf = unvec(P @ vec(rho0))

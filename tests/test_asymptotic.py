@@ -13,6 +13,7 @@ from thermalpair import (
     build_superoperator,
     canonical_state,
     concurrence,
+    kossakowski_coefficients,
     min_eig_pt,
     singlet_density,
     singlet_ket,
@@ -26,11 +27,13 @@ from thermalpair import (
     validate_density_matrix,
     vec,
 )
+from thermalpair.asymptotic import _AT_REST
 from thermalpair.spectral import KossakowskiCoefficients
 
 from util import (asymptotic_concurrence, build_kossakowski_spectral, dissipator_reference,
-                  equilibrium_closed_form, equilibrium_coefficients, kossakowski_from_coefficients,
-                  random_density, random_params, superoperator_reference)
+                  equilibrium_closed_form, equilibrium_coefficients, generator_with_hamiltonian,
+                  kossakowski_from_coefficients, random_density, random_params,
+                  superoperator_reference)
 
 R_GRID = np.round(np.arange(0.0, 1.0001, 0.1), 10)
 TAU_GRID = np.round(np.arange(-3.0, 1.0001, 0.5), 10)
@@ -47,7 +50,8 @@ def generator_for_ratio(R):
         coeffs = KossakowskiCoefficients(A=1.0, B=0.0, C=0.0, Ap=1.0, Bp=0.0, Cp=0.0)
         return superoperator_reference(kossakowski_from_coefficients(coeffs))
     beta = math.inf if R == 1.0 else 2.0 * math.atanh(R)
-    return build_superoperator(ModelParams(omega=1.0, beta=beta, ell=0.0))
+    params = ModelParams(omega=1.0, beta=beta, ell=0.0)
+    return build_superoperator(kossakowski_coefficients(params))
 
 
 def coherent_ground_singlet():
@@ -69,23 +73,25 @@ def stationary_dim(M):
 
 def test_stationary_dimension_degenerate_at_zero_separation():
     p = ModelParams(omega=1.0, beta=1.0, ell=0.0)
-    M = build_superoperator(p)
+    M = build_superoperator(kossakowski_coefficients(p))
     assert stationary_dim(M) == 2
 
 
 def test_stationary_dimension_unique_at_finite_separation():
     p = ModelParams(omega=1.0, beta=1.0, ell=2.0)
-    M = build_superoperator(p)
+    M = build_superoperator(kossakowski_coefficients(p))
     assert stationary_dim(M) == 1
 
 
 def test_stationary_dimension_at_zero_temperature_and_separation():
     # ground, singlet and the two coherences between them
     p = ModelParams(omega=1.0, beta=math.inf, ell=0.0)
-    M = build_superoperator(p)
+    M = build_superoperator(kossakowski_coefficients(p))
     assert stationary_dim(M) == 4
-    M_h = build_superoperator(p, include_hs=True)
+    M_h = generator_with_hamiltonian(p)
     assert stationary_dim(M_h) == 2  # the coherences oscillate at omega
+    # the dissipator's projector masked to m_a = m_b has the same rank
+    assert round(np.trace(stationary_projector(M) * _AT_REST).real) == 2
 
 
 def test_stationary_basis_elements_are_stationary():
@@ -93,7 +99,7 @@ def test_stationary_basis_elements_are_stationary():
     for ell in (0.0, 2.0):
         p = ModelParams(omega=1.0, beta=1.0, ell=ell)
         K = build_kossakowski_spectral(p, (0.0, 0.0, 1.0))
-        P = stationary_projector(build_superoperator(p))
+        P = stationary_projector(build_superoperator(kossakowski_coefficients(p)))
         for col in P.T:
             assert np.abs(dissipator_reference(K, unvec(col))).max() < 1e-12
 
@@ -104,9 +110,10 @@ def test_stationary_basis_rejects_bad_shape():
 
 
 def test_stationary_projector_properties():
-    """On seeded random parameters, with include_hs on every other one:
-    P^2 = P, M P = P M = 0, vec(I)^dag P = vec(I)^dag, and at finite
-    temperature and ell = 0, P rho0 is the closed-form equilibrium."""
+    """On seeded random parameters, with the free Hamiltonian (the reference
+    generator) on every other one: P^2 = P, M P = P M = 0,
+    vec(I)^dag P = vec(I)^dag, and at finite temperature and ell = 0,
+    P rho0 is the closed-form equilibrium."""
     rng = np.random.default_rng(52)
     vec_id = vec(np.eye(4))
     seen = set()
@@ -116,7 +123,8 @@ def test_stationary_projector_properties():
         seen |= {"beta_inf"} if math.isinf(p.beta) else set()
         seen |= {"ell_0"} if p.ell == 0 else set()
         seen |= {"include_hs"} if include_hs else set()
-        M = build_superoperator(p, include_hs)
+        M = (generator_with_hamiltonian(p) if include_hs
+             else build_superoperator(kossakowski_coefficients(p)))
         P = stationary_projector(M)
         scale = np.abs(M).max()
         label = f"{p} include_hs={include_hs}"
@@ -216,7 +224,7 @@ def test_concurrence_positive_region_matches_threshold():
 
 def test_asymptotic_state_canonical_at_zero_separation():
     p = ModelParams(omega=1.0, beta=1.0, ell=0.0)
-    M = build_superoperator(p)
+    M = build_superoperator(kossakowski_coefficients(p))
     rho_inf, dim = asymptotic_state(M, canonical_state().density(), p)
     assert dim == 2
     # tau = -1 for orthogonal pure states: concurrence 2R^2/(3+R^2)
@@ -225,7 +233,7 @@ def test_asymptotic_state_canonical_at_zero_separation():
 
 def test_asymptotic_state_singlet_is_fixed():
     p = ModelParams(omega=1.0, beta=0.5, ell=0.0)
-    M = build_superoperator(p)
+    M = build_superoperator(kossakowski_coefficients(p))
     rho_inf, _ = asymptotic_state(M, singlet_density(), p)
     assert trace_norm(rho_inf - singlet_density()) < 1e-10
 
@@ -233,7 +241,7 @@ def test_asymptotic_state_singlet_is_fixed():
 def test_asymptotic_state_unique_and_separable_at_finite_separation():
     rng = np.random.default_rng(51)
     p = ModelParams(omega=1.0, beta=1.0, ell=2.0)
-    M = build_superoperator(p)
+    M = build_superoperator(kossakowski_coefficients(p))
     rho_a, dim = asymptotic_state(M, random_density(rng), p)
     rho_b, _ = asymptotic_state(M, random_density(rng), p)
     assert dim == 1
@@ -246,7 +254,7 @@ def test_asymptotic_state_keeps_conserved_coherences():
     # zero temperature, ell = 0: the singlet/ground coherence is conserved,
     # so the state is its own limit, which the tau family alone would miss
     p = ModelParams(omega=1.0, beta=math.inf, ell=0.0)
-    M = build_superoperator(p)
+    M = build_superoperator(kossakowski_coefficients(p))
     rho0 = coherent_ground_singlet()
     rho_inf, dim = asymptotic_state(M, rho0, p)
     assert dim == 4
@@ -255,23 +263,25 @@ def test_asymptotic_state_keeps_conserved_coherences():
 
 def test_asymptotic_state_convergence_check_fires():
     # with the free Hamiltonian the singlet/ground coherence rotates at
-    # omega forever: no stationary state is reached
+    # omega forever: no stationary state is reached, under the full
+    # generator or under the dissipator with the masked projector
     p = ModelParams(omega=1.0, beta=math.inf, ell=0.0)
-    M = build_superoperator(p, include_hs=True)
     with pytest.raises(ConvergenceError):
-        asymptotic_state(M, coherent_ground_singlet(), p)
+        asymptotic_state(generator_with_hamiltonian(p), coherent_ground_singlet(), p)
+    M = build_superoperator(kossakowski_coefficients(p))
+    with pytest.raises(ConvergenceError):
+        asymptotic_state(M, coherent_ground_singlet(), p, include_hs=True)
 
 
 def test_spectral_gap_positive():
     for ell in (0.0, 0.5, 2.0):
         p = ModelParams(omega=1.0, beta=1.0, ell=ell)
-        M = build_superoperator(p)
+        M = build_superoperator(kossakowski_coefficients(p))
         assert spectral_gap(M) > 0.01
 
 
 def test_temperature_ratio_consistent_with_family():
     # R used by the family equals the coefficient ratio B/A
-    from thermalpair import kossakowski_coefficients
     p = ModelParams(omega=1.3, beta=0.9, ell=0.0)
     c = kossakowski_coefficients(p)
     assert temperature_ratio(p) == pytest.approx(c.B / c.A, rel=1e-14)

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from thermalpair import cli, dynamics, spectral
+from thermalpair import asymptotic, cli, dynamics, entanglement, spectral
 
 from util import equilibrium_closed_form
 
@@ -195,6 +195,26 @@ def test_rk45_work_cap_gives_the_same_verdict_at_every_axis(tmp_path, capsys):
     assert results[0][0] == 2 and "MAX_RK_WORK" in results[0][1]
 
 
+def test_rk45_work_cap_gives_the_same_verdict_with_and_without_include_hs(tmp_path, monkeypatch,
+                                                                       capsys):
+    # RK45 integrates the dissipator alone, so the cap reads its |M|_1 = 1.809
+    # here, (t_max/omega) |M|_1 = 3.62e5, whatever include_hs says; a
+    # generator with the free Hamiltonian has |M|_1 = 2.049 and would
+    # give another figure.  Nothing is integrated.
+    def forbidden(*args):
+        raise AssertionError("the RK45 work cap let an over-cap grid integrate")
+
+    monkeypatch.setattr(dynamics, "evolve_traj", forbidden)
+    config = {"beta": 10, "ell": 1, "time_grid": {"t_max": 2e5, "n_samples": 3}}
+    results = []
+    for include_hs in (False, True):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**config, "include_hs": include_hs}), encoding="utf-8")
+        results.append((cli.main(["evolve", "--config", str(path)]), capsys.readouterr().err))
+    assert results[0] == results[1]
+    assert results[0][0] == 2 and "= 3.62e+05 exceeds MAX_RK_WORK" in results[0][1]
+
+
 @pytest.mark.parametrize("sub", ["phase-diagram", "evolve", "asymptotic"])
 def test_non_psd_kossakowski_matrix_exits_4(tmp_path, monkeypatch, capsys, sub):
     # at ell = 0 the primed coefficients equal the unprimed ones; scaled by
@@ -205,7 +225,7 @@ def test_non_psd_kossakowski_matrix_exits_4(tmp_path, monkeypatch, capsys, sub):
         return spectral.KossakowskiCoefficients(A=c.A, B=c.B, C=c.C, Ap=1.5 * c.Ap,
                                                 Bp=1.5 * c.Bp, Cp=1.5 * c.Cp)
 
-    monkeypatch.setattr(dynamics, "kossakowski_coefficients", corrupted)
+    monkeypatch.setattr(cli, "kossakowski_coefficients", corrupted)
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"ell": 0.0, "time_grid": {"t_max": 1.0, "n_samples": 3},
                                 "sweep": {"beta_omega": [1.0, 1.0, 1],
@@ -296,12 +316,13 @@ def test_phase_diagram_out_file_matches_stdout(tmp_path):
 
 
 def test_phase_diagram_verdicts_insensitive_to_hamiltonian_flag(tmp_path):
-    # the free Hamiltonian is local: discriminant and oracle columns unchanged
+    # the free Hamiltonian is local and commutes with the dissipator, so the
+    # sweep never builds it: the CSV is the same byte for byte
     plain = run_cli("phase-diagram", config=SWEEP, tmp_path=tmp_path)
     with_h = run_cli("phase-diagram", config={**SWEEP, "include_hs": True}, tmp_path=tmp_path)
     assert plain.returncode == with_h.returncode == 0
-    for a, b in zip(plain.stdout.splitlines()[1:], with_h.stdout.splitlines()[1:]):
-        assert a.split(",")[6:8] == b.split(",")[6:8]
+    assert plain.stdout == with_h.stdout
+    assert len(plain.stdout.splitlines()) == 3
 
 
 # ------------------------------------------------------------------- evolve
@@ -412,6 +433,35 @@ def test_asymptotic_state_at_an_axis_is_the_closed_form_equilibrium(tmp_path):
     rho = np.array([complex(*z) for z in json.loads(res.stdout)["rho_infinity"]]).reshape(4, 4)
     expected = equilibrium_closed_form(math.tanh(0.5), -1.0, n)
     np.testing.assert_allclose(rho, expected, rtol=0, atol=1e-12)
+
+
+# zero temperature and ell = 0 with the free Hamiltonian
+DARK_CORNER = {"omega": 1.0, "beta": "inf", "ell": 0.0, "include_hs": True,
+               "time_grid": {"t_max": 10.0, "n_samples": 3}}
+
+
+@pytest.mark.parametrize("bloch2,code,stderr", [
+    ([0, 0, 1], 0, ""),
+    ([0, 0, -1], 5, "error: evolution at T=628 is 7.071e-01 (trace norm) from the predicted "
+                    "state\n"),
+], ids=["e3", "minus-e3"])
+def test_dark_corner_with_the_free_hamiltonian(tmp_path, capsys, bloch2, code, stderr):
+    # |+x> (x) |-> carries the singlet/ground coherence, which the
+    # Hamiltonian turns forever, so asymptotic refuses it; every coherence
+    # of |+x> (x) |+> decays, and it settles on the rank-2 manifold.  evolve
+    # reports the masked state for both, whose concurrence is 1/4 (to
+    # bench/check.py's CONCURRENCE_TOL)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**DARK_CORNER, "initial_state": {
+        "product": {"bloch1": [1, 0, 0], "bloch2": bloch2}}}), encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["asymptotic", "--config", str(path), "--out", str(out)]) == code
+    assert capsys.readouterr().err == stderr
+    if code == 0:
+        assert json.loads(out.read_text(encoding="utf-8"))["stationary_dim"] == 2
+    assert cli.main(["evolve", "--config", str(path), "--out", str(out)]) == 0
+    summary = json.loads((tmp_path / "out.summary.json").read_text(encoding="utf-8"))
+    assert abs(summary["asymptotic_concurrence"] - 0.25) <= 1e-7
 
 
 def test_asymptotic_convergence_failure_exits_5(tmp_path):
@@ -533,6 +583,27 @@ def test_phase_diagram_builds_the_canonical_kets_once(tmp_path, monkeypatch):
                          "--out", str(tmp_path / "out.csv")]) == 0
         counts.append(len(calls))
     assert counts[0] == counts[1], counts
+
+
+def test_phase_diagram_reads_k_once_per_point(tmp_path, monkeypatch):
+    # one kossakowski_coefficients call per grid point, shared by the
+    # generator and the discriminant, under every name the package binds it
+    calls = []
+    real = spectral.kossakowski_coefficients
+
+    def counting(params):
+        calls.append(params)
+        return real(params)
+
+    for module in (cli, dynamics, entanglement, asymptotic, spectral):
+        if hasattr(module, "kossakowski_coefficients"):
+            monkeypatch.setattr(module, "kossakowski_coefficients", counting)
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(
+        {"sweep": {"beta_omega": [0.5, 4.0, 4], "omega_ell": [0.0, 2.0, 4]}}), encoding="utf-8")
+    assert cli.main(["phase-diagram", "--config", str(path),
+                     "--out", str(tmp_path / "out.csv")]) == 0
+    assert len(calls) == 16
 
 
 def test_no_subcommand_imports_scipy(tmp_path):

@@ -15,6 +15,7 @@ from thermalpair import (
     canonical_state,
     evolve,
     evolve_traj,
+    kossakowski_coefficients,
     local_frame,
     singlet_density,
     tau,
@@ -26,13 +27,13 @@ from thermalpair import dynamics
 from thermalpair.dynamics import SIGMA
 
 from util import (build_kossakowski_spectral, choi_matrix, dissipator_apply,
-                  dissipator_reference, hamiltonian, pauli_op, random_bloch, random_density,
-                  random_params)
+                  dissipator_reference, generator_with_hamiltonian, hamiltonian, pauli_op,
+                  random_bloch, random_density, random_params)
 
 E3 = np.array([0.0, 0.0, 1.0])
 P_L0 = ModelParams(omega=1.0, beta=1.0, ell=0.0)
 K_L0 = build_kossakowski_spectral(P_L0, E3)
-M_L0 = build_superoperator(P_L0)
+M_L0 = build_superoperator(kossakowski_coefficients(P_L0))
 
 
 def ket(index):
@@ -102,7 +103,8 @@ def test_dissipator_rejects_wrong_shape():
 
 def test_superoperator_matches_dissipator():
     # the closed-form eigenvalues on fixed dissipators against the explicit
-    # sum over K's entries, plus the commutator with the free Hamiltonian
+    # sum over K's entries; the reference generator with the free
+    # Hamiltonian differs from M by exactly its commutator
     rng = np.random.default_rng(22)
     corners = set()
     for _ in range(100):
@@ -113,28 +115,32 @@ def test_superoperator_matches_dissipator():
             corners.add("ell=0")
         rho = random_density(rng)
         expected = dissipator_reference(build_kossakowski_spectral(p, E3), rho)
-        assert np.abs(unvec(build_superoperator(p) @ vec(rho)) - expected).max() < 1e-13
+        M = build_superoperator(kossakowski_coefficients(p))
+        assert np.abs(unvec(M @ vec(rho)) - expected).max() < 1e-13
         h = hamiltonian(p, E3)
-        expected -= 1j * (h @ rho - rho @ h)
-        M_h = build_superoperator(p, include_hs=True)
-        assert np.abs(unvec(M_h @ vec(rho)) - expected).max() < 1e-13
+        expected = -1j * (h @ rho - rho @ h)
+        M_h = generator_with_hamiltonian(p)
+        assert np.abs(unvec((M_h - M) @ vec(rho)) - expected).max() < 1e-13
     assert corners == {"beta=inf", "ell=0"}
 
 
 def test_superoperator_conserves_charge_at_e3():
     # at n = e3 every channel keeps the charge q = m_a - m_b of |a><b|
-    # (m = 1, 0, 0, -1), so M is exactly 0 between different charges, and
-    # the free Hamiltonian adds exactly -i omega q to the diagonal
+    # (m = 1, 0, 0, -1), so M is exactly 0 between different charges; the
+    # free Hamiltonian's -i[H_S, .] is exactly -i omega q on the diagonal,
+    # so it commutes with M exactly and the generator can leave it out
     m = np.array([1.0, 0.0, 0.0, -1.0])
     q = vec(m[:, None] - m[None, :]).real
     rng = np.random.default_rng(30)
     draws = [P_L0, ModelParams(omega=1.0, beta=math.inf, ell=0.0)]
     draws += [random_params(rng) for _ in range(20)]
     for p in draws:
-        M = build_superoperator(p)
+        M = build_superoperator(kossakowski_coefficients(p))
         assert np.all(M[q[:, None] != q[None, :]] == 0), p
-        diff = build_superoperator(p, include_hs=True) - M
-        np.testing.assert_array_equal(diff, np.diag(-1j * p.omega * q))
+        h = hamiltonian(p, E3)
+        L_h = -1j * (np.kron(np.eye(4), h) - np.kron(h.T, np.eye(4)))
+        np.testing.assert_array_equal(L_h, np.diag(-1j * p.omega * q))
+        np.testing.assert_array_equal(M @ L_h, L_h @ M)
 
 
 def test_local_frame_takes_the_axis_to_e3():
@@ -176,7 +182,7 @@ def test_superoperator_spectrum():
     rng = np.random.default_rng(23)
     for _ in range(20):
         p = random_params(rng)
-        M = build_superoperator(p)
+        M = build_superoperator(kossakowski_coefficients(p))
         ev = np.linalg.eigvals(M)
         assert np.abs(ev).min() < 1e-10 * max(np.abs(ev).max(), 1.0)  # stationary state
         assert ev.real.max() <= 1e-12 * max(np.abs(ev).max(), 1.0)   # contraction
@@ -194,16 +200,23 @@ def test_superoperator_preserves_trace_and_hermiticity():
 
 
 def test_superoperator_with_hamiltonian():
+    # the reference generator with the free Hamiltonian evolves a state as
+    # M does, followed by exp(-i H_S t), the same turn on both atoms
     p = ModelParams(omega=1.3, beta=0.7, ell=0.4)
     K = build_kossakowski_spectral(p, E3)
-    M = build_superoperator(p, include_hs=True)
+    M = build_superoperator(kossakowski_coefficients(p))
+    M_h = generator_with_hamiltonian(p)
     h = hamiltonian(p, E3)
     rng = np.random.default_rng(25)
     for _ in range(20):
         rho = random_density(rng)
         expected = dissipator_reference(K, rho) - 1j * (h @ rho - rho @ h)
-        assert np.abs(unvec(M @ vec(rho)) - expected).max() < 1e-13
-    ev = np.linalg.eigvals(M)
+        assert np.abs(unvec(M_h @ vec(rho)) - expected).max() < 1e-13
+        t = float(rng.uniform(0.0, 10.0))
+        U = np.diag(np.exp(-1j * t * np.diag(h)))  # h is diagonal at e3
+        turned = U @ evolve(M, rho, t) @ U.conj().T
+        assert np.abs(evolve(M_h, rho, t) - turned).max() < 1e-13
+    ev = np.linalg.eigvals(M_h)
     assert ev.real.max() <= 1e-12 * np.abs(ev).max()
 
 
@@ -251,7 +264,7 @@ def test_evolve_reports_a_repaired_trace_deviation_on_one_stderr_line(capsys):
     # at t = 1e5 the matrix exponential's 25 squarings leave a trace
     # deviation of 5e-9, above 1e-10, which evolve repairs and reports
     p = ModelParams(omega=1.0, beta=0.001, ell=1.0)
-    M = build_superoperator(p)
+    M = build_superoperator(kossakowski_coefficients(p))
     evolve(M, canonical_state().density(), 1e5)
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -263,7 +276,7 @@ def test_positivity_preserved_forward():
     rng = np.random.default_rng(27)
     for _ in range(20):
         p = random_params(rng)
-        M = build_superoperator(p)
+        M = build_superoperator(kossakowski_coefficients(p))
         rho0 = random_density(rng)
         t = float(rng.uniform(0.0, 50.0 / p.omega))
         rho_t = evolve(M, rho0, t)
@@ -274,8 +287,9 @@ def test_positivity_preserved_forward():
 # ------------------------------------------- matrix exponential and RK45
 
 def _corner_generators(seed, count):
-    """(label, M) for `count` seeded random_params, include_hs on every
-    other one; asserts that beta = inf, ell = 0 and include_hs all occur."""
+    """(label, M) for `count` seeded random_params, with the free
+    Hamiltonian (the reference generator) on every other one; asserts that
+    beta = inf, ell = 0 and include_hs all occur."""
     rng = np.random.default_rng(seed)
     out, seen = [], set()
     for k in range(count):
@@ -285,7 +299,8 @@ def _corner_generators(seed, count):
         seen |= {"ell_0"} if p.ell == 0 else set()
         seen |= {"include_hs"} if include_hs else set()
         out.append((f"{p} include_hs={include_hs}",
-                    build_superoperator(p, include_hs)))
+                    generator_with_hamiltonian(p) if include_hs
+                    else build_superoperator(kossakowski_coefficients(p))))
     assert seen == {"beta_inf", "ell_0", "include_hs"}
     return out
 
@@ -427,7 +442,7 @@ def test_choi_matrix_is_positive():
     rng = np.random.default_rng(29)
     for _ in range(10):
         p = random_params(rng)
-        M = build_superoperator(p)
+        M = build_superoperator(kossakowski_coefficients(p))
         choi = choi_matrix(M, 0.1 / p.omega)
         np.testing.assert_allclose(choi, choi.conj().T, atol=1e-12)
         assert np.linalg.eigvalsh(choi).min() >= -1e-10

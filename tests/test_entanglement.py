@@ -23,10 +23,10 @@ from thermalpair import (
 from thermalpair.spectral import kossakowski_coefficients
 
 from util import (KossakowskiMatrix, build_kossakowski_spectral, equilibrium_closed_form,
-                  generation_discriminant, is_entangled, kossakowski_6x6, min_q_rate, q_probe,
-                  q_rate, random_bloch, random_density, random_params, random_product_state,
-                  random_rotation, random_separable_density, random_unit_complex, uv_vectors,
-                  uv_vectors_rotation)
+                  generation_discriminant, generator_with_hamiltonian, is_entangled,
+                  kossakowski_6x6, min_q_rate, q_probe, q_rate, random_bloch, random_density,
+                  random_params, random_product_state, random_rotation, random_separable_density,
+                  random_unit_complex, uv_vectors, uv_vectors_rotation)
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -281,17 +281,17 @@ def test_probe_optimality_matches_discriminant():
 def test_small_time_oracle_frozen_points():
     state = canonical_state()
     p = ModelParams(omega=1.0, beta=1.0, ell=0.5)
-    M = build_superoperator(p)
+    M = build_superoperator(kossakowski_coefficients(p))
     assert small_time_ppt_oracle(M, state.density(), 1e-3) is True
 
     p = ModelParams(omega=1.0, beta=1.0, ell=3.0)
-    M = build_superoperator(p)
+    M = build_superoperator(kossakowski_coefficients(p))
     assert small_time_ppt_oracle(M, state.density(), 1e-3) is False
 
 
 def test_small_time_oracle_rejects_bad_dt():
     p = ModelParams(omega=1.0, beta=1.0, ell=0.5)
-    M = build_superoperator(p)
+    M = build_superoperator(kossakowski_coefficients(p))
     with pytest.raises(ValueError):
         small_time_ppt_oracle(M, canonical_state().density(), 0.0)
 
@@ -307,7 +307,7 @@ def test_oracle_agrees_for_generic_product_states():
         verdict = generation_discriminant(state, K)
         if verdict.generated is None or abs(verdict.margin) < 1e-6 * K.norm ** 2:
             continue
-        M = build_superoperator(p)
+        M = build_superoperator(kossakowski_coefficients(p))
         oracle = small_time_ppt_oracle(M, state.density(), 1e-3 / p.omega)
         assert oracle == verdict.generated
         checked += 1
@@ -318,5 +318,5 @@ def test_oracle_insensitive_to_hamiltonian_term():
     # the free Hamiltonian is local, so it cannot change the verdict
     state = canonical_state()
     p = ModelParams(omega=1.0, beta=1.0, ell=0.5)
-    M_h = build_superoperator(p, include_hs=True)
+    M_h = generator_with_hamiltonian(p)
     assert small_time_ppt_oracle(M_h, state.density(), 1e-3) is True

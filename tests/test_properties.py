@@ -3,9 +3,10 @@ complete-positivity guard, M against the reference route, trace and
 Hermiticity preservation of M, the closed-form discriminant against the
 general product-state one at |-+> and its canonical-state reduction,
 concurrence against the partial-transpose verdict, the
-Gibbs state as a stationary state (the bath is KMS), and the axis n as a
-local frame only: the generator at n, and the CLI's phase diagram and
-trajectories at n, against those at e3."""
+Gibbs state as a stationary state (the bath is KMS), the free Hamiltonian
+as a local turn that commutes with M and masks its stationary projector,
+and the axis n as a local frame only: the generator at n, and the CLI's
+phase diagram and trajectories at n, against those at e3."""
 
 import json
 import math
@@ -15,13 +16,16 @@ from pathlib import Path
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from thermalpair import (ModelParams, build_superoperator, canonical_state, cli, concurrence,
-                         criterion_rs, evolve, generation_test, kossakowski_coefficients,
-                         kossakowski_eigenvalues, local_frame, min_eig_pt, unvec, vec)
+from thermalpair import (ModelParams, ProductState, asymptotic_state, build_superoperator,
+                         canonical_state, cli, concurrence, criterion_rs, evolve,
+                         generation_test, kossakowski_coefficients, kossakowski_eigenvalues,
+                         local_frame, min_eig_pt, stationary_projector, tau, unvec, vec)
+from thermalpair.asymptotic import _AT_REST, _NULLSPACE_REL_TOL
 from thermalpair.dynamics import _CP_REL_TOL
 
-from util import (build_kossakowski_spectral, generation_discriminant, hamiltonian,
-                  kossakowski_6x6, kossakowski_from_coefficients, superoperator_reference)
+from util import (build_kossakowski_spectral, generation_discriminant,
+                  generator_with_hamiltonian, hamiltonian, kossakowski_6x6,
+                  kossakowski_from_coefficients, superoperator_reference)
 
 
 def _log_uniform(lo, hi):
@@ -33,8 +37,9 @@ def _unit(v):
     return [x / norm for x in v] if norm > 0.1 else [0.0, 0.0, 1.0]
 
 
-# the corners: beta = inf, ell = 0, ell -> 0+ (omega*ell down to 1e-12) and
-# include_hs, beside generic and extreme beta*omega
+# the corners: beta = inf, ell = 0 and ell -> 0+ (omega*ell down to 1e-12),
+# beside generic and extreme beta*omega; include_hs is a flag of the CLI and
+# of asymptotic_state, drawn by the tests of both
 beta_omega = st.one_of(st.just(math.inf), _log_uniform(1e-3, 1e3))
 omega_ell = st.one_of(st.just(0.0), _log_uniform(1e-12, 1e-3), st.floats(0.0, 20.0))
 unit = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).map(_unit)
@@ -44,19 +49,18 @@ SETTINGS = settings(derandomize=True, max_examples=300, deadline=None, database=
 
 @st.composite
 def models(draw):
-    """(params, include_hs, K, M) at a drawn corner."""
+    """(params, K, M) at a drawn corner."""
     omega = draw(_log_uniform(0.25, 4.0))
     params = ModelParams(omega=omega, beta=draw(beta_omega) / omega,
                          ell=draw(omega_ell) / omega)
-    include_hs = draw(st.booleans())
-    K = kossakowski_from_coefficients(kossakowski_coefficients(params))
-    return params, include_hs, K, build_superoperator(params, include_hs)
+    coeffs = kossakowski_coefficients(params)
+    return params, kossakowski_from_coefficients(coeffs), build_superoperator(coeffs)
 
 
 @SETTINGS
 @given(models())
 def test_kossakowski_passes_the_cp_guard(model):
-    params, _, K, _ = model
+    params, K, _ = model
     eigs = np.linalg.eigvalsh(kossakowski_6x6(K))
     lam = kossakowski_eigenvalues(kossakowski_coefficients(params))
     assert np.abs(np.sort(lam) - eigs).max() <= 1e-14 * np.abs(eigs).max()
@@ -68,15 +72,15 @@ def test_kossakowski_passes_the_cp_guard(model):
 @SETTINGS
 @given(models())
 def test_generator_matches_the_reference_route(model):
-    params, include_hs, K, M = model
-    ref = superoperator_reference(K, hamiltonian(params, E3) if include_hs else None)
+    _, K, M = model
+    ref = superoperator_reference(K)
     assert np.abs(M - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 @SETTINGS
 @given(models())
 def test_generator_preserves_trace_and_hermiticity(model):
-    _, _, _, M = model
+    _, _, M = model
     scale = np.abs(M).max()
     # vec(I)^T M = 0: every d rho / dt is traceless
     assert np.abs(vec(np.eye(4)) @ M).max() <= 1e-14 * scale
@@ -94,7 +98,7 @@ def test_generator_preserves_trace_and_hermiticity(model):
 @SETTINGS
 @given(models())
 def test_discriminant_sign_matches_rs_margin(model):
-    params, _, _, _ = model
+    params, _, _ = model
     margin, label = generation_test(kossakowski_coefficients(params))
     _, _, rs_margin = criterion_rs(params)
     if label != "boundary":
@@ -125,7 +129,7 @@ def test_concurrence_is_positive_exactly_when_partial_transpose_is_negative(mode
                                                                           noise):
     # the canonical state, mixed with white noise so that separable states
     # are full rank and keep their partial transpose away from 0
-    params, _, _, M = model
+    params, _, M = model
     rho0 = (1.0 - noise) * canonical_state().density() + noise * np.eye(4) / 4.0
     rho = evolve(M, rho0, omega_t / params.omega)
     c, m = concurrence(rho), min_eig_pt(rho)
@@ -138,7 +142,7 @@ def test_concurrence_is_positive_exactly_when_partial_transpose_is_negative(mode
 @SETTINGS
 @given(models())
 def test_gibbs_state_is_stationary(model):
-    params, _, _, M = model
+    params, _, M = model
     e, v = np.linalg.eigh(hamiltonian(params, E3))
     if math.isinf(params.beta):
         gibbs = np.outer(v[:, 0], v[:, 0].conj())    # the ground state
@@ -146,6 +150,46 @@ def test_gibbs_state_is_stationary(model):
         w = np.exp(-params.beta * (e - e[0]))
         gibbs = (v * w) @ v.conj().T / w.sum()
     assert np.linalg.norm(M @ vec(gibbs)) <= 1e-14 * np.linalg.norm(M)
+
+
+# ------------------------------------------- the free Hamiltonian commutes
+
+# every corner but the ell -> 0+ crossover: omega*ell is 0 or at least 0.05.
+# On the crossover the slow mode's singular value sits at the null-space
+# threshold, and the SVD rank decision of stationary_projector differs
+# between the two generators by rounding on 2 to 4 of 300 seeded draws
+# (the open crossover item in ROADMAP.md), which is no fault of the mask.
+@SETTINGS
+@given(_log_uniform(0.25, 4.0), st.one_of(st.just(math.inf), _log_uniform(1e-3, 60.0)),
+       st.one_of(st.just(0.0), st.floats(0.05, 20.0)), unit, unit, st.floats(0.0, 1.0),
+       st.floats(0.0, 20.0))
+def test_free_hamiltonian_only_turns_the_dissipators_evolution(omega, bw, wl, b1, b2, noise,
+                                                               omega_t):
+    # the reference generator with -i[H_S, .] against the library's
+    # dissipator M: they commute, the reference's stationary projector is
+    # M's masked to m_a = m_b, and its evolution differs by a local unitary,
+    # which no emitted quantity sees
+    params = ModelParams(omega=omega, beta=bw / omega, ell=wl / omega)
+    M = build_superoperator(kossakowski_coefficients(params))
+    M_h = generator_with_hamiltonian(params)
+    assert np.abs(M @ M_h - M_h @ M).max() <= 1e-15 * np.abs(M_h).max() ** 2
+    P, P_h = stationary_projector(M) * _AT_REST, stationary_projector(M_h)
+    # 1e-13, or the rounding of a null space that is gap away from the next
+    # singular value (relative to the largest) where that is larger: near
+    # omega*ell = 0.05 the gap is about 1e-4
+    svals = np.linalg.svd(M, compute_uv=False)
+    gap = svals[svals > _NULLSPACE_REL_TOL * svals[0]].min() / svals[0]
+    tol = max(1e-13, 4 * np.finfo(float).eps / gap)
+    assert np.abs(P - P_h).max() <= tol
+    assert round(np.trace(P).real) == round(np.trace(P_h).real)
+    rho0 = (1.0 - noise) * ProductState(b1, b2).density() + noise * np.eye(4) / 4.0
+    rho, rho_h = (evolve(G, rho0, omega_t / omega) for G in (M, M_h))
+    for f in (lambda r: np.linalg.eigvalsh(r).min(), min_eig_pt, tau):
+        assert abs(f(rho) - f(rho_h)) <= 1e-11
+    rho_inf, dim = asymptotic_state(M, rho0, params, check=False, include_hs=True)
+    rho_inf_h, dim_h = asymptotic_state(M_h, rho0, params, check=False)
+    assert dim == dim_h
+    assert np.abs(rho_inf - rho_inf_h).max() <= tol
 
 
 # ---------------------------------------------------------- n is only a frame
@@ -175,13 +219,12 @@ def _run_cli(sub, config):
 @SETTINGS
 @given(models(), unit)
 def test_generator_at_an_axis_is_the_generator_at_e3_in_its_frame(model, n):
-    # the reference route builds K and H_S at n itself; S = kron(V*, V) is
-    # the superoperator of rho -> V rho V^dag
-    params, include_hs, _, M = model
+    # the reference route builds K at n itself; S = kron(V*, V) is the
+    # superoperator of rho -> V rho V^dag
+    params, _, M = model
     V = local_frame(n)
     S = np.kron(V.conj(), V)
-    ref = superoperator_reference(build_kossakowski_spectral(params, n),
-                                  hamiltonian(params, n) if include_hs else None)
+    ref = superoperator_reference(build_kossakowski_spectral(params, n))
     assert np.abs(S @ M @ S.conj().T - ref).max() <= 3e-15 * np.abs(ref).max()
 
 

@@ -5,7 +5,8 @@ blocks of the Kossakowski matrix, from arbitrary coefficients or from the
 frequency sum at any axis; the dissipator's action on a state as the
 explicit sum over K's entries (with the Pauli operators and the free
 Hamiltonian it is built from); the generator assembled from it column by
-column; the Choi matrix of the evolved map; and the general
+column, also with the free Hamiltonian that the library leaves out; the
+Choi matrix of the evolved map; and the general
 entanglement-generation discriminant for any product state, with its u and
 v (also by the Pauli-rotation route) and its probe functionals.  The
 library evaluates that discriminant only at |-> (x) |+>, in closed form."""
@@ -16,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from thermalpair import (KossakowskiCoefficients, ModelParams, ProductState, bloch_ket,
-                         kossakowski_eigenvalues, min_eig_pt, partial_transpose, unvec, vec)
+                         kossakowski_coefficients, kossakowski_eigenvalues, min_eig_pt,
+                         partial_transpose, unvec, vec)
 from thermalpair.dynamics import SIGMA, _unit_vector, expm
 from thermalpair.entanglement import _BOUNDARY_REL_TOL
 from thermalpair.spectral import TWO_PI, _sinc
@@ -320,6 +322,15 @@ def superoperator_reference(K: KossakowskiMatrix, h: np.ndarray | None = None) -
         unit = unvec(np.eye(16)[k])
         M[:, k] = vec(dissipator_reference(K, unit) - 1j * (h @ unit - unit @ h))
     return M
+
+
+def generator_with_hamiltonian(params: ModelParams) -> np.ndarray:
+    """The reference generator with the free Hamiltonian at e3: K's dissipator
+    plus -i[H_S, .], which the library leaves out since it commutes with the
+    dissipator.  Its exponential is the library's followed by one local
+    unitary on both atoms."""
+    K = kossakowski_from_coefficients(kossakowski_coefficients(params))
+    return superoperator_reference(K, hamiltonian(params, (0.0, 0.0, 1.0)))
 
 
 def choi_matrix(M: np.ndarray, t: float) -> np.ndarray:
