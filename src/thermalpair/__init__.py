@@ -42,8 +42,6 @@ from .entanglement import (
 from .asymptotic import (
     ConvergenceError,
     asymptotic_state,
-    spectral_gap,
-    stationary_projector,
     threshold_tau,
 )
 

@@ -1,14 +1,21 @@
-"""Stationary states of the dissipative semigroup.
+"""Stationary states of the dissipative semigroup, in closed form.
 
-Every asymptotic state comes from one projector onto the null space of the
-16x16 generator M.  With R the right null vectors (stationary states) and L
-the left ones (conserved quantities), P = R (L^dag R)^{-1} L^dag is the
-projector that commutes with the semigroup, so rho_inf = unvec(P vec(rho0))
-(Albert & Jiang, PRA 89, 022118, 2014).  At ell = 0 the conserved tau
-selects a member of the tau-labelled equilibrium family, and at zero
-temperature the conserved singlet/ground coherences survive as well; for
-ell > 0 the null space is one-dimensional and the state is unique.  M is
-the dissipator alone; with the free Hamiltonian, P is masked (`_AT_REST`).
+In the basis (|+>, |->) with R = tanh(beta*omega/2) and the single-atom
+Gibbs state g = diag((1 - R)/2, (1 + R)/2):
+  - for ell > 0 the bath is KMS and the unique stationary state is the
+    product Gibbs state g (x) g;
+  - at ell = 0 the singlet |S> is dark and its population
+    p_S = (1 - tau)/4 is conserved, so rho0 relaxes to the member
+    p_S |S><S| + (1 - p_S)/(3 + R^2) [(1 - R)^2 |++><++| + (1 - R^2) |T0><T0|
+    + (1 + R)^2 |--><--|] of the tau-labelled family;
+  - at beta = inf and ell = 0 the dissipator is the collective lowering
+    alone, which annihilates |S> and |-->, so c = <S|rho0|--> is conserved
+    too and c |S><--| + h.c. joins the state.  The free Hamiltonian turns
+    that coherence at omega forever (include_hs): its state keeps only the
+    part at rest and has no limit when 2|c| exceeds _CONV_TOL.
+M is the dissipator alone and is read only by the convergence guard.  The
+SVD stationary projector (Albert & Jiang, PRA 89, 022118, 2014) these
+forms are checked against lives in the test suite.
 """
 
 from __future__ import annotations
@@ -16,92 +23,72 @@ from __future__ import annotations
 import numpy as np
 
 from . import dynamics
-from .spectral import ModelParams
+from .spectral import ModelParams, temperature_ratio
 
 
 class ConvergenceError(RuntimeError):
-    """Long-time evolution did not reach the predicted stationary state."""
+    """The closed-form stationary state fails its guard (residual or
+    conserved tau), or the state has no limit (a coherence that the free
+    Hamiltonian turns forever)."""
 
 
-# |Re eigenvalue| below this fraction of the largest counts as zero in spectral_gap
-_GAP_REL_TOL = 1e-10
+# asymptotic_state's guard: |M vec(rho_inf)|_max at most _RESIDUAL_REL_TOL |M|_1,
+# and at ell = 0 tau conserved to _TAU_TOL
+_RESIDUAL_REL_TOL = 1e-12
+_TAU_TOL = 1e-12
 
-# singular values of M below this fraction of the largest span its null space
-_NULLSPACE_REL_TOL = 1e-10
-
-# the convergence check of asymptotic_state evolves to T = _HORIZON / gap and
-# raises ConvergenceError beyond _CONV_TOL in trace norm from the prediction
-_HORIZON = 200.0
+# with the free Hamiltonian, a singlet/ground coherence c with 2|c| (its trace
+# norm) above this turns forever, so the state has no limit
 _CONV_TOL = 1e-8
-
-# P's mask for M - i[H_S, .], which turns |a><b| (entry a + 4b of vec) unless
-# m_a = m_b; M has no non-decaying mode outside its null space
-_AT_REST = np.array([1, 0, 0, 0, 0, 1, 1, 0, 0, 1, 1, 0, 0, 0, 0, 1], dtype=float)
-
-
-def spectral_gap(M: np.ndarray) -> float:
-    """Smallest nonzero |Re eigenvalue| of the generator (relaxation rate)."""
-    re = np.abs(np.linalg.eigvals(M).real)
-    scale = re.max()
-    if scale == 0:
-        raise ValueError("generator has no decaying modes")
-    nonzero = re[re > _GAP_REL_TOL * scale]
-    if nonzero.size == 0:
-        raise ValueError("generator has no decaying modes")
-    return float(nonzero.min())
-
-
-def stationary_projector(M: np.ndarray) -> np.ndarray:
-    """P = R (L^dag R)^{-1} L^dag from one SVD M = U diag(s) V^dag.
-
-    The right null vectors R are the conjugated rows of V^dag, and the left
-    null vectors L the matching columns of U, whose singular values are at
-    most _NULLSPACE_REL_TOL * s_max.  The rank of P (its trace) is the
-    dimension of the stationary manifold.
-    """
-    M = np.asarray(M, dtype=complex)
-    if M.shape != (16, 16):
-        raise ValueError(f"expected a 16x16 generator, got shape {M.shape}")
-    u, svals, vh = np.linalg.svd(M)
-    null = svals <= _NULLSPACE_REL_TOL * svals[0]
-    if not null.any():
-        raise ValueError("empty null space: generator is not trace preserving")
-    R = vh[null].conj().T
-    Ldag = u[:, null].conj().T
-    return R @ np.linalg.solve(Ldag @ R, Ldag)
 
 
 def asymptotic_state(M: np.ndarray, rho0: np.ndarray, params: ModelParams,
                      check: bool = True, include_hs: bool = False) -> tuple[np.ndarray, int]:
-    """(rho_inf, stationary dimension) of rho0 under the generator M.
+    """(rho_inf, stationary dimension) of rho0 under the dissipator M.
 
-    rho_inf = unvec(P vec(rho0)) with P the stationary projector, masked by
-    _AT_REST with include_hs.  For ell > 0 a null space of dimension other
-    than 1 raises ConvergenceError.  With check=True the prediction is
-    compared against the evolution under M at T = _HORIZON / spectral gap;
-    disagreement beyond _CONV_TOL in trace norm raises ConvergenceError, as
-    with include_hs at beta = inf and ell = 0 for a state that carries the
-    singlet/ground coherences, which the Hamiltonian turns forever.
+    rho_inf is the closed form of the module docstring, and the dimension
+    is that of M's null space: 1 for ell > 0, 2 at ell = 0, 4 at beta = inf
+    and ell = 0, where the coherence c = <S|rho0|--> joins the state, and 2
+    there with include_hs, which drops c.  With check=True the state must
+    satisfy |M vec(rho_inf)|_max <= _RESIDUAL_REL_TOL |M|_1 and, at
+    ell = 0, keep tau(rho0) to _TAU_TOL; with include_hs at beta = inf and
+    ell = 0, 2|c| > _CONV_TOL means the state has no limit.  Each raises
+    ConvergenceError.
     """
     rho0 = dynamics.validate_density_matrix(rho0)
-    P = stationary_projector(M)
-    if include_hs:
-        P = P * _AT_REST
-    dim = round(np.trace(P).real)
-    if params.ell > 0 and dim != 1:
-        raise ConvergenceError(
-            f"stationary manifold has dimension {dim}, expected 1 for ell > 0")
-    rho_inf = dynamics.unvec(P @ dynamics.vec(rho0))
-    rho_inf = rho_inf / np.trace(rho_inf)
-    rho_inf = 0.5 * (rho_inf + rho_inf.conj().T)
+    R = temperature_ratio(params)
+    if params.ell > 0:
+        g = np.array([1.0 - R, 1.0 + R]) / 2.0
+        rho_inf, dim = np.diag(np.kron(g, g)).astype(complex), 1
+    else:
+        tau0 = dynamics.tau(rho0)
+        p_s = (1.0 - tau0) / 4.0
+        t = (1.0 - p_s) / (3.0 + R * R)
+        t0 = t * (1.0 - R * R)
+        rho_inf = np.diag([t * (1.0 - R) ** 2, 0.0, 0.0, t * (1.0 + R) ** 2]).astype(complex)
+        rho_inf[1:3, 1:3] = np.array([[p_s + t0, t0 - p_s], [t0 - p_s, p_s + t0]]) / 2.0
+        dim = 2
+        if params.zero_temperature:
+            singlet = dynamics.singlet_ket()
+            c = singlet.conj() @ rho0[:, 3]
+            if include_hs and check and 2.0 * abs(c) > _CONV_TOL:
+                raise ConvergenceError(
+                    f"the singlet/ground coherence |c| = {abs(c):.3e} turns forever under the "
+                    f"free Hamiltonian: the state has no limit")
+            if not include_hs:
+                rho_inf[:, 3] += c * singlet
+                rho_inf[3, :] += np.conj(c) * singlet.conj()
+                dim = 4
 
     if check:
-        T = _HORIZON / spectral_gap(M)
-        rho_T = dynamics.evolve(M, rho0, T)
-        dist = dynamics.trace_norm(rho_T - rho_inf)
-        if dist > _CONV_TOL:
-            raise ConvergenceError(
-                f"evolution at T={T:.3g} is {dist:.3e} (trace norm) from the predicted state")
+        residual = np.abs(M @ dynamics.vec(rho_inf)).max()
+        scale = np.abs(M).sum(axis=0).max()
+        if not residual <= _RESIDUAL_REL_TOL * scale:
+            raise ConvergenceError(f"the predicted state is not stationary: residual "
+                                   f"{residual:.3e} exceeds {_RESIDUAL_REL_TOL:.0e} |M|_1")
+        if params.ell == 0 and not abs(dynamics.tau(rho_inf) - tau0) <= _TAU_TOL:
+            raise ConvergenceError(f"the predicted state has tau {dynamics.tau(rho_inf)!r}, "
+                                   f"the initial state {tau0!r}")
     return rho_inf, dim
 
 

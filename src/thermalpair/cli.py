@@ -20,7 +20,9 @@ against the small-time oracle, which evolves that state.
 Exit codes: 0 ok, 2 config validation failure, 3 discriminant/oracle
 disagreement (implementation bug guard), 4 positivity failure (a
 Kossakowski matrix that is not positive semidefinite, or an evolved state
-that fails a positivity check), 5 asymptotic convergence-check failure.
+that fails a positivity check), 5 asymptotic convergence-check failure
+(the closed-form stationary state fails its residual or tau guard, or the
+state has no limit).
 
 In-process use: ``main(argv)`` may be called any number of times in one
 process.  It returns the exit code, except that a usage error (an unknown

@@ -353,8 +353,8 @@ def evolve(M: np.ndarray, rho0: np.ndarray, t: float) -> np.ndarray:
 
     rho0 must already be a valid 4x4 density matrix (an array, as
     validate_density_matrix returns it); it is not checked again here, so
-    the callers that take a state from outside (evolve_traj,
-    asymptotic_state, the CLI's config parser) validate it once.  Raises
+    the callers that take a state from outside (evolve_traj and the CLI's
+    config parser) validate it once.  Raises
     PositivityError if the exponential's result is not finite (a generator
     too large for its rounding) or has no positive trace, or if the state
     dips below -_POS_TOL; smaller Hermiticity/trace deviations of a state

@@ -21,7 +21,6 @@ from thermalpair import (
     kossakowski_coefficients,
     min_eig_pt,
     small_time_ppt_oracle,
-    stationary_projector,
     tau,
     temperature_ratio,
     threshold_tau,
@@ -29,13 +28,12 @@ from thermalpair import (
     unvec,
     vec,
 )
-from thermalpair.asymptotic import spectral_gap
 from thermalpair.spectral import KossakowskiCoefficients
 
-from util import (asymptotic_concurrence, build_kossakowski_spectral, choi_matrix,
+from util import (_HORIZON, asymptotic_concurrence, build_kossakowski_spectral, choi_matrix,
                   dissipator_reference, equilibrium_closed_form, generation_discriminant,
                   kossakowski_6x6, kossakowski_from_coefficients, random_density, random_params,
-                  random_rotation)
+                  random_rotation, spectral_gap, stationary_projector)
 
 E3 = np.array([0.0, 0.0, 1.0])
 BETA_OMEGA_GRID = np.linspace(0.1, 10.0, 40)
@@ -171,7 +169,7 @@ def test_criterion_6_stationarity_and_convergence():
     p = ModelParams(omega=1.0, beta=1.0, ell=0.0)
     M = build_superoperator(kossakowski_coefficients(p))
     R = temperature_ratio(p)
-    T = 200.0 / spectral_gap(M)
+    T = _HORIZON / spectral_gap(M)
     from scipy.linalg import expm
     E = expm(T * M)
     rng = np.random.default_rng(102)

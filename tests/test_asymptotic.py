@@ -1,5 +1,6 @@
-"""Stationary projector and asymptotic states, checked against the
-closed-form ell = 0 equilibrium family and its concurrence."""
+"""The closed-form asymptotic states and the reference stationary projector,
+checked against the closed-form ell = 0 equilibrium family and its
+concurrence."""
 
 import math
 
@@ -17,8 +18,6 @@ from thermalpair import (
     min_eig_pt,
     singlet_density,
     singlet_ket,
-    spectral_gap,
-    stationary_projector,
     tau,
     temperature_ratio,
     threshold_tau,
@@ -27,13 +26,12 @@ from thermalpair import (
     validate_density_matrix,
     vec,
 )
-from thermalpair.asymptotic import _AT_REST
 from thermalpair.spectral import KossakowskiCoefficients
 
-from util import (asymptotic_concurrence, build_kossakowski_spectral, dissipator_reference,
-                  equilibrium_closed_form, equilibrium_coefficients, generator_with_hamiltonian,
-                  kossakowski_from_coefficients, random_density, random_params,
-                  superoperator_reference)
+from util import (_AT_REST, asymptotic_concurrence, build_kossakowski_spectral,
+                  dissipator_reference, equilibrium_closed_form, equilibrium_coefficients,
+                  generator_with_hamiltonian, kossakowski_from_coefficients, random_density,
+                  random_params, spectral_gap, stationary_projector, superoperator_reference)
 
 R_GRID = np.round(np.arange(0.0, 1.0001, 0.1), 10)
 TAU_GRID = np.round(np.arange(-3.0, 1.0001, 0.5), 10)
@@ -263,14 +261,19 @@ def test_asymptotic_state_keeps_conserved_coherences():
 
 def test_asymptotic_state_convergence_check_fires():
     # with the free Hamiltonian the singlet/ground coherence rotates at
-    # omega forever: no stationary state is reached, under the full
-    # generator or under the dissipator with the masked projector
+    # omega forever: under the full generator the closed form that keeps it
+    # fails the residual guard, and with include_hs the state has no limit
     p = ModelParams(omega=1.0, beta=math.inf, ell=0.0)
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ConvergenceError, match="not stationary"):
         asymptotic_state(generator_with_hamiltonian(p), coherent_ground_singlet(), p)
     M = build_superoperator(kossakowski_coefficients(p))
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ConvergenceError, match="no limit"):
         asymptotic_state(M, coherent_ground_singlet(), p, include_hs=True)
+    # the Gibbs state of beta = 1 under the generator of beta = 2
+    p = ModelParams(omega=1.0, beta=1.0, ell=2.0)
+    M = build_superoperator(kossakowski_coefficients(ModelParams(omega=1.0, beta=2.0, ell=2.0)))
+    with pytest.raises(ConvergenceError, match="not stationary"):
+        asymptotic_state(M, canonical_state().density(), p)
 
 
 def test_spectral_gap_positive():

@@ -6,10 +6,13 @@ frequency sum at any axis; the dissipator's action on a state as the
 explicit sum over K's entries (with the Pauli operators and the free
 Hamiltonian it is built from); the generator assembled from it column by
 column, also with the free Hamiltonian that the library leaves out; the
-Choi matrix of the evolved map; and the general
-entanglement-generation discriminant for any product state, with its u and
-v (also by the Pauli-rotation route) and its probe functionals.  The
-library evaluates that discriminant only at |-> (x) |+>, in closed form."""
+Choi matrix of the evolved map; the stationary projector from one SVD of
+the generator, and the spectral gap that sizes the long-time evolution;
+and the general entanglement-generation discriminant for any product
+state, with its u and v (also by the Pauli-rotation route) and its probe
+functionals.  The library evaluates that discriminant only at
+|-> (x) |+>, in closed form, and takes the asymptotic state in closed form
+too."""
 
 import math
 from dataclasses import dataclass
@@ -350,6 +353,61 @@ def choi_matrix(M: np.ndarray, t: float) -> np.ndarray:
             phi = unvec(E[:, 4 * l + k])
             choi += np.kron(unit, phi)
     return choi
+
+
+# ---------------------------------------------------------------------------
+# the stationary projector and the long-time evolution (asymptotic)
+# ---------------------------------------------------------------------------
+
+# |Re eigenvalue| below this fraction of the largest counts as zero in spectral_gap
+_GAP_REL_TOL = 1e-10
+
+# singular values of M below this fraction of the largest span its null space
+_NULLSPACE_REL_TOL = 1e-10
+
+# the long-time evolution runs to T = _HORIZON / spectral gap, where every
+# decaying mode is down by e^-200
+_HORIZON = 200.0
+
+# the projector's mask for M - i[H_S, .], which turns |a><b| (entry a + 4b of
+# vec) unless m_a = m_b; the dissipator has no non-decaying mode outside its
+# null space
+_AT_REST = np.array([1, 0, 0, 0, 0, 1, 1, 0, 0, 1, 1, 0, 0, 0, 0, 1], dtype=float)
+
+
+def spectral_gap(M: np.ndarray) -> float:
+    """Smallest nonzero |Re eigenvalue| of the generator (relaxation rate)."""
+    re = np.abs(np.linalg.eigvals(M).real)
+    scale = re.max()
+    if scale == 0:
+        raise ValueError("generator has no decaying modes")
+    nonzero = re[re > _GAP_REL_TOL * scale]
+    if nonzero.size == 0:
+        raise ValueError("generator has no decaying modes")
+    return float(nonzero.min())
+
+
+def stationary_projector(M: np.ndarray) -> np.ndarray:
+    """P = R (L^dag R)^{-1} L^dag from one SVD M = U diag(s) V^dag (Albert &
+    Jiang, PRA 89, 022118, 2014), so that rho_inf = unvec(P vec(rho0)).
+
+    The right null vectors R (stationary states) are the conjugated rows of
+    V^dag, and the left null vectors L (conserved quantities) the matching
+    columns of U, whose singular values are at most _NULLSPACE_REL_TOL *
+    s_max.  The rank of P (its trace) is the dimension of the stationary
+    manifold.  Near the ell -> 0+ crossover the slow mode's singular value
+    reaches the threshold, and the rank decision fails there.
+    """
+    M = np.asarray(M, dtype=complex)
+    if M.shape != (16, 16):
+        raise ValueError(f"expected a 16x16 generator, got shape {M.shape}")
+    u, svals, vh = np.linalg.svd(M)
+    null = svals <= _NULLSPACE_REL_TOL * svals[0]
+    if not null.any():
+        raise ValueError("empty null space: generator is not trace preserving")
+    R = vh[null].conj().T
+    Ldag = u[:, null].conj().T
+    return R @ np.linalg.solve(Ldag @ R, Ldag)
 
 
 # ---------------------------------------------------------------------------
