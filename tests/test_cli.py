@@ -470,25 +470,29 @@ def _bench_check():
     return module
 
 
-def test_crossover_relaxes_to_the_product_gibbs_state(tmp_path):
-    # ell -> 0+: the slow relative mode still decays, so the state is the
-    # product Gibbs state g (x) g, turned to the axis n, and evolve's summary
-    # takes the same separable state
-    n = [2.0 / 3.0, -1.0 / 3.0, 2.0 / 3.0]
-    config = {"beta": 1, "ell": 1e-6, "n": n}
-    res = run_cli("asymptotic", config=config, tmp_path=tmp_path)
+# ell -> 0+: the slow relative mode still decays, so the state is the product
+# Gibbs state g (x) g, turned to the axis n
+CROSSOVER = {"beta": 1, "ell": 1e-6, "n": [2.0 / 3.0, -1.0 / 3.0, 2.0 / 3.0]}
+
+
+def test_crossover_asymptotic_is_the_product_gibbs_state(tmp_path):
+    res = run_cli("asymptotic", config=CROSSOVER, tmp_path=tmp_path)
     assert res.returncode == 0, res.stderr
     doc = json.loads(res.stdout)
     assert doc["stationary_dim"] == 1
     R = math.tanh(0.5)
     g = np.diag([(1.0 - R) / 2.0, (1.0 + R) / 2.0])
-    V = dynamics.local_frame(n)
+    V = dynamics.local_frame(CROSSOVER["n"])
     rho = np.array([complex(*z) for z in doc["rho_infinity"]]).reshape(4, 4)
     np.testing.assert_allclose(rho, V @ np.kron(g, g) @ V.conj().T, rtol=0, atol=1e-12)
-    assert _bench_check().check_asymptotic(config, res.stdout.encode(), None) is None
+    assert _bench_check().check_asymptotic(CROSSOVER, res.stdout.encode(), None) is None
+
+
+def test_crossover_evolve_settles_on_a_separable_state(tmp_path):
+    # evolve's summary takes the same product state, which has no concurrence
     out = tmp_path / "traj.csv"
     res = run_cli("evolve", "--out", str(out),
-                  config={**config, "time_grid": {"t_max": 10.0, "n_samples": 3}},
+                  config={**CROSSOVER, "time_grid": {"t_max": 10.0, "n_samples": 3}},
                   tmp_path=tmp_path)
     assert res.returncode == 0, res.stderr
     summary = json.loads((tmp_path / "traj.csv.summary.json").read_text(encoding="utf-8"))
