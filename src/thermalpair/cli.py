@@ -15,7 +15,10 @@ No other output changes under V, and the phase diagram ignores n.
 The phase diagram starts from the canonical state |-> (x) |+>: at each
 grid point it evaluates the generation discriminant in closed form from
 K's coefficients (`entanglement.generation_test`) and checks the verdict
-against the small-time oracle, which evolves that state.
+against the small-time oracle.  That evolves the state in the charge-0
+sector `entanglement.Q0`, where it is an X-state: its spectrum is r00, r33,
+(r11 + r22)/2 +- hypot((r11 - r22)/2, c), its partial transpose's r11, r22,
+(r00 + r33)/2 +- hypot((r00 - r33)/2, c).
 
 Exit codes: 0 ok, 2 config validation failure, 3 discriminant/oracle
 disagreement (implementation bug guard), 4 positivity failure (a
@@ -84,20 +87,6 @@ class RunConfig:
     times: np.ndarray | None = None        # units 1/omega
     sweep: SweepSpec | None = None
     include_hs: bool = False
-
-
-@dataclass
-class SweepRecord:
-    """One phase-diagram grid point (canonical initial state)."""
-
-    beta_omega: float
-    omega_ell: float
-    R: float
-    S: float
-    rs_margin: float
-    discriminant_margin: float
-    generated: str                      # "true" | "false" | "boundary"
-    oracle_generated: bool
 
 
 def _fmt(x: float) -> str:
@@ -307,12 +296,15 @@ def _complex_pairs(rho: np.ndarray) -> list:
     return [[float(z.real), float(z.imag)] for z in np.asarray(rho).reshape(-1)]
 
 
-def _write_out(text: str, out_path: str | None):
+def _write_out(text: str, out_path: str | None, rest=()):
+    """Write text, then each chunk of rest as it is made."""
     if out_path is None:
         sys.stdout.write(text)
+        sys.stdout.writelines(rest)
     else:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+            fh.writelines(rest)
 
 
 # ----------------------------------------------------------------------
@@ -330,46 +322,38 @@ def cmd_coefficients(config: RunConfig, out_path: str | None) -> int:
     return 0
 
 
-def _sweep_point(omega, rho0, beta_omega, omega_ell) -> SweepRecord:
-    params = ModelParams(omega=omega, beta=beta_omega / omega, ell=omega_ell / omega)
-    coeffs = kossakowski_coefficients(params)
-    M = dynamics.build_superoperator(coeffs)
-    margin, label = entanglement.generation_test(coeffs)
-    R, S, rs_margin = entanglement.criterion_rs(params)
-    oracle = entanglement.small_time_ppt_oracle(M, rho0, _ORACLE_DT / omega)
-    return SweepRecord(beta_omega=beta_omega, omega_ell=omega_ell,
-                       R=R, S=S, rs_margin=rs_margin,
-                       discriminant_margin=margin / omega**2,
-                       generated=label, oracle_generated=oracle)
-
-
 def cmd_phase_diagram(config: RunConfig, out_path: str | None) -> int:
-    """Sweep the (beta*omega, omega*ell) grid with the canonical initial state."""
+    """Sweep the (beta*omega, omega*ell) grid with the canonical initial state,
+    writing each row as its point is computed (a failure at the first leaves
+    no output)."""
     if config.sweep is None:
         raise ConfigError("phase-diagram requires a sweep section")
-    rho0 = entanglement.canonical_state().density()
-    records = [_sweep_point(config.params.omega, rho0, bw, wl)
-               for bw in config.sweep.beta_omega for wl in config.sweep.omega_ell]
+    omega = config.params.omega
+    first, count = None, 0
 
-    mismatches = [r for r in records
-                  if abs(r.rs_margin) > _ORACLE_BAND
-                  and (r.generated == "true") != r.oracle_generated]
-    if mismatches:
-        r = mismatches[0]
-        print(f"error: discriminant and small-time oracle disagree at "
-              f"beta_omega={r.beta_omega}, omega_ell={r.omega_ell} "
-              f"(rs_margin={r.rs_margin}, oracle={r.oracle_generated}); "
-              f"{len(mismatches)} point(s) total", file=sys.stderr)
+    def points():
+        nonlocal first, count
+        for bw in config.sweep.beta_omega:
+            for wl in config.sweep.omega_ell:
+                params = ModelParams(omega=omega, beta=bw / omega, ell=wl / omega)
+                coeffs = kossakowski_coefficients(params)
+                margin, label = entanglement.generation_test(coeffs)
+                R, S, rs_margin = entanglement.criterion_rs(params)
+                oracle = entanglement.small_time_ppt_oracle(coeffs, _ORACLE_DT / omega)
+                if abs(rs_margin) > _ORACLE_BAND and (label == "true") != oracle:
+                    first = first or (f"beta_omega={bw}, omega_ell={wl} "
+                                      f"(rs_margin={rs_margin}, oracle={oracle})")
+                    count += 1
+                yield ",".join([_fmt(bw), _fmt(wl), _fmt(R), _fmt(S), _fmt(rs_margin),
+                                _fmt(margin / omega**2), label,
+                                "true" if oracle else "false"]) + "\n"
+
+    rows = points()
+    _write_out(PHASE_HEADER + "\n" + next(rows), out_path, rows)
+    if count:
+        print(f"error: discriminant and small-time oracle disagree at {first}; "
+              f"{count} point(s) total", file=sys.stderr)
         return 3
-
-    lines = [PHASE_HEADER]
-    for r in records:
-        lines.append(",".join([
-            _fmt(r.beta_omega), _fmt(r.omega_ell), _fmt(r.R), _fmt(r.S),
-            _fmt(r.rs_margin), _fmt(r.discriminant_margin), r.generated,
-            "true" if r.oracle_generated else "false",
-        ]))
-    _write_out("\n".join(lines) + "\n", out_path)
     return 0
 
 

@@ -15,9 +15,10 @@ which stationary states survive.
 
 Evolution applies exp(t M) to vec(rho0) (`expm_multiply`): a Taylor series
 of matrix-vector products while |t M|_1 <= _THETA_T, which holds for the
-phase diagram's small-time oracle at every beta*omega above about 0.007,
-and the [13/13] Pade exponential (`expm`) above it.  Trajectories are
-cross-checked by an adaptive RK45 (`solve_ivp`).
+phase diagram's small-time oracle (on M's charge-0 block) at every
+beta*omega above about 0.007, and the [13/13] Pade exponential (`expm`,
+one LU solve) above it.  Trajectories are cross-checked by an adaptive
+RK45 (`solve_ivp`).
 """
 
 from __future__ import annotations
@@ -330,21 +331,23 @@ def local_frame(n) -> np.ndarray:
     return np.kron(U, U)
 
 
-def build_superoperator(coeffs: KossakowskiCoefficients) -> np.ndarray:
-    """16x16 matrix M with M vec(rho) = vec(d rho / dt) at the axis n = e3.
-
-    M is sum_k lambda_k _DISSIPATORS[k] with lambda the six eigenvalues of
-    the Kossakowski matrix of coeffs (spectral.kossakowski_eigenvalues), and
-    no Hamiltonian term.  K >= 0 is the whole complete-positivity condition
-    of a Lindblad generator: a minimum eigenvalue below -_CP_REL_TOL / 6
-    times the largest raises PositivityError.
-    """
+def cp_rates(coeffs: KossakowskiCoefficients) -> np.ndarray:
+    """The rates of the six fixed dissipators, K's eigenvalues.  K >= 0 is the
+    whole complete-positivity condition of a Lindblad generator: a minimum
+    below -_CP_REL_TOL / 6 times the largest raises PositivityError."""
     lam = kossakowski_eigenvalues(coeffs)
     if lam.min() < -_CP_REL_TOL * lam.max() / 6:
         raise PositivityError(f"Kossakowski matrix is not positive semidefinite: minimum "
                               f"eigenvalue {lam.min():.3e}, the generator is not completely "
                               f"positive")
-    return np.tensordot(lam, _DISSIPATORS, axes=1)
+    return lam
+
+
+def build_superoperator(coeffs: KossakowskiCoefficients) -> np.ndarray:
+    """16x16 matrix M with M vec(rho) = vec(d rho / dt) at the axis n = e3:
+    sum_k lambda_k _DISSIPATORS[k] with lambda = cp_rates(coeffs), and no
+    Hamiltonian term."""
+    return np.tensordot(cp_rates(coeffs), _DISSIPATORS, axes=1)
 
 
 def evolve(M: np.ndarray, rho0: np.ndarray, t: float) -> np.ndarray:
@@ -376,14 +379,19 @@ def evolve(M: np.ndarray, rho0: np.ndarray, t: float) -> np.ndarray:
     if not 0 < tr < math.inf:
         raise PositivityError(f"evolved state has trace {tr} at t={t}")
     rho = rho / tr
-    min_eig = np.linalg.eigvalsh(rho).min()
+    check_state(np.linalg.eigvalsh(rho).min(), herm_dev, tr, t)
+    return rho
+
+
+def check_state(min_eig: float, herm_dev: float, tr: float, t: float):
+    """evolve's last two guards, on the state it Hermitized and renormalized
+    from trace tr; entanglement.small_time_ppt_oracle applies them too."""
     if min_eig < -_POS_TOL:
         raise PositivityError(f"state eigenvalue {min_eig} below -{_POS_TOL} at t={t}")
     trace_dev = abs(tr - 1.0)
     if herm_dev > 1e-10 or trace_dev > 1e-10:
         print(f"evolve deviations at t={t:g}: hermiticity {herm_dev:.3g}, "
               f"trace {trace_dev:.3g}", file=sys.stderr)
-    return rho
 
 
 def evolve_traj(M: np.ndarray, rho0: np.ndarray, times) -> list:

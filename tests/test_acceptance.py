@@ -20,7 +20,6 @@ from thermalpair import (
     generation_test,
     kossakowski_coefficients,
     min_eig_pt,
-    small_time_ppt_oracle,
     tau,
     temperature_ratio,
     threshold_tau,
@@ -33,7 +32,8 @@ from thermalpair.spectral import KossakowskiCoefficients
 from util import (_HORIZON, asymptotic_concurrence, build_kossakowski_spectral, choi_matrix,
                   dissipator_reference, equilibrium_closed_form, generation_discriminant,
                   kossakowski_6x6, kossakowski_from_coefficients, random_density, random_params,
-                  random_rotation, spectral_gap, stationary_projector)
+                  random_rotation, small_time_ppt_reference, spectral_gap,
+                  stationary_projector)
 
 E3 = np.array([0.0, 0.0, 1.0])
 BETA_OMEGA_GRID = np.linspace(0.1, 10.0, 40)
@@ -82,7 +82,7 @@ def test_criterion_2_small_time_oracle_equivalence():
                 continue
             checked += 1
             M = build_superoperator(kossakowski_coefficients(p))
-            oracle = small_time_ppt_oracle(M, rho0, 1e-3)
+            oracle = small_time_ppt_reference(M, rho0, 1e-3)
             if oracle != (rs > 0):
                 mismatches += 1
     _report(2, "oracle equivalence", mismatches == 0,

@@ -8,6 +8,7 @@ import math
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -147,6 +148,36 @@ def test_numerical_failure_exits_with_its_code(tmp_path, sub, config, code):
     assert res.stdout == ""
     assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("sweep,code,stderr", [
+    # below beta*omega ~ 0.007 the oracle's step takes the Pade exponential,
+    # whose complex result leaves no ComplexWarning
+    ({"beta_omega": [0.001, 0.05, 30], "omega_ell": [0.0, 1e-4, 30]}, 0, ""),
+    ({"beta_omega": [1e-38, 1.0, 1], "omega_ell": [0.0, 0.0, 1]}, 4,
+     "error: evolved state has trace 0.0 at t=0.001\n"),
+], ids=["pade-branch", "sweep-overflow"])
+def test_phase_diagram_stderr(tmp_path, sweep, code, stderr):
+    # a failure at the first point leaves no output file
+    out = tmp_path / "grid.csv"
+    res = run_cli("phase-diagram", "--out", str(out), config={"sweep": sweep}, tmp_path=tmp_path)
+    assert res.returncode == code
+    assert res.stderr == stderr
+    assert out.exists() == (code == 0)
+
+
+def test_oracle_disagreement_exits_3_after_every_row(tmp_path, monkeypatch, capsys):
+    # rows are written as each point is computed, so a disagreement leaves
+    # the whole CSV, and the error names the first point and the count
+    monkeypatch.setattr(entanglement, "small_time_ppt_oracle", lambda coeffs, dt: False)
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(SWEEP), encoding="utf-8")
+    assert cli.main(["phase-diagram", "--config", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == 3
+    assert captured.err.startswith("error: discriminant and small-time oracle disagree at "
+                                   "beta_omega=1.0, omega_ell=0.5 (rs_margin=")
+    assert captured.err.endswith(", oracle=False); 1 point(s) total\n")
 
 
 @pytest.mark.parametrize("sub,config", [
@@ -595,6 +626,44 @@ def test_phase_diagram_takes_no_svd(tmp_path, monkeypatch):
         {"sweep": {"beta_omega": [0.5, 4.0, 3], "omega_ell": [0.0, 2.0, 3]}}), encoding="utf-8")
     assert cli.main(["phase-diagram", "--config", str(path),
                      "--out", str(tmp_path / "out.csv")]) == 0
+
+
+def test_phase_diagram_dense_factorizations(tmp_path, monkeypatch):
+    # work counter: the oracle takes its spectra in closed form, so a sweep
+    # makes no eigvalsh, eigh, svd or solve call at beta*omega >= 0.05 at any
+    # omega*ell corner; below about 0.007 the oracle's |dt M_q0|_1 exceeds
+    # dynamics._THETA_T and its Pade exponential takes one solve per point
+    calls = Counter()
+    for name in ("eigvalsh", "eigh", "svd", "solve"):
+        def counting(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counting)
+
+    def sweep(config):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        calls.clear()
+        assert cli.main(["phase-diagram", "--config", str(path),
+                         "--out", str(tmp_path / "out.csv")]) == 0
+        return dict(calls)
+
+    for omega, omega_ell in ((1.0, [0.0, 0.0, 1]), (0.25, [1e-8, 1e-3, 5]),
+                             (4.0, [0.0, 12.0, 7])):
+        assert sweep({"omega": omega, "sweep": {"beta_omega": [0.05, 50.0, 6],
+                                                "omega_ell": omega_ell}}) == {}
+
+    beta_omega, omega_ell = np.linspace(0.001, 0.05, 30), np.linspace(0.0, 1e-4, 30)
+    pade = 0
+    for bw in beta_omega:
+        for wl in omega_ell:
+            lam = spectral.kossakowski_eigenvalues(spectral.kossakowski_coefficients(
+                spectral.ModelParams(omega=1.0, beta=bw, ell=wl)))
+            M = np.tensordot(lam, entanglement._DISSIPATORS_Q0, axes=1)
+            pade += np.abs(1e-3 * M).sum(axis=0).max() > dynamics._THETA_T
+    assert 0 < pade < 900
+    assert sweep({"sweep": {"beta_omega": [0.001, 0.05, 30],
+                            "omega_ell": [0.0, 1e-4, 30]}}) == {"solve": pade}
 
 
 def test_phase_diagram_builds_the_canonical_kets_once(tmp_path, monkeypatch):

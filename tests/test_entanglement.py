@@ -7,6 +7,7 @@ import pytest
 
 from thermalpair import (
     ModelParams,
+    PositivityError,
     ProductState,
     build_superoperator,
     canonical_state,
@@ -26,7 +27,8 @@ from util import (KossakowskiMatrix, build_kossakowski_spectral, equilibrium_clo
                   generation_discriminant, generator_with_hamiltonian, is_entangled,
                   kossakowski_6x6, min_q_rate, q_probe, q_rate, random_bloch, random_density,
                   random_params, random_product_state, random_rotation, random_separable_density,
-                  random_unit_complex, uv_vectors, uv_vectors_rotation)
+                  random_unit_complex, small_time_ppt_reference, uv_vectors,
+                  uv_vectors_rotation)
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -279,21 +281,33 @@ def test_probe_optimality_matches_discriminant():
 # ------------------------------------------------------------ small-time oracle
 
 def test_small_time_oracle_frozen_points():
-    state = canonical_state()
-    p = ModelParams(omega=1.0, beta=1.0, ell=0.5)
-    M = build_superoperator(kossakowski_coefficients(p))
-    assert small_time_ppt_oracle(M, state.density(), 1e-3) is True
-
-    p = ModelParams(omega=1.0, beta=1.0, ell=3.0)
-    M = build_superoperator(kossakowski_coefficients(p))
-    assert small_time_ppt_oracle(M, state.density(), 1e-3) is False
+    rho0 = canonical_state().density()
+    for ell, expected in ((0.5, True), (3.0, False)):
+        coeffs = kossakowski_coefficients(ModelParams(omega=1.0, beta=1.0, ell=ell))
+        assert small_time_ppt_oracle(coeffs, 1e-3) is expected
+        assert small_time_ppt_reference(build_superoperator(coeffs), rho0, 1e-3) is expected
 
 
 def test_small_time_oracle_rejects_bad_dt():
-    p = ModelParams(omega=1.0, beta=1.0, ell=0.5)
-    M = build_superoperator(kossakowski_coefficients(p))
+    coeffs = kossakowski_coefficients(ModelParams(omega=1.0, beta=1.0, ell=0.5))
     with pytest.raises(ValueError):
-        small_time_ppt_oracle(M, canonical_state().density(), 0.0)
+        small_time_ppt_oracle(coeffs, 0.0)
+
+
+@pytest.mark.parametrize("beta_omega,message", [
+    # coth(beta*omega/2) ~ 1e38: the evolved state underflows to zero
+    (1e-38, "evolved state has trace 0.0 at t=0.001"),
+    # coth ~ 1e50: the squarings of the Pade exponential overflow
+    (1e-50, "evolved state is not finite at t=0.001"),
+], ids=["sweep-overflow", "sweep-expm-overflow"])
+def test_oracle_overflow_raises_as_the_general_route_does(beta_omega, message):
+    coeffs = kossakowski_coefficients(ModelParams(omega=1.0, beta=beta_omega, ell=0.0))
+    M = build_superoperator(coeffs)
+    for route in (lambda: small_time_ppt_oracle(coeffs, 1e-3),
+                  lambda: small_time_ppt_reference(M, canonical_state().density(), 1e-3)):
+        with pytest.raises(PositivityError) as exc:
+            route()
+        assert str(exc.value) == message
 
 
 def test_oracle_agrees_for_generic_product_states():
@@ -308,7 +322,7 @@ def test_oracle_agrees_for_generic_product_states():
         if verdict.generated is None or abs(verdict.margin) < 1e-6 * K.norm ** 2:
             continue
         M = build_superoperator(kossakowski_coefficients(p))
-        oracle = small_time_ppt_oracle(M, state.density(), 1e-3 / p.omega)
+        oracle = small_time_ppt_reference(M, state.density(), 1e-3 / p.omega)
         assert oracle == verdict.generated
         checked += 1
     assert checked > 15
@@ -319,4 +333,4 @@ def test_oracle_insensitive_to_hamiltonian_term():
     state = canonical_state()
     p = ModelParams(omega=1.0, beta=1.0, ell=0.5)
     M_h = generator_with_hamiltonian(p)
-    assert small_time_ppt_oracle(M_h, state.density(), 1e-3) is True
+    assert small_time_ppt_reference(M_h, state.density(), 1e-3) is True

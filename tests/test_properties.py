@@ -2,13 +2,16 @@
 complete-positivity guard, M against the reference route, trace and
 Hermiticity preservation of M, the closed-form discriminant against the
 general product-state one at |-+> and its canonical-state reduction,
+the small-time oracle in the charge-0 sector against the general route,
 concurrence against the partial-transpose verdict, the
 Gibbs state as a stationary state (the bath is KMS), the closed-form
 asymptotic state against the SVD stationary projector and the long-time
 evolution, the free Hamiltonian as a local turn that commutes with M and
 masks its stationary projector, and the axis n as a local frame only: the
 generator at n, and the CLI's phase diagram and trajectories at n, against
-those at e3."""
+those at e3; and sibling subcommands agree: the phase diagram's oracle
+with evolve's partial transpose, and its R and S with those that
+coefficients prints."""
 
 import json
 import math
@@ -21,14 +24,16 @@ from hypothesis import example, given, settings, strategies as st
 from thermalpair import (ModelParams, ProductState, asymptotic_state, build_superoperator,
                          canonical_state, cli, concurrence, criterion_rs, evolve,
                          generation_test, kossakowski_coefficients, kossakowski_eigenvalues,
-                         local_frame, min_eig_pt, tau, trace_norm, unvec, vec)
+                         local_frame, min_eig_pt, small_time_ppt_oracle, tau, trace_norm, unvec,
+                         vec)
 from thermalpair.asymptotic import _CONV_TOL
 from thermalpair.dynamics import _CP_REL_TOL
 
 from util import (_AT_REST, _HORIZON, _NULLSPACE_REL_TOL, build_kossakowski_spectral,
                   generation_discriminant, generator_with_hamiltonian, hamiltonian,
-                  kossakowski_6x6, kossakowski_from_coefficients, random_density, spectral_gap,
-                  stationary_projector, superoperator_reference)
+                  kossakowski_6x6, kossakowski_from_coefficients, random_density,
+                  small_time_ppt_reference, spectral_gap, stationary_projector,
+                  superoperator_reference)
 
 
 def _log_uniform(lo, hi):
@@ -124,6 +129,35 @@ def test_closed_form_discriminant_is_the_general_one_at_the_canonical_state(omeg
     margin, label = generation_test(coeffs)
     assert label == ref.label, (margin, label, ref)
     assert abs(margin - ref.margin) <= 1e-15 * K.norm ** 2, (margin, ref.margin)
+
+
+# the oracle's corners: beta = inf, ell = 0, the crossover, and beta*omega down
+# to 1e-3, below about 0.007 of which |dt M_q0|_1 > dynamics._THETA_T takes
+# the Pade branch; and below 1e-3, where the exponential rounds so badly
+# (the state's trace before renormalizing is off by up to 1e8) that the two
+# routes part inside the band |rs_margin| <= 1e-3, in the verdict and in
+# whether a guard fires
+ORACLE_BAND = 1e-3
+
+
+@SETTINGS
+@given(_log_uniform(0.25, 4.0),
+       st.one_of(st.just(math.inf), _log_uniform(1e-3, 1e3), _log_uniform(1e-3, 1e-2),
+                 _log_uniform(1e-20, 1e-3)),
+       st.one_of(st.just(0.0), _log_uniform(1e-8, 1e-3), st.floats(0.0, 20.0)))
+@example(1.0, 1e-3, 0.0)
+@example(2.0, 2e-3, 5.0)
+@example(1.0, 1e-10, 3.0)
+def test_sector_oracle_is_the_general_route(omega, bw, wl):
+    params = ModelParams(omega=omega, beta=bw / omega, ell=wl / omega)
+    _, _, rs_margin = criterion_rs(params)
+    if bw < 1e-3 and abs(rs_margin) <= ORACLE_BAND:
+        return
+    coeffs = kossakowski_coefficients(params)
+    dt = 1e-3 / omega
+    oracle = small_time_ppt_oracle(coeffs, dt)
+    ref = small_time_ppt_reference(build_superoperator(coeffs), canonical_state().density(), dt)
+    assert oracle == ref, (oracle, ref, rs_margin)
 
 
 @SETTINGS
@@ -299,3 +333,32 @@ def test_evolve_at_an_axis_matches_e3_with_the_bloch_vectors_turned(omega, bw, w
     assert abs(summary["trace_distance_to_asymptotic"]
                - summary_e3["trace_distance_to_asymptotic"]) <= 1e-12
     assert abs(summary["asymptotic_concurrence"] - summary_e3["asymptotic_concurrence"]) <= 1e-7
+
+
+# ------------------------------------------------------ sibling subcommands
+
+SIBLING_SETTINGS = settings(derandomize=True, max_examples=60, deadline=None, database=None)
+
+
+@SIBLING_SETTINGS
+@given(_log_uniform(0.25, 4.0), _log_uniform(1e-3, 1e3),
+       st.one_of(st.just(0.0), _log_uniform(1e-8, 1e-3), st.floats(0.0, 20.0)), unit)
+def test_phase_diagram_agrees_with_evolve_and_coefficients(omega, bw, wl, n):
+    # a 1x1 phase diagram against evolve from the canonical state at
+    # omega*t = 1e-3, the oracle's step, and against coefficients at the
+    # same point; the two print R and S in their own formats (%.17g in the
+    # CSV, repr in the JSON), so the parsed doubles must be equal
+    model = {"omega": omega, "beta": bw / omega, "ell": wl / omega, "n": n}
+    code, csv, _ = _run_cli("phase-diagram", {
+        **model, "sweep": {"beta_omega": [bw, bw, 1], "omega_ell": [wl, wl, 1]}})
+    assert code == 0
+    row = csv.splitlines()[1].split(",")
+    code, traj, _ = _run_cli("evolve", {**model, "time_grid": {"times": [1e-3]}})
+    assert code == 0
+    min_eig_pt_at_dt = float(traj.splitlines()[1].split(",")[3])
+    if abs(float(row[4])) > ORACLE_BAND:
+        assert (row[7] == "true") == (min_eig_pt_at_dt < -1e-13), (row, min_eig_pt_at_dt)
+    code, doc, _ = _run_cli("coefficients", model)
+    assert code == 0
+    doc = json.loads(doc)
+    assert (doc["R"], doc["S"]) == (float(row[2]), float(row[3]))

@@ -10,20 +10,22 @@ Choi matrix of the evolved map; the stationary projector from one SVD of
 the generator, and the spectral gap that sizes the long-time evolution;
 and the general entanglement-generation discriminant for any product
 state, with its u and v (also by the Pauli-rotation route) and its probe
-functionals.  The library evaluates that discriminant only at
-|-> (x) |+>, in closed form, and takes the asymptotic state in closed form
-too."""
+functionals; and the small-time oracle on the general route, any state
+under any 16x16 generator.  The library evaluates that discriminant only at
+|-> (x) |+>, in closed form, runs its oracle from that state in the
+charge-0 sector with closed-form spectra, and takes the asymptotic state
+in closed form too."""
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from thermalpair import (KossakowskiCoefficients, ModelParams, ProductState, bloch_ket,
+from thermalpair import (KossakowskiCoefficients, ModelParams, ProductState, bloch_ket, evolve,
                          kossakowski_coefficients, kossakowski_eigenvalues, min_eig_pt,
                          partial_transpose, unvec, vec)
 from thermalpair.dynamics import SIGMA, _unit_vector, expm
-from thermalpair.entanglement import _BOUNDARY_REL_TOL
+from thermalpair.entanglement import _BOUNDARY_REL_TOL, _ORACLE_NEG_TOL
 from thermalpair.spectral import TWO_PI, _sinc
 
 # Levi-Civita symbol, epsilon[i, j, k]
@@ -558,3 +560,16 @@ def uv_vectors_rotation(state: ProductState):
     u = _pauli_rotation(_su2_from_bloch(state.bloch1)) @ _M_PLUS_MINUS
     v = _pauli_rotation(_su2_from_bloch(state.bloch2)) @ np.conj(_M_PLUS_MINUS)
     return u, v
+
+
+# ---------------------------------------------------------------------------
+# the small-time oracle on the general route (entanglement)
+# ---------------------------------------------------------------------------
+
+def small_time_ppt_reference(M: np.ndarray, rho0: np.ndarray, dt: float) -> bool:
+    """Evolve any state rho0 under any 16x16 generator M by dt (dynamics.evolve,
+    with its guards) and report min_eig_pt < -_ORACLE_NEG_TOL: the route the
+    library's small_time_ppt_oracle is checked against."""
+    if not (dt > 0):
+        raise ValueError(f"dt must be positive, got {dt}")
+    return min_eig_pt(evolve(M, rho0, dt)) < -_ORACLE_NEG_TOL
