@@ -57,7 +57,7 @@ def asymptotic_state(M: np.ndarray, rho0: np.ndarray, params: ModelParams,
     """
     rho0 = dynamics.validate_density_matrix(rho0)
     R = temperature_ratio(params)
-    if params.ell > 0:
+    if params.omega_ell > 0:
         g = np.array([1.0 - R, 1.0 + R]) / 2.0
         rho_inf, dim = np.diag(np.kron(g, g)).astype(complex), 1
     else:
@@ -86,7 +86,7 @@ def asymptotic_state(M: np.ndarray, rho0: np.ndarray, params: ModelParams,
         if not residual <= _RESIDUAL_REL_TOL * scale:
             raise ConvergenceError(f"the predicted state is not stationary: residual "
                                    f"{residual:.3e} exceeds {_RESIDUAL_REL_TOL:.0e} |M|_1")
-        if params.ell == 0 and not abs(dynamics.tau(rho_inf) - tau0) <= _TAU_TOL:
+        if params.omega_ell == 0 and not abs(dynamics.tau(rho_inf) - tau0) <= _TAU_TOL:
             raise ConvergenceError(f"the predicted state has tau {dynamics.tau(rho_inf)!r}, "
                                    f"the initial state {tau0!r}")
     return rho_inf, dim

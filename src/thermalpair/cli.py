@@ -1,11 +1,13 @@
 """Command-line front end: coefficients, phase diagrams, trajectories, equilibria.
 
 All inputs come from a single JSON config (path argument or standard
-input); all dimensionful outputs are reported in units of omega, so CSV
-and JSON carry only dimensionless groups (beta*omega, omega*ell, omega*t,
-rates over omega).  Standard output carries data only; diagnostics go to
-standard error.  Identical configs produce byte-identical output: floats
-are printed with 17 significant digits and orderings are fixed.
+input).  omega is the unit: parse_config forms beta*omega and omega*ell
+once, the library runs at omega = 1, and CSV and JSON carry only
+dimensionless groups (beta*omega, omega*ell, omega*t, rates over omega),
+so configs with the same two products give the same bytes.  Standard
+output carries data only; diagnostics go to standard error.  Identical
+configs produce byte-identical output: floats are printed with 17
+significant digits and orderings are fixed.
 
 The library runs at the axis e3; the axis n enters only here, as the
 local frame V = dynamics.local_frame(n): the initial state goes in as
@@ -54,16 +56,17 @@ EVOLVE_HEADER = "t,trace,min_eig,min_eig_pt,concurrence,tau"
 # count caps: a time grid's samples and a sweep's grid points
 MAX_SAMPLES = 100_000
 MAX_SWEEP_POINTS = 1_000_000
-# cap on the work of evolve's RK45 cross-check, (t_max / omega) |M|_1 of the
-# dissipator at e3 that it integrates, so the same at every n and include_hs: the
-# explicit integrator's step count grows with it.  Work 1.91e5 (beta 0.001,
-# ell 1, t_max 100) took 2.5 to 3.9 s on a 2-vCPU Xeon VM (Python 3.11,
-# numpy 2.4), about 1.3 to 2 s of run time per 1e5 of work
+# cap on the work of evolve's RK45 cross-check, t_max |M|_1 of the dissipator
+# at e3 that it integrates, in units of omega, so the same at every n and
+# include_hs: the explicit integrator's step count grows with it.  Work
+# 1.91e5 (beta*omega 0.001, omega*ell 1, t_max 100) took 2.5 to 3.9 s on a
+# 2-vCPU Xeon VM (Python 3.11, numpy 2.4), about 1.3 to 2 s of run time per
+# 1e5 of work
 MAX_RK_WORK = 2e5
-# below this beta*omega the thermal factor coth(beta*omega/2) overflows the
-# Kossakowski coefficients
-MIN_BETA_OMEGA = 1e-300
-# phase-diagram guard: the small-time oracle evolves by _ORACLE_DT / omega and
+# below this beta*omega the square of the thermal factor coth(beta*omega/2),
+# which scales the discriminant and |K|_2^2, is not a finite float
+MIN_BETA_OMEGA = 1.5e-154
+# phase-diagram guard: the small-time oracle evolves by omega*t = _ORACLE_DT and
 # must agree with the discriminant wherever |rs_margin| > _ORACLE_BAND
 _ORACLE_DT = 1e-3
 _ORACLE_BAND = 1e-3
@@ -84,7 +87,7 @@ class RunConfig:
     params: ModelParams
     frame: np.ndarray                      # V = dynamics.local_frame(n)
     rho0: np.ndarray                       # V^dag (the initial state) V
-    times: np.ndarray | None = None        # units 1/omega
+    times: np.ndarray | None = None        # omega*t
     sweep: SweepSpec | None = None
     include_hs: bool = False
 
@@ -214,31 +217,6 @@ def _parse_sweep(raw) -> SweepSpec:
     return SweepSpec(beta_omega=np.linspace(*beta_omega), omega_ell=np.linspace(*omega_ell))
 
 
-def _check_omega_scales(omega: float, beta_omega: float, times, sweep):
-    """The quantities derived from omega fit a float, or ConfigError: the
-    sample times in units of 1/omega and a sweep's largest beta and ell
-    must be finite, and the discriminant's scale
-    (omega coth(beta*omega/2))^2, taken at beta*omega and at a sweep's
-    smallest beta_omega, must be a finite, normal number."""
-    if times is not None:
-        with np.errstate(over="ignore", under="ignore"):
-            t = times / omega
-        _require(np.all(np.isfinite(t)) and np.all(np.diff(t) > 0),
-                 f"time_grid in units of 1/omega is not finite and strictly increasing "
-                 f"at omega {omega!r}")
-    if sweep is not None:
-        with np.errstate(over="ignore", under="ignore"):
-            largest = np.array([sweep.beta_omega[-1], sweep.omega_ell[-1]]) / omega
-        _require(np.all(np.isfinite(largest)),
-                 f"sweep beta_omega / omega or omega_ell / omega is not finite "
-                 f"at omega {omega!r}")
-    for bw in (beta_omega,) if sweep is None else (beta_omega, float(sweep.beta_omega[0])):
-        scale = omega / math.tanh(bw / 2.0)
-        _require(sys.float_info.min <= scale * scale < math.inf,
-                 f"omega {omega!r} out of range: (omega coth(beta*omega/2))^2 at "
-                 f"beta*omega {bw!r} is not a finite normal float")
-
-
 def parse_config(doc: dict) -> RunConfig:
     _require(isinstance(doc, dict), "config must be a JSON object")
     known = {"omega", "beta", "ell", "n", "initial_state", "time_grid",
@@ -247,18 +225,24 @@ def parse_config(doc: dict) -> RunConfig:
     _require(not unknown, f"unknown config keys: {sorted(unknown)}")
 
     omega = _number(doc.get("omega", 1.0), "omega")
+    _require(omega > 0, f"omega must be > 0, got {omega!r}")
     beta = doc.get("beta", 1.0)
     beta = math.inf if beta == "inf" else _number(beta, "beta")
     ell = _number(doc.get("ell", 0.0), "ell")
+    # the only use of omega: the model in its units
+    beta_omega, omega_ell = beta * omega, omega * ell
+    _require(math.isfinite(beta_omega) or beta == math.inf,
+             f"beta*omega = {beta_omega!r} is not finite")
+    _require(math.isfinite(omega_ell), f"omega*ell = {omega_ell!r} is not finite")
+    _require(beta_omega >= MIN_BETA_OMEGA, f"beta*omega must be at least {MIN_BETA_OMEGA}")
     try:
-        params = ModelParams(omega=omega, beta=beta, ell=ell)
+        params = ModelParams(beta_omega=beta_omega, omega_ell=omega_ell)
     except ValueError as exc:
         raise ConfigError(f"invalid model parameters: {exc}") from None
     try:
         frame = dynamics.local_frame(_parse_axis(doc.get("n", [0.0, 0.0, 1.0])))
     except ValueError as exc:
         raise ConfigError(f"invalid axis n: {exc}") from None
-    _require(beta * omega >= MIN_BETA_OMEGA, f"beta*omega must be at least {MIN_BETA_OMEGA}")
 
     include_hs = doc.get("include_hs", False)
     _require(isinstance(include_hs, bool), "include_hs must be a boolean")
@@ -266,7 +250,6 @@ def parse_config(doc: dict) -> RunConfig:
     rho0 = _parse_initial_state(doc.get("initial_state"), frame)
     times = _parse_time_grid(doc["time_grid"]) if "time_grid" in doc else None
     sweep = _parse_sweep(doc["sweep"]) if "sweep" in doc else None
-    _check_omega_scales(omega, beta * omega, times, sweep)
     return RunConfig(params=params, frame=frame, rho0=rho0, times=times, sweep=sweep,
                      include_hs=include_hs)
 
@@ -313,11 +296,9 @@ def _write_out(text: str, out_path: str | None, rest=()):
 
 def cmd_coefficients(config: RunConfig, out_path: str | None) -> int:
     """Kossakowski coefficients (in units of omega) plus R and S."""
-    w = config.params.omega
     c = kossakowski_coefficients(config.params)
     R, S, _ = entanglement.criterion_rs(config.params)
-    doc = {"A": c.A / w, "B": c.B / w, "C": c.C / w,
-           "A'": c.Ap / w, "B'": c.Bp / w, "C'": c.Cp / w, "R": R, "S": S}
+    doc = {"A": c.A, "B": c.B, "C": c.C, "A'": c.Ap, "B'": c.Bp, "C'": c.Cp, "R": R, "S": S}
     _write_out(json.dumps(doc, indent=2) + "\n", out_path)
     return 0
 
@@ -328,24 +309,24 @@ def cmd_phase_diagram(config: RunConfig, out_path: str | None) -> int:
     no output)."""
     if config.sweep is None:
         raise ConfigError("phase-diagram requires a sweep section")
-    omega = config.params.omega
     first, count = None, 0
 
     def points():
         nonlocal first, count
-        for bw in config.sweep.beta_omega:
-            for wl in config.sweep.omega_ell:
-                params = ModelParams(omega=omega, beta=bw / omega, ell=wl / omega)
+        # as Python floats, whose overflow to inf (2 pi beta*omega) warns nothing
+        for bw in config.sweep.beta_omega.tolist():
+            for wl in config.sweep.omega_ell.tolist():
+                params = ModelParams(beta_omega=bw, omega_ell=wl)
                 coeffs = kossakowski_coefficients(params)
                 margin, label = entanglement.generation_test(coeffs)
                 R, S, rs_margin = entanglement.criterion_rs(params)
-                oracle = entanglement.small_time_ppt_oracle(coeffs, _ORACLE_DT / omega)
+                oracle = entanglement.small_time_ppt_oracle(coeffs, _ORACLE_DT)
                 if abs(rs_margin) > _ORACLE_BAND and (label == "true") != oracle:
                     first = first or (f"beta_omega={bw}, omega_ell={wl} "
                                       f"(rs_margin={rs_margin}, oracle={oracle})")
                     count += 1
                 yield ",".join([_fmt(bw), _fmt(wl), _fmt(R), _fmt(S), _fmt(rs_margin),
-                                _fmt(margin / omega**2), label,
+                                _fmt(margin), label,
                                 "true" if oracle else "false"]) + "\n"
 
     rows = points()
@@ -364,12 +345,12 @@ def cmd_evolve(config: RunConfig, out_path: str | None) -> int:
     params = config.params
     M = dynamics.build_superoperator(kossakowski_coefficients(params))
     with np.errstate(over="ignore"):  # an overflow to inf fails the cap below
-        work = config.times[-1] / params.omega * np.abs(M).sum(axis=0).max()
+        work = config.times[-1] * np.abs(M).sum(axis=0).max()
     if work > MAX_RK_WORK:
         raise ConfigError(f"time_grid t_max {float(config.times[-1])!r} is too long for the "
-                          f"RK45 cross-check: (t_max/omega) |M|_1 = {work:.3g} exceeds "
+                          f"RK45 cross-check: t_max |M|_1 = {work:.3g} exceeds "
                           f"MAX_RK_WORK = {MAX_RK_WORK:.0e}")
-    states = dynamics.evolve_traj(M, config.rho0, config.times / params.omega)
+    states = dynamics.evolve_traj(M, config.rho0, config.times)
     rho_inf, _ = asymptotic.asymptotic_state(M, config.rho0, params, check=False,
                                              include_hs=config.include_hs)
 

@@ -129,7 +129,7 @@ def generation_test(coeffs: KossakowskiCoefficients) -> tuple[float, str]:
 def criterion_rs(params: ModelParams):
     """(R, S, R^2 + S^2 - 1): the canonical-state reduction of the test."""
     R = temperature_ratio(params)
-    S = _sinc(params.omega * params.ell)
+    S = _sinc(params.omega_ell)
     return R, S, R * R + S * S - 1.0
 
 

@@ -1,18 +1,21 @@
 """Thermal-bath spectral functions and the two-atom Kossakowski matrix.
 
-Physical conventions (natural units, hbar = c = k_B = 1):
-  - omega : level splitting of each atom, > 0 (units 1/time)
-  - beta  : inverse bath temperature, > 0; math.inf encodes the
-            zero-temperature bath exactly (no large-float stand-in)
-  - ell   : spatial separation of the atoms, >= 0 (units time since c = 1)
+Physical conventions (natural units, hbar = c = k_B = 1).  Every result
+depends on the level splitting omega of each atom only through beta*omega,
+omega*ell and omega*t, so the library runs in units of omega: rates are in
+units of omega and times in units of 1/omega (the CLI forms the two
+products from its config).
+  - beta_omega : inverse bath temperature, > 0; math.inf encodes the
+                 zero-temperature bath exactly (no large-float stand-in)
+  - omega_ell  : spatial separation of the atoms, >= 0 (c = 1)
 
 The bath enters the reduced dynamics only through two real spectra,
 
-    g11(z) = z / (2 pi (1 - exp(-beta z)))        (same-atom)
-    g12(z) = g11(z) * sin(ell z) / (ell z)        (cross-atom)
+    g11(z) = z / (2 pi (1 - exp(-beta_omega z)))          (same-atom)
+    g12(z) = g11(z) * sin(omega_ell z) / (omega_ell z)    (cross-atom)
 
-evaluated at z in {+omega, -omega, 0}, and through the geometric psi
-tensors built from the axis n of the atom Hamiltonians (omega/2) n.sigma.
+evaluated at z in {+1, -1, 0}, and through the geometric psi tensors
+built from the axis n of the atom Hamiltonians (1/2) n.sigma.
 One rotation of both atoms turns n into e3, so n is only a frame: the
 library works at e3 (`dynamics.local_frame` turns states to it).  The
 coefficient matrix has the 2x2 block structure [[C11, C12], [C12, C11]]
@@ -44,26 +47,23 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Physical knobs of the two-atom / thermal-field model.
+    """The two-atom / thermal-field model in units of omega.
 
-    beta = math.inf selects the zero-temperature bath branch everywhere.
+    beta_omega = math.inf selects the zero-temperature bath branch everywhere.
     """
 
-    omega: float
-    beta: float
-    ell: float
+    beta_omega: float
+    omega_ell: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.omega) and self.omega > 0):
-            raise ValueError(f"omega must be finite and > 0, got {self.omega}")
-        if not (self.beta > 0):  # inf allowed
-            raise ValueError(f"beta must be > 0 (or inf), got {self.beta}")
-        if not (math.isfinite(self.ell) and self.ell >= 0):
-            raise ValueError(f"ell must be finite and >= 0, got {self.ell}")
+        if not (self.beta_omega > 0):  # inf allowed
+            raise ValueError(f"beta_omega must be > 0 (or inf), got {self.beta_omega}")
+        if not (math.isfinite(self.omega_ell) and self.omega_ell >= 0):
+            raise ValueError(f"omega_ell must be finite and >= 0, got {self.omega_ell}")
 
     @property
     def zero_temperature(self) -> bool:
-        return math.isinf(self.beta)
+        return math.isinf(self.beta_omega)
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,7 @@ class KossakowskiCoefficients:
     """Closed-form coefficients of the block Kossakowski matrix.
 
     Unprimed values parametrize the same-atom block C11 = A 1 - iB eps.e3
-    + C e3 e3^T; primed values the cross-atom block C12.  Units 1/time.
+    + C e3 e3^T; primed values the cross-atom block C12.  Units of omega.
     """
 
     A: float
@@ -90,21 +90,20 @@ def _sinc(x: float) -> float:
 def kossakowski_coefficients(params: ModelParams) -> KossakowskiCoefficients:
     """Closed-form A, B, C (same-atom) and primed variants (cross-atom).
 
-    B = omega/4pi exactly; A carries the coth(beta omega / 2) thermal
-    enhancement; A + C equals the zero-frequency spectrum 1/(2 pi beta).
+    B = 1/4pi exactly; A carries the coth(beta omega / 2) thermal
+    enhancement; A + C equals the zero-frequency spectrum 1/(2 pi beta omega).
     Primed values differ by the sinc(omega ell) factor, except Cp whose
     zero-frequency part has ell -> 0 built in (sinc(0) = 1).
     """
-    w = params.omega
-    B = w / (4.0 * math.pi)
+    B = 1.0 / (4.0 * math.pi)
     if params.zero_temperature:
         A = B
         g0 = 0.0
     else:
-        A = B / math.tanh(params.beta * w / 2.0)
-        g0 = 1.0 / (TWO_PI * params.beta)
+        A = B / math.tanh(params.beta_omega / 2.0)
+        g0 = 1.0 / (TWO_PI * params.beta_omega)
     C = g0 - A
-    s = _sinc(w * params.ell)
+    s = _sinc(params.omega_ell)
     return KossakowskiCoefficients(A=A, B=B, C=C, Ap=A * s, Bp=B * s, Cp=g0 - A * s)
 
 
@@ -112,7 +111,7 @@ def temperature_ratio(params: ModelParams) -> float:
     """R = B/A = tanh(beta omega / 2); equals 1 at zero temperature."""
     if params.zero_temperature:
         return 1.0
-    return math.tanh(params.beta * params.omega / 2.0)
+    return math.tanh(params.beta_omega / 2.0)
 
 
 def kossakowski_eigenvalues(coeffs: KossakowskiCoefficients) -> np.ndarray:

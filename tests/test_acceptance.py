@@ -54,7 +54,7 @@ def test_criterion_1_reduction_sign_match():
     checked = 0
     for bw in BETA_OMEGA_GRID:
         for wl in OMEGA_ELL_GRID:
-            p = ModelParams(omega=1.0, beta=bw, ell=wl)
+            p = ModelParams(beta_omega=bw, omega_ell=wl)
             coeffs = kossakowski_coefficients(p)
             verdict = generation_discriminant(state, kossakowski_from_coefficients(coeffs))
             margin, _ = generation_test(coeffs)
@@ -69,14 +69,14 @@ def test_criterion_1_reduction_sign_match():
 
 
 def test_criterion_2_small_time_oracle_equivalence():
-    """Small-time PPT oracle (dt = 1e-3/omega) agrees wherever |rs| > 1e-3."""
+    """Small-time PPT oracle (omega*dt = 1e-3) agrees wherever |rs| > 1e-3."""
     state = canonical_state()
     rho0 = state.density()
     mismatches = 0
     checked = 0
     for bw in BETA_OMEGA_GRID:
         for wl in OMEGA_ELL_GRID:
-            p = ModelParams(omega=1.0, beta=bw, ell=wl)
+            p = ModelParams(beta_omega=bw, omega_ell=wl)
             _, _, rs = criterion_rs(p)
             if abs(rs) <= 1e-3:
                 continue
@@ -94,7 +94,7 @@ def test_criterion_3_zero_separation_robustness():
     ok = True
     details = []
     for bw in (0.01, 0.1, 1.0, 10.0):
-        p = ModelParams(omega=1.0, beta=bw, ell=0.0)
+        p = ModelParams(beta_omega=bw, omega_ell=0.0)
         _, label = generation_test(kossakowski_coefficients(p))
         if label != "true":
             ok = False
@@ -111,7 +111,7 @@ def test_criterion_3_zero_separation_robustness():
 
 
 def test_criterion_4_complete_positivity():
-    """Kossakowski PSD on 1000 draws; Choi of exp(0.1 M/omega) PSD on 50."""
+    """Kossakowski PSD on 1000 draws; Choi of exp(0.1 M) PSD on 50."""
     rng = np.random.default_rng(101)
     worst_rel, worst_herm = math.inf, 0.0
     for _ in range(1000):
@@ -125,7 +125,7 @@ def test_criterion_4_complete_positivity():
     for _ in range(50):
         p = random_params(rng)
         M = build_superoperator(kossakowski_coefficients(p))
-        worst_choi = min(worst_choi, np.linalg.eigvalsh(choi_matrix(M, 0.1 / p.omega)).min())
+        worst_choi = min(worst_choi, np.linalg.eigvalsh(choi_matrix(M, 0.1)).min())
     choi_ok = worst_choi >= -1e-10
     _report(4, "complete positivity", psd_ok and choi_ok,
             f"worst relative Kossakowski eig {worst_rel:.2e}, worst Choi eig {worst_choi:.2e}")
@@ -160,13 +160,13 @@ def test_criterion_6_stationarity_and_convergence():
             K = kossakowski_from_coefficients(coeffs)
         else:
             beta = math.inf if R == 1.0 else 2.0 * math.atanh(R)
-            K = build_kossakowski_spectral(ModelParams(omega=1.0, beta=beta, ell=0.0), E3)
+            K = build_kossakowski_spectral(ModelParams(beta_omega=beta, omega_ell=0.0), E3)
         for t in np.round(np.arange(-3.0, 1.0001, 0.5), 10):
             resid = np.abs(dissipator_reference(K, equilibrium_closed_form(R, t))).max()
             worst_resid = max(worst_resid, resid)
     stat_ok = worst_resid < 1e-12
 
-    p = ModelParams(omega=1.0, beta=1.0, ell=0.0)
+    p = ModelParams(beta_omega=1.0, omega_ell=0.0)
     M = build_superoperator(kossakowski_coefficients(p))
     R = temperature_ratio(p)
     T = _HORIZON / spectral_gap(M)
@@ -187,7 +187,7 @@ def test_criterion_6_stationarity_and_convergence():
 
 def test_criterion_7_conservation_laws():
     """tau constant to 1e-9, trace to 1e-12, positivity to -1e-10 on trajectories."""
-    p = ModelParams(omega=1.0, beta=1.0, ell=0.0)
+    p = ModelParams(beta_omega=1.0, omega_ell=0.0)
     M = build_superoperator(kossakowski_coefficients(p))
     rng = np.random.default_rng(103)
     times = np.linspace(0.0, 50.0, 26)
@@ -213,7 +213,7 @@ def test_criterion_8_finite_separation_separability():
     rho0 = canonical_state().density()
     for wl in (0.5, 1.0, 2.0, 5.0):
         for bw in (0.5, 1.0, 2.0):
-            p = ModelParams(omega=1.0, beta=bw, ell=wl)
+            p = ModelParams(beta_omega=bw, omega_ell=wl)
             M = build_superoperator(kossakowski_coefficients(p))
             P = stationary_projector(M)
             dim = round(np.trace(P).real)

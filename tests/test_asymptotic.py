@@ -48,7 +48,7 @@ def generator_for_ratio(R):
         coeffs = KossakowskiCoefficients(A=1.0, B=0.0, C=0.0, Ap=1.0, Bp=0.0, Cp=0.0)
         return superoperator_reference(kossakowski_from_coefficients(coeffs))
     beta = math.inf if R == 1.0 else 2.0 * math.atanh(R)
-    params = ModelParams(omega=1.0, beta=beta, ell=0.0)
+    params = ModelParams(beta_omega=beta, omega_ell=0.0)
     return build_superoperator(kossakowski_coefficients(params))
 
 
@@ -70,20 +70,20 @@ def stationary_dim(M):
 # ------------------------------------------------------- stationary projector
 
 def test_stationary_dimension_degenerate_at_zero_separation():
-    p = ModelParams(omega=1.0, beta=1.0, ell=0.0)
+    p = ModelParams(beta_omega=1.0, omega_ell=0.0)
     M = build_superoperator(kossakowski_coefficients(p))
     assert stationary_dim(M) == 2
 
 
 def test_stationary_dimension_unique_at_finite_separation():
-    p = ModelParams(omega=1.0, beta=1.0, ell=2.0)
+    p = ModelParams(beta_omega=1.0, omega_ell=2.0)
     M = build_superoperator(kossakowski_coefficients(p))
     assert stationary_dim(M) == 1
 
 
 def test_stationary_dimension_at_zero_temperature_and_separation():
     # ground, singlet and the two coherences between them
-    p = ModelParams(omega=1.0, beta=math.inf, ell=0.0)
+    p = ModelParams(beta_omega=math.inf, omega_ell=0.0)
     M = build_superoperator(kossakowski_coefficients(p))
     assert stationary_dim(M) == 4
     M_h = generator_with_hamiltonian(p)
@@ -95,7 +95,7 @@ def test_stationary_dimension_at_zero_temperature_and_separation():
 def test_stationary_basis_elements_are_stationary():
     # the range of P: every column, devectorized, is a stationary operator
     for ell in (0.0, 2.0):
-        p = ModelParams(omega=1.0, beta=1.0, ell=ell)
+        p = ModelParams(beta_omega=1.0, omega_ell=ell)
         K = build_kossakowski_spectral(p, (0.0, 0.0, 1.0))
         P = stationary_projector(build_superoperator(kossakowski_coefficients(p)))
         for col in P.T:
@@ -118,8 +118,8 @@ def test_stationary_projector_properties():
     for k in range(120):
         p = random_params(rng)
         include_hs = k % 2 == 1
-        seen |= {"beta_inf"} if math.isinf(p.beta) else set()
-        seen |= {"ell_0"} if p.ell == 0 else set()
+        seen |= {"beta_inf"} if math.isinf(p.beta_omega) else set()
+        seen |= {"ell_0"} if p.omega_ell == 0 else set()
         seen |= {"include_hs"} if include_hs else set()
         M = (generator_with_hamiltonian(p) if include_hs
              else build_superoperator(kossakowski_coefficients(p)))
@@ -130,7 +130,7 @@ def test_stationary_projector_properties():
         assert np.abs(M @ P).max() < 1e-12 * scale, label
         assert np.abs(P @ M).max() < 1e-12 * scale, label
         assert np.abs(vec_id.conj() @ P - vec_id.conj()).max() < 1e-12, label
-        if p.ell == 0 and not math.isinf(p.beta):
+        if p.omega_ell == 0 and not math.isinf(p.beta_omega):
             rho0 = random_density(rng)
             expected = equilibrium_closed_form(temperature_ratio(p), tau(rho0))
             assert np.abs(unvec(P @ vec(rho0)) - expected).max() < 1e-12, label
@@ -221,7 +221,7 @@ def test_concurrence_positive_region_matches_threshold():
 # --------------------------------------------------------- asymptotic state
 
 def test_asymptotic_state_canonical_at_zero_separation():
-    p = ModelParams(omega=1.0, beta=1.0, ell=0.0)
+    p = ModelParams(beta_omega=1.0, omega_ell=0.0)
     M = build_superoperator(kossakowski_coefficients(p))
     rho_inf, dim = asymptotic_state(M, canonical_state().density(), p)
     assert dim == 2
@@ -230,7 +230,7 @@ def test_asymptotic_state_canonical_at_zero_separation():
 
 
 def test_asymptotic_state_singlet_is_fixed():
-    p = ModelParams(omega=1.0, beta=0.5, ell=0.0)
+    p = ModelParams(beta_omega=0.5, omega_ell=0.0)
     M = build_superoperator(kossakowski_coefficients(p))
     rho_inf, _ = asymptotic_state(M, singlet_density(), p)
     assert trace_norm(rho_inf - singlet_density()) < 1e-10
@@ -238,7 +238,7 @@ def test_asymptotic_state_singlet_is_fixed():
 
 def test_asymptotic_state_unique_and_separable_at_finite_separation():
     rng = np.random.default_rng(51)
-    p = ModelParams(omega=1.0, beta=1.0, ell=2.0)
+    p = ModelParams(beta_omega=1.0, omega_ell=2.0)
     M = build_superoperator(kossakowski_coefficients(p))
     rho_a, dim = asymptotic_state(M, random_density(rng), p)
     rho_b, _ = asymptotic_state(M, random_density(rng), p)
@@ -251,7 +251,7 @@ def test_asymptotic_state_unique_and_separable_at_finite_separation():
 def test_asymptotic_state_keeps_conserved_coherences():
     # zero temperature, ell = 0: the singlet/ground coherence is conserved,
     # so the state is its own limit, which the tau family alone would miss
-    p = ModelParams(omega=1.0, beta=math.inf, ell=0.0)
+    p = ModelParams(beta_omega=math.inf, omega_ell=0.0)
     M = build_superoperator(kossakowski_coefficients(p))
     rho0 = coherent_ground_singlet()
     rho_inf, dim = asymptotic_state(M, rho0, p)
@@ -263,28 +263,28 @@ def test_asymptotic_state_convergence_check_fires():
     # with the free Hamiltonian the singlet/ground coherence rotates at
     # omega forever: under the full generator the closed form that keeps it
     # fails the residual guard, and with include_hs the state has no limit
-    p = ModelParams(omega=1.0, beta=math.inf, ell=0.0)
+    p = ModelParams(beta_omega=math.inf, omega_ell=0.0)
     with pytest.raises(ConvergenceError, match="not stationary"):
         asymptotic_state(generator_with_hamiltonian(p), coherent_ground_singlet(), p)
     M = build_superoperator(kossakowski_coefficients(p))
     with pytest.raises(ConvergenceError, match="no limit"):
         asymptotic_state(M, coherent_ground_singlet(), p, include_hs=True)
     # the Gibbs state of beta = 1 under the generator of beta = 2
-    p = ModelParams(omega=1.0, beta=1.0, ell=2.0)
-    M = build_superoperator(kossakowski_coefficients(ModelParams(omega=1.0, beta=2.0, ell=2.0)))
+    p = ModelParams(beta_omega=1.0, omega_ell=2.0)
+    M = build_superoperator(kossakowski_coefficients(ModelParams(beta_omega=2.0, omega_ell=2.0)))
     with pytest.raises(ConvergenceError, match="not stationary"):
         asymptotic_state(M, canonical_state().density(), p)
 
 
 def test_spectral_gap_positive():
     for ell in (0.0, 0.5, 2.0):
-        p = ModelParams(omega=1.0, beta=1.0, ell=ell)
+        p = ModelParams(beta_omega=1.0, omega_ell=ell)
         M = build_superoperator(kossakowski_coefficients(p))
         assert spectral_gap(M) > 0.01
 
 
 def test_temperature_ratio_consistent_with_family():
     # R used by the family equals the coefficient ratio B/A
-    p = ModelParams(omega=1.3, beta=0.9, ell=0.0)
+    p = ModelParams(beta_omega=1.17, omega_ell=0.0)
     c = kossakowski_coefficients(p)
     assert temperature_ratio(p) == pytest.approx(c.B / c.A, rel=1e-14)

@@ -105,22 +105,22 @@ def test_malformed_json_exits_2(tmp_path):
     {"beta": 5e-324},
     {"time_grid": {"t_max": 5e-324}},
     {"sweep": {"beta_omega": [2.2e-311, 1.0, 1], "omega_ell": [0.0, 0.0, 1]}},
-    # omega at the ends of the float range: times / omega overflows or
-    # underflows, and (omega coth(beta*omega/2))^2 is not a finite normal float
-    {"omega": 1e-300, "beta": 1e300, "time_grid": {"t_max": 1e10, "n_samples": 2}},
-    {"omega": 1e300, "beta": 1e-300, "ell": 0.5, "time_grid": {"times": [1e-25, 2e-25]}},
-    {"omega": 1e300, "sweep": {"beta_omega": [1, 1, 1], "omega_ell": [0, 1, 2]}},
+    # the products omega forms: beta*omega below the floor (here 1e-300),
+    # or beta*omega or omega*ell overflowing a float
     {"omega": 1e-300, "sweep": {"beta_omega": [1, 1, 1], "omega_ell": [0, 1, 2]}},
-    {"omega": 1e300, "beta": 1e-308, "ell": 0.5},
-    {"omega": 1e300, "beta": 1e-310, "ell": 0.5},
+    {"beta": math.nextafter(cli.MIN_BETA_OMEGA, 0.0)},
+    {"omega": 1e-10, "beta": 1e-145},
+    {"sweep": {"beta_omega": [math.nextafter(cli.MIN_BETA_OMEGA, 0.0), 1.0, 2],
+               "omega_ell": [0.0, 0.0, 1]}},
+    {"omega": 1e300, "beta": 1e10},
+    {"omega": 1e300, "ell": 1e10},
+    {"omega": 1e300, "beta": "inf", "ell": 1e10},
+    {"omega": 0.0},
     # guard thresholds are module constants, not config
     {"tolerances": {"positivity": 1e-8}},
     # |n| overflows a float: no numpy overflow warning before the error line
     {"n": [1e200, 1e200, 0]},
     {"initial_state": {"product": {"bloch1": [1e200, 1e200, 0], "bloch2": [0, 0, 1]}}},
-    # a sweep's beta = beta_omega / omega or ell = omega_ell / omega overflows
-    {"omega": 0.25, "sweep": {"beta_omega": [1, 1, 1], "omega_ell": [0, 1e308, 2]}},
-    {"omega": 0.25, "sweep": {"beta_omega": [1e308, 1e308, 1], "omega_ell": [0, 1, 2]}},
     # a list of times takes no other key
     {"ell": 0.5, "time_grid": {"times": [0, 1], "t_max": 5, "bogus": 1}},
 ])
@@ -132,6 +132,15 @@ def test_invalid_config_exits_2(tmp_path, config):
     assert "Traceback" not in res.stderr
 
 
+def test_beta_omega_floor_is_accepted(tmp_path):
+    # at the floor, coth(beta*omega/2)^2 = (A/B)^2 is still a finite float
+    res = run_cli("coefficients", config={"beta": cli.MIN_BETA_OMEGA}, tmp_path=tmp_path)
+    assert res.returncode == 0
+    doc = json.loads(res.stdout)
+    assert all(math.isfinite(v) for v in doc.values())
+    assert math.isfinite((doc["A"] / doc["B"]) ** 2)
+
+
 @pytest.mark.parametrize("sub,config,code", [
     # coth(beta*omega/2) ~ 1e38: the evolved oracle state overflows
     ("phase-diagram", {"sweep": {"beta_omega": [1e-38, 1.0, 1], "omega_ell": [0.0, 0.0, 1]}},
@@ -139,7 +148,7 @@ def test_invalid_config_exits_2(tmp_path, config):
     # coth ~ 1e50: the squarings of the oracle's matrix exponential overflow
     ("phase-diagram", {"sweep": {"beta_omega": [1e-50, 1.0, 1], "omega_ell": [0.0, 0.0, 1]}},
      4),
-    # (t_max/omega) |M|_1 overflows: the RK45 work cap rejects it without a numpy warning
+    # t_max |M|_1 overflows: the RK45 work cap rejects it without a numpy warning
     ("evolve", {"time_grid": {"times": [0, 1e308]}}, 2),
 ], ids=["sweep-overflow", "sweep-expm-overflow", "evolve-rk-work-overflow"])
 def test_numerical_failure_exits_with_its_code(tmp_path, sub, config, code):
@@ -197,7 +206,7 @@ def test_config_cannot_loosen_a_guard(tmp_path, sub, config):
 
 
 def test_rk45_work_over_cap_exits_2_before_integrating(tmp_path):
-    # (t_max/omega) |M|_1 = 1.9e6: at the 1.3 to 2 s per 1e5 of work measured
+    # t_max |M|_1 = 1.9e6: at the 1.3 to 2 s per 1e5 of work measured
     # for cli.MAX_RK_WORK, the RK45 cross-check would take 25 to 40 s
     config = {"beta": 0.001, "ell": 1, "time_grid": {"t_max": 1000, "n_samples": 3}}
     start = time.perf_counter()
@@ -211,7 +220,7 @@ def test_rk45_work_over_cap_exits_2_before_integrating(tmp_path):
 
 def test_rk45_work_cap_gives_the_same_verdict_at_every_axis(tmp_path, capsys):
     # the cap reads |M|_1 of the generator at e3 that RK45 integrates: here
-    # (t_max/omega) |M|_1 = 2.2e5, just over the cap, at every axis n.  The
+    # t_max |M|_1 = 2.2e5, just over the cap, at every axis n.  The
     # generator turned to n = e1 has |M|_1 = 0.77 times that, so a cap read
     # off it would let this grid run at e1 and reject it at e3.
     config = {"beta": "inf", "ell": 5.0, "time_grid": {"t_max": 1.58e5, "n_samples": 3}}
@@ -227,7 +236,7 @@ def test_rk45_work_cap_gives_the_same_verdict_at_every_axis(tmp_path, capsys):
 def test_rk45_work_cap_gives_the_same_verdict_with_and_without_include_hs(tmp_path, monkeypatch,
                                                                        capsys):
     # RK45 integrates the dissipator alone, so the cap reads its |M|_1 = 1.809
-    # here, (t_max/omega) |M|_1 = 3.62e5, whatever include_hs says; a
+    # here, t_max |M|_1 = 3.62e5, whatever include_hs says; a
     # generator with the free Hamiltonian has |M|_1 = 2.049 and would
     # give another figure.  Nothing is integrated.
     def forbidden(*args):
@@ -658,7 +667,7 @@ def test_phase_diagram_dense_factorizations(tmp_path, monkeypatch):
     for bw in beta_omega:
         for wl in omega_ell:
             lam = spectral.kossakowski_eigenvalues(spectral.kossakowski_coefficients(
-                spectral.ModelParams(omega=1.0, beta=bw, ell=wl)))
+                spectral.ModelParams(beta_omega=bw, omega_ell=wl)))
             M = np.tensordot(lam, entanglement._DISSIPATORS_Q0, axes=1)
             pade += np.abs(1e-3 * M).sum(axis=0).max() > dynamics._THETA_T
     assert 0 < pade < 900

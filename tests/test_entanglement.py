@@ -133,7 +133,7 @@ def test_q_probe_rejects_zero_vector():
 
 def test_q_rate_finite_for_any_probe():
     rng = np.random.default_rng(37)
-    K = build_kossakowski_spectral(ModelParams(omega=1.0, beta=1.0, ell=0.0), E3)
+    K = build_kossakowski_spectral(ModelParams(beta_omega=1.0, omega_ell=0.0), E3)
     rho0 = canonical_state().density()
     for _ in range(10):
         val = q_rate(random_unit_complex(rng), rho0, K)
@@ -141,7 +141,7 @@ def test_q_rate_finite_for_any_probe():
 
 
 def test_min_q_rate_negative_when_generation_occurs():
-    p = ModelParams(omega=1.0, beta=1.0, ell=0.0)
+    p = ModelParams(beta_omega=1.0, omega_ell=0.0)
     K = build_kossakowski_spectral(p, E3)
     state = canonical_state()
     val, chi = min_q_rate(state, K)
@@ -153,7 +153,7 @@ def test_min_q_rate_negative_when_generation_occurs():
 
 def test_min_q_rate_boundary_case():
     # R = 1, S = 0: the reduction sits exactly on R^2 + S^2 = 1
-    p = ModelParams(omega=1.0, beta=math.inf, ell=math.pi)
+    p = ModelParams(beta_omega=math.inf, omega_ell=math.pi)
     K = build_kossakowski_spectral(p, E3)
     val, _ = min_q_rate(canonical_state(), K)
     assert val >= -1e-12 * np.linalg.norm(kossakowski_6x6(K), 2)
@@ -198,12 +198,12 @@ def test_uv_vectors_match_the_pauli_rotation_route():
 # -------------------------------------------------------------- generation test
 
 def test_generation_frozen_grid_points():
-    p = ModelParams(omega=1.0, beta=1.0, ell=0.5)
+    p = ModelParams(beta_omega=1.0, omega_ell=0.5)
     _, label = generation_test(kossakowski_coefficients(p))
     assert label == "true"
     assert criterion_rs(p)[2] == pytest.approx(1.132947655297793155 - 1.0, rel=1e-12)
 
-    p = ModelParams(omega=1.0, beta=1.0, ell=3.0)
+    p = ModelParams(beta_omega=1.0, omega_ell=3.0)
     _, label = generation_test(kossakowski_coefficients(p))
     assert label == "false"
     assert criterion_rs(p)[2] == pytest.approx(0.21576502888683003315 - 1.0, rel=1e-12)
@@ -223,22 +223,22 @@ def test_generation_margin_equals_canonical_reduction():
 
 def test_generation_always_at_zero_separation():
     for bw in (0.01, 0.1, 1.0, 10.0):
-        p = ModelParams(omega=1.0, beta=bw, ell=0.0)
+        p = ModelParams(beta_omega=bw, omega_ell=0.0)
         _, label = generation_test(kossakowski_coefficients(p))
         assert label == "true"
 
 
 def test_criterion_rs_values():
-    R, S, margin = criterion_rs(ModelParams(omega=1.0, beta=1.0, ell=0.0))
+    R, S, margin = criterion_rs(ModelParams(beta_omega=1.0, omega_ell=0.0))
     assert R == pytest.approx(0.4621171572600097585, abs=1e-15)
     assert S == 1.0
 
-    R, S, margin = criterion_rs(ModelParams(omega=1.0, beta=math.inf, ell=2.0))
+    R, S, margin = criterion_rs(ModelParams(beta_omega=math.inf, omega_ell=2.0))
     assert R == 1.0
     assert margin == pytest.approx(S * S, rel=1e-14)
     assert margin > 0  # zero temperature generates at any finite separation
 
-    R, S, margin = criterion_rs(ModelParams(omega=1.0, beta=1.0, ell=math.pi))
+    R, S, margin = criterion_rs(ModelParams(beta_omega=1.0, omega_ell=math.pi))
     assert abs(S) < 1e-16
     assert margin == pytest.approx(R * R - 1.0, rel=1e-14)
     assert margin < 0
@@ -283,13 +283,13 @@ def test_probe_optimality_matches_discriminant():
 def test_small_time_oracle_frozen_points():
     rho0 = canonical_state().density()
     for ell, expected in ((0.5, True), (3.0, False)):
-        coeffs = kossakowski_coefficients(ModelParams(omega=1.0, beta=1.0, ell=ell))
+        coeffs = kossakowski_coefficients(ModelParams(beta_omega=1.0, omega_ell=ell))
         assert small_time_ppt_oracle(coeffs, 1e-3) is expected
         assert small_time_ppt_reference(build_superoperator(coeffs), rho0, 1e-3) is expected
 
 
 def test_small_time_oracle_rejects_bad_dt():
-    coeffs = kossakowski_coefficients(ModelParams(omega=1.0, beta=1.0, ell=0.5))
+    coeffs = kossakowski_coefficients(ModelParams(beta_omega=1.0, omega_ell=0.5))
     with pytest.raises(ValueError):
         small_time_ppt_oracle(coeffs, 0.0)
 
@@ -301,7 +301,7 @@ def test_small_time_oracle_rejects_bad_dt():
     (1e-50, "evolved state is not finite at t=0.001"),
 ], ids=["sweep-overflow", "sweep-expm-overflow"])
 def test_oracle_overflow_raises_as_the_general_route_does(beta_omega, message):
-    coeffs = kossakowski_coefficients(ModelParams(omega=1.0, beta=beta_omega, ell=0.0))
+    coeffs = kossakowski_coefficients(ModelParams(beta_omega=beta_omega, omega_ell=0.0))
     M = build_superoperator(coeffs)
     for route in (lambda: small_time_ppt_oracle(coeffs, 1e-3),
                   lambda: small_time_ppt_reference(M, canonical_state().density(), 1e-3)):
@@ -322,7 +322,7 @@ def test_oracle_agrees_for_generic_product_states():
         if verdict.generated is None or abs(verdict.margin) < 1e-6 * K.norm ** 2:
             continue
         M = build_superoperator(kossakowski_coefficients(p))
-        oracle = small_time_ppt_reference(M, state.density(), 1e-3 / p.omega)
+        oracle = small_time_ppt_reference(M, state.density(), 1e-3)
         assert oracle == verdict.generated
         checked += 1
     assert checked > 15
@@ -331,6 +331,6 @@ def test_oracle_agrees_for_generic_product_states():
 def test_oracle_insensitive_to_hamiltonian_term():
     # the free Hamiltonian is local, so it cannot change the verdict
     state = canonical_state()
-    p = ModelParams(omega=1.0, beta=1.0, ell=0.5)
+    p = ModelParams(beta_omega=1.0, omega_ell=0.5)
     M_h = generator_with_hamiltonian(p)
     assert small_time_ppt_reference(M_h, state.density(), 1e-3) is True

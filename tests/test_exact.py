@@ -1,6 +1,13 @@
-"""Exact proofs of the closed-form asymptotic states, in sympy.
+"""Exact proofs of the closed forms, in sympy: K's eigenvalues, the
+generation discriminant at |-> (x) |+> and the asymptotic states.
 
-The generator is built symbolically from the library's own parts: K's
+K's six eigenvalues (`spectral.kossakowski_eigenvalues`) are the roots of
+the characteristic polynomial of the 6x6 K assembled from the 3x3 blocks
+of `tests/util.py`, and the general discriminant at u = v = (1, -i, 0)
+(`util.uv_vectors` of the canonical state) is the closed form that
+`entanglement.generation_test` returns, for all six coefficients.
+
+For the asymptotic states, the generator is built symbolically from the library's own parts: K's
 eigenvalues from `spectral.kossakowski_eigenvalues`, applied to symbolic
 coefficients, weight the six fixed dissipators of `dynamics`, whose entries
 are small dyadic rationals and convert exactly.  The coefficients follow
@@ -11,10 +18,15 @@ annihilated by M identically, which seeded float draws cannot show where
 terms cancel (the ell -> 0+ crossover is such a place).
 """
 
+from itertools import product
+
 import sympy as sp
 
+from thermalpair import canonical_state, generation_test
 from thermalpair.dynamics import _DISSIPATORS
 from thermalpair.spectral import KossakowskiCoefficients, kossakowski_eigenvalues
+
+from util import kossakowski_blocks, uv_vectors
 
 R, S, g0, B, p_s = sp.symbols("R S g0 B p_S", real=True)
 c = sp.Symbol("c_re", real=True) + sp.I * sp.Symbol("c_im", real=True)
@@ -87,3 +99,38 @@ def test_the_mutant_with_minus_r_is_not_stationary():
              p_s: sp.Rational(1, 5)}
     assert residual(generator(R, S, g0), gibbs(-R)).subs(point) != sp.zeros(16, 1)
     assert residual(generator(R, 1, g0), family(-R, p_s)).subs(point) != sp.zeros(16, 1)
+
+
+# ------------------------------------------------ K and the discriminant
+
+A, C, Ap, Bp, Cp = sp.symbols("A C A' B' C'", real=True)
+x = sp.Symbol("x")  # as charpoly's generator, with no assumptions
+COEFFS = KossakowskiCoefficients(A=A, B=B, C=C, Ap=Ap, Bp=Bp, Cp=Cp)
+
+
+def exact(array):
+    """A numpy array of floats and symbols as an exact sympy matrix."""
+    return sp.Matrix(array).applyfunc(sp.nsimplify)
+
+
+def test_kossakowski_matrix_has_the_closed_form_eigenvalues():
+    c11, c12 = (exact(block) for block in kossakowski_blocks(COEFFS))
+    K = sp.Matrix(sp.BlockMatrix([[c11, c12], [c12, c11]]))
+    lam = exact(kossakowski_eigenvalues(COEFFS))
+    assert sp.expand(K.charpoly(x).as_expr() - sp.prod([x - l for l in lam])) == 0
+
+
+def test_general_discriminant_at_the_canonical_state_is_the_closed_form():
+    # |<u| Re C12 |v>|^2 - <u|C11|u> <v|C11^T|v>, as util.generation_discriminant
+    c11, c12 = (exact(block) for block in kossakowski_blocks(COEFFS))
+    u, v = (exact(w) for w in uv_vectors(canonical_state()))
+    general = (sp.Abs((u.H * c12.applyfunc(sp.re) * v)[0]) ** 2
+               - sp.re((u.H * c11 * u)[0]) * sp.re((v.H * c11.T * v)[0]))
+    closed = (2 * Ap) ** 2 - (2 * A - 2 * B) * (2 * A + 2 * B)
+    assert sp.expand(general - closed) == 0
+    # generation_test's margin is a quadratic form in the six coefficients,
+    # so agreeing with the closed form on {1, 2, 3}^6, where every float
+    # operation is exact, makes it the same polynomial
+    for point in product((1.0, 2.0, 3.0), repeat=6):
+        margin, _ = generation_test(KossakowskiCoefficients(*point))
+        assert margin == float(closed.subs(dict(zip((A, B, C, Ap, Bp, Cp), point)))), point

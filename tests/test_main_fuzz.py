@@ -45,7 +45,10 @@ junk = st.recursive(
 # The RK45 guard of evolve takes a number of steps that grows with
 # omega * t_max / (beta * omega): t_max and beta*omega are bounded so that
 # an example runs in milliseconds.  omega*ell covers the corners 0 and
-# 0 < omega*ell << 1; beta*omega covers "inf" and large values.
+# 0 < omega*ell << 1; beta*omega covers "inf" and large values.  omega is
+# log-uniform over [1e-300, 1e300], so beta and ell are quotients near the
+# ends of the float range; a missing beta leaves beta*omega = omega, which
+# may fall below cli.MIN_BETA_OMEGA.
 beta_omega = st.one_of(st.just("inf"), st.floats(0.05, 50.0), st.sampled_from([1e3, 1e6]))
 omega_ell = st.one_of(st.floats(0.0, 12.0), st.sampled_from([0.0, 1e-7, 1e-3]))
 axis = st.tuples(st.floats(0.0, 20.0), st.floats(0.0, 20.0), st.integers(1, 4)).map(
@@ -71,7 +74,7 @@ OPTIONAL = {
 def configs(draw):
     """A config that every subcommand accepts, or one with a key of the
     wrong kind or a missing key."""
-    omega = draw(st.floats(0.25, 4.0))
+    omega = draw(st.floats(-300.0, 300.0).map(lambda x: 10.0 ** x))
     bw = draw(beta_omega)
     doc = {"omega": omega, "beta": bw if bw == "inf" else bw / omega,
            "ell": draw(omega_ell) / omega, "time_grid": draw(time_grid),

@@ -11,8 +11,12 @@ masks its stationary projector, and the axis n as a local frame only: the
 generator at n, and the CLI's phase diagram and trajectories at n, against
 those at e3; and sibling subcommands agree: the phase diagram's oracle
 with evolve's partial transpose, and its R and S with those that
-coefficients prints."""
+coefficients prints; and omega is only the unit: every subcommand prints
+the same bytes at omega as at omega = 1 with the same beta*omega and
+omega*ell."""
 
+import contextlib
+import io
 import json
 import math
 import tempfile
@@ -58,9 +62,7 @@ SETTINGS = settings(derandomize=True, max_examples=300, deadline=None, database=
 @st.composite
 def models(draw):
     """(params, K, M) at a drawn corner."""
-    omega = draw(_log_uniform(0.25, 4.0))
-    params = ModelParams(omega=omega, beta=draw(beta_omega) / omega,
-                         ell=draw(omega_ell) / omega)
+    params = ModelParams(beta_omega=draw(beta_omega), omega_ell=draw(omega_ell))
     coeffs = kossakowski_coefficients(params)
     return params, kossakowski_from_coefficients(coeffs), build_superoperator(coeffs)
 
@@ -115,15 +117,15 @@ def test_discriminant_sign_matches_rs_margin(model):
 
 # beta = inf and omega*ell a multiple of pi put R^2 + S^2 - 1 within rounding of 0
 @SETTINGS
-@given(_log_uniform(0.25, 4.0), st.one_of(st.just(math.inf), _log_uniform(1e-3, 60.0)),
+@given(st.one_of(st.just(math.inf), _log_uniform(1e-3, 60.0)),
        st.one_of(st.just(0.0), _log_uniform(1e-8, 1e-3), st.floats(0.0, 20.0)))
-@example(1.0, math.inf, math.pi)
-@example(2.5, math.inf, 2.0 * math.pi)
-def test_closed_form_discriminant_is_the_general_one_at_the_canonical_state(omega, bw, wl):
+@example(math.inf, math.pi)
+@example(math.inf, 2.0 * math.pi)
+def test_closed_form_discriminant_is_the_general_one_at_the_canonical_state(bw, wl):
     # the general discriminant at u = v = (1, -i, 0), from the 3x3 blocks;
     # the closed form rounds as that contraction does, so the margins agree
     # bit for bit in practice
-    coeffs = kossakowski_coefficients(ModelParams(omega=omega, beta=bw / omega, ell=wl / omega))
+    coeffs = kossakowski_coefficients(ModelParams(beta_omega=bw, omega_ell=wl))
     K = kossakowski_from_coefficients(coeffs)
     ref = generation_discriminant(canonical_state(), K)
     margin, label = generation_test(coeffs)
@@ -141,20 +143,19 @@ ORACLE_BAND = 1e-3
 
 
 @SETTINGS
-@given(_log_uniform(0.25, 4.0),
-       st.one_of(st.just(math.inf), _log_uniform(1e-3, 1e3), _log_uniform(1e-3, 1e-2),
+@given(st.one_of(st.just(math.inf), _log_uniform(1e-3, 1e3), _log_uniform(1e-3, 1e-2),
                  _log_uniform(1e-20, 1e-3)),
        st.one_of(st.just(0.0), _log_uniform(1e-8, 1e-3), st.floats(0.0, 20.0)))
-@example(1.0, 1e-3, 0.0)
-@example(2.0, 2e-3, 5.0)
-@example(1.0, 1e-10, 3.0)
-def test_sector_oracle_is_the_general_route(omega, bw, wl):
-    params = ModelParams(omega=omega, beta=bw / omega, ell=wl / omega)
+@example(1e-3, 0.0)
+@example(2e-3, 5.0)
+@example(1e-10, 3.0)
+def test_sector_oracle_is_the_general_route(bw, wl):
+    params = ModelParams(beta_omega=bw, omega_ell=wl)
     _, _, rs_margin = criterion_rs(params)
     if bw < 1e-3 and abs(rs_margin) <= ORACLE_BAND:
         return
     coeffs = kossakowski_coefficients(params)
-    dt = 1e-3 / omega
+    dt = 1e-3
     oracle = small_time_ppt_oracle(coeffs, dt)
     ref = small_time_ppt_reference(build_superoperator(coeffs), canonical_state().density(), dt)
     assert oracle == ref, (oracle, ref, rs_margin)
@@ -168,7 +169,7 @@ def test_concurrence_is_positive_exactly_when_partial_transpose_is_negative(mode
     # are full rank and keep their partial transpose away from 0
     params, _, M = model
     rho0 = (1.0 - noise) * canonical_state().density() + noise * np.eye(4) / 4.0
-    rho = evolve(M, rho0, omega_t / params.omega)
+    rho = evolve(M, rho0, omega_t)
     c, m = concurrence(rho), min_eig_pt(rho)
     if m < -1e-10:
         assert c > 0, (c, m)
@@ -180,11 +181,11 @@ def test_concurrence_is_positive_exactly_when_partial_transpose_is_negative(mode
 @given(models())
 def test_gibbs_state_is_stationary(model):
     params, _, M = model
-    e, v = np.linalg.eigh(hamiltonian(params, E3))
-    if math.isinf(params.beta):
+    e, v = np.linalg.eigh(hamiltonian(E3))
+    if math.isinf(params.beta_omega):
         gibbs = np.outer(v[:, 0], v[:, 0].conj())    # the ground state
     else:
-        w = np.exp(-params.beta * (e - e[0]))
+        w = np.exp(-params.beta_omega * (e - e[0]))
         gibbs = (v * w) @ v.conj().T / w.sum()
     assert np.linalg.norm(M @ vec(gibbs)) <= 1e-14 * np.linalg.norm(M)
 
@@ -201,13 +202,12 @@ OFF_CROSSOVER = st.one_of(st.just(0.0), st.floats(0.05, 20.0))
 
 
 @SETTINGS
-@given(_log_uniform(0.25, 4.0), beta_omega, OFF_CROSSOVER, st.booleans(),
-       st.integers(0, 2**32 - 1))
-def test_closed_form_asymptotic_state_is_the_projected_one(omega, bw, wl, include_hs, seed):
+@given(beta_omega, OFF_CROSSOVER, st.booleans(), st.integers(0, 2**32 - 1))
+def test_closed_form_asymptotic_state_is_the_projected_one(bw, wl, include_hs, seed):
     # the closed form against unvec(P vec(rho0)) with the SVD projector,
     # masked to m_a = m_b with include_hs, and its rank; and the unmasked
     # closed form, with its guard on, against the evolution to the horizon
-    params = ModelParams(omega=omega, beta=bw / omega, ell=wl / omega)
+    params = ModelParams(beta_omega=bw, omega_ell=wl)
     M = build_superoperator(kossakowski_coefficients(params))
     rho0 = random_density(np.random.default_rng(seed))
     P = stationary_projector(M) * (_AT_REST if include_hs else 1.0)
@@ -221,16 +221,15 @@ def test_closed_form_asymptotic_state_is_the_projected_one(omega, bw, wl, includ
 # ------------------------------------------- the free Hamiltonian commutes
 
 @SETTINGS
-@given(_log_uniform(0.25, 4.0), st.one_of(st.just(math.inf), _log_uniform(1e-3, 60.0)),
-       OFF_CROSSOVER, unit, unit, st.floats(0.0, 1.0), st.floats(0.0, 20.0))
-def test_free_hamiltonian_only_turns_the_dissipators_evolution(omega, bw, wl, b1, b2, noise,
-                                                               omega_t):
+@given(st.one_of(st.just(math.inf), _log_uniform(1e-3, 60.0)), OFF_CROSSOVER, unit, unit,
+       st.floats(0.0, 1.0), st.floats(0.0, 20.0))
+def test_free_hamiltonian_only_turns_the_dissipators_evolution(bw, wl, b1, b2, noise, omega_t):
     # the reference generator with -i[H_S, .] against the library's
     # dissipator M: they commute, the reference's stationary projector is
     # M's masked to m_a = m_b, the closed form with include_hs is the
     # reference's projected state, and its evolution differs by a local
     # unitary, which no emitted quantity sees
-    params = ModelParams(omega=omega, beta=bw / omega, ell=wl / omega)
+    params = ModelParams(beta_omega=bw, omega_ell=wl)
     M = build_superoperator(kossakowski_coefficients(params))
     M_h = generator_with_hamiltonian(params)
     assert np.abs(M @ M_h - M_h @ M).max() <= 1e-15 * np.abs(M_h).max() ** 2
@@ -244,7 +243,7 @@ def test_free_hamiltonian_only_turns_the_dissipators_evolution(omega, bw, wl, b1
     assert np.abs(P - P_h).max() <= tol
     assert round(np.trace(P).real) == round(np.trace(P_h).real)
     rho0 = (1.0 - noise) * ProductState(b1, b2).density() + noise * np.eye(4) / 4.0
-    rho, rho_h = (evolve(G, rho0, omega_t / omega) for G in (M, M_h))
+    rho, rho_h = (evolve(G, rho0, omega_t) for G in (M, M_h))
     for f in (lambda r: np.linalg.eigvalsh(r).min(), min_eig_pt, tau):
         assert abs(f(rho) - f(rho_h)) <= 1e-11
     rho_inf, dim = asymptotic_state(M, rho0, params, check=False, include_hs=True)
@@ -302,8 +301,8 @@ def test_phase_diagram_does_not_depend_on_the_axis(omega, n, include_hs, bw, wl)
         x, y = row.split(","), row_e3.split(",")
         assert x[:5] + x[6:] == y[:5] + y[6:]
         K = kossakowski_from_coefficients(kossakowski_coefficients(
-            ModelParams(omega=omega, beta=float(x[0]) / omega, ell=float(x[1]) / omega)))
-        assert abs(float(x[5]) - float(y[5])) <= 1e-14 * K.norm ** 2 / omega ** 2
+            ModelParams(beta_omega=float(x[0]), omega_ell=float(x[1]))))
+        assert abs(float(x[5]) - float(y[5])) <= 1e-14 * K.norm ** 2
     assert len(at_n.splitlines()) == len(at_e3.splitlines()) == 10
 
 
@@ -362,3 +361,71 @@ def test_phase_diagram_agrees_with_evolve_and_coefficients(omega, bw, wl, n):
     assert code == 0
     doc = json.loads(doc)
     assert (doc["R"], doc["S"]) == (float(row[2]), float(row[3]))
+
+
+# --------------------------------------------------------- omega is the unit
+
+OMEGA_SETTINGS = settings(derandomize=True, max_examples=30, deadline=None, database=None)
+SUBCOMMANDS = ("coefficients", "phase-diagram", "evolve", "asymptotic")
+GRID = {"time_grid": [0.0, 0.5, 2.0],
+        "sweep": {"beta_omega": [0.5, 5.0, 2], "omega_ell": [0.0, 3.0, 2]}}
+
+
+@st.composite
+def omega_configs(draw):
+    """A config at omega log-uniform over [1e-100, 1e100], with beta and ell
+    given as quotients of drawn beta*omega and omega*ell by omega."""
+    omega = draw(_log_uniform(1e-100, 1e100))
+    bw = draw(st.one_of(st.just(math.inf), _log_uniform(1e-2, 1e2)))
+    return {"omega": omega, "beta": "inf" if math.isinf(bw) else bw / omega,
+            "ell": draw(omega_ell) / omega, "n": draw(unit), "include_hs": draw(st.booleans()),
+            "initial_state": {"product": {"bloch1": draw(unit), "bloch2": draw(unit)}},
+            "time_grid": draw(st.lists(st.floats(0.0, 5.0), min_size=1, max_size=4,
+                                       unique=True).map(sorted)),
+            "sweep": {"beta_omega": [*sorted(draw(st.lists(_log_uniform(1e-2, 30.0),
+                                                           min_size=2, max_size=2))), 2],
+                      "omega_ell": [*sorted(draw(st.lists(st.floats(0.0, 10.0),
+                                                          min_size=2, max_size=2))), 2]}}
+
+
+def _at_omega_1(config):
+    """The config at omega = 1 with beta*omega and omega*ell, formed as
+    cli.parse_config forms them."""
+    omega, beta = config["omega"], config.get("beta", 1.0)
+    return {**config, "omega": 1.0, "beta": beta if beta == "inf" else beta * omega,
+            "ell": config.get("ell", 0.0) * omega}
+
+
+def _run_cli_stdout(sub, config):
+    """(exit code, stdout, stderr) of one in-process call."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([sub, "--config", str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+# the examples put omega at the ends of the float range, far from beta, ell,
+# the times and a sweep's ends, and each of them must run every subcommand
+@OMEGA_SETTINGS
+@given(omega_configs(), st.just(False))
+@example({**GRID, "omega": 1e-300, "beta": 1e300}, True)
+@example({**GRID, "omega": 1e300, "beta": 1e-300, "ell": 0.5,
+          "time_grid": {"times": [1e-25, 2e-25]}}, True)
+@example({**GRID, "omega": 1e300}, True)
+@example({**GRID, "omega": 1e300, "beta": 1e-308, "ell": 0.5,
+          "time_grid": {"times": [0.0, 1e-9]}}, True)
+@example({**GRID, "omega": 1e300, "beta": 1e-310, "ell": 0.5,
+          "time_grid": {"times": [0.0, 1e-9]}}, True)
+@example({**GRID, "omega": 0.25, "sweep": {"beta_omega": [1, 1, 1],
+                                           "omega_ell": [0, 1e308, 2]}}, True)
+@example({**GRID, "omega": 0.25, "sweep": {"beta_omega": [1e308, 1e308, 1],
+                                           "omega_ell": [0, 1, 2]}}, True)
+def test_output_depends_on_omega_only_through_the_products(config, must_run):
+    reference = _at_omega_1(config)
+    for sub in SUBCOMMANDS:
+        code, out, err = _run_cli_stdout(sub, config)
+        assert (code, out) == _run_cli_stdout(sub, reference)[:2], (sub, code, err)
+        assert code == 0 or not must_run, (sub, code, err)

@@ -27,7 +27,7 @@ E3 = np.array([0.0, 0.0, 1.0])
 # ---------------------------------------------------------------- spectra
 
 def test_spectral_density_frozen_values():
-    p = ModelParams(omega=1.0, beta=1.0, ell=0.0)
+    p = ModelParams(beta_omega=1.0, omega_ell=0.0)
     sv = spectral_density(p, 1.0)
     assert sv.g11 == pytest.approx(0.25177941275449163618, abs=1e-15)
     assert sv.g12 == sv.g11  # sinc(0) = 1 at ell = 0
@@ -37,19 +37,19 @@ def test_spectral_density_frozen_values():
 
 def test_spectral_density_zero_frequency_limit():
     for ell in (0.0, 0.7, 3.0):
-        sv = spectral_density(ModelParams(omega=1.0, beta=1.0, ell=ell), 0.0)
+        sv = spectral_density(ModelParams(beta_omega=1.0, omega_ell=ell), 0.0)
         assert sv.g11 == pytest.approx(1.0 / (2.0 * math.pi), abs=1e-16)
         assert sv.g12 == sv.g11
 
 
 def test_spectral_density_cross_atom():
-    p = ModelParams(omega=1.0, beta=1.0, ell=2.0)
+    p = ModelParams(beta_omega=1.0, omega_ell=2.0)
     sv = spectral_density(p, 1.0)
     assert sv.g12 == pytest.approx(0.11447118607267023355, abs=1e-15)
 
 
 def test_spectral_density_zero_temperature():
-    p = ModelParams(omega=1.0, beta=math.inf, ell=0.5)
+    p = ModelParams(beta_omega=math.inf, omega_ell=0.5)
     assert spectral_density(p, 2.0).g11 == pytest.approx(1.0 / math.pi, abs=1e-16)
     assert spectral_density(p, -2.0).g11 == 0.0
     assert spectral_density(p, 0.0).g11 == 0.0
@@ -58,9 +58,9 @@ def test_spectral_density_zero_temperature():
 def test_spectral_density_series_branch_matches_direct_form():
     # the series branch takes over below |beta z| = 1e-6; at the same point
     # it must agree with the expm1-based evaluation to near machine precision
-    p = ModelParams(omega=1.0, beta=1.0, ell=0.0)
+    p = ModelParams(beta_omega=1.0, omega_ell=0.0)
     for z in (0.999e-6, -0.999e-6, 1e-9):
-        direct = z / (2.0 * math.pi * -math.expm1(-p.beta * z))
+        direct = z / (2.0 * math.pi * -math.expm1(-p.beta_omega * z))
         assert spectral_density(p, z).g11 == pytest.approx(direct, rel=1e-13)
 
 
@@ -71,7 +71,7 @@ def test_kms_detailed_balance():
         z = float(rng.uniform(-20.0, 20.0))
         if abs(z) < 1e-3:
             continue
-        p = ModelParams(omega=1.0, beta=beta, ell=float(rng.uniform(0, 5)))
+        p = ModelParams(beta_omega=beta, omega_ell=float(rng.uniform(0, 5)))
         g_plus = spectral_density(p, z).g11
         g_minus = spectral_density(p, -z).g11
         if beta * abs(z) > 700:
@@ -82,15 +82,15 @@ def test_kms_detailed_balance():
 def test_sinc_bound_and_positivity():
     rng = np.random.default_rng(12)
     for _ in range(300):
-        p = ModelParams(omega=1.0, beta=float(rng.uniform(0.1, 10)),
-                        ell=float(rng.uniform(0, 10)))
+        p = ModelParams(beta_omega=float(rng.uniform(0.1, 10)),
+                        omega_ell=float(rng.uniform(0, 10)))
         sv = spectral_density(p, float(rng.uniform(-10, 10)))
         assert sv.g11 >= 0.0
         assert abs(sv.g12) <= sv.g11 + 1e-16
 
 
 def test_spectral_density_rejects_nonfinite():
-    p = ModelParams(omega=1.0, beta=1.0, ell=0.0)
+    p = ModelParams(beta_omega=1.0, omega_ell=0.0)
     with pytest.raises(ValueError):
         spectral_density(p, math.nan)
     with pytest.raises(ValueError):
@@ -100,14 +100,14 @@ def test_spectral_density_rejects_nonfinite():
 # ----------------------------------------------------------- model params
 
 @pytest.mark.parametrize("kwargs", [
-    {"omega": 0.0, "beta": 1.0, "ell": 0.0},
-    {"omega": -1.0, "beta": 1.0, "ell": 0.0},
-    {"omega": 1.0, "beta": 0.0, "ell": 0.0},
-    {"omega": 1.0, "beta": -2.0, "ell": 0.0},
-    {"omega": 1.0, "beta": 1.0, "ell": -0.1},
-    {"omega": 1.0, "beta": math.nan, "ell": 0.0},
-    {"omega": math.inf, "beta": 1.0, "ell": 0.0},
-    {"omega": 1.0, "beta": 1.0, "ell": math.inf},
+    {"beta_omega": 0.0, "omega_ell": 0.0},
+    {"beta_omega": -2.0, "omega_ell": 0.0},
+    {"beta_omega": 1.0, "omega_ell": -0.1},
+    {"beta_omega": math.nan, "omega_ell": 0.0},
+    {"beta_omega": -math.inf, "omega_ell": 0.0},
+    {"beta_omega": 1.0, "omega_ell": math.inf},
+    {"beta_omega": 1.0, "omega_ell": math.nan},
+    {"beta_omega": 1.0, "omega_ell": -math.inf},
 ])
 def test_invalid_params_rejected(kwargs):
     with pytest.raises(ValueError):
@@ -117,7 +117,7 @@ def test_invalid_params_rejected(kwargs):
 # ------------------------------------------------------------ coefficients
 
 def test_coefficients_frozen_values():
-    c = kossakowski_coefficients(ModelParams(omega=1.0, beta=1.0, ell=0.0))
+    c = kossakowski_coefficients(ModelParams(beta_omega=1.0, omega_ell=0.0))
     assert c.A == pytest.approx(0.17220194120854396829, abs=1e-15)
     assert c.B == pytest.approx(0.079577471545947667884, abs=1e-16)
     assert c.C == pytest.approx(-0.013046998116648632524, abs=1e-15)
@@ -126,7 +126,7 @@ def test_coefficients_frozen_values():
 
 
 def test_coefficients_zero_temperature():
-    c = kossakowski_coefficients(ModelParams(omega=1.0, beta=math.inf, ell=0.0))
+    c = kossakowski_coefficients(ModelParams(beta_omega=math.inf, omega_ell=0.0))
     quarter = 1.0 / (4.0 * math.pi)
     assert c.A == pytest.approx(quarter, abs=1e-16)
     assert c.B == pytest.approx(quarter, abs=1e-16)
@@ -134,17 +134,17 @@ def test_coefficients_zero_temperature():
 
 
 def test_coefficients_at_sinc_zero():
-    c = kossakowski_coefficients(ModelParams(omega=1.0, beta=1.0, ell=math.pi))
+    c = kossakowski_coefficients(ModelParams(beta_omega=1.0, omega_ell=math.pi))
     assert abs(c.Ap) < 1e-16
     assert abs(c.Bp) < 1e-16
     assert c.Cp == pytest.approx(0.15915494309189533577, abs=1e-15)
 
 
 def test_coefficients_zero_temperature_cross():
-    # beta = inf: Cp = -(omega/4pi) sinc(omega ell)
-    w, ell = 1.3, 0.8
-    c = kossakowski_coefficients(ModelParams(omega=w, beta=math.inf, ell=ell))
-    expected = -(w / (4 * math.pi)) * math.sin(w * ell) / (w * ell)
+    # beta = inf: Cp = -(1/4pi) sinc(omega ell)
+    wl = 1.04
+    c = kossakowski_coefficients(ModelParams(beta_omega=math.inf, omega_ell=wl))
+    expected = -(1 / (4 * math.pi)) * math.sin(wl) / wl
     assert c.Cp == pytest.approx(expected, rel=1e-14)
 
 
@@ -153,20 +153,20 @@ def test_coefficient_invariants():
     for _ in range(200):
         p = random_params(rng)
         c = kossakowski_coefficients(p)
-        assert c.B == p.omega / (4.0 * math.pi)  # exact
+        assert c.B == 1.0 / (4.0 * math.pi)  # exact
         assert c.A >= c.B >= 0.0
-        expected_sum = 0.0 if p.zero_temperature else 1.0 / (2.0 * math.pi * p.beta)
+        expected_sum = 0.0 if p.zero_temperature else 1.0 / (2.0 * math.pi * p.beta_omega)
         assert c.A + c.C == pytest.approx(expected_sum, rel=1e-12, abs=1e-15)
         assert abs(c.Ap) <= c.A + 1e-16
         assert abs(c.Bp) <= c.B + 1e-16
 
 
 def test_temperature_ratio_monotone():
-    ratios = [temperature_ratio(ModelParams(omega=1.0, beta=bw, ell=0.0))
+    ratios = [temperature_ratio(ModelParams(beta_omega=bw, omega_ell=0.0))
               for bw in np.linspace(0.05, 30.0, 60)]
     assert all(0.0 < r < 1.0 for r in ratios)
     assert all(b > a for a, b in zip(ratios, ratios[1:]))
-    assert temperature_ratio(ModelParams(omega=1.0, beta=math.inf, ell=0.0)) == 1.0
+    assert temperature_ratio(ModelParams(beta_omega=math.inf, omega_ell=0.0)) == 1.0
 
 
 # ------------------------------------------------------------- psi tensors
@@ -212,7 +212,7 @@ def closed_form(p):
 
 
 def test_closed_form_entries_along_e3():
-    K = closed_form(ModelParams(omega=1.0, beta=1.0, ell=0.0))
+    K = closed_form(ModelParams(beta_omega=1.0, omega_ell=0.0))
     B = 0.079577471545947667884
     assert K.c11[0, 1] == pytest.approx(-1j * B, abs=1e-16)
     assert K.c11[1, 0] == pytest.approx(+1j * B, abs=1e-16)
@@ -220,7 +220,7 @@ def test_closed_form_entries_along_e3():
 
 
 def test_closed_form_primed_ratio():
-    K = closed_form(ModelParams(omega=1.0, beta=1.0, ell=0.5))
+    K = closed_form(ModelParams(beta_omega=1.0, omega_ell=0.5))
     ratio = K.c12[0, 1] / K.c11[0, 1]  # Bp / B = sinc(0.5)
     assert ratio == pytest.approx(0.95885107720840600055, rel=1e-14)
 
@@ -236,7 +236,7 @@ def test_construction_equivalence():
 
 
 def test_transverse_and_longitudinal_eigenvalues():
-    p = ModelParams(omega=1.0, beta=1.0, ell=0.0)
+    p = ModelParams(beta_omega=1.0, omega_ell=0.0)
     c = kossakowski_coefficients(p)
     eigs = np.sort(np.linalg.eigvalsh(build_kossakowski_spectral(p, E3).c11))
     expected = np.sort([c.A - c.B, c.A + c.B, c.A + c.C])
@@ -281,7 +281,7 @@ def test_kossakowski_eigenvalues_match_eigvalsh_for_any_coefficients():
 
 
 def test_kossakowski_eigenvalues_detect_corrupted_cross_block():
-    c = kossakowski_coefficients(ModelParams(omega=1.0, beta=1.0, ell=0.0))
+    c = kossakowski_coefficients(ModelParams(beta_omega=1.0, omega_ell=0.0))
     corrupted = KossakowskiCoefficients(A=c.A, B=c.B, C=c.C,
                                         Ap=2.0 * c.Ap, Bp=2.0 * c.Bp, Cp=2.0 * c.Cp)
     # at ell = 0 the doubled cross block gives min eig = -(A + B), the

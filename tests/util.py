@@ -75,15 +75,13 @@ def random_rotation(rng):
 
 
 def random_params(rng, allow_zero_temperature=True, allow_zero_ell=True):
-    omega = float(np.exp(rng.uniform(np.log(0.25), np.log(4.0))))
     beta_omega = float(np.exp(rng.uniform(np.log(0.05), np.log(50.0))))
-    beta = beta_omega / omega
     if allow_zero_temperature and rng.random() < 0.1:
-        beta = np.inf
-    ell = float(rng.uniform(0.0, 12.0)) / omega
+        beta_omega = np.inf
+    omega_ell = float(rng.uniform(0.0, 12.0))
     if allow_zero_ell and rng.random() < 0.1:
-        ell = 0.0
-    return ModelParams(omega=omega, beta=beta, ell=ell)
+        omega_ell = 0.0
+    return ModelParams(beta_omega=beta_omega, omega_ell=omega_ell)
 
 
 def pauli_op(atom: int, axis: int) -> np.ndarray:
@@ -96,10 +94,11 @@ def pauli_op(atom: int, axis: int) -> np.ndarray:
     return np.kron(s, np.eye(2)) if atom == 1 else np.kron(np.eye(2), s)
 
 
-def hamiltonian(params: ModelParams, n) -> np.ndarray:
-    """Free two-atom Hamiltonian (omega/2)(n.sigma (x) 1 + 1 (x) n.sigma)."""
+def hamiltonian(n) -> np.ndarray:
+    """Free two-atom Hamiltonian (1/2)(n.sigma (x) 1 + 1 (x) n.sigma), in
+    units of omega."""
     h1 = sum(n[i] * SIGMA[i] for i in range(3))
-    return 0.5 * params.omega * (np.kron(h1, np.eye(2)) + np.kron(np.eye(2), h1))
+    return 0.5 * (np.kron(h1, np.eye(2)) + np.kron(np.eye(2), h1))
 
 
 def dissipator_reference(K, rho):
@@ -193,12 +192,18 @@ class KossakowskiMatrix:
     norm: float
 
 
-def kossakowski_from_coefficients(coeffs: KossakowskiCoefficients) -> KossakowskiMatrix:
-    """Blocks A 1 - iB eps.e3 + C e3 e3^T (and the primed analogue) at the
-    axis e3 for any coefficients, with |K|_2 from the closed-form eigenvalues."""
+def kossakowski_blocks(coeffs: KossakowskiCoefficients) -> tuple[np.ndarray, np.ndarray]:
+    """(C11, C12): A 1 - iB eps.e3 + C e3 e3^T and the primed analogue at
+    the axis e3, for any coefficients (sympy symbols too)."""
     eye, eps_e3, e3_e3 = np.eye(3), _EPSILON[:, :, 2], np.diag([0.0, 0.0, 1.0])
-    c11 = coeffs.A * eye - 1j * coeffs.B * eps_e3 + coeffs.C * e3_e3
-    c12 = coeffs.Ap * eye - 1j * coeffs.Bp * eps_e3 + coeffs.Cp * e3_e3
+    return (coeffs.A * eye - 1j * coeffs.B * eps_e3 + coeffs.C * e3_e3,
+            coeffs.Ap * eye - 1j * coeffs.Bp * eps_e3 + coeffs.Cp * e3_e3)
+
+
+def kossakowski_from_coefficients(coeffs: KossakowskiCoefficients) -> KossakowskiMatrix:
+    """The blocks of kossakowski_blocks, with |K|_2 from the closed-form
+    eigenvalues."""
+    c11, c12 = kossakowski_blocks(coeffs)
     norm = float(np.abs(kossakowski_eigenvalues(coeffs)).max())
     return KossakowskiMatrix(c11=c11, c12=c12, norm=norm)
 
@@ -242,18 +247,18 @@ def _bose_weighted(beta: float, z: float) -> float:
 
 
 def spectral_density(params: ModelParams, z: float) -> SpectralValues:
-    """Evaluate the thermal spectra g11 and g12 at frequency z.
+    """Evaluate the thermal spectra g11 and g12 at frequency z (units of omega).
 
     Zero temperature gives g11(z) = z/2pi for z > 0 and 0 for z <= 0.
-    The cross spectrum carries the sinc(ell z) suppression factor.
+    The cross spectrum carries the sinc(omega_ell z) suppression factor.
     """
     if not math.isfinite(z):
         raise ValueError(f"frequency must be finite, got {z}")
     if params.zero_temperature:
         g11 = z / TWO_PI if z > 0 else 0.0
     else:
-        g11 = _bose_weighted(params.beta, z) / TWO_PI
-    g12 = g11 * _sinc(params.ell * z)
+        g11 = _bose_weighted(params.beta_omega, z) / TWO_PI
+    g12 = g11 * _sinc(params.omega_ell * z)
     return SpectralValues(g11=g11, g12=g12, z=z)
 
 
@@ -275,12 +280,13 @@ def build_kossakowski_spectral(params: ModelParams, n) -> KossakowskiMatrix:
     with |K|_2 from an SVD of the 6x6 form rather than from the closed-form
     eigenvalues.
 
-    C^(ab)_ij = sum_{xi in {+,-,0}} g_ab(xi omega) sum_k psi^(xi)_ki psi^(-xi)_kj
+    C^(ab)_ij = sum_{xi in {+,-,0}} g_ab(xi) sum_k psi^(xi)_ki psi^(-xi)_kj, with
+    the frequencies xi omega in units of omega
     """
     psi = psi_tensors(n)
     pairs = (
-        (psi.psi_plus, psi.psi_minus, +params.omega),
-        (psi.psi_minus, psi.psi_plus, -params.omega),
+        (psi.psi_plus, psi.psi_minus, 1.0),
+        (psi.psi_minus, psi.psi_plus, -1.0),
         (psi.psi0, psi.psi0, 0.0),
     )
     c11 = np.zeros((3, 3), dtype=complex)
@@ -335,7 +341,7 @@ def generator_with_hamiltonian(params: ModelParams) -> np.ndarray:
     dissipator.  Its exponential is the library's followed by one local
     unitary on both atoms."""
     K = kossakowski_from_coefficients(kossakowski_coefficients(params))
-    return superoperator_reference(K, hamiltonian(params, (0.0, 0.0, 1.0)))
+    return superoperator_reference(K, hamiltonian((0.0, 0.0, 1.0)))
 
 
 def choi_matrix(M: np.ndarray, t: float) -> np.ndarray:
