@@ -10,9 +10,7 @@ Gibbs state g = diag((1 - R)/2, (1 + R)/2):
     + (1 + R)^2 |--><--|] of the tau-labelled family;
   - at beta = inf and ell = 0 the dissipator is the collective lowering
     alone, which annihilates |S> and |-->, so c = <S|rho0|--> is conserved
-    too and c |S><--| + h.c. joins the state.  The free Hamiltonian turns
-    that coherence at omega forever (include_hs): its state keeps only the
-    part at rest and has no limit when 2|c| exceeds _CONV_TOL.
+    too and c |S><--| + h.c. joins the state.
 M is the dissipator alone and is read only by the convergence guard.  The
 SVD stationary projector (Albert & Jiang, PRA 89, 022118, 2014) these
 forms are checked against lives in the test suite.
@@ -28,8 +26,7 @@ from .spectral import ModelParams, temperature_ratio
 
 class ConvergenceError(RuntimeError):
     """The closed-form stationary state fails its guard (residual or
-    conserved tau), or the state has no limit (a coherence that the free
-    Hamiltonian turns forever)."""
+    conserved tau), or the state has no limit."""
 
 
 # asymptotic_state's guard: |M vec(rho_inf)|_max at most _RESIDUAL_REL_TOL |M|_1,
@@ -37,22 +34,16 @@ class ConvergenceError(RuntimeError):
 _RESIDUAL_REL_TOL = 1e-12
 _TAU_TOL = 1e-12
 
-# with the free Hamiltonian, a singlet/ground coherence c with 2|c| (its trace
-# norm) above this turns forever, so the state has no limit
-_CONV_TOL = 1e-8
 
-
-def asymptotic_state(M: np.ndarray, rho0: np.ndarray, params: ModelParams,
-                     check: bool = True, include_hs: bool = False) -> tuple[np.ndarray, int]:
+def asymptotic_state(M: np.ndarray, rho0: np.ndarray,
+                     params: ModelParams) -> tuple[np.ndarray, int]:
     """(rho_inf, stationary dimension) of rho0 under the dissipator M.
 
     rho_inf is the closed form of the module docstring, and the dimension
     is that of M's null space: 1 for ell > 0, 2 at ell = 0, 4 at beta = inf
-    and ell = 0, where the coherence c = <S|rho0|--> joins the state, and 2
-    there with include_hs, which drops c.  With check=True the state must
-    satisfy |M vec(rho_inf)|_max <= _RESIDUAL_REL_TOL |M|_1 and, at
-    ell = 0, keep tau(rho0) to _TAU_TOL; with include_hs at beta = inf and
-    ell = 0, 2|c| > _CONV_TOL means the state has no limit.  Each raises
+    and ell = 0, where the coherence c = <S|rho0|--> joins the state.  The
+    state must satisfy |M vec(rho_inf)|_max <= _RESIDUAL_REL_TOL |M|_1 and,
+    at ell = 0, keep tau(rho0) to _TAU_TOL; either failure raises
     ConvergenceError.
     """
     rho0 = dynamics.validate_density_matrix(rho0)
@@ -71,24 +62,18 @@ def asymptotic_state(M: np.ndarray, rho0: np.ndarray, params: ModelParams,
         if params.zero_temperature:
             singlet = dynamics.singlet_ket()
             c = singlet.conj() @ rho0[:, 3]
-            if include_hs and check and 2.0 * abs(c) > _CONV_TOL:
-                raise ConvergenceError(
-                    f"the singlet/ground coherence |c| = {abs(c):.3e} turns forever under the "
-                    f"free Hamiltonian: the state has no limit")
-            if not include_hs:
-                rho_inf[:, 3] += c * singlet
-                rho_inf[3, :] += np.conj(c) * singlet.conj()
-                dim = 4
+            rho_inf[:, 3] += c * singlet
+            rho_inf[3, :] += np.conj(c) * singlet.conj()
+            dim = 4
 
-    if check:
-        residual = np.abs(M @ dynamics.vec(rho_inf)).max()
-        scale = np.abs(M).sum(axis=0).max()
-        if not residual <= _RESIDUAL_REL_TOL * scale:
-            raise ConvergenceError(f"the predicted state is not stationary: residual "
-                                   f"{residual:.3e} exceeds {_RESIDUAL_REL_TOL:.0e} |M|_1")
-        if params.omega_ell == 0 and not abs(dynamics.tau(rho_inf) - tau0) <= _TAU_TOL:
-            raise ConvergenceError(f"the predicted state has tau {dynamics.tau(rho_inf)!r}, "
-                                   f"the initial state {tau0!r}")
+    residual = np.abs(M @ dynamics.vec(rho_inf)).max()
+    scale = np.abs(M).sum(axis=0).max()
+    if not residual <= _RESIDUAL_REL_TOL * scale:
+        raise ConvergenceError(f"the predicted state is not stationary: residual "
+                               f"{residual:.3e} exceeds {_RESIDUAL_REL_TOL:.0e} |M|_1")
+    if params.omega_ell == 0 and not abs(dynamics.tau(rho_inf) - tau0) <= _TAU_TOL:
+        raise ConvergenceError(f"the predicted state has tau {dynamics.tau(rho_inf)!r}, "
+                               f"the initial state {tau0!r}")
     return rho_inf, dim
 
 

@@ -14,6 +14,11 @@ local frame V = dynamics.local_frame(n): the initial state goes in as
 V^dag rho0 V and asymptotic's rho_infinity comes back as V rho V^dag.
 No other output changes under V, and the phase diagram ignores n.
 
+include_hs changes only `asymptotic`: at beta = inf and ell = 0 the free
+Hamiltonian turns the conserved coherence c = <S|rho0|--> forever, so the
+report drops c when 2|c| <= _CONV_TOL and refuses the state otherwise;
+`evolve`'s summary takes the limit of its own trajectory, which keeps c.
+
 The phase diagram starts from the canonical state |-> (x) |+>: at each
 grid point it evaluates the generation discriminant in closed form from
 K's coefficients (`entanglement.generation_test`) and checks the verdict
@@ -22,12 +27,13 @@ sector `entanglement.Q0`, where it is an X-state: its spectrum is r00, r33,
 (r11 + r22)/2 +- hypot((r11 - r22)/2, c), its partial transpose's r11, r22,
 (r00 + r33)/2 +- hypot((r00 - r33)/2, c).
 
-Exit codes: 0 ok, 2 config validation failure, 3 discriminant/oracle
-disagreement (implementation bug guard), 4 positivity failure (a
-Kossakowski matrix that is not positive semidefinite, or an evolved state
-that fails a positivity check), 5 asymptotic convergence-check failure
-(the closed-form stationary state fails its residual or tau guard, or the
-state has no limit).
+Exit codes: 0 ok, 2 config validation failure or an unwritable output
+path, 3 discriminant/oracle disagreement (implementation bug guard), 4
+positivity failure (a Kossakowski matrix that is not positive
+semidefinite, or an evolved state that fails a positivity check), 5
+convergence-check failure (the closed-form stationary state of
+`asymptotic` or of `evolve`'s summary fails its residual or tau guard, or
+the state has no limit).
 
 In-process use: ``main(argv)`` may be called any number of times in one
 process.  It returns the exit code, except that a usage error (an unknown
@@ -47,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import asymptotic, dynamics, entanglement
-from .spectral import ModelParams, kossakowski_coefficients
+from .spectral import ModelParams, kossakowski_coefficients, temperature_ratio
 
 PHASE_HEADER = "beta_omega,omega_ell,R,S,rs_margin,discriminant_margin,generated,oracle_generated"
 EVOLVE_HEADER = "t,trace,min_eig,min_eig_pt,concurrence,tau"
@@ -57,11 +63,10 @@ EVOLVE_HEADER = "t,trace,min_eig,min_eig_pt,concurrence,tau"
 MAX_SAMPLES = 100_000
 MAX_SWEEP_POINTS = 1_000_000
 # cap on the work of evolve's RK45 cross-check, t_max |M|_1 of the dissipator
-# at e3 that it integrates, in units of omega, so the same at every n and
-# include_hs: the explicit integrator's step count grows with it.  Work
-# 1.91e5 (beta*omega 0.001, omega*ell 1, t_max 100) took 2.5 to 3.9 s on a
-# 2-vCPU Xeon VM (Python 3.11, numpy 2.4), about 1.3 to 2 s of run time per
-# 1e5 of work
+# at e3 that it integrates, in units of omega, so the same at every n: the
+# explicit integrator's step count grows with it.  Work 1.91e5 (beta*omega
+# 0.001, omega*ell 1, t_max 100) took 2.5 to 3.9 s on a 2-vCPU Xeon VM
+# (Python 3.11, numpy 2.4), about 1.3 to 2 s of run time per 1e5 of work
 MAX_RK_WORK = 2e5
 # below this beta*omega the square of the thermal factor coth(beta*omega/2),
 # which scales the discriminant and |K|_2^2, is not a finite float
@@ -70,6 +75,8 @@ MIN_BETA_OMEGA = 1.5e-154
 # must agree with the discriminant wherever |rs_margin| > _ORACLE_BAND
 _ORACLE_DT = 1e-3
 _ORACLE_BAND = 1e-3
+# include_hs in asymptotic: a coherence c with 2|c| above this turns forever
+_CONV_TOL = 1e-8
 
 
 class ConfigError(ValueError):
@@ -89,7 +96,7 @@ class RunConfig:
     rho0: np.ndarray                       # V^dag (the initial state) V
     times: np.ndarray | None = None        # omega*t
     sweep: SweepSpec | None = None
-    include_hs: bool = False
+    include_hs: bool = False               # read by cmd_asymptotic alone
 
 
 def _fmt(x: float) -> str:
@@ -137,9 +144,9 @@ def _parse_complex_matrix(entries) -> np.ndarray:
 
 
 def _parse_initial_state(raw, frame) -> np.ndarray:
-    """V^dag rho0 V for the initial state rho0, validated in the lab frame;
-    the named states are built in the frame, where the canonical one is
-    |-> (x) |+> and the singlet is the same."""
+    """V^dag rho0 V for the initial state rho0, a matrix validated after the
+    turn, as the library reads it; the named states are built in the frame,
+    where the canonical one is |-> (x) |+> and the singlet is the same."""
     if raw is None:
         raw = {"named": "canonical"}
     _require(isinstance(raw, dict) and len(raw) == 1,
@@ -160,8 +167,9 @@ def _parse_initial_state(raw, frame) -> np.ndarray:
         except ValueError as exc:
             raise ConfigError(f"invalid product state: {exc}") from None
     elif tag == "matrix":
+        rho = frame.conj().T @ _parse_complex_matrix(value) @ frame
         try:
-            rho = dynamics.validate_density_matrix(_parse_complex_matrix(value))
+            return dynamics.validate_density_matrix(rho)
         except ValueError as exc:
             raise ConfigError(f"matrix initial state invalid: {exc}") from None
     else:
@@ -285,9 +293,12 @@ def _write_out(text: str, out_path: str | None, rest=()):
         sys.stdout.write(text)
         sys.stdout.writelines(rest)
     else:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-            fh.writelines(rest)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+                fh.writelines(rest)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output: {exc}") from None
 
 
 # ----------------------------------------------------------------------
@@ -351,8 +362,7 @@ def cmd_evolve(config: RunConfig, out_path: str | None) -> int:
                           f"RK45 cross-check: t_max |M|_1 = {work:.3g} exceeds "
                           f"MAX_RK_WORK = {MAX_RK_WORK:.0e}")
     states = dynamics.evolve_traj(M, config.rho0, config.times)
-    rho_inf, _ = asymptotic.asymptotic_state(M, config.rho0, params, check=False,
-                                             include_hs=config.include_hs)
+    rho_inf, _ = asymptotic.asymptotic_state(M, config.rho0, params)
 
     lines = [EVOLVE_HEADER]
     for t_dimless, rho in zip(config.times, states):
@@ -373,8 +383,7 @@ def cmd_evolve(config: RunConfig, out_path: str | None) -> int:
     if out_path is None:
         print(json.dumps(summary), file=sys.stderr)
     else:
-        with open(out_path + ".summary.json", "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(json.dumps(summary, indent=2) + "\n")
+        _write_out(json.dumps(summary, indent=2) + "\n", out_path + ".summary.json")
     return 0
 
 
@@ -382,14 +391,20 @@ def cmd_asymptotic(config: RunConfig, out_path: str | None) -> int:
     """Stationary-state report for the configured parameters and initial state."""
     params = config.params
     M = dynamics.build_superoperator(kossakowski_coefficients(params))
-    rho_inf, dim = asymptotic.asymptotic_state(M, config.rho0, params, check=True,
-                                               include_hs=config.include_hs)
-    R, _, _ = entanglement.criterion_rs(params)
+    rho_inf, dim = asymptotic.asymptotic_state(M, config.rho0, params)
+    if config.include_hs and dim == 4:
+        c = dynamics.singlet_ket().conj() @ config.rho0[:, 3]
+        if 2.0 * abs(c) > _CONV_TOL:
+            raise asymptotic.ConvergenceError(
+                f"the singlet/ground coherence |c| = {abs(c):.3e} turns forever under the "
+                f"free Hamiltonian: the state has no limit")
+        rho_inf[1:3, 3] = rho_inf[3, 1:3] = 0.0
+        dim = 2
     doc = {"stationary_dim": dim,
            "rho_infinity": _complex_pairs(config.frame @ rho_inf @ config.frame.conj().T),
            "concurrence": entanglement.concurrence(rho_inf),
            "tau": dynamics.tau(rho_inf),
-           "threshold_tau": asymptotic.threshold_tau(R)}
+           "threshold_tau": asymptotic.threshold_tau(temperature_ratio(params))}
     _write_out(json.dumps(doc, indent=2) + "\n", out_path)
     return 0
 

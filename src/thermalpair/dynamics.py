@@ -10,8 +10,7 @@ The generator is the Kossakowski dissipator D alone, built at the axis
 n = e3 from six fixed dissipators (`local_frame(n)` takes a state at
 another axis to e3 and back).  The free Hamiltonian's -i[H_S, .] commutes
 with D, so it only turns both atoms by one local unitary, which no emitted
-quantity sees; `asymptotic.asymptotic_state` applies its one effect, on
-which stationary states survive.
+quantity sees but `asymptotic`'s report with include_hs (`cli`).
 
 Evolution applies exp(t M) to vec(rho0) (`expm_multiply`): a Taylor series
 of matrix-vector products while |t M|_1 <= _THETA_T, which holds for the

@@ -71,6 +71,19 @@ def test_coefficients_reads_stdin():
 
 # ------------------------------------------------------------ config errors
 
+# diag 0.25 with every off-diagonal entry 4.5e-13 i: its anti-Hermitian part
+# is 9e-13 at e3, and about three times that in the frame of n = e1, which is
+# the array every subcommand reads
+TURNED_OFF_HERMITIAN = {
+    "n": [1, 0, 0], "ell": 0.5,
+    "initial_state": {"matrix": [[0.25, 0.0] if k % 5 == 0 else [0.0, 4.5e-13]
+                                 for k in range(16)]}}
+# a config that every subcommand runs
+EVERY_SUBCOMMAND = {"ell": 0.5, "time_grid": [0.0, 1.0],
+                    "sweep": {"beta_omega": [1.0, 1.0, 1], "omega_ell": [0.0, 0.0, 1]}}
+SUBCOMMANDS = ("coefficients", "phase-diagram", "evolve", "asymptotic")
+
+
 def test_malformed_json_exits_2(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json", encoding="utf-8")
@@ -123,6 +136,8 @@ def test_malformed_json_exits_2(tmp_path):
     {"initial_state": {"product": {"bloch1": [1e200, 1e200, 0], "bloch2": [0, 0, 1]}}},
     # a list of times takes no other key
     {"ell": 0.5, "time_grid": {"times": [0, 1], "t_max": 5, "bogus": 1}},
+    # Hermitian to 1e-12 as given, but not once turned to the frame of n
+    TURNED_OFF_HERMITIAN,
 ])
 def test_invalid_config_exits_2(tmp_path, config):
     res = run_cli("coefficients", config=config, tmp_path=tmp_path)
@@ -130,6 +145,33 @@ def test_invalid_config_exits_2(tmp_path, config):
     assert res.stdout == ""
     assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("sub", SUBCOMMANDS)
+def test_initial_state_is_validated_as_the_library_reads_it(tmp_path, capsys, sub):
+    # the parser checks the state that evolve_traj and asymptotic_state
+    # read, so none of them meets an invalid one
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**EVERY_SUBCOMMAND, **TURNED_OFF_HERMITIAN}), encoding="utf-8")
+    assert cli.main([sub, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: matrix initial state invalid: density matrix is not Hermitian\n"
+
+
+@pytest.mark.parametrize("sub,out", [(sub, "missing/x.json") for sub in SUBCOMMANDS]
+                         + [("evolve", "x.json")],
+                         ids=[*SUBCOMMANDS, "evolve-summary"])
+def test_unwritable_out_exits_2(tmp_path, capsys, sub, out):
+    # a missing directory, or a directory where evolve's summary goes
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(EVERY_SUBCOMMAND), encoding="utf-8")
+    (tmp_path / "x.json.summary.json").mkdir()
+    assert cli.main([sub, "--config", str(path), "--out", str(tmp_path / out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write output: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_beta_omega_floor_is_accepted(tmp_path):
@@ -453,13 +495,20 @@ def test_asymptotic_and_evolve_agree_on_conserved_coherence(tmp_path):
     res = run_cli("asymptotic", config=COHERENT, tmp_path=tmp_path)
     assert res.returncode == 0, res.stderr
     assert json.loads(res.stdout)["stationary_dim"] == 4
+    # evolve's summary takes the limit of its own trajectory, which keeps the
+    # coherence whatever include_hs says; the state without it is 0.7071 away
     out = tmp_path / "traj.csv"
-    res = run_cli("evolve", "--out", str(out),
-                  config={**COHERENT, "time_grid": {"t_max": 200.0, "n_samples": 3}},
-                  tmp_path=tmp_path)
-    assert res.returncode == 0, res.stderr
-    summary = json.loads((tmp_path / "traj.csv.summary.json").read_text(encoding="utf-8"))
-    assert summary["trace_distance_to_asymptotic"] < 1e-8
+    summaries = []
+    for include_hs in (False, True):
+        res = run_cli("evolve", "--out", str(out),
+                      config={**COHERENT, "include_hs": include_hs,
+                              "time_grid": {"t_max": 200.0, "n_samples": 3}},
+                      tmp_path=tmp_path)
+        assert res.returncode == 0, res.stderr
+        summaries.append(json.loads((tmp_path / "traj.csv.summary.json").read_text(
+            encoding="utf-8")))
+        assert summaries[-1]["trace_distance_to_asymptotic"] < 1e-8
+    assert summaries[0] == summaries[1]
 
 
 def test_asymptotic_state_at_an_axis_is_the_closed_form_equilibrium(tmp_path):
@@ -486,9 +535,9 @@ DARK_CORNER = {"omega": 1.0, "beta": "inf", "ell": 0.0, "include_hs": True,
 def test_dark_corner_with_the_free_hamiltonian(tmp_path, capsys, bloch2, code, stderr):
     # |+x> (x) |-> carries the singlet/ground coherence, which the
     # Hamiltonian turns forever, so asymptotic refuses it; every coherence
-    # of |+x> (x) |+> decays, and it settles on the rank-2 manifold.  evolve
-    # reports the masked state for both, whose concurrence is 1/4 (to
-    # bench/check.py's CONCURRENCE_TOL)
+    # of |+x> (x) |+> decays, and it settles on the rank-2 manifold.
+    # evolve's summary takes the dissipator's limit for both, whose
+    # concurrence is 1/4 (to bench/check.py's CONCURRENCE_TOL)
     path = tmp_path / "config.json"
     path.write_text(json.dumps({**DARK_CORNER, "initial_state": {
         "product": {"bloch1": [1, 0, 0], "bloch2": bloch2}}}), encoding="utf-8")
