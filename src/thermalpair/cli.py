@@ -288,17 +288,19 @@ def _complex_pairs(rho: np.ndarray) -> list:
 
 
 def _write_out(text: str, out_path: str | None, rest=()):
-    """Write text, then each chunk of rest as it is made."""
-    if out_path is None:
-        sys.stdout.write(text)
-        sys.stdout.writelines(rest)
-    else:
-        try:
+    """Write text, then each chunk of rest as it is made, to out_path or to
+    standard output (flushed); a failed write raises ConfigError."""
+    try:
+        if out_path is None:
+            sys.stdout.write(text)
+            sys.stdout.writelines(rest)
+            sys.stdout.flush()
+        else:
             with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text)
                 fh.writelines(rest)
-        except OSError as exc:
-            raise ConfigError(f"cannot write output: {exc}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}") from None
 
 
 # ----------------------------------------------------------------------

@@ -15,9 +15,9 @@ quantity sees but `asymptotic`'s report with include_hs (`cli`).
 Evolution applies exp(t M) to vec(rho0) (`expm_multiply`): a Taylor series
 of matrix-vector products while |t M|_1 <= _THETA_T, which holds for the
 phase diagram's small-time oracle (on M's charge-0 block) at every
-beta*omega above about 0.007, and the [13/13] Pade exponential (`expm`,
-one LU solve) above it.  Trajectories are cross-checked by an adaptive
-RK45 (`solve_ivp`).
+beta*omega above about 0.007, and the Taylor exponential (`expm`, no
+linear solve) above it.  A trajectory steps from sample to sample and is
+cross-checked from t = 0 by an adaptive RK45 (`solve_ivp`).
 """
 
 from __future__ import annotations
@@ -109,47 +109,38 @@ _RK_AGREE_TOL = 1e-8
 # evolve raises PositivityError below this state eigenvalue
 _POS_TOL = 1e-8
 
-# [13/13] Pade approximant of exp (Higham, SIAM J. Matrix Anal. Appl. 26,
-# 1179 (2005)): numerator coefficients b_0..b_13 (the denominator has
-# (-1)^k b_k) and the 1-norm up to which it needs no scaling
-_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-           1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-           33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
-_THETA13 = 5.371920351148152
-# coefficients over (I, A^2, A^4, A^6) of the four sums W0..W3 behind
-# U = A (A^6 W0 + W2) and V = A^6 W1 + W3
-_PADE13_SUMS = np.array([(0.0, *_PADE13[9:14:2]), (0.0, *_PADE13[8:13:2]),
-                         _PADE13[1:8:2], _PADE13[0:7:2]], dtype=complex)
+# expm: the degree-30 Taylor polynomial has backward error at most 2^-53 up
+# to this 1-norm (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011),
+# Table 3.1); row j of _TAYLOR30_BLOCKS holds 1/(6j + i)!, i < 6
+_THETA_T30 = 3.5
+_TAYLOR30_BLOCKS = np.array([[1.0 / math.factorial(6 * j + i) if 6 * j + i <= 30 else 0.0
+                              for i in range(6)] for j in range(6)])
 # expm_multiply sums the Taylor series of exp(A) v up to this 1-norm of A
 # (degree m <= 12 there), and multiplies by expm(A) above it.  At 0.3 on a
-# 16x16 generator the series took about 50 us against about 70 us for the
-# Pade exponential (timeit on a 2-vCPU Xeon VM); they break even near 1.
+# 16x16 generator the series took about 55 us against about 85 us for
+# expm (timeit on a 2-vCPU Xeon VM); they break even near 1.
 _THETA_T = 0.3
 
 
 def expm(A: np.ndarray) -> np.ndarray:
-    """Matrix exponential (complex) by scaling and squaring with the [13/13]
-    Pade approximant (Higham 2005, Algorithm 2.3).
-
-    A is scaled by 2^-s so that its 1-norm is at most _THETA13, the
-    approximant r = (V - U)^-1 (V + U) is formed from even powers of the
-    scaled A, and r is squared s times.
+    """Matrix exponential in A's real or complex type, without a linear
+    solve: A is scaled by 2^-s to a 1-norm of at most _THETA_T30, its
+    degree-30 Taylor polynomial, sum_j (A^6)^j B_j with B_j = sum_i A^i /
+    (6j + i)!, is summed in ten products (Paterson-Stockmeyer) and squared
+    s times.
     """
     A = np.asarray(A)
     norm = np.abs(A).sum(axis=0).max()
-    s = math.ceil(math.log2(norm / _THETA13)) if _THETA13 < norm < math.inf else 0
+    s = math.ceil(math.log2(norm / _THETA_T30)) if _THETA_T30 < norm < math.inf else 0
     A = A * 2.0**-s
     n = A.shape[0]
-    powers = np.empty((4, n, n), dtype=complex)
-    powers[0] = np.eye(n)
-    np.matmul(A, A, out=powers[1])
-    np.matmul(powers[1], powers[1], out=powers[2])
-    np.matmul(powers[2], powers[1], out=powers[3])
-    W = (_PADE13_SUMS @ powers.reshape(4, n * n)).reshape(4, n, n)
-    high = powers[3] @ W[:2]
-    U = A @ (high[0] + W[2])
-    V = high[1] + W[3]
-    R = np.linalg.solve(V - U, V + U)
+    powers = [np.eye(n), A]
+    for _ in range(5):
+        powers.append(powers[-1] @ A)
+    B = (_TAYLOR30_BLOCKS @ np.reshape(powers[:6], (6, n * n))).reshape(6, n, n)
+    R = B[5]
+    for j in range(4, -1, -1):
+        R = R @ powers[6] + B[j]
     for _ in range(s):
         R = R @ R
     return R
@@ -283,8 +274,8 @@ def tau(rho: np.ndarray) -> float:
 
 
 def trace_norm(a: np.ndarray) -> float:
-    """Sum of singular values."""
-    return float(np.linalg.svd(np.asarray(a, dtype=complex), compute_uv=False).sum())
+    """Trace norm of a Hermitian matrix, such as a difference of states."""
+    return float(np.abs(np.linalg.eigvalsh(a)).sum())
 
 
 _UNIT_TOL = 1e-12
@@ -349,9 +340,9 @@ def build_superoperator(coeffs: KossakowskiCoefficients) -> np.ndarray:
     return np.tensordot(cp_rates(coeffs), _DISSIPATORS, axes=1)
 
 
-def evolve(M: np.ndarray, rho0: np.ndarray, t: float) -> np.ndarray:
-    """rho(t) = unvec(exp(t M) vec(rho0)) by expm_multiply, re-Hermitized and
-    renormalized.
+def evolve(M: np.ndarray, rho0: np.ndarray, t: float, t0: float = 0.0) -> np.ndarray:
+    """rho(t) = unvec(exp((t - t0) M) vec(rho0)) by expm_multiply, for the
+    state rho0 at time t0 <= t, re-Hermitized and renormalized.
 
     rho0 must already be a valid 4x4 density matrix (an array, as
     validate_density_matrix returns it); it is not checked again here, so
@@ -361,15 +352,15 @@ def evolve(M: np.ndarray, rho0: np.ndarray, t: float) -> np.ndarray:
     too large for its rounding) or has no positive trace, or if the state
     dips below -_POS_TOL; smaller Hermiticity/trace deviations of a state
     that passes are repaired, with one standard-error line when either
-    exceeds 1e-10.
+    exceeds 1e-10.  Every message names the time t.
     """
-    if not (math.isfinite(t) and t >= 0):
-        raise ValueError(f"time must be finite and >= 0, got {t}")
-    if t == 0:
+    if not (math.isfinite(t) and t >= t0):
+        raise ValueError(f"time must be finite and >= {t0:g}, got {t}")
+    if t == t0:
         return rho0.copy()
     # an overflow is reported once, as the PositivityError below
     with np.errstate(over="ignore", invalid="ignore"):
-        rho = unvec(expm_multiply(t * M, vec(rho0)))
+        rho = unvec(expm_multiply((t - t0) * M, vec(rho0)))
     if not np.isfinite(rho).all():
         raise PositivityError(f"evolved state is not finite at t={t}")
     herm_dev = np.abs(rho - rho.conj().T).max()
@@ -394,20 +385,22 @@ def check_state(min_eig: float, herm_dev: float, tr: float, t: float):
 
 
 def evolve_traj(M: np.ndarray, rho0: np.ndarray, times) -> list:
-    """The states rho(t_k) on a sorted nonnegative time grid.
-
-    Samples come from evolve; the same trajectory is integrated with
-    adaptive RK45 (solve_ivp) and the two must agree to _RK_AGREE_TOL in
+    """The states rho(t_k) on a sorted nonnegative time grid, each one evolve
+    step (a trace-norm contraction, with its guards) from the one before,
+    from rho0 at t = 0.  The same trajectory is integrated from rho0 with
+    adaptive RK45 (solve_ivp), and the two must agree to _RK_AGREE_TOL in
     max-norm (two independent numerical routes through a non-normal
-    generator).
-    """
+    generator)."""
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
         raise ValueError("time grid must be a nonempty 1-d array")
     if times[0] < 0 or (len(times) > 1 and not np.all(np.diff(times) > 0)):
         raise ValueError("time grid must be sorted, strictly increasing and nonnegative")
     rho0 = validate_density_matrix(rho0)
-    states = [evolve(M, rho0, float(t)) for t in times]
+    states = [rho0]
+    for t0, t in zip([0.0, *times.tolist()], times.tolist()):
+        states.append(evolve(M, states[-1], t, t0))
+    states = states[1:]
 
     if times[-1] > 0:
         ys = solve_ivp(M, vec(rho0), times)

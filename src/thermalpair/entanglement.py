@@ -79,13 +79,20 @@ def min_eig_pt(rho: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(0.5 * (pt + pt.conj().T)).min())
 
 
-_SIGMA2_SIGMA2 = np.kron(dynamics.SIGMA[1], dynamics.SIGMA[1])
+# S = sigma2 (x) sigma2: real, symmetric and its own inverse
+_SIGMA2_SIGMA2 = np.kron(dynamics.SIGMA[1], dynamics.SIGMA[1]).real
 
 
-def _psd_sqrt(m: np.ndarray) -> np.ndarray:
-    m = 0.5 * (m + m.conj().T)
-    w, v = np.linalg.eigh(m)
-    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+def _wootters_l(rho: np.ndarray) -> np.ndarray:
+    """Concurrence's l_1 >= .. >= l_4, the singular values of X = sqrt(rho~)
+    sqrt(rho) with sqrt(rho~) = S sqrt(rho)* S from one eigh, as the four
+    largest eigenvalues of the Hermitian dilation [[0, X], [X^dag, 0]]."""
+    rho = np.asarray(rho, dtype=complex)
+    w, v = np.linalg.eigh(0.5 * (rho + rho.conj().T))
+    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    X = _SIGMA2_SIGMA2 @ root.conj() @ _SIGMA2_SIGMA2 @ root
+    zero = np.zeros((4, 4))
+    return np.linalg.eigvalsh(np.block([[zero, X], [X.conj().T, zero]]))[:3:-1]
 
 
 def concurrence(rho: np.ndarray) -> float:
@@ -93,13 +100,11 @@ def concurrence(rho: np.ndarray) -> float:
 
     The l_k are the decreasing square roots of the eigenvalues of
     rho (s2 x s2) rho* (s2 x s2), conjugation in the computational basis.
-    They are computed as the singular values of sqrt(rho~) sqrt(rho),
-    which keeps near-zero l_k at full absolute precision (the direct
-    eigensolve of the non-Hermitian product loses half the digits there).
+    As singular values (`_wootters_l`), near-zero l_k keep full absolute
+    precision (the direct eigensolve of the non-Hermitian product loses
+    half the digits there).
     """
-    rho = np.asarray(rho, dtype=complex)
-    rho_flip = _SIGMA2_SIGMA2 @ rho.conj() @ _SIGMA2_SIGMA2
-    lam = np.linalg.svd(_psd_sqrt(rho_flip) @ _psd_sqrt(rho), compute_uv=False)
+    lam = _wootters_l(rho)
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
 
@@ -155,7 +160,7 @@ def small_time_ppt_oracle(coeffs: KossakowskiCoefficients, dt: float) -> bool:
         v = dynamics.expm_multiply(dt * M, _CANONICAL_Q0)
     if not np.isfinite(v).all():
         raise dynamics.PositivityError(f"evolved state is not finite at t={dt}")
-    r00, r11, c21, c12, r22, r33 = v.real.tolist()  # the Pade branch returns complex
+    r00, r11, c21, c12, r22, r33 = v.tolist()
     tr = (r00 + r11) + (r22 + r33)  # in evolve's order: np.trace of a complex 4x4
     if not 0 < tr < math.inf:
         raise dynamics.PositivityError(f"evolved state has trace {tr} at t={dt}")

@@ -1,10 +1,12 @@
 """End-to-end CLI contract: config handling, formats, determinism, exit codes."""
 
 import argparse
+import errno
 import gc
 import importlib.util
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -174,6 +176,62 @@ def test_unwritable_out_exits_2(tmp_path, capsys, sub, out):
     assert captured.err.count("\n") == 1
 
 
+class _FailingStdout:
+    """Standard output whose write, or whose flush of accepted writes,
+    raises exc, as a full disk or a closed pipe does."""
+
+    def __init__(self, fails_on: str, exc: OSError):
+        self.fails_on, self.exc = fails_on, exc
+
+    def write(self, text):
+        if self.fails_on == "write":
+            raise self.exc
+        return len(text)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+    def flush(self):
+        raise self.exc
+
+
+@pytest.mark.parametrize("sub", SUBCOMMANDS)
+@pytest.mark.parametrize("fails_on,exc", [
+    ("write", OSError(errno.ENOSPC, "No space left on device")),
+    ("flush", BrokenPipeError(errno.EPIPE, "Broken pipe")),
+], ids=["full-disk", "closed-pipe"])
+def test_failed_write_to_stdout_exits_2(tmp_path, capsys, monkeypatch, sub, fails_on, exc):
+    # standard output fails as an --out file does: one error line, exit 2
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(EVERY_SUBCOMMAND), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdout", _FailingStdout(fails_on, exc))
+    assert cli.main([sub, "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: cannot write output: {exc}\n"
+
+
+@pytest.mark.parametrize("sub,target", [("phase-diagram", "closed-pipe"),
+                                        ("asymptotic", "full-disk")])
+def test_failed_write_to_stdout_leaves_no_traceback(tmp_path, sub, target):
+    # the process ends with the one error line, and its exit flush adds nothing
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"sweep": {"beta_omega": [0.5, 4.0, 30],
+                                          "omega_ell": [0.0, 2.0, 20]}}), encoding="utf-8")
+    if target == "full-disk":
+        if not Path("/dev/full").exists():
+            pytest.skip("no /dev/full on this platform")
+        stdout, message = open("/dev/full", "w"), "[Errno 28] No space left on device"
+    else:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        stdout, message = os.fdopen(write_end, "w"), "[Errno 32] Broken pipe"
+    with stdout:
+        res = subprocess.run([sys.executable, "-m", "thermalpair", sub, "--config", str(path)],
+                             stdout=stdout, stderr=subprocess.PIPE, text=True)
+    assert res.returncode == 2
+    assert res.stderr == f"error: cannot write output: {message}\n"
+
+
 def test_beta_omega_floor_is_accepted(tmp_path):
     # at the floor, coth(beta*omega/2)^2 = (A/B)^2 is still a finite float
     res = run_cli("coefficients", config={"beta": cli.MIN_BETA_OMEGA}, tmp_path=tmp_path)
@@ -202,12 +260,12 @@ def test_numerical_failure_exits_with_its_code(tmp_path, sub, config, code):
 
 
 @pytest.mark.parametrize("sweep,code,stderr", [
-    # below beta*omega ~ 0.007 the oracle's step takes the Pade exponential,
-    # whose complex result leaves no ComplexWarning
+    # below beta*omega ~ 0.007 the oracle's step takes the Taylor exponential,
+    # which returns a real state as the series does: no ComplexWarning
     ({"beta_omega": [0.001, 0.05, 30], "omega_ell": [0.0, 1e-4, 30]}, 0, ""),
     ({"beta_omega": [1e-38, 1.0, 1], "omega_ell": [0.0, 0.0, 1]}, 4,
      "error: evolved state has trace 0.0 at t=0.001\n"),
-], ids=["pade-branch", "sweep-overflow"])
+], ids=["expm-branch", "sweep-overflow"])
 def test_phase_diagram_stderr(tmp_path, sweep, code, stderr):
     # a failure at the first point leaves no output file
     out = tmp_path / "grid.csv"
@@ -670,8 +728,8 @@ def test_phase_diagram_takes_no_svd(tmp_path, monkeypatch):
     # the boundary band is sized from K's closed-form eigenvalues, so the
     # sweep path needs neither an SVD nor a matrix norm, also at ell = 0; the
     # oracle's step has |dt M|_1 <= dynamics._THETA_T, so it applies exp(dt M)
-    # to the state by a Taylor series and forms no Pade exponential, whose
-    # LU solve would be the only one in the sweep
+    # to the state by a Taylor series of matrix-vector products and forms no
+    # matrix exponential
     def forbidden(*args, **kwargs):
         raise AssertionError("the phase diagram called an SVD, a matrix norm, a linear "
                              "solve or a matrix exponential")
@@ -688,9 +746,10 @@ def test_phase_diagram_takes_no_svd(tmp_path, monkeypatch):
 
 def test_phase_diagram_dense_factorizations(tmp_path, monkeypatch):
     # work counter: the oracle takes its spectra in closed form, so a sweep
-    # makes no eigvalsh, eigh, svd or solve call at beta*omega >= 0.05 at any
-    # omega*ell corner; below about 0.007 the oracle's |dt M_q0|_1 exceeds
-    # dynamics._THETA_T and its Pade exponential takes one solve per point
+    # makes no eigvalsh, eigh, svd or solve call at any beta*omega and
+    # omega*ell corner; below beta*omega of about 0.007 the oracle's
+    # |dt M_q0|_1 exceeds dynamics._THETA_T and it takes the Taylor
+    # exponential, which has no linear solve either
     calls = Counter()
     for name in ("eigvalsh", "eigh", "svd", "solve"):
         def counting(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
@@ -712,16 +771,43 @@ def test_phase_diagram_dense_factorizations(tmp_path, monkeypatch):
                                                 "omega_ell": omega_ell}}) == {}
 
     beta_omega, omega_ell = np.linspace(0.001, 0.05, 30), np.linspace(0.0, 1e-4, 30)
-    pade = 0
+    expm_points = 0
     for bw in beta_omega:
         for wl in omega_ell:
             lam = spectral.kossakowski_eigenvalues(spectral.kossakowski_coefficients(
                 spectral.ModelParams(beta_omega=bw, omega_ell=wl)))
             M = np.tensordot(lam, entanglement._DISSIPATORS_Q0, axes=1)
-            pade += np.abs(1e-3 * M).sum(axis=0).max() > dynamics._THETA_T
-    assert 0 < pade < 900
+            expm_points += np.abs(1e-3 * M).sum(axis=0).max() > dynamics._THETA_T
+    assert 0 < expm_points < 900
     assert sweep({"sweep": {"beta_omega": [0.001, 0.05, 30],
-                            "omega_ell": [0.0, 1e-4, 30]}}) == {"solve": pade}
+                            "omega_ell": [0.0, 1e-4, 30]}}) == {}
+
+
+def test_trajectory_and_asymptotic_dense_factorizations(tmp_path, monkeypatch):
+    # work counter: evolve and asymptotic reach LAPACK only through the
+    # Hermitian eigensolvers.  The exponential takes no linear solve, and
+    # concurrence and trace_norm take no SVD; concurrence takes one eigh,
+    # for the square root of the state
+    calls = Counter()
+    for module, name in ((np.linalg, "eigvalsh"), (np.linalg, "eigh"), (np.linalg, "svd"),
+                         (np.linalg, "solve"), (dynamics, "expm"),
+                         (entanglement, "concurrence")):
+        def counting(*args, _name=name, _real=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counting)
+
+    # steps of omega*t = 20 take the Taylor exponential, not the series
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"beta": 0.5, "ell": 0.5,
+                                "time_grid": {"t_max": 400, "n_samples": 21}}),
+                    encoding="utf-8")
+    for sub, concurrences in (("evolve", 21 + 1), ("asymptotic", 1)):
+        calls.clear()
+        assert cli.main([sub, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert calls["svd"] == calls["solve"] == 0, (sub, calls)
+        assert calls["concurrence"] == calls["eigh"] == concurrences, (sub, calls)
+        assert (calls["expm"] > 0) == (sub == "evolve"), (sub, calls)
 
 
 def test_phase_diagram_builds_the_canonical_kets_once(tmp_path, monkeypatch):

@@ -320,7 +320,7 @@ def test_expm_matches_scipy():
             tol = max(1e-10, eps * np.abs(t * M).sum(axis=0).max())
             assert diff <= tol * max(1.0, np.abs(ref).max()), (label, t, diff)
 
-        # exp(tM) v at |tM|_1 on both sides of the Taylor/Pade switch; 0.039
+        # exp(tM) v at |tM|_1 on both sides of the series/expm switch; 0.039
         # is the small-time oracle's step at beta*omega = 0.05
         norm_M = np.abs(M).sum(axis=0).max()
         v = vec(random_density(rng))

@@ -297,7 +297,7 @@ def test_small_time_oracle_rejects_bad_dt():
 @pytest.mark.parametrize("beta_omega,message", [
     # coth(beta*omega/2) ~ 1e38: the evolved state underflows to zero
     (1e-38, "evolved state has trace 0.0 at t=0.001"),
-    # coth ~ 1e50: the squarings of the Pade exponential overflow
+    # coth ~ 1e50: the squarings of the Taylor exponential overflow
     (1e-50, "evolved state is not finite at t=0.001"),
 ], ids=["sweep-overflow", "sweep-expm-overflow"])
 def test_oracle_overflow_raises_as_the_general_route_does(beta_omega, message):

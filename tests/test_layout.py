@@ -10,7 +10,8 @@ constant or member nothing reads goes.
 Every guard threshold is a module constant beside the guard that reads it,
 so no function in src/ takes a parameter whose name ends in "tol".  The
 package imports only numpy and a short list of standard-library modules,
-which keeps its share of the start-up time small.
+which keeps its share of the start-up time small, and it reaches LAPACK only
+through numpy.linalg's Hermitian eigensolvers (and the vector norm).
 """
 
 import ast
@@ -21,6 +22,9 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "thermalpair"
 ENTRY_POINTS = {("cli", "main")}
 # the top-level modules src/ may import besides its own
 ALLOWED_IMPORTS = {"__future__", "argparse", "dataclasses", "json", "math", "sys", "numpy"}
+# what src/ may call through numpy.linalg: an exponential by linear solve or
+# a concurrence by SVD is a reference route for tests/util.py
+ALLOWED_LINALG = {"eigvalsh", "eigh", "norm"}
 
 
 def _references(node, skip=None) -> set:
@@ -124,3 +128,25 @@ def test_imports_only_the_allowed_modules():
             found += [f"{module}: {name}" for name in names
                       if name.split(".")[0] not in ALLOWED_IMPORTS | {"thermalpair"}]
     assert not found, f"imports outside the allowlist: {found}"
+
+
+def test_reaches_only_the_allowed_numpy_linalg_functions():
+    # every `linalg` attribute must be the value of an allowed one,
+    # `np.linalg.<name>`; importing numpy.linalg, or binding it to a name,
+    # would hide the calls from this lint
+    found = []
+    for module, tree in _trees().items():
+        used_as = {id(n.value): n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "linalg":
+                if used_as.get(id(node)) not in ALLOWED_LINALG:
+                    found.append(f"{module}:{node.lineno}: {ast.unparse(node)}."
+                                 f"{used_as.get(id(node), '')}")
+            elif isinstance(node, ast.Import):
+                found += [f"{module}:{node.lineno}: import {a.name}" for a in node.names
+                          if a.name.startswith("numpy.linalg")]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0 and (
+                    (node.module or "").startswith("numpy.linalg")
+                    or node.module == "numpy" and any(a.name == "linalg" for a in node.names)):
+                found.append(f"{module}:{node.lineno}: from {node.module} import ...")
+    assert not found, f"numpy.linalg beyond {sorted(ALLOWED_LINALG)}: {found}"

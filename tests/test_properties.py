@@ -3,7 +3,8 @@ complete-positivity guard, M against the reference route, trace and
 Hermiticity preservation of M, the closed-form discriminant against the
 general product-state one at |-+> and its canonical-state reduction,
 the small-time oracle in the charge-0 sector against the general route,
-concurrence against the partial-transpose verdict, the
+concurrence against the SVD route and against the partial-transpose
+verdict, the
 Gibbs state as a stationary state (the bath is KMS), the closed-form
 asymptotic state against the SVD stationary projector and the long-time
 evolution, the free Hamiltonian as a local turn that commutes with M and
@@ -32,12 +33,14 @@ from thermalpair import (ModelParams, ProductState, asymptotic_state, build_supe
                          trace_norm, unvec, vec)
 from thermalpair.cli import _CONV_TOL
 from thermalpair.dynamics import _CP_REL_TOL
+from thermalpair.entanglement import _wootters_l
 
 from util import (_AT_REST, _HORIZON, _NULLSPACE_REL_TOL, build_kossakowski_spectral,
-                  generation_discriminant, generator_with_hamiltonian, hamiltonian,
-                  kossakowski_6x6, kossakowski_from_coefficients, random_density,
-                  small_time_ppt_reference, spectral_gap, stationary_projector,
-                  superoperator_reference)
+                  concurrence_reference, generation_discriminant, generator_with_hamiltonian,
+                  hamiltonian, kossakowski_6x6, kossakowski_from_coefficients, random_density,
+                  random_product_state, random_unit_complex, small_time_ppt_reference,
+                  spectral_gap, stationary_projector, superoperator_reference,
+                  wootters_l_reference)
 
 
 def _log_uniform(lo, hi):
@@ -135,7 +138,7 @@ def test_closed_form_discriminant_is_the_general_one_at_the_canonical_state(bw, 
 
 # the oracle's corners: beta = inf, ell = 0, the crossover, and beta*omega down
 # to 1e-3, below about 0.007 of which |dt M_q0|_1 > dynamics._THETA_T takes
-# the Pade branch; and below 1e-3, where the exponential rounds so badly
+# the Taylor exponential; and below 1e-3, where the exponential rounds so badly
 # (the state's trace before renormalizing is off by up to 1e8) that the two
 # routes part inside the band |rs_margin| <= 1e-3, in the verdict and in
 # whether a guard fires
@@ -159,6 +162,26 @@ def test_sector_oracle_is_the_general_route(bw, wl):
     oracle = small_time_ppt_oracle(coeffs, dt)
     ref = small_time_ppt_reference(build_superoperator(coeffs), canonical_state().density(), dt)
     assert oracle == ref, (oracle, ref, rs_margin)
+
+
+@SETTINGS
+@given(st.sampled_from([1, 2, 3, 4]), st.integers(0, 2**32 - 1))
+def test_concurrence_matches_the_svd_route(rank, seed):
+    # l_k from one eigh and the dilation's eigvalsh against the singular
+    # values of sqrt(rho~) sqrt(rho), each root from its own eigh: pure
+    # (generically entangled), rank-deficient and full-rank states
+    rng = np.random.default_rng(seed)
+    weights = rng.dirichlet(np.ones(rank))
+    kets = [random_unit_complex(rng) for _ in range(rank)]
+    rho = sum(w * np.outer(k, k.conj()) for w, k in zip(weights, kets))
+    lam, ref = _wootters_l(rho), wootters_l_reference(rho)
+    assert np.all(np.diff(lam) <= 0), lam
+    assert np.abs(lam - ref).max() <= 1e-14, (lam, ref)
+    assert abs(concurrence(rho) - concurrence_reference(rho)) <= 4e-14
+    # a pure product state has l = 0, but the square root of its three zero
+    # eigenvalues, rounded to about 1e-17, puts both routes' l_k near 1e-8
+    product = random_product_state(rng).density()
+    assert max(_wootters_l(product).max(), wootters_l_reference(product).max()) <= 1e-7
 
 
 @SETTINGS

@@ -178,6 +178,28 @@ def asymptotic_concurrence(R: float, tau: float) -> float:
     return max(val, 0.0)
 
 
+def _psd_sqrt(m: np.ndarray) -> np.ndarray:
+    m = 0.5 * (m + m.conj().T)
+    w, v = np.linalg.eigh(m)
+    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+
+
+def wootters_l_reference(rho: np.ndarray) -> np.ndarray:
+    """Concurrence's l_1 >= .. >= l_4 by the SVD route: the singular values
+    of sqrt(rho~) sqrt(rho), each root from its own eigh, with
+    rho~ = (s2 x s2) rho* (s2 x s2)."""
+    rho = np.asarray(rho, dtype=complex)
+    flip = np.kron(SIGMA[1], SIGMA[1])
+    return np.linalg.svd(_psd_sqrt(flip @ rho.conj() @ flip) @ _psd_sqrt(rho),
+                         compute_uv=False)
+
+
+def concurrence_reference(rho: np.ndarray) -> float:
+    """Wootters concurrence max{0, l1 - l2 - l3 - l4} from wootters_l_reference."""
+    lam = wootters_l_reference(rho)
+    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+
+
 # ---------------------------------------------------------------------------
 # the 3x3 blocks of the Kossakowski matrix
 # ---------------------------------------------------------------------------
