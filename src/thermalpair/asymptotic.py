@@ -44,9 +44,9 @@ def asymptotic_state(M: np.ndarray, rho0: np.ndarray,
     and ell = 0, where the coherence c = <S|rho0|--> joins the state.  The
     state must satisfy |M vec(rho_inf)|_max <= _RESIDUAL_REL_TOL |M|_1 and,
     at ell = 0, keep tau(rho0) to _TAU_TOL; either failure raises
-    ConvergenceError.
+    ConvergenceError.  rho0 is a valid density matrix array, as for
+    dynamics.evolve.
     """
-    rho0 = dynamics.validate_density_matrix(rho0)
     R = temperature_ratio(params)
     if params.omega_ell > 0:
         g = np.array([1.0 - R, 1.0 + R]) / 2.0

@@ -13,11 +13,11 @@ with D, so it only turns both atoms by one local unitary, which no emitted
 quantity sees but `asymptotic`'s report with include_hs (`cli`).
 
 Evolution applies exp(t M) to vec(rho0) (`expm_multiply`): a Taylor series
-of matrix-vector products while |t M|_1 <= _THETA_T, which holds for the
-phase diagram's small-time oracle (on M's charge-0 block) at every
-beta*omega above about 0.007, and the Taylor exponential (`expm`, no
-linear solve) above it.  A trajectory steps from sample to sample and is
-cross-checked from t = 0 by an adaptive RK45 (`solve_ivp`).
+of matrix-vector products while |t M|_1 <= _THETA_T, and the Taylor
+exponential (`expm`, no linear solve) above it.  The phase diagram's
+small-time oracle shortens its step on M's charge-0 block to stay in the
+series.  A trajectory steps from sample to sample and is cross-checked
+from t = 0 by an adaptive RK45 (`solve_ivp`).
 """
 
 from __future__ import annotations
@@ -345,9 +345,9 @@ def evolve(M: np.ndarray, rho0: np.ndarray, t: float, t0: float = 0.0) -> np.nda
     state rho0 at time t0 <= t, re-Hermitized and renormalized.
 
     rho0 must already be a valid 4x4 density matrix (an array, as
-    validate_density_matrix returns it); it is not checked again here, so
-    the callers that take a state from outside (evolve_traj and the CLI's
-    config parser) validate it once.  Raises
+    validate_density_matrix returns it); it is not checked here, and
+    neither evolve_traj nor asymptotic_state checks it: the CLI's config
+    parser validates a matrix state once, where it enters.  Raises
     PositivityError if the exponential's result is not finite (a generator
     too large for its rounding) or has no positive trace, or if the state
     dips below -_POS_TOL; smaller Hermiticity/trace deviations of a state
@@ -390,13 +390,12 @@ def evolve_traj(M: np.ndarray, rho0: np.ndarray, times) -> list:
     from rho0 at t = 0.  The same trajectory is integrated from rho0 with
     adaptive RK45 (solve_ivp), and the two must agree to _RK_AGREE_TOL in
     max-norm (two independent numerical routes through a non-normal
-    generator)."""
+    generator).  rho0 is a valid density matrix array, as for evolve."""
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
         raise ValueError("time grid must be a nonempty 1-d array")
     if times[0] < 0 or (len(times) > 1 and not np.all(np.diff(times) > 0)):
         raise ValueError("time grid must be sorted, strictly increasing and nonnegative")
-    rho0 = validate_density_matrix(rho0)
     states = [rho0]
     for t0, t in zip([0.0, *times.tolist()], times.tolist()):
         states.append(evolve(M, states[-1], t, t0))

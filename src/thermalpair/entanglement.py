@@ -149,13 +149,18 @@ _CANONICAL_Q0 = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 0.0])
 
 
 def small_time_ppt_oracle(coeffs: KossakowskiCoefficients, dt: float) -> bool:
-    """Whether |-> (x) |+>, evolved by a short dt (of order 1e-3 per unit
-    frequency) in Q0 under the generator's Q0 block, has a partial-transpose
-    eigenvalue below -_ORACLE_NEG_TOL; the state passes dynamics.evolve's
-    guards with the closed-form spectra of the module docstring."""
+    """Whether |-> (x) |+>, evolved by a short step in Q0 under the generator's
+    Q0 block M, has a partial-transpose eigenvalue below -_ORACLE_NEG_TOL; the
+    state passes dynamics.evolve's guards with the closed-form spectra of the
+    module docstring.  The step is dt (of order 1e-3 per unit frequency), or
+    just under dynamics._THETA_T / |M|_1 where that is shorter, so that
+    exp(step M) is always the Taylor series and never squares; the guards'
+    messages name the step taken."""
     if not (dt > 0):
         raise ValueError(f"dt must be positive, got {dt}")
     M = np.tensordot(dynamics.cp_rates(coeffs), _DISSIPATORS_Q0, axes=1)
+    # 1 - 2^-48 absorbs the rounding of dt * M and of its column sums
+    dt = min(dt, dynamics._THETA_T / float(np.abs(M).sum(axis=0).max()) * (1.0 - 2.0**-48))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check below
         v = dynamics.expm_multiply(dt * M, _CANONICAL_Q0)
     if not np.isfinite(v).all():

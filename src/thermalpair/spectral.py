@@ -49,7 +49,8 @@ TWO_PI = 2.0 * math.pi
 class ModelParams:
     """The two-atom / thermal-field model in units of omega.
 
-    beta_omega = math.inf selects the zero-temperature bath branch everywhere.
+    beta_omega = math.inf is the zero-temperature bath, by IEEE arithmetic
+    alone: tanh(inf) = 1 and 1/inf = 0 give its coefficients exactly.
     """
 
     beta_omega: float
@@ -96,12 +97,8 @@ def kossakowski_coefficients(params: ModelParams) -> KossakowskiCoefficients:
     zero-frequency part has ell -> 0 built in (sinc(0) = 1).
     """
     B = 1.0 / (4.0 * math.pi)
-    if params.zero_temperature:
-        A = B
-        g0 = 0.0
-    else:
-        A = B / math.tanh(params.beta_omega / 2.0)
-        g0 = 1.0 / (TWO_PI * params.beta_omega)
+    A = B / math.tanh(params.beta_omega / 2.0)
+    g0 = 1.0 / (TWO_PI * params.beta_omega)
     C = g0 - A
     s = _sinc(params.omega_ell)
     return KossakowskiCoefficients(A=A, B=B, C=C, Ap=A * s, Bp=B * s, Cp=g0 - A * s)
@@ -109,8 +106,6 @@ def kossakowski_coefficients(params: ModelParams) -> KossakowskiCoefficients:
 
 def temperature_ratio(params: ModelParams) -> float:
     """R = B/A = tanh(beta omega / 2); equals 1 at zero temperature."""
-    if params.zero_temperature:
-        return 1.0
     return math.tanh(params.beta_omega / 2.0)
 
 

@@ -242,15 +242,9 @@ def test_beta_omega_floor_is_accepted(tmp_path):
 
 
 @pytest.mark.parametrize("sub,config,code", [
-    # coth(beta*omega/2) ~ 1e38: the evolved oracle state overflows
-    ("phase-diagram", {"sweep": {"beta_omega": [1e-38, 1.0, 1], "omega_ell": [0.0, 0.0, 1]}},
-     4),
-    # coth ~ 1e50: the squarings of the oracle's matrix exponential overflow
-    ("phase-diagram", {"sweep": {"beta_omega": [1e-50, 1.0, 1], "omega_ell": [0.0, 0.0, 1]}},
-     4),
     # t_max |M|_1 overflows: the RK45 work cap rejects it without a numpy warning
     ("evolve", {"time_grid": {"times": [0, 1e308]}}, 2),
-], ids=["sweep-overflow", "sweep-expm-overflow", "evolve-rk-work-overflow"])
+], ids=["evolve-rk-work-overflow"])
 def test_numerical_failure_exits_with_its_code(tmp_path, sub, config, code):
     res = run_cli(sub, config=config, tmp_path=tmp_path)
     assert res.returncode == code
@@ -260,14 +254,17 @@ def test_numerical_failure_exits_with_its_code(tmp_path, sub, config, code):
 
 
 @pytest.mark.parametrize("sweep,code,stderr", [
-    # below beta*omega ~ 0.007 the oracle's step takes the Taylor exponential,
-    # which returns a real state as the series does: no ComplexWarning
+    # below beta*omega ~ 0.007 the oracle shortens its step to stay in the
+    # Taylor series, which returns a real state: no ComplexWarning
     ({"beta_omega": [0.001, 0.05, 30], "omega_ell": [0.0, 1e-4, 30]}, 0, ""),
-    ({"beta_omega": [1e-38, 1.0, 1], "omega_ell": [0.0, 0.0, 1]}, 4,
-     "error: evolved state has trace 0.0 at t=0.001\n"),
-], ids=["expm-branch", "sweep-overflow"])
+    # coth(beta*omega/2) ~ 1e38: squaring exp(1e-3 M) would lose the state to
+    # underflow, and the shortened step keeps it
+    ({"beta_omega": [1e-38, 1.0, 1], "omega_ell": [0.0, 0.0, 1]}, 0, ""),
+    # beta*omega down to 1e-20 at and near ell = 0, with no deviation line
+    ({"beta_omega": [1e-20, 1e-3, 30], "omega_ell": [0.0, 1e-4, 30]}, 0, ""),
+], ids=["expm-branch", "sweep-overflow", "tiny-beta-omega"])
 def test_phase_diagram_stderr(tmp_path, sweep, code, stderr):
-    # a failure at the first point leaves no output file
+    # the CSV is written exactly when the sweep exits 0
     out = tmp_path / "grid.csv"
     res = run_cli("phase-diagram", "--out", str(out), config={"sweep": sweep}, tmp_path=tmp_path)
     assert res.returncode == code
@@ -747,15 +744,16 @@ def test_phase_diagram_takes_no_svd(tmp_path, monkeypatch):
 def test_phase_diagram_dense_factorizations(tmp_path, monkeypatch):
     # work counter: the oracle takes its spectra in closed form, so a sweep
     # makes no eigvalsh, eigh, svd or solve call at any beta*omega and
-    # omega*ell corner; below beta*omega of about 0.007 the oracle's
-    # |dt M_q0|_1 exceeds dynamics._THETA_T and it takes the Taylor
-    # exponential, which has no linear solve either
+    # omega*ell corner; below beta*omega of about 0.007 |1e-3 M_q0|_1 exceeds
+    # dynamics._THETA_T, and the oracle shortens its step to stay in the
+    # Taylor series, so no point forms a matrix exponential either
     calls = Counter()
-    for name in ("eigvalsh", "eigh", "svd", "solve"):
-        def counting(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+    for module, name in ((np.linalg, "eigvalsh"), (np.linalg, "eigh"), (np.linalg, "svd"),
+                         (np.linalg, "solve"), (dynamics, "expm")):
+        def counting(*args, _name=name, _real=getattr(module, name), **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, counting)
+        monkeypatch.setattr(module, name, counting)
 
     def sweep(config):
         path = tmp_path / "sweep.json"
@@ -771,15 +769,17 @@ def test_phase_diagram_dense_factorizations(tmp_path, monkeypatch):
                                                 "omega_ell": omega_ell}}) == {}
 
     beta_omega, omega_ell = np.linspace(0.001, 0.05, 30), np.linspace(0.0, 1e-4, 30)
-    expm_points = 0
+    capped_points = 0
     for bw in beta_omega:
         for wl in omega_ell:
             lam = spectral.kossakowski_eigenvalues(spectral.kossakowski_coefficients(
                 spectral.ModelParams(beta_omega=bw, omega_ell=wl)))
             M = np.tensordot(lam, entanglement._DISSIPATORS_Q0, axes=1)
-            expm_points += np.abs(1e-3 * M).sum(axis=0).max() > dynamics._THETA_T
-    assert 0 < expm_points < 900
+            capped_points += np.abs(1e-3 * M).sum(axis=0).max() > dynamics._THETA_T
+    assert 0 < capped_points < 900
     assert sweep({"sweep": {"beta_omega": [0.001, 0.05, 30],
+                            "omega_ell": [0.0, 1e-4, 30]}}) == {}
+    assert sweep({"sweep": {"beta_omega": [1e-20, 1e-3, 30],
                             "omega_ell": [0.0, 1e-4, 30]}}) == {}
 
 
@@ -808,6 +808,31 @@ def test_trajectory_and_asymptotic_dense_factorizations(tmp_path, monkeypatch):
         assert calls["svd"] == calls["solve"] == 0, (sub, calls)
         assert calls["concurrence"] == calls["eigh"] == concurrences, (sub, calls)
         assert (calls["expm"] > 0) == (sub == "evolve"), (sub, calls)
+
+
+def test_a_matrix_initial_state_is_validated_once(tmp_path, monkeypatch):
+    # work counter: the config parser validates a matrix state where it enters
+    # (after the turn to e3), and neither evolve_traj nor asymptotic_state
+    # validates it again
+    calls = []
+    validate = dynamics.validate_density_matrix
+
+    def counting(rho):
+        calls.append(rho)
+        return validate(rho)
+
+    monkeypatch.setattr(dynamics, "validate_density_matrix", counting)
+    rho = np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex)
+    rho[1, 2], rho[2, 1] = 0.05 - 0.02j, 0.05 + 0.02j
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "beta": 0.5, "ell": 0.5, "n": [1, 0, 0],
+        "initial_state": {"matrix": [[z.real, z.imag] for z in rho.reshape(-1)]},
+        "time_grid": {"t_max": 10, "n_samples": 5}}), encoding="utf-8")
+    for sub in ("evolve", "asymptotic"):
+        calls.clear()
+        assert cli.main([sub, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == 1, sub
 
 
 def test_phase_diagram_builds_the_canonical_kets_once(tmp_path, monkeypatch):

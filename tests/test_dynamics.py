@@ -26,9 +26,9 @@ from thermalpair import (
 from thermalpair import dynamics
 from thermalpair.dynamics import SIGMA
 
-from util import (build_kossakowski_spectral, choi_matrix, dissipator_apply,
-                  dissipator_reference, generator_with_hamiltonian, hamiltonian, pauli_op,
-                  random_bloch, random_density, random_params)
+from util import (build_kossakowski_spectral, choi_matrix, dissipator_reference,
+                  generator_with_hamiltonian, hamiltonian, pauli_op, random_bloch,
+                  random_density, random_params, superoperator_reference)
 
 E3 = np.array([0.0, 0.0, 1.0])
 P_L0 = ModelParams(beta_omega=1.0, omega_ell=0.0)
@@ -68,7 +68,7 @@ def test_pauli_op_rejects_bad_indices():
 def test_singlet_is_dark_state_at_zero_separation():
     for beta in (0.3, 1.0, math.inf):
         K = build_kossakowski_spectral(ModelParams(beta_omega=beta, omega_ell=0.0), E3)
-        drho = dissipator_apply(K, singlet_density())
+        drho = dissipator_reference(K, singlet_density())
         assert np.abs(drho).max() < 1e-14
 
 
@@ -77,7 +77,7 @@ def test_dissipator_is_traceless_and_hermiticity_preserving():
     for _ in range(50):
         K = build_kossakowski_spectral(random_params(rng), E3)
         rho = random_density(rng)
-        drho = dissipator_apply(K, rho)
+        drho = dissipator_reference(K, rho)
         assert abs(np.trace(drho)) < 1e-13
         np.testing.assert_allclose(drho, drho.conj().T, atol=1e-13)
 
@@ -86,17 +86,12 @@ def test_thermal_excitation_from_double_ground():
     # from |--><--| single quanta flow into |+-> and |-+> at finite T; the
     # doubly excited population grows only at second order in time
     rho_gg = np.outer(ket(3), ket(3).conj())
-    drho = dissipator_apply(K_L0, rho_gg)
+    drho = dissipator_reference(K_L0, rho_gg)
     assert drho[1, 1].real > 0.0
     assert drho[2, 2].real > 0.0
     assert abs(drho[0, 0]) < 1e-15
     rho_t = evolve(M_L0, rho_gg, 0.5)
     assert rho_t[0, 0].real > 0.0
-
-
-def test_dissipator_rejects_wrong_shape():
-    with pytest.raises(ValueError):
-        dissipator_apply(K_L0, np.eye(3, dtype=complex))
 
 
 # -------------------------------------------------------------- superoperator
@@ -122,6 +117,28 @@ def test_superoperator_matches_dissipator():
         M_h = generator_with_hamiltonian(p)
         assert np.abs(unvec((M_h - M) @ vec(rho)) - expected).max() < 1e-13
     assert corners == {"beta=inf", "ell=0"}
+
+
+def test_superoperator_reference_is_the_dissipator_on_the_matrix_units():
+    # the reference generator is one contraction of K's 6x6 form with the
+    # 36 vec-level terms; column k must be dissipator_reference, the sum over
+    # K's entries with no vec, applied to the k-th matrix unit, plus -i[h, .]
+    # when a Hamiltonian is given.  K comes from the frequency sum at a random
+    # axis, so that every entry of its blocks is nonzero
+    rng = np.random.default_rng(26)
+    corners = [(math.inf, 0.0), (math.inf, 3.0), (1.0, 0.0), (1.0, 1e-8), (0.3, 1e-300),
+               (1e-20, 0.0), (1.5e-154, 2.0), (1e-3, 1e-4), (700.0, 5.0), (1e4, 0.0)]
+    draws = [random_params(rng) for _ in range(20)]
+    for p in [ModelParams(beta_omega=bw, omega_ell=wl) for bw, wl in corners] + draws:
+        K = build_kossakowski_spectral(p, random_bloch(rng))
+        for h in (None, hamiltonian(random_bloch(rng))):
+            M = superoperator_reference(K, h)
+            for k in range(16):
+                unit = unvec(np.eye(16)[k])
+                expected = dissipator_reference(K, unit)
+                if h is not None:
+                    expected = expected - 1j * (h @ unit - unit @ h)
+                assert np.abs(M[:, k] - vec(expected)).max() <= 1e-15 * np.abs(M).max(), (p, k)
 
 
 def test_superoperator_conserves_charge_at_e3():

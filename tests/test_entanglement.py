@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -13,6 +14,7 @@ from thermalpair import (
     canonical_state,
     concurrence,
     criterion_rs,
+    evolve_traj,
     generation_test,
     kossakowski_eigenvalues,
     min_eig_pt,
@@ -20,15 +22,18 @@ from thermalpair import (
     singlet_density,
     singlet_ket,
     small_time_ppt_oracle,
+    vec,
 )
+from thermalpair import cli
+from thermalpair.dynamics import SIGMA
 from thermalpair.spectral import kossakowski_coefficients
 
 from util import (KossakowskiMatrix, build_kossakowski_spectral, equilibrium_closed_form,
                   generation_discriminant, generator_with_hamiltonian, is_entangled,
-                  kossakowski_6x6, min_q_rate, q_probe, q_rate, random_bloch, random_density,
-                  random_params, random_product_state, random_rotation, random_separable_density,
-                  random_unit_complex, small_time_ppt_reference, uv_vectors,
-                  uv_vectors_rotation)
+                  kossakowski_6x6, min_q_rate, oracle_step, q_probe, q_rate, random_bloch,
+                  random_density, random_params, random_product_state, random_rotation,
+                  random_separable_density, random_unit_complex, small_time_ppt_reference,
+                  uv_vectors, uv_vectors_rotation)
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -92,8 +97,56 @@ def test_concurrence_of_product_states_vanishes():
     rng = np.random.default_rng(34)
     for _ in range(50):
         rho = random_product_state(rng).density()
-        # spin-flip spectrum of a pure product state is entirely roundoff
-        assert concurrence(rho) < 1e-7
+        # the spin-flip spectrum of a pure product state is entirely roundoff:
+        # its l_k reach 2e-8, but l_1 cancels l_2 (1.9e-15 at most over 1e5 draws)
+        assert concurrence(rho) < 1e-14
+
+
+# bench trajectory seed 3, op 52: beta = inf and ell = 0, a matrix state that
+# relaxes to rank 2, on 272 samples up to omega*t = 260.2
+RELAXING = {
+    "omega": 0.36601252130811307, "beta": "inf", "ell": 0.0,
+    "n": [0.4782991322823183, 0.39379587154536905, -0.7849552545284378],
+    "initial_state": {"matrix": [
+        [0.3247433493627353, 0.0], [-0.04344560382342999, 0.031157221247852925],
+        [0.017575378094944246, 0.10953850582743037], [-0.0832484272067139, -0.028635936905280934],
+        [-0.04344560382342999, -0.031157221247852925], [0.22115638072085306, 0.0],
+        [0.01181319234093234, -0.006908340109244595], [-0.1654097455788269, 0.09102806921494815],
+        [0.017575378094944246, -0.10953850582743037], [0.01181319234093234, 0.006908340109244595],
+        [0.13984983952326085, 0.0], [0.03120134646813189, -0.02214451010435181],
+        [-0.0832484272067139, 0.028635936905280934], [-0.1654097455788269, -0.09102806921494815],
+        [0.03120134646813189, 0.02214451010435181], [0.31425043039315087, 0.0]]},
+    "time_grid": {"t_max": 260.21073019756466, "n_samples": 272}}
+
+
+def _mp_concurrence(M, rho0, t):
+    """Concurrence of exp(t M) vec(rho0) in 40-digit mpmath: the Wootters l_k
+    as the square roots of the eigenvalues of X^dag X."""
+    with mp.workdps(40):
+        v = mp.expm(mp.mpf(t) * mp.matrix(M.tolist())) * mp.matrix(vec(rho0).tolist())
+        rho = mp.matrix([[v[i + 4 * j] for j in range(4)] for i in range(4)])
+        w, q = mp.eighe((rho + rho.H) / 2)
+        root = q * mp.diag([mp.sqrt(max(x, 0)) for x in w]) * q.H
+        flip = mp.matrix(np.kron(SIGMA[1], SIGMA[1]).real.tolist())
+        X = flip * root.conjugate() * flip * root
+        lam = sorted((mp.sqrt(max(x, 0)) for x in mp.eighe(X.H * X)[0]), reverse=True)
+        return float(max(0, lam[0] - lam[1] - lam[2] - lam[3]))
+
+
+def test_concurrence_of_a_relaxing_state_against_mpmath():
+    # at omega*t = 51.85 the state's smallest eigenvalue, 2.5 eps of the
+    # largest, lies along |++>, whose row the float state carries to full
+    # relative precision; eigh resolves it and the concurrence is exact
+    # (zeroing eigenvalues below 4 eps of the largest puts it off by 2.9e-8).
+    # At omega*t = 246.77 the two smallest are below 1e-34, but eigh returns
+    # one at about eps of the largest, and its square root leaves the
+    # concurrence low by 2.7e-8
+    config = cli.parse_config(RELAXING)
+    M = build_superoperator(kossakowski_coefficients(config.params))
+    states = evolve_traj(M, config.rho0, config.times)
+    for k, tol in ((54, 1e-14), (257, 1e-7)):
+        exact = _mp_concurrence(M, config.rho0, config.times[k])
+        assert abs(concurrence(states[k]) - exact) <= tol, (k, concurrence(states[k]), exact)
 
 
 def test_peres_horodecki_exactness():
@@ -300,14 +353,18 @@ def test_small_time_oracle_rejects_bad_dt():
     # coth ~ 1e50: the squarings of the Taylor exponential overflow
     (1e-50, "evolved state is not finite at t=0.001"),
 ], ids=["sweep-overflow", "sweep-expm-overflow"])
-def test_oracle_overflow_raises_as_the_general_route_does(beta_omega, message):
+def test_oracle_caps_its_step_where_the_general_route_overflows(beta_omega, message):
+    # at dt = 1e-3 the general route's exponential squares until the state is
+    # lost; the oracle takes a step short enough for the Taylor series, at
+    # which the general route agrees with it
     coeffs = kossakowski_coefficients(ModelParams(beta_omega=beta_omega, omega_ell=0.0))
-    M = build_superoperator(coeffs)
-    for route in (lambda: small_time_ppt_oracle(coeffs, 1e-3),
-                  lambda: small_time_ppt_reference(M, canonical_state().density(), 1e-3)):
-        with pytest.raises(PositivityError) as exc:
-            route()
-        assert str(exc.value) == message
+    M, rho0 = build_superoperator(coeffs), canonical_state().density()
+    with pytest.raises(PositivityError) as exc:
+        small_time_ppt_reference(M, rho0, 1e-3)
+    assert str(exc.value) == message
+    step = oracle_step(coeffs, 1e-3)
+    assert step < 1e-30
+    assert small_time_ppt_oracle(coeffs, 1e-3) is small_time_ppt_reference(M, rho0, step) is False
 
 
 def test_oracle_agrees_for_generic_product_states():

@@ -37,10 +37,10 @@ from thermalpair.entanglement import _wootters_l
 
 from util import (_AT_REST, _HORIZON, _NULLSPACE_REL_TOL, build_kossakowski_spectral,
                   concurrence_reference, generation_discriminant, generator_with_hamiltonian,
-                  hamiltonian, kossakowski_6x6, kossakowski_from_coefficients, random_density,
-                  random_product_state, random_unit_complex, small_time_ppt_reference,
-                  spectral_gap, stationary_projector, superoperator_reference,
-                  wootters_l_reference)
+                  hamiltonian, kossakowski_6x6, kossakowski_from_coefficients, oracle_step,
+                  random_density, random_product_state, random_unit_complex,
+                  small_time_ppt_reference, spectral_gap, stationary_projector,
+                  superoperator_reference, wootters_l_reference)
 
 
 def _log_uniform(lo, hi):
@@ -136,15 +136,14 @@ def test_closed_form_discriminant_is_the_general_one_at_the_canonical_state(bw, 
     assert abs(margin - ref.margin) <= 1e-15 * K.norm ** 2, (margin, ref.margin)
 
 
-# the oracle's corners: beta = inf, ell = 0, the crossover, and beta*omega down
-# to 1e-3, below about 0.007 of which |dt M_q0|_1 > dynamics._THETA_T takes
-# the Taylor exponential; and below 1e-3, where the exponential rounds so badly
-# (the state's trace before renormalizing is off by up to 1e8) that the two
-# routes part inside the band |rs_margin| <= 1e-3, in the verdict and in
-# whether a guard fires
+# the phase diagram checks the oracle against the discriminant where |rs_margin| exceeds this
 ORACLE_BAND = 1e-3
 
 
+# the oracle's corners: beta = inf, ell = 0, the crossover, and beta*omega down
+# to 1e-20, where 1e-3 |M_q0|_1 exceeds dynamics._THETA_T (below about 0.007)
+# and the oracle shortens its step to stay in the Taylor series; the general
+# route is evolved by the same step
 @SETTINGS
 @given(st.one_of(st.just(math.inf), _log_uniform(1e-3, 1e3), _log_uniform(1e-3, 1e-2),
                  _log_uniform(1e-20, 1e-3)),
@@ -153,15 +152,11 @@ ORACLE_BAND = 1e-3
 @example(2e-3, 5.0)
 @example(1e-10, 3.0)
 def test_sector_oracle_is_the_general_route(bw, wl):
-    params = ModelParams(beta_omega=bw, omega_ell=wl)
-    _, _, rs_margin = criterion_rs(params)
-    if bw < 1e-3 and abs(rs_margin) <= ORACLE_BAND:
-        return
-    coeffs = kossakowski_coefficients(params)
-    dt = 1e-3
-    oracle = small_time_ppt_oracle(coeffs, dt)
-    ref = small_time_ppt_reference(build_superoperator(coeffs), canonical_state().density(), dt)
-    assert oracle == ref, (oracle, ref, rs_margin)
+    coeffs = kossakowski_coefficients(ModelParams(beta_omega=bw, omega_ell=wl))
+    oracle = small_time_ppt_oracle(coeffs, 1e-3)
+    ref = small_time_ppt_reference(build_superoperator(coeffs), canonical_state().density(),
+                                   oracle_step(coeffs, 1e-3))
+    assert oracle == ref, (oracle, ref)
 
 
 @SETTINGS

@@ -4,17 +4,17 @@ and the independent cross-check routes that no subcommand runs: the 3x3
 blocks of the Kossakowski matrix, from arbitrary coefficients or from the
 frequency sum at any axis; the dissipator's action on a state as the
 explicit sum over K's entries (with the Pauli operators and the free
-Hamiltonian it is built from); the generator assembled from it column by
-column, also with the free Hamiltonian that the library leaves out; the
-Choi matrix of the evolved map; the stationary projector from one SVD of
-the generator, and the spectral gap that sizes the long-time evolution;
-and the general entanglement-generation discriminant for any product
-state, with its u and v (also by the Pauli-rotation route) and its probe
-functionals; and the small-time oracle on the general route, any state
-under any 16x16 generator.  The library evaluates that discriminant only at
-|-> (x) |+>, in closed form, runs its oracle from that state in the
-charge-0 sector with closed-form spectra, and takes the asymptotic state
-in closed form too."""
+Hamiltonian it is built from); the generator as one contraction of K's 6x6
+form with that sum's 36 terms on vec(rho), also with the free Hamiltonian
+that the library leaves out; the Choi matrix of the evolved map; the
+stationary projector from one SVD of the generator, and the spectral gap
+that sizes the long-time evolution; and the general entanglement-generation
+discriminant for any product state, with its u and v (also by the
+Pauli-rotation route) and its probe functionals; and the small-time oracle
+on the general route, any state under any 16x16 generator.  The library
+evaluates that discriminant only at |-> (x) |+>, in closed form, runs its
+oracle from that state in the charge-0 sector with closed-form spectra,
+and takes the asymptotic state in closed form too."""
 
 import math
 from dataclasses import dataclass
@@ -24,8 +24,8 @@ import numpy as np
 from thermalpair import (KossakowskiCoefficients, ModelParams, ProductState, bloch_ket, evolve,
                          kossakowski_coefficients, kossakowski_eigenvalues, min_eig_pt,
                          partial_transpose, unvec, vec)
-from thermalpair.dynamics import SIGMA, _unit_vector, expm
-from thermalpair.entanglement import _BOUNDARY_REL_TOL, _ORACLE_NEG_TOL
+from thermalpair.dynamics import _THETA_T, SIGMA, _unit_vector, cp_rates, expm
+from thermalpair.entanglement import _BOUNDARY_REL_TOL, _DISSIPATORS_Q0, _ORACLE_NEG_TOL
 from thermalpair.spectral import TWO_PI, _sinc
 
 # Levi-Civita symbol, epsilon[i, j, k]
@@ -328,32 +328,25 @@ def kossakowski_6x6(K: KossakowskiMatrix) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the generator applied to a state, and the Choi matrix of its map (dynamics)
+# the generator as one contraction, and the Choi matrix of its map (dynamics)
 # ---------------------------------------------------------------------------
 
-def dissipator_apply(K: KossakowskiMatrix, rho: np.ndarray) -> np.ndarray:
-    """d rho / dt of the dissipative generator for state rho (dissipator_reference
-    on a checked 4x4 state).
-
-    The output is traceless and Hermitian for Hermitian rho.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError(f"state must be 4x4, got shape {rho.shape}")
-    return dissipator_reference(K, rho)
+# the Paulis sigma_i (x) 1, then 1 (x) sigma_i, in kossakowski_6x6's order, and the
+# 36 terms of dissipator_reference's double sum on vec(rho): _TERMS[a, b] vec(rho)
+# is vec(2 P_b rho P_a - P_a P_b rho - rho P_a P_b)
+_PAULIS = np.array([pauli_op(atom, axis) for atom in (1, 2) for axis in (1, 2, 3)])
+_EYE4 = np.eye(4)
+_TERMS = np.array([[2.0 * np.kron(pa.T, pb) - np.kron(_EYE4, pa @ pb)
+                    - np.kron((pa @ pb).T, _EYE4) for pb in _PAULIS] for pa in _PAULIS])
 
 
 def superoperator_reference(K: KossakowskiMatrix, h: np.ndarray | None = None) -> np.ndarray:
-    """The 16x16 generator of K, assembled column by column from
-    dissipator_reference applied to the matrix units; a Hamiltonian h adds
-    the commutator -i[h, .].  This also builds generators of a K that no
-    ModelParams gives, such as the infinite-temperature limit."""
-    if h is None:
-        h = np.zeros((4, 4))
-    M = np.zeros((16, 16), dtype=complex)
-    for k in range(16):
-        unit = unvec(np.eye(16)[k])
-        M[:, k] = vec(dissipator_reference(K, unit) - 1j * (h @ unit - unit @ h))
+    """The 16x16 generator (1/2) sum_ab K_ab _TERMS[a, b] over the 6x6 form of
+    K; a Hamiltonian h adds -i[h, .], -i (kron(1, h) - kron(h^T, 1)).  K may be
+    one that no ModelParams gives, such as the infinite-temperature limit."""
+    M = 0.5 * np.tensordot(kossakowski_6x6(K), _TERMS, axes=2)
+    if h is not None:
+        M = M - 1j * (np.kron(_EYE4, h) - np.kron(h.T, _EYE4))
     return M
 
 
@@ -476,7 +469,7 @@ def q_rate(chi: np.ndarray, rho0: np.ndarray, K: KossakowskiMatrix) -> float:
     if nrm == 0:
         raise ValueError("probe vector must be nonzero")
     chi = chi / nrm
-    drho = dissipator_apply(K, rho0)
+    drho = dissipator_reference(K, rho0)
     return float(np.real(chi.conj() @ partial_transpose(drho) @ chi))
 
 
@@ -491,7 +484,7 @@ def min_q_rate(state: ProductState, K: KossakowskiMatrix):
     """
     k1, k2 = state.kets()
     rho0 = state.density()
-    rate_matrix = partial_transpose(dissipator_apply(K, rho0))
+    rate_matrix = partial_transpose(dissipator_reference(K, rho0))
     rate_matrix = 0.5 * (rate_matrix + rate_matrix.conj().T)
     w = np.kron(k1, k2.conj())  # range of PT(rho0)
     # orthonormal basis of the 3-dim complement of w
@@ -593,6 +586,12 @@ def uv_vectors_rotation(state: ProductState):
 # ---------------------------------------------------------------------------
 # the small-time oracle on the general route (entanglement)
 # ---------------------------------------------------------------------------
+
+def oracle_step(coeffs: KossakowskiCoefficients, dt: float) -> float:
+    """small_time_ppt_oracle's step for dt, to rounding: at most _THETA_T / |M_q0|_1."""
+    M = np.tensordot(cp_rates(coeffs), _DISSIPATORS_Q0, axes=1)
+    return min(dt, _THETA_T / float(np.abs(M).sum(axis=0).max()))
+
 
 def small_time_ppt_reference(M: np.ndarray, rho0: np.ndarray, dt: float) -> bool:
     """Evolve any state rho0 under any 16x16 generator M by dt (dynamics.evolve,
