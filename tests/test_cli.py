@@ -260,9 +260,12 @@ def test_numerical_failure_exits_with_its_code(tmp_path, sub, config, code):
     # coth(beta*omega/2) ~ 1e38: squaring exp(1e-3 M) would lose the state to
     # underflow, and the shortened step keeps it
     ({"beta_omega": [1e-38, 1.0, 1], "omega_ell": [0.0, 0.0, 1]}, 0, ""),
+    # coth ~ 1e50: squaring exp(1e-3 M) would overflow, and the shortened
+    # step never squares
+    ({"beta_omega": [1e-50, 1.0, 1], "omega_ell": [0.0, 0.0, 1]}, 0, ""),
     # beta*omega down to 1e-20 at and near ell = 0, with no deviation line
     ({"beta_omega": [1e-20, 1e-3, 30], "omega_ell": [0.0, 1e-4, 30]}, 0, ""),
-], ids=["expm-branch", "sweep-overflow", "tiny-beta-omega"])
+], ids=["expm-branch", "sweep-overflow", "sweep-expm-overflow", "tiny-beta-omega"])
 def test_phase_diagram_stderr(tmp_path, sweep, code, stderr):
     # the CSV is written exactly when the sweep exits 0
     out = tmp_path / "grid.csv"
