@@ -15,6 +15,7 @@ from .spectral import (
     temperature_ratio,
 )
 from .dynamics import (
+    CrossCheckError,
     PositivityError,
     bloch_ket,
     build_superoperator,

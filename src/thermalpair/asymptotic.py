@@ -18,6 +18,8 @@ forms are checked against lives in the test suite.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import dynamics
@@ -59,7 +61,7 @@ def asymptotic_state(M: np.ndarray, rho0: np.ndarray,
         rho_inf = np.diag([t * (1.0 - R) ** 2, 0.0, 0.0, t * (1.0 + R) ** 2]).astype(complex)
         rho_inf[1:3, 1:3] = np.array([[p_s + t0, t0 - p_s], [t0 - p_s, p_s + t0]]) / 2.0
         dim = 2
-        if params.zero_temperature:
+        if math.isinf(params.beta_omega):
             singlet = dynamics.singlet_ket()
             c = singlet.conj() @ rho0[:, 3]
             rho_inf[:, 3] += c * singlet

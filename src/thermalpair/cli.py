@@ -28,12 +28,11 @@ sector `entanglement.Q0`, where it is an X-state: its spectrum is r00, r33,
 (r00 + r33)/2 +- hypot((r00 - r33)/2, c).
 
 Exit codes: 0 ok, 2 config validation failure or an unwritable output
-path, 3 discriminant/oracle disagreement (implementation bug guard), 4
-positivity failure (a Kossakowski matrix that is not positive
-semidefinite, or an evolved state that fails a positivity check), 5
-convergence-check failure (the closed-form stationary state of
-`asymptotic` or of `evolve`'s summary fails its residual or tau guard, or
-the state has no limit).
+path, 3 an implementation-bug guard (discriminant/oracle disagreement, or
+a failed or disagreeing RK45 cross-check in `evolve`), 4 an evolved state
+that fails a positivity check, 5 convergence-check failure (the closed-form
+stationary state of `asymptotic` or of `evolve`'s summary fails its
+residual or tau guard, or the state has no limit).
 
 In-process use: ``main(argv)`` may be called any number of times in one
 process.  It returns the exit code, except that a usage error (an unknown
@@ -333,7 +332,7 @@ def cmd_phase_diagram(config: RunConfig, out_path: str | None) -> int:
                 coeffs = kossakowski_coefficients(params)
                 margin, label = entanglement.generation_test(coeffs)
                 R, S, rs_margin = entanglement.criterion_rs(params)
-                oracle = entanglement.small_time_ppt_oracle(coeffs, _ORACLE_DT)
+                oracle = entanglement.small_time_ppt_oracle(params, _ORACLE_DT)
                 if abs(rs_margin) > _ORACLE_BAND and (label == "true") != oracle:
                     first = first or (f"beta_omega={bw}, omega_ell={wl} "
                                       f"(rs_margin={rs_margin}, oracle={oracle})")
@@ -356,7 +355,7 @@ def cmd_evolve(config: RunConfig, out_path: str | None) -> int:
     if config.times is None:
         raise ConfigError("evolve requires a time_grid section")
     params = config.params
-    M = dynamics.build_superoperator(kossakowski_coefficients(params))
+    M = dynamics.build_superoperator(params)
     with np.errstate(over="ignore"):  # an overflow to inf fails the cap below
         work = config.times[-1] * np.abs(M).sum(axis=0).max()
     if work > MAX_RK_WORK:
@@ -392,7 +391,7 @@ def cmd_evolve(config: RunConfig, out_path: str | None) -> int:
 def cmd_asymptotic(config: RunConfig, out_path: str | None) -> int:
     """Stationary-state report for the configured parameters and initial state."""
     params = config.params
-    M = dynamics.build_superoperator(kossakowski_coefficients(params))
+    M = dynamics.build_superoperator(params)
     rho_inf, dim = asymptotic.asymptotic_state(M, config.rho0, params)
     if config.include_hs and dim == 4:
         c = dynamics.singlet_ket().conj() @ config.rho0[:, 3]
@@ -453,6 +452,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except dynamics.CrossCheckError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except dynamics.PositivityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -7,7 +7,8 @@ Basis and vectorization conventions used throughout the package:
     vec(A rho B) = kron(B.T, A) vec(rho).
 
 The generator is the Kossakowski dissipator D alone, built at the axis
-n = e3 from six fixed dissipators (`local_frame(n)` takes a state at
+n = e3 from six fixed dissipators and K's six rates, which are nonnegative,
+so completely positive by construction (`local_frame(n)` takes a state at
 another axis to e3 and back).  The free Hamiltonian's -i[H_S, .] commutes
 with D, so it only turns both atoms by one local unitary, which no emitted
 quantity sees but `asymptotic`'s report with include_hs (`cli`).
@@ -27,7 +28,7 @@ import sys
 
 import numpy as np
 
-from .spectral import KossakowskiCoefficients, kossakowski_eigenvalues
+from .spectral import ModelParams, kossakowski_eigenvalues
 
 
 SIGMA = (
@@ -38,9 +39,13 @@ SIGMA = (
 
 
 class PositivityError(RuntimeError):
-    """The Kossakowski matrix is not positive semidefinite (the generator is
-    not completely positive), or evolution produced a state with an
-    eigenvalue below tolerance or a non-finite entry."""
+    """Evolution produced a state with an eigenvalue below tolerance, a
+    non-finite entry or no positive trace."""
+
+
+class CrossCheckError(RuntimeError):
+    """The RK45 cross-check failed to integrate, or disagrees with the
+    matrix-exponential trajectory: an implementation bug, not a bad input."""
 
 
 def _dissipator(L: np.ndarray) -> np.ndarray:
@@ -61,9 +66,6 @@ for _s in (1.0, -1.0):
     _Z = np.kron(SIGMA[2].real, np.eye(2)) + _s * np.kron(np.eye(2), SIGMA[2].real)
     _DISSIPATORS += [_dissipator(_L), _dissipator(_L.T), 0.5 * _dissipator(_Z)]
 _DISSIPATORS = np.array(_DISSIPATORS)
-
-# sigma_i (x) sigma_i, used by the total-spin correlator tau
-_SIGMA_SIGMA = tuple(np.kron(SIGMA[i], SIGMA[i]) for i in range(3))
 
 
 def singlet_ket() -> np.ndarray:
@@ -92,13 +94,6 @@ def unvec(v: np.ndarray) -> np.ndarray:
 _HERM_TOL = 1e-12
 _TRACE_TOL = 1e-12
 _EIG_FLOOR = -1e-10
-
-# complete positivity of build_superoperator: the Kossakowski matrix may have
-# eigenvalues below zero by at most this fraction of its largest eigenvalue
-# over 6, which is at most its largest entry since |K|_2 <= 6 max|K_ij|.  The
-# relative dephasing rate is an exact zero eigenvalue that rounding moves
-# either way, so the bound is relative.
-_CP_REL_TOL = 1e-12
 
 # RK45 cross-check of evolve_traj: the integrator's relative and absolute
 # error bounds, and the max-norm agreement with the matrix exponential
@@ -199,7 +194,7 @@ def solve_ivp(M: np.ndarray, y0: np.ndarray, times: np.ndarray) -> np.ndarray:
     h changes by a factor of 0.9 err^(-1/5) clipped to [0.2, 10] (at most 1
     right after a rejected step), and h never starts a step below 10 ulp(t).  Steps are
     shortened to land exactly on every sample time, so no sample is
-    interpolated.  Raises RuntimeError if a rejected step shrinks h below
+    interpolated.  Raises CrossCheckError if a rejected step shrinks h below
     10 ulp(t) or the solution turns non-finite.
     """
     y = np.asarray(y0, dtype=complex)
@@ -228,7 +223,7 @@ def solve_ivp(M: np.ndarray, y0: np.ndarray, times: np.ndarray) -> np.ndarray:
                 err = _rms(step * (_DP_E @ K)
                            / (_RK_ATOL + _RK_RTOL * np.maximum(np.abs(y), np.abs(y_new))))
             if not math.isfinite(err):
-                raise RuntimeError(f"RK45 cross-check integration failed: non-finite "
+                raise CrossCheckError(f"RK45 cross-check integration failed: non-finite "
                                    f"solution at t={t:.6g}")
             if err < 1.0:
                 factor = _DP_MAX_FACTOR if err == 0 else min(_DP_MAX_FACTOR,
@@ -243,7 +238,7 @@ def solve_ivp(M: np.ndarray, y0: np.ndarray, times: np.ndarray) -> np.ndarray:
                 h = step * max(_DP_MIN_FACTOR, _DP_SAFETY * err**-0.2)
                 rejected = True
                 if h < min_step:
-                    raise RuntimeError(f"RK45 cross-check integration failed: step size "
+                    raise CrossCheckError(f"RK45 cross-check integration failed: step size "
                                        f"{h:.3g} at t={t:.6g}")
         out[:, k] = y
     return out
@@ -268,9 +263,11 @@ def tau(rho: np.ndarray) -> float:
     """Total spin correlator sum_i <sigma_i (x) sigma_i>, in [-3, 1].
 
     Conserved by the ell = 0 (collective) generator; labels the
-    one-parameter family of its stationary states.
+    one-parameter family of its stationary states.  sum_i sigma_i (x) sigma_i
+    = 2 SWAP - 1, so tau = (r00 + r33) - (r11 + r22) + 2 Re(r12 + r21).
     """
-    return float(sum(np.trace(rho @ ss).real for ss in _SIGMA_SIGMA))
+    return float(((rho[0, 0] + rho[3, 3]) - (rho[1, 1] + rho[2, 2])
+                  + 2.0 * (rho[1, 2] + rho[2, 1])).real)
 
 
 def trace_norm(a: np.ndarray) -> float:
@@ -321,23 +318,11 @@ def local_frame(n) -> np.ndarray:
     return np.kron(U, U)
 
 
-def cp_rates(coeffs: KossakowskiCoefficients) -> np.ndarray:
-    """The rates of the six fixed dissipators, K's eigenvalues.  K >= 0 is the
-    whole complete-positivity condition of a Lindblad generator: a minimum
-    below -_CP_REL_TOL / 6 times the largest raises PositivityError."""
-    lam = kossakowski_eigenvalues(coeffs)
-    if lam.min() < -_CP_REL_TOL * lam.max() / 6:
-        raise PositivityError(f"Kossakowski matrix is not positive semidefinite: minimum "
-                              f"eigenvalue {lam.min():.3e}, the generator is not completely "
-                              f"positive")
-    return lam
-
-
-def build_superoperator(coeffs: KossakowskiCoefficients) -> np.ndarray:
+def build_superoperator(params: ModelParams) -> np.ndarray:
     """16x16 matrix M with M vec(rho) = vec(d rho / dt) at the axis n = e3:
-    sum_k lambda_k _DISSIPATORS[k] with lambda = cp_rates(coeffs), and no
-    Hamiltonian term."""
-    return np.tensordot(cp_rates(coeffs), _DISSIPATORS, axes=1)
+    sum_k lambda_k _DISSIPATORS[k] with the nonnegative rates lambda =
+    kossakowski_eigenvalues(params), and no Hamiltonian term."""
+    return np.tensordot(kossakowski_eigenvalues(params), _DISSIPATORS, axes=1)
 
 
 def evolve(M: np.ndarray, rho0: np.ndarray, t: float, t0: float = 0.0) -> np.ndarray:
@@ -390,7 +375,8 @@ def evolve_traj(M: np.ndarray, rho0: np.ndarray, times) -> list:
     from rho0 at t = 0.  The same trajectory is integrated from rho0 with
     adaptive RK45 (solve_ivp), and the two must agree to _RK_AGREE_TOL in
     max-norm (two independent numerical routes through a non-normal
-    generator).  rho0 is a valid density matrix array, as for evolve."""
+    generator), or CrossCheckError is raised.  rho0 is a valid density matrix
+    array, as for evolve."""
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
         raise ValueError("time grid must be a nonempty 1-d array")
@@ -407,7 +393,7 @@ def evolve_traj(M: np.ndarray, rho0: np.ndarray, times) -> list:
         for k in range(len(times)):
             worst = max(worst, np.abs(states[k] - unvec(ys[:, k])).max())
         if worst > _RK_AGREE_TOL:
-            raise RuntimeError(f"matrix-exponential and RK45 trajectories disagree: "
+            raise CrossCheckError(f"matrix-exponential and RK45 trajectories disagree: "
                                f"{worst:.3e} > {_RK_AGREE_TOL:.1e}")
 
     return states

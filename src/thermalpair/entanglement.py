@@ -16,7 +16,8 @@ collapses to R^2 + S^2 > 1 with R = tanh(beta omega / 2) and
 S = sinc(omega ell); the general test for any product state is the
 reference in the test suite.  The phase diagram checks the verdict
 against an independent oracle, the partial transpose of |-> (x) |+>
-evolved by a short time.  That state stays in the charge-0 sector Q0, an
+evolved by a short time under K's rates (`small_time_ppt_oracle`).  That
+state stays in the charge-0 sector Q0, an
 X-state with populations r00..r33 and real coherence c = <+-|rho|-+>: its
 spectrum r00, r33, (r11 + r22)/2 +- hypot((r11 - r22)/2, c) and its partial
 transpose's r11, r22, (r00 + r33)/2 +- hypot((r00 - r33)/2, c) are closed
@@ -120,12 +121,12 @@ def generation_test(coeffs: KossakowskiCoefficients) -> tuple[float, str]:
     margin = (2A')^2 - (2A - 2B)(2A + 2B), here in the order that contraction
     rounds in; it equals 4 A^2 (R^2 + S^2 - 1).  The bath starts entangling
     the pair iff margin > 0 (strict).  label is "true" or "false", or
-    "boundary" within _BOUNDARY_REL_TOL * |K|_2^2 of zero, with |K|_2 the
-    largest magnitude of K's six closed-form eigenvalues (no SVD).
+    "boundary" within _BOUNDARY_REL_TOL * |K|_2^2 of zero, with |K|_2 K's
+    largest eigenvalue, (A + B)(1 + |S|) or 2 g0 (no SVD).
     """
     A, B = coeffs.A, coeffs.B
     margin = (2.0 * coeffs.Ap) ** 2 - (2.0 * A - 2.0 * B) * (2.0 * A + 2.0 * B)
-    norm = float(np.abs(kossakowski_eigenvalues(coeffs)).max())
+    norm = max(A + B + abs(coeffs.Ap + coeffs.Bp), (A + coeffs.C) + (coeffs.Ap + coeffs.Cp))
     if abs(margin) <= _BOUNDARY_REL_TOL * norm ** 2:
         return margin, "boundary"
     return margin, "true" if margin > 0 else "false"
@@ -148,7 +149,7 @@ _DISSIPATORS_Q0 = dynamics._DISSIPATORS[:, Q0][:, :, Q0]
 _CANONICAL_Q0 = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 0.0])
 
 
-def small_time_ppt_oracle(coeffs: KossakowskiCoefficients, dt: float) -> bool:
+def small_time_ppt_oracle(params: ModelParams, dt: float) -> bool:
     """Whether |-> (x) |+>, evolved by a short step in Q0 under the generator's
     Q0 block M, has a partial-transpose eigenvalue below -_ORACLE_NEG_TOL; the
     state passes dynamics.evolve's guards with the closed-form spectra of the
@@ -158,7 +159,7 @@ def small_time_ppt_oracle(coeffs: KossakowskiCoefficients, dt: float) -> bool:
     messages name the step taken."""
     if not (dt > 0):
         raise ValueError(f"dt must be positive, got {dt}")
-    M = np.tensordot(dynamics.cp_rates(coeffs), _DISSIPATORS_Q0, axes=1)
+    M = np.tensordot(kossakowski_eigenvalues(params), _DISSIPATORS_Q0, axes=1)
     # 1 - 2^-48 absorbs the rounding of dt * M and of its column sums
     dt = min(dt, dynamics._THETA_T / float(np.abs(M).sum(axis=0).max()) * (1.0 - 2.0**-48))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check below

@@ -22,17 +22,20 @@ coefficient matrix has the 2x2 block structure [[C11, C12], [C12, C11]]
 with 3x3 Hermitian blocks C11 = A 1 - iB eps.e3 + C e3 e3^T and C12 its
 primed analogue; it must be positive semidefinite for the generated
 semigroup to be completely positive.  The package holds K only as the six
-coefficients A, B, C, A', B', C' (`kossakowski_coefficients`) and its six
+coefficients A, B, C, A', B', C' (`kossakowski_coefficients`, for the
+`coefficients` report and the generation discriminant) and as its six
 eigenvalues; the 3x3 blocks, and the independent frequency-sum
 construction they are checked against, live in the test suite.
 
 The eigenvalues (`kossakowski_eigenvalues`) are the lowering, raising
-and dephasing rates of the collective and the relative channel; the
-relative ones carry 1 - sinc(omega ell) and vanish at ell = 0, where the
-singlet is dark.  `dynamics.build_superoperator` builds the generator from
-them and enforces their positivity, and the largest of their magnitudes is
-the spectral norm |K|_2 that sizes the generation test's boundary band, so
-no SVD of the 6x6 matrix is taken.
+and dephasing rates of the collective and the relative channel, each a
+thermal factor (A + B, A - B or 2 g0) times a geometric one (1 + S or
+1 - S, S = sinc(omega ell)), so none is negative: K >= 0, and with it
+complete positivity, holds by construction.  The relative ones vanish at
+ell = 0, where the singlet is dark.  `dynamics.build_superoperator` builds
+the generator from them, and the largest is the spectral norm |K|_2 that
+sizes the generation test's boundary band, so no SVD of the 6x6 matrix is
+taken.
 """
 
 from __future__ import annotations
@@ -50,7 +53,8 @@ class ModelParams:
     """The two-atom / thermal-field model in units of omega.
 
     beta_omega = math.inf is the zero-temperature bath, by IEEE arithmetic
-    alone: tanh(inf) = 1 and 1/inf = 0 give its coefficients exactly.
+    alone: tanh(inf) = 1 and 1/inf = 0 give its coefficients exactly, and
+    expm1(-inf) = -1 and exp(-inf) = 0 its rates.
     """
 
     beta_omega: float
@@ -61,10 +65,6 @@ class ModelParams:
             raise ValueError(f"beta_omega must be > 0 (or inf), got {self.beta_omega}")
         if not (math.isfinite(self.omega_ell) and self.omega_ell >= 0):
             raise ValueError(f"omega_ell must be finite and >= 0, got {self.omega_ell}")
-
-    @property
-    def zero_temperature(self) -> bool:
-        return math.isinf(self.beta_omega)
 
 
 @dataclass(frozen=True)
@@ -109,16 +109,23 @@ def temperature_ratio(params: ModelParams) -> float:
     return math.tanh(params.beta_omega / 2.0)
 
 
-def kossakowski_eigenvalues(coeffs: KossakowskiCoefficients) -> np.ndarray:
-    """The six eigenvalues of the Kossakowski matrix, the same at every axis.
+# 1 - sin(x)/x = x^2 sum_{k>=1} (-1)^(k+1) x^(2k-2) / (2k+1)!, highest power
+# first; below x = 1 the terms after the ninth are under 2^-60 of the sum
+_ONE_MINUS_SINC_SERIES = [(-1) ** (k + 1) / math.factorial(2 * k + 1) for k in range(9, 0, -1)]
 
-    For the collective (s = +1) and then the relative (s = -1) channel, with
-    a_s = A + s A', b_s = B + s B' and c_s = C + s C': a_s + b_s (lowering
-    along the axis), a_s - b_s (raising) and a_s + c_s (dephasing).  a_+ + c_+ is
-    2 g0, and a_- + c_- is zero up to rounding.
+
+def kossakowski_eigenvalues(params: ModelParams) -> np.ndarray:
+    """K's six eigenvalues, the same at every axis, as products of nonnegative
+    factors: with down = A + B = -2B / expm1(-beta_omega), up = A - B = down
+    e^-beta_omega (which underflows where expm1(beta_omega) would overflow)
+    and S = sinc(omega ell), the collective rates down (1 + S), up (1 + S) and
+    2 g0 = 1/(pi beta_omega), then the relative ones down (1 - S), up (1 - S)
+    and 0.  1 - S is its series below omega ell = 1, where the difference
+    cancels, and (x - sin x)/x above, exact to x ~ 1.9 (Sterbenz).
     """
-    rates = []
-    for s in (1.0, -1.0):
-        a, b, c = coeffs.A + s * coeffs.Ap, coeffs.B + s * coeffs.Bp, coeffs.C + s * coeffs.Cp
-        rates += [a + b, a - b, a + c]
-    return np.array(rates)
+    bw, x = params.beta_omega, params.omega_ell
+    down = -1.0 / (TWO_PI * math.expm1(-bw))
+    up = down * math.exp(-bw)
+    rel = (x - math.sin(x)) / x if x >= 1.0 else x * x * np.polyval(_ONE_MINUS_SINC_SERIES, x * x)
+    return np.array([down * (2.0 - rel), up * (2.0 - rel), 1.0 / (math.pi * bw),
+                     down * rel, up * rel, 0.0])

@@ -81,7 +81,7 @@ def test_criterion_2_small_time_oracle_equivalence():
             if abs(rs) <= 1e-3:
                 continue
             checked += 1
-            M = build_superoperator(kossakowski_coefficients(p))
+            M = build_superoperator(p)
             oracle = small_time_ppt_reference(M, rho0, 1e-3)
             if oracle != (rs > 0):
                 mismatches += 1
@@ -124,7 +124,7 @@ def test_criterion_4_complete_positivity():
     worst_choi = math.inf
     for _ in range(50):
         p = random_params(rng)
-        M = build_superoperator(kossakowski_coefficients(p))
+        M = build_superoperator(p)
         worst_choi = min(worst_choi, np.linalg.eigvalsh(choi_matrix(M, 0.1)).min())
     choi_ok = worst_choi >= -1e-10
     _report(4, "complete positivity", psd_ok and choi_ok,
@@ -167,7 +167,7 @@ def test_criterion_6_stationarity_and_convergence():
     stat_ok = worst_resid < 1e-12
 
     p = ModelParams(beta_omega=1.0, omega_ell=0.0)
-    M = build_superoperator(kossakowski_coefficients(p))
+    M = build_superoperator(p)
     R = temperature_ratio(p)
     T = _HORIZON / spectral_gap(M)
     from scipy.linalg import expm
@@ -188,7 +188,7 @@ def test_criterion_6_stationarity_and_convergence():
 def test_criterion_7_conservation_laws():
     """tau constant to 1e-9, trace to 1e-12, positivity to -1e-10 on trajectories."""
     p = ModelParams(beta_omega=1.0, omega_ell=0.0)
-    M = build_superoperator(kossakowski_coefficients(p))
+    M = build_superoperator(p)
     rng = np.random.default_rng(103)
     times = np.linspace(0.0, 50.0, 26)
     worst_tau = worst_trace = 0.0
@@ -214,7 +214,7 @@ def test_criterion_8_finite_separation_separability():
     for wl in (0.5, 1.0, 2.0, 5.0):
         for bw in (0.5, 1.0, 2.0):
             p = ModelParams(beta_omega=bw, omega_ell=wl)
-            M = build_superoperator(kossakowski_coefficients(p))
+            M = build_superoperator(p)
             P = stationary_projector(M)
             dim = round(np.trace(P).real)
             rho_inf = unvec(P @ vec(rho0))

@@ -49,7 +49,7 @@ def generator_for_ratio(R):
         return superoperator_reference(kossakowski_from_coefficients(coeffs))
     beta = math.inf if R == 1.0 else 2.0 * math.atanh(R)
     params = ModelParams(beta_omega=beta, omega_ell=0.0)
-    return build_superoperator(kossakowski_coefficients(params))
+    return build_superoperator(params)
 
 
 def coherent_ground_singlet():
@@ -71,20 +71,20 @@ def stationary_dim(M):
 
 def test_stationary_dimension_degenerate_at_zero_separation():
     p = ModelParams(beta_omega=1.0, omega_ell=0.0)
-    M = build_superoperator(kossakowski_coefficients(p))
+    M = build_superoperator(p)
     assert stationary_dim(M) == 2
 
 
 def test_stationary_dimension_unique_at_finite_separation():
     p = ModelParams(beta_omega=1.0, omega_ell=2.0)
-    M = build_superoperator(kossakowski_coefficients(p))
+    M = build_superoperator(p)
     assert stationary_dim(M) == 1
 
 
 def test_stationary_dimension_at_zero_temperature_and_separation():
     # ground, singlet and the two coherences between them
     p = ModelParams(beta_omega=math.inf, omega_ell=0.0)
-    M = build_superoperator(kossakowski_coefficients(p))
+    M = build_superoperator(p)
     assert stationary_dim(M) == 4
     M_h = generator_with_hamiltonian(p)
     assert stationary_dim(M_h) == 2  # the coherences oscillate at omega
@@ -97,7 +97,7 @@ def test_stationary_basis_elements_are_stationary():
     for ell in (0.0, 2.0):
         p = ModelParams(beta_omega=1.0, omega_ell=ell)
         K = build_kossakowski_spectral(p, (0.0, 0.0, 1.0))
-        P = stationary_projector(build_superoperator(kossakowski_coefficients(p)))
+        P = stationary_projector(build_superoperator(p))
         for col in P.T:
             assert np.abs(dissipator_reference(K, unvec(col))).max() < 1e-12
 
@@ -122,7 +122,7 @@ def test_stationary_projector_properties():
         seen |= {"ell_0"} if p.omega_ell == 0 else set()
         seen |= {"include_hs"} if include_hs else set()
         M = (generator_with_hamiltonian(p) if include_hs
-             else build_superoperator(kossakowski_coefficients(p)))
+             else build_superoperator(p))
         P = stationary_projector(M)
         scale = np.abs(M).max()
         label = f"{p} include_hs={include_hs}"
@@ -222,7 +222,7 @@ def test_concurrence_positive_region_matches_threshold():
 
 def test_asymptotic_state_canonical_at_zero_separation():
     p = ModelParams(beta_omega=1.0, omega_ell=0.0)
-    M = build_superoperator(kossakowski_coefficients(p))
+    M = build_superoperator(p)
     rho_inf, dim = asymptotic_state(M, canonical_state().density(), p)
     assert dim == 2
     # tau = -1 for orthogonal pure states: concurrence 2R^2/(3+R^2)
@@ -231,7 +231,7 @@ def test_asymptotic_state_canonical_at_zero_separation():
 
 def test_asymptotic_state_singlet_is_fixed():
     p = ModelParams(beta_omega=0.5, omega_ell=0.0)
-    M = build_superoperator(kossakowski_coefficients(p))
+    M = build_superoperator(p)
     rho_inf, _ = asymptotic_state(M, singlet_density(), p)
     assert trace_norm(rho_inf - singlet_density()) < 1e-10
 
@@ -239,7 +239,7 @@ def test_asymptotic_state_singlet_is_fixed():
 def test_asymptotic_state_unique_and_separable_at_finite_separation():
     rng = np.random.default_rng(51)
     p = ModelParams(beta_omega=1.0, omega_ell=2.0)
-    M = build_superoperator(kossakowski_coefficients(p))
+    M = build_superoperator(p)
     rho_a, dim = asymptotic_state(M, random_density(rng), p)
     rho_b, _ = asymptotic_state(M, random_density(rng), p)
     assert dim == 1
@@ -252,7 +252,7 @@ def test_asymptotic_state_keeps_conserved_coherences():
     # zero temperature, ell = 0: the singlet/ground coherence is conserved,
     # so the state is its own limit, which the tau family alone would miss
     p = ModelParams(beta_omega=math.inf, omega_ell=0.0)
-    M = build_superoperator(kossakowski_coefficients(p))
+    M = build_superoperator(p)
     rho0 = coherent_ground_singlet()
     rho_inf, dim = asymptotic_state(M, rho0, p)
     assert dim == 4
@@ -269,7 +269,7 @@ def test_asymptotic_state_convergence_check_fires():
         asymptotic_state(generator_with_hamiltonian(p), coherent_ground_singlet(), p)
     # the Gibbs state of beta = 1 under the generator of beta = 2
     p = ModelParams(beta_omega=1.0, omega_ell=2.0)
-    M = build_superoperator(kossakowski_coefficients(ModelParams(beta_omega=2.0, omega_ell=2.0)))
+    M = build_superoperator(ModelParams(beta_omega=2.0, omega_ell=2.0))
     with pytest.raises(ConvergenceError, match="not stationary"):
         asymptotic_state(M, canonical_state().density(), p)
 
@@ -277,7 +277,7 @@ def test_asymptotic_state_convergence_check_fires():
 def test_spectral_gap_positive():
     for ell in (0.0, 0.5, 2.0):
         p = ModelParams(beta_omega=1.0, omega_ell=ell)
-        M = build_superoperator(kossakowski_coefficients(p))
+        M = build_superoperator(p)
         assert spectral_gap(M) > 0.01
 
 

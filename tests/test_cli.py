@@ -278,7 +278,7 @@ def test_phase_diagram_stderr(tmp_path, sweep, code, stderr):
 def test_oracle_disagreement_exits_3_after_every_row(tmp_path, monkeypatch, capsys):
     # rows are written as each point is computed, so a disagreement leaves
     # the whole CSV, and the error names the first point and the count
-    monkeypatch.setattr(entanglement, "small_time_ppt_oracle", lambda coeffs, dt: False)
+    monkeypatch.setattr(entanglement, "small_time_ppt_oracle", lambda params, dt: False)
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps(SWEEP), encoding="utf-8")
     assert cli.main(["phase-diagram", "--config", str(path)]) == 3
@@ -353,26 +353,34 @@ def test_rk45_work_cap_gives_the_same_verdict_with_and_without_include_hs(tmp_pa
     assert results[0][0] == 2 and "= 3.62e+05 exceeds MAX_RK_WORK" in results[0][1]
 
 
-@pytest.mark.parametrize("sub", ["phase-diagram", "evolve", "asymptotic"])
-def test_non_psd_kossakowski_matrix_exits_4(tmp_path, monkeypatch, capsys, sub):
-    # at ell = 0 the primed coefficients equal the unprimed ones; scaled by
-    # 1.5 they give the relative channel the rates -0.5 times those of the
-    # single-atom block
-    def corrupted(params):
-        c = spectral.kossakowski_coefficients(params)
-        return spectral.KossakowskiCoefficients(A=c.A, B=c.B, C=c.C, Ap=1.5 * c.Ap,
-                                                Bp=1.5 * c.Bp, Cp=1.5 * c.Cp)
+def _disagreeing(solve_ivp):
+    return lambda *args: solve_ivp(*args) + 1e-6
 
-    monkeypatch.setattr(cli, "kossakowski_coefficients", corrupted)
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({"ell": 0.0, "time_grid": {"t_max": 1.0, "n_samples": 3},
-                                "sweep": {"beta_omega": [1.0, 1.0, 1],
-                                          "omega_ell": [0.0, 0.0, 1]}}), encoding="utf-8")
-    assert cli.main([sub, "--config", str(path)]) == 4
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("error: Kossakowski matrix is not positive semidefinite")
-    assert err.count("\n") == 1
+
+def _failing(solve_ivp):
+    # the RK45 route alone sees a generator with a NaN entry
+    def failed(M, *args):
+        M = M.copy()
+        M[3, 5] = np.nan
+        return solve_ivp(M, *args)
+    return failed
+
+
+@pytest.mark.parametrize("fault,message", [
+    (_disagreeing, "matrix-exponential and RK45 trajectories disagree: 1.000e-06 > 1.0e-08\n"),
+    (_failing, "RK45 cross-check integration failed: "),
+], ids=["disagreement", "integration-failure"])
+def test_a_failed_rk45_cross_check_exits_3(tmp_path, monkeypatch, capsys, fault, message):
+    # the cross-check guards the implementation, as the phase diagram's oracle
+    # does: one error line, no traceback and no output
+    monkeypatch.setattr(dynamics, "solve_ivp", fault(dynamics.solve_ivp))
+    path, out = tmp_path / "config.json", tmp_path / "traj.csv"
+    path.write_text(json.dumps({"time_grid": {"t_max": 1.0, "n_samples": 3}}), encoding="utf-8")
+    assert cli.main(["evolve", "--config", str(path), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("error: " + message)
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("text", [
@@ -775,8 +783,8 @@ def test_phase_diagram_dense_factorizations(tmp_path, monkeypatch):
     capped_points = 0
     for bw in beta_omega:
         for wl in omega_ell:
-            lam = spectral.kossakowski_eigenvalues(spectral.kossakowski_coefficients(
-                spectral.ModelParams(beta_omega=bw, omega_ell=wl)))
+            lam = spectral.kossakowski_eigenvalues(spectral.ModelParams(beta_omega=bw,
+                                                                        omega_ell=wl))
             M = np.tensordot(lam, entanglement._DISSIPATORS_Q0, axes=1)
             capped_points += np.abs(1e-3 * M).sum(axis=0).max() > dynamics._THETA_T
     assert 0 < capped_points < 900

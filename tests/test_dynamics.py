@@ -15,7 +15,6 @@ from thermalpair import (
     canonical_state,
     evolve,
     evolve_traj,
-    kossakowski_coefficients,
     local_frame,
     singlet_density,
     tau,
@@ -28,12 +27,13 @@ from thermalpair.dynamics import SIGMA
 
 from util import (build_kossakowski_spectral, choi_matrix, dissipator_reference,
                   generator_with_hamiltonian, hamiltonian, pauli_op, random_bloch,
-                  random_density, random_params, superoperator_reference)
+                  random_density, random_params, random_product_state, random_unit_complex,
+                  superoperator_reference, tau_reference)
 
 E3 = np.array([0.0, 0.0, 1.0])
 P_L0 = ModelParams(beta_omega=1.0, omega_ell=0.0)
 K_L0 = build_kossakowski_spectral(P_L0, E3)
-M_L0 = build_superoperator(kossakowski_coefficients(P_L0))
+M_L0 = build_superoperator(P_L0)
 
 
 def ket(index):
@@ -110,7 +110,7 @@ def test_superoperator_matches_dissipator():
             corners.add("ell=0")
         rho = random_density(rng)
         expected = dissipator_reference(build_kossakowski_spectral(p, E3), rho)
-        M = build_superoperator(kossakowski_coefficients(p))
+        M = build_superoperator(p)
         assert np.abs(unvec(M @ vec(rho)) - expected).max() < 1e-13
         h = hamiltonian(E3)
         expected = -1j * (h @ rho - rho @ h)
@@ -152,7 +152,7 @@ def test_superoperator_conserves_charge_at_e3():
     draws = [P_L0, ModelParams(beta_omega=math.inf, omega_ell=0.0)]
     draws += [random_params(rng) for _ in range(20)]
     for p in draws:
-        M = build_superoperator(kossakowski_coefficients(p))
+        M = build_superoperator(p)
         assert np.all(M[q[:, None] != q[None, :]] == 0), p
         h = hamiltonian(E3)
         L_h = -1j * (np.kron(np.eye(4), h) - np.kron(h.T, np.eye(4)))
@@ -199,7 +199,7 @@ def test_superoperator_spectrum():
     rng = np.random.default_rng(23)
     for _ in range(20):
         p = random_params(rng)
-        M = build_superoperator(kossakowski_coefficients(p))
+        M = build_superoperator(p)
         ev = np.linalg.eigvals(M)
         assert np.abs(ev).min() < 1e-10 * max(np.abs(ev).max(), 1.0)  # stationary state
         assert ev.real.max() <= 1e-12 * max(np.abs(ev).max(), 1.0)   # contraction
@@ -221,7 +221,7 @@ def test_superoperator_with_hamiltonian():
     # M does, followed by exp(-i H_S t), the same turn on both atoms
     p = ModelParams(beta_omega=0.91, omega_ell=0.52)
     K = build_kossakowski_spectral(p, E3)
-    M = build_superoperator(kossakowski_coefficients(p))
+    M = build_superoperator(p)
     M_h = generator_with_hamiltonian(p)
     h = hamiltonian(E3)
     rng = np.random.default_rng(25)
@@ -281,7 +281,7 @@ def test_evolve_reports_a_repaired_trace_deviation_on_one_stderr_line(capsys):
     # at t = 1e5 the matrix exponential's 25 squarings leave a trace
     # deviation of 5e-9, above 1e-10, which evolve repairs and reports
     p = ModelParams(beta_omega=0.001, omega_ell=1.0)
-    M = build_superoperator(kossakowski_coefficients(p))
+    M = build_superoperator(p)
     evolve(M, canonical_state().density(), 1e5)
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -293,7 +293,7 @@ def test_positivity_preserved_forward():
     rng = np.random.default_rng(27)
     for _ in range(20):
         p = random_params(rng)
-        M = build_superoperator(kossakowski_coefficients(p))
+        M = build_superoperator(p)
         rho0 = random_density(rng)
         t = float(rng.uniform(0.0, 50.0))
         rho_t = evolve(M, rho0, t)
@@ -317,7 +317,7 @@ def _corner_generators(seed, count):
         seen |= {"include_hs"} if include_hs else set()
         out.append((f"{p} include_hs={include_hs}",
                     generator_with_hamiltonian(p) if include_hs
-                    else build_superoperator(kossakowski_coefficients(p))))
+                    else build_superoperator(p)))
     assert seen == {"beta_inf", "ell_0", "include_hs"}
     return out
 
@@ -418,7 +418,7 @@ def test_evolve_traj_guard_fires_on_disagreement(monkeypatch):
         return real(*args) + 1e-6
 
     monkeypatch.setattr(dynamics, "solve_ivp", perturbed)
-    with pytest.raises(RuntimeError, match="disagree"):
+    with pytest.raises(dynamics.CrossCheckError, match="disagree"):
         evolve_traj(M_L0, canonical_state().density(), [0.0, 1.0, 2.0])
 
 
@@ -432,7 +432,7 @@ def test_evolve_traj_guard_fires_on_failed_integration(monkeypatch):
         return real(M, *args)
 
     monkeypatch.setattr(dynamics, "solve_ivp", failed)
-    with pytest.raises(RuntimeError, match="integration failed"):
+    with pytest.raises(dynamics.CrossCheckError, match="integration failed"):
         evolve_traj(M_L0, canonical_state().density(), [0.0, 1.0, 2.0])
 
 
@@ -440,7 +440,7 @@ def test_solve_ivp_fails_on_nan_generator():
     M = M_L0.copy()
     M[3, 5] = np.nan
     start = time.perf_counter()
-    with pytest.raises(RuntimeError, match="integration failed"):
+    with pytest.raises(dynamics.CrossCheckError, match="integration failed"):
         dynamics.solve_ivp(M, vec(singlet_density()), np.array([0.0, 1.0, 2.0]))
     assert time.perf_counter() - start < 5.0
 
@@ -459,13 +459,24 @@ def test_choi_matrix_is_positive():
     rng = np.random.default_rng(29)
     for _ in range(10):
         p = random_params(rng)
-        M = build_superoperator(kossakowski_coefficients(p))
+        M = build_superoperator(p)
         choi = choi_matrix(M, 0.1)
         np.testing.assert_allclose(choi, choi.conj().T, atol=1e-12)
         assert np.linalg.eigvalsh(choi).min() >= -1e-10
 
 
 # ----------------------------------------------------------------- tau, misc
+
+def test_tau_is_the_pauli_sum():
+    # the four entries of the SWAP trace against the three Pauli correlators,
+    # on full-rank, pure and product states
+    rng = np.random.default_rng(48)
+    for _ in range(100):
+        ket = random_unit_complex(rng)
+        for rho in (random_density(rng), random_product_state(rng).density(),
+                    np.outer(ket, ket.conj())):
+            assert abs(tau(rho) - tau_reference(rho)) <= 1e-15
+
 
 def test_tau_reference_values():
     assert tau(singlet_density()) == pytest.approx(-3.0, abs=1e-14)

@@ -25,15 +25,15 @@ from thermalpair import (
     vec,
 )
 from thermalpair import cli
-from thermalpair.dynamics import SIGMA
+from thermalpair.dynamics import _DISSIPATORS, SIGMA
 from thermalpair.spectral import kossakowski_coefficients
 
 from util import (KossakowskiMatrix, build_kossakowski_spectral, equilibrium_closed_form,
                   generation_discriminant, generator_with_hamiltonian, is_entangled,
-                  kossakowski_6x6, min_q_rate, oracle_step, q_probe, q_rate, random_bloch,
-                  random_density, random_params, random_product_state, random_rotation,
-                  random_separable_density, random_unit_complex, small_time_ppt_reference,
-                  uv_vectors, uv_vectors_rotation)
+                  kossakowski_6x6, min_q_rate, mp_rates, oracle_step, q_probe, q_rate,
+                  random_bloch, random_density, random_params, random_product_state,
+                  random_rotation, random_separable_density, random_unit_complex,
+                  small_time_ppt_reference, uv_vectors, uv_vectors_rotation)
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -119,11 +119,23 @@ RELAXING = {
     "time_grid": {"t_max": 260.21073019756466, "n_samples": 272}}
 
 
-def _mp_concurrence(M, rho0, t):
-    """Concurrence of exp(t M) vec(rho0) in 40-digit mpmath: the Wootters l_k
-    as the square roots of the eigenvalues of X^dag X."""
+# bench trajectory seed 1, op 40: beta*omega = 37.7, where the raising rates
+# are 5.9e-18 and 7.7e-18; the coefficient sums A - B and A' - B' made them
+# 1.39e-17 and put the concurrence off by 2.5e-9
+RAISING = {"beta": 37.68910137249268, "ell": 2.7578138740482747,
+           "initial_state": {"named": "singlet"},
+           "time_grid": {"t_max": 22.49608594709264, "n_samples": 213}}
+
+
+def _mp_concurrence(params, rho0, t):
+    """Concurrence of exp(t M) vec(rho0) in 40-digit mpmath, with M built from
+    the 40-digit rates (util.mp_rates) and the exact fixed dissipators: the
+    Wootters l_k as the square roots of the eigenvalues of X^dag X."""
     with mp.workdps(40):
-        v = mp.expm(mp.mpf(t) * mp.matrix(M.tolist())) * mp.matrix(vec(rho0).tolist())
+        M = mp.zeros(16, 16)
+        for rate, D in zip(mp_rates(params), _DISSIPATORS):
+            M += rate * mp.matrix(D.tolist())
+        v = mp.expm(mp.mpf(t) * M) * mp.matrix(vec(rho0).tolist())
         rho = mp.matrix([[v[i + 4 * j] for j in range(4)] for i in range(4)])
         w, q = mp.eighe((rho + rho.H) / 2)
         root = q * mp.diag([mp.sqrt(max(x, 0)) for x in w]) * q.H
@@ -140,13 +152,15 @@ def test_concurrence_of_a_relaxing_state_against_mpmath():
     # (zeroing eigenvalues below 4 eps of the largest puts it off by 2.9e-8).
     # At omega*t = 246.77 the two smallest are below 1e-34, but eigh returns
     # one at about eps of the largest, and its square root leaves the
-    # concurrence low by 2.7e-8
-    config = cli.parse_config(RELAXING)
-    M = build_superoperator(kossakowski_coefficients(config.params))
-    states = evolve_traj(M, config.rho0, config.times)
-    for k, tol in ((54, 1e-14), (257, 1e-7)):
-        exact = _mp_concurrence(M, config.rho0, config.times[k])
-        assert abs(concurrence(states[k]) - exact) <= tol, (k, concurrence(states[k]), exact)
+    # concurrence low by 2.7e-8.  At beta*omega = 37.7 the float rates, and
+    # with them the concurrence, are exact to a few eps
+    for doc, samples in ((RELAXING, ((54, 1e-14), (257, 1e-7))), (RAISING, ((36, 1e-14),))):
+        config = cli.parse_config(doc)
+        states = evolve_traj(build_superoperator(config.params), config.rho0, config.times)
+        for k, tol in samples:
+            exact = _mp_concurrence(config.params, config.rho0, config.times[k])
+            assert abs(concurrence(states[k]) - exact) <= tol, (k, concurrence(states[k]), exact)
+    assert abs(exact - 0.34962977534486972) <= 1e-16, exact  # RAISING at sample 36
 
 
 def test_peres_horodecki_exactness():
@@ -269,7 +283,7 @@ def test_generation_margin_equals_canonical_reduction():
         p = random_params(rng)
         c = kossakowski_coefficients(p)
         margin, _ = generation_test(c)
-        norm = np.abs(kossakowski_eigenvalues(c)).max()
+        norm = kossakowski_eigenvalues(p).max()
         assert margin == pytest.approx(4.0 * c.A * c.A * criterion_rs(p)[2],
                                        rel=1e-10, abs=1e-13 * norm ** 2)
 
@@ -336,35 +350,34 @@ def test_probe_optimality_matches_discriminant():
 def test_small_time_oracle_frozen_points():
     rho0 = canonical_state().density()
     for ell, expected in ((0.5, True), (3.0, False)):
-        coeffs = kossakowski_coefficients(ModelParams(beta_omega=1.0, omega_ell=ell))
-        assert small_time_ppt_oracle(coeffs, 1e-3) is expected
-        assert small_time_ppt_reference(build_superoperator(coeffs), rho0, 1e-3) is expected
+        params = ModelParams(beta_omega=1.0, omega_ell=ell)
+        assert small_time_ppt_oracle(params, 1e-3) is expected
+        assert small_time_ppt_reference(build_superoperator(params), rho0, 1e-3) is expected
 
 
 def test_small_time_oracle_rejects_bad_dt():
-    coeffs = kossakowski_coefficients(ModelParams(beta_omega=1.0, omega_ell=0.5))
     with pytest.raises(ValueError):
-        small_time_ppt_oracle(coeffs, 0.0)
+        small_time_ppt_oracle(ModelParams(beta_omega=1.0, omega_ell=0.5), 0.0)
 
 
 @pytest.mark.parametrize("beta_omega,message", [
     # coth(beta*omega/2) ~ 1e38: the evolved state underflows to zero
     (1e-38, "evolved state has trace 0.0 at t=0.001"),
-    # coth ~ 1e50: the squarings of the Taylor exponential overflow
-    (1e-50, "evolved state is not finite at t=0.001"),
+    # coth ~ 1e50: 155 squarings of the Taylor exponential lose every entry
+    (1e-50, "evolved state has trace 0.0 at t=0.001"),
 ], ids=["sweep-overflow", "sweep-expm-overflow"])
 def test_oracle_caps_its_step_where_the_general_route_overflows(beta_omega, message):
     # at dt = 1e-3 the general route's exponential squares until the state is
     # lost; the oracle takes a step short enough for the Taylor series, at
     # which the general route agrees with it
-    coeffs = kossakowski_coefficients(ModelParams(beta_omega=beta_omega, omega_ell=0.0))
-    M, rho0 = build_superoperator(coeffs), canonical_state().density()
+    params = ModelParams(beta_omega=beta_omega, omega_ell=0.0)
+    M, rho0 = build_superoperator(params), canonical_state().density()
     with pytest.raises(PositivityError) as exc:
         small_time_ppt_reference(M, rho0, 1e-3)
     assert str(exc.value) == message
-    step = oracle_step(coeffs, 1e-3)
+    step = oracle_step(params, 1e-3)
     assert step < 1e-30
-    assert small_time_ppt_oracle(coeffs, 1e-3) is small_time_ppt_reference(M, rho0, step) is False
+    assert small_time_ppt_oracle(params, 1e-3) is small_time_ppt_reference(M, rho0, step) is False
 
 
 def test_oracle_agrees_for_generic_product_states():
@@ -378,7 +391,7 @@ def test_oracle_agrees_for_generic_product_states():
         verdict = generation_discriminant(state, K)
         if verdict.generated is None or abs(verdict.margin) < 1e-6 * K.norm ** 2:
             continue
-        M = build_superoperator(kossakowski_coefficients(p))
+        M = build_superoperator(p)
         oracle = small_time_ppt_reference(M, state.density(), 1e-3)
         assert oracle == verdict.generated
         checked += 1

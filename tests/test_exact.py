@@ -1,14 +1,18 @@
 """Exact proofs of the closed forms, in sympy: K's eigenvalues, the
-generation discriminant at |-> (x) |+> and the asymptotic states.
+generation discriminant at |-> (x) |+> and the asymptotic states; and
+K's rates in floating point against 40-digit mpmath.
 
-K's six eigenvalues (`spectral.kossakowski_eigenvalues`) are the roots of
-the characteristic polynomial of the 6x6 K assembled from the 3x3 blocks
-of `tests/util.py`, and the general discriminant at u = v = (1, -i, 0)
-(`util.uv_vectors` of the canonical state) is the closed form that
-`entanglement.generation_test` returns, for all six coefficients.
+K's six eigenvalues as coefficient sums (`util.coefficient_rates`) are the
+roots of the characteristic polynomial of the 6x6 K assembled from the 3x3
+blocks of `tests/util.py`, for all six coefficients, and at the closed-form
+coefficients they are the products of nonnegative factors that
+`spectral.kossakowski_eigenvalues` evaluates; that function is within 4 eps
+of a 40-digit reference on a grid of corners.  The general discriminant at
+u = v = (1, -i, 0) (`util.uv_vectors` of the canonical state) is the closed
+form that `entanglement.generation_test` returns, for all six coefficients.
 
-For the asymptotic states, the generator is built symbolically from the library's own parts: K's
-eigenvalues from `spectral.kossakowski_eigenvalues`, applied to symbolic
+For the asymptotic states, the generator is built symbolically: K's
+eigenvalues from `util.coefficient_rates`, applied to symbolic
 coefficients, weight the six fixed dissipators of `dynamics`, whose entries
 are small dyadic rationals and convert exactly.  The coefficients follow
 `kossakowski_coefficients` with R = B/A, S = sinc(omega ell) and the
@@ -18,15 +22,17 @@ annihilated by M identically, which seeded float draws cannot show where
 terms cancel (the ell -> 0+ crossover is such a place).
 """
 
+import math
 from itertools import product
 
+import numpy as np
 import sympy as sp
 
-from thermalpair import canonical_state, generation_test
+from thermalpair import ModelParams, canonical_state, generation_test
 from thermalpair.dynamics import _DISSIPATORS
 from thermalpair.spectral import KossakowskiCoefficients, kossakowski_eigenvalues
 
-from util import kossakowski_blocks, uv_vectors
+from util import coefficient_rates, kossakowski_blocks, mp_rates, uv_vectors
 
 R, S, g0, B, p_s = sp.symbols("R S g0 B p_S", real=True)
 c = sp.Symbol("c_re", real=True) + sp.I * sp.Symbol("c_im", real=True)
@@ -43,7 +49,7 @@ KET_S = sp.Matrix([0, 1, -1, 0]) / sp.sqrt(2)
 def generator(R, S, g0):
     """The symbolic M = sum_k lambda_k _DISSIPATORS[k]."""
     A = B / R
-    lam = kossakowski_eigenvalues(KossakowskiCoefficients(
+    lam = coefficient_rates(KossakowskiCoefficients(
         A=A, B=B, C=g0 - A, Ap=A * S, Bp=B * S, Cp=g0 - A * S))
     return sum((lam_k * D_k for lam_k, D_k in zip(lam, DISSIPATORS)), sp.zeros(16, 16))
 
@@ -116,8 +122,45 @@ def exact(array):
 def test_kossakowski_matrix_has_the_closed_form_eigenvalues():
     c11, c12 = (exact(block) for block in kossakowski_blocks(COEFFS))
     K = sp.Matrix(sp.BlockMatrix([[c11, c12], [c12, c11]]))
-    lam = exact(kossakowski_eigenvalues(COEFFS))
+    lam = exact(coefficient_rates(COEFFS))
     assert sp.expand(K.charpoly(x).as_expr() - sp.prod([x - l for l in lam])) == 0
+
+
+def test_factored_rates_are_the_coefficient_sums():
+    # at kossakowski_coefficients' closed forms (beta*omega = b, B = 1/4pi,
+    # A = B coth(b/2), g0 = 1/(2 pi b)) the sums cancel into products of
+    # nonnegative factors: down = A + B = 2B/(1 - e^-b), up = A - B = down
+    # e^-b, 2 g0, and 1 +- S
+    b = sp.Symbol("b", positive=True)
+    B_, g0_ = 1 / (4 * sp.pi), 1 / (2 * sp.pi * b)
+    A_ = B_ / sp.tanh(b / 2)
+    sums = exact(coefficient_rates(KossakowskiCoefficients(
+        A=A_, B=B_, C=g0_ - A_, Ap=A_ * S, Bp=B_ * S, Cp=g0_ - A_ * S)))
+    down = 2 * B_ / (1 - sp.exp(-b))
+    up = down * sp.exp(-b)
+    factored = [down * (1 + S), up * (1 + S), 1 / (sp.pi * b), down * (1 - S), up * (1 - S), 0]
+    for k, (total, product_form) in enumerate(zip(sums, factored)):
+        assert sp.simplify((total - product_form).rewrite(sp.exp)) == 0, k
+
+
+# beta*omega from the CLI's floor to zero temperature, past expm1's overflow
+# at 709.78; omega*ell from 0 through the series' range, both sides of its
+# switch at 1, to the first zero of S and beyond
+RATE_GRID_BETA_OMEGA = (1.5e-154, 1e-20, 1e-6, 1e-3, 0.05, 1.0, 24.0, 30.0, 37.7, 50.0, 700.0,
+                        709.8, 1e3, 1e300, math.inf)
+RATE_GRID_OMEGA_ELL = (0.0, 1e-300, 1e-8, 1e-6, 1e-3, 0.3, 0.999, 1.0, 1.001, 1.5, 3.0, math.pi,
+                       4.4934, 12.0)
+
+
+def test_rates_are_within_4_eps_of_40_digit_mpmath():
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    for bw, wl in product(RATE_GRID_BETA_OMEGA, RATE_GRID_OMEGA_ELL):
+        params = ModelParams(beta_omega=bw, omega_ell=wl)
+        for k, (got, ref) in enumerate(zip(kossakowski_eigenvalues(params), mp_rates(params))):
+            if ref >= tiny:
+                assert abs(got - ref) <= 4 * eps * ref, (bw, wl, k, got, ref)
+            else:  # below the normal range the rate underflows, never below 0
+                assert 0.0 <= got < tiny, (bw, wl, k, got, ref)
 
 
 def test_general_discriminant_at_the_canonical_state_is_the_closed_form():

@@ -11,7 +11,9 @@ Every guard threshold is a module constant beside the guard that reads it,
 so no function in src/ takes a parameter whose name ends in "tol".  The
 package imports only numpy and a short list of standard-library modules,
 which keeps its share of the start-up time small, and it reaches LAPACK only
-through numpy.linalg's Hermitian eigensolvers (and the vector norm).
+through numpy.linalg's Hermitian eigensolvers (and the vector norm).  It
+raises no bare RuntimeError: each failure the CLI maps to an exit code has
+its own exception class.
 """
 
 import ast
@@ -150,3 +152,16 @@ def test_reaches_only_the_allowed_numpy_linalg_functions():
                     or node.module == "numpy" and any(a.name == "linalg" for a in node.names)):
                 found.append(f"{module}:{node.lineno}: from {node.module} import ...")
     assert not found, f"numpy.linalg beyond {sorted(ALLOWED_LINALG)}: {found}"
+
+
+def test_raises_no_bare_runtime_error():
+    # each failure the CLI maps to an exit code has its own exception class;
+    # a bare RuntimeError would escape main as a traceback
+    found = []
+    for module, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "RuntimeError":
+                    found.append(f"{module}:{node.lineno}: {ast.unparse(node)}")
+    assert not found, f"bare RuntimeError raised in src/: {found}"

@@ -1,7 +1,8 @@
-"""Seeded properties over ModelParams: K's closed-form eigenvalues and the
-complete-positivity guard, M against the reference route, trace and
-Hermiticity preservation of M, the closed-form discriminant against the
-general product-state one at |-+> and its canonical-state reduction,
+"""Seeded properties over ModelParams: K's closed-form eigenvalues, none
+negative, so complete positivity holds by construction, M against the
+reference route, trace and Hermiticity preservation of M, the closed-form
+discriminant against the general product-state one at |-+> and its
+canonical-state reduction,
 the small-time oracle in the charge-0 sector against the general route,
 concurrence against the SVD route and against the partial-transpose
 verdict, the
@@ -32,7 +33,6 @@ from thermalpair import (ModelParams, ProductState, asymptotic_state, build_supe
                          local_frame, min_eig_pt, singlet_ket, small_time_ppt_oracle, tau,
                          trace_norm, unvec, vec)
 from thermalpair.cli import _CONV_TOL
-from thermalpair.dynamics import _CP_REL_TOL
 from thermalpair.entanglement import _wootters_l
 
 from util import (_AT_REST, _HORIZON, _NULLSPACE_REL_TOL, build_kossakowski_spectral,
@@ -67,7 +67,7 @@ def models(draw):
     """(params, K, M) at a drawn corner."""
     params = ModelParams(beta_omega=draw(beta_omega), omega_ell=draw(omega_ell))
     coeffs = kossakowski_coefficients(params)
-    return params, kossakowski_from_coefficients(coeffs), build_superoperator(coeffs)
+    return params, kossakowski_from_coefficients(coeffs), build_superoperator(params)
 
 
 @SETTINGS
@@ -75,11 +75,23 @@ def models(draw):
 def test_kossakowski_passes_the_cp_guard(model):
     params, K, _ = model
     eigs = np.linalg.eigvalsh(kossakowski_6x6(K))
-    lam = kossakowski_eigenvalues(kossakowski_coefficients(params))
+    lam = kossakowski_eigenvalues(params)
     assert np.abs(np.sort(lam) - eigs).max() <= 1e-14 * np.abs(eigs).max()
     svd_norm = np.linalg.norm(kossakowski_6x6(K), 2)
     assert abs(K.norm - svd_norm) <= 1e-14 * svd_norm
-    assert lam.min() >= -_CP_REL_TOL * lam.max() / 6
+    # K >= 0, the whole complete-positivity condition, holds exactly: no rate
+    # is negative, and the relative dephasing rate is an exact 0
+    assert lam.min() >= 0.0 and lam[5] == 0.0
+
+
+# every beta*omega the CLI admits, from its floor to zero temperature, and
+# omega*ell from 0 through 1e-300 to 1e300
+@SETTINGS
+@given(st.one_of(st.just(math.inf), _log_uniform(1.5e-154, 1e300)),
+       st.one_of(st.just(0.0), _log_uniform(1e-300, 1e300), st.floats(0.0, 20.0)))
+def test_no_rate_is_negative_at_any_corner(bw, wl):
+    lam = kossakowski_eigenvalues(ModelParams(beta_omega=bw, omega_ell=wl))
+    assert np.isfinite(lam).all() and lam.min() >= 0.0 and lam[5] == 0.0, (bw, wl, lam)
 
 
 @SETTINGS
@@ -152,10 +164,10 @@ ORACLE_BAND = 1e-3
 @example(2e-3, 5.0)
 @example(1e-10, 3.0)
 def test_sector_oracle_is_the_general_route(bw, wl):
-    coeffs = kossakowski_coefficients(ModelParams(beta_omega=bw, omega_ell=wl))
-    oracle = small_time_ppt_oracle(coeffs, 1e-3)
-    ref = small_time_ppt_reference(build_superoperator(coeffs), canonical_state().density(),
-                                   oracle_step(coeffs, 1e-3))
+    params = ModelParams(beta_omega=bw, omega_ell=wl)
+    oracle = small_time_ppt_oracle(params, 1e-3)
+    ref = small_time_ppt_reference(build_superoperator(params), canonical_state().density(),
+                                   oracle_step(params, 1e-3))
     assert oracle == ref, (oracle, ref)
 
 
@@ -226,7 +238,7 @@ def test_closed_form_asymptotic_state_is_the_projected_one(bw, wl, seed):
     # with the SVD projector and its rank, and against the evolution to the
     # horizon
     params = ModelParams(beta_omega=bw, omega_ell=wl)
-    M = build_superoperator(kossakowski_coefficients(params))
+    M = build_superoperator(params)
     rho0 = random_density(np.random.default_rng(seed))
     P = stationary_projector(M)
     rho_inf, dim = asymptotic_state(M, rho0, params)
@@ -247,7 +259,7 @@ def test_free_hamiltonian_only_turns_the_dissipators_evolution(bw, wl, b1, b2, n
     # reports with include_hs) is the reference's projected state, and its
     # evolution differs by a local unitary, which no emitted quantity sees
     params = ModelParams(beta_omega=bw, omega_ell=wl)
-    M = build_superoperator(kossakowski_coefficients(params))
+    M = build_superoperator(params)
     M_h = generator_with_hamiltonian(params)
     assert np.abs(M @ M_h - M_h @ M).max() <= 1e-15 * np.abs(M_h).max() ** 2
     P, P_h = stationary_projector(M) * _AT_REST, stationary_projector(M_h)

@@ -10,16 +10,12 @@ import math
 import numpy as np
 import pytest
 
-from thermalpair import (
-    ModelParams,
-    kossakowski_coefficients,
-    kossakowski_eigenvalues,
-    temperature_ratio,
-)
+from thermalpair import ModelParams, kossakowski_coefficients, temperature_ratio
 from thermalpair.spectral import KossakowskiCoefficients
 
-from util import (build_kossakowski_spectral, kossakowski_6x6, kossakowski_from_coefficients,
-                  psi_tensors, random_params, random_rotation, spectral_density)
+from util import (build_kossakowski_spectral, coefficient_rates, kossakowski_6x6,
+                  kossakowski_from_coefficients, psi_tensors, random_params, random_rotation,
+                  spectral_density)
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -155,7 +151,7 @@ def test_coefficient_invariants():
         c = kossakowski_coefficients(p)
         assert c.B == 1.0 / (4.0 * math.pi)  # exact
         assert c.A >= c.B >= 0.0
-        expected_sum = 0.0 if p.zero_temperature else 1.0 / (2.0 * math.pi * p.beta_omega)
+        expected_sum = 0.0 if math.isinf(p.beta_omega) else 1.0 / (2.0 * math.pi * p.beta_omega)
         assert c.A + c.C == pytest.approx(expected_sum, rel=1e-12, abs=1e-15)
         assert abs(c.Ap) <= c.A + 1e-16
         assert abs(c.Bp) <= c.B + 1e-16
@@ -276,7 +272,7 @@ def test_kossakowski_eigenvalues_match_eigvalsh_for_any_coefficients():
         O = np.kron(np.eye(2), random_rotation(rng))
         K = kossakowski_from_coefficients(coeffs)
         eigs = np.linalg.eigvalsh(O @ kossakowski_6x6(K) @ O.T)
-        lam = kossakowski_eigenvalues(coeffs)
+        lam = coefficient_rates(coeffs)
         assert np.abs(np.sort(lam) - eigs).max() <= 1e-14 * np.abs(eigs).max()
 
 
@@ -286,7 +282,7 @@ def test_kossakowski_eigenvalues_detect_corrupted_cross_block():
                                         Ap=2.0 * c.Ap, Bp=2.0 * c.Bp, Cp=2.0 * c.Cp)
     # at ell = 0 the doubled cross block gives min eig = -(A + B), the
     # relative lowering rate
-    lam = kossakowski_eigenvalues(corrupted)
+    lam = coefficient_rates(corrupted)
     assert lam[3] == lam.min() == pytest.approx(-0.25177941275449163618, abs=1e-14)
 
 

@@ -2,7 +2,10 @@
 closed-form references the library's numerical routes are checked against,
 and the independent cross-check routes that no subcommand runs: the 3x3
 blocks of the Kossakowski matrix, from arbitrary coefficients or from the
-frequency sum at any axis; the dissipator's action on a state as the
+frequency sum at any axis, and its eigenvalues as sums of the six
+coefficients, which hold for any coefficients, also where K is not positive
+semidefinite, and its rates in 40-digit mpmath; tau as the sum of the three
+Pauli correlators; the dissipator's action on a state as the
 explicit sum over K's entries (with the Pauli operators and the free
 Hamiltonian it is built from); the generator as one contraction of K's 6x6
 form with that sum's 36 terms on vec(rho), also with the free Hamiltonian
@@ -19,12 +22,13 @@ and takes the asymptotic state in closed form too."""
 import math
 from dataclasses import dataclass
 
+import mpmath as mp
 import numpy as np
 
 from thermalpair import (KossakowskiCoefficients, ModelParams, ProductState, bloch_ket, evolve,
                          kossakowski_coefficients, kossakowski_eigenvalues, min_eig_pt,
                          partial_transpose, unvec, vec)
-from thermalpair.dynamics import _THETA_T, SIGMA, _unit_vector, cp_rates, expm
+from thermalpair.dynamics import _THETA_T, SIGMA, _unit_vector, expm
 from thermalpair.entanglement import _BOUNDARY_REL_TOL, _DISSIPATORS_Q0, _ORACLE_NEG_TOL
 from thermalpair.spectral import TWO_PI, _sinc
 
@@ -99,6 +103,12 @@ def hamiltonian(n) -> np.ndarray:
     units of omega."""
     h1 = sum(n[i] * SIGMA[i] for i in range(3))
     return 0.5 * (np.kron(h1, np.eye(2)) + np.kron(np.eye(2), h1))
+
+
+def tau_reference(rho: np.ndarray) -> float:
+    """sum_i Tr(rho sigma_i (x) sigma_i), the three Pauli correlators that
+    dynamics.tau reads off the SWAP trace."""
+    return float(sum(np.trace(rho @ np.kron(s, s)).real for s in SIGMA))
 
 
 def dissipator_reference(K, rho):
@@ -222,11 +232,43 @@ def kossakowski_blocks(coeffs: KossakowskiCoefficients) -> tuple[np.ndarray, np.
             coeffs.Ap * eye - 1j * coeffs.Bp * eps_e3 + coeffs.Cp * e3_e3)
 
 
+def coefficient_rates(coeffs: KossakowskiCoefficients) -> np.ndarray:
+    """K's six eigenvalues as sums of the coefficients, for any real A, B, C,
+    A', B', C' (sympy symbols too), also where K is not positive
+    semidefinite.  For the collective (s = +1) and then the relative (s = -1)
+    channel, with a_s = A + s A', b_s = B + s B' and c_s = C + s C': a_s + b_s
+    (lowering along the axis), a_s - b_s (raising) and a_s + c_s (dephasing).
+    At a ModelParams' coefficients they equal kossakowski_eigenvalues(params)
+    in exact arithmetic (tests/test_exact.py); in floating point the sums
+    cancel, and a_- + c_- is rounding noise, not 0."""
+    rates = []
+    for s in (1.0, -1.0):
+        a, b, c = coeffs.A + s * coeffs.Ap, coeffs.B + s * coeffs.Bp, coeffs.C + s * coeffs.Cp
+        rates += [a + b, a - b, a + c]
+    return np.array(rates)
+
+
+def mp_rates(params: ModelParams) -> list:
+    """kossakowski_eigenvalues(params) in 40-digit mpmath, from the same
+    factored forms: 1 - S is (x^2/6) 1F2(1; 2, 5/2; -x^2/4), which keeps all
+    its digits at every x = omega ell (1 - sin(x)/x loses them for small x)."""
+    with mp.workdps(40):
+        x = mp.mpf(params.omega_ell)
+        rel = x**2 / 6 * mp.hyp1f2(1, 2, 2.5, -x**2 / 4)
+        if math.isinf(params.beta_omega):
+            down, up, two_g0 = 1 / (2 * mp.pi), mp.mpf(0), mp.mpf(0)
+        else:
+            b = mp.mpf(params.beta_omega)
+            down = -1 / (2 * mp.pi * mp.expm1(-b))
+            up, two_g0 = down * mp.exp(-b), 1 / (mp.pi * b)
+        return [down * (2 - rel), up * (2 - rel), two_g0, down * rel, up * rel, mp.mpf(0)]
+
+
 def kossakowski_from_coefficients(coeffs: KossakowskiCoefficients) -> KossakowskiMatrix:
-    """The blocks of kossakowski_blocks, with |K|_2 from the closed-form
-    eigenvalues."""
+    """The blocks of kossakowski_blocks, with |K|_2 from the coefficient
+    sums of its eigenvalues."""
     c11, c12 = kossakowski_blocks(coeffs)
-    norm = float(np.abs(kossakowski_eigenvalues(coeffs)).max())
+    norm = float(np.abs(coefficient_rates(coeffs)).max())
     return KossakowskiMatrix(c11=c11, c12=c12, norm=norm)
 
 
@@ -276,7 +318,7 @@ def spectral_density(params: ModelParams, z: float) -> SpectralValues:
     """
     if not math.isfinite(z):
         raise ValueError(f"frequency must be finite, got {z}")
-    if params.zero_temperature:
+    if math.isinf(params.beta_omega):
         g11 = z / TWO_PI if z > 0 else 0.0
     else:
         g11 = _bose_weighted(params.beta_omega, z) / TWO_PI
@@ -587,9 +629,9 @@ def uv_vectors_rotation(state: ProductState):
 # the small-time oracle on the general route (entanglement)
 # ---------------------------------------------------------------------------
 
-def oracle_step(coeffs: KossakowskiCoefficients, dt: float) -> float:
+def oracle_step(params: ModelParams, dt: float) -> float:
     """small_time_ppt_oracle's step for dt, to rounding: at most _THETA_T / |M_q0|_1."""
-    M = np.tensordot(cp_rates(coeffs), _DISSIPATORS_Q0, axes=1)
+    M = np.tensordot(kossakowski_eigenvalues(params), _DISSIPATORS_Q0, axes=1)
     return min(dt, _THETA_T / float(np.abs(M).sum(axis=0).max()))
 
 
