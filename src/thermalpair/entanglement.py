@@ -4,7 +4,12 @@ For two qubits the partial-transposition criterion is exact: a state is
 entangled iff its partial transpose has a negative eigenvalue.  Wootters
 concurrence quantifies the entanglement (0 separable, 1 for Bell states);
 the complex conjugation in its spin-flip step is taken in the fixed
-computational product basis.
+computational product basis.  An X-state, whose entries off the diagonal
+and the anti-diagonal are all exactly 0, has the closed form
+C = 2 max(0, |r12| - sqrt(r00 r33), |r03| - sqrt(r11 r22)) (Yu & Eberly,
+Quantum Inf. Comput. 7, 459, 2007); the asymptotic states, and the
+trajectories of the named states, are X-states, since the generator at e3
+couples no X entry to any other.
 
 Whether the common bath starts entangling a pure product state at t = 0+
 is decided by the discriminant of Benatti, Floreanini & Piani (PRL 91,
@@ -87,8 +92,11 @@ _SIGMA2_SIGMA2 = np.kron(dynamics.SIGMA[1], dynamics.SIGMA[1]).real
 def _wootters_l(rho: np.ndarray) -> np.ndarray:
     """Concurrence's l_1 >= .. >= l_4, the singular values of X = sqrt(rho~)
     sqrt(rho) with sqrt(rho~) = S sqrt(rho)* S from one eigh, as the four
-    largest eigenvalues of the Hermitian dilation [[0, X], [X^dag, 0]]."""
-    rho = np.asarray(rho, dtype=complex)
+    largest eigenvalues of the Hermitian dilation [[0, X], [X^dag, 0]].
+    Each l_k is exact to about eps |X| given sqrt(rho), but on a
+    rank-deficient state sqrt(rho) carries the square roots of the
+    eigenvalues that eigh's rounding leaves near eps, about sqrt(eps), into
+    the l_k."""
     w, v = np.linalg.eigh(0.5 * (rho + rho.conj().T))
     root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
     X = _SIGMA2_SIGMA2 @ root.conj() @ _SIGMA2_SIGMA2 @ root
@@ -96,17 +104,44 @@ def _wootters_l(rho: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(np.block([[zero, X], [X.conj().T, zero]]))[:3:-1]
 
 
+# (row, column) of the entries outside the diagonal and the anti-diagonal,
+# where an X-state is 0: pairs, not a numpy mask, whose first use in a
+# process takes 64 KB more resident memory
+_OFF_X = [(i, j) for i in range(4) for j in range(4) if j not in (i, 3 - i)]
+
+
+def _x_block(a: float, d: float, z: complex) -> tuple[float, float]:
+    """(sqrt(a d), |z|) of the positive part of the Hermitian block
+    [[a, z], [z*, d]], whose eigenvalues are m +- h: the block itself if
+    m >= h, else (m + h)^+ times the projector on the top eigenvector, which
+    gives (m + h)^+ |z| / 2h for both, as _wootters_l clips eigenvalues."""
+    m, h = (a + d) / 2.0, math.hypot((a - d) / 2.0, abs(z))
+    if m >= h:
+        return math.sqrt(max(a, 0.0)) * math.sqrt(max(d, 0.0)), abs(z)
+    top = (m + h) * abs(z) / (2.0 * h) if m + h > 0 else 0.0
+    return top, top
+
+
 def concurrence(rho: np.ndarray) -> float:
-    """Wootters concurrence max{0, l1 - l2 - l3 - l4}.
+    """Wootters concurrence max{0, l1 - l2 - l3 - l4} of the positive part of
+    the Hermitian part of rho.
 
     The l_k are the decreasing square roots of the eigenvalues of
     rho (s2 x s2) rho* (s2 x s2), conjugation in the computational basis.
-    As singular values (`_wootters_l`), near-zero l_k keep full absolute
-    precision (the direct eigensolve of the non-Hermitian product loses
-    half the digits there).
+    An X-state (every entry in _OFF_X exactly 0) takes the closed form of
+    the module docstring on its two 2x2 blocks (`_x_block`), exact to a few
+    eps at any rank; any other state takes the l_k from `_wootters_l`, which
+    on a rank-deficient state can leave the concurrence off by up to about
+    sqrt(eps).
     """
-    lam = _wootters_l(rho)
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    rho = np.asarray(rho, dtype=complex)
+    r = rho.tolist()
+    if any(r[i][j] for i, j in _OFF_X):
+        lam = _wootters_l(rho)
+        return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    root_out, z_out = _x_block(r[0][0].real, r[3][3].real, (r[0][3] + r[3][0].conjugate()) / 2.0)
+    root_in, z_in = _x_block(r[1][1].real, r[2][2].real, (r[1][2] + r[2][1].conjugate()) / 2.0)
+    return 2.0 * max(0.0, z_in - root_out, z_out - root_in)
 
 
 # generation_test verdicts within this fraction of |K|_2^2 of zero are inconclusive

@@ -84,8 +84,8 @@ class KossakowskiCoefficients:
 
 
 def _sinc(x: float) -> float:
-    """sin(x)/x with the exact value 1 at x = 0."""
-    return float(np.sinc(x / np.pi))
+    """sin(x)/x of the exact x, which np.sinc(x / pi) rounds; 1 at x = 0."""
+    return math.sin(x) / x if x != 0 else 1.0
 
 
 def kossakowski_coefficients(params: ModelParams) -> KossakowskiCoefficients:

@@ -102,6 +102,58 @@ def test_concurrence_of_product_states_vanishes():
         assert concurrence(rho) < 1e-14
 
 
+def _eigh_calls(monkeypatch):
+    """A list that grows by one at every np.linalg.eigh call."""
+    calls, eigh = [], np.linalg.eigh
+
+    def counting(a):
+        calls.append(a)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
+def test_concurrence_of_x_states_takes_the_closed_form(monkeypatch):
+    calls = _eigh_calls(monkeypatch)
+    h = 1.0 / math.sqrt(2.0)
+    # the Bell states |++> +- |-->, |+-> +- |-+>; |++> and |-+>
+    for amplitudes, expected in (((h, 0, 0, h), 1.0), ((h, 0, 0, -h), 1.0),
+                                 ((0, h, h, 0), 1.0), ((0, h, -h, 0), 1.0),
+                                 ((1, 0, 0, 0), 0.0), ((0, 0, 1, 0), 0.0)):
+        k = np.array(amplitudes, dtype=complex)
+        assert concurrence(np.outer(k, k.conj())) == pytest.approx(expected, abs=1e-15), amplitudes
+    # the separable boundary |r12| = sqrt(r00 r33), in exact binary fractions,
+    # and a step of 1e-3 past it
+    rho = np.diag([0.125, 0.375, 0.375, 0.125]).astype(complex)
+    rho[1, 2] = rho[2, 1] = 0.125
+    assert concurrence(rho) == 0.0
+    rho[1, 2] = rho[2, 1] = 0.125 + 1e-3
+    assert concurrence(rho) == pytest.approx(2e-3, abs=1e-15)
+    # bench trajectory seed 2, op 36 (the singlet at beta*omega = 0.335,
+    # ell = 0) at omega*t = 123.28: rounding leaves both blocks slightly
+    # negative, and the concurrence is that of the positive part, 1 +
+    # 1.58207e-14 in 40-digit mpmath (clipping the diagonal instead gives
+    # 1 + 2.09e-14)
+    rho = np.diag([-3.663636766221683e-15, 0.5000000000000054, 0.5000000000000053,
+                   -7.184806238340544e-15]).astype(complex)
+    rho[1, 2] = rho[2, 1] = -0.5000000000000104
+    assert abs(concurrence(rho) - (1.0 + 1.58207e-14)) <= 2.0 ** -52
+    assert calls == []
+
+
+def test_concurrence_of_a_state_off_the_x_takes_the_general_route(monkeypatch):
+    # a single entry of 1e-300 outside the diagonal and the anti-diagonal,
+    # anywhere, sends the singlet to the eigh route, which gives the same value
+    calls = _eigh_calls(monkeypatch)
+    for i, j in zip(*np.nonzero(~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]))):
+        rho = singlet_density()
+        rho[i, j] = 1e-300
+        calls.clear()
+        assert concurrence(rho) == pytest.approx(1.0, abs=1e-12), (i, j)
+        assert len(calls) == 1, (i, j)
+
+
 # bench trajectory seed 3, op 52: beta = inf and ell = 0, a matrix state that
 # relaxes to rank 2, on 272 samples up to omega*t = 260.2
 RELAXING = {

@@ -4,8 +4,8 @@ reference route, trace and Hermiticity preservation of M, the closed-form
 discriminant against the general product-state one at |-+> and its
 canonical-state reduction,
 the small-time oracle in the charge-0 sector against the general route,
-concurrence against the SVD route and against the partial-transpose
-verdict, the
+concurrence against the SVD route, on general states and on X-states,
+and against the partial-transpose verdict, the
 Gibbs state as a stationary state (the bath is KMS), the closed-form
 asymptotic state against the SVD stationary projector and the long-time
 evolution, the free Hamiltonian as a local turn that commutes with M and
@@ -189,6 +189,23 @@ def test_concurrence_matches_the_svd_route(rank, seed):
     # eigenvalues, rounded to about 1e-17, puts both routes' l_k near 1e-8
     product = random_product_state(rng).density()
     assert max(_wootters_l(product).max(), wootters_l_reference(product).max()) <= 1e-7
+
+
+@SETTINGS
+@given(st.sampled_from([1, 2, 3, 4]), st.integers(0, 2**32 - 1))
+def test_concurrence_of_an_x_state_matches_the_svd_route(rank, seed):
+    # an X-state is a direct sum of a block on {|++>, |-->} and one on
+    # {|+->, |-+>}; up to two of its rank-many kets lie in each, so the
+    # closed form meets pure, rank-deficient and full-rank X-states
+    rng = np.random.default_rng(seed)
+    in_outer = int(rng.integers(max(0, rank - 2), min(2, rank) + 1))
+    weights = rng.dirichlet(np.ones(rank))
+    rho = np.zeros((4, 4), dtype=complex)
+    for k, w in enumerate(weights):
+        ket = np.zeros(4, dtype=complex)
+        ket[[0, 3] if k < in_outer else [1, 2]] = random_unit_complex(rng, dim=2)
+        rho += w * np.outer(ket, ket.conj())
+    assert abs(concurrence(rho) - concurrence_reference(rho)) <= 1e-14
 
 
 @SETTINGS

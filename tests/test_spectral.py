@@ -7,11 +7,12 @@ under test.
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from thermalpair import ModelParams, kossakowski_coefficients, temperature_ratio
-from thermalpair.spectral import KossakowskiCoefficients
+from thermalpair.spectral import KossakowskiCoefficients, _sinc
 
 from util import (build_kossakowski_spectral, coefficient_rates, kossakowski_6x6,
                   kossakowski_from_coefficients, psi_tensors, random_params, random_rotation,
@@ -83,6 +84,20 @@ def test_sinc_bound_and_positivity():
         sv = spectral_density(p, float(rng.uniform(-10, 10)))
         assert sv.g11 >= 0.0
         assert abs(sv.g12) <= sv.g11 + 1e-16
+
+
+def test_sinc_against_mpmath():
+    # relative precision near the zeros of sin: rounding x / pi first, as
+    # np.sinc(x / pi) does, gives 2.560098016399506e-05 at this x near 8 pi
+    assert _sinc(25.13338466804509) == 2.560098016413641e-05
+    assert _sinc(0.0) == 1.0
+    rng = np.random.default_rng(13)
+    xs = np.concatenate([rng.uniform(0.0, 30.0, 400),
+                         [k * math.pi for k in range(1, 10)], [1e-300, 1e-8, 1e-3]])
+    with mp.workdps(40):
+        for x in xs.tolist():
+            exact = mp.sin(mp.mpf(x)) / mp.mpf(x)
+            assert abs(_sinc(x) - exact) <= 2.0 ** -52 * abs(exact), x
 
 
 def test_spectral_density_rejects_nonfinite():
