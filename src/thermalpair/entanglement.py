@@ -9,7 +9,10 @@ and the anti-diagonal are all exactly 0, has the closed form
 C = 2 max(0, |r12| - sqrt(r00 r33), |r03| - sqrt(r11 r22)) (Yu & Eberly,
 Quantum Inf. Comput. 7, 459, 2007); the asymptotic states, and the
 trajectories of the named states, are X-states, since the generator at e3
-couples no X entry to any other.
+couples no X entry to any other.  Any other state takes the l_k as the
+singular values of T = V^T (s2 x s2) V, with V V^dag = rho from a pivoted
+Cholesky factor that drops the rows that are rounding: no eigendecomposition
+of rho, and no square root of an eigenvalue that is only rounding.
 
 Whether the common bath starts entangling a pure product state at t = 0+
 is decided by the discriminant of Benatti, Floreanini & Piani (PRL 91,
@@ -33,6 +36,7 @@ the initial entanglement-production rate over probe vectors.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,23 +89,50 @@ def min_eig_pt(rho: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(0.5 * (pt + pt.conj().T)).min())
 
 
-# S = sigma2 (x) sigma2: real, symmetric and its own inverse
-_SIGMA2_SIGMA2 = np.kron(dynamics.SIGMA[1], dynamics.SIGMA[1]).real
+# a pivot at most this multiple of the largest term it was formed from is rounding
+_PIVOT_REL_TOL = 4.0 * sys.float_info.epsilon
 
 
-def _wootters_l(rho: np.ndarray) -> np.ndarray:
-    """Concurrence's l_1 >= .. >= l_4, the singular values of X = sqrt(rho~)
-    sqrt(rho) with sqrt(rho~) = S sqrt(rho)* S from one eigh, as the four
-    largest eigenvalues of the Hermitian dilation [[0, X], [X^dag, 0]].
-    Each l_k is exact to about eps |X| given sqrt(rho), but on a
-    rank-deficient state sqrt(rho) carries the square roots of the
-    eigenvalues that eigh's rounding leaves near eps, about sqrt(eps), into
-    the l_k."""
-    w, v = np.linalg.eigh(0.5 * (rho + rho.conj().T))
-    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    X = _SIGMA2_SIGMA2 @ root.conj() @ _SIGMA2_SIGMA2 @ root
-    zero = np.zeros((4, 4))
-    return np.linalg.eigvalsh(np.block([[zero, X], [X.conj().T, zero]]))[:3:-1]
+def _wootters_l(r: list) -> np.ndarray:
+    """Concurrence's l_1 >= .. >= l_4 of the 4x4 nested list r.
+
+    A Cholesky factorization with diagonal pivoting of r's Hermitian part
+    gives the k columns of V, V V^dag = rho.  A row is dropped once its
+    diagonal is at most _PIVOT_REL_TOL times the largest term it was formed
+    from, the original |a_ii| and each |c_i|^2 subtracted from it.  That is
+    a per-entry rounding bound, not a global floor: it keeps the graded
+    populations far below eps that a state carries to full relative
+    precision.  The l_k are the singular values of the complex-symmetric
+    T = V^T (s2 x s2) V, which hold for any such V: the k largest
+    eigenvalues of the dilation [[0, T], [T^dag, 0]], and 0 past k.
+    """
+    a = [[(r[i][j] + r[j][i].conjugate()) / 2.0 for j in range(4)] for i in range(4)]
+    d = [a[i][i].real for i in range(4)]
+    bound = [abs(x) for x in d]
+    rows, V = [0, 1, 2, 3], []
+    while rows := [i for i in rows if d[i] > _PIVOT_REL_TOL * bound[i]]:
+        p = max(rows, key=d.__getitem__)
+        rows.remove(p)
+        root = math.sqrt(d[p])
+        c = [0.0] * 4
+        c[p] = root
+        for i in rows:
+            c[i] = a[i][p] / root
+        for i in rows:
+            square = c[i].real ** 2 + c[i].imag ** 2
+            d[i] -= square
+            bound[i] = max(bound[i], square)
+            for j in rows:
+                a[i][j] -= c[i] * c[j].conjugate()
+        V.append(c)
+    # (s2 x s2) v = (-v3, v2, v1, -v0); T is symmetric, so T^dag = T*
+    T = np.array([[u[1] * v[2] + u[2] * v[1] - u[0] * v[3] - u[3] * v[0] for v in V]
+                  for u in V], dtype=complex)
+    k = len(V)
+    dilation = np.zeros((2 * k, 2 * k), dtype=complex)
+    dilation[:k, k:] = T
+    dilation[k:, :k] = T.conj()
+    return np.concatenate((np.linalg.eigvalsh(dilation)[:k - 1:-1], np.zeros(4 - k)))
 
 
 # (row, column) of the entries outside the diagonal and the anti-diagonal,
@@ -114,7 +145,8 @@ def _x_block(a: float, d: float, z: complex) -> tuple[float, float]:
     """(sqrt(a d), |z|) of the positive part of the Hermitian block
     [[a, z], [z*, d]], whose eigenvalues are m +- h: the block itself if
     m >= h, else (m + h)^+ times the projector on the top eigenvector, which
-    gives (m + h)^+ |z| / 2h for both, as _wootters_l clips eigenvalues."""
+    gives (m + h)^+ |z| / 2h for both: a block that rounding leaves slightly
+    indefinite counts with its positive part."""
     m, h = (a + d) / 2.0, math.hypot((a - d) / 2.0, abs(z))
     if m >= h:
         return math.sqrt(max(a, 0.0)) * math.sqrt(max(d, 0.0)), abs(z)
@@ -123,21 +155,21 @@ def _x_block(a: float, d: float, z: complex) -> tuple[float, float]:
 
 
 def concurrence(rho: np.ndarray) -> float:
-    """Wootters concurrence max{0, l1 - l2 - l3 - l4} of the positive part of
-    the Hermitian part of rho.
+    """Wootters concurrence max{0, l1 - l2 - l3 - l4} of the Hermitian part
+    of rho, less what rounding leaves below zero.
 
     The l_k are the decreasing square roots of the eigenvalues of
     rho (s2 x s2) rho* (s2 x s2), conjugation in the computational basis.
     An X-state (every entry in _OFF_X exactly 0) takes the closed form of
-    the module docstring on its two 2x2 blocks (`_x_block`), exact to a few
-    eps at any rank; any other state takes the l_k from `_wootters_l`, which
-    on a rank-deficient state can leave the concurrence off by up to about
-    sqrt(eps).
+    the module docstring on its two 2x2 blocks (`_x_block`); any other
+    state takes the l_k from the pivoted factor of `_wootters_l`.  Neither
+    takes the square root of an eigenvalue that is only rounding, so a
+    rank-deficient state is as accurate as a full-rank one, to a few eps.
     """
     rho = np.asarray(rho, dtype=complex)
     r = rho.tolist()
     if any(r[i][j] for i, j in _OFF_X):
-        lam = _wootters_l(rho)
+        lam = _wootters_l(r)
         return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
     root_out, z_out = _x_block(r[0][0].real, r[3][3].real, (r[0][3] + r[3][0].conjugate()) / 2.0)
     root_in, z_in = _x_block(r[1][1].real, r[2][2].real, (r[1][2] + r[2][1].conjugate()) / 2.0)

@@ -795,47 +795,48 @@ def test_phase_diagram_dense_factorizations(tmp_path, monkeypatch):
 
 
 def test_trajectory_and_asymptotic_dense_factorizations(tmp_path, monkeypatch):
-    # work counter: evolve and asymptotic reach LAPACK only through the
-    # Hermitian eigensolvers.  The exponential takes no linear solve, and
-    # concurrence and trace_norm take no SVD.  concurrence takes its closed
-    # form on an X-state, and otherwise one eigh, for the square root of the
-    # state
+    # work counter: evolve and asymptotic reach LAPACK only through eigvalsh.
+    # The exponential takes no linear solve, and concurrence and trace_norm
+    # take no SVD and no eigh.  concurrence takes its closed form on an
+    # X-state, and otherwise one eigvalsh, of the dilation in _wootters_l
     calls = Counter()
     for module, name in ((np.linalg, "eigvalsh"), (np.linalg, "eigh"), (np.linalg, "svd"),
                          (np.linalg, "solve"), (dynamics, "expm"),
                          (entanglement, "concurrence")):
         def counting(*args, _name=name, _real=getattr(module, name), **kwargs):
             calls[_name] += 1
+            if sys._getframe(1).f_code is entanglement._wootters_l.__code__:
+                calls[f"{_name} in _wootters_l"] += 1
             return _real(*args, **kwargs)
         monkeypatch.setattr(module, name, counting)
 
-    def eigh_calls(doc):
-        """{subcommand: eigh calls} for evolve and asymptotic on doc."""
+    def dilations(doc):
+        """{subcommand: dilation eigvalsh calls} for evolve and asymptotic on doc."""
         path = tmp_path / "config.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
-        eighs = {}
+        found = {}
         for sub, concurrences in (("evolve", 21 + 1), ("asymptotic", 1)):
             calls.clear()
             assert cli.main([sub, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
-            assert calls["svd"] == calls["solve"] == 0, (sub, calls)
+            assert calls["svd"] == calls["solve"] == calls["eigh"] == 0, (sub, calls)
             assert calls["concurrence"] == concurrences, (sub, calls)
             assert (calls["expm"] > 0) == (sub == "evolve"), (sub, calls)
-            eighs[sub] = calls["eigh"]
-        return eighs
+            found[sub] = calls["eigvalsh in _wootters_l"]
+        return found
 
     # the canonical state, its trajectory and its limit are X-states; steps
     # of omega*t = 20 take the Taylor exponential, not the series
     grid = {"t_max": 400, "n_samples": 21}
-    assert eigh_calls({"beta": 0.5, "ell": 0.5, "time_grid": grid}) == {"evolve": 0,
-                                                                        "asymptotic": 0}
+    assert dilations({"beta": 0.5, "ell": 0.5, "time_grid": grid}) == {"evolve": 0,
+                                                                      "asymptotic": 0}
     # at beta = inf and ell = 0 the coherence c = <S|rho|--> is conserved, so
     # a matrix state with c != 0 keeps entries off the X at every sample and
-    # in the limit: one eigh per concurrence
+    # in the limit: one dilation per concurrence
     rho = np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex)
     rho[1, 3] = rho[3, 1] = 0.05
     matrix = {"matrix": [[z.real, z.imag] for z in rho.reshape(-1)]}
-    assert eigh_calls({"beta": "inf", "ell": 0.0, "initial_state": matrix,
-                       "time_grid": grid}) == {"evolve": 21 + 1, "asymptotic": 1}
+    assert dilations({"beta": "inf", "ell": 0.0, "initial_state": matrix,
+                      "time_grid": grid}) == {"evolve": 21 + 1, "asymptotic": 1}
 
 
 def test_a_matrix_initial_state_is_validated_once(tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 """Partial transposition, concurrence and the generation test with its oracles."""
 
 import math
+from collections import Counter
 
 import mpmath as mp
 import numpy as np
@@ -25,13 +26,13 @@ from thermalpair import (
     vec,
 )
 from thermalpair import cli
-from thermalpair.dynamics import _DISSIPATORS, SIGMA
+from thermalpair.dynamics import _DISSIPATORS
 from thermalpair.spectral import kossakowski_coefficients
 
 from util import (KossakowskiMatrix, build_kossakowski_spectral, equilibrium_closed_form,
                   generation_discriminant, generator_with_hamiltonian, is_entangled,
-                  kossakowski_6x6, min_q_rate, mp_rates, oracle_step, q_probe, q_rate,
-                  random_bloch, random_density, random_params, random_product_state,
+                  kossakowski_6x6, min_q_rate, mp_concurrence, mp_rates, oracle_step, q_probe,
+                  q_rate, random_bloch, random_density, random_params, random_product_state,
                   random_rotation, random_separable_density, random_unit_complex,
                   small_time_ppt_reference, uv_vectors, uv_vectors_rotation)
 
@@ -102,20 +103,19 @@ def test_concurrence_of_product_states_vanishes():
         assert concurrence(rho) < 1e-14
 
 
-def _eigh_calls(monkeypatch):
-    """A list that grows by one at every np.linalg.eigh call."""
-    calls, eigh = [], np.linalg.eigh
-
-    def counting(a):
-        calls.append(a)
-        return eigh(a)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting)
+def _linalg_calls(monkeypatch):
+    """A Counter of the np.linalg.eigh and np.linalg.eigvalsh calls."""
+    calls = Counter()
+    for name in ("eigh", "eigvalsh"):
+        def counting(a, _name=name, _real=getattr(np.linalg, name)):
+            calls[_name] += 1
+            return _real(a)
+        monkeypatch.setattr(np.linalg, name, counting)
     return calls
 
 
 def test_concurrence_of_x_states_takes_the_closed_form(monkeypatch):
-    calls = _eigh_calls(monkeypatch)
+    calls = _linalg_calls(monkeypatch)
     h = 1.0 / math.sqrt(2.0)
     # the Bell states |++> +- |-->, |+-> +- |-+>; |++> and |-+>
     for amplitudes, expected in (((h, 0, 0, h), 1.0), ((h, 0, 0, -h), 1.0),
@@ -139,19 +139,36 @@ def test_concurrence_of_x_states_takes_the_closed_form(monkeypatch):
                    -7.184806238340544e-15]).astype(complex)
     rho[1, 2] = rho[2, 1] = -0.5000000000000104
     assert abs(concurrence(rho) - (1.0 + 1.58207e-14)) <= 2.0 ** -52
-    assert calls == []
+    assert calls == {}
 
 
 def test_concurrence_of_a_state_off_the_x_takes_the_general_route(monkeypatch):
     # a single entry of 1e-300 outside the diagonal and the anti-diagonal,
-    # anywhere, sends the singlet to the eigh route, which gives the same value
-    calls = _eigh_calls(monkeypatch)
+    # anywhere, sends the singlet to the factored route, which gives the same
+    # value from no eigh and one eigvalsh, that of the dilation
+    calls = _linalg_calls(monkeypatch)
     for i, j in zip(*np.nonzero(~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]))):
         rho = singlet_density()
         rho[i, j] = 1e-300
         calls.clear()
         assert concurrence(rho) == pytest.approx(1.0, abs=1e-12), (i, j)
-        assert len(calls) == 1, (i, j)
+        assert calls == {"eigvalsh": 1}, (i, j)
+
+
+def test_concurrence_pivots_on_the_largest_diagonal():
+    # sqrt(1 - 1e-6) |+-> + 1e-3 |-+>, concurrence 2 |r12|, with a population
+    # of 1e-30 on |++> that the float state carries to full relative
+    # precision and a coherence of 1e-17 to |-+> that is rounding noise.
+    # Taking |++> first would divide that noise by 1e-15, and the |-+> row
+    # would lose its 1e-6 to a Schur complement of -1e-4.  The pivot order
+    # takes |+-> first; the |-+> row is then rounding and is dropped, and
+    # |++> keeps its 1e-30 (an eigh of the state is 2.2e-16 off)
+    rho = np.zeros((4, 4), dtype=complex)
+    rho[1, 1], rho[2, 2] = 1.0 - 1e-6, 1e-6
+    rho[1, 2] = rho[2, 1] = math.sqrt(1.0 - 1e-6) * 1e-3
+    rho[0, 0] = 1e-30
+    rho[0, 2] = rho[2, 0] = 1e-17
+    assert abs(concurrence(rho) - 2.0 * abs(rho[1, 2])) <= 1e-18  # 2 ulp
 
 
 # bench trajectory seed 3, op 52: beta = inf and ell = 0, a matrix state that
@@ -171,6 +188,17 @@ RELAXING = {
     "time_grid": {"t_max": 260.21073019756466, "n_samples": 272}}
 
 
+# bench trajectory seed 1, op 26: beta = inf, a product state whose two
+# smallest eigenvalues decay far below eps, on 171 samples up to omega*t = 64.8
+DECAYING = {
+    "omega": 0.8428086965505613, "beta": "inf", "ell": 0.22757117582172479,
+    "n": [0.32292862824886326, 0.7091920237171633, 0.6267086839619042],
+    "initial_state": {"product": {
+        "bloch1": [-0.5715525617949185, 0.0018171796559013687, -0.8205634448132356],
+        "bloch2": [-0.39959705918961075, 0.5603733136020589, 0.7254680831640101]}},
+    "time_grid": {"t_max": 64.8218385728122, "n_samples": 171}}
+
+
 # bench trajectory seed 1, op 40: beta*omega = 37.7, where the raising rates
 # are 5.9e-18 and 7.7e-18; the coefficient sums A - B and A' - B' made them
 # 1.39e-17 and put the concurrence off by 2.5e-9
@@ -181,32 +209,30 @@ RAISING = {"beta": 37.68910137249268, "ell": 2.7578138740482747,
 
 def _mp_concurrence(params, rho0, t):
     """Concurrence of exp(t M) vec(rho0) in 40-digit mpmath, with M built from
-    the 40-digit rates (util.mp_rates) and the exact fixed dissipators: the
-    Wootters l_k as the square roots of the eigenvalues of X^dag X."""
+    the 40-digit rates (util.mp_rates) and the exact fixed dissipators."""
     with mp.workdps(40):
         M = mp.zeros(16, 16)
         for rate, D in zip(mp_rates(params), _DISSIPATORS):
             M += rate * mp.matrix(D.tolist())
         v = mp.expm(mp.mpf(t) * M) * mp.matrix(vec(rho0).tolist())
-        rho = mp.matrix([[v[i + 4 * j] for j in range(4)] for i in range(4)])
-        w, q = mp.eighe((rho + rho.H) / 2)
-        root = q * mp.diag([mp.sqrt(max(x, 0)) for x in w]) * q.H
-        flip = mp.matrix(np.kron(SIGMA[1], SIGMA[1]).real.tolist())
-        X = flip * root.conjugate() * flip * root
-        lam = sorted((mp.sqrt(max(x, 0)) for x in mp.eighe(X.H * X)[0]), reverse=True)
-        return float(max(0, lam[0] - lam[1] - lam[2] - lam[3]))
+        return mp_concurrence(mp.matrix([[v[i + 4 * j] for j in range(4)] for i in range(4)]))
 
 
 def test_concurrence_of_a_relaxing_state_against_mpmath():
     # at omega*t = 51.85 the state's smallest eigenvalue, 2.5 eps of the
     # largest, lies along |++>, whose row the float state carries to full
-    # relative precision; eigh resolves it and the concurrence is exact
-    # (zeroing eigenvalues below 4 eps of the largest puts it off by 2.9e-8).
-    # At omega*t = 246.77 the two smallest are below 1e-34, but eigh returns
-    # one at about eps of the largest, and its square root leaves the
-    # concurrence low by 2.7e-8.  At beta*omega = 37.7 the float rates, and
-    # with them the concurrence, are exact to a few eps
-    for doc, samples in ((RELAXING, ((54, 1e-14), (257, 1e-7))), (RAISING, ((36, 1e-14),))):
+    # relative precision; the pivoted factor keeps that row and the
+    # concurrence is exact (zeroing eigenvalues below 4 eps of the largest
+    # puts it off by 2.9e-8).  At omega*t = 246.77 the two smallest are below
+    # 1e-34, and an eigh of the state returned one at about eps of the
+    # largest, whose square root left the concurrence low by 2.7e-8; at
+    # omega*t = 77.78, and on DECAYING at omega*t = 62.92, eigh's absolute
+    # errors of about 1e-22 left it off by 7.7e-12.  The factor drops those
+    # rows as rounding and takes no square root of them.  At beta*omega =
+    # 37.7 the float rates, and with them the concurrence, are exact to a few
+    # eps
+    for doc, samples in ((RELAXING, ((54, 1e-14), (81, 1e-14), (257, 1e-14))),
+                         (DECAYING, ((165, 1e-14),)), (RAISING, ((36, 1e-14),))):
         config = cli.parse_config(doc)
         states = evolve_traj(build_superoperator(config.params), config.rho0, config.times)
         for k, tol in samples:

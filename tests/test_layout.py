@@ -11,7 +11,7 @@ Every guard threshold is a module constant beside the guard that reads it,
 so no function in src/ takes a parameter whose name ends in "tol".  The
 package imports only numpy and a short list of standard-library modules,
 which keeps its share of the start-up time small, and it reaches LAPACK only
-through numpy.linalg's Hermitian eigensolvers (and the vector norm).  It
+through numpy.linalg's Hermitian eigenvalue solver (and the vector norm).  It
 raises no bare RuntimeError: each failure the CLI maps to an exit code has
 its own exception class.
 """
@@ -24,9 +24,10 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "thermalpair"
 ENTRY_POINTS = {("cli", "main")}
 # the top-level modules src/ may import besides its own
 ALLOWED_IMPORTS = {"__future__", "argparse", "dataclasses", "json", "math", "sys", "numpy"}
-# what src/ may call through numpy.linalg: an exponential by linear solve or
-# a concurrence by SVD is a reference route for tests/util.py
-ALLOWED_LINALG = {"eigvalsh", "eigh", "norm"}
+# what src/ may call through numpy.linalg: an exponential by linear solve, a
+# concurrence by SVD or a matrix square root by eigh is a reference route
+# for tests/util.py
+ALLOWED_LINALG = {"eigvalsh", "norm"}
 
 
 def _references(node, skip=None) -> set:

@@ -5,7 +5,8 @@ discriminant against the general product-state one at |-+> and its
 canonical-state reduction,
 the small-time oracle in the charge-0 sector against the general route,
 concurrence against the SVD route, on general states and on X-states,
-and against the partial-transpose verdict, the
+against a 50-digit mpmath concurrence and against the partial-transpose
+verdict, the
 Gibbs state as a stationary state (the bath is KMS), the closed-form
 asymptotic state against the SVD stationary projector and the long-time
 evolution, the free Hamiltonian as a local turn that commutes with M and
@@ -24,6 +25,7 @@ import math
 import tempfile
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
@@ -37,8 +39,8 @@ from thermalpair.entanglement import _wootters_l
 
 from util import (_AT_REST, _HORIZON, _NULLSPACE_REL_TOL, build_kossakowski_spectral,
                   concurrence_reference, generation_discriminant, generator_with_hamiltonian,
-                  hamiltonian, kossakowski_6x6, kossakowski_from_coefficients, oracle_step,
-                  random_density, random_product_state, random_unit_complex,
+                  hamiltonian, kossakowski_6x6, kossakowski_from_coefficients, mp_concurrence,
+                  oracle_step, random_density, random_product_state, random_unit_complex,
                   small_time_ppt_reference, spectral_gap, stationary_projector,
                   superoperator_reference, wootters_l_reference)
 
@@ -174,21 +176,59 @@ def test_sector_oracle_is_the_general_route(bw, wl):
 @SETTINGS
 @given(st.sampled_from([1, 2, 3, 4]), st.integers(0, 2**32 - 1))
 def test_concurrence_matches_the_svd_route(rank, seed):
-    # l_k from one eigh and the dilation's eigvalsh against the singular
-    # values of sqrt(rho~) sqrt(rho), each root from its own eigh: pure
-    # (generically entangled), rank-deficient and full-rank states
+    # l_k from the pivoted factor and the dilation's eigvalsh against the
+    # singular values of sqrt(rho~) sqrt(rho), each root from its own eigh:
+    # pure (generically entangled), rank-deficient and full-rank states
     rng = np.random.default_rng(seed)
     weights = rng.dirichlet(np.ones(rank))
     kets = [random_unit_complex(rng) for _ in range(rank)]
     rho = sum(w * np.outer(k, k.conj()) for w, k in zip(weights, kets))
-    lam, ref = _wootters_l(rho), wootters_l_reference(rho)
+    lam, ref = _wootters_l(rho.tolist()), wootters_l_reference(rho)
     assert np.all(np.diff(lam) <= 0), lam
     assert np.abs(lam - ref).max() <= 1e-14, (lam, ref)
     assert abs(concurrence(rho) - concurrence_reference(rho)) <= 4e-14
-    # a pure product state has l = 0, but the square root of its three zero
-    # eigenvalues, rounded to about 1e-17, puts both routes' l_k near 1e-8
+    # a pure product state has l = 0.  The factor keeps its one row and T
+    # is rounding; the reference takes the square roots of its three zero
+    # eigenvalues, rounded to about 1e-17, and its l_k come near 1e-8
     product = random_product_state(rng).density()
-    assert max(_wootters_l(product).max(), wootters_l_reference(product).max()) <= 1e-7
+    assert _wootters_l(product.tolist()).max() <= 1e-15
+    assert wootters_l_reference(product).max() <= 1e-7
+
+
+def _mp_concurrence(weights, kets) -> float:
+    """The concurrence of sum_k w_k |k><k| in 50-digit mpmath, from the float
+    weights and kets."""
+    with mp.workdps(50):
+        rho = mp.zeros(4, 4)
+        for w, k in zip(weights, kets):
+            ket = mp.matrix(k.tolist())
+            rho += mp.mpf(float(w)) * ket * ket.H
+        return mp_concurrence(rho)
+
+
+@settings(SETTINGS, max_examples=200)
+@given(st.sampled_from([1, 2, 3, 4]), st.booleans(), st.booleans(), st.integers(0, 2**32 - 1))
+@example(1, False, False, 44)
+@example(3, True, True, 317)
+def test_concurrence_against_mpmath(rank, graded, with_product, seed):
+    # rank 1 to 4, with uniform weights or weights graded down to 1e-30, and
+    # a product ket among the kets, against the 50-digit concurrence of the
+    # state they define.  The reference is the state, not the float matrix:
+    # on the seed-317 draw that matrix has an eigenvalue of 3.3e-17 from
+    # rounding alone, which puts 1.8e-14 into its own l_3.  Over 1400 graded
+    # draws the float matrix's own concurrence strays from the state's by up
+    # to 5.9e-15, and the factor's by up to 5.4e-15.  On the seed-44 pure
+    # state a factor that stops only at a pivot <= 0 gives l = (0.710,
+    # 0.024) for (0.686, 0); one that drops only the rows with a diagonal
+    # <= 0 keeps a rounding row of the seed-317 draw and is 1.6e-14 off
+    rng = np.random.default_rng(seed)
+    weights = 10.0 ** rng.uniform(-30.0, 0.0, rank) if graded else rng.dirichlet(np.ones(rank))
+    weights = weights / weights.sum()
+    kets = [random_unit_complex(rng) for _ in range(rank)]
+    if with_product:
+        kets[0] = np.kron(random_unit_complex(rng, 2), random_unit_complex(rng, 2))
+    rho = sum(w * np.outer(k, k.conj()) for w, k in zip(weights, kets))
+    assert abs(concurrence(rho) - _mp_concurrence(weights, kets)) <= 8e-15
 
 
 @SETTINGS

@@ -210,6 +210,19 @@ def concurrence_reference(rho: np.ndarray) -> float:
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
 
+def mp_concurrence(rho) -> float:
+    """Wootters concurrence of the mpmath matrix rho at the working precision:
+    the l_k as the square roots of the eigenvalues of X^dag X,
+    X = sqrt(rho~) sqrt(rho), with sqrt(rho) from the clipped eigenvalues of
+    rho's Hermitian part."""
+    w, q = mp.eighe((rho + rho.H) / 2)
+    root = q * mp.diag([mp.sqrt(max(x, 0)) for x in w]) * q.H
+    flip = mp.matrix(np.kron(SIGMA[1], SIGMA[1]).real.tolist())
+    X = flip * root.conjugate() * flip * root
+    lam = sorted((mp.sqrt(max(x, 0)) for x in mp.eighe(X.H * X)[0]), reverse=True)
+    return float(max(0, lam[0] - lam[1] - lam[2] - lam[3]))
+
+
 # ---------------------------------------------------------------------------
 # the 3x3 blocks of the Kossakowski matrix
 # ---------------------------------------------------------------------------
