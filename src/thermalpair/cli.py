@@ -22,10 +22,11 @@ report drops c when 2|c| <= _CONV_TOL and refuses the state otherwise;
 The phase diagram starts from the canonical state |-> (x) |+>: at each
 grid point it evaluates the generation discriminant in closed form from
 K's coefficients (`entanglement.generation_test`) and checks the verdict
-against the small-time oracle.  That evolves the state in the charge-0
-sector `entanglement.Q0`, where it is an X-state: its spectrum is r00, r33,
-(r11 + r22)/2 +- hypot((r11 - r22)/2, c), its partial transpose's r11, r22,
-(r00 + r33)/2 +- hypot((r00 - r33)/2, c).
+against the small-time oracle.  That evolves the state by its own step and
+Taylor series in the charge-0 sector `entanglement.Q0`, where it is an
+X-state: its spectrum is r00, r33, (r11 + r22)/2 +- hypot((r11 - r22)/2, c),
+its partial transpose's r11, r22, (r00 + r33)/2 +- hypot((r00 - r33)/2, c).
+`evolve` multiplies each state by the Taylor exponential `dynamics.expm`.
 
 Exit codes: 0 ok, 2 config validation failure or an unwritable output
 path, 3 an implementation-bug guard (discriminant/oracle disagreement, or
@@ -70,9 +71,8 @@ MAX_RK_WORK = 2e5
 # below this beta*omega the square of the thermal factor coth(beta*omega/2),
 # which scales the discriminant and |K|_2^2, is not a finite float
 MIN_BETA_OMEGA = 1.5e-154
-# phase-diagram guard: the small-time oracle evolves by omega*t = _ORACLE_DT and
-# must agree with the discriminant wherever |rs_margin| > _ORACLE_BAND
-_ORACLE_DT = 1e-3
+# phase-diagram guard: the small-time oracle must agree with the discriminant
+# wherever |rs_margin| > _ORACLE_BAND
 _ORACLE_BAND = 1e-3
 # include_hs in asymptotic: a coherence c with 2|c| above this turns forever
 _CONV_TOL = 1e-8
@@ -332,7 +332,7 @@ def cmd_phase_diagram(config: RunConfig, out_path: str | None) -> int:
                 coeffs = kossakowski_coefficients(params)
                 margin, label = entanglement.generation_test(coeffs)
                 R, S, rs_margin = entanglement.criterion_rs(params)
-                oracle = entanglement.small_time_ppt_oracle(params, _ORACLE_DT)
+                oracle = entanglement.small_time_ppt_oracle(params)
                 if abs(rs_margin) > _ORACLE_BAND and (label == "true") != oracle:
                     first = first or (f"beta_omega={bw}, omega_ell={wl} "
                                       f"(rs_margin={rs_margin}, oracle={oracle})")

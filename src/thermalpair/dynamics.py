@@ -13,12 +13,11 @@ another axis to e3 and back).  The free Hamiltonian's -i[H_S, .] commutes
 with D, so it only turns both atoms by one local unitary, which no emitted
 quantity sees but `asymptotic`'s report with include_hs (`cli`).
 
-Evolution applies exp(t M) to vec(rho0) (`expm_multiply`): a Taylor series
-of matrix-vector products while |t M|_1 <= _THETA_T, and the Taylor
-exponential (`expm`, no linear solve) above it.  The phase diagram's
-small-time oracle shortens its step on M's charge-0 block to stay in the
-series.  A trajectory steps from sample to sample and is cross-checked
-from t = 0 by an adaptive RK45 (`solve_ivp`).
+Evolution multiplies vec(rho0) by the Taylor exponential exp(t M) (`expm`,
+no linear solve).  A trajectory steps from sample to sample and is
+cross-checked from t = 0 by an adaptive RK45 (`solve_ivp`).  The phase
+diagram's small-time oracle has its own kernel, a Taylor series of
+matrix-vector products (`entanglement`).
 """
 
 from __future__ import annotations
@@ -110,11 +109,6 @@ _POS_TOL = 1e-8
 _THETA_T30 = 3.5
 _TAYLOR30_BLOCKS = np.array([[1.0 / math.factorial(6 * j + i) if 6 * j + i <= 30 else 0.0
                               for i in range(6)] for j in range(6)])
-# expm_multiply sums the Taylor series of exp(A) v up to this 1-norm of A
-# (degree m <= 12 there), and multiplies by expm(A) above it.  At 0.3 on a
-# 16x16 generator the series took about 55 us against about 85 us for
-# expm (timeit on a 2-vCPU Xeon VM); they break even near 1.
-_THETA_T = 0.3
 
 
 def expm(A: np.ndarray) -> np.ndarray:
@@ -139,28 +133,6 @@ def expm(A: np.ndarray) -> np.ndarray:
     for _ in range(s):
         R = R @ R
     return R
-
-
-def expm_multiply(A: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """exp(A) v, without forming exp(A) when |A|_1 <= _THETA_T.
-
-    There it is the Taylor polynomial of degree m in Horner form, y = v and
-    y = v + A y / j for j = m..1, with m the smallest degree whose
-    truncation bound |A|_1^(m+1) / (m+1)! is at most 2^-53 (Al-Mohy &
-    Higham, SIAM J. Sci. Comput. 33, 488 (2011)); every step is a
-    matrix-vector product.  A larger or non-finite norm takes expm(A) @ v.
-    """
-    norm = np.abs(A).sum(axis=0).max()
-    if not norm <= _THETA_T:
-        return expm(A) @ v
-    m, bound = 0, norm
-    while bound > 2.0**-53:
-        m += 1
-        bound *= norm / (m + 1)
-    y = v
-    for j in range(m, 0, -1):
-        y = v + (A @ y) / j
-    return y
 
 
 # Dormand-Prince 5(4) pair (J. Comput. Appl. Math. 6, 19 (1980)): stage
@@ -326,8 +298,8 @@ def build_superoperator(params: ModelParams) -> np.ndarray:
 
 
 def evolve(M: np.ndarray, rho0: np.ndarray, t: float, t0: float = 0.0) -> np.ndarray:
-    """rho(t) = unvec(exp((t - t0) M) vec(rho0)) by expm_multiply, for the
-    state rho0 at time t0 <= t, re-Hermitized and renormalized.
+    """rho(t) = unvec(expm((t - t0) M) @ vec(rho0)), for the state rho0 at
+    time t0 <= t, re-Hermitized and renormalized.
 
     rho0 must already be a valid 4x4 density matrix (an array, as
     validate_density_matrix returns it); it is not checked here, and
@@ -345,7 +317,7 @@ def evolve(M: np.ndarray, rho0: np.ndarray, t: float, t0: float = 0.0) -> np.nda
         return rho0.copy()
     # an overflow is reported once, as the PositivityError below
     with np.errstate(over="ignore", invalid="ignore"):
-        rho = unvec(expm_multiply((t - t0) * M, vec(rho0)))
+        rho = unvec(expm((t - t0) * M) @ vec(rho0))
     if not np.isfinite(rho).all():
         raise PositivityError(f"evolved state is not finite at t={t}")
     herm_dev = np.abs(rho - rho.conj().T).max()

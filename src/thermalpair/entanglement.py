@@ -24,13 +24,16 @@ collapses to R^2 + S^2 > 1 with R = tanh(beta omega / 2) and
 S = sinc(omega ell); the general test for any product state is the
 reference in the test suite.  The phase diagram checks the verdict
 against an independent oracle, the partial transpose of |-> (x) |+>
-evolved by a short time under K's rates (`small_time_ppt_oracle`).  That
-state stays in the charge-0 sector Q0, an
-X-state with populations r00..r33 and real coherence c = <+-|rho|-+>: its
-spectrum r00, r33, (r11 + r22)/2 +- hypot((r11 - r22)/2, c) and its partial
-transpose's r11, r22, (r00 + r33)/2 +- hypot((r00 - r33)/2, c) are closed
-forms.  The tests add the oracle's general route and the exact minimum of
-the initial entanglement-production rate over probe vectors.
+evolved by a short time under K's rates (`small_time_ppt_oracle`).  The
+oracle owns its kernel, the Taylor series of exp(t M) v in matrix-vector
+products, and its step, capped so that the series stays short;
+`dynamics.evolve` multiplies by `dynamics.expm` instead.  The state stays
+in the charge-0 sector Q0, an X-state with populations r00..r33 and real
+coherence c = <+-|rho|-+>: its spectrum r00, r33,
+(r11 + r22)/2 +- hypot((r11 - r22)/2, c) and its partial transpose's r11,
+r22, (r00 + r33)/2 +- hypot((r00 - r33)/2, c) are closed forms.  The tests
+add the oracle's general route and the exact minimum of the initial
+entanglement-production rate over probe vectors.
 """
 
 from __future__ import annotations
@@ -165,6 +168,10 @@ def concurrence(rho: np.ndarray) -> float:
     state takes the l_k from the pivoted factor of `_wootters_l`.  Neither
     takes the square root of an eigenvalue that is only rounding, so a
     rank-deficient state is as accurate as a full-rank one, to a few eps.
+    The closed form stays for precision and speed, not memory: on a singlet
+    that rounding leaves slightly indefinite the factor is 5.1e-15 off where
+    the closed form is within 2^-52, and on an X-state it is 5 to 15 times
+    slower per call.
     """
     rho = np.asarray(rho, dtype=complex)
     r = rho.tolist()
@@ -208,6 +215,13 @@ def criterion_rs(params: ModelParams):
 
 # partial-transpose eigenvalues below -_ORACLE_NEG_TOL count as negative in the oracle
 _ORACLE_NEG_TOL = 1e-13
+# the oracle evolves by omega*t = _ORACLE_DT, or by _THETA_T / |M|_1 where that
+# is shorter: its Taylor series then needs degree m <= 12.  The series, not
+# dynamics.expm, because expm's matrix-matrix products would be the first in
+# a sweep process: with them a 256-point sweep's peak RSS in a fresh process
+# rose by a median of 0.14 MB (6 of 6 pairs, one BLAS thread)
+_ORACLE_DT = 1e-3
+_THETA_T = 0.3
 
 # vec indices (a + 4b of |a><b|) of the sector m_a = m_b, which every dissipator
 # maps into itself: |++><++|, |+-><+-|, |-+><+-|, |+-><-+|, |-+><-+|, |--><--|
@@ -216,21 +230,35 @@ _DISSIPATORS_Q0 = dynamics._DISSIPATORS[:, Q0][:, :, Q0]
 _CANONICAL_Q0 = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 0.0])
 
 
-def small_time_ppt_oracle(params: ModelParams, dt: float) -> bool:
+def _taylor_action(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """exp(A) v as the Taylor polynomial of degree m in Horner form, y = v and
+    y = v + A y / j for j = m..1, with m >= 1 the smallest degree whose
+    truncation bound |A|_1^(m+1) / (m+1)! is at most 2^-53 (Al-Mohy &
+    Higham, SIAM J. Sci. Comput. 33, 488 (2011)); every step is a
+    matrix-vector product.  At least one term, so a non-finite A reaches
+    the result."""
+    norm = np.abs(A).sum(axis=0).max()
+    m, bound = 1, norm * norm / 2.0
+    while bound > 2.0**-53:
+        m += 1
+        bound *= norm / (m + 1)
+    y = v
+    for j in range(m, 0, -1):
+        y = v + (A @ y) / j
+    return y
+
+
+def small_time_ppt_oracle(params: ModelParams) -> bool:
     """Whether |-> (x) |+>, evolved by a short step in Q0 under the generator's
     Q0 block M, has a partial-transpose eigenvalue below -_ORACLE_NEG_TOL; the
     state passes dynamics.evolve's guards with the closed-form spectra of the
-    module docstring.  The step is dt (of order 1e-3 per unit frequency), or
-    just under dynamics._THETA_T / |M|_1 where that is shorter, so that
-    exp(step M) is always the Taylor series and never squares; the guards'
-    messages name the step taken."""
-    if not (dt > 0):
-        raise ValueError(f"dt must be positive, got {dt}")
+    module docstring.  The step is _ORACLE_DT, or _THETA_T / |M|_1 where that
+    is shorter, and exp(step M) is the Taylor series (`_taylor_action`); the
+    guards' messages name the step taken."""
     M = np.tensordot(kossakowski_eigenvalues(params), _DISSIPATORS_Q0, axes=1)
-    # 1 - 2^-48 absorbs the rounding of dt * M and of its column sums
-    dt = min(dt, dynamics._THETA_T / float(np.abs(M).sum(axis=0).max()) * (1.0 - 2.0**-48))
+    dt = min(_ORACLE_DT, _THETA_T / float(np.abs(M).sum(axis=0).max()))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check below
-        v = dynamics.expm_multiply(dt * M, _CANONICAL_Q0)
+        v = _taylor_action(dt * M, _CANONICAL_Q0)
     if not np.isfinite(v).all():
         raise dynamics.PositivityError(f"evolved state is not finite at t={dt}")
     r00, r11, c21, c12, r22, r33 = v.tolist()

@@ -278,7 +278,7 @@ def test_phase_diagram_stderr(tmp_path, sweep, code, stderr):
 def test_oracle_disagreement_exits_3_after_every_row(tmp_path, monkeypatch, capsys):
     # rows are written as each point is computed, so a disagreement leaves
     # the whole CSV, and the error names the first point and the count
-    monkeypatch.setattr(entanglement, "small_time_ppt_oracle", lambda params, dt: False)
+    monkeypatch.setattr(entanglement, "small_time_ppt_oracle", lambda params: False)
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps(SWEEP), encoding="utf-8")
     assert cli.main(["phase-diagram", "--config", str(path)]) == 3
@@ -735,9 +735,8 @@ def test_parser_reuse_keeps_calls_independent(tmp_path, monkeypatch, capsys):
 def test_phase_diagram_takes_no_svd(tmp_path, monkeypatch):
     # the boundary band is sized from K's closed-form eigenvalues, so the
     # sweep path needs neither an SVD nor a matrix norm, also at ell = 0; the
-    # oracle's step has |dt M|_1 <= dynamics._THETA_T, so it applies exp(dt M)
-    # to the state by a Taylor series of matrix-vector products and forms no
-    # matrix exponential
+    # oracle applies exp(dt M) to the state by its own Taylor series of
+    # matrix-vector products and forms no matrix exponential
     def forbidden(*args, **kwargs):
         raise AssertionError("the phase diagram called an SVD, a matrix norm, a linear "
                              "solve or a matrix exponential")
@@ -755,12 +754,14 @@ def test_phase_diagram_takes_no_svd(tmp_path, monkeypatch):
 def test_phase_diagram_dense_factorizations(tmp_path, monkeypatch):
     # work counter: the oracle takes its spectra in closed form, so a sweep
     # makes no eigvalsh, eigh, svd or solve call at any beta*omega and
-    # omega*ell corner; below beta*omega of about 0.007 |1e-3 M_q0|_1 exceeds
-    # dynamics._THETA_T, and the oracle shortens its step to stay in the
-    # Taylor series, so no point forms a matrix exponential either
+    # omega*ell corner; it applies exp(dt M) by one call of its Taylor series
+    # per grid point, also below beta*omega of about 0.007, where |1e-3 M_q0|_1
+    # exceeds entanglement._THETA_T and the oracle shortens its step, so no
+    # point forms a matrix exponential either
     calls = Counter()
     for module, name in ((np.linalg, "eigvalsh"), (np.linalg, "eigh"), (np.linalg, "svd"),
-                         (np.linalg, "solve"), (dynamics, "expm")):
+                         (np.linalg, "solve"), (dynamics, "expm"),
+                         (entanglement, "_taylor_action")):
         def counting(*args, _name=name, _real=getattr(module, name), **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
@@ -777,7 +778,8 @@ def test_phase_diagram_dense_factorizations(tmp_path, monkeypatch):
     for omega, omega_ell in ((1.0, [0.0, 0.0, 1]), (0.25, [1e-8, 1e-3, 5]),
                              (4.0, [0.0, 12.0, 7])):
         assert sweep({"omega": omega, "sweep": {"beta_omega": [0.05, 50.0, 6],
-                                                "omega_ell": omega_ell}}) == {}
+                                                "omega_ell": omega_ell}}) == {
+            "_taylor_action": 6 * omega_ell[2]}
 
     beta_omega, omega_ell = np.linspace(0.001, 0.05, 30), np.linspace(0.0, 1e-4, 30)
     capped_points = 0
@@ -786,23 +788,25 @@ def test_phase_diagram_dense_factorizations(tmp_path, monkeypatch):
             lam = spectral.kossakowski_eigenvalues(spectral.ModelParams(beta_omega=bw,
                                                                         omega_ell=wl))
             M = np.tensordot(lam, entanglement._DISSIPATORS_Q0, axes=1)
-            capped_points += np.abs(1e-3 * M).sum(axis=0).max() > dynamics._THETA_T
+            capped_points += np.abs(1e-3 * M).sum(axis=0).max() > entanglement._THETA_T
     assert 0 < capped_points < 900
     assert sweep({"sweep": {"beta_omega": [0.001, 0.05, 30],
-                            "omega_ell": [0.0, 1e-4, 30]}}) == {}
+                            "omega_ell": [0.0, 1e-4, 30]}}) == {"_taylor_action": 900}
     assert sweep({"sweep": {"beta_omega": [1e-20, 1e-3, 30],
-                            "omega_ell": [0.0, 1e-4, 30]}}) == {}
+                            "omega_ell": [0.0, 1e-4, 30]}}) == {"_taylor_action": 900}
 
 
 def test_trajectory_and_asymptotic_dense_factorizations(tmp_path, monkeypatch):
     # work counter: evolve and asymptotic reach LAPACK only through eigvalsh.
     # The exponential takes no linear solve, and concurrence and trace_norm
     # take no SVD and no eigh.  concurrence takes its closed form on an
-    # X-state, and otherwise one eigvalsh, of the dilation in _wootters_l
+    # X-state, and otherwise one eigvalsh, of the dilation in _wootters_l.
+    # evolve multiplies by one expm per positive step and never takes the
+    # oracle's Taylor series; asymptotic takes neither
     calls = Counter()
     for module, name in ((np.linalg, "eigvalsh"), (np.linalg, "eigh"), (np.linalg, "svd"),
                          (np.linalg, "solve"), (dynamics, "expm"),
-                         (entanglement, "concurrence")):
+                         (entanglement, "concurrence"), (entanglement, "_taylor_action")):
         def counting(*args, _name=name, _real=getattr(module, name), **kwargs):
             calls[_name] += 1
             if sys._getframe(1).f_code is entanglement._wootters_l.__code__:
@@ -820,12 +824,13 @@ def test_trajectory_and_asymptotic_dense_factorizations(tmp_path, monkeypatch):
             assert cli.main([sub, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
             assert calls["svd"] == calls["solve"] == calls["eigh"] == 0, (sub, calls)
             assert calls["concurrence"] == concurrences, (sub, calls)
-            assert (calls["expm"] > 0) == (sub == "evolve"), (sub, calls)
+            assert calls["expm"] == (20 if sub == "evolve" else 0), (sub, calls)
+            assert calls["_taylor_action"] == 0, (sub, calls)
             found[sub] = calls["eigvalsh in _wootters_l"]
         return found
 
-    # the canonical state, its trajectory and its limit are X-states; steps
-    # of omega*t = 20 take the Taylor exponential, not the series
+    # the canonical state, its trajectory and its limit are X-states; the
+    # 21-sample grid starts at t = 0, so it has 20 positive steps
     grid = {"t_max": 400, "n_samples": 21}
     assert dilations({"beta": 0.5, "ell": 0.5, "time_grid": grid}) == {"evolve": 0,
                                                                       "asymptotic": 0}

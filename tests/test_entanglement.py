@@ -27,14 +27,16 @@ from thermalpair import (
 )
 from thermalpair import cli
 from thermalpair.dynamics import _DISSIPATORS
+from thermalpair.entanglement import _THETA_T, _taylor_action
 from thermalpair.spectral import kossakowski_coefficients
 
-from util import (KossakowskiMatrix, build_kossakowski_spectral, equilibrium_closed_form,
-                  generation_discriminant, generator_with_hamiltonian, is_entangled,
-                  kossakowski_6x6, min_q_rate, mp_concurrence, mp_rates, oracle_step, q_probe,
-                  q_rate, random_bloch, random_density, random_params, random_product_state,
-                  random_rotation, random_separable_density, random_unit_complex,
-                  small_time_ppt_reference, uv_vectors, uv_vectors_rotation)
+from util import (KossakowskiMatrix, build_kossakowski_spectral, corner_generators,
+                  equilibrium_closed_form, generation_discriminant, generator_with_hamiltonian,
+                  is_entangled, kossakowski_6x6, min_q_rate, mp_concurrence, mp_rates,
+                  oracle_step, q_probe, q_rate, random_bloch, random_density, random_params,
+                  random_product_state, random_rotation, random_separable_density,
+                  random_unit_complex, small_time_ppt_reference, uv_vectors,
+                  uv_vectors_rotation)
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -429,13 +431,8 @@ def test_small_time_oracle_frozen_points():
     rho0 = canonical_state().density()
     for ell, expected in ((0.5, True), (3.0, False)):
         params = ModelParams(beta_omega=1.0, omega_ell=ell)
-        assert small_time_ppt_oracle(params, 1e-3) is expected
+        assert small_time_ppt_oracle(params) is expected
         assert small_time_ppt_reference(build_superoperator(params), rho0, 1e-3) is expected
-
-
-def test_small_time_oracle_rejects_bad_dt():
-    with pytest.raises(ValueError):
-        small_time_ppt_oracle(ModelParams(beta_omega=1.0, omega_ell=0.5), 0.0)
 
 
 @pytest.mark.parametrize("beta_omega,message", [
@@ -453,9 +450,31 @@ def test_oracle_caps_its_step_where_the_general_route_overflows(beta_omega, mess
     with pytest.raises(PositivityError) as exc:
         small_time_ppt_reference(M, rho0, 1e-3)
     assert str(exc.value) == message
-    step = oracle_step(params, 1e-3)
+    step = oracle_step(params)
     assert step < 1e-30
-    assert small_time_ppt_oracle(params, 1e-3) is small_time_ppt_reference(M, rho0, step) is False
+    assert small_time_ppt_oracle(params) is small_time_ppt_reference(M, rho0, step) is False
+
+
+def test_taylor_action_matches_scipy():
+    # exp(A) v by the oracle's series at |A|_1 from 1e-6 to just past
+    # _THETA_T, which the oracle's step reaches to rounding; 0.039 is its
+    # step at beta*omega = 0.05.  The series has no fallback, so the last
+    # norm tests the series itself past _THETA_T
+    from scipy.linalg import expm as scipy_expm  # reference route, tests only
+
+    eps, theta = np.finfo(float).eps, _THETA_T
+    rng = np.random.default_rng(7)
+    for label, M in corner_generators(41, 120):
+        norm_M = np.abs(M).sum(axis=0).max()
+        v = vec(random_density(rng))
+        for norm in (1e-6, 0.039, theta * (1 - 2**-40), theta * (1 + 2**-20)):
+            A = M * (norm / norm_M)
+            assert (np.abs(A).sum(axis=0).max() <= theta) == (norm < theta), (label, norm)
+            diff = np.abs(_taylor_action(A, v) - scipy_expm(A) @ v).max()
+            assert diff <= 4 * eps * np.abs(v).max(), (label, norm, diff)
+    # the series takes at least one term, so a non-finite A, whose norm stops
+    # no degree loop, still reaches the result and fails the oracle's guard
+    assert np.isnan(_taylor_action(np.full((6, 6), np.nan), np.ones(6))).all()
 
 
 def test_oracle_agrees_for_generic_product_states():

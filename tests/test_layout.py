@@ -13,7 +13,8 @@ package imports only numpy and a short list of standard-library modules,
 which keeps its share of the start-up time small, and it reaches LAPACK only
 through numpy.linalg's Hermitian eigenvalue solver (and the vector norm).  It
 raises no bare RuntimeError: each failure the CLI maps to an exit code has
-its own exception class.
+its own exception class.  A module reads another module's `_`-prefixed
+names only where ALLOWED_PRIVATE lists them.
 """
 
 import ast
@@ -28,6 +29,11 @@ ALLOWED_IMPORTS = {"__future__", "argparse", "dataclasses", "json", "math", "sys
 # concurrence by SVD or a matrix square root by eigh is a reference route
 # for tests/util.py
 ALLOWED_LINALG = {"eigvalsh", "norm"}
+# the `_`-prefixed names one module of src/ reads from another: the fixed
+# dissipators the oracle restricts to Q0, the axis check of a product state's
+# Bloch vectors and the sinc of the generation test's reduction
+ALLOWED_PRIVATE = {("dynamics", "_DISSIPATORS"), ("dynamics", "_unit_vector"),
+                   ("spectral", "_sinc")}
 
 
 def _references(node, skip=None) -> set:
@@ -166,3 +172,26 @@ def test_raises_no_bare_runtime_error():
                 if isinstance(exc, ast.Name) and exc.id == "RuntimeError":
                     found.append(f"{module}:{node.lineno}: {ast.unparse(node)}")
     assert not found, f"bare RuntimeError raised in src/: {found}"
+
+
+def test_reads_other_modules_private_names_only_from_the_allowlist():
+    # `from .module import _name` and `module._name`, module a sibling in src/;
+    # the allowlist is exact, so a read that goes leaves it too
+    trees = _trees()
+    read = {}
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                pairs = [(node.module, alias.name) for alias in node.names]
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in trees):
+                pairs = [(node.value.id, node.attr)]
+            else:
+                continue
+            for pair in pairs:
+                if pair[1].startswith("_") and pair[0] != module:
+                    read.setdefault(pair, f"{module}:{node.lineno}")
+    beyond = {f"{read[pair]}: {'.'.join(pair)}" for pair in read.keys() - ALLOWED_PRIVATE}
+    assert not beyond, f"private names read across modules: {sorted(beyond)}"
+    stale = ALLOWED_PRIVATE - read.keys()
+    assert not stale, f"allowlisted but not read: {sorted(stale)}"

@@ -155,8 +155,8 @@ ORACLE_BAND = 1e-3
 
 
 # the oracle's corners: beta = inf, ell = 0, the crossover, and beta*omega down
-# to 1e-20, where 1e-3 |M_q0|_1 exceeds dynamics._THETA_T (below about 0.007)
-# and the oracle shortens its step to stay in the Taylor series; the general
+# to 1e-20, where 1e-3 |M_q0|_1 exceeds entanglement._THETA_T (below about 0.007)
+# and the oracle shortens its step to keep its Taylor series short; the general
 # route is evolved by the same step
 @SETTINGS
 @given(st.one_of(st.just(math.inf), _log_uniform(1e-3, 1e3), _log_uniform(1e-3, 1e-2),
@@ -167,9 +167,9 @@ ORACLE_BAND = 1e-3
 @example(1e-10, 3.0)
 def test_sector_oracle_is_the_general_route(bw, wl):
     params = ModelParams(beta_omega=bw, omega_ell=wl)
-    oracle = small_time_ppt_oracle(params, 1e-3)
+    oracle = small_time_ppt_oracle(params)
     ref = small_time_ppt_reference(build_superoperator(params), canonical_state().density(),
-                                   oracle_step(params, 1e-3))
+                                   oracle_step(params))
     assert oracle == ref, (oracle, ref)
 
 

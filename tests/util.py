@@ -25,11 +25,12 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 
-from thermalpair import (KossakowskiCoefficients, ModelParams, ProductState, bloch_ket, evolve,
-                         kossakowski_coefficients, kossakowski_eigenvalues, min_eig_pt,
-                         partial_transpose, unvec, vec)
-from thermalpair.dynamics import _THETA_T, SIGMA, _unit_vector, expm
-from thermalpair.entanglement import _BOUNDARY_REL_TOL, _DISSIPATORS_Q0, _ORACLE_NEG_TOL
+from thermalpair import (KossakowskiCoefficients, ModelParams, ProductState, bloch_ket,
+                         build_superoperator, evolve, kossakowski_coefficients,
+                         kossakowski_eigenvalues, min_eig_pt, partial_transpose, unvec, vec)
+from thermalpair.dynamics import SIGMA, _unit_vector, expm
+from thermalpair.entanglement import (_BOUNDARY_REL_TOL, _DISSIPATORS_Q0, _ORACLE_DT,
+                                      _ORACLE_NEG_TOL, _THETA_T)
 from thermalpair.spectral import TWO_PI, _sinc
 
 # Levi-Civita symbol, epsilon[i, j, k]
@@ -414,6 +415,25 @@ def generator_with_hamiltonian(params: ModelParams) -> np.ndarray:
     return superoperator_reference(K, hamiltonian((0.0, 0.0, 1.0)))
 
 
+def corner_generators(seed, count):
+    """(label, M) for `count` seeded random_params, with the free
+    Hamiltonian (the reference generator) on every other one; asserts that
+    beta = inf, ell = 0 and include_hs all occur."""
+    rng = np.random.default_rng(seed)
+    out, seen = [], set()
+    for k in range(count):
+        p = random_params(rng)
+        include_hs = k % 2 == 1
+        seen |= {"beta_inf"} if math.isinf(p.beta_omega) else set()
+        seen |= {"ell_0"} if p.omega_ell == 0 else set()
+        seen |= {"include_hs"} if include_hs else set()
+        out.append((f"{p} include_hs={include_hs}",
+                    generator_with_hamiltonian(p) if include_hs
+                    else build_superoperator(p)))
+    assert seen == {"beta_inf", "ell_0", "include_hs"}
+    return out
+
+
 def choi_matrix(M: np.ndarray, t: float) -> np.ndarray:
     """Choi matrix sum_kl E_kl (x) Phi_t(E_kl) of the map Phi_t = expm(t M).
 
@@ -642,10 +662,10 @@ def uv_vectors_rotation(state: ProductState):
 # the small-time oracle on the general route (entanglement)
 # ---------------------------------------------------------------------------
 
-def oracle_step(params: ModelParams, dt: float) -> float:
-    """small_time_ppt_oracle's step for dt, to rounding: at most _THETA_T / |M_q0|_1."""
+def oracle_step(params: ModelParams) -> float:
+    """small_time_ppt_oracle's step: _ORACLE_DT, or _THETA_T / |M_q0|_1 where that is shorter."""
     M = np.tensordot(kossakowski_eigenvalues(params), _DISSIPATORS_Q0, axes=1)
-    return min(dt, _THETA_T / float(np.abs(M).sum(axis=0).max()))
+    return min(_ORACLE_DT, _THETA_T / float(np.abs(M).sum(axis=0).max()))
 
 
 def small_time_ppt_reference(M: np.ndarray, rho0: np.ndarray, dt: float) -> bool:
