@@ -5,45 +5,35 @@ two-level atoms coupled to thermal scalar fields: Kossakowski-matrix
 construction, Lindblad evolution, entanglement generation tests and the
 asymptotic (stationary) entanglement as functions of bath temperature and
 atom separation.
+
+The names below are imported from their modules when first read (PEP 562),
+so importing the package, or running `python -m thermalpair`, loads numpy
+only through a module that uses it.
 """
 
-from .spectral import (
-    KossakowskiCoefficients,
-    ModelParams,
-    kossakowski_coefficients,
-    kossakowski_eigenvalues,
-    temperature_ratio,
-)
-from .dynamics import (
-    CrossCheckError,
-    PositivityError,
-    bloch_ket,
-    build_superoperator,
-    evolve,
-    evolve_traj,
-    local_frame,
-    singlet_density,
-    singlet_ket,
-    tau,
-    trace_norm,
-    unvec,
-    validate_density_matrix,
-    vec,
-)
-from .entanglement import (
-    ProductState,
-    canonical_state,
-    concurrence,
-    criterion_rs,
-    generation_test,
-    min_eig_pt,
-    partial_transpose,
-    small_time_ppt_oracle,
-)
-from .asymptotic import (
-    ConvergenceError,
-    asymptotic_state,
-    threshold_tau,
-)
+from importlib import import_module
 
+_EXPORTS = {
+    "spectral": ("KossakowskiCoefficients", "ModelParams", "kossakowski_coefficients",
+                 "kossakowski_eigenvalues", "temperature_ratio"),
+    "generation": ("ConvergenceError", "CrossCheckError", "PositivityError", "criterion_rs",
+                   "generation_test", "small_time_ppt_oracle"),
+    "dynamics": ("bloch_ket", "build_superoperator", "evolve", "evolve_traj", "local_frame",
+                 "singlet_density", "singlet_ket", "tau", "trace_norm", "unvec",
+                 "validate_density_matrix", "vec"),
+    "entanglement": ("ProductState", "canonical_state", "concurrence", "min_eig_pt",
+                     "partial_transpose"),
+    "asymptotic": ("asymptotic_state", "threshold_tau"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value

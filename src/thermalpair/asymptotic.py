@@ -23,12 +23,8 @@ import math
 import numpy as np
 
 from . import dynamics
+from .generation import ConvergenceError
 from .spectral import ModelParams, temperature_ratio
-
-
-class ConvergenceError(RuntimeError):
-    """The closed-form stationary state fails its guard (residual or
-    conserved tau), or the state has no limit."""
 
 
 # asymptotic_state's guard: |M vec(rho_inf)|_max at most _RESIDUAL_REL_TOL |M|_1,

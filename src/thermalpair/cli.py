@@ -21,12 +21,21 @@ report drops c when 2|c| <= _CONV_TOL and refuses the state otherwise;
 
 The phase diagram starts from the canonical state |-> (x) |+>: at each
 grid point it evaluates the generation discriminant in closed form from
-K's coefficients (`entanglement.generation_test`) and checks the verdict
+K's coefficients (`generation.generation_test`) and checks the verdict
 against the small-time oracle.  That evolves the state by its own step and
-Taylor series in the charge-0 sector `entanglement.Q0`, where it is an
-X-state: its spectrum is r00, r33, (r11 + r22)/2 +- hypot((r11 - r22)/2, c),
-its partial transpose's r11, r22, (r00 + r33)/2 +- hypot((r00 - r33)/2, c).
-`evolve` multiplies each state by the Taylor exponential `dynamics.expm`.
+Taylor series in the charge-0 sector Q0 (`generation.generator_q0`), where
+it is an X-state: its spectrum is r00, r33, (r11 + r22)/2 +-
+hypot((r11 - r22)/2, c), its partial transpose's r11, r22, (r00 + r33)/2 +-
+hypot((r00 - r33)/2, c).  `evolve` multiplies each state by the Taylor
+exponential `dynamics.expm`.
+
+`phase-diagram` and `coefficients` run in plain Python on `spectral` and
+`generation`.  The parser checks the axis n, a named or product state and
+the grids without numpy and keeps n and the state as parsed;
+`RunConfig.initial_state` builds the arrays when `evolve` or `asymptotic`
+calls it.  Only a matrix state is turned to the frame and
+validated where it is parsed, so it is the one config that loads numpy on
+those two subcommands.
 
 Exit codes: 0 ok, 2 config validation failure or an unwritable output
 path, 3 an implementation-bug guard (discriminant/oracle disagreement, or
@@ -39,7 +48,9 @@ In-process use: ``main(argv)`` may be called any number of times in one
 process.  It returns the exit code, except that a usage error (an unknown
 subcommand or option) raises ``SystemExit(2)`` from argparse.  Its argument
 parser is built once, when this module is imported, and no state is kept
-from one call to the next.
+from one call to the next.  Neither leaves reference cycles to the garbage
+collector: the JSON reports are indented by `_json`, not by json.dumps's
+indenting encoder, whose closures form a cycle per call.
 """
 
 from __future__ import annotations
@@ -50,10 +61,8 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import asymptotic, dynamics, entanglement
-from .spectral import ModelParams, kossakowski_coefficients, temperature_ratio
+from . import generation
+from .spectral import MIN_BETA_OMEGA, ModelParams, kossakowski_coefficients, temperature_ratio
 
 PHASE_HEADER = "beta_omega,omega_ell,R,S,rs_margin,discriminant_margin,generated,oracle_generated"
 EVOLVE_HEADER = "t,trace,min_eig,min_eig_pt,concurrence,tau"
@@ -68,9 +77,6 @@ MAX_SWEEP_POINTS = 1_000_000
 # 0.001, omega*ell 1, t_max 100) took 2.5 to 3.9 s on a 2-vCPU Xeon VM
 # (Python 3.11, numpy 2.4), about 1.3 to 2 s of run time per 1e5 of work
 MAX_RK_WORK = 2e5
-# below this beta*omega the square of the thermal factor coth(beta*omega/2),
-# which scales the discriminant and |K|_2^2, is not a finite float
-MIN_BETA_OMEGA = 1.5e-154
 # phase-diagram guard: the small-time oracle must agree with the discriminant
 # wherever |rs_margin| > _ORACLE_BAND
 _ORACLE_BAND = 1e-3
@@ -84,18 +90,39 @@ class ConfigError(ValueError):
 
 @dataclass
 class SweepSpec:
-    beta_omega: np.ndarray
-    omega_ell: np.ndarray
+    beta_omega: list
+    omega_ell: list
 
 
 @dataclass
 class RunConfig:
+    """A validated config.  The axis n and a named or product initial
+    state are kept as parsed, and turned into arrays only by
+    `initial_state`, so the subcommands that never call it never import
+    numpy; a matrix state is turned and validated where it is parsed."""
+
     params: ModelParams
-    frame: np.ndarray                      # V = dynamics.local_frame(n)
-    rho0: np.ndarray                       # V^dag (the initial state) V
-    times: np.ndarray | None = None        # omega*t
+    n: tuple                               # the unit axis
+    state: tuple                           # (kind, *values) of the initial state
+    times: list | None = None              # omega*t
     sweep: SweepSpec | None = None
     include_hs: bool = False               # read by cmd_asymptotic alone
+
+    def initial_state(self) -> tuple:
+        """(V, V^dag rho0 V): the frame V = dynamics.local_frame(n) and the
+        initial state rho0 turned into it; the named states are built in the
+        frame, where the canonical one is |-> (x) |+> and the singlet is the
+        same."""
+        from . import dynamics, entanglement
+        kind, *values = self.state
+        if kind == "matrix":
+            return tuple(values)
+        V = dynamics.local_frame(self.n)
+        if kind == "singlet":
+            return V, dynamics.singlet_density()
+        if kind == "canonical":
+            return V, entanglement.canonical_state().density()
+        return V, V.conj().T @ entanglement.ProductState(*values).density() @ V
 
 
 def _fmt(x: float) -> str:
@@ -125,13 +152,14 @@ def _number(value, what: str, integral: bool = False):
     return x
 
 
-def _parse_axis(raw) -> np.ndarray:
+def _parse_axis(raw) -> tuple:
     _require(isinstance(raw, (list, tuple)) and len(raw) == 3,
              "n must be a 3-vector")
-    return np.asarray([_number(x, "n entry") for x in raw])
+    return tuple(_number(x, "n entry") for x in raw)
 
 
-def _parse_complex_matrix(entries) -> np.ndarray:
+def _parse_complex_matrix(entries):
+    import numpy as np
     _require(isinstance(entries, list) and len(entries) == 16,
              "matrix initial state needs 16 complex entries (row-major)")
     vals = []
@@ -142,41 +170,59 @@ def _parse_complex_matrix(entries) -> np.ndarray:
     return np.array(vals, dtype=complex).reshape(4, 4)
 
 
-def _parse_initial_state(raw, frame) -> np.ndarray:
-    """V^dag rho0 V for the initial state rho0, a matrix validated after the
-    turn, as the library reads it; the named states are built in the frame,
-    where the canonical one is |-> (x) |+> and the singlet is the same."""
+def _parse_initial_state(raw, n) -> tuple:
+    """(kind, *values) of the initial state, for RunConfig.initial_state: the
+    named state, the two unit Bloch vectors of a product state, or the frame
+    V and V^dag rho0 V of a matrix state rho0, validated after the turn, as
+    the library reads it."""
     if raw is None:
         raw = {"named": "canonical"}
     _require(isinstance(raw, dict) and len(raw) == 1,
              "initial_state must be one of {named|product|matrix}")
     tag, value = next(iter(raw.items()))
     if tag == "named":
-        if value == "singlet":
-            return dynamics.singlet_density()
-        if value == "canonical":
-            return entanglement.canonical_state().density()
-        raise ConfigError(f"unknown named state {value!r} (singlet|canonical)")
+        _require(value in ("singlet", "canonical"),
+                 f"unknown named state {value!r} (singlet|canonical)")
+        return (value,)
     if tag == "product":
         _require(isinstance(value, dict) and set(value) == {"bloch1", "bloch2"},
                  "product initial state needs bloch1 and bloch2")
+        blochs = _parse_axis(value["bloch1"]), _parse_axis(value["bloch2"])
         try:
-            rho = entanglement.ProductState(_parse_axis(value["bloch1"]),
-                                            _parse_axis(value["bloch2"])).density()
+            for b in blochs:
+                generation.check_unit(b)
         except ValueError as exc:
             raise ConfigError(f"invalid product state: {exc}") from None
-    elif tag == "matrix":
-        rho = frame.conj().T @ _parse_complex_matrix(value) @ frame
-        try:
-            return dynamics.validate_density_matrix(rho)
-        except ValueError as exc:
-            raise ConfigError(f"matrix initial state invalid: {exc}") from None
+        return ("product", *blochs)
+    _require(tag == "matrix", f"unknown initial_state tag {tag!r}")
+    from . import dynamics
+    frame = dynamics.local_frame(n)
+    rho = frame.conj().T @ _parse_complex_matrix(value) @ frame
+    try:
+        return ("matrix", frame, dynamics.validate_density_matrix(rho))
+    except ValueError as exc:
+        raise ConfigError(f"matrix initial state invalid: {exc}") from None
+
+
+def _linspace(lo: float, hi: float, num: int) -> list:
+    """np.linspace(lo, hi, num) for num >= 1 in the same float steps, as a list."""
+    div, delta = num - 1, hi - lo
+    if div == 0:
+        return [0.0 * delta + lo]
+    step = delta / div
+    if step == 0:  # numpy scales by delta after dividing, for subnormal steps
+        out = [k / div * delta + lo for k in range(num)]
     else:
-        raise ConfigError(f"unknown initial_state tag {tag!r}")
-    return frame.conj().T @ rho @ frame
+        out = [k * step + lo for k in range(num)]
+    out[-1] = hi
+    return out
 
 
-def _parse_time_grid(raw) -> np.ndarray:
+def _increasing(xs: list) -> bool:
+    return all(a < b for a, b in zip(xs, xs[1:]))
+
+
+def _parse_time_grid(raw) -> list:
     if isinstance(raw, list):
         raw = {"times": raw}
     _require(isinstance(raw, dict), "time_grid must be an object or a list of times")
@@ -185,9 +231,9 @@ def _parse_time_grid(raw) -> np.ndarray:
         _require(isinstance(raw["times"], list), "time_grid times must be a list")
         _require(len(raw["times"]) <= MAX_SAMPLES,
                  f"time_grid has more than {MAX_SAMPLES} times")
-        times = np.asarray([_number(t, "time_grid time") for t in raw["times"]], dtype=float)
+        times = [_number(t, "time_grid time") for t in raw["times"]]
         _require(len(times) > 0, "time_grid must be nonempty")
-        _require(times[0] >= 0 and np.all(np.diff(times) > 0),
+        _require(times[0] >= 0 and _increasing(times),
                  "time_grid must be sorted, strictly increasing and nonnegative")
         return times
     _require(set(raw) <= {"t_max", "n_samples"} and "t_max" in raw,
@@ -196,8 +242,8 @@ def _parse_time_grid(raw) -> np.ndarray:
     n_samples = _number(raw.get("n_samples", 101), "time_grid n_samples", integral=True)
     _require(t_max > 0 and n_samples >= 2, "need t_max > 0 and n_samples >= 2")
     _require(n_samples <= MAX_SAMPLES, f"time_grid n_samples exceeds {MAX_SAMPLES}")
-    times = np.linspace(0.0, t_max, n_samples)
-    _require(np.all(np.diff(times) > 0), f"time_grid t_max {t_max!r} is too small "
+    times = _linspace(0.0, t_max, n_samples)
+    _require(_increasing(times), f"time_grid t_max {t_max!r} is too small "
              f"for {n_samples} distinct samples")
     return times
 
@@ -221,7 +267,7 @@ def _parse_sweep(raw) -> SweepSpec:
     omega_ell = axis(raw["omega_ell"], "omega_ell", False)
     _require(beta_omega[2] * omega_ell[2] <= MAX_SWEEP_POINTS,
              f"sweep has more than {MAX_SWEEP_POINTS} grid points")
-    return SweepSpec(beta_omega=np.linspace(*beta_omega), omega_ell=np.linspace(*omega_ell))
+    return SweepSpec(beta_omega=_linspace(*beta_omega), omega_ell=_linspace(*omega_ell))
 
 
 def parse_config(doc: dict) -> RunConfig:
@@ -241,23 +287,23 @@ def parse_config(doc: dict) -> RunConfig:
     _require(math.isfinite(beta_omega) or beta == math.inf,
              f"beta*omega = {beta_omega!r} is not finite")
     _require(math.isfinite(omega_ell), f"omega*ell = {omega_ell!r} is not finite")
-    _require(beta_omega >= MIN_BETA_OMEGA, f"beta*omega must be at least {MIN_BETA_OMEGA}")
     try:
         params = ModelParams(beta_omega=beta_omega, omega_ell=omega_ell)
     except ValueError as exc:
         raise ConfigError(f"invalid model parameters: {exc}") from None
+    n = _parse_axis(doc.get("n", [0.0, 0.0, 1.0]))
     try:
-        frame = dynamics.local_frame(_parse_axis(doc.get("n", [0.0, 0.0, 1.0])))
+        generation.check_unit(n)
     except ValueError as exc:
         raise ConfigError(f"invalid axis n: {exc}") from None
 
     include_hs = doc.get("include_hs", False)
     _require(isinstance(include_hs, bool), "include_hs must be a boolean")
 
-    rho0 = _parse_initial_state(doc.get("initial_state"), frame)
+    state = _parse_initial_state(doc.get("initial_state"), n)
     times = _parse_time_grid(doc["time_grid"]) if "time_grid" in doc else None
     sweep = _parse_sweep(doc["sweep"]) if "sweep" in doc else None
-    return RunConfig(params=params, frame=frame, rho0=rho0, times=times, sweep=sweep,
+    return RunConfig(params=params, n=n, state=state, times=times, sweep=sweep,
                      include_hs=include_hs)
 
 
@@ -281,9 +327,26 @@ def load_config(path: str | None) -> RunConfig:
     return parse_config(doc)
 
 
-def _complex_pairs(rho: np.ndarray) -> list:
-    """Row-major [re, im] pairs of a matrix."""
-    return [[float(z.real), float(z.imag)] for z in np.asarray(rho).reshape(-1)]
+def _json(x, indent: str = "") -> str:
+    """json.dumps(x, indent=2) for the dicts, lists and scalars of a report,
+    from json.dumps of each key and scalar: the indenting encoder's nested
+    closures leave a reference cycle per call, which only the cyclic
+    garbage collector frees, so reports would pile up garbage between its
+    runs."""
+    if not isinstance(x, (dict, list)) or not x:
+        return json.dumps(x)
+    inner = indent + "  "
+    if isinstance(x, dict):
+        items = [f"{json.dumps(k)}: {_json(v, inner)}" for k, v in x.items()]
+    else:
+        items = [_json(v, inner) for v in x]
+    brackets = "{}" if isinstance(x, dict) else "[]"
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
+
+
+def _complex_pairs(rho) -> list:
+    """Row-major [re, im] pairs of a matrix array."""
+    return [[float(z.real), float(z.imag)] for z in rho.reshape(-1)]
 
 
 def _write_out(text: str, out_path: str | None, rest=()):
@@ -309,9 +372,9 @@ def _write_out(text: str, out_path: str | None, rest=()):
 def cmd_coefficients(config: RunConfig, out_path: str | None) -> int:
     """Kossakowski coefficients (in units of omega) plus R and S."""
     c = kossakowski_coefficients(config.params)
-    R, S, _ = entanglement.criterion_rs(config.params)
+    R, S, _ = generation.criterion_rs(config.params)
     doc = {"A": c.A, "B": c.B, "C": c.C, "A'": c.Ap, "B'": c.Bp, "C'": c.Cp, "R": R, "S": S}
-    _write_out(json.dumps(doc, indent=2) + "\n", out_path)
+    _write_out(_json(doc) + "\n", out_path)
     return 0
 
 
@@ -326,13 +389,13 @@ def cmd_phase_diagram(config: RunConfig, out_path: str | None) -> int:
     def points():
         nonlocal first, count
         # as Python floats, whose overflow to inf (2 pi beta*omega) warns nothing
-        for bw in config.sweep.beta_omega.tolist():
-            for wl in config.sweep.omega_ell.tolist():
+        for bw in config.sweep.beta_omega:
+            for wl in config.sweep.omega_ell:
                 params = ModelParams(beta_omega=bw, omega_ell=wl)
                 coeffs = kossakowski_coefficients(params)
-                margin, label = entanglement.generation_test(coeffs)
-                R, S, rs_margin = entanglement.criterion_rs(params)
-                oracle = entanglement.small_time_ppt_oracle(params)
+                margin, label = generation.generation_test(coeffs)
+                R, S, rs_margin = generation.criterion_rs(params)
+                oracle = generation.small_time_ppt_oracle(params)
                 if abs(rs_margin) > _ORACLE_BAND and (label == "true") != oracle:
                     first = first or (f"beta_omega={bw}, omega_ell={wl} "
                                       f"(rs_margin={rs_margin}, oracle={oracle})")
@@ -354,7 +417,9 @@ def cmd_evolve(config: RunConfig, out_path: str | None) -> int:
     """Trajectory dump: per-sample trace, spectra and entanglement scalars."""
     if config.times is None:
         raise ConfigError("evolve requires a time_grid section")
-    params = config.params
+    import numpy as np
+    from . import asymptotic, dynamics, entanglement
+    params, (_, rho0) = config.params, config.initial_state()
     M = dynamics.build_superoperator(params)
     with np.errstate(over="ignore"):  # an overflow to inf fails the cap below
         work = config.times[-1] * np.abs(M).sum(axis=0).max()
@@ -362,8 +427,8 @@ def cmd_evolve(config: RunConfig, out_path: str | None) -> int:
         raise ConfigError(f"time_grid t_max {float(config.times[-1])!r} is too long for the "
                           f"RK45 cross-check: t_max |M|_1 = {work:.3g} exceeds "
                           f"MAX_RK_WORK = {MAX_RK_WORK:.0e}")
-    states = dynamics.evolve_traj(M, config.rho0, config.times)
-    rho_inf, _ = asymptotic.asymptotic_state(M, config.rho0, params)
+    states = dynamics.evolve_traj(M, rho0, config.times)
+    rho_inf, _ = asymptotic.asymptotic_state(M, rho0, params)
 
     lines = [EVOLVE_HEADER]
     for t_dimless, rho in zip(config.times, states):
@@ -384,29 +449,30 @@ def cmd_evolve(config: RunConfig, out_path: str | None) -> int:
     if out_path is None:
         print(json.dumps(summary), file=sys.stderr)
     else:
-        _write_out(json.dumps(summary, indent=2) + "\n", out_path + ".summary.json")
+        _write_out(_json(summary) + "\n", out_path + ".summary.json")
     return 0
 
 
 def cmd_asymptotic(config: RunConfig, out_path: str | None) -> int:
     """Stationary-state report for the configured parameters and initial state."""
-    params = config.params
+    from . import asymptotic, dynamics, entanglement
+    params, (V, rho0) = config.params, config.initial_state()
     M = dynamics.build_superoperator(params)
-    rho_inf, dim = asymptotic.asymptotic_state(M, config.rho0, params)
+    rho_inf, dim = asymptotic.asymptotic_state(M, rho0, params)
     if config.include_hs and dim == 4:
-        c = dynamics.singlet_ket().conj() @ config.rho0[:, 3]
+        c = dynamics.singlet_ket().conj() @ rho0[:, 3]
         if 2.0 * abs(c) > _CONV_TOL:
-            raise asymptotic.ConvergenceError(
+            raise generation.ConvergenceError(
                 f"the singlet/ground coherence |c| = {abs(c):.3e} turns forever under the "
                 f"free Hamiltonian: the state has no limit")
         rho_inf[1:3, 3] = rho_inf[3, 1:3] = 0.0
         dim = 2
     doc = {"stationary_dim": dim,
-           "rho_infinity": _complex_pairs(config.frame @ rho_inf @ config.frame.conj().T),
+           "rho_infinity": _complex_pairs(V @ rho_inf @ V.conj().T),
            "concurrence": entanglement.concurrence(rho_inf),
            "tau": dynamics.tau(rho_inf),
            "threshold_tau": asymptotic.threshold_tau(temperature_ratio(params))}
-    _write_out(json.dumps(doc, indent=2) + "\n", out_path)
+    _write_out(_json(doc) + "\n", out_path)
     return 0
 
 
@@ -452,13 +518,13 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except dynamics.CrossCheckError as exc:
+    except generation.CrossCheckError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except dynamics.PositivityError as exc:
+    except generation.PositivityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except asymptotic.ConvergenceError as exc:
+    except generation.ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 5
     raise AssertionError(f"unhandled command {args.command}")

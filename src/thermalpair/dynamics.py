@@ -17,16 +17,18 @@ Evolution multiplies vec(rho0) by the Taylor exponential exp(t M) (`expm`,
 no linear solve).  A trajectory steps from sample to sample and is
 cross-checked from t = 0 by an adaptive RK45 (`solve_ivp`).  The phase
 diagram's small-time oracle has its own kernel, a Taylor series of
-matrix-vector products (`entanglement`).
+matrix-vector products on the generator's charge-0 block, in plain Python
+(`generation`, which also holds the guards `check_state` and `check_unit`
+and the exceptions raised here).
 """
 
 from __future__ import annotations
 
 import math
-import sys
 
 import numpy as np
 
+from .generation import CrossCheckError, PositivityError, check_state, check_unit
 from .spectral import ModelParams, kossakowski_eigenvalues
 
 
@@ -35,16 +37,6 @@ SIGMA = (
     np.array([[0, -1j], [1j, 0]], dtype=complex),
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
-
-
-class PositivityError(RuntimeError):
-    """Evolution produced a state with an eigenvalue below tolerance, a
-    non-finite entry or no positive trace."""
-
-
-class CrossCheckError(RuntimeError):
-    """The RK45 cross-check failed to integrate, or disagrees with the
-    matrix-exponential trajectory: an implementation bug, not a bad input."""
 
 
 def _dissipator(L: np.ndarray) -> np.ndarray:
@@ -99,9 +91,6 @@ _EIG_FLOOR = -1e-10
 _RK_RTOL = 1e-10
 _RK_ATOL = 1e-12
 _RK_AGREE_TOL = 1e-8
-
-# evolve raises PositivityError below this state eigenvalue
-_POS_TOL = 1e-8
 
 # expm: the degree-30 Taylor polynomial has backward error at most 2^-53 up
 # to this 1-norm (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011),
@@ -247,16 +236,11 @@ def trace_norm(a: np.ndarray) -> float:
     return float(np.abs(np.linalg.eigvalsh(a)).sum())
 
 
-_UNIT_TOL = 1e-12
-
-
 def _unit_vector(v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"axis must be a real 3-vector, got shape {v.shape}")
-    norm = math.hypot(*v)
-    if not abs(norm - 1.0) <= _UNIT_TOL:  # a NaN entry fails too
-        raise ValueError(f"axis must be a unit vector, |n| = {norm!r}")
+    check_unit(v)
     return v
 
 
@@ -307,9 +291,10 @@ def evolve(M: np.ndarray, rho0: np.ndarray, t: float, t0: float = 0.0) -> np.nda
     parser validates a matrix state once, where it enters.  Raises
     PositivityError if the exponential's result is not finite (a generator
     too large for its rounding) or has no positive trace, or if the state
-    dips below -_POS_TOL; smaller Hermiticity/trace deviations of a state
-    that passes are repaired, with one standard-error line when either
-    exceeds 1e-10.  Every message names the time t.
+    dips below -generation._POS_TOL (`check_state`); smaller
+    Hermiticity/trace deviations of a state that passes are repaired, with
+    one standard-error line when either exceeds 1e-10.  Every message names
+    the time t.
     """
     if not (math.isfinite(t) and t >= t0):
         raise ValueError(f"time must be finite and >= {t0:g}, got {t}")
@@ -328,17 +313,6 @@ def evolve(M: np.ndarray, rho0: np.ndarray, t: float, t0: float = 0.0) -> np.nda
     rho = rho / tr
     check_state(np.linalg.eigvalsh(rho).min(), herm_dev, tr, t)
     return rho
-
-
-def check_state(min_eig: float, herm_dev: float, tr: float, t: float):
-    """evolve's last two guards, on the state it Hermitized and renormalized
-    from trace tr; entanglement.small_time_ppt_oracle applies them too."""
-    if min_eig < -_POS_TOL:
-        raise PositivityError(f"state eigenvalue {min_eig} below -{_POS_TOL} at t={t}")
-    trace_dev = abs(tr - 1.0)
-    if herm_dev > 1e-10 or trace_dev > 1e-10:
-        print(f"evolve deviations at t={t:g}: hermiticity {herm_dev:.3g}, "
-              f"trace {trace_dev:.3g}", file=sys.stderr)
 
 
 def evolve_traj(M: np.ndarray, rho0: np.ndarray, times) -> list:

@@ -1,4 +1,4 @@
-"""Entanglement detection and the bath-driven generation test.
+"""Entanglement detection: partial transpose, its spectrum and the concurrence.
 
 For two qubits the partial-transposition criterion is exact: a state is
 entangled iff its partial transpose has a negative eigenvalue.  Wootters
@@ -14,26 +14,8 @@ singular values of T = V^T (s2 x s2) V, with V V^dag = rho from a pivoted
 Cholesky factor that drops the rows that are rounding: no eigendecomposition
 of rho, and no square root of an eigenvalue that is only rounding.
 
-Whether the common bath starts entangling a pure product state at t = 0+
-is decided by the discriminant of Benatti, Floreanini & Piani (PRL 91,
-070402, 2003), built from the Kossakowski blocks and two complex
-3-vectors u, v encoding the state.  The package evaluates it only at the
-canonical state |-> (x) |+> (ground and excited along the axis e3), where
-u = v = (1, -i, 0) and it is a closed form in K's coefficients that
-collapses to R^2 + S^2 > 1 with R = tanh(beta omega / 2) and
-S = sinc(omega ell); the general test for any product state is the
-reference in the test suite.  The phase diagram checks the verdict
-against an independent oracle, the partial transpose of |-> (x) |+>
-evolved by a short time under K's rates (`small_time_ppt_oracle`).  The
-oracle owns its kernel, the Taylor series of exp(t M) v in matrix-vector
-products, and its step, capped so that the series stays short;
-`dynamics.evolve` multiplies by `dynamics.expm` instead.  The state stays
-in the charge-0 sector Q0, an X-state with populations r00..r33 and real
-coherence c = <+-|rho|-+>: its spectrum r00, r33,
-(r11 + r22)/2 +- hypot((r11 - r22)/2, c) and its partial transpose's r11,
-r22, (r00 + r33)/2 +- hypot((r00 - r33)/2, c) are closed forms.  The tests
-add the oracle's general route and the exact minimum of the initial
-entanglement-production rate over probe vectors.
+The generation test at t = 0+ and its small-time oracle need none of these
+arrays; they live in `generation`, in plain Python.
 """
 
 from __future__ import annotations
@@ -45,8 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics
-from .spectral import (KossakowskiCoefficients, ModelParams, kossakowski_eigenvalues,
-                       temperature_ratio, _sinc)
 
 
 @dataclass(frozen=True)
@@ -181,91 +161,3 @@ def concurrence(rho: np.ndarray) -> float:
     root_out, z_out = _x_block(r[0][0].real, r[3][3].real, (r[0][3] + r[3][0].conjugate()) / 2.0)
     root_in, z_in = _x_block(r[1][1].real, r[2][2].real, (r[1][2] + r[2][1].conjugate()) / 2.0)
     return 2.0 * max(0.0, z_in - root_out, z_out - root_in)
-
-
-# generation_test verdicts within this fraction of |K|_2^2 of zero are inconclusive
-_BOUNDARY_REL_TOL = 1e-12
-
-
-def generation_test(coeffs: KossakowskiCoefficients) -> tuple[float, str]:
-    """Discriminant test for entanglement generation out of |-> (x) |+>.
-
-    Returns (margin, label).  The general product-state discriminant
-    |<u| Re C12 |v>|^2 - <u|C11|u> <v|C11^T|v> at u = v = (1, -i, 0) is
-    margin = (2A')^2 - (2A - 2B)(2A + 2B), here in the order that contraction
-    rounds in; it equals 4 A^2 (R^2 + S^2 - 1).  The bath starts entangling
-    the pair iff margin > 0 (strict).  label is "true" or "false", or
-    "boundary" within _BOUNDARY_REL_TOL * |K|_2^2 of zero, with |K|_2 K's
-    largest eigenvalue, (A + B)(1 + |S|) or 2 g0 (no SVD).
-    """
-    A, B = coeffs.A, coeffs.B
-    margin = (2.0 * coeffs.Ap) ** 2 - (2.0 * A - 2.0 * B) * (2.0 * A + 2.0 * B)
-    norm = max(A + B + abs(coeffs.Ap + coeffs.Bp), (A + coeffs.C) + (coeffs.Ap + coeffs.Cp))
-    if abs(margin) <= _BOUNDARY_REL_TOL * norm ** 2:
-        return margin, "boundary"
-    return margin, "true" if margin > 0 else "false"
-
-
-def criterion_rs(params: ModelParams):
-    """(R, S, R^2 + S^2 - 1): the canonical-state reduction of the test."""
-    R = temperature_ratio(params)
-    S = _sinc(params.omega_ell)
-    return R, S, R * R + S * S - 1.0
-
-
-# partial-transpose eigenvalues below -_ORACLE_NEG_TOL count as negative in the oracle
-_ORACLE_NEG_TOL = 1e-13
-# the oracle evolves by omega*t = _ORACLE_DT, or by _THETA_T / |M|_1 where that
-# is shorter: its Taylor series then needs degree m <= 12.  The series, not
-# dynamics.expm, because expm's matrix-matrix products would be the first in
-# a sweep process: with them a 256-point sweep's peak RSS in a fresh process
-# rose by a median of 0.14 MB (6 of 6 pairs, one BLAS thread)
-_ORACLE_DT = 1e-3
-_THETA_T = 0.3
-
-# vec indices (a + 4b of |a><b|) of the sector m_a = m_b, which every dissipator
-# maps into itself: |++><++|, |+-><+-|, |-+><+-|, |+-><-+|, |-+><-+|, |--><--|
-Q0 = (0, 5, 6, 9, 10, 15)
-_DISSIPATORS_Q0 = dynamics._DISSIPATORS[:, Q0][:, :, Q0]
-_CANONICAL_Q0 = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 0.0])
-
-
-def _taylor_action(A: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """exp(A) v as the Taylor polynomial of degree m in Horner form, y = v and
-    y = v + A y / j for j = m..1, with m >= 1 the smallest degree whose
-    truncation bound |A|_1^(m+1) / (m+1)! is at most 2^-53 (Al-Mohy &
-    Higham, SIAM J. Sci. Comput. 33, 488 (2011)); every step is a
-    matrix-vector product.  At least one term, so a non-finite A reaches
-    the result."""
-    norm = np.abs(A).sum(axis=0).max()
-    m, bound = 1, norm * norm / 2.0
-    while bound > 2.0**-53:
-        m += 1
-        bound *= norm / (m + 1)
-    y = v
-    for j in range(m, 0, -1):
-        y = v + (A @ y) / j
-    return y
-
-
-def small_time_ppt_oracle(params: ModelParams) -> bool:
-    """Whether |-> (x) |+>, evolved by a short step in Q0 under the generator's
-    Q0 block M, has a partial-transpose eigenvalue below -_ORACLE_NEG_TOL; the
-    state passes dynamics.evolve's guards with the closed-form spectra of the
-    module docstring.  The step is _ORACLE_DT, or _THETA_T / |M|_1 where that
-    is shorter, and exp(step M) is the Taylor series (`_taylor_action`); the
-    guards' messages name the step taken."""
-    M = np.tensordot(kossakowski_eigenvalues(params), _DISSIPATORS_Q0, axes=1)
-    dt = min(_ORACLE_DT, _THETA_T / float(np.abs(M).sum(axis=0).max()))
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check below
-        v = _taylor_action(dt * M, _CANONICAL_Q0)
-    if not np.isfinite(v).all():
-        raise dynamics.PositivityError(f"evolved state is not finite at t={dt}")
-    r00, r11, c21, c12, r22, r33 = v.tolist()
-    tr = (r00 + r11) + (r22 + r33)  # in evolve's order: np.trace of a complex 4x4
-    if not 0 < tr < math.inf:
-        raise dynamics.PositivityError(f"evolved state has trace {tr} at t={dt}")
-    r00, r11, r22, r33, c = r00 / tr, r11 / tr, r22 / tr, r33 / tr, 0.5 * (c21 + c12) / tr
-    dynamics.check_state(min(r00, r33, (r11 + r22) / 2 - math.hypot((r11 - r22) / 2, c)),
-                         abs(c12 - c21), tr, dt)
-    return min(r11, r22, (r00 + r33) / 2 - math.hypot((r00 - r33) / 2, c)) < -_ORACLE_NEG_TOL

@@ -33,9 +33,10 @@ thermal factor (A + B, A - B or 2 g0) times a geometric one (1 + S or
 1 - S, S = sinc(omega ell)), so none is negative: K >= 0, and with it
 complete positivity, holds by construction.  The relative ones vanish at
 ell = 0, where the singlet is dark.  `dynamics.build_superoperator` builds
-the generator from them, and the largest is the spectral norm |K|_2 that
-sizes the generation test's boundary band, so no SVD of the 6x6 matrix is
-taken.
+the generator from them (and `generation.generator_q0` its charge-0 block),
+and the largest is the spectral norm |K|_2 that sizes the generation
+test's boundary band, so no SVD of the 6x6 matrix is taken.  The module is
+plain-Python float arithmetic, with no numpy.
 """
 
 from __future__ import annotations
@@ -43,9 +44,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 TWO_PI = 2.0 * math.pi
+# below this beta*omega the square of the thermal factor coth(beta*omega/2),
+# which scales the discriminant and |K|_2^2, is not a finite float
+MIN_BETA_OMEGA = 1.5e-154
 
 
 @dataclass(frozen=True)
@@ -54,15 +56,17 @@ class ModelParams:
 
     beta_omega = math.inf is the zero-temperature bath, by IEEE arithmetic
     alone: tanh(inf) = 1 and 1/inf = 0 give its coefficients exactly, and
-    expm1(-inf) = -1 and exp(-inf) = 0 its rates.
+    expm1(-inf) = -1 and exp(-inf) = 0 its rates.  beta_omega below
+    MIN_BETA_OMEGA is refused.
     """
 
     beta_omega: float
     omega_ell: float
 
     def __post_init__(self):
-        if not (self.beta_omega > 0):  # inf allowed
-            raise ValueError(f"beta_omega must be > 0 (or inf), got {self.beta_omega}")
+        if not (self.beta_omega >= MIN_BETA_OMEGA):  # inf allowed
+            raise ValueError(f"beta_omega must be at least {MIN_BETA_OMEGA} (or inf), "
+                             f"got {self.beta_omega}")
         if not (math.isfinite(self.omega_ell) and self.omega_ell >= 0):
             raise ValueError(f"omega_ell must be finite and >= 0, got {self.omega_ell}")
 
@@ -114,18 +118,25 @@ def temperature_ratio(params: ModelParams) -> float:
 _ONE_MINUS_SINC_SERIES = [(-1) ** (k + 1) / math.factorial(2 * k + 1) for k in range(9, 0, -1)]
 
 
-def kossakowski_eigenvalues(params: ModelParams) -> np.ndarray:
+def kossakowski_eigenvalues(params: ModelParams) -> tuple:
     """K's six eigenvalues, the same at every axis, as products of nonnegative
     factors: with down = A + B = -2B / expm1(-beta_omega), up = A - B = down
     e^-beta_omega (which underflows where expm1(beta_omega) would overflow)
     and S = sinc(omega ell), the collective rates down (1 + S), up (1 + S) and
     2 g0 = 1/(pi beta_omega), then the relative ones down (1 - S), up (1 - S)
     and 0.  1 - S is its series below omega ell = 1, where the difference
-    cancels, and (x - sin x)/x above, exact to x ~ 1.9 (Sterbenz).
+    cancels, and (x - sin x)/x above, exact to x ~ 1.9 (Sterbenz).  A tuple
+    of floats.
     """
     bw, x = params.beta_omega, params.omega_ell
     down = -1.0 / (TWO_PI * math.expm1(-bw))
     up = down * math.exp(-bw)
-    rel = (x - math.sin(x)) / x if x >= 1.0 else x * x * np.polyval(_ONE_MINUS_SINC_SERIES, x * x)
-    return np.array([down * (2.0 - rel), up * (2.0 - rel), 1.0 / (math.pi * bw),
-                     down * rel, up * rel, 0.0])
+    if x >= 1.0:
+        rel = (x - math.sin(x)) / x
+    else:
+        x2, series = x * x, 0.0
+        for c in _ONE_MINUS_SINC_SERIES:  # Horner, the steps of np.polyval
+            series = series * x2 + c
+        rel = x2 * series
+    return (down * (2.0 - rel), up * (2.0 - rel), 1.0 / (math.pi * bw),
+            down * rel, up * rel, 0.0)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from thermalpair import asymptotic, cli, dynamics, entanglement, spectral
+from thermalpair import asymptotic, cli, dynamics, entanglement, generation, spectral
 
 from util import equilibrium_closed_form
 
@@ -278,7 +278,7 @@ def test_phase_diagram_stderr(tmp_path, sweep, code, stderr):
 def test_oracle_disagreement_exits_3_after_every_row(tmp_path, monkeypatch, capsys):
     # rows are written as each point is computed, so a disagreement leaves
     # the whole CSV, and the error names the first point and the count
-    monkeypatch.setattr(entanglement, "small_time_ppt_oracle", lambda params: False)
+    monkeypatch.setattr(generation, "small_time_ppt_oracle", lambda params: False)
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps(SWEEP), encoding="utf-8")
     assert cli.main(["phase-diagram", "--config", str(path)]) == 3
@@ -756,12 +756,12 @@ def test_phase_diagram_dense_factorizations(tmp_path, monkeypatch):
     # makes no eigvalsh, eigh, svd or solve call at any beta*omega and
     # omega*ell corner; it applies exp(dt M) by one call of its Taylor series
     # per grid point, also below beta*omega of about 0.007, where |1e-3 M_q0|_1
-    # exceeds entanglement._THETA_T and the oracle shortens its step, so no
+    # exceeds generation._THETA_T and the oracle shortens its step, so no
     # point forms a matrix exponential either
     calls = Counter()
     for module, name in ((np.linalg, "eigvalsh"), (np.linalg, "eigh"), (np.linalg, "svd"),
                          (np.linalg, "solve"), (dynamics, "expm"),
-                         (entanglement, "_taylor_action")):
+                         (generation, "_taylor_action")):
         def counting(*args, _name=name, _real=getattr(module, name), **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
@@ -785,10 +785,9 @@ def test_phase_diagram_dense_factorizations(tmp_path, monkeypatch):
     capped_points = 0
     for bw in beta_omega:
         for wl in omega_ell:
-            lam = spectral.kossakowski_eigenvalues(spectral.ModelParams(beta_omega=bw,
-                                                                        omega_ell=wl))
-            M = np.tensordot(lam, entanglement._DISSIPATORS_Q0, axes=1)
-            capped_points += np.abs(1e-3 * M).sum(axis=0).max() > entanglement._THETA_T
+            M = np.array(generation.generator_q0(spectral.ModelParams(beta_omega=bw,
+                                                                      omega_ell=wl)))
+            capped_points += np.abs(1e-3 * M).sum(axis=0).max() > generation._THETA_T
     assert 0 < capped_points < 900
     assert sweep({"sweep": {"beta_omega": [0.001, 0.05, 30],
                             "omega_ell": [0.0, 1e-4, 30]}}) == {"_taylor_action": 900}
@@ -806,7 +805,7 @@ def test_trajectory_and_asymptotic_dense_factorizations(tmp_path, monkeypatch):
     calls = Counter()
     for module, name in ((np.linalg, "eigvalsh"), (np.linalg, "eigh"), (np.linalg, "svd"),
                          (np.linalg, "solve"), (dynamics, "expm"),
-                         (entanglement, "concurrence"), (entanglement, "_taylor_action")):
+                         (entanglement, "concurrence"), (generation, "_taylor_action")):
         def counting(*args, _name=name, _real=getattr(module, name), **kwargs):
             calls[_name] += 1
             if sys._getframe(1).f_code is entanglement._wootters_l.__code__:
@@ -934,3 +933,66 @@ def test_no_subcommand_imports_scipy(tmp_path):
     res = subprocess.run([sys.executable, "-c", code, str(sweep), str(point)],
                          capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
+
+
+@pytest.mark.parametrize("extra", [
+    {"n": [0.6, 0.0, 0.8], "include_hs": True, "initial_state": {"named": "singlet"}},
+    {"n": [0.0, -1.0, 0.0], "include_hs": False, "beta": "inf",
+     "initial_state": {"product": {"bloch1": [0.6, 0.8, 0.0], "bloch2": [0, 0, -1]}}},
+    {"n": [0, 0, 1], "ell": 3.0, "initial_state": {"named": "canonical"}},
+], ids=["singlet", "product-zero-temperature", "canonical"])
+def test_phase_diagram_and_coefficients_import_no_numpy(tmp_path, extra):
+    # both are plain-Python float arithmetic on K's rates: a fresh
+    # `python -m thermalpair` runs them on configs that carry n, include_hs
+    # and a named or product state, and no module imports numpy on the way
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**extra, "sweep": {"beta_omega": [0.5, 4.0, 3],
+                                                   "omega_ell": [0.0, 2.0, 3]}}),
+                    encoding="utf-8")
+    for sub in ("phase-diagram", "coefficients"):
+        res = subprocess.run([sys.executable, "-X", "importtime", "-m", "thermalpair", sub,
+                              "--config", str(path), "--out", str(tmp_path / "out")],
+                             capture_output=True, text=True)
+        assert res.returncode == 0, (sub, res.stderr)
+        imported = {line.rsplit("|", 1)[-1].strip() for line in res.stderr.splitlines()
+                    if line.startswith("import time:")}
+        assert "thermalpair.cli" in imported and "numpy" not in imported, sub
+
+
+@pytest.mark.parametrize("extra,message", [
+    ({"n": [1, 1, 0]}, "error: invalid axis n: axis must be a unit vector, |n| = "),
+    ({"initial_state": {"product": {"bloch1": [0, 0, 1], "bloch2": [0, 0.5, 0]}}},
+     "error: invalid product state: axis must be a unit vector, |n| = 0.5\n"),
+    ({"initial_state": {"matrix": [[1.5, 0.0] if k == 0 else [-0.5, 0.0] if k == 5
+                                   else [0.0, 0.0] for k in range(16)]}},
+     "error: matrix initial state invalid: density matrix has negative eigenvalue "),
+], ids=["axis", "bloch-vector", "matrix-not-psd"])
+def test_phase_diagram_still_validates_the_axis_and_the_state(tmp_path, extra, message):
+    # the phase diagram reads neither, but the parser checks them in plain
+    # Python, and a matrix state with numpy after its turn to the frame
+    res = run_cli("phase-diagram", config={**SWEEP, **extra}, tmp_path=tmp_path)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith(message) and res.stderr.count("\n") == 1
+
+
+def test_reports_are_json_dumps_without_its_reference_cycles(tmp_path):
+    # the JSON reports carry json.dumps(doc, indent=2) byte for byte, but
+    # its indenting encoder leaves a reference cycle per call, which only
+    # the cyclic collector frees: no report leaves one
+    for doc in ({"A": 0.1, "rho": [[1e-300, -0.0], [math.nan, -math.inf]], "dim": 4},
+                {"empty": {}, "none": [], "flags": [True, False, None], "s": "é\""},
+                [], {}, [[1, [2, {"k": [3.5]}]]], 2.5):
+        assert cli._json(doc) == json.dumps(doc, indent=2), doc
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**EVERY_SUBCOMMAND, "initial_state": {
+        "product": {"bloch1": [1, 0, 0], "bloch2": [0, 0.6, 0.8]}}}), encoding="utf-8")
+    for sub in SUBCOMMANDS:
+        assert cli.main([sub, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        gc.collect()
+        gc.disable()
+        try:
+            assert cli.main([sub, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+            assert gc.collect() == 0, sub
+        finally:
+            gc.enable()

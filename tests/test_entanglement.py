@@ -27,11 +27,11 @@ from thermalpair import (
 )
 from thermalpair import cli
 from thermalpair.dynamics import _DISSIPATORS
-from thermalpair.entanglement import _THETA_T, _taylor_action
+from thermalpair.generation import _THETA_T, _taylor_action
 from thermalpair.spectral import kossakowski_coefficients
 
 from util import (KossakowskiMatrix, build_kossakowski_spectral, corner_generators,
-                  equilibrium_closed_form, generation_discriminant, generator_with_hamiltonian,
+                  Q0, equilibrium_closed_form, generation_discriminant, generator_with_hamiltonian,
                   is_entangled, kossakowski_6x6, min_q_rate, mp_concurrence, mp_rates,
                   oracle_step, q_probe, q_rate, random_bloch, random_density, random_params,
                   random_product_state, random_rotation, random_separable_density,
@@ -236,9 +236,9 @@ def test_concurrence_of_a_relaxing_state_against_mpmath():
     for doc, samples in ((RELAXING, ((54, 1e-14), (81, 1e-14), (257, 1e-14))),
                          (DECAYING, ((165, 1e-14),)), (RAISING, ((36, 1e-14),))):
         config = cli.parse_config(doc)
-        states = evolve_traj(build_superoperator(config.params), config.rho0, config.times)
+        states = evolve_traj(build_superoperator(config.params), config.initial_state()[1], config.times)
         for k, tol in samples:
-            exact = _mp_concurrence(config.params, config.rho0, config.times[k])
+            exact = _mp_concurrence(config.params, config.initial_state()[1], config.times[k])
             assert abs(concurrence(states[k]) - exact) <= tol, (k, concurrence(states[k]), exact)
     assert abs(exact - 0.34962977534486972) <= 1e-16, exact  # RAISING at sample 36
 
@@ -363,7 +363,7 @@ def test_generation_margin_equals_canonical_reduction():
         p = random_params(rng)
         c = kossakowski_coefficients(p)
         margin, _ = generation_test(c)
-        norm = kossakowski_eigenvalues(p).max()
+        norm = max(kossakowski_eigenvalues(p))
         assert margin == pytest.approx(4.0 * c.A * c.A * criterion_rs(p)[2],
                                        rel=1e-10, abs=1e-13 * norm ** 2)
 
@@ -459,22 +459,25 @@ def test_taylor_action_matches_scipy():
     # exp(A) v by the oracle's series at |A|_1 from 1e-6 to just past
     # _THETA_T, which the oracle's step reaches to rounding; 0.039 is its
     # step at beta*omega = 0.05.  The series has no fallback, so the last
-    # norm tests the series itself past _THETA_T
+    # norm tests the series itself past _THETA_T.  A is a generator's block
+    # on Q0, which no entry outside it feeds, and v the Q0 entries of a state
     from scipy.linalg import expm as scipy_expm  # reference route, tests only
 
     eps, theta = np.finfo(float).eps, _THETA_T
     rng = np.random.default_rng(7)
     for label, M in corner_generators(41, 120):
+        M = M[np.ix_(Q0, Q0)]
         norm_M = np.abs(M).sum(axis=0).max()
-        v = vec(random_density(rng))
+        v = vec(random_density(rng))[list(Q0)]
         for norm in (1e-6, 0.039, theta * (1 - 2**-40), theta * (1 + 2**-20)):
             A = M * (norm / norm_M)
             assert (np.abs(A).sum(axis=0).max() <= theta) == (norm < theta), (label, norm)
-            diff = np.abs(_taylor_action(A, v) - scipy_expm(A) @ v).max()
+            diff = np.abs(np.array(_taylor_action(A.tolist(), v.tolist()))
+                          - scipy_expm(A) @ v).max()
             assert diff <= 4 * eps * np.abs(v).max(), (label, norm, diff)
     # the series takes at least one term, so a non-finite A, whose norm stops
     # no degree loop, still reaches the result and fails the oracle's guard
-    assert np.isnan(_taylor_action(np.full((6, 6), np.nan), np.ones(6))).all()
+    assert all(map(math.isnan, _taylor_action([[math.nan] * 6] * 6, [1.0] * 6)))
 
 
 def test_oracle_agrees_for_generic_product_states():

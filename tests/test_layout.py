@@ -14,7 +14,9 @@ which keeps its share of the start-up time small, and it reaches LAPACK only
 through numpy.linalg's Hermitian eigenvalue solver (and the vector norm).  It
 raises no bare RuntimeError: each failure the CLI maps to an exit code has
 its own exception class.  A module reads another module's `_`-prefixed
-names only where ALLOWED_PRIVATE lists them.
+names only where ALLOWED_PRIVATE lists them.  The modules that the phase
+diagram and the coefficients report run on import numpy in no module-level
+statement, so those subcommands start without it.
 """
 
 import ast
@@ -24,16 +26,18 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "thermalpair"
 # the console entry point, called from outside the package
 ENTRY_POINTS = {("cli", "main")}
 # the top-level modules src/ may import besides its own
-ALLOWED_IMPORTS = {"__future__", "argparse", "dataclasses", "json", "math", "sys", "numpy"}
+ALLOWED_IMPORTS = {"__future__", "argparse", "dataclasses", "importlib", "json", "math", "sys",
+                   "numpy"}
 # what src/ may call through numpy.linalg: an exponential by linear solve, a
 # concurrence by SVD or a matrix square root by eigh is a reference route
 # for tests/util.py
 ALLOWED_LINALG = {"eigvalsh", "norm"}
-# the `_`-prefixed names one module of src/ reads from another: the fixed
-# dissipators the oracle restricts to Q0, the axis check of a product state's
-# Bloch vectors and the sinc of the generation test's reduction
-ALLOWED_PRIVATE = {("dynamics", "_DISSIPATORS"), ("dynamics", "_unit_vector"),
-                   ("spectral", "_sinc")}
+# the `_`-prefixed names one module of src/ reads from another: the axis
+# check of a product state's Bloch vectors and the sinc of the generation
+# test's reduction
+ALLOWED_PRIVATE = {("dynamics", "_unit_vector"), ("spectral", "_sinc")}
+# the modules `python -m thermalpair phase-diagram` and `coefficients` import
+NUMPY_FREE = {"__init__", "__main__", "cli", "generation", "spectral"}
 
 
 def _references(node, skip=None) -> set:
@@ -195,3 +199,31 @@ def test_reads_other_modules_private_names_only_from_the_allowlist():
     assert not beyond, f"private names read across modules: {sorted(beyond)}"
     stale = ALLOWED_PRIVATE - read.keys()
     assert not stale, f"allowlisted but not read: {sorted(stale)}"
+
+
+def test_phase_diagram_modules_import_numpy_only_inside_functions():
+    # a module-level import, also one inside a class, an if or a try, runs
+    # when the module is imported: numpy, or a sibling outside NUMPY_FREE,
+    # which imports numpy.  The subprocess test in test_cli.py checks the run
+    found = []
+    for module, tree in _trees().items():
+        if module not in NUMPY_FREE:
+            continue
+        stack = list(tree.body)
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            stack.extend(ast.iter_child_nodes(node))
+            if isinstance(node, ast.Import):
+                names = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module.split(".")[0]]
+            elif isinstance(node, ast.ImportFrom):
+                siblings = [node.module] if node.module else [a.name for a in node.names]
+                names = [f".{name}" for name in siblings if name not in NUMPY_FREE]
+            else:
+                continue
+            found += [f"{module}:{node.lineno}: {name}" for name in names
+                      if name == "numpy" or name.startswith(".")]
+    assert not found, f"module-level imports of numpy on the phase-diagram path: {found}"

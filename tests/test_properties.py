@@ -77,7 +77,7 @@ def models(draw):
 def test_kossakowski_passes_the_cp_guard(model):
     params, K, _ = model
     eigs = np.linalg.eigvalsh(kossakowski_6x6(K))
-    lam = kossakowski_eigenvalues(params)
+    lam = np.array(kossakowski_eigenvalues(params))
     assert np.abs(np.sort(lam) - eigs).max() <= 1e-14 * np.abs(eigs).max()
     svd_norm = np.linalg.norm(kossakowski_6x6(K), 2)
     assert abs(K.norm - svd_norm) <= 1e-14 * svd_norm
@@ -92,7 +92,7 @@ def test_kossakowski_passes_the_cp_guard(model):
 @given(st.one_of(st.just(math.inf), _log_uniform(1.5e-154, 1e300)),
        st.one_of(st.just(0.0), _log_uniform(1e-300, 1e300), st.floats(0.0, 20.0)))
 def test_no_rate_is_negative_at_any_corner(bw, wl):
-    lam = kossakowski_eigenvalues(ModelParams(beta_omega=bw, omega_ell=wl))
+    lam = np.array(kossakowski_eigenvalues(ModelParams(beta_omega=bw, omega_ell=wl)))
     assert np.isfinite(lam).all() and lam.min() >= 0.0 and lam[5] == 0.0, (bw, wl, lam)
 
 
@@ -476,7 +476,7 @@ def test_evolve_summary_agrees_with_the_asymptotic_report(bw, wl, n, include_hs,
               "include_hs": include_hs, "initial_state": state, "time_grid": [0.0, 1.0]}
     code, report, _ = _run_cli("asymptotic", config)
     code_evolve, _, summary = _run_cli("evolve", config)
-    c = singlet_ket().conj() @ cli.parse_config(config).rho0[:, 3]
+    c = singlet_ket().conj() @ cli.parse_config(config).initial_state()[1][:, 3]
     leftover = include_hs and math.isinf(bw) and wl == 0 and 2.0 * abs(c) > _CONV_TOL
     if leftover:
         assert code == 5

@@ -14,7 +14,9 @@ stationary projector from one SVD of the generator, and the spectral gap
 that sizes the long-time evolution; and the general entanglement-generation
 discriminant for any product state, with its u and v (also by the
 Pauli-rotation route) and its probe functionals; and the small-time oracle
-on the general route, any state under any 16x16 generator.  The library
+on the general route, any state under any 16x16 generator, and on the
+charge-0 sector with numpy arrays, as the library ran it before its kernel
+became plain Python.  The library
 evaluates that discriminant only at |-> (x) |+>, in closed form, runs its
 oracle from that state in the charge-0 sector with closed-form spectra,
 and takes the asymptotic state in closed form too."""
@@ -28,10 +30,11 @@ import numpy as np
 from thermalpair import (KossakowskiCoefficients, ModelParams, ProductState, bloch_ket,
                          build_superoperator, evolve, kossakowski_coefficients,
                          kossakowski_eigenvalues, min_eig_pt, partial_transpose, unvec, vec)
-from thermalpair.dynamics import SIGMA, _unit_vector, expm
-from thermalpair.entanglement import (_BOUNDARY_REL_TOL, _DISSIPATORS_Q0, _ORACLE_DT,
-                                      _ORACLE_NEG_TOL, _THETA_T)
-from thermalpair.spectral import TWO_PI, _sinc
+from thermalpair import PositivityError
+from thermalpair.dynamics import _DISSIPATORS, SIGMA, _unit_vector, check_state, expm
+from thermalpair.generation import (_BOUNDARY_REL_TOL, _CANONICAL_Q0, _ORACLE_DT,
+                                    _ORACLE_NEG_TOL, _THETA_T)
+from thermalpair.spectral import _ONE_MINUS_SINC_SERIES, TWO_PI, _sinc
 
 # Levi-Civita symbol, epsilon[i, j, k]
 _EPSILON = np.zeros((3, 3, 3))
@@ -260,6 +263,18 @@ def coefficient_rates(coeffs: KossakowskiCoefficients) -> np.ndarray:
         a, b, c = coeffs.A + s * coeffs.Ap, coeffs.B + s * coeffs.Bp, coeffs.C + s * coeffs.Cp
         rates += [a + b, a - b, a + c]
     return np.array(rates)
+
+
+def polyval_rates(params: ModelParams) -> np.ndarray:
+    """kossakowski_eigenvalues(params) as the library took them with numpy,
+    the series of 1 - S by np.polyval: the bits its plain-Python Horner loop
+    must give."""
+    bw, x = params.beta_omega, params.omega_ell
+    down = -1.0 / (TWO_PI * math.expm1(-bw))
+    up = down * math.exp(-bw)
+    rel = (x - math.sin(x)) / x if x >= 1.0 else x * x * np.polyval(_ONE_MINUS_SINC_SERIES, x * x)
+    return np.array([down * (2.0 - rel), up * (2.0 - rel), 1.0 / (math.pi * bw),
+                     down * rel, up * rel, 0.0])
 
 
 def mp_rates(params: ModelParams) -> list:
@@ -659,13 +674,54 @@ def uv_vectors_rotation(state: ProductState):
 
 
 # ---------------------------------------------------------------------------
-# the small-time oracle on the general route (entanglement)
+# the small-time oracle on the general route, and in numpy (generation)
 # ---------------------------------------------------------------------------
+
+# vec indices (a + 4b of |a><b|) of the charge-0 sector Q0 in the order of
+# generation.generator_q0, and the fixed dissipators restricted to it
+Q0 = (0, 5, 6, 9, 10, 15)
+DISSIPATORS_Q0 = _DISSIPATORS[:, Q0][:, :, Q0]
+
 
 def oracle_step(params: ModelParams) -> float:
     """small_time_ppt_oracle's step: _ORACLE_DT, or _THETA_T / |M_q0|_1 where that is shorter."""
-    M = np.tensordot(kossakowski_eigenvalues(params), _DISSIPATORS_Q0, axes=1)
+    M = np.tensordot(kossakowski_eigenvalues(params), DISSIPATORS_Q0, axes=1)
     return min(_ORACLE_DT, _THETA_T / float(np.abs(M).sum(axis=0).max()))
+
+
+def taylor_action_numpy(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """generation._taylor_action on arrays: the same degree rule and Horner
+    steps, each a numpy matrix-vector product."""
+    norm = np.abs(A).sum(axis=0).max()
+    m, bound = 1, norm * norm / 2.0
+    while bound > 2.0**-53:
+        m += 1
+        bound *= norm / (m + 1)
+    y = v
+    for j in range(m, 0, -1):
+        y = v + (A @ y) / j
+    return y
+
+
+def small_time_ppt_oracle_numpy(params: ModelParams) -> bool:
+    """generation.small_time_ppt_oracle as it was in numpy, before its kernel
+    became plain Python: M_q0 as one contraction of the rates with
+    DISSIPATORS_Q0, exp(step M_q0) v by taylor_action_numpy.  It steps by 0
+    where |M_q0|_1 overflows, and the library raises there."""
+    M = np.tensordot(kossakowski_eigenvalues(params), DISSIPATORS_Q0, axes=1)
+    dt = min(_ORACLE_DT, _THETA_T / float(np.abs(M).sum(axis=0).max()))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check below
+        v = taylor_action_numpy(dt * M, np.array(_CANONICAL_Q0))
+    if not np.isfinite(v).all():
+        raise PositivityError(f"evolved state is not finite at t={dt}")
+    r00, r11, c21, c12, r22, r33 = v.tolist()
+    tr = (r00 + r11) + (r22 + r33)
+    if not 0 < tr < math.inf:
+        raise PositivityError(f"evolved state has trace {tr} at t={dt}")
+    r00, r11, r22, r33, c = r00 / tr, r11 / tr, r22 / tr, r33 / tr, 0.5 * (c21 + c12) / tr
+    check_state(min(r00, r33, (r11 + r22) / 2 - math.hypot((r11 - r22) / 2, c)),
+                abs(c12 - c21), tr, dt)
+    return min(r11, r22, (r00 + r33) / 2 - math.hypot((r00 - r33) / 2, c)) < -_ORACLE_NEG_TOL
 
 
 def small_time_ppt_reference(M: np.ndarray, rho0: np.ndarray, dt: float) -> bool:
