@@ -27,7 +27,9 @@ Taylor series in the charge-0 sector Q0 (`generation.generator_q0`), where
 it is an X-state: its spectrum is r00, r33, (r11 + r22)/2 +-
 hypot((r11 - r22)/2, c), its partial transpose's r11, r22, (r00 + r33)/2 +-
 hypot((r00 - r33)/2, c).  `evolve` multiplies each state by the Taylor
-exponential `dynamics.expm`.
+exponential `dynamics.expm`, and formats each row as `dynamics.evolve_traj`
+yields its state, keeping only the text: no list of states or RK45 samples
+is held.
 
 `phase-diagram` and `coefficients` run in plain Python on `spectral` and
 `generation`.  The parser checks the axis n, a named or product state and
@@ -42,7 +44,11 @@ path, 3 an implementation-bug guard (discriminant/oracle disagreement, or
 a failed or disagreeing RK45 cross-check in `evolve`), 4 an evolved state
 that fails a positivity check, 5 convergence-check failure (the closed-form
 stationary state of `asymptotic` or of `evolve`'s summary fails its
-residual or tau guard, or the state has no limit).
+residual or tau guard, or the state has no limit).  `evolve` checks each
+sample with the exponential's guards, then with the RK45 cross-check, and
+stops at the first failure, so the earlier sample's failure sets the code;
+it writes its text only after every guard has passed, so exits 3, 4 and 5
+leave no output.  `main` maps each failure to its code in `_EXIT_CODES`.
 
 In-process use: ``main(argv)`` may be called any number of times in one
 process.  It returns the exit code, except that a usage error (an unknown
@@ -152,10 +158,10 @@ def _number(value, what: str, integral: bool = False):
     return x
 
 
-def _parse_axis(raw) -> tuple:
-    _require(isinstance(raw, (list, tuple)) and len(raw) == 3,
-             "n must be a 3-vector")
-    return tuple(_number(x, "n entry") for x in raw)
+def _parse_axis(raw, name: str = "n") -> tuple:
+    """The three numbers of the axis n or a Bloch vector; errors name it."""
+    _require(isinstance(raw, (list, tuple)) and len(raw) == 3, f"{name} must be a 3-vector")
+    return tuple(_number(x, f"{name} entry") for x in raw)
 
 
 def _parse_complex_matrix(entries):
@@ -187,13 +193,13 @@ def _parse_initial_state(raw, n) -> tuple:
     if tag == "product":
         _require(isinstance(value, dict) and set(value) == {"bloch1", "bloch2"},
                  "product initial state needs bloch1 and bloch2")
-        blochs = _parse_axis(value["bloch1"]), _parse_axis(value["bloch2"])
+        blochs = {name: _parse_axis(value[name], name) for name in ("bloch1", "bloch2")}
         try:
-            for b in blochs:
-                generation.check_unit(b)
+            for name, b in blochs.items():
+                generation.check_unit(b, name)
         except ValueError as exc:
             raise ConfigError(f"invalid product state: {exc}") from None
-        return ("product", *blochs)
+        return ("product", *blochs.values())
     _require(tag == "matrix", f"unknown initial_state tag {tag!r}")
     from . import dynamics
     frame = dynamics.local_frame(n)
@@ -414,7 +420,11 @@ def cmd_phase_diagram(config: RunConfig, out_path: str | None) -> int:
 
 
 def cmd_evolve(config: RunConfig, out_path: str | None) -> int:
-    """Trajectory dump: per-sample trace, spectra and entanglement scalars."""
+    """Trajectory dump: per-sample trace, spectra and entanglement scalars.
+
+    Each row is formatted as its state arrives from evolve_traj, and only
+    the text is kept; it is written once the trajectory and the asymptotic
+    state have passed their guards, so exit 3, 4 or 5 leaves no output."""
     if config.times is None:
         raise ConfigError("evolve requires a time_grid section")
     import numpy as np
@@ -427,22 +437,20 @@ def cmd_evolve(config: RunConfig, out_path: str | None) -> int:
         raise ConfigError(f"time_grid t_max {float(config.times[-1])!r} is too long for the "
                           f"RK45 cross-check: t_max |M|_1 = {work:.3g} exceeds "
                           f"MAX_RK_WORK = {MAX_RK_WORK:.0e}")
-    states = dynamics.evolve_traj(M, rho0, config.times)
-    rho_inf, _ = asymptotic.asymptotic_state(M, rho0, params)
-
-    lines = [EVOLVE_HEADER]
-    for t_dimless, rho in zip(config.times, states):
-        lines.append(",".join([
+    rows = []
+    for t_dimless, rho in zip(config.times, dynamics.evolve_traj(M, rho0, config.times)):
+        rows.append(",".join([
             _fmt(t_dimless),
             _fmt(np.trace(rho).real),
             _fmt(np.linalg.eigvalsh(rho).min()),
             _fmt(entanglement.min_eig_pt(rho)),
             _fmt(entanglement.concurrence(rho)),
             _fmt(dynamics.tau(rho)),
-        ]))
-    _write_out("\n".join(lines) + "\n", out_path)
+        ]) + "\n")
+    rho_inf, _ = asymptotic.asymptotic_state(M, rho0, params)
+    _write_out(EVOLVE_HEADER + "\n", out_path, rows)
 
-    dist = dynamics.trace_norm(states[-1] - rho_inf)
+    dist = dynamics.trace_norm(rho - rho_inf)
     summary = {"final_time": float(config.times[-1]),
                "trace_distance_to_asymptotic": dist,
                "asymptotic_concurrence": entanglement.concurrence(rho_inf)}
@@ -476,16 +484,25 @@ def cmd_asymptotic(config: RunConfig, out_path: str | None) -> int:
     return 0
 
 
+# each subcommand's function and help text
+_COMMANDS = {
+    "coefficients": (cmd_coefficients, "Kossakowski coefficients as JSON"),
+    "phase-diagram": (cmd_phase_diagram, "generation phase diagram as CSV"),
+    "evolve": (cmd_evolve, "trajectory dump as CSV"),
+    "asymptotic": (cmd_asymptotic, "stationary-state report as JSON"),
+}
+# the exit code of each failure that main reports in one line
+_EXIT_CODES = {ConfigError: 2, generation.CrossCheckError: 3, generation.PositivityError: 4,
+               generation.ConvergenceError: 5}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="thermalpair",
         description="Two two-level atoms in a common thermal field bath: "
                     "dissipative dynamics and entanglement generation.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, descr in (("coefficients", "Kossakowski coefficients as JSON"),
-                        ("phase-diagram", "generation phase diagram as CSV"),
-                        ("evolve", "trajectory dump as CSV"),
-                        ("asymptotic", "stationary-state report as JSON")):
+    for name, (_, descr) in _COMMANDS.items():
         p = sub.add_parser(name, help=descr)
         p.add_argument("--config", default=None,
                        help="JSON config path (default: standard input)")
@@ -501,33 +518,12 @@ _PARSER = build_parser()
 
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
+    command, _ = _COMMANDS[args.command]
     try:
-        config = load_config(args.config)
-    except ConfigError as exc:
+        return command(load_config(args.config), args.out)
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        if args.command == "coefficients":
-            return cmd_coefficients(config, args.out)
-        if args.command == "phase-diagram":
-            return cmd_phase_diagram(config, args.out)
-        if args.command == "evolve":
-            return cmd_evolve(config, args.out)
-        if args.command == "asymptotic":
-            return cmd_asymptotic(config, args.out)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except generation.CrossCheckError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except generation.PositivityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except generation.ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    raise AssertionError(f"unhandled command {args.command}")
+        return _EXIT_CODES[type(exc)]
 
 
 if __name__ == "__main__":

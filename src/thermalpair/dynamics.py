@@ -15,7 +15,8 @@ quantity sees but `asymptotic`'s report with include_hs (`cli`).
 
 Evolution multiplies vec(rho0) by the Taylor exponential exp(t M) (`expm`,
 no linear solve).  A trajectory steps from sample to sample and is
-cross-checked from t = 0 by an adaptive RK45 (`solve_ivp`).  The phase
+cross-checked from t = 0 by an adaptive RK45 (`solve_ivp`); both are
+generators that advance together, one sample at a time.  The phase
 diagram's small-time oracle has its own kernel, a Taylor series of
 matrix-vector products on the generator's charge-0 block, in plain Python
 (`generation`, which also holds the guards `check_state` and `check_unit`
@@ -32,13 +33,6 @@ from .generation import CrossCheckError, PositivityError, check_state, check_uni
 from .spectral import ModelParams, kossakowski_eigenvalues
 
 
-SIGMA = (
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
-
-
 def _dissipator(L: np.ndarray) -> np.ndarray:
     """Superoperator of D[L] rho = L rho L^dag - (1/2){L^dag L, rho}."""
     LdL = L.conj().T @ L
@@ -51,10 +45,11 @@ def _dissipator(L: np.ndarray) -> np.ndarray:
 # (relative), D[L] with L = sigma- (x) 1 + s 1 (x) sigma-, D[L^dag] and
 # (1/2) D[Z] with Z = sigma3 (x) 1 + s 1 (x) sigma3
 _SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]])  # |-><+|
+_SIGMA_3 = np.diag([1.0, -1.0])
 _DISSIPATORS = []
 for _s in (1.0, -1.0):
     _L = np.kron(_SIGMA_MINUS, np.eye(2)) + _s * np.kron(np.eye(2), _SIGMA_MINUS)
-    _Z = np.kron(SIGMA[2].real, np.eye(2)) + _s * np.kron(np.eye(2), SIGMA[2].real)
+    _Z = np.kron(_SIGMA_3, np.eye(2)) + _s * np.kron(np.eye(2), _SIGMA_3)
     _DISSIPATORS += [_dissipator(_L), _dissipator(_L.T), 0.5 * _dissipator(_Z)]
 _DISSIPATORS = np.array(_DISSIPATORS)
 
@@ -146,20 +141,22 @@ def _rms(x: np.ndarray) -> float:
     return float(np.linalg.norm(x)) / math.sqrt(x.size)
 
 
-def solve_ivp(M: np.ndarray, y0: np.ndarray, times: np.ndarray) -> np.ndarray:
+def solve_ivp(M: np.ndarray, y0: np.ndarray, times: np.ndarray):
     """Adaptive Dormand-Prince 5(4) solution of dy/dt = M y, y(0) = y0, at the
-    sorted nonnegative sample times: a (len(y0), len(times)) array.
+    sorted nonnegative sample times: a generator that yields y(t_k), a
+    complex array shaped like y0, as it reaches each t_k, so no more than
+    one sample is held (y0 itself at t_k = 0).
 
     Step control is the usual one for this pair: the RMS of the error
     estimate over _RK_ATOL + max(|y|, |y_new|) _RK_RTOL must stay below 1,
     h changes by a factor of 0.9 err^(-1/5) clipped to [0.2, 10] (at most 1
     right after a rejected step), and h never starts a step below 10 ulp(t).  Steps are
     shortened to land exactly on every sample time, so no sample is
-    interpolated.  Raises CrossCheckError if a rejected step shrinks h below
-    10 ulp(t) or the solution turns non-finite.
+    interpolated.  Raises CrossCheckError, from the next() that needs the
+    step, if a rejected step shrinks h below 10 ulp(t) or the solution turns
+    non-finite.
     """
     y = np.asarray(y0, dtype=complex)
-    out = np.empty((len(y), len(times)), dtype=complex)
     K = np.empty((7, len(y)), dtype=complex)
     K[0] = M @ y
     # first step from the sizes of y and dy/dt (Hairer, Norsett & Wanner,
@@ -171,7 +168,7 @@ def solve_ivp(M: np.ndarray, y0: np.ndarray, times: np.ndarray) -> np.ndarray:
         d0, d1 = _rms(y / scale), _rms(K[0] / scale)
     h = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     t, rejected = 0.0, False
-    for k, target in enumerate(times):
+    for target in times:
         while t < target:
             min_step = 10 * math.ulp(t)
             h = max(h, min_step)
@@ -201,8 +198,7 @@ def solve_ivp(M: np.ndarray, y0: np.ndarray, times: np.ndarray) -> np.ndarray:
                 if h < min_step:
                     raise CrossCheckError(f"RK45 cross-check integration failed: step size "
                                        f"{h:.3g} at t={t:.6g}")
-        out[:, k] = y
-    return out
+        yield y
 
 
 def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
@@ -315,31 +311,29 @@ def evolve(M: np.ndarray, rho0: np.ndarray, t: float, t0: float = 0.0) -> np.nda
     return rho
 
 
-def evolve_traj(M: np.ndarray, rho0: np.ndarray, times) -> list:
-    """The states rho(t_k) on a sorted nonnegative time grid, each one evolve
-    step (a trace-norm contraction, with its guards) from the one before,
-    from rho0 at t = 0.  The same trajectory is integrated from rho0 with
-    adaptive RK45 (solve_ivp), and the two must agree to _RK_AGREE_TOL in
-    max-norm (two independent numerical routes through a non-normal
-    generator), or CrossCheckError is raised.  rho0 is a valid density matrix
-    array, as for evolve."""
+def evolve_traj(M: np.ndarray, rho0: np.ndarray, times):
+    """A generator of the states rho(t_k) on a sorted nonnegative time grid,
+    each one evolve step (a trace-norm contraction, with its guards) from
+    the one before, from rho0 at t = 0.  Beside it RK45 (solve_ivp)
+    integrates the same trajectory from rho0, and each state is yielded only
+    once the two routes agree at t_k to _RK_AGREE_TOL in max-norm (two
+    independent numerical routes through a non-normal generator); the first
+    sample over the bound raises CrossCheckError.  At each t_k evolve runs
+    before RK45 advances to t_k, so a sample that fails both routes raises
+    evolve's PositivityError.  Only the last state is held.  The grid is
+    checked, with ValueError, on the first next().  rho0 is a valid density
+    matrix array, as for evolve."""
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
         raise ValueError("time grid must be a nonempty 1-d array")
     if times[0] < 0 or (len(times) > 1 and not np.all(np.diff(times) > 0)):
         raise ValueError("time grid must be sorted, strictly increasing and nonnegative")
-    states = [rho0]
-    for t0, t in zip([0.0, *times.tolist()], times.tolist()):
-        states.append(evolve(M, states[-1], t, t0))
-    states = states[1:]
-
-    if times[-1] > 0:
-        ys = solve_ivp(M, vec(rho0), times)
-        worst = 0.0
-        for k in range(len(times)):
-            worst = max(worst, np.abs(states[k] - unvec(ys[:, k])).max())
-        if worst > _RK_AGREE_TOL:
+    ys = solve_ivp(M, vec(rho0), times)
+    rho, t0 = rho0, 0.0
+    for t in times.tolist():
+        rho, t0 = evolve(M, rho, t, t0), t
+        diff = np.abs(rho - unvec(next(ys))).max()
+        if diff > _RK_AGREE_TOL:
             raise CrossCheckError(f"matrix-exponential and RK45 trajectories disagree: "
-                               f"{worst:.3e} > {_RK_AGREE_TOL:.1e}")
-
-    return states
+                                  f"{diff:.3e} > {_RK_AGREE_TOL:.1e}")
+        yield rho

@@ -71,11 +71,12 @@ def check_state(min_eig: float, herm_dev: float, tr: float, t: float):
 _UNIT_TOL = 1e-12
 
 
-def check_unit(v):
-    """Raise ValueError unless the real 3-vector v has unit length to _UNIT_TOL."""
+def check_unit(v, name: str | None = None):
+    """Raise ValueError unless the real 3-vector v has unit length to
+    _UNIT_TOL; the message names v by name, or as the axis n."""
     norm = math.hypot(*v)
     if not abs(norm - 1.0) <= _UNIT_TOL:  # a NaN entry fails too
-        raise ValueError(f"axis must be a unit vector, |n| = {norm!r}")
+        raise ValueError(f"{name or 'axis'} must be a unit vector, |{name or 'n'}| = {norm!r}")
 
 
 # generation_test verdicts within this fraction of |K|_2^2 of zero are inconclusive

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -354,7 +355,7 @@ def test_rk45_work_cap_gives_the_same_verdict_with_and_without_include_hs(tmp_pa
 
 
 def _disagreeing(solve_ivp):
-    return lambda *args: solve_ivp(*args) + 1e-6
+    return lambda *args: (y + 1e-6 for y in solve_ivp(*args))
 
 
 def _failing(solve_ivp):
@@ -381,6 +382,50 @@ def test_a_failed_rk45_cross_check_exits_3(tmp_path, monkeypatch, capsys, fault,
     assert captured.out == "" and not out.exists()
     assert captured.err.startswith("error: " + message)
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("bad_time,code", [(0.5, 4), (1.0, 3)])
+def test_the_first_sample_that_fails_a_guard_sets_the_exit_code(tmp_path, monkeypatch, capsys,
+                                                                 bad_time, code):
+    # at each sample evolve's guards run before RK45 advances to it: a
+    # positivity failure at the RK45 route's first failing sample exits 4,
+    # one at a later sample never runs, and the failed integration exits 3
+    real_evolve = dynamics.evolve
+
+    def evolve(M, rho, t, t0=0.0):
+        if t == bad_time:
+            raise generation.PositivityError(f"evolved state is not finite at t={t}")
+        return real_evolve(M, rho, t, t0)
+
+    monkeypatch.setattr(dynamics, "evolve", evolve)
+    monkeypatch.setattr(dynamics, "solve_ivp", _failing(dynamics.solve_ivp))
+    path, out = tmp_path / "config.json", tmp_path / "traj.csv"
+    path.write_text(json.dumps({"time_grid": {"t_max": 1.0, "n_samples": 3}}), encoding="utf-8")
+    assert cli.main(["evolve", "--config", str(path), "--out", str(out)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists() and captured.err.count("\n") == 1
+
+
+def test_trajectory_memory_grows_by_its_text_alone(tmp_path):
+    # evolve keeps each row's text and the last state: the list of states
+    # (a 4x4 complex array, about 0.37 KB a sample) and the RK45 array (0.26
+    # KB) are gone, so the traced peak grows by the rows' strings and the
+    # time grid, about 0.24 KB a sample
+    path, out = tmp_path / "config.json", tmp_path / "traj.csv"
+
+    def traced_peak(n_samples):
+        path.write_text(json.dumps({"beta": 2, "ell": 0.7, "time_grid": {
+            "t_max": 5.0, "n_samples": n_samples}}), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            assert cli.main(["evolve", "--config", str(path), "--out", str(out)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    traced_peak(50)  # imports and first-call allocations stay out of the slope
+    slope = (traced_peak(5000) - traced_peak(500)) / 4500
+    assert slope < 400, f"{slope:.0f} B per sample"
 
 
 @pytest.mark.parametrize("text", [
@@ -962,11 +1007,15 @@ def test_phase_diagram_and_coefficients_import_no_numpy(tmp_path, extra):
 @pytest.mark.parametrize("extra,message", [
     ({"n": [1, 1, 0]}, "error: invalid axis n: axis must be a unit vector, |n| = "),
     ({"initial_state": {"product": {"bloch1": [0, 0, 1], "bloch2": [0, 0.5, 0]}}},
-     "error: invalid product state: axis must be a unit vector, |n| = 0.5\n"),
+     "error: invalid product state: bloch2 must be a unit vector, |bloch2| = 0.5\n"),
+    ({"initial_state": {"product": {"bloch1": [1, 0], "bloch2": [0, 0, 1]}}},
+     "error: bloch1 must be a 3-vector\n"),
+    ({"initial_state": {"product": {"bloch1": [1, 0, 0], "bloch2": [0, "up", 1]}}},
+     "error: bloch2 entry must be a number, got 'up'\n"),
     ({"initial_state": {"matrix": [[1.5, 0.0] if k == 0 else [-0.5, 0.0] if k == 5
                                    else [0.0, 0.0] for k in range(16)]}},
      "error: matrix initial state invalid: density matrix has negative eigenvalue "),
-], ids=["axis", "bloch-vector", "matrix-not-psd"])
+], ids=["axis", "bloch-vector", "bloch-vector-length", "bloch-vector-entry", "matrix-not-psd"])
 def test_phase_diagram_still_validates_the_axis_and_the_state(tmp_path, extra, message):
     # the phase diagram reads neither, but the parser checks them in plain
     # Python, and a matrix state with numpy after its turn to the frame

@@ -23,9 +23,8 @@ from thermalpair import (
     vec,
 )
 from thermalpair import dynamics
-from thermalpair.dynamics import SIGMA
 
-from util import (build_kossakowski_spectral, choi_matrix, corner_generators,
+from util import (SIGMA, build_kossakowski_spectral, choi_matrix, corner_generators,
                   dissipator_reference, generator_with_hamiltonian, hamiltonian, pauli_op,
                   random_bloch, random_density, random_params, random_product_state,
                   random_unit_complex, superoperator_reference, tau_reference)
@@ -99,7 +98,17 @@ def test_thermal_excitation_from_double_ground():
 def test_superoperator_matches_dissipator():
     # the closed-form eigenvalues on fixed dissipators against the explicit
     # sum over K's entries; the reference generator with the free
-    # Hamiltonian differs from M by exactly its commutator
+    # Hamiltonian differs from M by exactly its commutator.  The fixed
+    # dissipators are bit for bit those built from the complex Pauli sigma_z
+    minus, z = np.array([[0.0, 0.0], [1.0, 0.0]]), SIGMA[2].real
+    built = []
+    for s in (1.0, -1.0):
+        L = np.kron(minus, np.eye(2)) + s * np.kron(np.eye(2), minus)
+        Z = np.kron(z, np.eye(2)) + s * np.kron(np.eye(2), z)
+        built += [dynamics._dissipator(L), dynamics._dissipator(L.T),
+                  0.5 * dynamics._dissipator(Z)]
+    assert np.array_equal(dynamics._DISSIPATORS, np.array(built))
+    assert dynamics._DISSIPATORS.tobytes() == np.array(built).tobytes()
     rng = np.random.default_rng(22)
     corners = set()
     for _ in range(100):
@@ -343,7 +352,7 @@ def test_solve_ivp_matches_expm(grid):
     for label, M in corner_generators(41, 40):
         times = GRIDS[grid]
         y0 = vec(random_density(rng))
-        ys = dynamics.solve_ivp(M, y0, times)
+        ys = np.array(list(dynamics.solve_ivp(M, y0, times))).T
         assert ys.shape == (16, len(times))
         if times[0] == 0:
             np.testing.assert_array_equal(ys[:, 0], y0)
@@ -355,7 +364,7 @@ def test_solve_ivp_matches_expm(grid):
 
 def test_evolve_traj_trivial_grid():
     rho0 = canonical_state().density()
-    states = evolve_traj(M_L0, rho0, [0.0])
+    states = list(evolve_traj(M_L0, rho0, [0.0]))
     assert len(states) == 1
     np.testing.assert_array_equal(states[0], rho0)
 
@@ -376,7 +385,7 @@ def test_solve_ivp_at_extreme_scales():
     # estimate, and the step size starts from 10 ulp(0) instead
     y0 = vec(canonical_state().density())
     times = np.array([0.0, 1e-300, 3e-300])
-    ys = dynamics.solve_ivp(1e300 * M_L0, y0, times)
+    ys = np.array(list(dynamics.solve_ivp(1e300 * M_L0, y0, times))).T
     ref = np.array([dynamics.expm(t * M_L0) @ y0 for t in (0.0, 1.0, 3.0)]).T
     assert np.abs(ys - ref).max() <= dynamics._RK_AGREE_TOL
 
@@ -385,11 +394,11 @@ def test_evolve_traj_guard_fires_on_disagreement(monkeypatch):
     real = dynamics.solve_ivp
 
     def perturbed(*args):
-        return real(*args) + 1e-6
+        return (y + 1e-6 for y in real(*args))
 
     monkeypatch.setattr(dynamics, "solve_ivp", perturbed)
     with pytest.raises(dynamics.CrossCheckError, match="disagree"):
-        evolve_traj(M_L0, canonical_state().density(), [0.0, 1.0, 2.0])
+        list(evolve_traj(M_L0, canonical_state().density(), [0.0, 1.0, 2.0]))
 
 
 def test_evolve_traj_guard_fires_on_failed_integration(monkeypatch):
@@ -403,7 +412,7 @@ def test_evolve_traj_guard_fires_on_failed_integration(monkeypatch):
 
     monkeypatch.setattr(dynamics, "solve_ivp", failed)
     with pytest.raises(dynamics.CrossCheckError, match="integration failed"):
-        evolve_traj(M_L0, canonical_state().density(), [0.0, 1.0, 2.0])
+        list(evolve_traj(M_L0, canonical_state().density(), [0.0, 1.0, 2.0]))
 
 
 def test_solve_ivp_fails_on_nan_generator():
@@ -411,16 +420,16 @@ def test_solve_ivp_fails_on_nan_generator():
     M[3, 5] = np.nan
     start = time.perf_counter()
     with pytest.raises(dynamics.CrossCheckError, match="integration failed"):
-        dynamics.solve_ivp(M, vec(singlet_density()), np.array([0.0, 1.0, 2.0]))
+        list(dynamics.solve_ivp(M, vec(singlet_density()), np.array([0.0, 1.0, 2.0])))
     assert time.perf_counter() - start < 5.0
 
 
 def test_evolve_traj_rejects_bad_grid():
     rho0 = singlet_density()
     with pytest.raises(ValueError):
-        evolve_traj(M_L0, rho0, [0.0, 1.0, 0.5])
+        list(evolve_traj(M_L0, rho0, [0.0, 1.0, 0.5]))
     with pytest.raises(ValueError):
-        evolve_traj(M_L0, rho0, [-1.0, 1.0])
+        list(evolve_traj(M_L0, rho0, [-1.0, 1.0]))
 
 
 # -------------------------------------------------------- CP witness (Choi)

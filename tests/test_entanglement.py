@@ -236,7 +236,8 @@ def test_concurrence_of_a_relaxing_state_against_mpmath():
     for doc, samples in ((RELAXING, ((54, 1e-14), (81, 1e-14), (257, 1e-14))),
                          (DECAYING, ((165, 1e-14),)), (RAISING, ((36, 1e-14),))):
         config = cli.parse_config(doc)
-        states = evolve_traj(build_superoperator(config.params), config.initial_state()[1], config.times)
+        states = list(evolve_traj(build_superoperator(config.params), config.initial_state()[1],
+                                  config.times))
         for k, tol in samples:
             exact = _mp_concurrence(config.params, config.initial_state()[1], config.times[k])
             assert abs(concurrence(states[k]) - exact) <= tol, (k, concurrence(states[k]), exact)

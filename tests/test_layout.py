@@ -16,10 +16,14 @@ raises no bare RuntimeError: each failure the CLI maps to an exit code has
 its own exception class.  A module reads another module's `_`-prefixed
 names only where ALLOWED_PRIVATE lists them.  The modules that the phase
 diagram and the coefficients report run on import numpy in no module-level
-statement, so those subcommands start without it.
+statement, so those subcommands start without it.  The code lines of src/
+(tokenized, without blank lines, comments and docstrings) stay at or below
+MAX_CODE_LINES, so a change that adds code raises the ceiling in its diff.
 """
 
 import ast
+import io
+import tokenize
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "thermalpair"
@@ -38,6 +42,8 @@ ALLOWED_LINALG = {"eigvalsh", "norm"}
 ALLOWED_PRIVATE = {("dynamics", "_unit_vector"), ("spectral", "_sinc")}
 # the modules `python -m thermalpair phase-diagram` and `coefficients` import
 NUMPY_FREE = {"__init__", "__main__", "cli", "generation", "spectral"}
+# the code lines of src/ when the trajectory became one pass of generators
+MAX_CODE_LINES = 786
 
 
 def _references(node, skip=None) -> set:
@@ -227,3 +233,29 @@ def test_phase_diagram_modules_import_numpy_only_inside_functions():
             found += [f"{module}:{node.lineno}: {name}" for name in names
                       if name == "numpy" or name.startswith(".")]
     assert not found, f"module-level imports of numpy on the phase-diagram path: {found}"
+
+
+def _code_lines(text: str) -> int:
+    """The lines of a module's source that hold a token other than a comment
+    or a docstring."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(text)):
+        if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+                and ast.get_docstring(node, clean=False) is not None):
+            docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    not_code = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+                tokenize.DEDENT, tokenize.ENDMARKER}
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type not in not_code:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - docstrings)
+
+
+def test_code_lines_stay_under_the_ceiling():
+    assert _code_lines('"""doc"""\n\nx = (1,  # one\n     2)\n\n\ndef f():\n    """doc\n    """\n'
+                       '    return """not a\n    docstring"""\n') == 5
+    count = sum(_code_lines(path.read_text(encoding="utf-8"))
+                for path in PACKAGE.glob("*.py"))
+    assert count <= MAX_CODE_LINES, (f"src/ has {count} code lines, above the ceiling "
+                                     f"MAX_CODE_LINES = {MAX_CODE_LINES}")

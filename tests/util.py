@@ -31,10 +31,17 @@ from thermalpair import (KossakowskiCoefficients, ModelParams, ProductState, blo
                          build_superoperator, evolve, kossakowski_coefficients,
                          kossakowski_eigenvalues, min_eig_pt, partial_transpose, unvec, vec)
 from thermalpair import PositivityError
-from thermalpair.dynamics import _DISSIPATORS, SIGMA, _unit_vector, check_state, expm
+from thermalpair.dynamics import _DISSIPATORS, _unit_vector, check_state, expm
 from thermalpair.generation import (_BOUNDARY_REL_TOL, _CANONICAL_Q0, _ORACLE_DT,
                                     _ORACLE_NEG_TOL, _THETA_T)
 from thermalpair.spectral import _ONE_MINUS_SINC_SERIES, TWO_PI, _sinc
+
+# the Pauli matrices sigma_x, sigma_y, sigma_z in the basis (|+>, |->)
+SIGMA = (
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
 
 # Levi-Civita symbol, epsilon[i, j, k]
 _EPSILON = np.zeros((3, 3, 3))
