@@ -144,8 +144,8 @@ def _rms(x: np.ndarray) -> float:
 def solve_ivp(M: np.ndarray, y0: np.ndarray, times: np.ndarray):
     """Adaptive Dormand-Prince 5(4) solution of dy/dt = M y, y(0) = y0, at the
     sorted nonnegative sample times: a generator that yields y(t_k), a
-    complex array shaped like y0, as it reaches each t_k, so no more than
-    one sample is held (y0 itself at t_k = 0).
+    complex array shaped like y0, as it reaches each t_k (y0 itself where
+    t_k = 0), and holds no earlier sample.
 
     Step control is the usual one for this pair: the RMS of the error
     estimate over _RK_ATOL + max(|y|, |y_new|) _RK_RTOL must stay below 1,
