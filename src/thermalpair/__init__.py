@@ -18,12 +18,12 @@ _EXPORTS = {
                  "kossakowski_eigenvalues", "temperature_ratio"),
     "generation": ("ConvergenceError", "CrossCheckError", "PositivityError", "criterion_rs",
                    "generation_test", "small_time_ppt_oracle"),
-    "dynamics": ("bloch_ket", "build_superoperator", "evolve", "evolve_traj", "local_frame",
-                 "singlet_density", "singlet_ket", "tau", "trace_norm", "unvec",
+    "dynamics": ("build_superoperator", "evolve", "evolve_traj", "trace_norm", "unvec",
                  "validate_density_matrix", "vec"),
-    "entanglement": ("ProductState", "canonical_state", "concurrence", "min_eig_pt",
-                     "partial_transpose"),
-    "asymptotic": ("asymptotic_state", "threshold_tau"),
+    "entanglement": ("ProductState", "bloch_ket", "canonical_state", "concurrence", "dagger",
+                     "local_frame", "min_eig_pt", "partial_transpose", "singlet_density",
+                     "singlet_ket", "turn"),
+    "asymptotic": ("asymptotic_state", "tau", "threshold_tau"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

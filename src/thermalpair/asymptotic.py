@@ -11,21 +11,50 @@ Gibbs state g = diag((1 - R)/2, (1 + R)/2):
   - at beta = inf and ell = 0 the dissipator is the collective lowering
     alone, which annihilates |S> and |-->, so c = <S|rho0|--> is conserved
     too and c |S><--| + h.c. joins the state.
-M is the dissipator alone and is read only by the convergence guard.  The
-SVD stationary projector (Albert & Jiang, PRA 89, 022118, 2014) these
-forms are checked against lives in the test suite.
+The module holds the six fixed dissipators of the generator at e3 as one
+table of their nonzero entries (`DISSIPATORS`), which `dynamics` expands
+into the dense superoperators it evolves with.  Here M, the dissipator
+alone, is read from the table by the convergence guard only.  States are
+4x4 nested lists and the module is plain-Python arithmetic, with no
+numpy, so the CLI's `asymptotic` report loads numpy only for a matrix
+initial state, which the config parser validates with it, and for the
+concurrence of the state at beta = inf and ell = 0 with c != 0, the one
+limit that is not an X-state.  The SVD stationary projector (Albert &
+Jiang, PRA 89, 022118, 2014) these forms are checked against lives in
+the test suite.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from . import dynamics
 from .generation import ConvergenceError
-from .spectral import ModelParams, temperature_ratio
+from .spectral import ModelParams, kossakowski_eigenvalues, temperature_ratio
 
+
+# the generator at n = e3 is sum_k lambda_k D_k, lambda from
+# spectral.kossakowski_eigenvalues: for s = +1 (collective), then s = -1
+# (relative), D[L] with L = sigma- (x) 1 + s 1 (x) sigma-, D[L^dag] and
+# (1/2) D[Z] with Z = sigma3 (x) 1 + s 1 (x) sigma3, where D[L] rho =
+# L rho L^dag - (1/2){L^dag L, rho}.  Their 64 nonzero entries (row, column)
+# in the vec basis, |a><b| at a + 4b, grouped by the coefficients
+# (D_0, .., D_5) each group shares
+DISSIPATORS = (
+    ((-2, 0, 0, -2, 0, 0), ((0, 0),)),
+    ((0, 1, 0, 0, 1, 0), ((0, 5), (0, 10), (1, 11), (2, 7), (4, 14), (5, 15), (8, 13), (10, 15))),
+    ((0, 1, 0, 0, -1, 0), ((0, 6), (0, 9), (1, 7), (2, 11), (4, 13), (6, 15), (8, 14), (9, 15))),
+    ((-1.5, -0.5, -1, -1.5, -0.5, -1), ((1, 1), (2, 2), (4, 4), (8, 8))),
+    ((-0.5, -0.5, 0, 0.5, 0.5, 0), ((1, 2), (2, 1), (4, 8), (5, 6), (5, 9), (6, 5), (6, 10),
+                                     (7, 11), (8, 4), (9, 5), (9, 10), (10, 6), (10, 9),
+                                     (11, 7), (13, 14), (14, 13))),
+    ((-1, -1, -4, -1, -1, 0), ((3, 3), (12, 12))),
+    ((1, 0, 0, 1, 0, 0), ((5, 0), (7, 2), (10, 0), (11, 1), (13, 8), (14, 4), (15, 5), (15, 10))),
+    ((-1, -1, 0, -1, -1, 0), ((5, 5), (10, 10))),
+    ((1, 0, 0, -1, 0, 0), ((6, 0), (7, 1), (9, 0), (11, 2), (13, 4), (14, 8), (15, 6), (15, 9))),
+    ((-1, -1, 0, -1, -1, -4), ((6, 6), (9, 9))),
+    ((-0.5, -1.5, -1, -0.5, -1.5, -1), ((7, 7), (11, 11), (13, 13), (14, 14))),
+    ((0, -2, 0, 0, -2, 0), ((15, 15),)),
+)
 
 # asymptotic_state's guard: |M vec(rho_inf)|_max at most _RESIDUAL_REL_TOL |M|_1,
 # and at ell = 0 tau conserved to _TAU_TOL
@@ -33,44 +62,67 @@ _RESIDUAL_REL_TOL = 1e-12
 _TAU_TOL = 1e-12
 
 
-def asymptotic_state(M: np.ndarray, rho0: np.ndarray,
-                     params: ModelParams) -> tuple[np.ndarray, int]:
-    """(rho_inf, stationary dimension) of rho0 under the dissipator M.
+def _generator(params: ModelParams) -> list:
+    """(row, column, entry) of the 64 nonzero entries of M = sum_k lambda_k
+    D_k, each summed over k in order."""
+    rates = kossakowski_eigenvalues(params)
+    return [(i, j, sum(rate * c for rate, c in zip(rates, coeffs)))
+            for coeffs, entries in DISSIPATORS for i, j in entries]
+
+
+def tau(rho) -> float:
+    """Total spin correlator sum_i <sigma_i (x) sigma_i>, in [-3, 1], of a
+    4x4 nested list or array.
+
+    Conserved by the ell = 0 (collective) generator; labels the
+    one-parameter family of its stationary states.  sum_i sigma_i (x) sigma_i
+    = 2 SWAP - 1, so tau = (r00 + r33) - (r11 + r22) + 2 Re(r12 + r21).
+    """
+    return float(((rho[0][0] + rho[3][3]) - (rho[1][1] + rho[2][2])
+                  + 2.0 * (rho[1][2] + rho[2][1])).real)
+
+
+def asymptotic_state(params: ModelParams, rho0: list) -> tuple[list, int]:
+    """(rho_inf, stationary dimension) of rho0 under the dissipator at params.
 
     rho_inf is the closed form of the module docstring, and the dimension
     is that of M's null space: 1 for ell > 0, 2 at ell = 0, 4 at beta = inf
-    and ell = 0, where the coherence c = <S|rho0|--> joins the state.  The
-    state must satisfy |M vec(rho_inf)|_max <= _RESIDUAL_REL_TOL |M|_1 and,
-    at ell = 0, keep tau(rho0) to _TAU_TOL; either failure raises
-    ConvergenceError.  rho0 is a valid density matrix array, as for
-    dynamics.evolve.
+    and ell = 0, where the coherence c = <S|rho0|--> joins the state as its
+    entries c/sqrt(2) = (r13 - r23)/2 and their mirror images.  The state
+    must satisfy |M vec(rho_inf)|_max <= _RESIDUAL_REL_TOL |M|_1 and, at
+    ell = 0, keep tau(rho0) to _TAU_TOL; either failure raises
+    ConvergenceError.  rho0 is a valid density matrix as a 4x4 nested list
+    of complex numbers, and so is rho_inf.
     """
     R = temperature_ratio(params)
     if params.omega_ell > 0:
-        g = np.array([1.0 - R, 1.0 + R]) / 2.0
-        rho_inf, dim = np.diag(np.kron(g, g)).astype(complex), 1
+        g0, g1 = (1.0 - R) / 2.0, (1.0 + R) / 2.0
+        top, inner, cross, bottom, dim = g0 * g0, g0 * g1, 0.0, g1 * g1, 1
     else:
-        tau0 = dynamics.tau(rho0)
+        tau0 = tau(rho0)
         p_s = (1.0 - tau0) / 4.0
         t = (1.0 - p_s) / (3.0 + R * R)
         t0 = t * (1.0 - R * R)
-        rho_inf = np.diag([t * (1.0 - R) ** 2, 0.0, 0.0, t * (1.0 + R) ** 2]).astype(complex)
-        rho_inf[1:3, 1:3] = np.array([[p_s + t0, t0 - p_s], [t0 - p_s, p_s + t0]]) / 2.0
-        dim = 2
-        if math.isinf(params.beta_omega):
-            singlet = dynamics.singlet_ket()
-            c = singlet.conj() @ rho0[:, 3]
-            rho_inf[:, 3] += c * singlet
-            rho_inf[3, :] += np.conj(c) * singlet.conj()
-            dim = 4
+        top, bottom, dim = t * (1.0 - R) ** 2, t * (1.0 + R) ** 2, 2
+        inner, cross = (p_s + t0) / 2.0, (t0 - p_s) / 2.0
+    rho_inf = [[complex(top), 0j, 0j, 0j], [0j, complex(inner), complex(cross), 0j],
+               [0j, complex(cross), complex(inner), 0j], [0j, 0j, 0j, complex(bottom)]]
+    if params.omega_ell == 0 and math.isinf(params.beta_omega):
+        h = (rho0[1][3] - rho0[2][3]) / 2.0
+        rho_inf[1][3], rho_inf[2][3] = h, -h
+        rho_inf[3][1], rho_inf[3][2] = h.conjugate(), -h.conjugate()
+        dim = 4
 
-    residual = np.abs(M @ dynamics.vec(rho_inf)).max()
-    scale = np.abs(M).sum(axis=0).max()
+    out, norms = [0j] * 16, [0.0] * 16
+    for i, j, m in _generator(params):
+        out[i] += m * rho_inf[j % 4][j // 4]  # entry j of vec(rho_inf)
+        norms[j] += abs(m)
+    residual, scale = max(map(abs, out)), max(norms)
     if not residual <= _RESIDUAL_REL_TOL * scale:
         raise ConvergenceError(f"the predicted state is not stationary: residual "
                                f"{residual:.3e} exceeds {_RESIDUAL_REL_TOL:.0e} |M|_1")
-    if params.omega_ell == 0 and not abs(dynamics.tau(rho_inf) - tau0) <= _TAU_TOL:
-        raise ConvergenceError(f"the predicted state has tau {dynamics.tau(rho_inf)!r}, "
+    if params.omega_ell == 0 and not abs(tau(rho_inf) - tau0) <= _TAU_TOL:
+        raise ConvergenceError(f"the predicted state has tau {tau(rho_inf)!r}, "
                                f"the initial state {tau0!r}")
     return rho_inf, dim
 

@@ -10,8 +10,9 @@ configs produce byte-identical output: floats are printed with 17
 significant digits and orderings are fixed.
 
 The library runs at the axis e3; the axis n enters only here, as the
-local frame V = dynamics.local_frame(n): the initial state goes in as
-V^dag rho0 V and asymptotic's rho_infinity comes back as V rho V^dag.
+local frame V = U (x) U, U = entanglement.local_frame(n): the initial
+state goes in as V^dag rho0 V and asymptotic's rho_infinity comes back as
+V rho V^dag (`entanglement.turn`).
 No other output changes under V, and the phase diagram ignores n.
 
 include_hs changes only `asymptotic`: at beta = inf and ell = 0 the free
@@ -32,12 +33,16 @@ yields its state, keeping only the text: no list of states or RK45 samples
 is held.
 
 `phase-diagram` and `coefficients` run in plain Python on `spectral` and
-`generation`.  The parser checks the axis n, a named or product state and
-the grids without numpy and keeps n and the state as parsed;
-`RunConfig.initial_state` builds the arrays when `evolve` or `asymptotic`
-calls it.  Only a matrix state is turned to the frame and
-validated where it is parsed, so it is the one config that loads numpy on
-those two subcommands.
+`generation`, and `asymptotic` on `asymptotic` and `entanglement` too: the
+closed-form stationary state, its guard, the frame and the concurrence of
+an X-state are plain arithmetic on 4x4 nested lists.  The parser checks the
+axis n, a named or product state and the grids without numpy and keeps n
+and the state as parsed; `RunConfig.initial_state` builds the state in the
+frame when `evolve` or `asymptotic` calls it.  So only `evolve` (which
+takes `np.array`s of those lists), a matrix state (turned to the frame and
+validated with numpy where it is parsed) and, in `asymptotic`, the state
+at beta = inf and ell = 0 with c != 0, which is not an X-state, load
+numpy.
 
 Exit codes: 0 ok, 2 config validation failure or an unwritable output
 path, 3 an implementation-bug guard (discriminant/oracle disagreement, or
@@ -103,9 +108,9 @@ class SweepSpec:
 @dataclass
 class RunConfig:
     """A validated config.  The axis n and a named or product initial
-    state are kept as parsed, and turned into arrays only by
-    `initial_state`, so the subcommands that never call it never import
-    numpy; a matrix state is turned and validated where it is parsed."""
+    state are kept as parsed, and turned into the frame only by
+    `initial_state`; a matrix state is turned and validated, with numpy,
+    where it is parsed."""
 
     params: ModelParams
     n: tuple                               # the unit axis
@@ -115,20 +120,21 @@ class RunConfig:
     include_hs: bool = False               # read by cmd_asymptotic alone
 
     def initial_state(self) -> tuple:
-        """(V, V^dag rho0 V): the frame V = dynamics.local_frame(n) and the
-        initial state rho0 turned into it; the named states are built in the
-        frame, where the canonical one is |-> (x) |+> and the singlet is the
-        same."""
-        from . import dynamics, entanglement
+        """(U, V^dag rho0 V) as nested lists: the frame U =
+        entanglement.local_frame(n) of V = U (x) U and the initial state rho0
+        turned into it, a product state from its turned kets; the named
+        states are built in the frame, where the canonical one is |-> (x) |+>
+        and the singlet is the same."""
+        from . import entanglement
         kind, *values = self.state
         if kind == "matrix":
             return tuple(values)
-        V = dynamics.local_frame(self.n)
+        U = entanglement.local_frame(self.n)
         if kind == "singlet":
-            return V, dynamics.singlet_density()
+            return U, entanglement.singlet_density()
         if kind == "canonical":
-            return V, entanglement.canonical_state().density()
-        return V, V.conj().T @ entanglement.ProductState(*values).density() @ V
+            return U, entanglement.canonical_state().density()
+        return U, entanglement.ProductState(*values).density(U)
 
 
 def _fmt(x: float) -> str:
@@ -179,8 +185,9 @@ def _parse_complex_matrix(entries):
 def _parse_initial_state(raw, n) -> tuple:
     """(kind, *values) of the initial state, for RunConfig.initial_state: the
     named state, the two unit Bloch vectors of a product state, or the frame
-    V and V^dag rho0 V of a matrix state rho0, validated after the turn, as
-    the library reads it."""
+    U and V^dag rho0 V (V = U (x) U, from np.kron) of a matrix state rho0,
+    validated after the turn, as the library reads it, and kept as nested
+    lists."""
     if raw is None:
         raw = {"named": "canonical"}
     _require(isinstance(raw, dict) and len(raw) == 1,
@@ -201,11 +208,13 @@ def _parse_initial_state(raw, n) -> tuple:
             raise ConfigError(f"invalid product state: {exc}") from None
         return ("product", *blochs.values())
     _require(tag == "matrix", f"unknown initial_state tag {tag!r}")
-    from . import dynamics
-    frame = dynamics.local_frame(n)
+    import numpy as np
+    from . import dynamics, entanglement
+    U = entanglement.local_frame(n)
+    frame = np.kron(U, U)
     rho = frame.conj().T @ _parse_complex_matrix(value) @ frame
     try:
-        return ("matrix", frame, dynamics.validate_density_matrix(rho))
+        return ("matrix", U, dynamics.validate_density_matrix(rho).tolist())
     except ValueError as exc:
         raise ConfigError(f"matrix initial state invalid: {exc}") from None
 
@@ -350,11 +359,6 @@ def _json(x, indent: str = "") -> str:
     return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
 
 
-def _complex_pairs(rho) -> list:
-    """Row-major [re, im] pairs of a matrix array."""
-    return [[float(z.real), float(z.imag)] for z in rho.reshape(-1)]
-
-
 def _write_out(text: str, out_path: str | None, rest=()):
     """Write text, then each chunk of rest as it is made, to out_path or to
     standard output (flushed); a failed write raises ConfigError."""
@@ -430,7 +434,7 @@ def cmd_evolve(config: RunConfig, out_path: str | None) -> int:
     import numpy as np
     from . import asymptotic, dynamics, entanglement
     params, (_, rho0) = config.params, config.initial_state()
-    M = dynamics.build_superoperator(params)
+    M, rho0_array = dynamics.build_superoperator(params), np.array(rho0)
     with np.errstate(over="ignore"):  # an overflow to inf fails the cap below
         work = config.times[-1] * np.abs(M).sum(axis=0).max()
     if work > MAX_RK_WORK:
@@ -438,19 +442,20 @@ def cmd_evolve(config: RunConfig, out_path: str | None) -> int:
                           f"RK45 cross-check: t_max |M|_1 = {work:.3g} exceeds "
                           f"MAX_RK_WORK = {MAX_RK_WORK:.0e}")
     rows = []
-    for t_dimless, rho in zip(config.times, dynamics.evolve_traj(M, rho0, config.times)):
+    for t_dimless, rho in zip(config.times, dynamics.evolve_traj(M, rho0_array, config.times)):
+        r = rho.tolist()  # read by the plain-Python concurrence and tau
         rows.append(",".join([
             _fmt(t_dimless),
             _fmt(np.trace(rho).real),
             _fmt(np.linalg.eigvalsh(rho).min()),
             _fmt(entanglement.min_eig_pt(rho)),
-            _fmt(entanglement.concurrence(rho)),
-            _fmt(dynamics.tau(rho)),
+            _fmt(entanglement.concurrence(r)),
+            _fmt(asymptotic.tau(r)),
         ]) + "\n")
-    rho_inf, _ = asymptotic.asymptotic_state(M, rho0, params)
+    rho_inf, _ = asymptotic.asymptotic_state(params, rho0)
     _write_out(EVOLVE_HEADER + "\n", out_path, rows)
 
-    dist = dynamics.trace_norm(rho - rho_inf)
+    dist = dynamics.trace_norm(rho - np.array(rho_inf))
     summary = {"final_time": float(config.times[-1]),
                "trace_distance_to_asymptotic": dist,
                "asymptotic_concurrence": entanglement.concurrence(rho_inf)}
@@ -463,22 +468,22 @@ def cmd_evolve(config: RunConfig, out_path: str | None) -> int:
 
 def cmd_asymptotic(config: RunConfig, out_path: str | None) -> int:
     """Stationary-state report for the configured parameters and initial state."""
-    from . import asymptotic, dynamics, entanglement
-    params, (V, rho0) = config.params, config.initial_state()
-    M = dynamics.build_superoperator(params)
-    rho_inf, dim = asymptotic.asymptotic_state(M, rho0, params)
+    from . import asymptotic, entanglement
+    params, (U, rho0) = config.params, config.initial_state()
+    rho_inf, dim = asymptotic.asymptotic_state(params, rho0)
     if config.include_hs and dim == 4:
-        c = dynamics.singlet_ket().conj() @ rho0[:, 3]
-        if 2.0 * abs(c) > _CONV_TOL:
+        c = math.sqrt(2.0) * abs(rho_inf[1][3])  # |<S|rho0|-->|
+        if 2.0 * c > _CONV_TOL:
             raise generation.ConvergenceError(
-                f"the singlet/ground coherence |c| = {abs(c):.3e} turns forever under the "
+                f"the singlet/ground coherence |c| = {c:.3e} turns forever under the "
                 f"free Hamiltonian: the state has no limit")
-        rho_inf[1:3, 3] = rho_inf[3, 1:3] = 0.0
+        rho_inf[1][3] = rho_inf[2][3] = rho_inf[3][1] = rho_inf[3][2] = 0j
         dim = 2
     doc = {"stationary_dim": dim,
-           "rho_infinity": _complex_pairs(V @ rho_inf @ V.conj().T),
+           "rho_infinity": [[z.real, z.imag] for row in entanglement.turn(U, rho_inf)
+                            for z in row],
            "concurrence": entanglement.concurrence(rho_inf),
-           "tau": dynamics.tau(rho_inf),
+           "tau": asymptotic.tau(rho_inf),
            "threshold_tau": asymptotic.threshold_tau(temperature_ratio(params))}
     _write_out(_json(doc) + "\n", out_path)
     return 0

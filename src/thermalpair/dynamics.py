@@ -7,11 +7,12 @@ Basis and vectorization conventions used throughout the package:
     vec(A rho B) = kron(B.T, A) vec(rho).
 
 The generator is the Kossakowski dissipator D alone, built at the axis
-n = e3 from six fixed dissipators and K's six rates, which are nonnegative,
-so completely positive by construction (`local_frame(n)` takes a state at
-another axis to e3 and back).  The free Hamiltonian's -i[H_S, .] commutes
-with D, so it only turns both atoms by one local unitary, which no emitted
-quantity sees but `asymptotic`'s report with include_hs (`cli`).
+n = e3 from six fixed dissipators (the table `asymptotic.DISSIPATORS`) and
+K's six rates, which are nonnegative, so completely positive by
+construction (`entanglement.local_frame(n)` takes a state at another axis
+to e3 and back).  The free Hamiltonian's -i[H_S, .] commutes with D, so it
+only turns both atoms by one local unitary, which no emitted quantity sees
+but `asymptotic`'s report with include_hs (`cli`).
 
 Evolution multiplies vec(rho0) by the Taylor exponential exp(t M) (`expm`,
 no linear solve).  A trajectory steps from sample to sample and is
@@ -21,6 +22,13 @@ diagram's small-time oracle has its own kernel, a Taylor series of
 matrix-vector products on the generator's charge-0 block, in plain Python
 (`generation`, which also holds the guards `check_state` and `check_unit`
 and the exceptions raised here).
+
+This is the one module of the package that imports numpy when it is
+imported.  The states, the frame, the stationary state and the
+concurrence of an X-state are plain Python (`entanglement`, `asymptotic`),
+so of the CLI's runs only `evolve`, a matrix initial state, which
+`validate_density_matrix` checks where the config is parsed, and the
+concurrence of a state that is not an X-state load numpy.
 """
 
 from __future__ import annotations
@@ -29,42 +37,17 @@ import math
 
 import numpy as np
 
-from .generation import CrossCheckError, PositivityError, check_state, check_unit
+from .asymptotic import DISSIPATORS
+from .generation import CrossCheckError, PositivityError, check_state
 from .spectral import ModelParams, kossakowski_eigenvalues
 
 
-def _dissipator(L: np.ndarray) -> np.ndarray:
-    """Superoperator of D[L] rho = L rho L^dag - (1/2){L^dag L, rho}."""
-    LdL = L.conj().T @ L
-    eye = np.eye(4)
-    return np.kron(L.conj(), L) - 0.5 * np.kron(eye, LdL) - 0.5 * np.kron(LdL.T, eye)
-
-
-# the generator at n = e3 is sum_k lambda_k _DISSIPATORS[k], lambda from
-# spectral.kossakowski_eigenvalues: for s = +1 (collective), then s = -1
-# (relative), D[L] with L = sigma- (x) 1 + s 1 (x) sigma-, D[L^dag] and
-# (1/2) D[Z] with Z = sigma3 (x) 1 + s 1 (x) sigma3
-_SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]])  # |-><+|
-_SIGMA_3 = np.diag([1.0, -1.0])
-_DISSIPATORS = []
-for _s in (1.0, -1.0):
-    _L = np.kron(_SIGMA_MINUS, np.eye(2)) + _s * np.kron(np.eye(2), _SIGMA_MINUS)
-    _Z = np.kron(_SIGMA_3, np.eye(2)) + _s * np.kron(np.eye(2), _SIGMA_3)
-    _DISSIPATORS += [_dissipator(_L), _dissipator(_L.T), 0.5 * _dissipator(_Z)]
-_DISSIPATORS = np.array(_DISSIPATORS)
-
-
-def singlet_ket() -> np.ndarray:
-    """(|+-> - |-+>)/sqrt(2), the collective dark state at ell = 0."""
-    k = np.zeros(4, dtype=complex)
-    k[1] = 1.0 / math.sqrt(2.0)
-    k[2] = -1.0 / math.sqrt(2.0)
-    return k
-
-
-def singlet_density() -> np.ndarray:
-    k = singlet_ket()
-    return np.outer(k, k.conj())
+# the six fixed dissipators of the generator at n = e3, as dense 16x16
+# superoperators: the table of asymptotic.DISSIPATORS
+_DISSIPATORS = np.zeros((6, 16, 16))
+for _coeffs, _entries in DISSIPATORS:
+    for _i, _j in _entries:
+        _DISSIPATORS[:, _i, _j] = _coeffs
 
 
 def vec(rho: np.ndarray) -> np.ndarray:
@@ -216,58 +199,9 @@ def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     return rho
 
 
-def tau(rho: np.ndarray) -> float:
-    """Total spin correlator sum_i <sigma_i (x) sigma_i>, in [-3, 1].
-
-    Conserved by the ell = 0 (collective) generator; labels the
-    one-parameter family of its stationary states.  sum_i sigma_i (x) sigma_i
-    = 2 SWAP - 1, so tau = (r00 + r33) - (r11 + r22) + 2 Re(r12 + r21).
-    """
-    return float(((rho[0, 0] + rho[3, 3]) - (rho[1, 1] + rho[2, 2])
-                  + 2.0 * (rho[1, 2] + rho[2, 1])).real)
-
-
 def trace_norm(a: np.ndarray) -> float:
     """Trace norm of a Hermitian matrix, such as a difference of states."""
     return float(np.abs(np.linalg.eigvalsh(a)).sum())
-
-
-def _unit_vector(v) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if v.shape != (3,):
-        raise ValueError(f"axis must be a real 3-vector, got shape {v.shape}")
-    check_unit(v)
-    return v
-
-
-def bloch_ket(b) -> np.ndarray:
-    """Pure qubit state with Bloch vector b: (cos(th/2), e^{i ph} sin(th/2)).
-
-    The larger half-angle factor is sqrt((1 +- cos th)/2) and the other
-    sin th over twice it, so both keep full precision near the poles.  The
-    azimuth is 0 on the poles, so b = (0, 0, +-1) gives |+> and |-> exactly.
-    """
-    b = _unit_vector(b)
-    norm = math.hypot(*b)
-    sin_th, cos_th = math.hypot(b[0], b[1]) / norm, b[2] / norm
-    if cos_th >= 0:
-        c = math.sqrt((1.0 + cos_th) / 2.0)
-        s = sin_th / (2.0 * c)
-    else:
-        s = math.sqrt((1.0 - cos_th) / 2.0)
-        c = sin_th / (2.0 * s)
-    phi = 0.0 if sin_th == 0.0 else math.atan2(b[1], b[0])
-    return np.array([c, complex(math.cos(phi), math.sin(phi)) * s])
-
-
-def local_frame(n) -> np.ndarray:
-    """V = U (x) U, U = [|n>, |-n>] with |n> = bloch_ket(n): V^dag rho V is a
-    state at the axis n in the frame where the axis is e3, V rho V^dag takes
-    it back.  Spectrum, partial-transpose spectrum, concurrence and tau
-    do not change under V."""
-    a, b = bloch_ket(n)
-    U = np.array([[a, -b.conjugate()], [b, a.conjugate()]])
-    return np.kron(U, U)
 
 
 def build_superoperator(params: ModelParams) -> np.ndarray:

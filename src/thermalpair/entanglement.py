@@ -1,4 +1,11 @@
-"""Entanglement detection: partial transpose, its spectrum and the concurrence.
+"""States of the pair, the local frame of the axis, and entanglement
+detection: partial transpose, its spectrum and the concurrence.
+
+The states are 4x4 nested lists of complex numbers, built in plain
+Python: the pure product states (`ProductState`) and the singlet.  The
+frame of the axis n is U = [|n>, |-n>] (`local_frame`): V = U (x) U turns
+a state at the axis n into the frame where the axis is e3, and `turn`
+takes a state in that frame back to n.
 
 For two qubits the partial-transposition criterion is exact: a state is
 entangled iff its partial transpose has a negative eigenvalue.  Wootters
@@ -14,8 +21,10 @@ singular values of T = V^T (s2 x s2) V, with V V^dag = rho from a pivoted
 Cholesky factor that drops the rows that are rounding: no eigendecomposition
 of rho, and no square root of an eigenvalue that is only rounding.
 
-The generation test at t = 0+ and its small-time oracle need none of these
-arrays; they live in `generation`, in plain Python.
+The module imports numpy only inside the functions that take an
+eigenvalue: the partial transpose's spectrum and the concurrence of a
+state that is not an X-state.  The generation test at t = 0+ and its
+small-time oracle need none of these; they live in `generation`.
 """
 
 from __future__ import annotations
@@ -24,28 +33,104 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
+from .generation import check_unit
 
-from . import dynamics
+
+def _unit_vector(v, name: str | None = None) -> tuple:
+    """v as three floats, or ValueError; the message names v by name, or
+    as the axis n."""
+    v = tuple(map(float, v))
+    if len(v) != 3:
+        raise ValueError(f"{name or 'axis'} must be a real 3-vector, got {len(v)} entries")
+    check_unit(v, name)
+    return v
+
+
+def bloch_ket(b) -> tuple:
+    """Pure qubit state with Bloch vector b: (cos(th/2), e^{i ph} sin(th/2)).
+
+    The larger half-angle factor is sqrt((1 +- cos th)/2) and the other
+    sin th over twice it, so both keep full precision near the poles.  The
+    azimuth is 0 on the poles, so b = (0, 0, +-1) gives |+> and |-> exactly.
+    """
+    b = _unit_vector(b)
+    norm = math.hypot(*b)
+    sin_th, cos_th = math.hypot(b[0], b[1]) / norm, b[2] / norm
+    if cos_th >= 0:
+        c = math.sqrt((1.0 + cos_th) / 2.0)
+        s = sin_th / (2.0 * c)
+    else:
+        s = math.sqrt((1.0 - cos_th) / 2.0)
+        c = sin_th / (2.0 * s)
+    phi = 0.0 if sin_th == 0.0 else math.atan2(b[1], b[0])
+    return complex(c), complex(math.cos(phi), math.sin(phi)) * s
+
+
+def local_frame(n) -> list:
+    """U = [|n>, |-n>] with |n> = bloch_ket(n), the frame of one atom: with
+    V = U (x) U, turn(dagger(U), rho) = V^dag rho V is a state at the axis n
+    in the frame where the axis is e3, and turn(U, rho) takes it back.
+    Spectrum, partial-transpose spectrum, concurrence and tau do not change
+    under V."""
+    a, b = bloch_ket(n)
+    return [[a, -b.conjugate()], [b, a.conjugate()]]
+
+
+def dagger(A: list) -> list:
+    """The conjugate transpose of a nested list."""
+    return [[x.conjugate() for x in column] for column in zip(*A)]
+
+
+def _product(A: list, B: list) -> list:
+    return [[sum(a * b for a, b in zip(row, column)) for column in zip(*B)] for row in A]
+
+
+def turn(U: list, rho: list) -> list:
+    """V rho V^dag with V = U (x) U, for the 2x2 U and the 4x4 rho as nested
+    lists."""
+    V = [[U[i][k] * U[j][l] for k in (0, 1) for l in (0, 1)] for i in (0, 1) for j in (0, 1)]
+    return _product(_product(V, rho), dagger(V))
+
+
+def _density(ket: list) -> list:
+    """|k><k| of a ket."""
+    return [[x * y.conjugate() for y in ket] for x in ket]
+
+
+def singlet_ket() -> list:
+    """(|+-> - |-+>)/sqrt(2), the collective dark state at ell = 0."""
+    s = 1.0 / math.sqrt(2.0)
+    return [0j, complex(s), complex(-s), 0j]
+
+
+def singlet_density() -> list:
+    return _density(singlet_ket())
 
 
 @dataclass(frozen=True)
 class ProductState:
-    """Pure separable two-atom state |phi> (x) |psi> given by Bloch vectors."""
+    """Pure separable two-atom state |phi> (x) |psi> given by the unit Bloch
+    vectors bloch1 and bloch2, each kept as three floats; an invalid one
+    raises ValueError naming it."""
 
-    bloch1: np.ndarray
-    bloch2: np.ndarray
+    bloch1: tuple
+    bloch2: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "bloch1", dynamics._unit_vector(self.bloch1))
-        object.__setattr__(self, "bloch2", dynamics._unit_vector(self.bloch2))
+        for name in ("bloch1", "bloch2"):
+            object.__setattr__(self, name, _unit_vector(getattr(self, name), name))
 
     def kets(self):
-        return dynamics.bloch_ket(self.bloch1), dynamics.bloch_ket(self.bloch2)
+        return bloch_ket(self.bloch1), bloch_ket(self.bloch2)
 
-    def density(self) -> np.ndarray:
-        k = np.kron(*self.kets())
-        return np.outer(k, k.conj())
+    def density(self, U: list | None = None) -> list:
+        """|phi psi><phi psi|, or with the frame U of local_frame(n) the state
+        V^dag rho V in that frame, V = U (x) U, from the turned kets U^dag
+        |phi> and U^dag |psi>."""
+        k1, k2 = self.kets()
+        if U is not None:
+            k1, k2 = ([row[0] * k[0] + row[1] * k[1] for row in dagger(U)] for k in (k1, k2))
+        return _density([x * y for x in k1 for y in k2])
 
 
 def canonical_state() -> ProductState:
@@ -53,12 +138,13 @@ def canonical_state() -> ProductState:
     return ProductState(bloch1=(0.0, 0.0, -1.0), bloch2=(0.0, 0.0, 1.0))
 
 
-def partial_transpose(rho: np.ndarray) -> np.ndarray:
-    """Transpose on the second tensor factor (an involution).
+def partial_transpose(rho):
+    """Transpose on the second tensor factor (an involution), as an array.
 
     Transposing the first factor instead gives the same spectrum, so the
     entanglement verdicts do not depend on this choice.
     """
+    import numpy as np
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
@@ -66,8 +152,9 @@ def partial_transpose(rho: np.ndarray) -> np.ndarray:
     return r.transpose(0, 3, 2, 1).reshape(4, 4)
 
 
-def min_eig_pt(rho: np.ndarray) -> float:
+def min_eig_pt(rho) -> float:
     """Minimum eigenvalue of the partially transposed state."""
+    import numpy as np
     pt = partial_transpose(rho)
     return float(np.linalg.eigvalsh(0.5 * (pt + pt.conj().T)).min())
 
@@ -76,7 +163,7 @@ def min_eig_pt(rho: np.ndarray) -> float:
 _PIVOT_REL_TOL = 4.0 * sys.float_info.epsilon
 
 
-def _wootters_l(r: list) -> np.ndarray:
+def _wootters_l(r: list):
     """Concurrence's l_1 >= .. >= l_4 of the 4x4 nested list r.
 
     A Cholesky factorization with diagonal pivoting of r's Hermitian part
@@ -89,6 +176,7 @@ def _wootters_l(r: list) -> np.ndarray:
     T = V^T (s2 x s2) V, which hold for any such V: the k largest
     eigenvalues of the dilation [[0, T], [T^dag, 0]], and 0 past k.
     """
+    import numpy as np
     a = [[(r[i][j] + r[j][i].conjugate()) / 2.0 for j in range(4)] for i in range(4)]
     d = [a[i][i].real for i in range(4)]
     bound = [abs(x) for x in d]
@@ -137,9 +225,9 @@ def _x_block(a: float, d: float, z: complex) -> tuple[float, float]:
     return top, top
 
 
-def concurrence(rho: np.ndarray) -> float:
+def concurrence(rho) -> float:
     """Wootters concurrence max{0, l1 - l2 - l3 - l4} of the Hermitian part
-    of rho, less what rounding leaves below zero.
+    of rho, a 4x4 nested list or array, less what rounding leaves below zero.
 
     The l_k are the decreasing square roots of the eigenvalues of
     rho (s2 x s2) rho* (s2 x s2), conjugation in the computational basis.
@@ -153,8 +241,7 @@ def concurrence(rho: np.ndarray) -> float:
     the closed form is within 2^-52, and on an X-state it is 5 to 15 times
     slower per call.
     """
-    rho = np.asarray(rho, dtype=complex)
-    r = rho.tolist()
+    r = rho.tolist() if hasattr(rho, "tolist") else rho
     if any(r[i][j] for i, j in _OFF_X):
         lam = _wootters_l(r)
         return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))

@@ -71,7 +71,7 @@ def test_criterion_1_reduction_sign_match():
 def test_criterion_2_small_time_oracle_equivalence():
     """Small-time PPT oracle (omega*dt = 1e-3) agrees wherever |rs| > 1e-3."""
     state = canonical_state()
-    rho0 = state.density()
+    rho0 = np.array(state.density())
     mismatches = 0
     checked = 0
     for bw in BETA_OMEGA_GRID:
@@ -210,7 +210,7 @@ def test_criterion_8_finite_separation_separability():
     """The unique stationary state at ell > 0 is separable (PPT, zero concurrence)."""
     ok = True
     details = []
-    rho0 = canonical_state().density()
+    rho0 = np.array(canonical_state().density())
     for wl in (0.5, 1.0, 2.0, 5.0):
         for bw in (0.5, 1.0, 2.0):
             p = ModelParams(beta_omega=bw, omega_ell=wl)

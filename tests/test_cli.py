@@ -682,7 +682,7 @@ def test_crossover_asymptotic_is_the_product_gibbs_state(tmp_path):
     assert doc["stationary_dim"] == 1
     R = math.tanh(0.5)
     g = np.diag([(1.0 - R) / 2.0, (1.0 + R) / 2.0])
-    V = dynamics.local_frame(CROSSOVER["n"])
+    V = np.kron(*[entanglement.local_frame(CROSSOVER["n"])] * 2)
     rho = np.array([complex(*z) for z in doc["rho_infinity"]]).reshape(4, 4)
     np.testing.assert_allclose(rho, V @ np.kron(g, g) @ V.conj().T, rtol=0, atol=1e-12)
     assert _bench_check().check_asymptotic(CROSSOVER, res.stdout.encode(), None) is None
@@ -917,13 +917,13 @@ def test_phase_diagram_builds_the_canonical_kets_once(tmp_path, monkeypatch):
     # the discriminant at |-+> is a closed form in K's coefficients, so no
     # grid point rebuilds the state's kets: the count does not grow with the grid
     calls = []
-    bloch_ket = dynamics.bloch_ket
+    bloch_ket = entanglement.bloch_ket
 
     def counting(b):
         calls.append(b)
         return bloch_ket(b)
 
-    monkeypatch.setattr(dynamics, "bloch_ket", counting)
+    monkeypatch.setattr(entanglement, "bloch_ket", counting)
     counts = []
     for sweep in ({"beta_omega": [1.0, 1.0, 1], "omega_ell": [0.5, 0.5, 1]},
                   {"beta_omega": [0.5, 4.0, 4], "omega_ell": [0.0, 2.0, 4]}):
@@ -990,18 +990,68 @@ def test_phase_diagram_and_coefficients_import_no_numpy(tmp_path, extra):
     # both are plain-Python float arithmetic on K's rates: a fresh
     # `python -m thermalpair` runs them on configs that carry n, include_hs
     # and a named or product state, and no module imports numpy on the way
+    # (asymptotic's runs are the next two tests)
     path = tmp_path / "config.json"
     path.write_text(json.dumps({**extra, "sweep": {"beta_omega": [0.5, 4.0, 3],
                                                    "omega_ell": [0.0, 2.0, 3]}}),
                     encoding="utf-8")
     for sub in ("phase-diagram", "coefficients"):
-        res = subprocess.run([sys.executable, "-X", "importtime", "-m", "thermalpair", sub,
-                              "--config", str(path), "--out", str(tmp_path / "out")],
-                             capture_output=True, text=True)
-        assert res.returncode == 0, (sub, res.stderr)
-        imported = {line.rsplit("|", 1)[-1].strip() for line in res.stderr.splitlines()
-                    if line.startswith("import time:")}
+        imported = _imported_modules(sub, path, tmp_path)
         assert "thermalpair.cli" in imported and "numpy" not in imported, sub
+
+
+def _imported_modules(sub: str, path, tmp_path) -> set:
+    """The modules a fresh `python -m thermalpair sub` imports on the config
+    at path, which must exit 0, compiling the package from source as the
+    benchmark does."""
+    res = subprocess.run([sys.executable, "-X", "importtime", "-m", "thermalpair", sub,
+                          "--config", str(path), "--out", str(tmp_path / "out")],
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
+    assert res.returncode == 0, (sub, res.stderr)
+    return {line.rsplit("|", 1)[-1].strip() for line in res.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+PRODUCT = {"product": {"bloch1": [0.6, 0.8, 0.0], "bloch2": [0, 0, -1]}}
+
+
+@pytest.mark.parametrize("config", [
+    {"ell": 0.5},
+    {"n": [0.6, 0.0, 0.8], "include_hs": True, "initial_state": {"named": "singlet"}},
+    {"n": [0.0, -1.0, 0.0], "beta": 2.0, "initial_state": {"named": "canonical"}},
+    {"n": [2 / 3, -1 / 3, 2 / 3], "ell": 1e-6, "initial_state": PRODUCT},
+    {"n": [0.0, 0.6, -0.8], "ell": 3.0, "beta": "inf", "include_hs": True,
+     "initial_state": PRODUCT},
+    {"n": [1, 0, 0], "ell": 0.0, "beta": 0.5, "initial_state": PRODUCT},
+    # the coherence <S|rho0|--> of these is 0, so the limit is an X-state
+    {"ell": 0.0, "beta": "inf", "initial_state": {"named": "canonical"}},
+    {"ell": 0.0, "beta": "inf", "include_hs": True,
+     "initial_state": {"product": {"bloch1": [0, 0, 1], "bloch2": [0, 0, -1]}}},
+], ids=["setup", "singlet-hs", "canonical-e2", "product-crossover", "product-inf-hs",
+        "product-ell0", "canonical-inf-ell0", "product-inf-ell0-hs"])
+def test_asymptotic_imports_no_numpy(tmp_path, config):
+    # the report is plain-Python arithmetic on the closed form, its guard,
+    # the frame and the X-state concurrence: a fresh run on a named or
+    # product state loads no numpy, at any axis, with or without include_hs
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    imported = _imported_modules("asymptotic", path, tmp_path)
+    assert "thermalpair.asymptotic" in imported and "numpy" not in imported
+
+
+@pytest.mark.parametrize("config", [
+    {"ell": 0.5, "initial_state": {"matrix": [[0.25, 0.0] if k % 5 == 0 else [0.0, 0.0]
+                                              for k in range(16)]}},
+    {"ell": 0.0, "beta": "inf", "initial_state": PRODUCT},
+], ids=["matrix", "coherence-inf-ell0"])
+def test_asymptotic_loads_numpy_where_it_must(tmp_path, config):
+    # the parser validates a matrix state with numpy, and at beta = inf and
+    # ell = 0 a coherence c = <S|rho0|--> != 0 leaves the limit off the X,
+    # so its concurrence takes the dilation's eigvalsh
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert "numpy" in _imported_modules("asymptotic", path, tmp_path)
 
 
 @pytest.mark.parametrize("extra,message", [

@@ -25,7 +25,8 @@ from thermalpair import (
 from thermalpair import dynamics
 
 from util import (SIGMA, build_kossakowski_spectral, choi_matrix, corner_generators,
-                  dissipator_reference, generator_with_hamiltonian, hamiltonian, pauli_op,
+                  dissipator_reference, dissipators_kron, generator_with_hamiltonian,
+                  hamiltonian, pauli_op,
                   random_bloch, random_density, random_params, random_product_state,
                   random_unit_complex, superoperator_reference, tau_reference)
 
@@ -67,7 +68,7 @@ def test_pauli_op_rejects_bad_indices():
 def test_singlet_is_dark_state_at_zero_separation():
     for beta in (0.3, 1.0, math.inf):
         K = build_kossakowski_spectral(ModelParams(beta_omega=beta, omega_ell=0.0), E3)
-        drho = dissipator_reference(K, singlet_density())
+        drho = dissipator_reference(K, np.array(singlet_density()))
         assert np.abs(drho).max() < 1e-14
 
 
@@ -99,16 +100,13 @@ def test_superoperator_matches_dissipator():
     # the closed-form eigenvalues on fixed dissipators against the explicit
     # sum over K's entries; the reference generator with the free
     # Hamiltonian differs from M by exactly its commutator.  The fixed
-    # dissipators are bit for bit those built from the complex Pauli sigma_z
-    minus, z = np.array([[0.0, 0.0], [1.0, 0.0]]), SIGMA[2].real
-    built = []
-    for s in (1.0, -1.0):
-        L = np.kron(minus, np.eye(2)) + s * np.kron(np.eye(2), minus)
-        Z = np.kron(z, np.eye(2)) + s * np.kron(np.eye(2), z)
-        built += [dynamics._dissipator(L), dynamics._dissipator(L.T),
-                  0.5 * dynamics._dissipator(Z)]
-    assert np.array_equal(dynamics._DISSIPATORS, np.array(built))
-    assert dynamics._DISSIPATORS.tobytes() == np.array(built).tobytes()
+    # dissipators, expanded from asymptotic's table, are bit for bit those
+    # built by kron from the complex Pauli sigma_z, but for the sign of a
+    # zero: the kron leaves -0.0 at 176 entries, the table +0.0, and
+    # test_numpy_free shows that no generator entry sees the difference
+    built = dissipators_kron()
+    assert np.array_equal(dynamics._DISSIPATORS, built)
+    assert dynamics._DISSIPATORS.tobytes() == (built + 0.0).tobytes()
     rng = np.random.default_rng(22)
     corners = set()
     for _ in range(100):
@@ -174,13 +172,13 @@ def test_local_frame_takes_the_axis_to_e3():
     # the singlet as it is
     rng = np.random.default_rng(44)
     for n in [E3, -E3] + [random_bloch(rng) for _ in range(50)]:
-        V = local_frame(n)
+        V = np.kron(local_frame(n), local_frame(n))
         np.testing.assert_allclose(V.conj().T @ V, np.eye(4), rtol=0, atol=1e-15)
-        rho = ProductState(-n, n).density()
-        np.testing.assert_allclose(V.conj().T @ rho @ V, canonical_state().density(),
+        rho = np.array(ProductState(-n, n).density())
+        np.testing.assert_allclose(V.conj().T @ rho @ V, np.array(canonical_state().density()),
                                    rtol=0, atol=1e-15)
-        np.testing.assert_allclose(V.conj().T @ singlet_density() @ V, singlet_density(),
-                                   rtol=0, atol=1e-15)
+        singlet = np.array(singlet_density())
+        np.testing.assert_allclose(V.conj().T @ singlet @ V, singlet, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("n", [[0.0, 0.0, 2.0], [math.nan, 0.0, 0.0], [0.0, 1.0]])
@@ -198,7 +196,7 @@ def test_bloch_ket_is_accurate_near_the_poles():
         for sign in (1.0, -1.0):
             b = np.array([eps, -2.0 * eps, sign])
             b /= np.linalg.norm(b)
-            k = bloch_ket(b)
+            k = np.array(bloch_ket(b))
             bloch = [np.real(k.conj() @ s @ k) for s in SIGMA]
             assert np.abs(bloch - b).max() <= 1e-15, (b, bloch)
             assert abs(np.linalg.norm(k) - 1.0) <= 1e-15
@@ -249,7 +247,7 @@ def test_superoperator_with_hamiltonian():
 # -------------------------------------------------------------------- evolve
 
 def test_evolve_identity_at_zero_time():
-    rho0 = canonical_state().density()
+    rho0 = np.array(canonical_state().density())
     np.testing.assert_array_equal(evolve(M_L0, rho0, 0.0), rho0)
 
 
@@ -265,25 +263,25 @@ def test_evolve_semigroup_law():
 
 def test_evolve_keeps_singlet_stationary():
     for t in (0.5, 5.0, 50.0):
-        rho_t = evolve(M_L0, singlet_density(), t)
-        assert np.abs(rho_t - singlet_density()).max() < 1e-12
+        rho_t = evolve(M_L0, np.array(singlet_density()), t)
+        assert np.abs(rho_t - np.array(singlet_density())).max() < 1e-12
 
 
 def test_evolve_rejects_negative_time():
     with pytest.raises(ValueError):
-        evolve(M_L0, singlet_density(), -1.0)
+        evolve(M_L0, np.array(singlet_density()), -1.0)
 
 
 def test_evolve_flags_positivity_violation():
     # reversed generator drives a pure product state out of the state space
     with pytest.raises(PositivityError):
-        evolve(-M_L0, canonical_state().density(), 5.0)
+        evolve(-M_L0, np.array(canonical_state().density()), 5.0)
 
 
 def test_evolve_flags_nonpositive_trace():
     # exp(i pi) = -1 maps rho0 to -rho0, a finite result of trace -1
     with pytest.raises(PositivityError, match="trace"):
-        evolve(1j * math.pi * np.eye(16), singlet_density(), 1.0)
+        evolve(1j * math.pi * np.eye(16), np.array(singlet_density()), 1.0)
 
 
 def test_evolve_reports_a_repaired_trace_deviation_on_one_stderr_line(capsys):
@@ -291,7 +289,7 @@ def test_evolve_reports_a_repaired_trace_deviation_on_one_stderr_line(capsys):
     # deviation of 5e-9, above 1e-10, which evolve repairs and reports
     p = ModelParams(beta_omega=0.001, omega_ell=1.0)
     M = build_superoperator(p)
-    evolve(M, canonical_state().density(), 1e5)
+    evolve(M, np.array(canonical_state().density()), 1e5)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1
@@ -363,7 +361,7 @@ def test_solve_ivp_matches_expm(grid):
 # ---------------------------------------------------------------- trajectory
 
 def test_evolve_traj_trivial_grid():
-    rho0 = canonical_state().density()
+    rho0 = np.array(canonical_state().density())
     states = list(evolve_traj(M_L0, rho0, [0.0]))
     assert len(states) == 1
     np.testing.assert_array_equal(states[0], rho0)
@@ -383,7 +381,7 @@ def test_evolve_traj_agrees_with_rk_and_conserves():
 def test_solve_ivp_at_extreme_scales():
     # rates of 1e300 over times of 1e-300: dy/dt overflows the first-step
     # estimate, and the step size starts from 10 ulp(0) instead
-    y0 = vec(canonical_state().density())
+    y0 = vec(np.array(canonical_state().density()))
     times = np.array([0.0, 1e-300, 3e-300])
     ys = np.array(list(dynamics.solve_ivp(1e300 * M_L0, y0, times))).T
     ref = np.array([dynamics.expm(t * M_L0) @ y0 for t in (0.0, 1.0, 3.0)]).T
@@ -398,7 +396,7 @@ def test_evolve_traj_guard_fires_on_disagreement(monkeypatch):
 
     monkeypatch.setattr(dynamics, "solve_ivp", perturbed)
     with pytest.raises(dynamics.CrossCheckError, match="disagree"):
-        list(evolve_traj(M_L0, canonical_state().density(), [0.0, 1.0, 2.0]))
+        list(evolve_traj(M_L0, np.array(canonical_state().density()), [0.0, 1.0, 2.0]))
 
 
 def test_evolve_traj_guard_fires_on_failed_integration(monkeypatch):
@@ -412,7 +410,7 @@ def test_evolve_traj_guard_fires_on_failed_integration(monkeypatch):
 
     monkeypatch.setattr(dynamics, "solve_ivp", failed)
     with pytest.raises(dynamics.CrossCheckError, match="integration failed"):
-        list(evolve_traj(M_L0, canonical_state().density(), [0.0, 1.0, 2.0]))
+        list(evolve_traj(M_L0, np.array(canonical_state().density()), [0.0, 1.0, 2.0]))
 
 
 def test_solve_ivp_fails_on_nan_generator():
@@ -420,12 +418,12 @@ def test_solve_ivp_fails_on_nan_generator():
     M[3, 5] = np.nan
     start = time.perf_counter()
     with pytest.raises(dynamics.CrossCheckError, match="integration failed"):
-        list(dynamics.solve_ivp(M, vec(singlet_density()), np.array([0.0, 1.0, 2.0])))
+        list(dynamics.solve_ivp(M, vec(np.array(singlet_density())), np.array([0.0, 1.0, 2.0])))
     assert time.perf_counter() - start < 5.0
 
 
 def test_evolve_traj_rejects_bad_grid():
-    rho0 = singlet_density()
+    rho0 = np.array(singlet_density())
     with pytest.raises(ValueError):
         list(evolve_traj(M_L0, rho0, [0.0, 1.0, 0.5]))
     with pytest.raises(ValueError):
@@ -452,7 +450,7 @@ def test_tau_is_the_pauli_sum():
     rng = np.random.default_rng(48)
     for _ in range(100):
         ket = random_unit_complex(rng)
-        for rho in (random_density(rng), random_product_state(rng).density(),
+        for rho in (random_density(rng), np.array(random_product_state(rng).density()),
                     np.outer(ket, ket.conj())):
             assert abs(tau(rho) - tau_reference(rho)) <= 1e-15
 

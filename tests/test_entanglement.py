@@ -47,6 +47,20 @@ def phi_plus_ket():
     return v
 
 
+# -------------------------------------------------------------- product states
+
+@pytest.mark.parametrize("bloch1,bloch2,message", [
+    ([1, 0, 0], [0, 0.5, 0], "bloch2 must be a unit vector, |bloch2| = 0.5"),
+    ([0, 1], [0, 0, 1], "bloch1 must be a real 3-vector, got 2 entries"),
+    ([math.nan, 0, 0], [0, 0, 1], "bloch1 must be a unit vector, |bloch1| = nan"),
+])
+def test_product_state_errors_name_the_bloch_vector(bloch1, bloch2, message):
+    # as the CLI's parser does, the library names the vector it refuses
+    with pytest.raises(ValueError) as exc:
+        ProductState(bloch1, bloch2)
+    assert str(exc.value) == message
+
+
 # ------------------------------------------------------- partial transposition
 
 def test_partial_transpose_of_product_state():
@@ -83,7 +97,7 @@ def test_singlet_partial_transpose_spectrum():
 def test_separable_reference_points():
     assert min_eig_pt(np.eye(4, dtype=complex) / 4.0) == pytest.approx(0.25, abs=1e-15)
     assert not is_entangled(np.eye(4, dtype=complex) / 4.0)
-    rho_mp = canonical_state().density()
+    rho_mp = np.array(canonical_state().density())
     assert min_eig_pt(rho_mp) == pytest.approx(0.0, abs=1e-15)
     assert not is_entangled(rho_mp)
 
@@ -99,7 +113,7 @@ def test_concurrence_reference_values():
 def test_concurrence_of_product_states_vanishes():
     rng = np.random.default_rng(34)
     for _ in range(50):
-        rho = random_product_state(rng).density()
+        rho = np.array(random_product_state(rng).density())
         # the spin-flip spectrum of a pure product state is entirely roundoff:
         # its l_k reach 2e-8, but l_1 cancels l_2 (1.9e-15 at most over 1e5 draws)
         assert concurrence(rho) < 1e-14
@@ -150,7 +164,7 @@ def test_concurrence_of_a_state_off_the_x_takes_the_general_route(monkeypatch):
     # value from no eigh and one eigvalsh, that of the dilation
     calls = _linalg_calls(monkeypatch)
     for i, j in zip(*np.nonzero(~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]))):
-        rho = singlet_density()
+        rho = np.array(singlet_density())
         rho[i, j] = 1e-300
         calls.clear()
         assert concurrence(rho) == pytest.approx(1.0, abs=1e-12), (i, j)
@@ -261,8 +275,9 @@ def test_peres_horodecki_exactness():
 # ---------------------------------------------------------------------- probes
 
 def test_q_probe_values_on_singlet():
-    assert q_probe(phi_plus_ket(), singlet_density()) == pytest.approx(-0.5, abs=1e-15)
-    assert q_probe(singlet_ket(), singlet_density()) == pytest.approx(0.5, abs=1e-15)
+    singlet = np.array(singlet_density())
+    assert q_probe(phi_plus_ket(), singlet) == pytest.approx(-0.5, abs=1e-15)
+    assert q_probe(np.array(singlet_ket()), singlet) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_q_probe_nonnegative_for_separable_or_product_probe():
@@ -276,13 +291,13 @@ def test_q_probe_nonnegative_for_separable_or_product_probe():
 
 def test_q_probe_rejects_zero_vector():
     with pytest.raises(ValueError):
-        q_probe(np.zeros(4), singlet_density())
+        q_probe(np.zeros(4), np.array(singlet_density()))
 
 
 def test_q_rate_finite_for_any_probe():
     rng = np.random.default_rng(37)
     K = build_kossakowski_spectral(ModelParams(beta_omega=1.0, omega_ell=0.0), E3)
-    rho0 = canonical_state().density()
+    rho0 = np.array(canonical_state().density())
     for _ in range(10):
         val = q_rate(random_unit_complex(rng), rho0, K)
         assert math.isfinite(val)
@@ -295,8 +310,8 @@ def test_min_q_rate_negative_when_generation_occurs():
     val, chi = min_q_rate(state, K)
     assert val < -1e-3
     # the returned probe reproduces the rate and starts at Q(0) = 0
-    assert q_rate(chi, state.density(), K) == pytest.approx(val, rel=1e-10)
-    assert abs(q_probe(chi, state.density())) < 1e-13
+    assert q_rate(chi, np.array(state.density()), K) == pytest.approx(val, rel=1e-10)
+    assert abs(q_probe(chi, np.array(state.density()))) < 1e-13
 
 
 def test_min_q_rate_boundary_case():
@@ -429,7 +444,7 @@ def test_probe_optimality_matches_discriminant():
 # ------------------------------------------------------------ small-time oracle
 
 def test_small_time_oracle_frozen_points():
-    rho0 = canonical_state().density()
+    rho0 = np.array(canonical_state().density())
     for ell, expected in ((0.5, True), (3.0, False)):
         params = ModelParams(beta_omega=1.0, omega_ell=ell)
         assert small_time_ppt_oracle(params) is expected
@@ -447,7 +462,7 @@ def test_oracle_caps_its_step_where_the_general_route_overflows(beta_omega, mess
     # lost; the oracle takes a step short enough for the Taylor series, at
     # which the general route agrees with it
     params = ModelParams(beta_omega=beta_omega, omega_ell=0.0)
-    M, rho0 = build_superoperator(params), canonical_state().density()
+    M, rho0 = build_superoperator(params), np.array(canonical_state().density())
     with pytest.raises(PositivityError) as exc:
         small_time_ppt_reference(M, rho0, 1e-3)
     assert str(exc.value) == message
@@ -493,7 +508,7 @@ def test_oracle_agrees_for_generic_product_states():
         if verdict.generated is None or abs(verdict.margin) < 1e-6 * K.norm ** 2:
             continue
         M = build_superoperator(p)
-        oracle = small_time_ppt_reference(M, state.density(), 1e-3)
+        oracle = small_time_ppt_reference(M, np.array(state.density()), 1e-3)
         assert oracle == verdict.generated
         checked += 1
     assert checked > 15
@@ -504,4 +519,4 @@ def test_oracle_insensitive_to_hamiltonian_term():
     state = canonical_state()
     p = ModelParams(beta_omega=1.0, omega_ell=0.5)
     M_h = generator_with_hamiltonian(p)
-    assert small_time_ppt_reference(M_h, state.density(), 1e-3) is True
+    assert small_time_ppt_reference(M_h, np.array(state.density()), 1e-3) is True

@@ -1,19 +1,27 @@
-"""The plain-Python pieces of the phase diagram against the numpy routes
-they replaced: the generator's Q0 block, the oracle's kernel and verdict,
-K's rates and the sweep's linspace, over seeded draws at every corner
-(beta = inf, ell = 0, ell -> 0+, beta*omega from its floor 1.5e-154 to
-1e3); and the floor itself, which ModelParams enforces."""
+"""The plain-Python pieces of the phase diagram and the asymptotic report
+against the numpy routes they replaced: the generator's Q0 block, the
+oracle's kernel and verdict, K's rates, the sweep's linspace, the table of
+the fixed dissipators and the whole asymptotic report, over seeded draws at
+every corner (beta = inf, ell = 0, ell -> 0+, beta*omega from its floor
+1.5e-154 to 1e3); and the floor itself, which ModelParams enforces."""
 
+import contextlib
+import io
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from thermalpair import ModelParams, PositivityError, build_superoperator, cli, generation
+from thermalpair import (ModelParams, PositivityError, asymptotic, build_superoperator, cli,
+                         dynamics, generation)
 from thermalpair.spectral import MIN_BETA_OMEGA, kossakowski_eigenvalues
 
-from util import (Q0, polyval_rates, small_time_ppt_oracle_numpy, taylor_action_numpy)
+from util import (Q0, _DISSIPATORS_KRON, asymptotic_report_numpy, polyval_rates,
+                  small_time_ppt_oracle_numpy, taylor_action_numpy)
 
 SETTINGS = settings(derandomize=True, max_examples=300, deadline=None, database=None)
 
@@ -117,3 +125,106 @@ def test_oracle_raises_where_its_generator_is_not_finite():
         generation.small_time_ppt_oracle(params)
     with np.errstate(over="ignore", invalid="ignore"):
         assert small_time_ppt_oracle_numpy(params) is False
+
+
+# ------------------------------------------------ the table of the dissipators
+
+def test_dissipator_table_is_the_dense_dissipators():
+    # 64 distinct entries, whose dense form is dynamics' dissipators byte for
+    # byte, and the kron-built ones up to the sign of a zero
+    entries = [entry for _, group in asymptotic.DISSIPATORS for entry in group]
+    assert len(entries) == len(set(entries)) == 64
+    dense = np.zeros((6, 16, 16))
+    for coeffs, group in asymptotic.DISSIPATORS:
+        for i, j in group:
+            dense[:, i, j] = coeffs
+    assert dense.tobytes() == dynamics._DISSIPATORS.tobytes()
+    assert np.array_equal(dense, _DISSIPATORS_KRON)
+    assert not np.any(_DISSIPATORS_KRON[:, np.abs(dense).sum(axis=0) == 0])
+
+
+@SETTINGS
+@given(beta_omega, omega_ell)
+@example(math.inf, 0.0)
+@example(MIN_BETA_OMEGA, 0.0)
+@example(1.0, 1.0)
+def test_generator_q0_is_the_tables_q0_rows(bw, wl):
+    # the guard's entries, each summed over k in order, give generator_q0
+    # exactly on Q0 (== equates -0.0, which generator_q0 gives at beta = inf,
+    # and 0.0); the dense generator is the kron-built dissipators'
+    # contraction bit for bit, so the signs of their zeros reach no entry;
+    # and the guard's entries are the dense ones to rounding
+    params = ModelParams(beta_omega=bw, omega_ell=wl)
+    entries = {(i, j): m for i, j, m in asymptotic._generator(params)}
+    rows = [[entries.get((i, j), 0.0) for j in Q0] for i in Q0]
+    assert np.array_equal(np.array(rows), np.array(generation.generator_q0(params)))
+    rates = kossakowski_eigenvalues(params)
+    M = build_superoperator(params)
+    assert M.tobytes() == np.tensordot(rates, _DISSIPATORS_KRON, axes=1).tobytes()
+    scale = np.tensordot(rates, np.abs(_DISSIPATORS_KRON), axes=1)
+    sparse = np.zeros((16, 16))
+    for (i, j), m in entries.items():
+        sparse[i, j] = m
+    assert np.all(np.abs(sparse - M) <= 4 * EPS * scale), (bw, wl)
+
+
+# ----------------------------------------------- the asymptotic report in numpy
+
+unit = st.one_of(
+    st.sampled_from([(0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (1.0, 0.0, 0.0), (0.0, -1.0, 0.0)]),
+    st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: math.hypot(*v) > 0.1)
+    .map(lambda v: tuple(x / math.hypot(*v) for x in v)))
+
+
+@st.composite
+def initial_states(draw):
+    kind = draw(st.sampled_from(["canonical", "singlet", "product", "matrix"]))
+    if kind == "product":
+        return {"product": {"bloch1": list(draw(unit)), "bloch2": list(draw(unit))}}
+    if kind == "matrix":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        rho = g @ g.conj().T
+        rho = 0.5 * (rho + rho.conj().T) / np.trace(rho).real
+        return {"matrix": [[z.real, z.imag] for z in rho.reshape(-1)]}
+    return {"named": kind}
+
+
+def _run_asymptotic(config: dict):
+    """(exit code, standard error, report text) of one in-process call."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "config.json", Path(tmp) / "out"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(["asymptotic", "--config", str(path), "--out", str(out)])
+        return code, err.getvalue(), out.read_text(encoding="utf-8") if code == 0 else None
+
+
+@SETTINGS
+@given(beta_omega, omega_ell, unit, st.booleans(), initial_states())
+@example(math.inf, 0.0, (0.0, 0.0, 1.0), True, {"named": "canonical"})
+@example(math.inf, 0.0, (0.6, 0.0, 0.8), False,
+         {"product": {"bloch1": [1, 0, 0], "bloch2": [0, 0, -1]}})
+@example(math.inf, 0.0, (0.6, 0.0, 0.8), True,
+         {"product": {"bloch1": [1, 0, 0], "bloch2": [0, 0, -1]}})
+@example(MIN_BETA_OMEGA, 1e-300, (0.0, 0.0, 1.0), False, {"named": "singlet"})
+def test_asymptotic_report_matches_its_numpy_route(bw, wl, n, include_hs, state):
+    # the plain-Python report against the array routes it replaced: the same
+    # exit code, message and stationary dimension, and rho_infinity, tau
+    # and concurrence within 4 eps.  On bench seeds 1-3 of the asymptotic
+    # workloads the two differed by at most 1.5 eps in an entry
+    config = {"beta": "inf" if math.isinf(bw) else bw, "ell": wl, "n": list(n),
+              "include_hs": include_hs, "initial_state": state}
+    code, err, text = _run_asymptotic(config)
+    ref_code, ref_err, ref = asymptotic_report_numpy(config)
+    assert (code, err) == (ref_code, ref_err)
+    if code != 0:
+        return
+    doc = json.loads(text)
+    assert doc["stationary_dim"] == ref["stationary_dim"]
+    assert doc["threshold_tau"] == ref["threshold_tau"]
+    rho = np.array([complex(*z) for z in doc["rho_infinity"]]).reshape(4, 4)
+    assert np.abs(rho - ref["rho_infinity"]).max() <= 4 * EPS, rho - ref["rho_infinity"]
+    for key in ("tau", "concurrence"):
+        assert abs(doc[key] - ref[key]) <= 4 * EPS * max(1.0, abs(ref[key])), key

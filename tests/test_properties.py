@@ -168,8 +168,8 @@ ORACLE_BAND = 1e-3
 def test_sector_oracle_is_the_general_route(bw, wl):
     params = ModelParams(beta_omega=bw, omega_ell=wl)
     oracle = small_time_ppt_oracle(params)
-    ref = small_time_ppt_reference(build_superoperator(params), canonical_state().density(),
-                                   oracle_step(params))
+    rho0 = np.array(canonical_state().density())
+    ref = small_time_ppt_reference(build_superoperator(params), rho0, oracle_step(params))
     assert oracle == ref, (oracle, ref)
 
 
@@ -190,7 +190,7 @@ def test_concurrence_matches_the_svd_route(rank, seed):
     # a pure product state has l = 0.  The factor keeps its one row and T
     # is rounding; the reference takes the square roots of its three zero
     # eigenvalues, rounded to about 1e-17, and its l_k come near 1e-8
-    product = random_product_state(rng).density()
+    product = np.array(random_product_state(rng).density())
     assert _wootters_l(product.tolist()).max() <= 1e-15
     assert wootters_l_reference(product).max() <= 1e-7
 
@@ -255,7 +255,7 @@ def test_concurrence_is_positive_exactly_when_partial_transpose_is_negative(mode
     # the canonical state, mixed with white noise so that separable states
     # are full rank and keep their partial transpose away from 0
     params, _, M = model
-    rho0 = (1.0 - noise) * canonical_state().density() + noise * np.eye(4) / 4.0
+    rho0 = (1.0 - noise) * np.array(canonical_state().density()) + noise * np.eye(4) / 4.0
     rho = evolve(M, rho0, omega_t)
     c, m = concurrence(rho), min_eig_pt(rho)
     if m < -1e-10:
@@ -298,7 +298,8 @@ def test_closed_form_asymptotic_state_is_the_projected_one(bw, wl, seed):
     M = build_superoperator(params)
     rho0 = random_density(np.random.default_rng(seed))
     P = stationary_projector(M)
-    rho_inf, dim = asymptotic_state(M, rho0, params)
+    rho_inf, dim = asymptotic_state(params, rho0.tolist())
+    rho_inf = np.array(rho_inf)
     assert dim == round(np.trace(P).real)
     assert np.abs(rho_inf - unvec(P @ vec(rho0))).max() <= 1e-11
     assert trace_norm(evolve(M, rho0, _HORIZON / spectral_gap(M)) - rho_inf) <= _CONV_TOL
@@ -328,11 +329,11 @@ def test_free_hamiltonian_only_turns_the_dissipators_evolution(bw, wl, b1, b2, n
     tol = max(1e-13, 4 * np.finfo(float).eps / gap)
     assert np.abs(P - P_h).max() <= tol
     assert round(np.trace(P).real) == round(np.trace(P_h).real)
-    rho0 = (1.0 - noise) * ProductState(b1, b2).density() + noise * np.eye(4) / 4.0
+    rho0 = (1.0 - noise) * np.array(ProductState(b1, b2).density()) + noise * np.eye(4) / 4.0
     rho, rho_h = (evolve(G, rho0, omega_t) for G in (M, M_h))
     for f in (lambda r: np.linalg.eigvalsh(r).min(), min_eig_pt, tau):
         assert abs(f(rho) - f(rho_h)) <= 1e-11
-    rho_inf, _ = asymptotic_state(M, rho0, params)
+    rho_inf, _ = asymptotic_state(params, rho0.tolist())
     assert np.abs(unvec(_AT_REST * vec(rho_inf)) - unvec(P_h @ vec(rho0))).max() <= tol
 
 
@@ -366,7 +367,7 @@ def test_generator_at_an_axis_is_the_generator_at_e3_in_its_frame(model, n):
     # the reference route builds K at n itself; S = kron(V*, V) is the
     # superoperator of rho -> V rho V^dag
     params, _, M = model
-    V = local_frame(n)
+    V = np.kron(local_frame(n), local_frame(n))
     S = np.kron(V.conj(), V)
     ref = superoperator_reference(build_kossakowski_spectral(params, n))
     assert np.abs(S @ M @ S.conj().T - ref).max() <= 3e-15 * np.abs(ref).max()
@@ -476,7 +477,8 @@ def test_evolve_summary_agrees_with_the_asymptotic_report(bw, wl, n, include_hs,
               "include_hs": include_hs, "initial_state": state, "time_grid": [0.0, 1.0]}
     code, report, _ = _run_cli("asymptotic", config)
     code_evolve, _, summary = _run_cli("evolve", config)
-    c = singlet_ket().conj() @ cli.parse_config(config).initial_state()[1][:, 3]
+    rho0 = np.array(cli.parse_config(config).initial_state()[1])
+    c = np.array(singlet_ket()).conj() @ rho0[:, 3]
     leftover = include_hs and math.isinf(bw) and wl == 0 and 2.0 * abs(c) > _CONV_TOL
     if leftover:
         assert code == 5

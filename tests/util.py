@@ -16,7 +16,9 @@ discriminant for any product state, with its u and v (also by the
 Pauli-rotation route) and its probe functionals; and the small-time oracle
 on the general route, any state under any 16x16 generator, and on the
 charge-0 sector with numpy arrays, as the library ran it before its kernel
-became plain Python.  The library
+became plain Python; the six fixed dissipators built by kron, and the
+asymptotic report on numpy arrays, as the library ran it before it became
+plain Python.  The library
 evaluates that discriminant only at |-> (x) |+>, in closed form, runs its
 oracle from that state in the charge-0 sector with closed-form spectra,
 and takes the asymptotic state in closed form too."""
@@ -27,11 +29,14 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 
-from thermalpair import (KossakowskiCoefficients, ModelParams, ProductState, bloch_ket,
-                         build_superoperator, evolve, kossakowski_coefficients,
-                         kossakowski_eigenvalues, min_eig_pt, partial_transpose, unvec, vec)
+from thermalpair import (ConvergenceError, KossakowskiCoefficients, ModelParams, ProductState,
+                         bloch_ket, build_superoperator, cli, concurrence, evolve,
+                         kossakowski_coefficients, kossakowski_eigenvalues, local_frame,
+                         min_eig_pt, partial_transpose, singlet_ket, tau, temperature_ratio,
+                         threshold_tau, unvec, vec)
 from thermalpair import PositivityError
-from thermalpair.dynamics import _DISSIPATORS, _unit_vector, check_state, expm
+from thermalpair.dynamics import _DISSIPATORS, check_state, expm
+from thermalpair.entanglement import _unit_vector
 from thermalpair.generation import (_BOUNDARY_REL_TOL, _CANONICAL_Q0, _ORACLE_DT,
                                     _ORACLE_NEG_TOL, _THETA_T)
 from thermalpair.spectral import _ONE_MINUS_SINC_SERIES, TWO_PI, _sinc
@@ -71,7 +76,7 @@ def random_separable_density(rng, terms=5):
     weights = rng.dirichlet(np.ones(terms))
     rho = np.zeros((4, 4), dtype=complex)
     for w in weights:
-        rho += w * random_product_state(rng).density()
+        rho += w * np.array(random_product_state(rng).density())
     return rho
 
 
@@ -579,8 +584,8 @@ def min_q_rate(state: ProductState, K: KossakowskiMatrix):
 
     Returns (minimum rate, minimizing probe vector).
     """
-    k1, k2 = state.kets()
-    rho0 = state.density()
+    k1, k2 = map(np.array, state.kets())
+    rho0 = np.array(state.density())
     rate_matrix = partial_transpose(dissipator_reference(K, rho0))
     rate_matrix = 0.5 * (rate_matrix + rate_matrix.conj().T)
     w = np.kron(k1, k2.conj())  # range of PT(rho0)
@@ -607,9 +612,9 @@ def uv_vectors(state: ProductState) -> tuple[np.ndarray, np.ndarray]:
     and likewise for v.  Both vectors have norm sqrt(2); a phase of either
     ket only rephases u or v, which the discriminant is insensitive to.
     """
-    phi, psi = state.kets()
-    u = bloch_ket(-state.bloch1).conj() @ _SIGMAS @ phi
-    v = psi.conj() @ _SIGMAS @ bloch_ket(-state.bloch2)
+    phi, psi = map(np.array, state.kets())
+    u = np.array(bloch_ket(-np.array(state.bloch1))).conj() @ _SIGMAS @ phi
+    v = psi.conj() @ _SIGMAS @ np.array(bloch_ket(-np.array(state.bloch2)))
     return u, v
 
 
@@ -738,3 +743,116 @@ def small_time_ppt_reference(M: np.ndarray, rho0: np.ndarray, dt: float) -> bool
     if not (dt > 0):
         raise ValueError(f"dt must be positive, got {dt}")
     return min_eig_pt(evolve(M, rho0, dt)) < -_ORACLE_NEG_TOL
+
+
+# ---------------------------------------------------------------------------
+# the fixed dissipators by kron, and the asymptotic report on numpy arrays
+# (asymptotic, entanglement, cli), as the library ran it before it became
+# plain Python
+# ---------------------------------------------------------------------------
+
+def dissipator_kron(L: np.ndarray) -> np.ndarray:
+    """Superoperator of D[L] rho = L rho L^dag - (1/2){L^dag L, rho}."""
+    LdL = L.conj().T @ L
+    eye = np.eye(4)
+    return np.kron(L.conj(), L) - 0.5 * np.kron(eye, LdL) - 0.5 * np.kron(LdL.T, eye)
+
+
+def dissipators_kron() -> np.ndarray:
+    """The six fixed dissipators of the generator at e3, built from sigma-
+    and the complex Pauli sigma_z: for s = +1, then s = -1, D[L] with L =
+    sigma- (x) 1 + s 1 (x) sigma-, D[L^dag] and (1/2) D[Z] with Z = sigma3
+    (x) 1 + s 1 (x) sigma3."""
+    minus, z = np.array([[0.0, 0.0], [1.0, 0.0]]), SIGMA[2].real
+    built = []
+    for s in (1.0, -1.0):
+        L = np.kron(minus, np.eye(2)) + s * np.kron(np.eye(2), minus)
+        Z = np.kron(z, np.eye(2)) + s * np.kron(np.eye(2), z)
+        built += [dissipator_kron(L), dissipator_kron(L.T), 0.5 * dissipator_kron(Z)]
+    return np.array(built)
+
+
+_DISSIPATORS_KRON = dissipators_kron()
+
+
+def product_density_numpy(b1, b2) -> np.ndarray:
+    """|phi> (x) |psi> of the unit Bloch vectors b1 and b2, by np.kron and np.outer."""
+    k = np.kron(np.array(bloch_ket(b1)), np.array(bloch_ket(b2)))
+    return np.outer(k, k.conj())
+
+
+def local_frame_numpy(n) -> np.ndarray:
+    """V = U (x) U of the frame U = local_frame(n), by np.kron."""
+    U = np.array(local_frame(n))
+    return np.kron(U, U)
+
+
+def asymptotic_state_numpy(M: np.ndarray, rho0: np.ndarray, params: ModelParams):
+    """asymptotic.asymptotic_state on arrays, under the 16x16 generator M:
+    the closed form with c = <S|rho0|--> as singlet.conj() @ rho0[:, 3], and
+    the same guard, residual |M vec(rho_inf)|_max against 1e-12 |M|_1 and
+    tau kept to 1e-12 at ell = 0."""
+    R = temperature_ratio(params)
+    if params.omega_ell > 0:
+        g = np.array([1.0 - R, 1.0 + R]) / 2.0
+        rho_inf, dim = np.diag(np.kron(g, g)).astype(complex), 1
+    else:
+        tau0 = tau(rho0)
+        p_s = (1.0 - tau0) / 4.0
+        t = (1.0 - p_s) / (3.0 + R * R)
+        t0 = t * (1.0 - R * R)
+        rho_inf = np.diag([t * (1.0 - R) ** 2, 0.0, 0.0, t * (1.0 + R) ** 2]).astype(complex)
+        rho_inf[1:3, 1:3] = np.array([[p_s + t0, t0 - p_s], [t0 - p_s, p_s + t0]]) / 2.0
+        dim = 2
+        if math.isinf(params.beta_omega):
+            singlet = np.array(singlet_ket())
+            c = singlet.conj() @ rho0[:, 3]
+            rho_inf[:, 3] += c * singlet
+            rho_inf[3, :] += np.conj(c) * singlet.conj()
+            dim = 4
+    residual = np.abs(M @ vec(rho_inf)).max()
+    scale = np.abs(M).sum(axis=0).max()
+    if not residual <= 1e-12 * scale:
+        raise ConvergenceError(f"the predicted state is not stationary: residual "
+                               f"{residual:.3e} exceeds 1e-12 |M|_1")
+    if params.omega_ell == 0 and not abs(tau(rho_inf) - tau0) <= 1e-12:
+        raise ConvergenceError(f"the predicted state has tau {tau(rho_inf)!r}, "
+                               f"the initial state {tau0!r}")
+    return rho_inf, dim
+
+
+def asymptotic_report_numpy(doc: dict):
+    """(exit code, standard error, report) of `asymptotic` on the config doc
+    by the array routes: V from np.kron, a product state turned by V^dag
+    rho0 V, the generator from the kron-built dissipators, the stationary
+    state of asymptotic_state_numpy and V rho_inf V^dag.  The config is
+    parsed by cli.parse_config, and a report that fails its guard gives exit
+    code 5; rho_infinity is the 4x4 array."""
+    config = cli.parse_config(doc)
+    params, (kind, *values) = config.params, config.state
+    V = local_frame_numpy(config.n)
+    if kind == "matrix":
+        rho0 = np.array(values[1])
+    elif kind == "singlet":
+        singlet = np.array(singlet_ket())
+        rho0 = np.outer(singlet, singlet.conj())
+    elif kind == "canonical":
+        rho0 = product_density_numpy((0.0, 0.0, -1.0), (0.0, 0.0, 1.0))
+    else:
+        rho0 = V.conj().T @ product_density_numpy(*values) @ V
+    M = np.tensordot(kossakowski_eigenvalues(params), _DISSIPATORS_KRON, axes=1)
+    try:
+        rho_inf, dim = asymptotic_state_numpy(M, rho0, params)
+        if config.include_hs and dim == 4:
+            c = np.array(singlet_ket()).conj() @ rho0[:, 3]
+            if 2.0 * abs(c) > cli._CONV_TOL:
+                raise ConvergenceError(
+                    f"the singlet/ground coherence |c| = {abs(c):.3e} turns forever under "
+                    f"the free Hamiltonian: the state has no limit")
+            rho_inf[1:3, 3] = rho_inf[3, 1:3] = 0.0
+            dim = 2
+    except ConvergenceError as exc:
+        return 5, f"error: {exc}\n", None
+    return 0, "", {"stationary_dim": dim, "rho_infinity": V @ rho_inf @ V.conj().T,
+                   "concurrence": concurrence(rho_inf), "tau": tau(rho_inf),
+                   "threshold_tau": threshold_tau(temperature_ratio(params))}
