@@ -11,10 +11,9 @@ Gibbs state g = diag((1 - R)/2, (1 + R)/2):
   - at beta = inf and ell = 0 the dissipator is the collective lowering
     alone, which annihilates |S> and |-->, so c = <S|rho0|--> is conserved
     too and c |S><--| + h.c. joins the state.
-The module holds the six fixed dissipators of the generator at e3 as one
-table of their nonzero entries (`DISSIPATORS`), which `dynamics` expands
-into the dense superoperators it evolves with.  Here M, the dissipator
-alone, is read from the table by the convergence guard only.  States are
+The convergence guard reads M, the dissipator alone, as the 64 nonzero
+entries of `spectral.generator`, from which `dynamics` also fills the
+dense M it evolves with, so the guard checks that same M.  States are
 4x4 nested lists and the module is plain-Python arithmetic, with no
 numpy, so the CLI's `asymptotic` report loads numpy only for a matrix
 initial state, which the config parser validates with it, and for the
@@ -29,45 +28,13 @@ from __future__ import annotations
 import math
 
 from .generation import ConvergenceError
-from .spectral import ModelParams, kossakowski_eigenvalues, temperature_ratio
+from .spectral import ModelParams, generator, temperature_ratio
 
-
-# the generator at n = e3 is sum_k lambda_k D_k, lambda from
-# spectral.kossakowski_eigenvalues: for s = +1 (collective), then s = -1
-# (relative), D[L] with L = sigma- (x) 1 + s 1 (x) sigma-, D[L^dag] and
-# (1/2) D[Z] with Z = sigma3 (x) 1 + s 1 (x) sigma3, where D[L] rho =
-# L rho L^dag - (1/2){L^dag L, rho}.  Their 64 nonzero entries (row, column)
-# in the vec basis, |a><b| at a + 4b, grouped by the coefficients
-# (D_0, .., D_5) each group shares
-DISSIPATORS = (
-    ((-2, 0, 0, -2, 0, 0), ((0, 0),)),
-    ((0, 1, 0, 0, 1, 0), ((0, 5), (0, 10), (1, 11), (2, 7), (4, 14), (5, 15), (8, 13), (10, 15))),
-    ((0, 1, 0, 0, -1, 0), ((0, 6), (0, 9), (1, 7), (2, 11), (4, 13), (6, 15), (8, 14), (9, 15))),
-    ((-1.5, -0.5, -1, -1.5, -0.5, -1), ((1, 1), (2, 2), (4, 4), (8, 8))),
-    ((-0.5, -0.5, 0, 0.5, 0.5, 0), ((1, 2), (2, 1), (4, 8), (5, 6), (5, 9), (6, 5), (6, 10),
-                                     (7, 11), (8, 4), (9, 5), (9, 10), (10, 6), (10, 9),
-                                     (11, 7), (13, 14), (14, 13))),
-    ((-1, -1, -4, -1, -1, 0), ((3, 3), (12, 12))),
-    ((1, 0, 0, 1, 0, 0), ((5, 0), (7, 2), (10, 0), (11, 1), (13, 8), (14, 4), (15, 5), (15, 10))),
-    ((-1, -1, 0, -1, -1, 0), ((5, 5), (10, 10))),
-    ((1, 0, 0, -1, 0, 0), ((6, 0), (7, 1), (9, 0), (11, 2), (13, 4), (14, 8), (15, 6), (15, 9))),
-    ((-1, -1, 0, -1, -1, -4), ((6, 6), (9, 9))),
-    ((-0.5, -1.5, -1, -0.5, -1.5, -1), ((7, 7), (11, 11), (13, 13), (14, 14))),
-    ((0, -2, 0, 0, -2, 0), ((15, 15),)),
-)
 
 # asymptotic_state's guard: |M vec(rho_inf)|_max at most _RESIDUAL_REL_TOL |M|_1,
 # and at ell = 0 tau conserved to _TAU_TOL
 _RESIDUAL_REL_TOL = 1e-12
 _TAU_TOL = 1e-12
-
-
-def _generator(params: ModelParams) -> list:
-    """(row, column, entry) of the 64 nonzero entries of M = sum_k lambda_k
-    D_k, each summed over k in order."""
-    rates = kossakowski_eigenvalues(params)
-    return [(i, j, sum(rate * c for rate, c in zip(rates, coeffs)))
-            for coeffs, entries in DISSIPATORS for i, j in entries]
 
 
 def tau(rho) -> float:
@@ -114,7 +81,7 @@ def asymptotic_state(params: ModelParams, rho0: list) -> tuple[list, int]:
         dim = 4
 
     out, norms = [0j] * 16, [0.0] * 16
-    for i, j, m in _generator(params):
+    for i, j, m in generator(params):
         out[i] += m * rho_inf[j % 4][j // 4]  # entry j of vec(rho_inf)
         norms[j] += abs(m)
     residual, scale = max(map(abs, out)), max(norms)

@@ -10,10 +10,11 @@ configs produce byte-identical output: floats are printed with 17
 significant digits and orderings are fixed.
 
 The library runs at the axis e3; the axis n enters only here, as the
-local frame V = U (x) U, U = entanglement.local_frame(n): the initial
-state goes in as V^dag rho0 V and asymptotic's rho_infinity comes back as
-V rho V^dag (`entanglement.turn`).
-No other output changes under V, and the phase diagram ignores n.
+local frame V = U (x) U, U = entanglement.local_frame(n), and by one
+route each way: every initial state goes in as V^dag rho0 V in
+`RunConfig.initial_state`, and asymptotic's rho_infinity comes back as
+V rho V^dag in `cmd_asymptotic`, both by `entanglement.turn`.  No other
+output changes under V, and the phase diagram ignores n.
 
 include_hs changes only `asymptotic`: at beta = inf and ell = 0 the free
 Hamiltonian turns the conserved coherence c = <S|rho0|--> forever, so the
@@ -36,13 +37,12 @@ is held.
 `generation`, and `asymptotic` on `asymptotic` and `entanglement` too: the
 closed-form stationary state, its guard, the frame and the concurrence of
 an X-state are plain arithmetic on 4x4 nested lists.  The parser checks the
-axis n, a named or product state and the grids without numpy and keeps n
-and the state as parsed; `RunConfig.initial_state` builds the state in the
-frame when `evolve` or `asymptotic` calls it.  So only `evolve` (which
-takes `np.array`s of those lists), a matrix state (turned to the frame and
-validated with numpy where it is parsed) and, in `asymptotic`, the state
-at beta = inf and ell = 0 with c != 0, which is not an X-state, load
-numpy.
+axis n, the state and the grids and keeps n and the state as given, the
+same at every n; `RunConfig.initial_state` builds the state in the frame
+when `evolve` or `asymptotic` calls it.  So only `evolve` (which takes
+`np.array`s of those lists), a matrix state (which the parser validates
+with numpy, as given) and, in `asymptotic`, the state at beta = inf and
+ell = 0 with c != 0, which is not an X-state, load numpy.
 
 Exit codes: 0 ok, 2 config validation failure or an unwritable output
 path, 3 an implementation-bug guard (discriminant/oracle disagreement, or
@@ -107,10 +107,9 @@ class SweepSpec:
 
 @dataclass
 class RunConfig:
-    """A validated config.  The axis n and a named or product initial
-    state are kept as parsed, and turned into the frame only by
-    `initial_state`; a matrix state is turned and validated, with numpy,
-    where it is parsed."""
+    """A validated config.  The axis n and the initial state are kept as
+    given, a matrix state as a 4x4 nested list, and the state is turned
+    into the frame of n only by `initial_state`."""
 
     params: ModelParams
     n: tuple                               # the unit axis
@@ -122,14 +121,14 @@ class RunConfig:
     def initial_state(self) -> tuple:
         """(U, V^dag rho0 V) as nested lists: the frame U =
         entanglement.local_frame(n) of V = U (x) U and the initial state rho0
-        turned into it, a product state from its turned kets; the named
-        states are built in the frame, where the canonical one is |-> (x) |+>
-        and the singlet is the same."""
+        turned into it, a matrix by `entanglement.turn` and a product state
+        from its turned kets; the named states are built in the frame, where
+        the canonical one is |-> (x) |+> and the singlet is the same."""
         from . import entanglement
         kind, *values = self.state
-        if kind == "matrix":
-            return tuple(values)
         U = entanglement.local_frame(self.n)
+        if kind == "matrix":
+            return U, entanglement.turn(entanglement.dagger(U), values[0])
         if kind == "singlet":
             return U, entanglement.singlet_density()
         if kind == "canonical":
@@ -170,8 +169,8 @@ def _parse_axis(raw, name: str = "n") -> tuple:
     return tuple(_number(x, f"{name} entry") for x in raw)
 
 
-def _parse_complex_matrix(entries):
-    import numpy as np
+def _parse_complex_matrix(entries) -> list:
+    """The 16 row-major [re, im] pairs as a 4x4 nested list of complex."""
     _require(isinstance(entries, list) and len(entries) == 16,
              "matrix initial state needs 16 complex entries (row-major)")
     vals = []
@@ -179,15 +178,14 @@ def _parse_complex_matrix(entries):
         _require(isinstance(e, (list, tuple)) and len(e) == 2,
                  "complex entries must be [re, im] pairs")
         vals.append(complex(_number(e[0], "matrix entry"), _number(e[1], "matrix entry")))
-    return np.array(vals, dtype=complex).reshape(4, 4)
+    return [vals[k:k + 4] for k in range(0, 16, 4)]
 
 
-def _parse_initial_state(raw, n) -> tuple:
+def _parse_initial_state(raw) -> tuple:
     """(kind, *values) of the initial state, for RunConfig.initial_state: the
-    named state, the two unit Bloch vectors of a product state, or the frame
-    U and V^dag rho0 V (V = U (x) U, from np.kron) of a matrix state rho0,
-    validated after the turn, as the library reads it, and kept as nested
-    lists."""
+    named state, the two unit Bloch vectors of a product state, or a matrix
+    state rho0 as a 4x4 nested list, validated as given, at the axis n, by
+    checks that its turn to the frame leaves as they are."""
     if raw is None:
         raw = {"named": "canonical"}
     _require(isinstance(raw, dict) and len(raw) == 1,
@@ -208,15 +206,13 @@ def _parse_initial_state(raw, n) -> tuple:
             raise ConfigError(f"invalid product state: {exc}") from None
         return ("product", *blochs.values())
     _require(tag == "matrix", f"unknown initial_state tag {tag!r}")
-    import numpy as np
-    from . import dynamics, entanglement
-    U = entanglement.local_frame(n)
-    frame = np.kron(U, U)
-    rho = frame.conj().T @ _parse_complex_matrix(value) @ frame
+    rho = _parse_complex_matrix(value)
+    from .dynamics import validate_density_matrix
     try:
-        return ("matrix", U, dynamics.validate_density_matrix(rho).tolist())
+        validate_density_matrix(rho)
     except ValueError as exc:
         raise ConfigError(f"matrix initial state invalid: {exc}") from None
+    return ("matrix", rho)
 
 
 def _linspace(lo: float, hi: float, num: int) -> list:
@@ -315,7 +311,7 @@ def parse_config(doc: dict) -> RunConfig:
     include_hs = doc.get("include_hs", False)
     _require(isinstance(include_hs, bool), "include_hs must be a boolean")
 
-    state = _parse_initial_state(doc.get("initial_state"), n)
+    state = _parse_initial_state(doc.get("initial_state"))
     times = _parse_time_grid(doc["time_grid"]) if "time_grid" in doc else None
     sweep = _parse_sweep(doc["sweep"]) if "sweep" in doc else None
     return RunConfig(params=params, n=n, state=state, times=times, sweep=sweep,

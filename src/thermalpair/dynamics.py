@@ -6,11 +6,13 @@ Basis and vectorization conventions used throughout the package:
   - vec(.) stacks matrix columns (column-major), so that
     vec(A rho B) = kron(B.T, A) vec(rho).
 
-The generator is the Kossakowski dissipator D alone, built at the axis
-n = e3 from six fixed dissipators (the table `asymptotic.DISSIPATORS`) and
-K's six rates, which are nonnegative, so completely positive by
-construction (`entanglement.local_frame(n)` takes a state at another axis
-to e3 and back).  The free Hamiltonian's -i[H_S, .] commutes with D, so it
+The generator is the Kossakowski dissipator D alone at the axis n = e3:
+`build_superoperator` fills the dense 16x16 M from the 64 entries of
+`spectral.generator`, K's six rates, which are nonnegative, on six fixed
+dissipators, so completely positive by construction.  Those are the
+entries `asymptotic`'s convergence guard reads.  States reach this module
+already in the frame of e3, where `cli.RunConfig.initial_state` turns
+them.  The free Hamiltonian's -i[H_S, .] commutes with D, so it
 only turns both atoms by one local unitary, which no emitted quantity sees
 but `asymptotic`'s report with include_hs (`cli`).
 
@@ -37,17 +39,8 @@ import math
 
 import numpy as np
 
-from .asymptotic import DISSIPATORS
 from .generation import CrossCheckError, PositivityError, check_state
-from .spectral import ModelParams, kossakowski_eigenvalues
-
-
-# the six fixed dissipators of the generator at n = e3, as dense 16x16
-# superoperators: the table of asymptotic.DISSIPATORS
-_DISSIPATORS = np.zeros((6, 16, 16))
-for _coeffs, _entries in DISSIPATORS:
-    for _i, _j in _entries:
-        _DISSIPATORS[:, _i, _j] = _coeffs
+from .spectral import ModelParams, generator
 
 
 def vec(rho: np.ndarray) -> np.ndarray:
@@ -184,19 +177,26 @@ def solve_ivp(M: np.ndarray, y0: np.ndarray, times: np.ndarray):
         yield y
 
 
-def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
-    """Check Hermiticity, unit trace and positivity of a two-qubit state."""
+def validate_density_matrix(rho):
+    """Check Hermiticity, unit trace and positivity of a two-qubit state, a
+    4x4 nested list or array, each by a measure that no change of frame
+    rho -> V^dag rho V alters but by rounding: the Frobenius norm of
+    rho - rho^dag, the trace and the spectrum.  So a state that passes at
+    the axis n passes in the frame of e3 too."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"density matrix must be 4x4, got shape {rho.shape}")
-    if np.abs(rho - rho.conj().T).max() > _HERM_TOL:
+    # a difference that overflows to inf fails the check, and math.hypot
+    # scales its arguments, so their norm does not overflow
+    with np.errstate(over="ignore"):
+        anti = np.abs(rho - rho.conj().T)
+    if not math.hypot(*anti.flat) <= _HERM_TOL:
         raise ValueError("density matrix is not Hermitian")
     if abs(np.trace(rho) - 1.0) > _TRACE_TOL:
         raise ValueError(f"density matrix trace is {np.trace(rho)}, expected 1")
     min_eig = np.linalg.eigvalsh(rho).min()
     if min_eig < _EIG_FLOOR:
         raise ValueError(f"density matrix has negative eigenvalue {min_eig}")
-    return rho
 
 
 def trace_norm(a: np.ndarray) -> float:
@@ -206,9 +206,12 @@ def trace_norm(a: np.ndarray) -> float:
 
 def build_superoperator(params: ModelParams) -> np.ndarray:
     """16x16 matrix M with M vec(rho) = vec(d rho / dt) at the axis n = e3:
-    sum_k lambda_k _DISSIPATORS[k] with the nonnegative rates lambda =
-    kossakowski_eigenvalues(params), and no Hamiltonian term."""
-    return np.tensordot(kossakowski_eigenvalues(params), _DISSIPATORS, axes=1)
+    the 64 entries of spectral.generator(params), the nonnegative rates on
+    the fixed dissipators, and 0 elsewhere; no Hamiltonian term."""
+    M = np.zeros((16, 16))
+    for i, j, m in generator(params):
+        M[i, j] = m
+    return M
 
 
 def evolve(M: np.ndarray, rho0: np.ndarray, t: float, t0: float = 0.0) -> np.ndarray:

@@ -10,10 +10,11 @@ collapses to R^2 + S^2 > 1 with R = tanh(beta omega / 2) and
 S = sinc(omega ell); the general test for any product state is the
 reference in the test suite.  The phase diagram checks the verdict
 against an independent oracle, the partial transpose of |-> (x) |+>
-evolved by a short time under K's rates (`small_time_ppt_oracle`).  The
-oracle owns its kernel, the Taylor series of exp(t M) v in matrix-vector
-products, and its step, capped so that the series stays short;
-`dynamics.evolve` multiplies by `dynamics.expm` instead.  The state stays
+evolved by a short time under the generator's charge-0 block
+`spectral.generator_q0` (`small_time_ppt_oracle`).  The oracle owns its
+kernel, the Taylor series of exp(t M) v in matrix-vector products, and
+its step, capped so that the series stays short; `dynamics.evolve`
+multiplies by `dynamics.expm` instead.  The state stays
 in the charge-0 sector Q0, an X-state with populations r00..r33 and real
 coherence c = <+-|rho|-+>: its spectrum r00, r33,
 (r11 + r22)/2 +- hypot((r11 - r22)/2, c) and its partial transpose's r11,
@@ -34,8 +35,8 @@ from __future__ import annotations
 import math
 import sys
 
-from .spectral import (KossakowskiCoefficients, ModelParams, kossakowski_eigenvalues,
-                       temperature_ratio, _sinc)
+from .spectral import (KossakowskiCoefficients, ModelParams, generator_q0, temperature_ratio,
+                       _sinc)
 
 
 class CrossCheckError(RuntimeError):
@@ -123,23 +124,6 @@ _THETA_T = 0.3
 # |-+><+-|, |+-><-+|, |-+><-+|, |--><--| (vec indices a + 4b of |a><b|: 0, 5,
 # 6, 9, 10, 15), which every dissipator maps into itself
 _CANONICAL_Q0 = (0.0, 0.0, 0.0, 0.0, 1.0, 0.0)
-
-
-def generator_q0(params: ModelParams) -> list:
-    """The rows of the generator's block on Q0, build_superoperator(params)
-    restricted to Q0, from the collective rates d, u and the relative ones
-    a, b of kossakowski_eigenvalues: each entry sums its rates' terms in
-    their order there, as that contraction does.  The dephasing rates do not
-    enter: the collective one acts as 0 on Q0, and the relative one is 0."""
-    d, u, _, a, b, _ = kossakowski_eigenvalues(params)
-    loss = ((-d - u) - a) - b  # the decay of |+-> and |-+>
-    half = ((-0.5 * d - 0.5 * u) + 0.5 * a) + 0.5 * b
-    return [[-2.0 * d - 2.0 * a, u + b, u - b, u - b, u + b, 0.0],
-            [d + a, loss, half, half, 0.0, u + b],
-            [d - a, half, loss, 0.0, half, u - b],
-            [d - a, half, 0.0, loss, half, u - b],
-            [d + a, 0.0, half, half, loss, u + b],
-            [0.0, d + a, d - a, d - a, d + a, -2.0 * u - 2.0 * b]]
 
 
 def _norm_1(A: list) -> float:

@@ -26,8 +26,8 @@ from thermalpair import (
     validate_density_matrix,
     vec,
 )
-from thermalpair import asymptotic
-from thermalpair.spectral import KossakowskiCoefficients, kossakowski_eigenvalues
+from thermalpair import asymptotic, spectral
+from thermalpair.spectral import KossakowskiCoefficients
 
 from util import (_AT_REST, asymptotic_concurrence, build_kossakowski_spectral,
                   dissipator_reference, equilibrium_closed_form, equilibrium_coefficients,
@@ -259,20 +259,20 @@ def test_asymptotic_state_keeps_conserved_coherences():
 def test_asymptotic_state_convergence_check_fires(monkeypatch):
     # with the free Hamiltonian the singlet/ground coherence rotates at
     # omega forever: under the full generator, put in place of the one the
-    # guard reads off the table, the closed form that keeps it fails the
+    # guard reads from spectral, the closed form that keeps it fails the
     # residual guard (the CLI's refusal of that state with include_hs is
     # test_cli's test_asymptotic_convergence_failure_exits_5)
     p = ModelParams(beta_omega=math.inf, omega_ell=0.0)
     M_h = generator_with_hamiltonian(p)
-    monkeypatch.setattr(asymptotic, "_generator",
+    monkeypatch.setattr(asymptotic, "generator",
                         lambda params: [(i, j, M_h[i, j]) for i, j in zip(*np.nonzero(M_h))])
     with pytest.raises(ConvergenceError, match="not stationary"):
         asymptotic_state(p, coherent_ground_singlet().tolist())
     monkeypatch.undo()
-    # the Gibbs state of beta = 1 under the rates of beta = 2
+    # the Gibbs state of beta = 1 under the generator of beta = 2
     p = ModelParams(beta_omega=1.0, omega_ell=2.0)
-    rates = kossakowski_eigenvalues(ModelParams(beta_omega=2.0, omega_ell=2.0))
-    monkeypatch.setattr(asymptotic, "kossakowski_eigenvalues", lambda params: rates)
+    M_2 = spectral.generator(ModelParams(beta_omega=2.0, omega_ell=2.0))
+    monkeypatch.setattr(asymptotic, "generator", lambda params: M_2)
     with pytest.raises(ConvergenceError, match="not stationary"):
         asymptotic_state(p, canonical_state().density())
 

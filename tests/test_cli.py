@@ -74,9 +74,10 @@ def test_coefficients_reads_stdin():
 
 # ------------------------------------------------------------ config errors
 
-# diag 0.25 with every off-diagonal entry 4.5e-13 i: its anti-Hermitian part
-# is 9e-13 at e3, and about three times that in the frame of n = e1, which is
-# the array every subcommand reads
+# diag 0.25 with every off-diagonal entry 4.5e-13 i: the largest entry of its
+# anti-Hermitian part is 9e-13 as given, and about three times that in the
+# frame of e3 at n = e1, which is the array every subcommand reads; its
+# Frobenius norm, 3.1e-12 in every frame, is what the parser bounds
 TURNED_OFF_HERMITIAN = {
     "n": [1, 0, 0], "ell": 0.5,
     "initial_state": {"matrix": [[0.25, 0.0] if k % 5 == 0 else [0.0, 4.5e-13]
@@ -139,8 +140,12 @@ def test_malformed_json_exits_2(tmp_path):
     {"initial_state": {"product": {"bloch1": [1e200, 1e200, 0], "bloch2": [0, 0, 1]}}},
     # a list of times takes no other key
     {"ell": 0.5, "time_grid": {"times": [0, 1], "t_max": 5, "bogus": 1}},
-    # Hermitian to 1e-12 as given, but not once turned to the frame of n
+    # Hermitian to 1e-12 in its largest entry as given, but not once turned
+    # to the frame of e3
     TURNED_OFF_HERMITIAN,
+    # rho - rho^dag overflows: no numpy overflow warning before the error line
+    {"initial_state": {"matrix": [[1.7e308, 0.0] if k == 1 else [-1.7e308, 0.0] if k == 4
+                                  else [0.25 * (k % 5 == 0), 0.0] for k in range(16)]}},
 ])
 def test_invalid_config_exits_2(tmp_path, config):
     res = run_cli("coefficients", config=config, tmp_path=tmp_path)
@@ -152,14 +157,50 @@ def test_invalid_config_exits_2(tmp_path, config):
 
 @pytest.mark.parametrize("sub", SUBCOMMANDS)
 def test_initial_state_is_validated_as_the_library_reads_it(tmp_path, capsys, sub):
-    # the parser checks the state that evolve_traj and asymptotic_state
-    # read, so none of them meets an invalid one
+    # the parser checks the state as given by norms that the turn to the
+    # frame keeps, so evolve_traj and asymptotic_state meet no state that
+    # fails them
     path = tmp_path / "config.json"
     path.write_text(json.dumps({**EVERY_SUBCOMMAND, **TURNED_OFF_HERMITIAN}), encoding="utf-8")
     assert cli.main([sub, "--config", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: matrix initial state invalid: density matrix is not Hermitian\n"
+
+
+# Hermitian as given, with 1e200 at |++><--| and its mirror, so an
+# eigenvalue of -1e200: turned to the frame of n = (0.6, 0, 0.8) by a numpy
+# kron, the rounding of 1e200 left it off Hermitian instead
+HUGE_COHERENCE = {"matrix": [[0.25, 0.0] if k % 5 == 0 else [1e200, 0.0] if k in (3, 12)
+                             else [0.0, 0.0] for k in range(16)]}
+
+
+def test_matrix_state_is_validated_as_given(tmp_path, capsys):
+    # the same message at every axis: the check sees the input, not the
+    # rounding of its turn to the frame
+    errors = set()
+    for n in ([0, 0, 1], [0.6, 0, 0.8]):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"n": n, "initial_state": HUGE_COHERENCE}), encoding="utf-8")
+        assert cli.main(["coefficients", "--config", str(path)]) == 2
+        errors.add(capsys.readouterr().err)
+    assert errors == {"error: matrix initial state invalid: density matrix has negative "
+                      "eigenvalue -1e+200\n"}
+
+
+def test_parsed_state_is_the_same_at_every_axis():
+    # a state enters the frame of n only in RunConfig.initial_state, so the
+    # parser keeps it as given: a matrix as the nested list of its entries
+    rng = np.random.default_rng(35)
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho = g @ g.conj().T
+    rho = 0.5 * (rho + rho.conj().T) / np.trace(rho).real
+    matrix = {"matrix": [[z.real, z.imag] for z in rho.reshape(-1)]}
+    for state in ({"named": "singlet"}, {"named": "canonical"}, PRODUCT, matrix):
+        parsed = [cli.parse_config({"n": n, "initial_state": state}).state
+                  for n in ([0, 0, 1], [0.6, 0, 0.8], [0, -1, 0], [2 / 3, -1 / 3, 2 / 3])]
+        assert all(p == parsed[0] for p in parsed), state
+    assert parsed[0] == ("matrix", rho.tolist())
 
 
 @pytest.mark.parametrize("sub,out", [(sub, "missing/x.json") for sub in SUBCOMMANDS]
@@ -830,7 +871,7 @@ def test_phase_diagram_dense_factorizations(tmp_path, monkeypatch):
     capped_points = 0
     for bw in beta_omega:
         for wl in omega_ell:
-            M = np.array(generation.generator_q0(spectral.ModelParams(beta_omega=bw,
+            M = np.array(spectral.generator_q0(spectral.ModelParams(beta_omega=bw,
                                                                       omega_ell=wl)))
             capped_points += np.abs(1e-3 * M).sum(axis=0).max() > generation._THETA_T
     assert 0 < capped_points < 900
@@ -890,8 +931,8 @@ def test_trajectory_and_asymptotic_dense_factorizations(tmp_path, monkeypatch):
 
 def test_a_matrix_initial_state_is_validated_once(tmp_path, monkeypatch):
     # work counter: the config parser validates a matrix state where it enters
-    # (after the turn to e3), and neither evolve_traj nor asymptotic_state
-    # validates it again
+    # (as given), and neither RunConfig.initial_state, evolve_traj nor
+    # asymptotic_state validates it again
     calls = []
     validate = dynamics.validate_density_matrix
 
@@ -1068,7 +1109,7 @@ def test_asymptotic_loads_numpy_where_it_must(tmp_path, config):
 ], ids=["axis", "bloch-vector", "bloch-vector-length", "bloch-vector-entry", "matrix-not-psd"])
 def test_phase_diagram_still_validates_the_axis_and_the_state(tmp_path, extra, message):
     # the phase diagram reads neither, but the parser checks them in plain
-    # Python, and a matrix state with numpy after its turn to the frame
+    # Python, and a matrix state with numpy, as given and turned to the frame
     res = run_cli("phase-diagram", config={**SWEEP, **extra}, tmp_path=tmp_path)
     assert res.returncode == 2
     assert res.stdout == ""

@@ -25,7 +25,8 @@ from thermalpair import (
 from thermalpair import dynamics
 
 from util import (SIGMA, build_kossakowski_spectral, choi_matrix, corner_generators,
-                  dissipator_reference, dissipators_kron, generator_with_hamiltonian,
+                  dissipator_reference, dissipators_dense, dissipators_kron,
+                  generator_with_hamiltonian,
                   hamiltonian, pauli_op,
                   random_bloch, random_density, random_params, random_product_state,
                   random_unit_complex, superoperator_reference, tau_reference)
@@ -100,13 +101,13 @@ def test_superoperator_matches_dissipator():
     # the closed-form eigenvalues on fixed dissipators against the explicit
     # sum over K's entries; the reference generator with the free
     # Hamiltonian differs from M by exactly its commutator.  The fixed
-    # dissipators, expanded from asymptotic's table, are bit for bit those
+    # dissipators, expanded from spectral's table, are bit for bit those
     # built by kron from the complex Pauli sigma_z, but for the sign of a
-    # zero: the kron leaves -0.0 at 176 entries, the table +0.0, and
-    # test_numpy_free shows that no generator entry sees the difference
-    built = dissipators_kron()
-    assert np.array_equal(dynamics._DISSIPATORS, built)
-    assert dynamics._DISSIPATORS.tobytes() == (built + 0.0).tobytes()
+    # zero: the kron leaves -0.0 at 176 entries, the table +0.0, which M
+    # holds off its 64 entries
+    built, dense = dissipators_kron(), dissipators_dense()
+    assert np.array_equal(dense, built)
+    assert dense.tobytes() == (built + 0.0).tobytes()
     rng = np.random.default_rng(22)
     corners = set()
     for _ in range(100):

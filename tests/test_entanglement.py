@@ -26,12 +26,12 @@ from thermalpair import (
     vec,
 )
 from thermalpair import cli
-from thermalpair.dynamics import _DISSIPATORS
 from thermalpair.generation import _THETA_T, _taylor_action
 from thermalpair.spectral import kossakowski_coefficients
 
-from util import (KossakowskiMatrix, build_kossakowski_spectral, corner_generators,
-                  Q0, equilibrium_closed_form, generation_discriminant, generator_with_hamiltonian,
+from util import (_DISSIPATORS_KRON, KossakowskiMatrix, build_kossakowski_spectral,
+                  corner_generators, Q0, equilibrium_closed_form, generation_discriminant,
+                  generator_with_hamiltonian,
                   is_entangled, kossakowski_6x6, min_q_rate, mp_concurrence, mp_rates,
                   oracle_step, q_probe, q_rate, random_bloch, random_density, random_params,
                   random_product_state, random_rotation, random_separable_density,
@@ -228,7 +228,7 @@ def _mp_concurrence(params, rho0, t):
     the 40-digit rates (util.mp_rates) and the exact fixed dissipators."""
     with mp.workdps(40):
         M = mp.zeros(16, 16)
-        for rate, D in zip(mp_rates(params), _DISSIPATORS):
+        for rate, D in zip(mp_rates(params), _DISSIPATORS_KRON):
             M += rate * mp.matrix(D.tolist())
         v = mp.expm(mp.mpf(t) * M) * mp.matrix(vec(rho0).tolist())
         return mp_concurrence(mp.matrix([[v[i + 4 * j] for j in range(4)] for i in range(4)]))

@@ -29,16 +29,15 @@ import numpy as np
 import sympy as sp
 
 from thermalpair import ModelParams, canonical_state, generation_test
-from thermalpair.dynamics import _DISSIPATORS
 from thermalpair.spectral import KossakowskiCoefficients, kossakowski_eigenvalues
 
-from util import coefficient_rates, kossakowski_blocks, mp_rates, uv_vectors
+from util import _DISSIPATORS_KRON, coefficient_rates, kossakowski_blocks, mp_rates, uv_vectors
 
 R, S, g0, B, p_s = sp.symbols("R S g0 B p_S", real=True)
 c = sp.Symbol("c_re", real=True) + sp.I * sp.Symbol("c_im", real=True)
 
-DISSIPATORS = [sp.Matrix(16, 16, lambda i, j, k=k: sp.Rational(_DISSIPATORS[k][i, j]))
-               for k in range(len(_DISSIPATORS))]
+DISSIPATORS = [sp.Matrix(16, 16, lambda i, j, k=k: sp.Rational(_DISSIPATORS_KRON[k][i, j]))
+               for k in range(len(_DISSIPATORS_KRON))]
 
 # product basis |++>, |+->, |-+>, |-->; |T0> and |S> are the exchange pair
 KET_PP, KET_MM = sp.Matrix([1, 0, 0, 0]), sp.Matrix([0, 0, 0, 1])
@@ -47,7 +46,7 @@ KET_S = sp.Matrix([0, 1, -1, 0]) / sp.sqrt(2)
 
 
 def generator(R, S, g0):
-    """The symbolic M = sum_k lambda_k _DISSIPATORS[k]."""
+    """The symbolic M = sum_k lambda_k D_k over the kron-built dissipators."""
     A = B / R
     lam = coefficient_rates(KossakowskiCoefficients(
         A=A, B=B, C=g0 - A, Ap=A * S, Bp=B * S, Cp=g0 - A * S))

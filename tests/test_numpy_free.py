@@ -16,12 +16,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from thermalpair import (ModelParams, PositivityError, asymptotic, build_superoperator, cli,
-                         dynamics, generation)
+from thermalpair import (ModelParams, PositivityError, build_superoperator, cli, generation,
+                         spectral)
 from thermalpair.spectral import MIN_BETA_OMEGA, kossakowski_eigenvalues
 
-from util import (Q0, _DISSIPATORS_KRON, asymptotic_report_numpy, polyval_rates,
-                  small_time_ppt_oracle_numpy, taylor_action_numpy)
+from util import (Q0, _DISSIPATORS_KRON, asymptotic_report_numpy, dissipators_dense,
+                  polyval_rates, small_time_ppt_oracle_numpy, taylor_action_numpy)
 
 SETTINGS = settings(derandomize=True, max_examples=300, deadline=None, database=None)
 
@@ -43,10 +43,10 @@ EPS = np.finfo(float).eps
 @example(MIN_BETA_OMEGA, 0.0)
 def test_generator_q0_is_the_superoperator_block(bw, wl):
     # exact: each entry sums the same products of rates and powers of 2, in
-    # the contraction's order (== also equates -0.0 and 0.0)
+    # spectral.generator's order (== also equates -0.0 and 0.0)
     params = ModelParams(beta_omega=bw, omega_ell=wl)
     block = build_superoperator(params)[np.ix_(Q0, Q0)]
-    assert np.array_equal(np.array(generation.generator_q0(params)), block), (bw, wl)
+    assert np.array_equal(np.array(spectral.generator_q0(params)), block), (bw, wl)
 
 
 @SETTINGS
@@ -73,7 +73,7 @@ def test_oracle_matches_its_numpy_kernel(bw, wl):
     # 10295, by at most 0.5 eps
     params = ModelParams(beta_omega=bw, omega_ell=wl)
     assert generation.small_time_ppt_oracle(params) is small_time_ppt_oracle_numpy(params)
-    M = generation.generator_q0(params)
+    M = spectral.generator_q0(params)
     dt = min(generation._ORACLE_DT, generation._THETA_T / generation._norm_1(M))
     A = [[dt * x for x in row] for row in M]
     v = generation._CANONICAL_Q0
@@ -120,7 +120,7 @@ def test_oracle_raises_where_its_generator_is_not_finite():
     params = object.__new__(ModelParams)
     object.__setattr__(params, "beta_omega", 1e-308)
     object.__setattr__(params, "omega_ell", 0.0)
-    assert all(map(math.isfinite, generation.generator_q0(params)[0]))
+    assert all(map(math.isfinite, spectral.generator_q0(params)[0]))
     with pytest.raises(PositivityError, match=r"^generator has \|M\|_1 = inf, not finite$"):
         generation.small_time_ppt_oracle(params)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -130,16 +130,13 @@ def test_oracle_raises_where_its_generator_is_not_finite():
 # ------------------------------------------------ the table of the dissipators
 
 def test_dissipator_table_is_the_dense_dissipators():
-    # 64 distinct entries, whose dense form is dynamics' dissipators byte for
-    # byte, and the kron-built ones up to the sign of a zero
-    entries = [entry for _, group in asymptotic.DISSIPATORS for entry in group]
+    # 64 distinct entries, whose dense form is the kron-built dissipators
+    # byte for byte once the kron's -0.0 are cleared, with no kron entry
+    # off the table
+    entries = [entry for _, group in spectral.DISSIPATORS for entry in group]
     assert len(entries) == len(set(entries)) == 64
-    dense = np.zeros((6, 16, 16))
-    for coeffs, group in asymptotic.DISSIPATORS:
-        for i, j in group:
-            dense[:, i, j] = coeffs
-    assert dense.tobytes() == dynamics._DISSIPATORS.tobytes()
-    assert np.array_equal(dense, _DISSIPATORS_KRON)
+    dense = dissipators_dense()
+    assert dense.tobytes() == (_DISSIPATORS_KRON + 0.0).tobytes()
     assert not np.any(_DISSIPATORS_KRON[:, np.abs(dense).sum(axis=0) == 0])
 
 
@@ -149,23 +146,24 @@ def test_dissipator_table_is_the_dense_dissipators():
 @example(MIN_BETA_OMEGA, 0.0)
 @example(1.0, 1.0)
 def test_generator_q0_is_the_tables_q0_rows(bw, wl):
-    # the guard's entries, each summed over k in order, give generator_q0
+    # the table's entries, each summed over k in order, give generator_q0
     # exactly on Q0 (== equates -0.0, which generator_q0 gives at beta = inf,
-    # and 0.0); the dense generator is the kron-built dissipators'
-    # contraction bit for bit, so the signs of their zeros reach no entry;
-    # and the guard's entries are the dense ones to rounding
+    # and 0.0); they are the kron-built dissipators' contraction to
+    # rounding; and the dense generator that evolve integrates holds exactly
+    # those entries, the ones the convergence guard reads, and +0.0
+    # everywhere else
     params = ModelParams(beta_omega=bw, omega_ell=wl)
-    entries = {(i, j): m for i, j, m in asymptotic._generator(params)}
+    entries = {(i, j): m for i, j, m in spectral.generator(params)}
     rows = [[entries.get((i, j), 0.0) for j in Q0] for i in Q0]
-    assert np.array_equal(np.array(rows), np.array(generation.generator_q0(params)))
-    rates = kossakowski_eigenvalues(params)
-    M = build_superoperator(params)
-    assert M.tobytes() == np.tensordot(rates, _DISSIPATORS_KRON, axes=1).tobytes()
-    scale = np.tensordot(rates, np.abs(_DISSIPATORS_KRON), axes=1)
+    assert np.array_equal(np.array(rows), np.array(spectral.generator_q0(params)))
     sparse = np.zeros((16, 16))
     for (i, j), m in entries.items():
         sparse[i, j] = m
-    assert np.all(np.abs(sparse - M) <= 4 * EPS * scale), (bw, wl)
+    rates = kossakowski_eigenvalues(params)
+    scale = np.tensordot(rates, np.abs(_DISSIPATORS_KRON), axes=1)
+    contraction = np.tensordot(rates, _DISSIPATORS_KRON, axes=1)
+    assert np.all(np.abs(sparse - contraction) <= 4 * EPS * scale), (bw, wl)
+    assert build_superoperator(params).tobytes() == sparse.tobytes(), (bw, wl)
 
 
 # ----------------------------------------------- the asymptotic report in numpy

@@ -16,9 +16,10 @@ discriminant for any product state, with its u and v (also by the
 Pauli-rotation route) and its probe functionals; and the small-time oracle
 on the general route, any state under any 16x16 generator, and on the
 charge-0 sector with numpy arrays, as the library ran it before its kernel
-became plain Python; the six fixed dissipators built by kron, and the
-asymptotic report on numpy arrays, as the library ran it before it became
-plain Python.  The library
+became plain Python; the six fixed dissipators built by kron (and
+spectral's table of them expanded to dense arrays), and the asymptotic
+report on numpy arrays, as the library ran it before it became plain
+Python.  The library
 evaluates that discriminant only at |-> (x) |+>, in closed form, runs its
 oracle from that state in the charge-0 sector with closed-form spectra,
 and takes the asymptotic state in closed form too."""
@@ -35,11 +36,11 @@ from thermalpair import (ConvergenceError, KossakowskiCoefficients, ModelParams,
                          min_eig_pt, partial_transpose, singlet_ket, tau, temperature_ratio,
                          threshold_tau, unvec, vec)
 from thermalpair import PositivityError
-from thermalpair.dynamics import _DISSIPATORS, check_state, expm
+from thermalpair.dynamics import check_state, expm
 from thermalpair.entanglement import _unit_vector
 from thermalpair.generation import (_BOUNDARY_REL_TOL, _CANONICAL_Q0, _ORACLE_DT,
                                     _ORACLE_NEG_TOL, _THETA_T)
-from thermalpair.spectral import _ONE_MINUS_SINC_SERIES, TWO_PI, _sinc
+from thermalpair.spectral import _ONE_MINUS_SINC_SERIES, DISSIPATORS, TWO_PI, _sinc
 
 # the Pauli matrices sigma_x, sigma_y, sigma_z in the basis (|+>, |->)
 SIGMA = (
@@ -686,13 +687,51 @@ def uv_vectors_rotation(state: ProductState):
 
 
 # ---------------------------------------------------------------------------
+# the six fixed dissipators by kron, the reference for spectral.DISSIPATORS
+# ---------------------------------------------------------------------------
+
+def dissipator_kron(L: np.ndarray) -> np.ndarray:
+    """Superoperator of D[L] rho = L rho L^dag - (1/2){L^dag L, rho}."""
+    LdL = L.conj().T @ L
+    eye = np.eye(4)
+    return np.kron(L.conj(), L) - 0.5 * np.kron(eye, LdL) - 0.5 * np.kron(LdL.T, eye)
+
+
+def dissipators_kron() -> np.ndarray:
+    """The six fixed dissipators of the generator at e3, built from sigma-
+    and the complex Pauli sigma_z: for s = +1, then s = -1, D[L] with L =
+    sigma- (x) 1 + s 1 (x) sigma-, D[L^dag] and (1/2) D[Z] with Z = sigma3
+    (x) 1 + s 1 (x) sigma3."""
+    minus, z = np.array([[0.0, 0.0], [1.0, 0.0]]), SIGMA[2].real
+    built = []
+    for s in (1.0, -1.0):
+        L = np.kron(minus, np.eye(2)) + s * np.kron(np.eye(2), minus)
+        Z = np.kron(z, np.eye(2)) + s * np.kron(np.eye(2), z)
+        built += [dissipator_kron(L), dissipator_kron(L.T), 0.5 * dissipator_kron(Z)]
+    return np.array(built)
+
+
+_DISSIPATORS_KRON = dissipators_kron()
+
+
+def dissipators_dense() -> np.ndarray:
+    """spectral.DISSIPATORS expanded to the six dense 16x16 dissipators,
+    with +0.0 off the table."""
+    dense = np.zeros((6, 16, 16))
+    for coeffs, entries in DISSIPATORS:
+        for i, j in entries:
+            dense[:, i, j] = coeffs
+    return dense
+
+
+# ---------------------------------------------------------------------------
 # the small-time oracle on the general route, and in numpy (generation)
 # ---------------------------------------------------------------------------
 
 # vec indices (a + 4b of |a><b|) of the charge-0 sector Q0 in the order of
-# generation.generator_q0, and the fixed dissipators restricted to it
+# spectral.generator_q0, and the kron-built dissipators restricted to it
 Q0 = (0, 5, 6, 9, 10, 15)
-DISSIPATORS_Q0 = _DISSIPATORS[:, Q0][:, :, Q0]
+DISSIPATORS_Q0 = _DISSIPATORS_KRON[:, Q0][:, :, Q0]
 
 
 def oracle_step(params: ModelParams) -> float:
@@ -746,33 +785,10 @@ def small_time_ppt_reference(M: np.ndarray, rho0: np.ndarray, dt: float) -> bool
 
 
 # ---------------------------------------------------------------------------
-# the fixed dissipators by kron, and the asymptotic report on numpy arrays
-# (asymptotic, entanglement, cli), as the library ran it before it became
-# plain Python
+# the asymptotic report on numpy arrays (asymptotic, entanglement, cli), as
+# the library ran it before it became plain Python
 # ---------------------------------------------------------------------------
 
-def dissipator_kron(L: np.ndarray) -> np.ndarray:
-    """Superoperator of D[L] rho = L rho L^dag - (1/2){L^dag L, rho}."""
-    LdL = L.conj().T @ L
-    eye = np.eye(4)
-    return np.kron(L.conj(), L) - 0.5 * np.kron(eye, LdL) - 0.5 * np.kron(LdL.T, eye)
-
-
-def dissipators_kron() -> np.ndarray:
-    """The six fixed dissipators of the generator at e3, built from sigma-
-    and the complex Pauli sigma_z: for s = +1, then s = -1, D[L] with L =
-    sigma- (x) 1 + s 1 (x) sigma-, D[L^dag] and (1/2) D[Z] with Z = sigma3
-    (x) 1 + s 1 (x) sigma3."""
-    minus, z = np.array([[0.0, 0.0], [1.0, 0.0]]), SIGMA[2].real
-    built = []
-    for s in (1.0, -1.0):
-        L = np.kron(minus, np.eye(2)) + s * np.kron(np.eye(2), minus)
-        Z = np.kron(z, np.eye(2)) + s * np.kron(np.eye(2), z)
-        built += [dissipator_kron(L), dissipator_kron(L.T), 0.5 * dissipator_kron(Z)]
-    return np.array(built)
-
-
-_DISSIPATORS_KRON = dissipators_kron()
 
 
 def product_density_numpy(b1, b2) -> np.ndarray:
@@ -823,16 +839,16 @@ def asymptotic_state_numpy(M: np.ndarray, rho0: np.ndarray, params: ModelParams)
 
 def asymptotic_report_numpy(doc: dict):
     """(exit code, standard error, report) of `asymptotic` on the config doc
-    by the array routes: V from np.kron, a product state turned by V^dag
-    rho0 V, the generator from the kron-built dissipators, the stationary
-    state of asymptotic_state_numpy and V rho_inf V^dag.  The config is
-    parsed by cli.parse_config, and a report that fails its guard gives exit
-    code 5; rho_infinity is the 4x4 array."""
+    by the array routes: V from np.kron, a product or matrix state turned
+    by V^dag rho0 V, the generator from the kron-built dissipators, the
+    stationary state of asymptotic_state_numpy and V rho_inf V^dag.  The
+    config is parsed by cli.parse_config, and a report that fails its guard
+    gives exit code 5; rho_infinity is the 4x4 array."""
     config = cli.parse_config(doc)
     params, (kind, *values) = config.params, config.state
     V = local_frame_numpy(config.n)
     if kind == "matrix":
-        rho0 = np.array(values[1])
+        rho0 = V.conj().T @ np.array(values[0]) @ V
     elif kind == "singlet":
         singlet = np.array(singlet_ket())
         rho0 = np.outer(singlet, singlet.conj())
