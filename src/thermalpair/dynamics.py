@@ -19,18 +19,22 @@ but `asymptotic`'s report with include_hs (`cli`).
 Evolution multiplies vec(rho0) by the Taylor exponential exp(t M) (`expm`,
 no linear solve).  A trajectory steps from sample to sample and is
 cross-checked from t = 0 by an adaptive RK45 (`solve_ivp`); both are
-generators that advance together, one sample at a time.  The phase
-diagram's small-time oracle has its own kernel, a Taylor series of
-matrix-vector products on the generator's charge-0 block, in plain Python
-(`generation`, which also holds the guards `check_state` and `check_unit`
-and the exceptions raised here).
+generators that advance together, one sample at a time.  The CLI takes
+this route for a product or matrix state.  The phase diagram's small-time
+oracle and the named states' trajectory have their own kernel, a Taylor
+series of matrix-vector products on the generator's charge-0 block, in
+plain Python (`generation`, which also holds the guards `check_state` and
+`check_unit`, the exceptions raised here, the RK45 tolerances, the
+Dormand-Prince table this module turns into arrays, and `expm`'s
+THETA_T30).
 
 This is the one module of the package that imports numpy when it is
 imported.  The states, the frame, the stationary state and the
 concurrence of an X-state are plain Python (`entanglement`, `asymptotic`),
-so of the CLI's runs only `evolve`, a matrix initial state, which
-`validate_density_matrix` checks where the config is parsed, and the
-concurrence of a state that is not an X-state load numpy.
+so of the CLI's runs only the `evolve` of a product or matrix state, a
+matrix initial state, which `validate_density_matrix` checks where the
+config is parsed, and the concurrence of a state that is not an X-state
+load numpy.
 """
 
 from __future__ import annotations
@@ -39,7 +43,9 @@ import math
 
 import numpy as np
 
-from .generation import CrossCheckError, PositivityError, check_state
+from .generation import (DP_A, DP_B, DP_E, DP_MAX_FACTOR, DP_MIN_FACTOR, DP_SAFETY,
+                         RK_AGREE_TOL, RK_ATOL, RK_RTOL, THETA_T30, CrossCheckError,
+                         PositivityError, check_state)
 from .spectral import ModelParams, generator
 
 
@@ -57,30 +63,22 @@ _HERM_TOL = 1e-12
 _TRACE_TOL = 1e-12
 _EIG_FLOOR = -1e-10
 
-# RK45 cross-check of evolve_traj: the integrator's relative and absolute
-# error bounds, and the max-norm agreement with the matrix exponential
-_RK_RTOL = 1e-10
-_RK_ATOL = 1e-12
-_RK_AGREE_TOL = 1e-8
-
-# expm: the degree-30 Taylor polynomial has backward error at most 2^-53 up
-# to this 1-norm (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011),
-# Table 3.1); row j of _TAYLOR30_BLOCKS holds 1/(6j + i)!, i < 6
-_THETA_T30 = 3.5
+# expm's degree-30 Taylor polynomial, to the 1-norm generation.THETA_T30:
+# row j of _TAYLOR30_BLOCKS holds 1/(6j + i)!, i < 6
 _TAYLOR30_BLOCKS = np.array([[1.0 / math.factorial(6 * j + i) if 6 * j + i <= 30 else 0.0
                               for i in range(6)] for j in range(6)])
 
 
 def expm(A: np.ndarray) -> np.ndarray:
     """Matrix exponential in A's real or complex type, without a linear
-    solve: A is scaled by 2^-s to a 1-norm of at most _THETA_T30, its
+    solve: A is scaled by 2^-s to a 1-norm of at most THETA_T30, its
     degree-30 Taylor polynomial, sum_j (A^6)^j B_j with B_j = sum_i A^i /
     (6j + i)!, is summed in ten products (Paterson-Stockmeyer) and squared
     s times.
     """
     A = np.asarray(A)
     norm = np.abs(A).sum(axis=0).max()
-    s = math.ceil(math.log2(norm / _THETA_T30)) if _THETA_T30 < norm < math.inf else 0
+    s = math.ceil(math.log2(norm / THETA_T30)) if THETA_T30 < norm < math.inf else 0
     A = A * 2.0**-s
     n = A.shape[0]
     powers = [np.eye(n), A]
@@ -95,22 +93,9 @@ def expm(A: np.ndarray) -> np.ndarray:
     return R
 
 
-# Dormand-Prince 5(4) pair (J. Comput. Appl. Math. 6, 19 (1980)): stage
-# coefficients, fifth-order weights and error weights.  The seventh stage is
-# the derivative at the new point and becomes the next step's first stage.
-_DP_A = np.array([
-    [0.0, 0.0, 0.0, 0.0, 0.0],
-    [1 / 5, 0.0, 0.0, 0.0, 0.0],
-    [3 / 40, 9 / 40, 0.0, 0.0, 0.0],
-    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-])
-_DP_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
-_DP_E = np.array([-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525,
-                  1 / 40])
-# step-size control: safety factor and the bounds on the change of h per step
-_DP_SAFETY, _DP_MIN_FACTOR, _DP_MAX_FACTOR = 0.9, 0.2, 10.0
+# generation's Dormand-Prince 5(4) table as arrays, _DP_A padded with zeros
+_DP_A = np.array([row + (0.0,) * (5 - len(row)) for row in DP_A])
+_DP_B, _DP_E = np.array(DP_B), np.array(DP_E)
 
 
 def _rms(x: np.ndarray) -> float:
@@ -124,7 +109,7 @@ def solve_ivp(M: np.ndarray, y0: np.ndarray, times: np.ndarray):
     t_k = 0), and holds no earlier sample.
 
     Step control is the usual one for this pair: the RMS of the error
-    estimate over _RK_ATOL + max(|y|, |y_new|) _RK_RTOL must stay below 1,
+    estimate over RK_ATOL + max(|y|, |y_new|) RK_RTOL must stay below 1,
     h changes by a factor of 0.9 err^(-1/5) clipped to [0.2, 10] (at most 1
     right after a rejected step), and h never starts a step below 10 ulp(t).  Steps are
     shortened to land exactly on every sample time, so no sample is
@@ -139,7 +124,7 @@ def solve_ivp(M: np.ndarray, y0: np.ndarray, times: np.ndarray):
     # Solving ODEs I, Sec. II.4); the controller corrects it within a few steps.
     # An overflow here or a non-finite error norm below is no warning: the
     # step-size floor and the non-finite check handle them.
-    scale = _RK_ATOL + _RK_RTOL * np.abs(y)
+    scale = RK_ATOL + RK_RTOL * np.abs(y)
     with np.errstate(over="ignore", invalid="ignore"):
         d0, d1 = _rms(y / scale), _rms(K[0] / scale)
     h = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
@@ -155,13 +140,13 @@ def solve_ivp(M: np.ndarray, y0: np.ndarray, times: np.ndarray):
             K[6] = M @ y_new
             with np.errstate(over="ignore", invalid="ignore"):
                 err = _rms(step * (_DP_E @ K)
-                           / (_RK_ATOL + _RK_RTOL * np.maximum(np.abs(y), np.abs(y_new))))
+                           / (RK_ATOL + RK_RTOL * np.maximum(np.abs(y), np.abs(y_new))))
             if not math.isfinite(err):
                 raise CrossCheckError(f"RK45 cross-check integration failed: non-finite "
                                    f"solution at t={t:.6g}")
             if err < 1.0:
-                factor = _DP_MAX_FACTOR if err == 0 else min(_DP_MAX_FACTOR,
-                                                             _DP_SAFETY * err**-0.2)
+                factor = DP_MAX_FACTOR if err == 0 else min(DP_MAX_FACTOR,
+                                                            DP_SAFETY * err**-0.2)
                 if rejected:
                     factor = min(1.0, factor)
                 # a step shortened to land on a sample does not shrink the next one
@@ -169,7 +154,7 @@ def solve_ivp(M: np.ndarray, y0: np.ndarray, times: np.ndarray):
                 t = target if step == target - t else t + step
                 y, K[0], rejected = y_new, K[6], False
             else:
-                h = step * max(_DP_MIN_FACTOR, _DP_SAFETY * err**-0.2)
+                h = step * max(DP_MIN_FACTOR, DP_SAFETY * err**-0.2)
                 rejected = True
                 if h < min_step:
                     raise CrossCheckError(f"RK45 cross-check integration failed: step size "
@@ -253,7 +238,7 @@ def evolve_traj(M: np.ndarray, rho0: np.ndarray, times):
     each one evolve step (a trace-norm contraction, with its guards) from
     the one before, from rho0 at t = 0.  Beside it RK45 (solve_ivp)
     integrates the same trajectory from rho0, and each state is yielded only
-    once the two routes agree at t_k to _RK_AGREE_TOL in max-norm (two
+    once the two routes agree at t_k to RK_AGREE_TOL in max-norm (two
     independent numerical routes through a non-normal generator); the first
     sample over the bound raises CrossCheckError.  At each t_k evolve runs
     before RK45 advances to t_k, so a sample that fails both routes raises
@@ -270,7 +255,7 @@ def evolve_traj(M: np.ndarray, rho0: np.ndarray, times):
     for t in times.tolist():
         rho, t0 = evolve(M, rho, t, t0), t
         diff = np.abs(rho - unvec(next(ys))).max()
-        if diff > _RK_AGREE_TOL:
+        if diff > RK_AGREE_TOL:
             raise CrossCheckError(f"matrix-exponential and RK45 trajectories disagree: "
-                                  f"{diff:.3e} > {_RK_AGREE_TOL:.1e}")
+                                  f"{diff:.3e} > {RK_AGREE_TOL:.1e}")
         yield rho

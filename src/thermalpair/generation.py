@@ -1,4 +1,5 @@
-"""Entanglement generation at t = 0+, and the guards the array modules share.
+"""Entanglement generation at t = 0+, the named states' trajectory, and the
+guards the array modules share.
 
 Whether the common bath starts entangling a pure product state at t = 0+
 is decided by the discriminant of Benatti, Floreanini & Piani (PRL 91,
@@ -14,7 +15,11 @@ evolved by a short time under the generator's charge-0 block
 `spectral.generator_q0` (`small_time_ppt_oracle`).  The oracle owns its
 kernel, the Taylor series of exp(t M) v in matrix-vector products, and
 its step, capped so that the series stays short; `dynamics.evolve`
-multiplies by `dynamics.expm` instead.  The state stays
+multiplies by `dynamics.expm` instead.  The named states, |-> (x) |+> and
+the singlet, start in Q0 with real entries, so their whole `evolve`
+trajectory runs on the same six reals (`trajectory_q0`): the same kernel
+in substeps of 1-norm at most THETA_T30, the same guards (`_checked`),
+and an RK45 cross-check on the six entries (`_rk45`).  The state stays
 in the charge-0 sector Q0, an X-state with populations r00..r33 and real
 coherence c = <+-|rho|-+>: its spectrum r00, r33,
 (r11 + r22)/2 +- hypot((r11 - r22)/2, c) and its partial transpose's r11,
@@ -23,11 +28,13 @@ add the oracle's general route and the exact minimum of the initial
 entanglement-production rate over probe vectors.
 
 All of it is plain-Python float arithmetic, so the phase diagram and the
-coefficients report, which run on this module and `spectral` alone, never
-import numpy.  The module also holds what `dynamics` and `asymptotic`
-share with it: the state guards (`check_state`), the unit-vector check of
-an axis or Bloch vector (`check_unit`), and the three exception classes
-that the CLI maps to exit codes 3, 4 and 5.
+coefficients report, which run on this module and `spectral` alone, and
+the `evolve` of a named state never import numpy.  The module also holds
+what `dynamics` and `asymptotic` share with it: the state guards
+(`check_state`), the unit-vector check of an axis or Bloch vector
+(`check_unit`), the three exception classes that the CLI maps to exit
+codes 3, 4 and 5, and the RK45 tolerances and Dormand-Prince table that
+both trajectories use.
 """
 
 from __future__ import annotations
@@ -60,7 +67,7 @@ _POS_TOL = 1e-8
 
 def check_state(min_eig: float, herm_dev: float, tr: float, t: float):
     """dynamics.evolve's last two guards, on the state it Hermitized and
-    renormalized from trace tr; small_time_ppt_oracle applies them too."""
+    renormalized from trace tr; `_checked` applies them on Q0 too."""
     if min_eig < -_POS_TOL:
         raise PositivityError(f"state eigenvalue {min_eig} below -{_POS_TOL} at t={t}")
     trace_dev = abs(tr - 1.0)
@@ -119,11 +126,33 @@ _ORACLE_NEG_TOL = 1e-13
 # rose by a median of 0.14 MB (6 of 6 pairs, one BLAS thread)
 _ORACLE_DT = 1e-3
 _THETA_T = 0.3
+# the degree-30 Taylor polynomial has backward error at most 2^-53 up to this
+# 1-norm (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011), Table 3.1):
+# dynamics.expm scales to it, and trajectory_q0 takes substeps of this norm
+THETA_T30 = 3.5
 
-# |-> (x) |+> in Q0, the sector m_a = m_b of the entries |++><++|, |+-><+-|,
-# |-+><+-|, |+-><-+|, |-+><-+|, |--><--| (vec indices a + 4b of |a><b|: 0, 5,
-# 6, 9, 10, 15), which every dissipator maps into itself
+# the vec indices a + 4b of |a><b| in Q0, the sector m_a = m_b of |++><++|,
+# |+-><+-|, |-+><+-|, |+-><-+|, |-+><-+|, |--><--|, which every dissipator
+# maps into itself; |-> (x) |+> there
+_Q0 = (0, 5, 6, 9, 10, 15)
 _CANONICAL_Q0 = (0.0, 0.0, 0.0, 0.0, 1.0, 0.0)
+
+# RK45 cross-check of a trajectory: the integrator's relative and absolute
+# error bounds, and the max-norm agreement with the exponential's route
+RK_RTOL = 1e-10
+RK_ATOL = 1e-12
+RK_AGREE_TOL = 1e-8
+# Dormand-Prince 5(4) pair (J. Comput. Appl. Math. 6, 19 (1980)): row i of
+# DP_A holds stage i's coefficients, then the fifth-order weights and the
+# error weights.  The seventh stage is the derivative at the new point and
+# becomes the next step's first stage.  dynamics builds its arrays from these
+DP_A = ((), (1 / 5,), (3 / 40, 9 / 40), (44 / 45, -56 / 15, 32 / 9),
+        (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+        (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656))
+DP_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+DP_E = (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
+# step-size control: safety factor and the bounds on the change of h per step
+DP_SAFETY, DP_MIN_FACTOR, DP_MAX_FACTOR = 0.9, 0.2, 10.0
 
 
 def _norm_1(A: list) -> float:
@@ -131,14 +160,19 @@ def _norm_1(A: list) -> float:
     return max(sum(abs(row[j]) for row in A) for j in range(len(A[0])))
 
 
-def _taylor_action(A: list, v) -> list:
-    """exp(A) v for the 6x6 rows A as the Taylor polynomial of degree m in
-    Horner form, y = v and y = v + A y / j for j = m..1, with m >= 1 the
-    smallest degree whose truncation bound |A|_1^(m+1) / (m+1)! is at most
-    2^-53 (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)); every step
-    is a matrix-vector product, written out term by term.  At least one
-    term, so a non-finite A reaches the result."""
-    norm = _norm_1(A)
+def _matvec(A: list, y) -> list:
+    y0, y1, y2, y3, y4, y5 = y
+    return [a0 * y0 + a1 * y1 + a2 * y2 + a3 * y3 + a4 * y4 + a5 * y5
+            for a0, a1, a2, a3, a4, a5 in A]
+
+
+def _taylor_action(A: list, v, norm: float) -> list:
+    """exp(A) v for the 6x6 rows A of 1-norm norm as the Taylor polynomial of
+    degree m in Horner form, y = v and y = v + A y / j for j = m..1, with
+    m >= 1 the smallest degree whose truncation bound norm^(m+1) / (m+1)! is
+    at most 2^-53 (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011));
+    every step is a matrix-vector product, written out term by term.  At
+    least one term, so a non-finite A reaches the result."""
     m, bound = 1, norm * norm / 2.0
     while bound > 2.0**-53:
         m += 1
@@ -146,33 +180,148 @@ def _taylor_action(A: list, v) -> list:
     y = v
     for j in range(m, 0, -1):
         y0, y1, y2, y3, y4, y5 = y
-        y = [vi + (r[0] * y0 + r[1] * y1 + r[2] * y2 + r[3] * y3 + r[4] * y4 + r[5] * y5) / j
-             for vi, r in zip(v, A)]
+        y = [vi + (a0 * y0 + a1 * y1 + a2 * y2 + a3 * y3 + a4 * y4 + a5 * y5) / j
+             for vi, (a0, a1, a2, a3, a4, a5) in zip(v, A)]
     return y
+
+
+def x_min_eig(r00: float, r11: float, r22: float, r33: float, c: float) -> float:
+    """The least eigenvalue of the X-state of Q0 with populations r00..r33 and
+    real coherence c = <+-|rho|-+>: min(r00, r33, m - h), m +- h the
+    eigenvalues of [[r11, c], [c, r22]].  Its partial transpose is the
+    X-state with the two pairs of populations swapped, so its least
+    eigenvalue is x_min_eig(r11, r00, r33, r22, c)."""
+    return min(r00, r33, (r11 + r22) / 2 - math.hypot((r11 - r22) / 2, c))
+
+
+def x_distance(x: tuple, rho_inf: list) -> float:
+    """The trace distance of the X-state x = (r00, r11, r22, r33, c) to the
+    state rho_inf, a 4x4 nested list that is an X-state in Q0 too: with d
+    their difference, |d00| + |d33| + |m + h| + |m - h|, m +- h the
+    eigenvalues of its block on |+->, |-+>."""
+    d00, d11, d22, d33, c = (a - b.real for a, b in zip(x, (
+        rho_inf[0][0], rho_inf[1][1], rho_inf[2][2], rho_inf[3][3], rho_inf[1][2])))
+    return abs(d00) + abs(d33) + 2.0 * max(abs(d11 + d22) / 2, math.hypot((d11 - d22) / 2, c))
+
+
+def _checked(v, t: float) -> tuple:
+    """dynamics.evolve's guards on the evolved Q0 entries v at time t, in
+    closed form: a non-finite entry, or a trace that is not positive and
+    finite, raises PositivityError; the state is renormalized, its
+    coherence Hermitized, and `check_state` reads its least eigenvalue.
+    Returns (r00, r11, r22, r33, c)."""
+    if not all(map(math.isfinite, v)):
+        raise PositivityError(f"evolved state is not finite at t={t}")
+    r00, r11, c21, c12, r22, r33 = v
+    tr = (r00 + r11) + (r22 + r33)  # in evolve's order: np.trace of a complex 4x4
+    if not 0 < tr < math.inf:
+        raise PositivityError(f"evolved state has trace {tr} at t={t}")
+    x = r00 / tr, r11 / tr, r22 / tr, r33 / tr, 0.5 * (c21 + c12) / tr
+    check_state(x_min_eig(*x), abs(c12 - c21), tr, t)
+    return x
 
 
 def small_time_ppt_oracle(params: ModelParams) -> bool:
     """Whether |-> (x) |+>, evolved by a short step in Q0 under the generator's
     Q0 block M (`generator_q0`), has a partial-transpose eigenvalue below
     -_ORACLE_NEG_TOL; the state passes dynamics.evolve's guards with the
-    closed-form spectra of the module docstring.  The step is _ORACLE_DT, or
-    _THETA_T / |M|_1 where that is shorter, and exp(step M) is the Taylor
-    series (`_taylor_action`); the guards' messages name the step taken.  A
-    generator whose |M|_1 is not finite raises PositivityError, as no step
-    can be taken."""
+    closed-form spectra of the module docstring (`_checked`).  The step is
+    _ORACLE_DT, or _THETA_T / |M|_1 where that is shorter, and exp(step M)
+    is the Taylor series (`_taylor_action`); the guards' messages name the
+    step taken.  A generator whose |M|_1 is not finite raises
+    PositivityError, as no step can be taken."""
     M = generator_q0(params)
     norm = _norm_1(M)
     if not norm < math.inf:
         raise PositivityError(f"generator has |M|_1 = {norm}, not finite")
     dt = min(_ORACLE_DT, _THETA_T / norm)
-    v = _taylor_action([[dt * x for x in row] for row in M], _CANONICAL_Q0)
-    if not all(map(math.isfinite, v)):
-        raise PositivityError(f"evolved state is not finite at t={dt}")
-    r00, r11, c21, c12, r22, r33 = v
-    tr = (r00 + r11) + (r22 + r33)  # in evolve's order: np.trace of a complex 4x4
-    if not 0 < tr < math.inf:
-        raise PositivityError(f"evolved state has trace {tr} at t={dt}")
-    r00, r11, r22, r33, c = r00 / tr, r11 / tr, r22 / tr, r33 / tr, 0.5 * (c21 + c12) / tr
-    check_state(min(r00, r33, (r11 + r22) / 2 - math.hypot((r11 - r22) / 2, c)),
-                abs(c12 - c21), tr, dt)
-    return min(r11, r22, (r00 + r33) / 2 - math.hypot((r00 - r33) / 2, c)) < -_ORACLE_NEG_TOL
+    v = _taylor_action([[dt * x for x in row] for row in M], _CANONICAL_Q0, dt * norm)
+    r00, r11, r22, r33, c = _checked(v, dt)
+    return x_min_eig(r11, r00, r33, r22, c) < -_ORACLE_NEG_TOL
+
+
+def _rms(x: list) -> float:
+    return math.hypot(*x) / math.sqrt(len(x))
+
+
+def _rk45(M: list, y: list, times):
+    """dynamics.solve_ivp on the six real Q0 entries y under the rows M: the
+    same Dormand-Prince pair, step control and errors, with each stage
+    written out.  A generator that yields y(t_k) as it reaches each sorted
+    nonnegative t_k."""
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (a61, a62, a63, a64, a65) = \
+        DP_A[1:]
+    b1, _, b3, b4, b5, b6 = DP_B
+    e1, _, e3, e4, e5, e6, e7 = DP_E
+    k1 = _matvec(M, y)
+    scale = [RK_ATOL + RK_RTOL * abs(x) for x in y]
+    d0, d1 = _rms([x / s for x, s in zip(y, scale)]), _rms([k / s for k, s in zip(k1, scale)])
+    h = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    t, rejected = 0.0, False
+    for target in times:
+        while t < target:
+            min_step = 10 * math.ulp(t)
+            h = max(h, min_step)
+            step = min(h, target - t)
+            k2 = _matvec(M, [x + step * (a21 * p1) for x, p1 in zip(y, k1)])
+            k3 = _matvec(M, [x + step * (a31 * p1 + a32 * p2) for x, p1, p2 in zip(y, k1, k2)])
+            k4 = _matvec(M, [x + step * (a41 * p1 + a42 * p2 + a43 * p3)
+                             for x, p1, p2, p3 in zip(y, k1, k2, k3)])
+            k5 = _matvec(M, [x + step * (a51 * p1 + a52 * p2 + a53 * p3 + a54 * p4)
+                             for x, p1, p2, p3, p4 in zip(y, k1, k2, k3, k4)])
+            k6 = _matvec(M, [x + step * (a61 * p1 + a62 * p2 + a63 * p3 + a64 * p4 + a65 * p5)
+                             for x, p1, p2, p3, p4, p5 in zip(y, k1, k2, k3, k4, k5)])
+            y_new = [x + step * (b1 * p1 + b3 * p3 + b4 * p4 + b5 * p5 + b6 * p6)
+                     for x, p1, p3, p4, p5, p6 in zip(y, k1, k3, k4, k5, k6)]
+            k7 = _matvec(M, y_new)
+            err = _rms([step * (e1 * p1 + e3 * p3 + e4 * p4 + e5 * p5 + e6 * p6 + e7 * p7)
+                        / (RK_ATOL + RK_RTOL * max(abs(x), abs(x_new)))
+                        for x, x_new, p1, p3, p4, p5, p6, p7
+                        in zip(y, y_new, k1, k3, k4, k5, k6, k7)])
+            if not math.isfinite(err):
+                raise CrossCheckError(f"RK45 cross-check integration failed: non-finite "
+                                      f"solution at t={t:.6g}")
+            if err < 1.0:
+                factor = DP_MAX_FACTOR if err == 0 else min(DP_MAX_FACTOR,
+                                                            DP_SAFETY * err**-0.2)
+                if rejected:
+                    factor = min(1.0, factor)
+                # a step shortened to land on a sample does not shrink the next one
+                h = max(h, step * factor) if step < h else step * factor
+                t = target if step == target - t else t + step
+                y, k1, rejected = y_new, k7, False
+            else:
+                h = step * max(DP_MIN_FACTOR, DP_SAFETY * err**-0.2)
+                rejected = True
+                if h < min_step:
+                    raise CrossCheckError(f"RK45 cross-check integration failed: step size "
+                                          f"{h:.3g} at t={t:.6g}")
+        yield y
+
+
+def trajectory_q0(params: ModelParams, rho0: list, times):
+    """dynamics.evolve_traj for a state rho0 in Q0 with real entries, such as
+    the named states, on the generator's Q0 block M: a generator of the
+    states (r00, r11, r22, r33, c) at the sorted nonnegative times t_k.  Each
+    step from t_(k-1) to t_k applies exp(dt M) as s = ceil(dt |M|_1 /
+    THETA_T30) equal substeps of `_taylor_action`, and `_checked` guards
+    the result before the RK45 route (`_rk45`) advances to t_k; the two
+    routes must agree to RK_AGREE_TOL in max-norm, with evolve_traj's
+    errors.  Only the last state is held."""
+    M = generator_q0(params)
+    norm = _norm_1(M)
+    v = [rho0[k % 4][k // 4].real for k in _Q0]
+    ys, t0 = _rk45(M, v, times), 0.0
+    for t in times:
+        s = math.ceil((t - t0) * norm / THETA_T30)
+        h = (t - t0) / max(s, 1)
+        A = [[h * x for x in row] for row in M]
+        for _ in range(s):
+            v = _taylor_action(A, v, h * norm)
+        r00, r11, r22, r33, c = x = _checked(v, t)
+        v, t0 = [r00, r11, c, c, r22, r33], t
+        diff = max(abs(a - b) for a, b in zip(v, next(ys)))
+        if diff > RK_AGREE_TOL:
+            raise CrossCheckError(f"matrix-exponential and RK45 trajectories disagree: "
+                                  f"{diff:.3e} > {RK_AGREE_TOL:.1e}")
+        yield x

@@ -348,8 +348,8 @@ def test_config_cannot_loosen_a_guard(tmp_path, sub, config):
 
 
 def test_rk45_work_over_cap_exits_2_before_integrating(tmp_path):
-    # t_max |M|_1 = 1.9e6: at the 1.3 to 2 s per 1e5 of work measured
-    # for cli.MAX_RK_WORK, the RK45 cross-check would take 25 to 40 s
+    # t_max |M|_1 = 1.9e6: at the 0.7 s per 1e5 of work measured for
+    # cli.MAX_RK_WORK on a named state, the RK45 cross-check would take 13 s
     config = {"beta": 0.001, "ell": 1, "time_grid": {"t_max": 1000, "n_samples": 3}}
     start = time.perf_counter()
     res = run_cli("evolve", config=config, tmp_path=tmp_path)
@@ -385,6 +385,7 @@ def test_rk45_work_cap_gives_the_same_verdict_with_and_without_include_hs(tmp_pa
         raise AssertionError("the RK45 work cap let an over-cap grid integrate")
 
     monkeypatch.setattr(dynamics, "evolve_traj", forbidden)
+    monkeypatch.setattr(generation, "trajectory_q0", forbidden)
     config = {"beta": 10, "ell": 1, "time_grid": {"t_max": 2e5, "n_samples": 3}}
     results = []
     for include_hs in (False, True):
@@ -415,9 +416,43 @@ def _failing(solve_ivp):
 def test_a_failed_rk45_cross_check_exits_3(tmp_path, monkeypatch, capsys, fault, message):
     # the cross-check guards the implementation, as the phase diagram's oracle
     # does: one error line, no traceback and no output
+    # (a product state, which takes dynamics.evolve_traj; the named states'
+    # route is the next test's)
     monkeypatch.setattr(dynamics, "solve_ivp", fault(dynamics.solve_ivp))
     path, out = tmp_path / "config.json", tmp_path / "traj.csv"
-    path.write_text(json.dumps({"time_grid": {"t_max": 1.0, "n_samples": 3}}), encoding="utf-8")
+    path.write_text(json.dumps({"time_grid": {"t_max": 1.0, "n_samples": 3},
+                                "initial_state": PRODUCT}), encoding="utf-8")
+    assert cli.main(["evolve", "--config", str(path), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("error: " + message)
+    assert captured.err.count("\n") == 1
+
+
+def _disagreeing_q0(rk45):
+    return lambda *args: ([x + 1e-6 for x in y] for y in rk45(*args))
+
+
+def _failing_q0(rk45):
+    # the RK45 route alone sees a Q0 block with a NaN entry
+    def failed(M, *args):
+        return rk45([[math.nan] * 6] + M[1:], *args)
+    return failed
+
+
+@pytest.mark.parametrize("fault,message", [
+    (_disagreeing_q0, "matrix-exponential and RK45 trajectories disagree: 1.000e-06 > 1.0e-08\n"),
+    (_failing_q0, "RK45 cross-check integration failed: "),
+], ids=["disagreement", "integration-failure"])
+@pytest.mark.parametrize("state", ["canonical", "singlet"])
+def test_a_failed_rk45_cross_check_of_a_named_state_exits_3(tmp_path, monkeypatch, capsys,
+                                                            fault, message, state):
+    # the named states' RK45 on Q0 (generation._rk45) guards as the dense one
+    # does, with the same messages
+    monkeypatch.setattr(generation, "_rk45", fault(generation._rk45))
+    path, out = tmp_path / "config.json", tmp_path / "traj.csv"
+    path.write_text(json.dumps({"time_grid": {"t_max": 1.0, "n_samples": 3},
+                                "initial_state": {"named": state}}), encoding="utf-8")
     assert cli.main(["evolve", "--config", str(path), "--out", str(out)]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and not out.exists()
@@ -441,22 +476,44 @@ def test_the_first_sample_that_fails_a_guard_sets_the_exit_code(tmp_path, monkey
     monkeypatch.setattr(dynamics, "evolve", evolve)
     monkeypatch.setattr(dynamics, "solve_ivp", _failing(dynamics.solve_ivp))
     path, out = tmp_path / "config.json", tmp_path / "traj.csv"
-    path.write_text(json.dumps({"time_grid": {"t_max": 1.0, "n_samples": 3}}), encoding="utf-8")
+    path.write_text(json.dumps({"time_grid": {"t_max": 1.0, "n_samples": 3},
+                                "initial_state": PRODUCT}), encoding="utf-8")
     assert cli.main(["evolve", "--config", str(path), "--out", str(out)]) == code
     captured = capsys.readouterr()
     assert captured.out == "" and not out.exists() and captured.err.count("\n") == 1
 
 
-def test_trajectory_memory_grows_by_its_text_alone(tmp_path):
-    # evolve keeps each row's text and the last state: the list of states
-    # (a 4x4 complex array, about 0.37 KB a sample) and the RK45 array (0.26
-    # KB) are gone, so the traced peak grows by the rows' strings and the
-    # time grid, about 0.24 KB a sample
+@pytest.mark.parametrize("bad_time,code", [(0.5, 4), (1.0, 3)])
+def test_the_first_sample_of_a_named_state_that_fails_a_guard_sets_the_exit_code(
+        tmp_path, monkeypatch, capsys, bad_time, code):
+    # the same order on Q0: generation._checked guards each sample before
+    # generation._rk45 advances to it
+    real_checked = generation._checked
+
+    def checked(v, t):
+        if t == bad_time:
+            raise generation.PositivityError(f"evolved state is not finite at t={t}")
+        return real_checked(v, t)
+
+    monkeypatch.setattr(generation, "_checked", checked)
+    monkeypatch.setattr(generation, "_rk45", _failing_q0(generation._rk45))
+    path, out = tmp_path / "config.json", tmp_path / "traj.csv"
+    path.write_text(json.dumps({"time_grid": {"t_max": 1.0, "n_samples": 3}}), encoding="utf-8")
+    assert cli.main(["evolve", "--config", str(path), "--out", str(out)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists() and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: evolved state is not finite at t=0.5\n" if code == 4
+                                   else "error: RK45 cross-check integration failed: ")
+
+
+def _memory_slope(tmp_path, state) -> float:
+    """The traced peak of an evolve of state, in bytes per sample."""
     path, out = tmp_path / "config.json", tmp_path / "traj.csv"
 
     def traced_peak(n_samples):
-        path.write_text(json.dumps({"beta": 2, "ell": 0.7, "time_grid": {
-            "t_max": 5.0, "n_samples": n_samples}}), encoding="utf-8")
+        path.write_text(json.dumps({"beta": 2, "ell": 0.7, "initial_state": state,
+                                    "time_grid": {"t_max": 5.0, "n_samples": n_samples}}),
+                        encoding="utf-8")
         tracemalloc.start()
         try:
             assert cli.main(["evolve", "--config", str(path), "--out", str(out)]) == 0
@@ -465,7 +522,22 @@ def test_trajectory_memory_grows_by_its_text_alone(tmp_path):
             tracemalloc.stop()
 
     traced_peak(50)  # imports and first-call allocations stay out of the slope
-    slope = (traced_peak(5000) - traced_peak(500)) / 4500
+    return (traced_peak(5000) - traced_peak(500)) / 4500
+
+
+def test_trajectory_memory_grows_by_its_text_alone(tmp_path):
+    # evolve keeps each row's text and the last state: the list of states
+    # (a 4x4 complex array, about 0.37 KB a sample) and the RK45 array (0.26
+    # KB) are gone, so the traced peak grows by the rows' strings and the
+    # time grid, about 0.24 KB a sample (a product state, on
+    # dynamics.evolve_traj)
+    slope = _memory_slope(tmp_path, PRODUCT)
+    assert slope < 400, f"{slope:.0f} B per sample"
+
+
+def test_named_trajectory_memory_grows_by_its_text_alone(tmp_path):
+    # the same bound on the named states' route, generation.trajectory_q0
+    slope = _memory_slope(tmp_path, {"named": "canonical"})
     assert slope < 400, f"{slope:.0f} B per sample"
 
 
@@ -886,8 +958,9 @@ def test_trajectory_and_asymptotic_dense_factorizations(tmp_path, monkeypatch):
     # The exponential takes no linear solve, and concurrence and trace_norm
     # take no SVD and no eigh.  concurrence takes its closed form on an
     # X-state, and otherwise one eigvalsh, of the dilation in _wootters_l.
-    # evolve multiplies by one expm per positive step and never takes the
-    # oracle's Taylor series; asymptotic takes neither
+    # evolve of a product or matrix state multiplies by one expm per positive
+    # step and never takes the Taylor series of Q0; a named state's evolve
+    # takes that series and neither expm nor eigvalsh; asymptotic takes none
     calls = Counter()
     for module, name in ((np.linalg, "eigvalsh"), (np.linalg, "eigh"), (np.linalg, "svd"),
                          (np.linalg, "solve"), (dynamics, "expm"),
@@ -903,22 +976,28 @@ def test_trajectory_and_asymptotic_dense_factorizations(tmp_path, monkeypatch):
         """{subcommand: dilation eigvalsh calls} for evolve and asymptotic on doc."""
         path = tmp_path / "config.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
+        named = "named" in doc.get("initial_state", {})
         found = {}
         for sub, concurrences in (("evolve", 21 + 1), ("asymptotic", 1)):
             calls.clear()
             assert cli.main([sub, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
             assert calls["svd"] == calls["solve"] == calls["eigh"] == 0, (sub, calls)
             assert calls["concurrence"] == concurrences, (sub, calls)
-            assert calls["expm"] == (20 if sub == "evolve" else 0), (sub, calls)
-            assert calls["_taylor_action"] == 0, (sub, calls)
+            dense = sub == "evolve" and not named
+            assert calls["expm"] == (20 if dense else 0), (sub, calls)
+            assert (calls["_taylor_action"] > 0) == (sub == "evolve" and named), (sub, calls)
+            assert not named or calls["eigvalsh"] == 0, (sub, calls)
             found[sub] = calls["eigvalsh in _wootters_l"]
         return found
 
-    # the canonical state, its trajectory and its limit are X-states; the
-    # 21-sample grid starts at t = 0, so it has 20 positive steps
+    # this product state, its trajectory and its limit are X-states, and so
+    # are the named states'; the 21-sample grid starts at t = 0, so it has
+    # 20 positive steps
     grid = {"t_max": 400, "n_samples": 21}
-    assert dilations({"beta": 0.5, "ell": 0.5, "time_grid": grid}) == {"evolve": 0,
-                                                                      "asymptotic": 0}
+    up_down = {"product": {"bloch1": [0, 0, 1], "bloch2": [0, 0, -1]}}
+    for state in (up_down, {"named": "canonical"}, {"named": "singlet"}):
+        assert dilations({"beta": 0.5, "ell": 0.5, "initial_state": state,
+                          "time_grid": grid}) == {"evolve": 0, "asymptotic": 0}, state
     # at beta = inf and ell = 0 the coherence c = <S|rho|--> is conserved, so
     # a matrix state with c != 0 keeps entries off the X at every sample and
     # in the limit: one dilation per concurrence
@@ -1093,6 +1172,46 @@ def test_asymptotic_loads_numpy_where_it_must(tmp_path, config):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config), encoding="utf-8")
     assert "numpy" in _imported_modules("asymptotic", path, tmp_path)
+
+
+@pytest.mark.parametrize("config", [
+    {"ell": 0.5, "time_grid": {"t_max": 1.0, "n_samples": 2}},
+    {"beta": 2.0, "ell": 0.7, "time_grid": [0.0, 0.5, 3.0],
+     "initial_state": {"named": "singlet"}},
+    {"n": [0.6, 0.0, 0.8], "ell": 3.0, "time_grid": {"t_max": 5.0, "n_samples": 11},
+     "initial_state": {"named": "canonical"}},
+    {"n": [0.0, -1.0, 0.0], "include_hs": True, "time_grid": {"t_max": 5.0},
+     "initial_state": {"named": "singlet"}},
+    {"beta": "inf", "ell": 0.0, "time_grid": {"t_max": 20.0, "n_samples": 5},
+     "initial_state": {"named": "canonical"}},
+    {"beta": "inf", "ell": 0.0, "n": [2 / 3, -1 / 3, 2 / 3], "include_hs": True,
+     "time_grid": {"t_max": 20.0, "n_samples": 5}, "initial_state": {"named": "singlet"}},
+], ids=["setup", "singlet-e3", "canonical-tilted", "singlet-hs", "canonical-inf-ell0",
+        "singlet-inf-ell0-hs"])
+def test_evolve_imports_no_numpy(tmp_path, config):
+    # a named state's trajectory is plain Python on Q0, with closed-form
+    # columns and summary: a fresh run loads no numpy, at any axis, at beta =
+    # inf and ell = 0, with or without include_hs
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    imported = _imported_modules("evolve", path, tmp_path)
+    assert "thermalpair.generation" in imported and "numpy" not in imported
+    assert "thermalpair.dynamics" not in imported
+
+
+@pytest.mark.parametrize("state", [
+    PRODUCT,
+    {"product": {"bloch1": [0, 0, 1], "bloch2": [0, 0, -1]}},
+    {"matrix": [[0.25, 0.0] if k % 5 == 0 else [0.0, 0.0] for k in range(16)]},
+], ids=["product", "product-x-state", "matrix"])
+def test_evolve_loads_numpy_where_it_must(tmp_path, state):
+    # a product or matrix state evolves by dynamics.evolve_traj, also where
+    # it is an X-state
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"ell": 0.5, "initial_state": state,
+                                "time_grid": {"t_max": 1.0, "n_samples": 2}}), encoding="utf-8")
+    imported = _imported_modules("evolve", path, tmp_path)
+    assert "numpy" in imported and "thermalpair.dynamics" in imported
 
 
 @pytest.mark.parametrize("extra,message", [

@@ -15,8 +15,9 @@ through numpy.linalg's Hermitian eigenvalue solver (and the vector norm).  It
 raises no bare RuntimeError: each failure the CLI maps to an exit code has
 its own exception class.  A module reads another module's `_`-prefixed
 names only where ALLOWED_PRIVATE lists them.  The modules that the phase
-diagram, the coefficients report and the asymptotic report run on import
-numpy in no module-level statement, so those subcommands start without it;
+diagram, the coefficients report, the asymptotic report and the evolve of
+a named state run on import numpy in no module-level statement, so those
+runs start without it;
 the subprocess tests in test_cli.py check which runs load it.  The code lines of src/
 (tokenized, without blank lines, comments and docstrings) stay at or below
 MAX_CODE_LINES, so a change that adds code raises the ceiling in its diff.
@@ -40,12 +41,12 @@ ALLOWED_LINALG = {"eigvalsh", "norm"}
 # the `_`-prefixed names one module of src/ reads from another: the sinc of
 # the generation test's reduction
 ALLOWED_PRIVATE = {("spectral", "_sinc")}
-# the modules `python -m thermalpair phase-diagram`, `coefficients` and
-# `asymptotic` import
+# the modules `python -m thermalpair phase-diagram`, `coefficients`,
+# `asymptotic` and the `evolve` of a named state import
 NUMPY_FREE = {"__init__", "__main__", "asymptotic", "cli", "entanglement", "generation",
               "spectral"}
-# the code lines of src/ when the generator moved to spectral alone
-MAX_CODE_LINES = 807
+# the code lines of src/ when the named states' trajectory became plain Python
+MAX_CODE_LINES = 903
 
 
 def _references(node, skip=None) -> set:

@@ -20,7 +20,7 @@ from thermalpair import (ModelParams, PositivityError, build_superoperator, cli,
                          spectral)
 from thermalpair.spectral import MIN_BETA_OMEGA, kossakowski_eigenvalues
 
-from util import (Q0, _DISSIPATORS_KRON, asymptotic_report_numpy, dissipators_dense,
+from util import (Q0, _DISSIPATORS_KRON, asymptotic_report_numpy, dissipators_dense, q0_row_mp,
                   polyval_rates, small_time_ppt_oracle_numpy, taylor_action_numpy)
 
 SETTINGS = settings(derandomize=True, max_examples=300, deadline=None, database=None)
@@ -35,6 +35,9 @@ beta_omega = st.one_of(st.just(math.inf), st.just(MIN_BETA_OMEGA),
 omega_ell = st.one_of(st.just(0.0), _log_uniform(1e-300, 1e-3), st.floats(0.0, 20.0),
                       _log_uniform(1e-3, 1e300))
 EPS = np.finfo(float).eps
+# the largest difference between a named trajectory's values and those of the
+# dense route on the same state, at t_max |M|_1 <= 300
+NAMED_TRAJECTORY_TOL = 1e-13
 
 
 @SETTINGS
@@ -74,10 +77,11 @@ def test_oracle_matches_its_numpy_kernel(bw, wl):
     params = ModelParams(beta_omega=bw, omega_ell=wl)
     assert generation.small_time_ppt_oracle(params) is small_time_ppt_oracle_numpy(params)
     M = spectral.generator_q0(params)
-    dt = min(generation._ORACLE_DT, generation._THETA_T / generation._norm_1(M))
+    norm = generation._norm_1(M)
+    dt = min(generation._ORACLE_DT, generation._THETA_T / norm)
     A = [[dt * x for x in row] for row in M]
     v = generation._CANONICAL_Q0
-    plain = np.array(generation._taylor_action(A, v))
+    plain = np.array(generation._taylor_action(A, v, dt * norm))
     reference = taylor_action_numpy(np.array(A), np.array(v))
     assert np.abs(plain - reference).max() <= EPS, (bw, wl, plain - reference)
 
@@ -226,3 +230,132 @@ def test_asymptotic_report_matches_its_numpy_route(bw, wl, n, include_hs, state)
     assert np.abs(rho - ref["rho_infinity"]).max() <= 4 * EPS, rho - ref["rho_infinity"]
     for key in ("tau", "concurrence"):
         assert abs(doc[key] - ref[key]) <= 4 * EPS * max(1.0, abs(ref[key])), key
+
+
+# ------------------------------------------- the named trajectory in plain Python
+
+def _run_evolve(config: dict, dense: bool = False):
+    """(exit code, standard error, rows, summary) of one in-process evolve,
+    rows and summary as floats; dense sends a named state to
+    dynamics.evolve_traj, the route of the other states."""
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        if dense:
+            patch.setattr(cli, "_Q0_STATES", ())
+        path, out = Path(tmp) / "config.json", Path(tmp) / "out"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(["evolve", "--config", str(path), "--out", str(out)])
+        if code != 0:
+            return code, err.getvalue(), None, None
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == cli.EVOLVE_HEADER
+        rows = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+        summary = json.loads(Path(str(out) + ".summary.json").read_text(encoding="utf-8"))
+        return code, err.getvalue(), rows, summary
+
+
+@st.composite
+def named_evolve_configs(draw):
+    """A named state at a corner, on a time grid of at most 12 samples whose
+    work t_max |M|_1 stays small."""
+    bw, wl = draw(beta_omega), draw(omega_ell)
+    work = draw(st.one_of(_log_uniform(1e-12, 1e-1), _log_uniform(1e-1, 300.0)))
+    t_max = work / cli._rk45_work(ModelParams(beta_omega=bw, omega_ell=wl), 1.0)
+    if draw(st.booleans()):
+        grid = {"t_max": t_max, "n_samples": draw(st.integers(2, 12))}
+    else:
+        fractions = sorted(set(draw(st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                                             min_size=1, max_size=11))))
+        grid = {"times": [f * t_max for f in fractions] + [t_max]}
+    return {"beta": "inf" if math.isinf(bw) else bw, "ell": wl, "n": list(draw(unit)),
+            "include_hs": draw(st.booleans()), "time_grid": grid,
+            "initial_state": {"named": draw(st.sampled_from(["canonical", "singlet"]))}}
+
+
+@SETTINGS
+@given(named_evolve_configs())
+@example({"beta": "inf", "ell": 0.0, "time_grid": {"t_max": 50.0, "n_samples": 11},
+          "initial_state": {"named": "singlet"}})
+@example({"beta": 0.35, "ell": 0.0, "time_grid": {"t_max": 200.0, "n_samples": 5},
+          "initial_state": {"named": "singlet"}})
+@example({"beta": 1e-3, "ell": 1e-300, "time_grid": {"t_max": 1e-3, "n_samples": 3},
+          "initial_state": {"named": "canonical"}})
+@example({"beta": 1e3, "ell": 20.0, "n": [0.6, 0.0, 0.8], "time_grid": [0.0, 1e-9, 2.0],
+          "initial_state": {"named": "canonical"}})
+def test_named_trajectory_matches_the_dense_route(config):
+    # the plain-Python trajectory on Q0 against dynamics.evolve_traj on the
+    # same state: the same exit code and message, and every row and summary
+    # value within NAMED_TRAJECTORY_TOL of it.  Over 5000 seeded configs like
+    # these the largest difference was 3.4e-14, in tau, and no config failed
+    # a guard on either route
+    code, err, rows, summary = _run_evolve(config)
+    ref_code, ref_err, ref_rows, ref_summary = _run_evolve(config, dense=True)
+    assert (code, err) == (ref_code, ref_err)
+    if code != 0:
+        return
+    assert rows.shape == ref_rows.shape and np.array_equal(rows[:, 0], ref_rows[:, 0])
+    assert np.abs(rows - ref_rows).max() <= NAMED_TRAJECTORY_TOL, np.abs(rows - ref_rows).max(0)
+    assert summary.keys() == ref_summary.keys()
+    for key, value in summary.items():
+        assert abs(value - ref_summary[key]) <= NAMED_TRAJECTORY_TOL, key
+
+
+# configs, their sampled rows and the budget of each value in eps * max(1,
+# |exact|): a relaxing canonical state, the pure singlet, stationary at ell =
+# 0, beta = inf at ell = 0, a singlet at beta*omega = 1e-3, and a horizon of
+# |M_q0|_1 t = 13300, which takes 3800 substeps of the Taylor series
+NAMED_ROWS = [
+    ({"beta": 2.0, "ell": 0.7, "time_grid": {"t_max": 50.0, "n_samples": 11}}, (0, 1, 4, 10), 4),
+    ({"beta": 0.35, "ell": 0.0, "time_grid": {"t_max": 128.0, "n_samples": 5},
+      "initial_state": {"named": "singlet"}}, (0, 4), 4),
+    ({"beta": "inf", "ell": 0.0, "n": [0.6, 0.0, 0.8], "time_grid": [0.0, 0.3, 20.0]}, (1, 2), 4),
+    ({"beta": 1e-3, "ell": 2.0, "time_grid": [1e-4, 0.5, 3.0],
+      "initial_state": {"named": "singlet"}}, (0, 2), 4),
+    ({"beta": 0.058, "ell": 0.053, "time_grid": {"t_max": 393.0, "n_samples": 4}}, (1, 3), 1024),
+]
+
+
+def test_named_rows_against_mpmath():
+    # rows of the named trajectory against 40-digit mpmath: mp.expm of the
+    # same float Q0 block and the general routes for each column.  The worst
+    # errors are 1 eps on the first four configs and 444 eps (tau) on the
+    # long horizon, where the dense route of dynamics.evolve_traj is off by
+    # 214 and 2572 eps
+    for doc, samples, budget in NAMED_ROWS:
+        code, _, rows, _ = _run_evolve(doc)
+        assert code == 0, doc
+        config = cli.parse_config(doc)
+        rho0 = config.initial_state()[1]
+        v0 = [rho0[k % 4][k // 4].real for k in Q0]
+        M = spectral.generator_q0(config.params)
+        for k in samples:
+            exact = q0_row_mp(M, v0, config.times[k])
+            for column, value, ref in zip(cli.EVOLVE_HEADER.split(",")[1:], rows[k, 1:], exact):
+                error = float(abs(value - ref)) / (EPS * max(1.0, abs(float(ref))))
+                assert error <= budget, (doc, k, column, error)
+
+
+@SETTINGS
+@given(beta_omega, omega_ell, st.one_of(st.just(1.0), _log_uniform(1e-300, 1e300),
+                                        st.floats(0.5, 2.0)))
+@example(math.inf, 0.0, 1.0)
+@example(MIN_BETA_OMEGA, 0.0, 1.0)
+def test_rk45_work_is_numpys_bit_for_bit(bw, wl, factor):
+    # evolve's work t_max |M|_1, from the column sums of spectral.generator in
+    # plain Python, is the numpy figure of the dense M bit for bit, so the
+    # cap refuses the same grids with the same message; t_max is factor
+    # times the cap's own t_max
+    params = ModelParams(beta_omega=bw, omega_ell=wl)
+    with np.errstate(over="ignore"):
+        norm = np.abs(build_superoperator(params)).sum(axis=0).max()
+        t_max = float(factor * (cli.MAX_RK_WORK / norm))
+        reference = t_max * norm
+    assert np.float64(cli._rk45_work(params, t_max)).tobytes() == reference.tobytes()
+    if not (math.isfinite(t_max) and reference > cli.MAX_RK_WORK):
+        return
+    config = {"beta": "inf" if math.isinf(bw) else bw, "ell": wl,
+              "time_grid": {"t_max": t_max, "n_samples": 2}}
+    assert _run_evolve(config)[:2] == (2, (
+        f"error: time_grid t_max {t_max!r} is too long for the RK45 cross-check: "
+        f"t_max |M|_1 = {reference:.3g} exceeds MAX_RK_WORK = 2e+05\n"))

@@ -775,6 +775,27 @@ def small_time_ppt_oracle_numpy(params: ModelParams) -> bool:
     return min(r11, r22, (r00 + r33) / 2 - math.hypot((r00 - r33) / 2, c)) < -_ORACLE_NEG_TOL
 
 
+def q0_row_mp(M: list, v0: list, t: float) -> list:
+    """[trace, min_eig, min_eig_pt, concurrence, tau] of an evolve row, for
+    the state exp(t M) v0 / trace, in 40-digit mpmath: M is the float rows
+    of a generator's Q0 block, v0 the Q0 entries of a state, the exponential
+    is mp.expm and every column the general route on the 4x4 state, its
+    eigenvalues (mp.eighe), its partial transpose's, mp_concurrence and the
+    three Pauli correlators; the trace is 1."""
+    with mp.workdps(40):
+        v = mp.expm(mp.mpf(t) * mp.matrix(M)) * mp.matrix(v0)
+        rho = mp.zeros(4, 4)
+        for k, x in zip(Q0, v):
+            rho[k % 4, k // 4] = x
+        rho /= sum(rho[i, i] for i in range(4))
+        pt = mp.matrix(4, 4)
+        for i, j, k, l in np.ndindex(2, 2, 2, 2):
+            pt[2 * i + j, 2 * k + l] = rho[2 * i + l, 2 * k + j]
+        tau = sum(mp.re(sum((rho * mp.matrix(np.kron(s, s).tolist()))[i, i] for i in range(4)))
+                  for s in SIGMA)
+        return [mp.mpf(1), min(mp.eighe(rho)[0]), min(mp.eighe(pt)[0]), mp_concurrence(rho), tau]
+
+
 def small_time_ppt_reference(M: np.ndarray, rho0: np.ndarray, dt: float) -> bool:
     """Evolve any state rho0 under any 16x16 generator M by dt (dynamics.evolve,
     with its guards) and report min_eig_pt < -_ORACLE_NEG_TOL: the route the
