@@ -24,9 +24,9 @@ this route for a product or matrix state.  The phase diagram's small-time
 oracle and the named states' trajectory have their own kernel, a Taylor
 series of matrix-vector products on the generator's charge-0 block, in
 plain Python (`generation`, which also holds the guards `check_state` and
-`check_unit`, the exceptions raised here, the RK45 tolerances, the
-Dormand-Prince table this module turns into arrays, and `expm`'s
-THETA_T30).
+`check_unit`, the exceptions raised here and `expm`'s THETA_T30; its
+integrator and the RK45 tolerances and Dormand-Prince table this module
+turns into arrays are `rk45`'s).
 
 This is the one module of the package that imports numpy when it is
 imported.  The states, the frame, the stationary state and the
@@ -43,9 +43,9 @@ import math
 
 import numpy as np
 
-from .generation import (DP_A, DP_B, DP_E, DP_MAX_FACTOR, DP_MIN_FACTOR, DP_SAFETY,
-                         RK_AGREE_TOL, RK_ATOL, RK_RTOL, THETA_T30, CrossCheckError,
-                         PositivityError, check_state)
+from .generation import THETA_T30, CrossCheckError, PositivityError, check_state
+from .rk45 import (DP_A, DP_B, DP_E, DP_MAX_FACTOR, DP_MIN_FACTOR, DP_SAFETY, RK_AGREE_TOL,
+                   RK_ATOL, RK_RTOL)
 from .spectral import ModelParams, generator
 
 
@@ -93,7 +93,7 @@ def expm(A: np.ndarray) -> np.ndarray:
     return R
 
 
-# generation's Dormand-Prince 5(4) table as arrays, _DP_A padded with zeros
+# rk45's Dormand-Prince 5(4) table as arrays, _DP_A padded with zeros
 _DP_A = np.array([row + (0.0,) * (5 - len(row)) for row in DP_A])
 _DP_B, _DP_E = np.array(DP_B), np.array(DP_E)
 

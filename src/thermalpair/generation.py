@@ -19,7 +19,7 @@ multiplies by `dynamics.expm` instead.  The named states, |-> (x) |+> and
 the singlet, start in Q0 with real entries, so their whole `evolve`
 trajectory runs on the same six reals (`trajectory_q0`): the same kernel
 in substeps of 1-norm at most THETA_T30, the same guards (`_checked`),
-and an RK45 cross-check on the six entries (`_rk45`).  The state stays
+and an RK45 cross-check on the six entries (`rk45.solve_q0`).  The state stays
 in the charge-0 sector Q0, an X-state with populations r00..r33 and real
 coherence c = <+-|rho|-+>: its spectrum r00, r33,
 (r11 + r22)/2 +- hypot((r11 - r22)/2, c) and its partial transpose's r11,
@@ -33,8 +33,8 @@ the `evolve` of a named state never import numpy.  The module also holds
 what `dynamics` and `asymptotic` share with it: the state guards
 (`check_state`), the unit-vector check of an axis or Bloch vector
 (`check_unit`), the three exception classes that the CLI maps to exit
-codes 3, 4 and 5, and the RK45 tolerances and Dormand-Prince table that
-both trajectories use.
+codes 3, 4 and 5, and THETA_T30, the 1-norm to which dynamics.expm
+scales.
 """
 
 from __future__ import annotations
@@ -137,33 +137,9 @@ THETA_T30 = 3.5
 _Q0 = (0, 5, 6, 9, 10, 15)
 _CANONICAL_Q0 = (0.0, 0.0, 0.0, 0.0, 1.0, 0.0)
 
-# RK45 cross-check of a trajectory: the integrator's relative and absolute
-# error bounds, and the max-norm agreement with the exponential's route
-RK_RTOL = 1e-10
-RK_ATOL = 1e-12
-RK_AGREE_TOL = 1e-8
-# Dormand-Prince 5(4) pair (J. Comput. Appl. Math. 6, 19 (1980)): row i of
-# DP_A holds stage i's coefficients, then the fifth-order weights and the
-# error weights.  The seventh stage is the derivative at the new point and
-# becomes the next step's first stage.  dynamics builds its arrays from these
-DP_A = ((), (1 / 5,), (3 / 40, 9 / 40), (44 / 45, -56 / 15, 32 / 9),
-        (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-        (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656))
-DP_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
-DP_E = (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
-# step-size control: safety factor and the bounds on the change of h per step
-DP_SAFETY, DP_MIN_FACTOR, DP_MAX_FACTOR = 0.9, 0.2, 10.0
-
-
 def _norm_1(A: list) -> float:
     """max_j sum_i |A[i][j]|, each column summed from the top row down."""
     return max(sum(abs(row[j]) for row in A) for j in range(len(A[0])))
-
-
-def _matvec(A: list, y) -> list:
-    y0, y1, y2, y3, y4, y5 = y
-    return [a0 * y0 + a1 * y1 + a2 * y2 + a3 * y3 + a4 * y4 + a5 * y5
-            for a0, a1, a2, a3, a4, a5 in A]
 
 
 def _taylor_action(A: list, v, norm: float) -> list:
@@ -240,78 +216,22 @@ def small_time_ppt_oracle(params: ModelParams) -> bool:
     return x_min_eig(r11, r00, r33, r22, c) < -_ORACLE_NEG_TOL
 
 
-def _rms(x: list) -> float:
-    return math.hypot(*x) / math.sqrt(len(x))
-
-
-def _rk45(M: list, y: list, times):
-    """dynamics.solve_ivp on the six real Q0 entries y under the rows M: the
-    same Dormand-Prince pair, step control and errors, with each stage
-    written out.  A generator that yields y(t_k) as it reaches each sorted
-    nonnegative t_k."""
-    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (a61, a62, a63, a64, a65) = \
-        DP_A[1:]
-    b1, _, b3, b4, b5, b6 = DP_B
-    e1, _, e3, e4, e5, e6, e7 = DP_E
-    k1 = _matvec(M, y)
-    scale = [RK_ATOL + RK_RTOL * abs(x) for x in y]
-    d0, d1 = _rms([x / s for x, s in zip(y, scale)]), _rms([k / s for k, s in zip(k1, scale)])
-    h = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    t, rejected = 0.0, False
-    for target in times:
-        while t < target:
-            min_step = 10 * math.ulp(t)
-            h = max(h, min_step)
-            step = min(h, target - t)
-            k2 = _matvec(M, [x + step * (a21 * p1) for x, p1 in zip(y, k1)])
-            k3 = _matvec(M, [x + step * (a31 * p1 + a32 * p2) for x, p1, p2 in zip(y, k1, k2)])
-            k4 = _matvec(M, [x + step * (a41 * p1 + a42 * p2 + a43 * p3)
-                             for x, p1, p2, p3 in zip(y, k1, k2, k3)])
-            k5 = _matvec(M, [x + step * (a51 * p1 + a52 * p2 + a53 * p3 + a54 * p4)
-                             for x, p1, p2, p3, p4 in zip(y, k1, k2, k3, k4)])
-            k6 = _matvec(M, [x + step * (a61 * p1 + a62 * p2 + a63 * p3 + a64 * p4 + a65 * p5)
-                             for x, p1, p2, p3, p4, p5 in zip(y, k1, k2, k3, k4, k5)])
-            y_new = [x + step * (b1 * p1 + b3 * p3 + b4 * p4 + b5 * p5 + b6 * p6)
-                     for x, p1, p3, p4, p5, p6 in zip(y, k1, k3, k4, k5, k6)]
-            k7 = _matvec(M, y_new)
-            err = _rms([step * (e1 * p1 + e3 * p3 + e4 * p4 + e5 * p5 + e6 * p6 + e7 * p7)
-                        / (RK_ATOL + RK_RTOL * max(abs(x), abs(x_new)))
-                        for x, x_new, p1, p3, p4, p5, p6, p7
-                        in zip(y, y_new, k1, k3, k4, k5, k6, k7)])
-            if not math.isfinite(err):
-                raise CrossCheckError(f"RK45 cross-check integration failed: non-finite "
-                                      f"solution at t={t:.6g}")
-            if err < 1.0:
-                factor = DP_MAX_FACTOR if err == 0 else min(DP_MAX_FACTOR,
-                                                            DP_SAFETY * err**-0.2)
-                if rejected:
-                    factor = min(1.0, factor)
-                # a step shortened to land on a sample does not shrink the next one
-                h = max(h, step * factor) if step < h else step * factor
-                t = target if step == target - t else t + step
-                y, k1, rejected = y_new, k7, False
-            else:
-                h = step * max(DP_MIN_FACTOR, DP_SAFETY * err**-0.2)
-                rejected = True
-                if h < min_step:
-                    raise CrossCheckError(f"RK45 cross-check integration failed: step size "
-                                          f"{h:.3g} at t={t:.6g}")
-        yield y
-
-
 def trajectory_q0(params: ModelParams, rho0: list, times):
     """dynamics.evolve_traj for a state rho0 in Q0 with real entries, such as
     the named states, on the generator's Q0 block M: a generator of the
     states (r00, r11, r22, r33, c) at the sorted nonnegative times t_k.  Each
     step from t_(k-1) to t_k applies exp(dt M) as s = ceil(dt |M|_1 /
     THETA_T30) equal substeps of `_taylor_action`, and `_checked` guards
-    the result before the RK45 route (`_rk45`) advances to t_k; the two
-    routes must agree to RK_AGREE_TOL in max-norm, with evolve_traj's
-    errors.  Only the last state is held."""
+    the result before the RK45 route (`rk45.solve_q0`) advances to t_k; the
+    two routes must agree to rk45.RK_AGREE_TOL in max-norm, with
+    evolve_traj's errors.  Only the last state is held.  The integrator is
+    its own module, imported here, because its code would raise a phase
+    diagram's peak RSS, which compiles this module and never integrates."""
+    from .rk45 import RK_AGREE_TOL, solve_q0
     M = generator_q0(params)
     norm = _norm_1(M)
     v = [rho0[k % 4][k // 4].real for k in _Q0]
-    ys, t0 = _rk45(M, v, times), 0.0
+    ys, t0 = solve_q0(M, v, times), 0.0
     for t in times:
         s = math.ceil((t - t0) * norm / THETA_T30)
         h = (t - t0) / max(s, 1)

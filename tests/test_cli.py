@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from thermalpair import asymptotic, cli, dynamics, entanglement, generation, spectral
+from thermalpair import asymptotic, cli, dynamics, entanglement, generation, rk45, spectral
 
 from util import equilibrium_closed_form
 
@@ -429,14 +429,14 @@ def test_a_failed_rk45_cross_check_exits_3(tmp_path, monkeypatch, capsys, fault,
     assert captured.err.count("\n") == 1
 
 
-def _disagreeing_q0(rk45):
-    return lambda *args: ([x + 1e-6 for x in y] for y in rk45(*args))
+def _disagreeing_q0(solve_q0):
+    return lambda *args: ([x + 1e-6 for x in y] for y in solve_q0(*args))
 
 
-def _failing_q0(rk45):
+def _failing_q0(solve_q0):
     # the RK45 route alone sees a Q0 block with a NaN entry
     def failed(M, *args):
-        return rk45([[math.nan] * 6] + M[1:], *args)
+        return solve_q0([[math.nan] * 6] + M[1:], *args)
     return failed
 
 
@@ -447,9 +447,9 @@ def _failing_q0(rk45):
 @pytest.mark.parametrize("state", ["canonical", "singlet"])
 def test_a_failed_rk45_cross_check_of_a_named_state_exits_3(tmp_path, monkeypatch, capsys,
                                                             fault, message, state):
-    # the named states' RK45 on Q0 (generation._rk45) guards as the dense one
+    # the named states' RK45 on Q0 (rk45.solve_q0) guards as the dense one
     # does, with the same messages
-    monkeypatch.setattr(generation, "_rk45", fault(generation._rk45))
+    monkeypatch.setattr(rk45, "solve_q0", fault(rk45.solve_q0))
     path, out = tmp_path / "config.json", tmp_path / "traj.csv"
     path.write_text(json.dumps({"time_grid": {"t_max": 1.0, "n_samples": 3},
                                 "initial_state": {"named": state}}), encoding="utf-8")
@@ -487,7 +487,7 @@ def test_the_first_sample_that_fails_a_guard_sets_the_exit_code(tmp_path, monkey
 def test_the_first_sample_of_a_named_state_that_fails_a_guard_sets_the_exit_code(
         tmp_path, monkeypatch, capsys, bad_time, code):
     # the same order on Q0: generation._checked guards each sample before
-    # generation._rk45 advances to it
+    # rk45.solve_q0 advances to it
     real_checked = generation._checked
 
     def checked(v, t):
@@ -496,7 +496,7 @@ def test_the_first_sample_of_a_named_state_that_fails_a_guard_sets_the_exit_code
         return real_checked(v, t)
 
     monkeypatch.setattr(generation, "_checked", checked)
-    monkeypatch.setattr(generation, "_rk45", _failing_q0(generation._rk45))
+    monkeypatch.setattr(rk45, "solve_q0", _failing_q0(rk45.solve_q0))
     path, out = tmp_path / "config.json", tmp_path / "traj.csv"
     path.write_text(json.dumps({"time_grid": {"t_max": 1.0, "n_samples": 3}}), encoding="utf-8")
     assert cli.main(["evolve", "--config", str(path), "--out", str(out)]) == code

@@ -44,9 +44,9 @@ ALLOWED_PRIVATE = {("spectral", "_sinc")}
 # the modules `python -m thermalpair phase-diagram`, `coefficients`,
 # `asymptotic` and the `evolve` of a named state import
 NUMPY_FREE = {"__init__", "__main__", "asymptotic", "cli", "entanglement", "generation",
-              "spectral"}
+              "rk45", "spectral"}
 # the code lines of src/ when the named states' trajectory became plain Python
-MAX_CODE_LINES = 903
+MAX_CODE_LINES = 907
 
 
 def _references(node, skip=None) -> set:
