@@ -28,12 +28,10 @@ against the small-time oracle.  That evolves the state by its own step and
 Taylor series in the charge-0 sector Q0 (`generation.generator_q0`), where
 it is an X-state: its spectrum is r00, r33, (r11 + r22)/2 +-
 hypot((r11 - r22)/2, c), its partial transpose's r11, r22, (r00 + r33)/2 +-
-hypot((r00 - r33)/2, c).  `evolve` of a named state runs in that sector
-too (`generation.trajectory_q0`, the oracle's kernel in substeps), and its
-columns and summary are those closed forms; any other state is multiplied
-by the Taylor exponential `dynamics.expm` (`dynamics.evolve_traj`).  Each
-row is formatted as its state arrives, keeping only the text: no list of
-states or RK45 samples is held.
+hypot((r00 - r33)/2, c).  `evolve` runs a named state in that sector too
+(`generation.trajectory_q0`), and any other by `dynamics.evolve_traj`,
+formatting each row as its state arrives and keeping only the text: no
+list of states or RK45 samples is held.
 
 `phase-diagram` and `coefficients` run in plain Python on `spectral` and
 `generation`, and `asymptotic` and the `evolve` of a named state on
@@ -77,8 +75,7 @@ import sys
 from dataclasses import dataclass
 
 from . import generation
-from .spectral import (MIN_BETA_OMEGA, ModelParams, generator, kossakowski_coefficients,
-                       temperature_ratio)
+from .spectral import MIN_BETA_OMEGA, ModelParams, kossakowski_coefficients, temperature_ratio
 
 PHASE_HEADER = "beta_omega,omega_ell,R,S,rs_margin,discriminant_margin,generated,oracle_generated"
 EVOLVE_HEADER = "t,trace,min_eig,min_eig_pt,concurrence,tau"
@@ -425,71 +422,31 @@ def cmd_phase_diagram(config: RunConfig, out_path: str | None) -> int:
     return 0
 
 
-def _rk45_work(params: ModelParams, t_max: float) -> float:
-    """t_max |M|_1 of the generator at e3, from the column sums of its 64
-    entries, each column summed from the top row down as numpy sums it."""
-    sums = [0.0] * 16
-    for _, j, m in sorted(generator(params)):
-        sums[j] += abs(m)
-    return t_max * max(sums)
-
-
 # the states whose trajectory is generation.trajectory_q0's, in plain Python
 _Q0_STATES = ("canonical", "singlet")
-
-
-def _dense_route(params: ModelParams, rho0: list, times: list) -> tuple:
-    """(states, columns, distance) of a product or matrix state: the states
-    of dynamics.evolve_traj, a row's columns after the time and the trace
-    distance to the stationary state, with numpy."""
-    import numpy as np
-    from . import asymptotic, dynamics, entanglement
-
-    def columns(rho):
-        r = rho.tolist()  # read by the plain-Python concurrence and tau
-        return (np.trace(rho).real, np.linalg.eigvalsh(rho).min(),
-                entanglement.min_eig_pt(rho), entanglement.concurrence(r), asymptotic.tau(r))
-
-    def distance(rho, rho_inf):
-        return dynamics.trace_norm(rho - np.array(rho_inf))
-
-    M = dynamics.build_superoperator(params)
-    return dynamics.evolve_traj(M, np.array(rho0), times), columns, distance
-
-
-def _x_columns(x: tuple) -> tuple:
-    """A row's columns after the time for the X-state (r00, r11, r22, r33, c)
-    of generation.trajectory_q0, in closed form."""
-    from . import asymptotic, entanglement
-    r00, r11, r22, r33, c = x
-    rho = [[r00, 0.0, 0.0, 0.0], [0.0, r11, c, 0.0], [0.0, c, r22, 0.0], [0.0, 0.0, 0.0, r33]]
-    return ((r00 + r11) + (r22 + r33), generation.x_min_eig(r00, r11, r22, r33, c),
-            generation.x_min_eig(r11, r00, r33, r22, c), entanglement.concurrence(rho),
-            asymptotic.tau(rho))
 
 
 def cmd_evolve(config: RunConfig, out_path: str | None) -> int:
     """Trajectory dump: per-sample trace, spectra and entanglement scalars.
 
-    A named state evolves on Q0 (`generation.trajectory_q0`) and any other
-    by `dynamics.evolve_traj`.  Each row is formatted as its state arrives,
-    and only the text is kept; it is written once the trajectory and the
-    asymptotic state have passed their guards, so exit 3, 4 or 5 leaves no
-    output."""
+    Each row is formatted as its state arrives, and only the text is kept;
+    it is written once the trajectory and the asymptotic state have passed
+    their guards, so exit 3, 4 or 5 leaves no output."""
     if config.times is None:
         raise ConfigError("evolve requires a time_grid section")
-    from . import asymptotic, entanglement
+    from . import asymptotic, entanglement, rk45
     params, (_, rho0) = config.params, config.initial_state()
-    work = _rk45_work(params, config.times[-1])
+    work = rk45.work(params, config.times[-1])
     if work > MAX_RK_WORK:
         raise ConfigError(f"time_grid t_max {float(config.times[-1])!r} is too long for the "
                           f"RK45 cross-check: t_max |M|_1 = {work:.3g} exceeds "
                           f"MAX_RK_WORK = {MAX_RK_WORK:.0e}")
     if config.state[0] in _Q0_STATES:
         states = generation.trajectory_q0(params, rho0, config.times)
-        columns, distance = _x_columns, generation.x_distance
+        columns, distance = generation.x_columns, generation.x_distance
     else:
-        states, columns, distance = _dense_route(params, rho0, config.times)
+        from . import dynamics
+        states, columns, distance = dynamics.trajectory(params, rho0, config.times)
     rows = []
     for t_dimless, state in zip(config.times, states):
         rows.append(",".join(map(_fmt, (t_dimless, *columns(state)))) + "\n")

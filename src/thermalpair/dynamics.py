@@ -43,6 +43,7 @@ import math
 
 import numpy as np
 
+from . import asymptotic, entanglement
 from .generation import THETA_T30, CrossCheckError, PositivityError, check_state
 from .rk45 import (DP_A, DP_B, DP_E, DP_MAX_FACTOR, DP_MIN_FACTOR, DP_SAFETY, RK_AGREE_TOL,
                    RK_ATOL, RK_RTOL)
@@ -259,3 +260,21 @@ def evolve_traj(M: np.ndarray, rho0: np.ndarray, times):
             raise CrossCheckError(f"matrix-exponential and RK45 trajectories disagree: "
                                   f"{diff:.3e} > {RK_AGREE_TOL:.1e}")
         yield rho
+
+
+def trajectory(params: ModelParams, rho0: list, times) -> tuple:
+    """(states, columns, distance) of the evolve of a product or matrix
+    state rho0, a 4x4 nested list: the states of evolve_traj under
+    build_superoperator(params), the columns of a row after the time, trace,
+    min_eig, min_eig_pt, concurrence and tau, and the trace distance of a
+    state to the stationary state."""
+    def columns(rho):
+        r = rho.tolist()  # read by the plain-Python concurrence and tau
+        return (np.trace(rho).real, np.linalg.eigvalsh(rho).min(),
+                entanglement.min_eig_pt(rho), entanglement.concurrence(r), asymptotic.tau(r))
+
+    def distance(rho, rho_inf):
+        return trace_norm(rho - np.array(rho_inf))
+
+    return evolve_traj(build_superoperator(params), np.array(rho0), times), columns, distance
+

@@ -170,6 +170,17 @@ def x_min_eig(r00: float, r11: float, r22: float, r33: float, c: float) -> float
     return min(r00, r33, (r11 + r22) / 2 - math.hypot((r11 - r22) / 2, c))
 
 
+def x_columns(x: tuple) -> tuple:
+    """The columns of an evolve row after the time, trace, min_eig,
+    min_eig_pt, concurrence and tau, of the X-state x = (r00, r11, r22, r33,
+    c), in closed form."""
+    from . import asymptotic, entanglement
+    r00, r11, r22, r33, c = x
+    rho = [[r00, 0.0, 0.0, 0.0], [0.0, r11, c, 0.0], [0.0, c, r22, 0.0], [0.0, 0.0, 0.0, r33]]
+    return ((r00 + r11) + (r22 + r33), x_min_eig(r00, r11, r22, r33, c),
+            x_min_eig(r11, r00, r33, r22, c), entanglement.concurrence(rho), asymptotic.tau(rho))
+
+
 def x_distance(x: tuple, rho_inf: list) -> float:
     """The trace distance of the X-state x = (r00, r11, r22, r33, c) to the
     state rho_inf, a 4x4 nested list that is an X-state in Q0 too: with d

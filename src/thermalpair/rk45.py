@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 
 from .generation import CrossCheckError
+from .spectral import ModelParams, generator
 
 # RK45 cross-check of a trajectory: the integrator's relative and absolute
 # error bounds, and the max-norm agreement with the exponential's route
@@ -33,6 +34,16 @@ DP_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
 DP_E = (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
 # step-size control: safety factor and the bounds on the change of h per step
 DP_SAFETY, DP_MIN_FACTOR, DP_MAX_FACTOR = 0.9, 0.2, 10.0
+
+
+def work(params: ModelParams, t_max: float) -> float:
+    """The work of a trajectory's cross-check, t_max |M|_1 of the generator
+    at e3, from the column sums of its 64 entries, each column summed from
+    the top row down as numpy sums it."""
+    sums = [0.0] * 16
+    for _, j, m in sorted(generator(params)):
+        sums[j] += abs(m)
+    return t_max * max(sums)
 
 
 def _matvec(A: list, y) -> list:
