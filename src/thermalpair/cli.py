@@ -25,11 +25,11 @@ The phase diagram starts from the canonical state |-> (x) |+>: at each
 grid point it evaluates the generation discriminant in closed form from
 K's coefficients (`generation.generation_test`) and checks the verdict
 against the small-time oracle.  That evolves the state by its own step and
-Taylor series in the charge-0 sector Q0 (`generation.generator_q0`), where
+Taylor series in the charge-0 sector Q0 (`spectral.generator_q0`), where
 it is an X-state: its spectrum is r00, r33, (r11 + r22)/2 +-
 hypot((r11 - r22)/2, c), its partial transpose's r11, r22, (r00 + r33)/2 +-
 hypot((r00 - r33)/2, c).  `evolve` runs a named state in that sector too
-(`generation.trajectory_q0`), and any other by `dynamics.evolve_traj`,
+(`trajectory.evolve_q0`), and any other by `dynamics.evolve_traj`,
 formatting each row as its state arrives and keeping only the text: no
 list of states or RK45 samples is held.
 
@@ -422,7 +422,7 @@ def cmd_phase_diagram(config: RunConfig, out_path: str | None) -> int:
     return 0
 
 
-# the states whose trajectory is generation.trajectory_q0's, in plain Python
+# the states whose trajectory is trajectory.evolve_q0's, in plain Python
 _Q0_STATES = ("canonical", "singlet")
 
 
@@ -434,19 +434,19 @@ def cmd_evolve(config: RunConfig, out_path: str | None) -> int:
     their guards, so exit 3, 4 or 5 leaves no output."""
     if config.times is None:
         raise ConfigError("evolve requires a time_grid section")
-    from . import asymptotic, entanglement, rk45
+    from . import asymptotic, entanglement, trajectory
     params, (_, rho0) = config.params, config.initial_state()
-    work = rk45.work(params, config.times[-1])
+    work = trajectory.work(params, config.times[-1])
     if work > MAX_RK_WORK:
         raise ConfigError(f"time_grid t_max {float(config.times[-1])!r} is too long for the "
                           f"RK45 cross-check: t_max |M|_1 = {work:.3g} exceeds "
                           f"MAX_RK_WORK = {MAX_RK_WORK:.0e}")
     if config.state[0] in _Q0_STATES:
-        states = generation.trajectory_q0(params, rho0, config.times)
-        columns, distance = generation.x_columns, generation.x_distance
+        states = trajectory.evolve_q0(params, rho0, config.times)
+        columns, distance = trajectory.x_columns, trajectory.x_distance
     else:
         from . import dynamics
-        states, columns, distance = dynamics.trajectory(params, rho0, config.times)
+        states, columns, distance = dynamics.dense_route(params, rho0, config.times)
     rows = []
     for t_dimless, state in zip(config.times, states):
         rows.append(",".join(map(_fmt, (t_dimless, *columns(state)))) + "\n")

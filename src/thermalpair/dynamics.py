@@ -20,13 +20,14 @@ Evolution multiplies vec(rho0) by the Taylor exponential exp(t M) (`expm`,
 no linear solve).  A trajectory steps from sample to sample and is
 cross-checked from t = 0 by an adaptive RK45 (`solve_ivp`); both are
 generators that advance together, one sample at a time.  The CLI takes
-this route for a product or matrix state.  The phase diagram's small-time
-oracle and the named states' trajectory have their own kernel, a Taylor
-series of matrix-vector products on the generator's charge-0 block, in
-plain Python (`generation`, which also holds the guards `check_state` and
-`check_unit`, the exceptions raised here and `expm`'s THETA_T30; its
-integrator and the RK45 tolerances and Dormand-Prince table this module
-turns into arrays are `rk45`'s).
+this route for a product or matrix state (`dense_route`).  The phase
+diagram's small-time oracle has its own kernel, a Taylor series of
+matrix-vector products on the generator's charge-0 block, in plain Python
+(`generation`, which also holds the guards `check_state` and `check_unit`
+and the exceptions raised here), and the named states' trajectory runs on
+that kernel (`trajectory`, which also holds the RK45 tolerances, the
+Dormand-Prince table this module turns into arrays and `expm`'s
+THETA_T30).
 
 This is the one module of the package that imports numpy when it is
 imported.  The states, the frame, the stationary state and the
@@ -44,9 +45,9 @@ import math
 import numpy as np
 
 from . import asymptotic, entanglement
-from .generation import THETA_T30, CrossCheckError, PositivityError, check_state
-from .rk45 import (DP_A, DP_B, DP_E, DP_MAX_FACTOR, DP_MIN_FACTOR, DP_SAFETY, RK_AGREE_TOL,
-                   RK_ATOL, RK_RTOL)
+from .generation import CrossCheckError, PositivityError, check_state
+from .trajectory import (DP_A, DP_B, DP_E, DP_MAX_FACTOR, DP_MIN_FACTOR, DP_SAFETY,
+                         RK_AGREE_TOL, RK_ATOL, RK_RTOL, THETA_T30)
 from .spectral import ModelParams, generator
 
 
@@ -64,7 +65,7 @@ _HERM_TOL = 1e-12
 _TRACE_TOL = 1e-12
 _EIG_FLOOR = -1e-10
 
-# expm's degree-30 Taylor polynomial, to the 1-norm generation.THETA_T30:
+# expm's degree-30 Taylor polynomial, to the 1-norm trajectory.THETA_T30:
 # row j of _TAYLOR30_BLOCKS holds 1/(6j + i)!, i < 6
 _TAYLOR30_BLOCKS = np.array([[1.0 / math.factorial(6 * j + i) if 6 * j + i <= 30 else 0.0
                               for i in range(6)] for j in range(6)])
@@ -94,7 +95,7 @@ def expm(A: np.ndarray) -> np.ndarray:
     return R
 
 
-# rk45's Dormand-Prince 5(4) table as arrays, _DP_A padded with zeros
+# trajectory's Dormand-Prince 5(4) table as arrays, _DP_A padded with zeros
 _DP_A = np.array([row + (0.0,) * (5 - len(row)) for row in DP_A])
 _DP_B, _DP_E = np.array(DP_B), np.array(DP_E)
 
@@ -262,7 +263,7 @@ def evolve_traj(M: np.ndarray, rho0: np.ndarray, times):
         yield rho
 
 
-def trajectory(params: ModelParams, rho0: list, times) -> tuple:
+def dense_route(params: ModelParams, rho0: list, times) -> tuple:
     """(states, columns, distance) of the evolve of a product or matrix
     state rho0, a 4x4 nested list: the states of evolve_traj under
     build_superoperator(params), the columns of a row after the time, trace,

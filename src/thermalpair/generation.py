@@ -1,5 +1,4 @@
-"""Entanglement generation at t = 0+, the named states' trajectory, and the
-guards the array modules share.
+"""Entanglement generation at t = 0+, and the guards the array modules share.
 
 Whether the common bath starts entangling a pure product state at t = 0+
 is decided by the discriminant of Benatti, Floreanini & Piani (PRL 91,
@@ -15,11 +14,10 @@ evolved by a short time under the generator's charge-0 block
 `spectral.generator_q0` (`small_time_ppt_oracle`).  The oracle owns its
 kernel, the Taylor series of exp(t M) v in matrix-vector products, and
 its step, capped so that the series stays short; `dynamics.evolve`
-multiplies by `dynamics.expm` instead.  The named states, |-> (x) |+> and
-the singlet, start in Q0 with real entries, so their whole `evolve`
-trajectory runs on the same six reals (`trajectory_q0`): the same kernel
-in substeps of 1-norm at most THETA_T30, the same guards (`_checked`),
-and an RK45 cross-check on the six entries (`rk45.solve_q0`).  The state stays
+multiplies by `dynamics.expm` instead.  The named states' `evolve`
+trajectory (`trajectory.evolve_q0`) runs on the same six reals, with the
+same kernel (`taylor_action`), spectra (`x_min_eig`) and guards
+(`checked_q0`).  The state stays
 in the charge-0 sector Q0, an X-state with populations r00..r33 and real
 coherence c = <+-|rho|-+>: its spectrum r00, r33,
 (r11 + r22)/2 +- hypot((r11 - r22)/2, c) and its partial transpose's r11,
@@ -28,13 +26,11 @@ add the oracle's general route and the exact minimum of the initial
 entanglement-production rate over probe vectors.
 
 All of it is plain-Python float arithmetic, so the phase diagram and the
-coefficients report, which run on this module and `spectral` alone, and
-the `evolve` of a named state never import numpy.  The module also holds
-what `dynamics` and `asymptotic` share with it: the state guards
-(`check_state`), the unit-vector check of an axis or Bloch vector
-(`check_unit`), the three exception classes that the CLI maps to exit
-codes 3, 4 and 5, and THETA_T30, the 1-norm to which dynamics.expm
-scales.
+coefficients report, which run on this module and `spectral` alone, never
+import numpy.  The module also holds what `dynamics` and `asymptotic`
+share with it: the state guards (`check_state`), the unit-vector check of
+an axis or Bloch vector (`check_unit`), and the three exception classes
+that the CLI maps to exit codes 3, 4 and 5.
 """
 
 from __future__ import annotations
@@ -67,7 +63,7 @@ _POS_TOL = 1e-8
 
 def check_state(min_eig: float, herm_dev: float, tr: float, t: float):
     """dynamics.evolve's last two guards, on the state it Hermitized and
-    renormalized from trace tr; `_checked` applies them on Q0 too."""
+    renormalized from trace tr; `checked_q0` applies them on Q0 too."""
     if min_eig < -_POS_TOL:
         raise PositivityError(f"state eigenvalue {min_eig} below -{_POS_TOL} at t={t}")
     trace_dev = abs(tr - 1.0)
@@ -126,23 +122,18 @@ _ORACLE_NEG_TOL = 1e-13
 # rose by a median of 0.14 MB (6 of 6 pairs, one BLAS thread)
 _ORACLE_DT = 1e-3
 _THETA_T = 0.3
-# the degree-30 Taylor polynomial has backward error at most 2^-53 up to this
-# 1-norm (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011), Table 3.1):
-# dynamics.expm scales to it, and trajectory_q0 takes substeps of this norm
-THETA_T30 = 3.5
-
-# the vec indices a + 4b of |a><b| in Q0, the sector m_a = m_b of |++><++|,
-# |+-><+-|, |-+><+-|, |+-><-+|, |-+><-+|, |--><--|, which every dissipator
-# maps into itself; |-> (x) |+> there
-_Q0 = (0, 5, 6, 9, 10, 15)
+# |-> (x) |+> in Q0, the sector m_a = m_b of the entries |++><++|, |+-><+-|,
+# |-+><+-|, |+-><-+|, |-+><-+|, |--><--| (vec indices a + 4b of |a><b|: 0, 5,
+# 6, 9, 10, 15), which every dissipator maps into itself
 _CANONICAL_Q0 = (0.0, 0.0, 0.0, 0.0, 1.0, 0.0)
 
-def _norm_1(A: list) -> float:
+
+def norm_1(A: list) -> float:
     """max_j sum_i |A[i][j]|, each column summed from the top row down."""
     return max(sum(abs(row[j]) for row in A) for j in range(len(A[0])))
 
 
-def _taylor_action(A: list, v, norm: float) -> list:
+def taylor_action(A: list, v, norm: float) -> list:
     """exp(A) v for the 6x6 rows A of 1-norm norm as the Taylor polynomial of
     degree m in Horner form, y = v and y = v + A y / j for j = m..1, with
     m >= 1 the smallest degree whose truncation bound norm^(m+1) / (m+1)! is
@@ -170,28 +161,7 @@ def x_min_eig(r00: float, r11: float, r22: float, r33: float, c: float) -> float
     return min(r00, r33, (r11 + r22) / 2 - math.hypot((r11 - r22) / 2, c))
 
 
-def x_columns(x: tuple) -> tuple:
-    """The columns of an evolve row after the time, trace, min_eig,
-    min_eig_pt, concurrence and tau, of the X-state x = (r00, r11, r22, r33,
-    c), in closed form."""
-    from . import asymptotic, entanglement
-    r00, r11, r22, r33, c = x
-    rho = [[r00, 0.0, 0.0, 0.0], [0.0, r11, c, 0.0], [0.0, c, r22, 0.0], [0.0, 0.0, 0.0, r33]]
-    return ((r00 + r11) + (r22 + r33), x_min_eig(r00, r11, r22, r33, c),
-            x_min_eig(r11, r00, r33, r22, c), entanglement.concurrence(rho), asymptotic.tau(rho))
-
-
-def x_distance(x: tuple, rho_inf: list) -> float:
-    """The trace distance of the X-state x = (r00, r11, r22, r33, c) to the
-    state rho_inf, a 4x4 nested list that is an X-state in Q0 too: with d
-    their difference, |d00| + |d33| + |m + h| + |m - h|, m +- h the
-    eigenvalues of its block on |+->, |-+>."""
-    d00, d11, d22, d33, c = (a - b.real for a, b in zip(x, (
-        rho_inf[0][0], rho_inf[1][1], rho_inf[2][2], rho_inf[3][3], rho_inf[1][2])))
-    return abs(d00) + abs(d33) + 2.0 * max(abs(d11 + d22) / 2, math.hypot((d11 - d22) / 2, c))
-
-
-def _checked(v, t: float) -> tuple:
+def checked_q0(v, t: float) -> tuple:
     """dynamics.evolve's guards on the evolved Q0 entries v at time t, in
     closed form: a non-finite entry, or a trace that is not positive and
     finite, raises PositivityError; the state is renormalized, its
@@ -212,47 +182,16 @@ def small_time_ppt_oracle(params: ModelParams) -> bool:
     """Whether |-> (x) |+>, evolved by a short step in Q0 under the generator's
     Q0 block M (`generator_q0`), has a partial-transpose eigenvalue below
     -_ORACLE_NEG_TOL; the state passes dynamics.evolve's guards with the
-    closed-form spectra of the module docstring (`_checked`).  The step is
+    closed-form spectra of the module docstring (`checked_q0`).  The step is
     _ORACLE_DT, or _THETA_T / |M|_1 where that is shorter, and exp(step M)
-    is the Taylor series (`_taylor_action`); the guards' messages name the
+    is the Taylor series (`taylor_action`); the guards' messages name the
     step taken.  A generator whose |M|_1 is not finite raises
     PositivityError, as no step can be taken."""
     M = generator_q0(params)
-    norm = _norm_1(M)
+    norm = norm_1(M)
     if not norm < math.inf:
         raise PositivityError(f"generator has |M|_1 = {norm}, not finite")
     dt = min(_ORACLE_DT, _THETA_T / norm)
-    v = _taylor_action([[dt * x for x in row] for row in M], _CANONICAL_Q0, dt * norm)
-    r00, r11, r22, r33, c = _checked(v, dt)
+    v = taylor_action([[dt * x for x in row] for row in M], _CANONICAL_Q0, dt * norm)
+    r00, r11, r22, r33, c = checked_q0(v, dt)
     return x_min_eig(r11, r00, r33, r22, c) < -_ORACLE_NEG_TOL
-
-
-def trajectory_q0(params: ModelParams, rho0: list, times):
-    """dynamics.evolve_traj for a state rho0 in Q0 with real entries, such as
-    the named states, on the generator's Q0 block M: a generator of the
-    states (r00, r11, r22, r33, c) at the sorted nonnegative times t_k.  Each
-    step from t_(k-1) to t_k applies exp(dt M) as s = ceil(dt |M|_1 /
-    THETA_T30) equal substeps of `_taylor_action`, and `_checked` guards
-    the result before the RK45 route (`rk45.solve_q0`) advances to t_k; the
-    two routes must agree to rk45.RK_AGREE_TOL in max-norm, with
-    evolve_traj's errors.  Only the last state is held.  The integrator is
-    its own module, imported here, because its code would raise a phase
-    diagram's peak RSS, which compiles this module and never integrates."""
-    from .rk45 import RK_AGREE_TOL, solve_q0
-    M = generator_q0(params)
-    norm = _norm_1(M)
-    v = [rho0[k % 4][k // 4].real for k in _Q0]
-    ys, t0 = solve_q0(M, v, times), 0.0
-    for t in times:
-        s = math.ceil((t - t0) * norm / THETA_T30)
-        h = (t - t0) / max(s, 1)
-        A = [[h * x for x in row] for row in M]
-        for _ in range(s):
-            v = _taylor_action(A, v, h * norm)
-        r00, r11, r22, r33, c = x = _checked(v, t)
-        v, t0 = [r00, r11, c, c, r22, r33], t
-        diff = max(abs(a - b) for a, b in zip(v, next(ys)))
-        if diff > RK_AGREE_TOL:
-            raise CrossCheckError(f"matrix-exponential and RK45 trajectories disagree: "
-                                  f"{diff:.3e} > {RK_AGREE_TOL:.1e}")
-        yield x

@@ -1,22 +1,37 @@
-"""The RK45 cross-check of a trajectory: the tolerances and the
-Dormand-Prince 5(4) table that both trajectories use, and the integrator
-of the named states' trajectory, on the six real entries of the charge-0
-sector Q0, in plain Python.
+"""The plain-Python half of `evolve`: the RK45 cross-check that both of its
+routes share, and the trajectory of the named states on the charge-0
+sector Q0.
 
-`dynamics.solve_ivp` integrates a product or matrix state's 16 complex
-entries with numpy arrays built from this table.  `solve_q0` integrates
-the six reals that `generation.trajectory_q0` evolves: the same pair, step
-control and errors, with each stage written out, which ran 2.2 times as
-fast as a loop over the table's rows.  The module imports no numpy, and
-of the CLI's runs only `evolve` imports it.
+A product or matrix state evolves by `dynamics.evolve_traj`, whose RK45
+(`dynamics.solve_ivp`) integrates the 16 complex entries with numpy
+arrays built from this module's Dormand-Prince table and tolerances, and
+`work` sizes that integration for the CLI's cap.  The named states,
+|-> (x) |+> and the singlet, start in Q0 with real entries, and every
+dissipator maps Q0 into itself, so their whole trajectory is six reals
+under the generator's Q0 block (`evolve_q0`): the phase diagram oracle's
+Taylor kernel in substeps of 1-norm at most THETA_T30, so it never
+squares, the oracle's guards, and an RK45 on the six entries (`solve_q0`)
+whose stages are written out, which ran 2.2 times as fast as a loop over
+the table's rows.  The rows and the summary's trace distance are closed
+forms of an X-state (`x_columns`, `x_distance`).  The module imports no
+numpy, and of the CLI's runs only `evolve` imports it: in `generation`,
+which every run compiles, this code raised a phase diagram's peak RSS.
 """
 
 from __future__ import annotations
 
 import math
 
+from . import asymptotic, entanglement, generation
 from .generation import CrossCheckError
-from .spectral import ModelParams, generator
+from .spectral import ModelParams, generator, generator_q0
+
+# the degree-30 Taylor polynomial has backward error at most 2^-53 up to this
+# 1-norm (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011), Table 3.1):
+# dynamics.expm scales to it, and evolve_q0 takes substeps of this norm
+THETA_T30 = 3.5
+# the vec indices a + 4b of |a><b| in Q0
+_Q0 = (0, 5, 6, 9, 10, 15)
 
 # RK45 cross-check of a trajectory: the integrator's relative and absolute
 # error bounds, and the max-norm agreement with the exponential's route
@@ -58,9 +73,8 @@ def _rms(x: list) -> float:
 
 def solve_q0(M: list, y: list, times):
     """dynamics.solve_ivp on the six real Q0 entries y under the rows M: the
-    same Dormand-Prince pair, step control and errors, with each stage
-    written out.  A generator that yields y(t_k) as it reaches each sorted
-    nonnegative t_k."""
+    same Dormand-Prince pair, step control and errors.  A generator that
+    yields y(t_k) as it reaches each sorted nonnegative t_k."""
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (a61, a62, a63, a64, a65) = \
         DP_A[1:]
     b1, _, b3, b4, b5, b6 = DP_B
@@ -109,3 +123,52 @@ def solve_q0(M: list, y: list, times):
                     raise CrossCheckError(f"RK45 cross-check integration failed: step size "
                                           f"{h:.3g} at t={t:.6g}")
         yield y
+
+
+def evolve_q0(params: ModelParams, rho0: list, times):
+    """dynamics.evolve_traj for a state rho0 in Q0 with real entries, a 4x4
+    nested list, on the generator's Q0 block M: a generator of the states
+    (r00, r11, r22, r33, c) at the sorted nonnegative times t_k.  Each step
+    from t_(k-1) to t_k applies exp(dt M) as s = ceil(dt |M|_1 / THETA_T30)
+    equal substeps of `generation.taylor_action`, and
+    `generation.checked_q0` guards the result before `solve_q0` advances to
+    t_k; the two routes must agree to RK_AGREE_TOL in max-norm, with
+    evolve_traj's errors.  Only the last state is held."""
+    M = generator_q0(params)
+    norm = generation.norm_1(M)
+    v = [rho0[k % 4][k // 4].real for k in _Q0]
+    ys, t0 = solve_q0(M, v, times), 0.0
+    for t in times:
+        s = math.ceil((t - t0) * norm / THETA_T30)
+        h = (t - t0) / max(s, 1)
+        A = [[h * x for x in row] for row in M]
+        for _ in range(s):
+            v = generation.taylor_action(A, v, h * norm)
+        r00, r11, r22, r33, c = x = generation.checked_q0(v, t)
+        v, t0 = [r00, r11, c, c, r22, r33], t
+        diff = max(abs(a - b) for a, b in zip(v, next(ys)))
+        if diff > RK_AGREE_TOL:
+            raise CrossCheckError(f"matrix-exponential and RK45 trajectories disagree: "
+                                  f"{diff:.3e} > {RK_AGREE_TOL:.1e}")
+        yield x
+
+
+def x_columns(x: tuple) -> tuple:
+    """The columns of an evolve row after the time, trace, min_eig,
+    min_eig_pt, concurrence and tau, of the X-state x = (r00, r11, r22, r33,
+    c), in closed form."""
+    r00, r11, r22, r33, c = x
+    rho = [[r00, 0.0, 0.0, 0.0], [0.0, r11, c, 0.0], [0.0, c, r22, 0.0], [0.0, 0.0, 0.0, r33]]
+    return ((r00 + r11) + (r22 + r33), generation.x_min_eig(r00, r11, r22, r33, c),
+            generation.x_min_eig(r11, r00, r33, r22, c), entanglement.concurrence(rho),
+            asymptotic.tau(rho))
+
+
+def x_distance(x: tuple, rho_inf: list) -> float:
+    """The trace distance of the X-state x = (r00, r11, r22, r33, c) to the
+    state rho_inf, a 4x4 nested list that is an X-state in Q0 too: with d
+    their difference, |d00| + |d33| + |m + h| + |m - h|, m +- h the
+    eigenvalues of its block on |+->, |-+>."""
+    d00, d11, d22, d33, c = (a - b.real for a, b in zip(x, (
+        rho_inf[0][0], rho_inf[1][1], rho_inf[2][2], rho_inf[3][3], rho_inf[1][2])))
+    return abs(d00) + abs(d33) + 2.0 * max(abs(d11 + d22) / 2, math.hypot((d11 - d22) / 2, c))

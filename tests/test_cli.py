@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from thermalpair import asymptotic, cli, dynamics, entanglement, generation, rk45, spectral
+from thermalpair import asymptotic, cli, dynamics, entanglement, generation, spectral, trajectory
 
 from util import equilibrium_closed_form
 
@@ -385,7 +385,7 @@ def test_rk45_work_cap_gives_the_same_verdict_with_and_without_include_hs(tmp_pa
         raise AssertionError("the RK45 work cap let an over-cap grid integrate")
 
     monkeypatch.setattr(dynamics, "evolve_traj", forbidden)
-    monkeypatch.setattr(generation, "trajectory_q0", forbidden)
+    monkeypatch.setattr(trajectory, "evolve_q0", forbidden)
     config = {"beta": 10, "ell": 1, "time_grid": {"t_max": 2e5, "n_samples": 3}}
     results = []
     for include_hs in (False, True):
@@ -447,9 +447,9 @@ def _failing_q0(solve_q0):
 @pytest.mark.parametrize("state", ["canonical", "singlet"])
 def test_a_failed_rk45_cross_check_of_a_named_state_exits_3(tmp_path, monkeypatch, capsys,
                                                             fault, message, state):
-    # the named states' RK45 on Q0 (rk45.solve_q0) guards as the dense one
+    # the named states' RK45 on Q0 (trajectory.solve_q0) guards as the dense one
     # does, with the same messages
-    monkeypatch.setattr(rk45, "solve_q0", fault(rk45.solve_q0))
+    monkeypatch.setattr(trajectory, "solve_q0", fault(trajectory.solve_q0))
     path, out = tmp_path / "config.json", tmp_path / "traj.csv"
     path.write_text(json.dumps({"time_grid": {"t_max": 1.0, "n_samples": 3},
                                 "initial_state": {"named": state}}), encoding="utf-8")
@@ -486,17 +486,17 @@ def test_the_first_sample_that_fails_a_guard_sets_the_exit_code(tmp_path, monkey
 @pytest.mark.parametrize("bad_time,code", [(0.5, 4), (1.0, 3)])
 def test_the_first_sample_of_a_named_state_that_fails_a_guard_sets_the_exit_code(
         tmp_path, monkeypatch, capsys, bad_time, code):
-    # the same order on Q0: generation._checked guards each sample before
-    # rk45.solve_q0 advances to it
-    real_checked = generation._checked
+    # the same order on Q0: generation.checked_q0 guards each sample before
+    # trajectory.solve_q0 advances to it
+    real_checked = generation.checked_q0
 
     def checked(v, t):
         if t == bad_time:
             raise generation.PositivityError(f"evolved state is not finite at t={t}")
         return real_checked(v, t)
 
-    monkeypatch.setattr(generation, "_checked", checked)
-    monkeypatch.setattr(rk45, "solve_q0", _failing_q0(rk45.solve_q0))
+    monkeypatch.setattr(generation, "checked_q0", checked)
+    monkeypatch.setattr(trajectory, "solve_q0", _failing_q0(trajectory.solve_q0))
     path, out = tmp_path / "config.json", tmp_path / "traj.csv"
     path.write_text(json.dumps({"time_grid": {"t_max": 1.0, "n_samples": 3}}), encoding="utf-8")
     assert cli.main(["evolve", "--config", str(path), "--out", str(out)]) == code
@@ -536,7 +536,7 @@ def test_trajectory_memory_grows_by_its_text_alone(tmp_path):
 
 
 def test_named_trajectory_memory_grows_by_its_text_alone(tmp_path):
-    # the same bound on the named states' route, generation.trajectory_q0
+    # the same bound on the named states' route, trajectory.evolve_q0
     slope = _memory_slope(tmp_path, {"named": "canonical"})
     assert slope < 400, f"{slope:.0f} B per sample"
 
@@ -919,7 +919,7 @@ def test_phase_diagram_dense_factorizations(tmp_path, monkeypatch):
     calls = Counter()
     for module, name in ((np.linalg, "eigvalsh"), (np.linalg, "eigh"), (np.linalg, "svd"),
                          (np.linalg, "solve"), (dynamics, "expm"),
-                         (generation, "_taylor_action")):
+                         (generation, "taylor_action")):
         def counting(*args, _name=name, _real=getattr(module, name), **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
@@ -937,7 +937,7 @@ def test_phase_diagram_dense_factorizations(tmp_path, monkeypatch):
                              (4.0, [0.0, 12.0, 7])):
         assert sweep({"omega": omega, "sweep": {"beta_omega": [0.05, 50.0, 6],
                                                 "omega_ell": omega_ell}}) == {
-            "_taylor_action": 6 * omega_ell[2]}
+            "taylor_action": 6 * omega_ell[2]}
 
     beta_omega, omega_ell = np.linspace(0.001, 0.05, 30), np.linspace(0.0, 1e-4, 30)
     capped_points = 0
@@ -948,9 +948,9 @@ def test_phase_diagram_dense_factorizations(tmp_path, monkeypatch):
             capped_points += np.abs(1e-3 * M).sum(axis=0).max() > generation._THETA_T
     assert 0 < capped_points < 900
     assert sweep({"sweep": {"beta_omega": [0.001, 0.05, 30],
-                            "omega_ell": [0.0, 1e-4, 30]}}) == {"_taylor_action": 900}
+                            "omega_ell": [0.0, 1e-4, 30]}}) == {"taylor_action": 900}
     assert sweep({"sweep": {"beta_omega": [1e-20, 1e-3, 30],
-                            "omega_ell": [0.0, 1e-4, 30]}}) == {"_taylor_action": 900}
+                            "omega_ell": [0.0, 1e-4, 30]}}) == {"taylor_action": 900}
 
 
 def test_trajectory_and_asymptotic_dense_factorizations(tmp_path, monkeypatch):
@@ -964,7 +964,7 @@ def test_trajectory_and_asymptotic_dense_factorizations(tmp_path, monkeypatch):
     calls = Counter()
     for module, name in ((np.linalg, "eigvalsh"), (np.linalg, "eigh"), (np.linalg, "svd"),
                          (np.linalg, "solve"), (dynamics, "expm"),
-                         (entanglement, "concurrence"), (generation, "_taylor_action")):
+                         (entanglement, "concurrence"), (generation, "taylor_action")):
         def counting(*args, _name=name, _real=getattr(module, name), **kwargs):
             calls[_name] += 1
             if sys._getframe(1).f_code is entanglement._wootters_l.__code__:
@@ -985,7 +985,7 @@ def test_trajectory_and_asymptotic_dense_factorizations(tmp_path, monkeypatch):
             assert calls["concurrence"] == concurrences, (sub, calls)
             dense = sub == "evolve" and not named
             assert calls["expm"] == (20 if dense else 0), (sub, calls)
-            assert (calls["_taylor_action"] > 0) == (sub == "evolve" and named), (sub, calls)
+            assert (calls["taylor_action"] > 0) == (sub == "evolve" and named), (sub, calls)
             assert not named or calls["eigvalsh"] == 0, (sub, calls)
             found[sub] = calls["eigvalsh in _wootters_l"]
         return found

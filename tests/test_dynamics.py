@@ -22,7 +22,7 @@ from thermalpair import (
     validate_density_matrix,
     vec,
 )
-from thermalpair import dynamics, rk45
+from thermalpair import dynamics, trajectory
 
 from util import (SIGMA, build_kossakowski_spectral, choi_matrix, corner_generators,
                   dissipator_reference, dissipators_dense, dissipators_kron,
@@ -356,7 +356,7 @@ def test_solve_ivp_matches_expm(grid):
         if times[0] == 0:
             np.testing.assert_array_equal(ys[:, 0], y0)
         ref = np.array([dynamics.expm(t * M) @ y0 for t in times]).T
-        assert np.abs(ys - ref).max() <= rk45.RK_AGREE_TOL, label
+        assert np.abs(ys - ref).max() <= trajectory.RK_AGREE_TOL, label
 
 
 # ---------------------------------------------------------------- trajectory
@@ -386,7 +386,7 @@ def test_solve_ivp_at_extreme_scales():
     times = np.array([0.0, 1e-300, 3e-300])
     ys = np.array(list(dynamics.solve_ivp(1e300 * M_L0, y0, times))).T
     ref = np.array([dynamics.expm(t * M_L0) @ y0 for t in (0.0, 1.0, 3.0)]).T
-    assert np.abs(ys - ref).max() <= rk45.RK_AGREE_TOL
+    assert np.abs(ys - ref).max() <= trajectory.RK_AGREE_TOL
 
 
 def test_evolve_traj_guard_fires_on_disagreement(monkeypatch):

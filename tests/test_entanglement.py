@@ -26,7 +26,7 @@ from thermalpair import (
     vec,
 )
 from thermalpair import cli
-from thermalpair.generation import _THETA_T, _taylor_action
+from thermalpair.generation import _THETA_T, taylor_action
 from thermalpair.spectral import kossakowski_coefficients
 
 from util import (_DISSIPATORS_KRON, KossakowskiMatrix, build_kossakowski_spectral,
@@ -488,12 +488,12 @@ def test_taylor_action_matches_scipy():
         for norm in (1e-6, 0.039, theta * (1 - 2**-40), theta * (1 + 2**-20)):
             A = M * (norm / norm_M)
             assert (np.abs(A).sum(axis=0).max() <= theta) == (norm < theta), (label, norm)
-            diff = np.abs(np.array(_taylor_action(A.tolist(), v.tolist(), norm))
+            diff = np.abs(np.array(taylor_action(A.tolist(), v.tolist(), norm))
                           - scipy_expm(A) @ v).max()
             assert diff <= 4 * eps * np.abs(v).max(), (label, norm, diff)
     # the series takes at least one term, so a non-finite A, whose norm stops
     # no degree loop, still reaches the result and fails the oracle's guard
-    assert all(map(math.isnan, _taylor_action([[math.nan] * 6] * 6, [1.0] * 6, math.nan)))
+    assert all(map(math.isnan, taylor_action([[math.nan] * 6] * 6, [1.0] * 6, math.nan)))
 
 
 def test_oracle_agrees_for_generic_product_states():

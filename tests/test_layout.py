@@ -44,7 +44,7 @@ ALLOWED_PRIVATE = {("spectral", "_sinc")}
 # the modules `python -m thermalpair phase-diagram`, `coefficients`,
 # `asymptotic` and the `evolve` of a named state import
 NUMPY_FREE = {"__init__", "__main__", "asymptotic", "cli", "entanglement", "generation",
-              "rk45", "spectral"}
+              "spectral", "trajectory"}
 # the code lines of src/ when the named states' trajectory became plain Python
 MAX_CODE_LINES = 905
 

@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from thermalpair import (ModelParams, PositivityError, build_superoperator, cli, generation, rk45,
-                         spectral)
+from thermalpair import (ModelParams, PositivityError, build_superoperator, cli, generation,
+                         spectral, trajectory)
 from thermalpair.spectral import MIN_BETA_OMEGA, kossakowski_eigenvalues
 
 from util import (Q0, _DISSIPATORS_KRON, asymptotic_report_numpy, dissipators_dense, q0_row_mp,
@@ -77,11 +77,11 @@ def test_oracle_matches_its_numpy_kernel(bw, wl):
     params = ModelParams(beta_omega=bw, omega_ell=wl)
     assert generation.small_time_ppt_oracle(params) is small_time_ppt_oracle_numpy(params)
     M = spectral.generator_q0(params)
-    norm = generation._norm_1(M)
+    norm = generation.norm_1(M)
     dt = min(generation._ORACLE_DT, generation._THETA_T / norm)
     A = [[dt * x for x in row] for row in M]
     v = generation._CANONICAL_Q0
-    plain = np.array(generation._taylor_action(A, v, dt * norm))
+    plain = np.array(generation.taylor_action(A, v, dt * norm))
     reference = taylor_action_numpy(np.array(A), np.array(v))
     assert np.abs(plain - reference).max() <= EPS, (bw, wl, plain - reference)
 
@@ -261,7 +261,7 @@ def named_evolve_configs(draw):
     work t_max |M|_1 stays small."""
     bw, wl = draw(beta_omega), draw(omega_ell)
     work = draw(st.one_of(_log_uniform(1e-12, 1e-1), _log_uniform(1e-1, 300.0)))
-    t_max = work / rk45.work(ModelParams(beta_omega=bw, omega_ell=wl), 1.0)
+    t_max = work / trajectory.work(ModelParams(beta_omega=bw, omega_ell=wl), 1.0)
     if draw(st.booleans()):
         grid = {"t_max": t_max, "n_samples": draw(st.integers(2, 12))}
     else:
@@ -351,7 +351,7 @@ def test_rk45_work_is_numpys_bit_for_bit(bw, wl, factor):
         norm = np.abs(build_superoperator(params)).sum(axis=0).max()
         t_max = float(factor * (cli.MAX_RK_WORK / norm))
         reference = t_max * norm
-    assert np.float64(rk45.work(params, t_max)).tobytes() == reference.tobytes()
+    assert np.float64(trajectory.work(params, t_max)).tobytes() == reference.tobytes()
     if not (math.isfinite(t_max) and reference > cli.MAX_RK_WORK):
         return
     config = {"beta": "inf" if math.isinf(bw) else bw, "ell": wl,

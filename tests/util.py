@@ -741,7 +741,7 @@ def oracle_step(params: ModelParams) -> float:
 
 
 def taylor_action_numpy(A: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """generation._taylor_action on arrays: the same degree rule and Horner
+    """generation.taylor_action on arrays: the same degree rule and Horner
     steps, each a numpy matrix-vector product."""
     norm = np.abs(A).sum(axis=0).max()
     m, bound = 1, norm * norm / 2.0
