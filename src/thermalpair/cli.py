@@ -58,21 +58,23 @@ it writes its text only after every guard has passed, so exits 3, 4 and 5
 leave no output.  `main` maps each failure to its code in `_EXIT_CODES`.
 
 In-process use: ``main(argv)`` may be called any number of times in one
-process.  It returns the exit code, except that a usage error (an unknown
-subcommand or option) raises ``SystemExit(2)`` from argparse.  Its argument
-parser is built once, when this module is imported, and no state is kept
-from one call to the next.  Neither leaves reference cycles to the garbage
-collector: the JSON reports are indented by `_json`, not by json.dumps's
-indenting encoder, whose closures form a cycle per call.
+process.  It returns the exit code, except that a usage error (no or an
+unknown subcommand, an unknown option, an option without its path, a stray
+argument) writes a usage line and an error line and raises
+``SystemExit(2)``, and -h prints the help and raises ``SystemExit(0)``.
+`_read_argv` reads the one grammar SUB [--config PATH] [--out PATH] by
+hand: argparse's import and parser build, with dataclasses', took about
+a fifth of a cold phase diagram.  No state is kept from one call to the
+next, and no call leaves reference cycles to the garbage collector: the
+JSON reports are indented by `_json`, not by json.dumps's indenting
+encoder, whose closures form a cycle per call.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 from . import generation
 from .spectral import MIN_BETA_OMEGA, ModelParams, kossakowski_coefficients, temperature_ratio
@@ -102,24 +104,19 @@ class ConfigError(ValueError):
     """Invalid run configuration."""
 
 
-@dataclass
-class SweepSpec:
-    beta_omega: list
-    omega_ell: list
-
-
-@dataclass
 class RunConfig:
-    """A validated config.  The axis n and the initial state are kept as
-    given, a matrix state as a 4x4 nested list, and the state is turned
+    """A validated config: the model params, the unit axis n, the initial
+    state as (kind, *values), the times omega*t or None, the sweep as its
+    beta*omega and omega*ell grids or None, and include_hs, which
+    cmd_asymptotic alone reads.  The axis n and the initial state are kept
+    as given, a matrix state as a 4x4 nested list, and the state is turned
     into the frame of n only by `initial_state`."""
 
-    params: ModelParams
-    n: tuple                               # the unit axis
-    state: tuple                           # (kind, *values) of the initial state
-    times: list | None = None              # omega*t
-    sweep: SweepSpec | None = None
-    include_hs: bool = False               # read by cmd_asymptotic alone
+    __slots__ = ("params", "n", "state", "times", "sweep", "include_hs")
+
+    def __init__(self, params, n, state, times, sweep, include_hs):
+        self.params, self.n, self.state = params, n, state
+        self.times, self.sweep, self.include_hs = times, sweep, include_hs
 
     def initial_state(self) -> tuple:
         """(U, V^dag rho0 V) as nested lists: the frame U =
@@ -262,7 +259,7 @@ def _parse_time_grid(raw) -> list:
     return times
 
 
-def _parse_sweep(raw) -> SweepSpec:
+def _parse_sweep(raw) -> tuple:
     _require(isinstance(raw, dict) and set(raw) == {"beta_omega", "omega_ell"},
              "sweep needs beta_omega and omega_ell ranges")
 
@@ -281,7 +278,7 @@ def _parse_sweep(raw) -> SweepSpec:
     omega_ell = axis(raw["omega_ell"], "omega_ell", False)
     _require(beta_omega[2] * omega_ell[2] <= MAX_SWEEP_POINTS,
              f"sweep has more than {MAX_SWEEP_POINTS} grid points")
-    return SweepSpec(beta_omega=_linspace(*beta_omega), omega_ell=_linspace(*omega_ell))
+    return _linspace(*beta_omega), _linspace(*omega_ell)
 
 
 def parse_config(doc: dict) -> RunConfig:
@@ -398,8 +395,9 @@ def cmd_phase_diagram(config: RunConfig, out_path: str | None) -> int:
     def points():
         nonlocal first, count
         # as Python floats, whose overflow to inf (2 pi beta*omega) warns nothing
-        for bw in config.sweep.beta_omega:
-            for wl in config.sweep.omega_ell:
+        beta_omegas, omega_ells = config.sweep
+        for bw in beta_omegas:
+            for wl in omega_ells:
                 params = ModelParams(beta_omega=bw, omega_ell=wl)
                 coeffs = kossakowski_coefficients(params)
                 margin, label = generation.generation_test(coeffs)
@@ -498,31 +496,50 @@ _EXIT_CODES = {ConfigError: 2, generation.CrossCheckError: 3, generation.Positiv
                generation.ConvergenceError: 5}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="thermalpair",
-        description="Two two-level atoms in a common thermal field bath: "
-                    "dissipative dynamics and entanglement generation.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, descr) in _COMMANDS.items():
-        p = sub.add_parser(name, help=descr)
-        p.add_argument("--config", default=None,
-                       help="JSON config path (default: standard input)")
-        p.add_argument("--out", default=None,
-                       help="output path (default: standard output)")
-    return parser
+_USAGE = f"usage: thermalpair [-h] {{{','.join(_COMMANDS)}}} [--config PATH] [--out PATH]\n"
+_HELP = (_USAGE + "".join(f"  {name:15}{text}\n" for name, (_, text) in _COMMANDS.items())
+         + "  --config PATH  JSON config path, - for standard input (the default)\n"
+         "  --out PATH     output path (default: standard output)\n")
 
 
-# built once and reused by every call: parsing leaves it unchanged, while a
-# parser built per call leaves its reference cycles to the garbage collector
-_PARSER = build_parser()
+def _usage(ok: bool, message: str):
+    """Unless ok, write the usage line and an error line and raise SystemExit(2)."""
+    if not ok:
+        sys.stderr.write(f"{_USAGE}thermalpair: error: {message}\n")
+        raise SystemExit(2)
+
+
+def _read_argv(argv) -> tuple:
+    """(subcommand function, config path, out path) of argv, SUB [--config PATH] [--out
+    PATH] with the options in either order, each also as --opt=PATH; an
+    absent path is None.  A PATH after a separate option may not start with
+    "-", except "-" itself.  -h or --help prints the help and raises
+    SystemExit(0), and a usage error raises SystemExit(2)."""
+    command, paths, tokens = None, {"--config": None, "--out": None}, iter(argv)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            sys.stdout.write(_HELP)
+            raise SystemExit(0)
+        option, eq, value = token.partition("=")
+        if command is None:
+            _usage(token in _COMMANDS, f"argument command: invalid choice: {token!r}")
+            command = token
+        elif option in paths:
+            if not eq:
+                value = next(tokens, "--")  # a missing path reads as an option
+                _usage(value == "-" or not value.startswith("-"),
+                       f"argument {option}: expected one argument")
+            paths[option] = value
+        else:
+            _usage(False, f"unrecognized arguments: {token}")
+    _usage(command is not None, "the following arguments are required: command")
+    return _COMMANDS[command][0], paths["--config"], paths["--out"]
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
-    command, _ = _COMMANDS[args.command]
+    command, config_path, out_path = _read_argv(sys.argv[1:] if argv is None else argv)
     try:
-        return command(load_config(args.config), args.out)
+        return command(load_config(config_path), out_path)
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CODES[type(exc)]

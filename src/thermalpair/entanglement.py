@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 from .generation import check_unit
 
@@ -107,18 +106,16 @@ def singlet_density() -> list:
     return _density(singlet_ket())
 
 
-@dataclass(frozen=True)
 class ProductState:
     """Pure separable two-atom state |phi> (x) |psi> given by the unit Bloch
     vectors bloch1 and bloch2, each kept as three floats; an invalid one
     raises ValueError naming it."""
 
-    bloch1: tuple
-    bloch2: tuple
+    __slots__ = ("bloch1", "bloch2")
 
-    def __post_init__(self):
-        for name in ("bloch1", "bloch2"):
-            object.__setattr__(self, name, _unit_vector(getattr(self, name), name))
+    def __init__(self, bloch1, bloch2):
+        self.bloch1 = _unit_vector(bloch1, "bloch1")
+        self.bloch2 = _unit_vector(bloch2, "bloch2")
 
     def kets(self):
         return bloch_ket(self.bloch1), bloch_ket(self.bloch2)

@@ -52,7 +52,6 @@ plain-Python float arithmetic, with no numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 TWO_PI = 2.0 * math.pi
 # below this beta*omega the square of the thermal factor coth(beta*omega/2),
@@ -60,7 +59,6 @@ TWO_PI = 2.0 * math.pi
 MIN_BETA_OMEGA = 1.5e-154
 
 
-@dataclass(frozen=True)
 class ModelParams:
     """The two-atom / thermal-field model in units of omega.
 
@@ -70,18 +68,18 @@ class ModelParams:
     MIN_BETA_OMEGA is refused.
     """
 
-    beta_omega: float
-    omega_ell: float
+    __slots__ = ("beta_omega", "omega_ell")
 
-    def __post_init__(self):
-        if not (self.beta_omega >= MIN_BETA_OMEGA):  # inf allowed
+    def __init__(self, beta_omega: float, omega_ell: float):
+        if not (beta_omega >= MIN_BETA_OMEGA):  # inf allowed
             raise ValueError(f"beta_omega must be at least {MIN_BETA_OMEGA} (or inf), "
-                             f"got {self.beta_omega}")
-        if not (math.isfinite(self.omega_ell) and self.omega_ell >= 0):
-            raise ValueError(f"omega_ell must be finite and >= 0, got {self.omega_ell}")
+                             f"got {beta_omega}")
+        if not (math.isfinite(omega_ell) and omega_ell >= 0):
+            raise ValueError(f"omega_ell must be finite and >= 0, got {omega_ell}")
+        self.beta_omega = beta_omega
+        self.omega_ell = omega_ell
 
 
-@dataclass(frozen=True)
 class KossakowskiCoefficients:
     """Closed-form coefficients of the block Kossakowski matrix.
 
@@ -89,12 +87,11 @@ class KossakowskiCoefficients:
     + C e3 e3^T; primed values the cross-atom block C12.  Units of omega.
     """
 
-    A: float
-    B: float
-    C: float
-    Ap: float
-    Bp: float
-    Cp: float
+    __slots__ = ("A", "B", "C", "Ap", "Bp", "Cp")
+
+    def __init__(self, A: float, B: float, C: float, Ap: float, Bp: float, Cp: float):
+        self.A, self.B, self.C = A, B, C
+        self.Ap, self.Bp, self.Cp = Ap, Bp, Cp
 
 
 def _sinc(x: float) -> float:

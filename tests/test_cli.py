@@ -1,9 +1,9 @@
 """End-to-end CLI contract: config handling, formats, determinism, exit codes."""
 
-import argparse
 import errno
 import gc
 import importlib.util
+import io
 import json
 import math
 import os
@@ -838,9 +838,9 @@ def _cyclic_garbage(call) -> int:
 
 
 def test_cli_op_leaves_no_cyclic_garbage(tmp_path):
-    # main parses with one parser built at import, so an op leaves at most
-    # what the standard library's indented JSON encoder leaves: its nested
-    # closures form cycles (an empty document leaves one object fewer)
+    # main reads its arguments by hand, so an op leaves at most what the
+    # standard library's indented JSON encoder leaves: its nested closures
+    # form cycles (an empty document leaves one object fewer)
     sweep, point = tmp_path / "sweep.json", tmp_path / "point.json"
     sweep.write_text(json.dumps(
         {"sweep": {"beta_omega": [0.5, 4.0, 3], "omega_ell": [0.0, 2.0, 3]}}), encoding="utf-8")
@@ -857,17 +857,9 @@ def test_cli_op_leaves_no_cyclic_garbage(tmp_path):
         assert left <= allowance, f"{sub} left {left} cyclic objects, allowance {allowance}"
 
 
-def test_parser_reuse_keeps_calls_independent(tmp_path, monkeypatch, capsys):
+def test_parser_reuse_keeps_calls_independent(tmp_path, capsys):
     path, out = tmp_path / "sweep.json", tmp_path / "grid.csv"
     path.write_text(json.dumps(SWEEP), encoding="utf-8")
-    built = []
-    init = argparse.ArgumentParser.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(kwargs.get("prog"))
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     argv = ["phase-diagram", "--config", str(path)]
 
     # an --out from one call does not carry over to the next
@@ -877,7 +869,7 @@ def test_parser_reuse_keeps_calls_independent(tmp_path, monkeypatch, capsys):
     expected = capsys.readouterr().out
     assert expected.encode("utf-8") == out.read_bytes()
 
-    # a usage error leaves the parser as it was
+    # a usage error leaves nothing behind for the next call
     with pytest.raises(SystemExit) as exc:
         cli.main(["bogus"])
     assert exc.value.code == 2
@@ -885,7 +877,61 @@ def test_parser_reuse_keeps_calls_independent(tmp_path, monkeypatch, capsys):
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == expected
 
-    assert built == [], f"main constructed argument parsers: {built}"
+
+# ------------------------------------------------------------ command line
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["evolve", "-h"],
+                                  ["phase-diagram", "--config", "missing.json", "--help"]])
+def test_help_lists_the_subcommands_and_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: thermalpair ") and err == ""
+    for sub, (_, text) in cli._COMMANDS.items():
+        assert f"  {sub}" in out and text in out, sub
+    assert set(cli._COMMANDS) == set(SUBCOMMANDS)
+
+
+@pytest.mark.parametrize("argv,message", [
+    ([], "the following arguments are required: command"),
+    (["bogus"], "argument command: invalid choice: 'bogus'"),
+    (["--config", "c.json", "evolve"], "argument command: invalid choice: '--config'"),
+    (["evolve", "--bogus"], "unrecognized arguments: --bogus"),
+    (["evolve", "--conf=c.json"], "unrecognized arguments: --conf=c.json"),
+    (["evolve", "--config"], "argument --config: expected one argument"),
+    (["evolve", "--out", "--config", "c.json"], "argument --out: expected one argument"),
+    (["evolve", "stray"], "unrecognized arguments: stray"),
+    (["evolve", "--config", "c.json", "asymptotic"], "unrecognized arguments: asymptotic"),
+], ids=["no-subcommand", "unknown-subcommand", "option-first", "unknown-option",
+        "abbreviated-option", "missing-value", "option-as-value", "stray-positional",
+        "second-subcommand"])
+def test_usage_error_writes_usage_and_one_error_line(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    usage, error = err.splitlines()
+    assert usage.startswith("usage: thermalpair ")
+    assert error == f"thermalpair: error: {message}"
+
+
+def test_options_run_in_either_order_joined_and_from_stdin(tmp_path, monkeypatch, capsys):
+    path, out = tmp_path / "sweep.json", tmp_path / "grid.csv"
+    path.write_text(json.dumps(SWEEP), encoding="utf-8")
+    assert cli.main(["phase-diagram", "--config", str(path)]) == 0
+    expected = capsys.readouterr().out.encode("utf-8")
+    for options in (["--config", str(path), "--out", str(out)],
+                    ["--out", str(out), "--config", str(path)],
+                    [f"--config={path}", f"--out={out}"],
+                    [f"--out={out}", "--config", "-"],
+                    ["--out", str(out)]):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(SWEEP)))
+        out.unlink(missing_ok=True)
+        assert cli.main(["phase-diagram", *options]) == 0, options
+        assert out.read_bytes() == expected, options
+    assert capsys.readouterr() == ("", "")
 
 
 # ------------------------------------------------------------------ startup
@@ -1131,6 +1177,19 @@ def _imported_modules(sub: str, path, tmp_path) -> set:
     assert res.returncode == 0, (sub, res.stderr)
     return {line.rsplit("|", 1)[-1].strip() for line in res.stderr.splitlines()
             if line.startswith("import time:")}
+
+
+def test_cold_runs_import_no_dataclasses_or_argparse(tmp_path):
+    # main reads its arguments by hand and the record classes declare
+    # __slots__: dataclasses would load inspect, ast, dis and tokenize, and
+    # argparse gettext and locale, into every cold run
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(EVERY_SUBCOMMAND), encoding="utf-8")
+    for sub in SUBCOMMANDS:  # evolve of the canonical state, by default
+        imported = _imported_modules(sub, path, tmp_path)
+        assert "thermalpair.cli" in imported, sub
+        loaded = imported & {"dataclasses", "inspect", "argparse", "gettext", "locale"}
+        assert not loaded, (sub, sorted(loaded))
 
 
 PRODUCT = {"product": {"bloch1": [0.6, 0.8, 0.0], "bloch2": [0, 0, -1]}}

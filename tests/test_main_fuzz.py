@@ -1,10 +1,13 @@
-"""Seeded property test: every subcommand of cli.main, on fuzzed configs,
-ends with a documented exit code and never with a traceback."""
+"""Seeded property tests: every subcommand of cli.main, on fuzzed configs,
+and cli.main on fuzzed command lines, ends with a documented exit code and
+never with a traceback."""
 
 import contextlib
 import io
 import json
 import math
+import os
+import sys
 import tempfile
 from pathlib import Path
 
@@ -102,3 +105,56 @@ def test_main_exits_with_a_documented_code(sub, doc):
     assert "Traceback" not in err.getvalue()
     if code != 0:
         assert "error: " in err.getvalue(), err.getvalue()
+
+
+# a token is a subcommand, one of the two options, help, a bogus option,
+# "-" or a path relative to the temporary directory the test runs in, alone
+# or joined to an option by "="
+SUBCOMMAND = st.sampled_from(["coefficients", "phase-diagram", "evolve", "asymptotic"])
+PATHS = ["config.json", "out.csv", "missing.json", ".", "-"]
+argv_token = st.one_of(
+    SUBCOMMAND, st.sampled_from(["--config", "--out", "-h", "--bogus", *PATHS]),
+    st.tuples(st.sampled_from(["--config", "--out", "--bogus"]),
+              st.sampled_from([*PATHS, ""])).map("=".join),
+)
+
+
+@st.composite
+def argvs(draw):
+    """Mostly a subcommand and option-path pairs, else any token in their place."""
+    argv = [draw(SUBCOMMAND if draw(st.integers(0, 3)) else argv_token)]
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.integers(0, 3)):
+            argv += [draw(st.sampled_from(["--config", "--out"])), draw(st.sampled_from(PATHS))]
+        else:
+            argv.append(draw(argv_token))
+    return argv
+
+
+# a config every subcommand runs in milliseconds
+SMALL = {"ell": 0.5, "time_grid": [0.0, 1.0],
+         "sweep": {"beta_omega": [1.0, 1.0, 1], "omega_ell": [0.0, 0.0, 1]}}
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(argvs())
+def test_main_reads_any_argv_without_a_traceback(argv):
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "config.json").write_text(json.dumps(SMALL), encoding="utf-8")
+        out, err, stdin = io.StringIO(), io.StringIO(), sys.stdin
+        try:
+            os.chdir(tmp)
+            sys.stdin = io.StringIO(json.dumps(SMALL))
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+        except SystemExit as exc:
+            assert exc.code in (0, 2), (argv, exc.code)
+            stream = out if exc.code == 0 else err
+            assert stream.getvalue().startswith("usage: thermalpair "), (argv, stream.getvalue())
+            return
+        finally:
+            sys.stdin = stdin
+            os.chdir(here)
+    assert code in EXIT_CODES, (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
