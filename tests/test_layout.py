@@ -115,19 +115,18 @@ def _members(cls) -> list:
 
 
 def test_every_dataclass_field_and_property_is_read_in_the_package():
-    # the package's record classes declare their fields in __slots__, so a
-    # slot stands where a dataclass field stood
+    # the package's record classes declare their fields in __slots__
     trees = _trees()
     read = {n.attr for tree in trees.values() for n in ast.walk(tree)
             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
-    unread = [f"{module}.{cls.name}.{name}" for module, tree in trees.items()
-              for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
-              for name in _members(cls) if name not in read]
+    members = {f"{module}.{cls.name}.{name}": name for module, tree in trees.items()
+               for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+               for name in _members(cls)}
+    assert {"spectral.ModelParams.beta_omega", "spectral.KossakowskiCoefficients.Cp",
+            "entanglement.ProductState.bloch1", "cli.RunConfig.params"} <= set(members), \
+        "the lint no longer sees the slots"
+    unread = [member for member, name in members.items() if name not in read]
     assert not unread, f"class members that only tests read: {unread}"
-    members = {f"{cls.name}.{name}" for tree in trees.values() for cls in ast.walk(tree)
-               if isinstance(cls, ast.ClassDef) for name in _members(cls)}
-    assert {"ModelParams.beta_omega", "KossakowskiCoefficients.Cp", "ProductState.bloch1",
-            "RunConfig.params"} <= members, "the lint no longer sees the slots"
 
 
 def test_no_function_takes_a_tolerance_parameter():
