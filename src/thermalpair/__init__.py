@@ -18,11 +18,10 @@ _EXPORTS = {
                  "kossakowski_eigenvalues", "temperature_ratio"),
     "generation": ("ConvergenceError", "CrossCheckError", "PositivityError", "criterion_rs",
                    "generation_test", "small_time_ppt_oracle"),
-    "dynamics": ("build_superoperator", "evolve", "evolve_traj", "trace_norm", "unvec",
-                 "validate_density_matrix", "vec"),
+    "dynamics": ("build_superoperator", "evolve", "evolve_traj", "trace_norm", "unvec", "vec"),
     "entanglement": ("ProductState", "bloch_ket", "canonical_state", "concurrence", "dagger",
                      "local_frame", "min_eig_pt", "partial_transpose", "singlet_density",
-                     "singlet_ket", "turn"),
+                     "singlet_ket", "turn", "validate_density_matrix"),
     "asymptotic": ("asymptotic_state", "tau", "threshold_tau"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -28,21 +28,21 @@ against the small-time oracle.  That evolves the state by its own step and
 Taylor series in the charge-0 sector Q0 (`spectral.generator_q0`), where
 it is an X-state: its spectrum is r00, r33, (r11 + r22)/2 +-
 hypot((r11 - r22)/2, c), its partial transpose's r11, r22, (r00 + r33)/2 +-
-hypot((r00 - r33)/2, c).  `evolve` runs a named state in that sector too
-(`trajectory.evolve_q0`), and any other by `dynamics.evolve_traj`,
-formatting each row as its state arrives and keeping only the text: no
-list of states or RK45 samples is held.
+hypot((r00 - r33)/2, c).  `evolve` runs a state that the frame leaves in
+that sector with real entries there too (`trajectory.evolve_q0`), and any
+other by `dynamics.evolve_traj`, formatting each row as its state arrives
+and keeping only the text: no list of states or RK45 samples is held.
 
 `phase-diagram` and `coefficients` run in plain Python on `spectral` and
-`generation`, and `asymptotic` and the `evolve` of a named state on
+`generation`, and `asymptotic` and the `evolve` of a state in Q0 on
 `asymptotic` and `entanglement` too: the closed-form stationary state, its
 guard, the frame and the concurrence of an X-state are plain arithmetic on
 4x4 nested lists.  The parser checks the
 axis n, the state and the grids and keeps n and the state as given, the
 same at every n; `RunConfig.initial_state` builds the state in the frame
-when `evolve` or `asymptotic` calls it.  So only the `evolve` of a product
-or matrix state (which takes `np.array`s of those lists), a matrix state
-(which the parser validates with numpy, as given) and, in `asymptotic`,
+when `evolve` or `asymptotic` calls it.  So only the `evolve` of a state
+off Q0 (which takes `np.array`s of those lists), a matrix state (which
+the parser validates with numpy, as given) and, in `asymptotic`,
 the state at beta = inf and ell = 0 with c != 0, which is not an X-state,
 load numpy.
 
@@ -207,7 +207,7 @@ def _parse_initial_state(raw) -> tuple:
         return ("product", *blochs.values())
     _require(tag == "matrix", f"unknown initial_state tag {tag!r}")
     rho = _parse_complex_matrix(value)
-    from .dynamics import validate_density_matrix
+    from .entanglement import validate_density_matrix
     try:
         validate_density_matrix(rho)
     except ValueError as exc:
@@ -420,10 +420,6 @@ def cmd_phase_diagram(config: RunConfig, out_path: str | None) -> int:
     return 0
 
 
-# the states whose trajectory is trajectory.evolve_q0's, in plain Python
-_Q0_STATES = ("canonical", "singlet")
-
-
 def cmd_evolve(config: RunConfig, out_path: str | None) -> int:
     """Trajectory dump: per-sample trace, spectra and entanglement scalars.
 
@@ -439,7 +435,7 @@ def cmd_evolve(config: RunConfig, out_path: str | None) -> int:
         raise ConfigError(f"time_grid t_max {float(config.times[-1])!r} is too long for the "
                           f"RK45 cross-check: t_max |M|_1 = {work:.3g} exceeds "
                           f"MAX_RK_WORK = {MAX_RK_WORK:.0e}")
-    if config.state[0] in _Q0_STATES:
+    if trajectory.in_q0(rho0):
         states = trajectory.evolve_q0(params, rho0, config.times)
         columns, distance = trajectory.x_columns, trajectory.x_distance
     else:

@@ -20,22 +20,23 @@ Evolution multiplies vec(rho0) by the Taylor exponential exp(t M) (`expm`,
 no linear solve).  A trajectory steps from sample to sample and is
 cross-checked from t = 0 by an adaptive RK45 (`solve_ivp`); both are
 generators that advance together, one sample at a time.  The CLI takes
-this route for a product or matrix state (`dense_route`).  The phase
-diagram's small-time oracle has its own kernel, a Taylor series of
-matrix-vector products on the generator's charge-0 block, in plain Python
+this route for a state off the charge-0 sector Q0 (`dense_route`).  The
+phase diagram's small-time oracle has its own kernel, a Taylor series of
+matrix-vector products on the generator's Q0 block, in plain Python
 (`generation`, which also holds the guards `check_state` and `check_unit`
-and the exceptions raised here), and the named states' trajectory runs on
-that kernel (`trajectory`, which also holds the RK45 tolerances, the
+and the exceptions raised here), and the trajectory of a state in Q0 runs
+on that kernel (`trajectory`, which also holds the RK45 step control and
+agreement check that solve_ivp and evolve_traj use, the tolerances, the
 Dormand-Prince table this module turns into arrays and `expm`'s
 THETA_T30).
 
 This is the one module of the package that imports numpy when it is
 imported.  The states, the frame, the stationary state and the
 concurrence of an X-state are plain Python (`entanglement`, `asymptotic`),
-so of the CLI's runs only the `evolve` of a product or matrix state, a
-matrix initial state, which `validate_density_matrix` checks where the
-config is parsed, and the concurrence of a state that is not an X-state
-load numpy.
+so of the CLI's runs only the `evolve` of a state off Q0, a matrix
+initial state, which `entanglement.validate_density_matrix` checks where
+the config is parsed, and the concurrence of a state that is not an
+X-state load numpy; only that `evolve` imports this module.
 """
 
 from __future__ import annotations
@@ -45,9 +46,8 @@ import math
 import numpy as np
 
 from . import asymptotic, entanglement
-from .generation import CrossCheckError, PositivityError, check_state
-from .trajectory import (DP_A, DP_B, DP_E, DP_MAX_FACTOR, DP_MIN_FACTOR, DP_SAFETY,
-                         RK_AGREE_TOL, RK_ATOL, RK_RTOL, THETA_T30)
+from .generation import PositivityError, check_state
+from .trajectory import DP_A, DP_B, DP_E, RK_ATOL, RK_RTOL, THETA_T30, agree, dormand_prince
 from .spectral import ModelParams, generator
 
 
@@ -59,11 +59,6 @@ def vec(rho: np.ndarray) -> np.ndarray:
 def unvec(v: np.ndarray) -> np.ndarray:
     return np.asarray(v, dtype=complex).reshape(4, 4, order="F")
 
-
-# input-state checks of validate_density_matrix
-_HERM_TOL = 1e-12
-_TRACE_TOL = 1e-12
-_EIG_FLOOR = -1e-10
 
 # expm's degree-30 Taylor polynomial, to the 1-norm trajectory.THETA_T30:
 # row j of _TAYLOR30_BLOCKS holds 1/(6j + i)!, i < 6
@@ -106,84 +101,32 @@ def _rms(x: np.ndarray) -> float:
 
 def solve_ivp(M: np.ndarray, y0: np.ndarray, times: np.ndarray):
     """Adaptive Dormand-Prince 5(4) solution of dy/dt = M y, y(0) = y0, at the
-    sorted nonnegative sample times: a generator that yields y(t_k), a
-    complex array shaped like y0, as it reaches each t_k (y0 itself where
-    t_k = 0), and holds no earlier sample.
-
-    Step control is the usual one for this pair: the RMS of the error
-    estimate over RK_ATOL + max(|y|, |y_new|) RK_RTOL must stay below 1,
-    h changes by a factor of 0.9 err^(-1/5) clipped to [0.2, 10] (at most 1
-    right after a rejected step), and h never starts a step below 10 ulp(t).  Steps are
-    shortened to land exactly on every sample time, so no sample is
-    interpolated.  Raises CrossCheckError, from the next() that needs the
-    step, if a rejected step shrinks h below 10 ulp(t) or the solution turns
-    non-finite.
+    sorted nonnegative sample times: the stages on numpy arrays under
+    `trajectory.dormand_prince`, a generator that yields y(t_k), a complex
+    array shaped like y0, as it reaches each t_k (y0 itself where t_k = 0),
+    with its step control and errors.
     """
+    K = np.empty((7, len(y0)), dtype=complex)
+
+    def stages(y, k1, step):
+        K[0] = k1
+        for i in range(1, 6):
+            K[i] = M @ (y + step * (_DP_A[i, :i] @ K[:i]))
+        y_new = y + step * (_DP_B @ K[:6])
+        # a fresh k7: a rejected step leaves the k1 it was handed as it is
+        K[6] = k7 = M @ y_new
+        with np.errstate(over="ignore", invalid="ignore"):
+            return y_new, k7, _rms(step * (_DP_E @ K) / (
+                RK_ATOL + RK_RTOL * np.maximum(np.abs(y), np.abs(y_new))))
+
     y = np.asarray(y0, dtype=complex)
-    K = np.empty((7, len(y)), dtype=complex)
-    K[0] = M @ y
-    # first step from the sizes of y and dy/dt (Hairer, Norsett & Wanner,
-    # Solving ODEs I, Sec. II.4); the controller corrects it within a few steps.
-    # An overflow here or a non-finite error norm below is no warning: the
-    # step-size floor and the non-finite check handle them.
+    k1 = M @ y
+    # an overflow here or a non-finite error norm in a step is no warning:
+    # the step-size floor and the non-finite check handle them
     scale = RK_ATOL + RK_RTOL * np.abs(y)
     with np.errstate(over="ignore", invalid="ignore"):
-        d0, d1 = _rms(y / scale), _rms(K[0] / scale)
-    h = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    t, rejected = 0.0, False
-    for target in times:
-        while t < target:
-            min_step = 10 * math.ulp(t)
-            h = max(h, min_step)
-            step = min(h, target - t)
-            for i in range(1, 6):
-                K[i] = M @ (y + step * (_DP_A[i, :i] @ K[:i]))
-            y_new = y + step * (_DP_B @ K[:6])
-            K[6] = M @ y_new
-            with np.errstate(over="ignore", invalid="ignore"):
-                err = _rms(step * (_DP_E @ K)
-                           / (RK_ATOL + RK_RTOL * np.maximum(np.abs(y), np.abs(y_new))))
-            if not math.isfinite(err):
-                raise CrossCheckError(f"RK45 cross-check integration failed: non-finite "
-                                   f"solution at t={t:.6g}")
-            if err < 1.0:
-                factor = DP_MAX_FACTOR if err == 0 else min(DP_MAX_FACTOR,
-                                                            DP_SAFETY * err**-0.2)
-                if rejected:
-                    factor = min(1.0, factor)
-                # a step shortened to land on a sample does not shrink the next one
-                h = max(h, step * factor) if step < h else step * factor
-                t = target if step == target - t else t + step
-                y, K[0], rejected = y_new, K[6], False
-            else:
-                h = step * max(DP_MIN_FACTOR, DP_SAFETY * err**-0.2)
-                rejected = True
-                if h < min_step:
-                    raise CrossCheckError(f"RK45 cross-check integration failed: step size "
-                                       f"{h:.3g} at t={t:.6g}")
-        yield y
-
-
-def validate_density_matrix(rho):
-    """Check Hermiticity, unit trace and positivity of a two-qubit state, a
-    4x4 nested list or array, each by a measure that no change of frame
-    rho -> V^dag rho V alters but by rounding: the Frobenius norm of
-    rho - rho^dag, the trace and the spectrum.  So a state that passes at
-    the axis n passes in the frame of e3 too."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError(f"density matrix must be 4x4, got shape {rho.shape}")
-    # a difference that overflows to inf fails the check, and math.hypot
-    # scales its arguments, so their norm does not overflow
-    with np.errstate(over="ignore"):
-        anti = np.abs(rho - rho.conj().T)
-    if not math.hypot(*anti.flat) <= _HERM_TOL:
-        raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(rho) - 1.0) > _TRACE_TOL:
-        raise ValueError(f"density matrix trace is {np.trace(rho)}, expected 1")
-    min_eig = np.linalg.eigvalsh(rho).min()
-    if min_eig < _EIG_FLOOR:
-        raise ValueError(f"density matrix has negative eigenvalue {min_eig}")
+        d0, d1 = _rms(y / scale), _rms(k1 / scale)
+    yield from dormand_prince(stages, y, k1, d0, d1, times)
 
 
 def trace_norm(a: np.ndarray) -> float:
@@ -205,8 +148,8 @@ def evolve(M: np.ndarray, rho0: np.ndarray, t: float, t0: float = 0.0) -> np.nda
     """rho(t) = unvec(expm((t - t0) M) @ vec(rho0)), for the state rho0 at
     time t0 <= t, re-Hermitized and renormalized.
 
-    rho0 must already be a valid 4x4 density matrix (an array, as
-    validate_density_matrix returns it); it is not checked here, and
+    rho0 must already be a valid 4x4 density matrix array, as
+    entanglement.validate_density_matrix checks; it is not checked here, and
     neither evolve_traj nor asymptotic_state checks it: the CLI's config
     parser validates a matrix state once, where it enters.  Raises
     PositivityError if the exponential's result is not finite (a generator
@@ -240,9 +183,9 @@ def evolve_traj(M: np.ndarray, rho0: np.ndarray, times):
     each one evolve step (a trace-norm contraction, with its guards) from
     the one before, from rho0 at t = 0.  Beside it RK45 (solve_ivp)
     integrates the same trajectory from rho0, and each state is yielded only
-    once the two routes agree at t_k to RK_AGREE_TOL in max-norm (two
+    once the two routes agree at t_k in max-norm (`trajectory.agree`: two
     independent numerical routes through a non-normal generator); the first
-    sample over the bound raises CrossCheckError.  At each t_k evolve runs
+    sample over its bound raises CrossCheckError.  At each t_k evolve runs
     before RK45 advances to t_k, so a sample that fails both routes raises
     evolve's PositivityError.  Only the last state is held.  The grid is
     checked, with ValueError, on the first next().  rho0 is a valid density
@@ -256,16 +199,13 @@ def evolve_traj(M: np.ndarray, rho0: np.ndarray, times):
     rho, t0 = rho0, 0.0
     for t in times.tolist():
         rho, t0 = evolve(M, rho, t, t0), t
-        diff = np.abs(rho - unvec(next(ys))).max()
-        if diff > RK_AGREE_TOL:
-            raise CrossCheckError(f"matrix-exponential and RK45 trajectories disagree: "
-                                  f"{diff:.3e} > {RK_AGREE_TOL:.1e}")
+        agree(np.abs(rho - unvec(next(ys))).max())
         yield rho
 
 
 def dense_route(params: ModelParams, rho0: list, times) -> tuple:
-    """(states, columns, distance) of the evolve of a product or matrix
-    state rho0, a 4x4 nested list: the states of evolve_traj under
+    """(states, columns, distance) of the evolve of a state rho0 off Q0, a
+    4x4 nested list: the states of evolve_traj under
     build_superoperator(params), the columns of a row after the time, trace,
     min_eig, min_eig_pt, concurrence and tau, and the trace distance of a
     state to the stationary state."""

@@ -21,9 +21,12 @@ singular values of T = V^T (s2 x s2) V, with V V^dag = rho from a pivoted
 Cholesky factor that drops the rows that are rounding: no eigendecomposition
 of rho, and no square root of an eigenvalue that is only rounding.
 
+A matrix state from a config is checked as given
+(`validate_density_matrix`), so the parser needs no trajectory module.
+
 The module imports numpy only inside the functions that take an
-eigenvalue: the partial transpose's spectrum and the concurrence of a
-state that is not an X-state.  The generation test at t = 0+ and its
+eigenvalue: that check, the partial transpose's spectrum and the
+concurrence of a state that is not an X-state.  The generation test at t = 0+ and its
 small-time oracle need none of these; they live in `generation`.
 """
 
@@ -133,6 +136,35 @@ class ProductState:
 def canonical_state() -> ProductState:
     """Ground (x) excited along the axis e3: |-> (x) |+>."""
     return ProductState(bloch1=(0.0, 0.0, -1.0), bloch2=(0.0, 0.0, 1.0))
+
+
+# input-state checks of validate_density_matrix
+_HERM_TOL = 1e-12
+_TRACE_TOL = 1e-12
+_EIG_FLOOR = -1e-10
+
+
+def validate_density_matrix(rho):
+    """Check Hermiticity, unit trace and positivity of a two-qubit state, a
+    4x4 nested list or array, each by a measure that no change of frame
+    rho -> V^dag rho V alters but by rounding: the Frobenius norm of
+    rho - rho^dag, the trace and the spectrum.  So a state that passes at
+    the axis n passes in the frame of e3 too."""
+    import numpy as np
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (4, 4):
+        raise ValueError(f"density matrix must be 4x4, got shape {rho.shape}")
+    # a difference that overflows to inf fails the check, and math.hypot
+    # scales its arguments, so their norm does not overflow
+    with np.errstate(over="ignore"):
+        anti = np.abs(rho - rho.conj().T)
+    if not math.hypot(*anti.flat) <= _HERM_TOL:
+        raise ValueError("density matrix is not Hermitian")
+    if abs(np.trace(rho) - 1.0) > _TRACE_TOL:
+        raise ValueError(f"density matrix trace is {np.trace(rho)}, expected 1")
+    min_eig = np.linalg.eigvalsh(rho).min()
+    if min_eig < _EIG_FLOOR:
+        raise ValueError(f"density matrix has negative eigenvalue {min_eig}")
 
 
 def partial_transpose(rho):

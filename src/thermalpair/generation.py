@@ -136,12 +136,15 @@ def norm_1(A: list) -> float:
 def taylor_action(A: list, v, norm: float) -> list:
     """exp(A) v for the 6x6 rows A of 1-norm norm as the Taylor polynomial of
     degree m in Horner form, y = v and y = v + A y / j for j = m..1, with
-    m >= 1 the smallest degree whose truncation bound norm^(m+1) / (m+1)! is
+    m >= 3 the smallest degree whose truncation bound norm^(m+1) / (m+1)! is
     at most 2^-53 (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011));
-    every step is a matrix-vector product, written out term by term.  At
-    least one term, so a non-finite A reaches the result."""
+    every step is a matrix-vector product, written out term by term.  The
+    bound is relative to |v|, so at least three terms: a corner population
+    that a step feeds only at second order, from |++> to |--> through the
+    triplet, keeps its first two terms, and the concurrence, which takes its
+    square root, stays precise."""
     m, bound = 1, norm * norm / 2.0
-    while bound > 2.0**-53:
+    while m < 3 or bound > 2.0**-53:
         m += 1
         bound *= norm / (m + 1)
     y = v

@@ -1,21 +1,27 @@
 """The plain-Python half of `evolve`: the RK45 cross-check that both of its
-routes share, and the trajectory of the named states on the charge-0
-sector Q0.
+routes share, and the trajectory of a state in the charge-0 sector Q0.
 
-A product or matrix state evolves by `dynamics.evolve_traj`, whose RK45
-(`dynamics.solve_ivp`) integrates the 16 complex entries with numpy
-arrays built from this module's Dormand-Prince table and tolerances, and
-`work` sizes that integration for the CLI's cap.  The named states,
-|-> (x) |+> and the singlet, start in Q0 with real entries, and every
-dissipator maps Q0 into itself, so their whole trajectory is six reals
-under the generator's Q0 block (`evolve_q0`): the phase diagram oracle's
-Taylor kernel in substeps of 1-norm at most THETA_T30, so it never
-squares, the oracle's guards, and an RK45 on the six entries (`solve_q0`)
-whose stages are written out, which ran 2.2 times as fast as a loop over
-the table's rows.  The rows and the summary's trace distance are closed
-forms of an X-state (`x_columns`, `x_distance`).  The module imports no
-numpy, and of the CLI's runs only `evolve` imports it: in `generation`,
-which every run compiles, this code raised a phase diagram's peak RSS.
+Each route's trajectory is cross-checked from t = 0 by an adaptive RK45,
+whose step control and errors (`dormand_prince`) and agreement check
+(`agree`) live here; each route has its own stages.  `dynamics.solve_ivp`
+integrates the 16 complex entries with numpy arrays built from this
+module's Dormand-Prince table and tolerances, and `solve_q0` the six real
+entries of Q0 with its stages written out, which ran 2.2 times as fast as
+a loop over the table's rows.  The numpy stages stay: plain-Python stages
+on the 16 entries took 2 to 3 times as long on bench `trajectory`'s
+product and matrix states.  `work` sizes the integration for the CLI's
+cap.
+
+Every dissipator maps Q0 into itself, so a state that starts in Q0 with
+real entries (`in_q0`), such as the named states |-> (x) |+> and the
+singlet, keeps six reals under the generator's Q0 block for its whole
+trajectory (`evolve_q0`): the phase diagram oracle's Taylor kernel in
+substeps of 1-norm at most THETA_T30, so it never squares, the oracle's
+guards, and `solve_q0`.  The rows and the summary's trace distance are
+closed forms of an X-state (`x_columns`, `x_distance`).  Any other state
+evolves by `dynamics.evolve_traj`.  The module imports no numpy, and of
+the CLI's runs only `evolve` imports it: in `generation`, which every run
+compiles, this code raised a phase diagram's peak RSS.
 """
 
 from __future__ import annotations
@@ -61,6 +67,17 @@ def work(params: ModelParams, t_max: float) -> float:
     return t_max * max(sums)
 
 
+def in_q0(rho: list) -> bool:
+    """Whether the 4x4 nested list rho lies in Q0 with real entries: every
+    entry outside Q0 exactly 0, as `entanglement.concurrence` reads an
+    X-state's, and every entry in Q0 real.  The named states do, and at n =
+    +-e3 so do a product of the kets of +-n and a matrix state in Q0.  At
+    other axes the frame's turn leaves rounding outside Q0 on most such
+    states, 195 of 200 seeded (n, -n) products, and those evolve densely."""
+    return not any(rho[k % 4][k // 4].imag if k in _Q0 else rho[k % 4][k // 4]
+                   for k in range(16))
+
+
 def _matvec(A: list, y) -> list:
     y0, y1, y2, y3, y4, y5 = y
     return [a0 * y0 + a1 * y1 + a2 * y2 + a3 * y3 + a4 * y4 + a5 * y5
@@ -71,17 +88,26 @@ def _rms(x: list) -> float:
     return math.hypot(*x) / math.sqrt(len(x))
 
 
-def solve_q0(M: list, y: list, times):
-    """dynamics.solve_ivp on the six real Q0 entries y under the rows M: the
-    same Dormand-Prince pair, step control and errors.  A generator that
-    yields y(t_k) as it reaches each sorted nonnegative t_k."""
-    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (a61, a62, a63, a64, a65) = \
-        DP_A[1:]
-    b1, _, b3, b4, b5, b6 = DP_B
-    e1, _, e3, e4, e5, e6, e7 = DP_E
-    k1 = _matvec(M, y)
-    scale = [RK_ATOL + RK_RTOL * abs(x) for x in y]
-    d0, d1 = _rms([x / s for x, s in zip(y, scale)]), _rms([k / s for k, s in zip(k1, scale)])
+def dormand_prince(stages, y, k1, d0: float, d1: float, times):
+    """The step control of both RK45 cross-checks, an adaptive Dormand-Prince
+    5(4) solution from y(0) = y with derivative k1 there: a generator that
+    yields y(t_k) as it reaches each sorted nonnegative t_k (y itself where
+    t_k = 0) and holds no earlier sample.  stages(y, k1, step) takes one
+    step and returns (y_new, k7, err): the fifth-order solution, the
+    derivative there, which an accepted step hands to the next as its k1,
+    and the RMS of the error estimate over RK_ATOL + max(|y|, |y_new|)
+    RK_RTOL.  d0 and d1 are the RMS of y and k1 over RK_ATOL + |y| RK_RTOL.
+
+    The first step is 0.01 d0 / d1, or 1e-6 where either is below 1e-5
+    (Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.4); the controller
+    corrects it within a few steps.  A step is accepted when err < 1, h
+    changes by a factor of 0.9 err^(-1/5) clipped to [0.2, 10] (at most 1
+    right after a rejected step), and h never starts a step below 10
+    ulp(t).  Steps are shortened to land exactly on every sample time, so no
+    sample is interpolated.  Raises CrossCheckError, from the next() that
+    needs the step, if a rejected step shrinks h below 10 ulp(t) or err is
+    not finite.
+    """
     h = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     t, rejected = 0.0, False
     for target in times:
@@ -89,21 +115,7 @@ def solve_q0(M: list, y: list, times):
             min_step = 10 * math.ulp(t)
             h = max(h, min_step)
             step = min(h, target - t)
-            k2 = _matvec(M, [x + step * (a21 * p1) for x, p1 in zip(y, k1)])
-            k3 = _matvec(M, [x + step * (a31 * p1 + a32 * p2) for x, p1, p2 in zip(y, k1, k2)])
-            k4 = _matvec(M, [x + step * (a41 * p1 + a42 * p2 + a43 * p3)
-                             for x, p1, p2, p3 in zip(y, k1, k2, k3)])
-            k5 = _matvec(M, [x + step * (a51 * p1 + a52 * p2 + a53 * p3 + a54 * p4)
-                             for x, p1, p2, p3, p4 in zip(y, k1, k2, k3, k4)])
-            k6 = _matvec(M, [x + step * (a61 * p1 + a62 * p2 + a63 * p3 + a64 * p4 + a65 * p5)
-                             for x, p1, p2, p3, p4, p5 in zip(y, k1, k2, k3, k4, k5)])
-            y_new = [x + step * (b1 * p1 + b3 * p3 + b4 * p4 + b5 * p5 + b6 * p6)
-                     for x, p1, p3, p4, p5, p6 in zip(y, k1, k3, k4, k5, k6)]
-            k7 = _matvec(M, y_new)
-            err = _rms([step * (e1 * p1 + e3 * p3 + e4 * p4 + e5 * p5 + e6 * p6 + e7 * p7)
-                        / (RK_ATOL + RK_RTOL * max(abs(x), abs(x_new)))
-                        for x, x_new, p1, p3, p4, p5, p6, p7
-                        in zip(y, y_new, k1, k3, k4, k5, k6, k7)])
+            y_new, k7, err = stages(y, k1, step)
             if not math.isfinite(err):
                 raise CrossCheckError(f"RK45 cross-check integration failed: non-finite "
                                       f"solution at t={t:.6g}")
@@ -125,6 +137,46 @@ def solve_q0(M: list, y: list, times):
         yield y
 
 
+def agree(diff: float):
+    """The cross-check of a sample: CrossCheckError unless diff, the max-norm
+    distance of the exponential's state from RK45's, is within
+    RK_AGREE_TOL."""
+    if diff > RK_AGREE_TOL:
+        raise CrossCheckError(f"matrix-exponential and RK45 trajectories disagree: "
+                              f"{diff:.3e} > {RK_AGREE_TOL:.1e}")
+
+
+def solve_q0(M: list, y: list, times):
+    """dynamics.solve_ivp on the six real Q0 entries y under the rows M: the
+    same Dormand-Prince stages, written out, under `dormand_prince`."""
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (a61, a62, a63, a64, a65) = \
+        DP_A[1:]
+    b1, _, b3, b4, b5, b6 = DP_B
+    e1, _, e3, e4, e5, e6, e7 = DP_E
+
+    def stages(y, k1, step):
+        k2 = _matvec(M, [x + step * (a21 * p1) for x, p1 in zip(y, k1)])
+        k3 = _matvec(M, [x + step * (a31 * p1 + a32 * p2) for x, p1, p2 in zip(y, k1, k2)])
+        k4 = _matvec(M, [x + step * (a41 * p1 + a42 * p2 + a43 * p3)
+                         for x, p1, p2, p3 in zip(y, k1, k2, k3)])
+        k5 = _matvec(M, [x + step * (a51 * p1 + a52 * p2 + a53 * p3 + a54 * p4)
+                         for x, p1, p2, p3, p4 in zip(y, k1, k2, k3, k4)])
+        k6 = _matvec(M, [x + step * (a61 * p1 + a62 * p2 + a63 * p3 + a64 * p4 + a65 * p5)
+                         for x, p1, p2, p3, p4, p5 in zip(y, k1, k2, k3, k4, k5)])
+        y_new = [x + step * (b1 * p1 + b3 * p3 + b4 * p4 + b5 * p5 + b6 * p6)
+                 for x, p1, p3, p4, p5, p6 in zip(y, k1, k3, k4, k5, k6)]
+        k7 = _matvec(M, y_new)
+        return y_new, k7, _rms([step * (e1 * p1 + e3 * p3 + e4 * p4 + e5 * p5 + e6 * p6 + e7 * p7)
+                                / (RK_ATOL + RK_RTOL * max(abs(x), abs(x_new)))
+                                for x, x_new, p1, p3, p4, p5, p6, p7
+                                in zip(y, y_new, k1, k3, k4, k5, k6, k7)])
+
+    k1 = _matvec(M, y)
+    scale = [RK_ATOL + RK_RTOL * abs(x) for x in y]
+    yield from dormand_prince(stages, y, k1, _rms([x / s for x, s in zip(y, scale)]),
+                              _rms([k / s for k, s in zip(k1, scale)]), times)
+
+
 def evolve_q0(params: ModelParams, rho0: list, times):
     """dynamics.evolve_traj for a state rho0 in Q0 with real entries, a 4x4
     nested list, on the generator's Q0 block M: a generator of the states
@@ -132,8 +184,8 @@ def evolve_q0(params: ModelParams, rho0: list, times):
     from t_(k-1) to t_k applies exp(dt M) as s = ceil(dt |M|_1 / THETA_T30)
     equal substeps of `generation.taylor_action`, and
     `generation.checked_q0` guards the result before `solve_q0` advances to
-    t_k; the two routes must agree to RK_AGREE_TOL in max-norm, with
-    evolve_traj's errors.  Only the last state is held."""
+    t_k; the two routes must agree in max-norm (`agree`), as in
+    evolve_traj.  Only the last state is held."""
     M = generator_q0(params)
     norm = generation.norm_1(M)
     v = [rho0[k % 4][k // 4].real for k in _Q0]
@@ -146,10 +198,7 @@ def evolve_q0(params: ModelParams, rho0: list, times):
             v = generation.taylor_action(A, v, h * norm)
         r00, r11, r22, r33, c = x = generation.checked_q0(v, t)
         v, t0 = [r00, r11, c, c, r22, r33], t
-        diff = max(abs(a - b) for a, b in zip(v, next(ys)))
-        if diff > RK_AGREE_TOL:
-            raise CrossCheckError(f"matrix-exponential and RK45 trajectories disagree: "
-                                  f"{diff:.3e} > {RK_AGREE_TOL:.1e}")
+        agree(max(abs(a - b) for a, b in zip(v, next(ys))))
         yield x
 
 

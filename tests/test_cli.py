@@ -1004,8 +1004,8 @@ def test_trajectory_and_asymptotic_dense_factorizations(tmp_path, monkeypatch):
     # The exponential takes no linear solve, and concurrence and trace_norm
     # take no SVD and no eigh.  concurrence takes its closed form on an
     # X-state, and otherwise one eigvalsh, of the dilation in _wootters_l.
-    # evolve of a product or matrix state multiplies by one expm per positive
-    # step and never takes the Taylor series of Q0; a named state's evolve
+    # evolve of a state off Q0 multiplies by one expm per positive step and
+    # never takes the Taylor series of Q0; a state in Q0 with real entries
     # takes that series and neither expm nor eigvalsh; asymptotic takes none
     calls = Counter()
     for module, name in ((np.linalg, "eigvalsh"), (np.linalg, "eigh"), (np.linalg, "svd"),
@@ -1018,40 +1018,40 @@ def test_trajectory_and_asymptotic_dense_factorizations(tmp_path, monkeypatch):
             return _real(*args, **kwargs)
         monkeypatch.setattr(module, name, counting)
 
-    def dilations(doc):
-        """{subcommand: dilation eigvalsh calls} for evolve and asymptotic on doc."""
+    def dilations(doc, dense=False):
+        """{subcommand: dilation eigvalsh calls} for evolve and asymptotic on
+        doc, whose state evolves densely or on Q0."""
         path = tmp_path / "config.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
-        named = "named" in doc.get("initial_state", {})
         found = {}
         for sub, concurrences in (("evolve", 21 + 1), ("asymptotic", 1)):
             calls.clear()
             assert cli.main([sub, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
             assert calls["svd"] == calls["solve"] == calls["eigh"] == 0, (sub, calls)
             assert calls["concurrence"] == concurrences, (sub, calls)
-            dense = sub == "evolve" and not named
-            assert calls["expm"] == (20 if dense else 0), (sub, calls)
-            assert (calls["taylor_action"] > 0) == (sub == "evolve" and named), (sub, calls)
-            assert not named or calls["eigvalsh"] == 0, (sub, calls)
+            assert calls["expm"] == (20 if sub == "evolve" and dense else 0), (sub, calls)
+            assert (calls["taylor_action"] > 0) == (sub == "evolve" and not dense), (sub, calls)
+            assert dense or calls["eigvalsh"] == 0, (sub, calls)
             found[sub] = calls["eigvalsh in _wootters_l"]
         return found
 
-    # this product state, its trajectory and its limit are X-states, and so
-    # are the named states'; the 21-sample grid starts at t = 0, so it has
-    # 20 positive steps
+    # these states, their trajectories and their limits are X-states: the
+    # product state and the named ones in Q0, the matrix state with its
+    # |++><--| coherence off Q0; the 21-sample grid starts at t = 0, so it
+    # has 20 positive steps
     grid = {"t_max": 400, "n_samples": 21}
     up_down = {"product": {"bloch1": [0, 0, 1], "bloch2": [0, 0, -1]}}
-    for state in (up_down, {"named": "canonical"}, {"named": "singlet"}):
-        assert dilations({"beta": 0.5, "ell": 0.5, "initial_state": state,
-                          "time_grid": grid}) == {"evolve": 0, "asymptotic": 0}, state
+    for state in (up_down, {"named": "canonical"}, {"named": "singlet"}, X_MATRIX):
+        assert dilations({"beta": 0.5, "ell": 0.5, "initial_state": state, "time_grid": grid},
+                         dense=state is X_MATRIX) == {"evolve": 0, "asymptotic": 0}, state
     # at beta = inf and ell = 0 the coherence c = <S|rho|--> is conserved, so
     # a matrix state with c != 0 keeps entries off the X at every sample and
     # in the limit: one dilation per concurrence
     rho = np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex)
     rho[1, 3] = rho[3, 1] = 0.05
     matrix = {"matrix": [[z.real, z.imag] for z in rho.reshape(-1)]}
-    assert dilations({"beta": "inf", "ell": 0.0, "initial_state": matrix,
-                      "time_grid": grid}) == {"evolve": 21 + 1, "asymptotic": 1}
+    assert dilations({"beta": "inf", "ell": 0.0, "initial_state": matrix, "time_grid": grid},
+                     dense=True) == {"evolve": 21 + 1, "asymptotic": 1}
 
 
 def test_a_matrix_initial_state_is_validated_once(tmp_path, monkeypatch):
@@ -1059,13 +1059,13 @@ def test_a_matrix_initial_state_is_validated_once(tmp_path, monkeypatch):
     # (as given), and neither RunConfig.initial_state, evolve_traj nor
     # asymptotic_state validates it again
     calls = []
-    validate = dynamics.validate_density_matrix
+    validate = entanglement.validate_density_matrix
 
     def counting(rho):
         calls.append(rho)
         return validate(rho)
 
-    monkeypatch.setattr(dynamics, "validate_density_matrix", counting)
+    monkeypatch.setattr(entanglement, "validate_density_matrix", counting)
     rho = np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex)
     rho[1, 2], rho[2, 1] = 0.05 - 0.02j, 0.05 + 0.02j
     path = tmp_path / "config.json"
@@ -1193,6 +1193,9 @@ def test_cold_runs_import_no_dataclasses_or_argparse(tmp_path):
 
 
 PRODUCT = {"product": {"bloch1": [0.6, 0.8, 0.0], "bloch2": [0, 0, -1]}}
+# an X-state off Q0: the maximally mixed state with a |++><--| coherence
+X_MATRIX = {"matrix": [[0.25, 0.0] if k % 5 == 0 else [0.1, 0.0] if k in (3, 12)
+                       else [0.0, 0.0] for k in range(16)]}
 
 
 @pytest.mark.parametrize("config", [
@@ -1227,10 +1230,13 @@ def test_asymptotic_imports_no_numpy(tmp_path, config):
 def test_asymptotic_loads_numpy_where_it_must(tmp_path, config):
     # the parser validates a matrix state with numpy, and at beta = inf and
     # ell = 0 a coherence c = <S|rho0|--> != 0 leaves the limit off the X,
-    # so its concurrence takes the dilation's eigvalsh
+    # so its concurrence takes the dilation's eigvalsh; neither loads the
+    # trajectory modules
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config), encoding="utf-8")
-    assert "numpy" in _imported_modules("asymptotic", path, tmp_path)
+    imported = _imported_modules("asymptotic", path, tmp_path)
+    assert "numpy" in imported
+    assert not imported & {"thermalpair.dynamics", "thermalpair.trajectory"}
 
 
 @pytest.mark.parametrize("config", [
@@ -1245,12 +1251,15 @@ def test_asymptotic_loads_numpy_where_it_must(tmp_path, config):
      "initial_state": {"named": "canonical"}},
     {"beta": "inf", "ell": 0.0, "n": [2 / 3, -1 / 3, 2 / 3], "include_hs": True,
      "time_grid": {"t_max": 20.0, "n_samples": 5}, "initial_state": {"named": "singlet"}},
+    {"ell": 0.5, "time_grid": {"t_max": 1.0, "n_samples": 2},
+     "initial_state": {"product": {"bloch1": [0, 0, 1], "bloch2": [0, 0, -1]}}},
 ], ids=["setup", "singlet-e3", "canonical-tilted", "singlet-hs", "canonical-inf-ell0",
-        "singlet-inf-ell0-hs"])
+        "singlet-inf-ell0-hs", "product-x-state"])
 def test_evolve_imports_no_numpy(tmp_path, config):
-    # a named state's trajectory is plain Python on Q0, with closed-form
-    # columns and summary: a fresh run loads no numpy, at any axis, at beta =
-    # inf and ell = 0, with or without include_hs
+    # the trajectory of a state in Q0 with real entries, a named state at any
+    # axis or a product of the kets of +-n at n = e3, is plain Python on Q0,
+    # with closed-form columns and summary: a fresh run loads no numpy, also
+    # at beta = inf and ell = 0, with or without include_hs
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config), encoding="utf-8")
     imported = _imported_modules("evolve", path, tmp_path)
@@ -1258,14 +1267,10 @@ def test_evolve_imports_no_numpy(tmp_path, config):
     assert "thermalpair.dynamics" not in imported
 
 
-@pytest.mark.parametrize("state", [
-    PRODUCT,
-    {"product": {"bloch1": [0, 0, 1], "bloch2": [0, 0, -1]}},
-    {"matrix": [[0.25, 0.0] if k % 5 == 0 else [0.0, 0.0] for k in range(16)]},
-], ids=["product", "product-x-state", "matrix"])
+@pytest.mark.parametrize("state", [PRODUCT, X_MATRIX], ids=["product", "matrix"])
 def test_evolve_loads_numpy_where_it_must(tmp_path, state):
-    # a product or matrix state evolves by dynamics.evolve_traj, also where
-    # it is an X-state
+    # a state off Q0 evolves by dynamics.evolve_traj, also where it is an
+    # X-state
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"ell": 0.5, "initial_state": state,
                                 "time_grid": {"t_max": 1.0, "n_samples": 2}}), encoding="utf-8")

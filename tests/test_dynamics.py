@@ -1,5 +1,6 @@
 """Operator algebra, dissipator, superoperator and time evolution."""
 
+import hashlib
 import math
 import time
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from thermalpair import (
+    CrossCheckError,
     ModelParams,
     PositivityError,
     ProductState,
@@ -22,7 +24,7 @@ from thermalpair import (
     validate_density_matrix,
     vec,
 )
-from thermalpair import dynamics, trajectory
+from thermalpair import dynamics, spectral, trajectory
 
 from util import (SIGMA, build_kossakowski_spectral, choi_matrix, corner_generators,
                   dissipator_reference, dissipators_dense, dissipators_kron,
@@ -396,7 +398,7 @@ def test_evolve_traj_guard_fires_on_disagreement(monkeypatch):
         return (y + 1e-6 for y in real(*args))
 
     monkeypatch.setattr(dynamics, "solve_ivp", perturbed)
-    with pytest.raises(dynamics.CrossCheckError, match="disagree"):
+    with pytest.raises(CrossCheckError, match="disagree"):
         list(evolve_traj(M_L0, np.array(canonical_state().density()), [0.0, 1.0, 2.0]))
 
 
@@ -410,7 +412,7 @@ def test_evolve_traj_guard_fires_on_failed_integration(monkeypatch):
         return real(M, *args)
 
     monkeypatch.setattr(dynamics, "solve_ivp", failed)
-    with pytest.raises(dynamics.CrossCheckError, match="integration failed"):
+    with pytest.raises(CrossCheckError, match="integration failed"):
         list(evolve_traj(M_L0, np.array(canonical_state().density()), [0.0, 1.0, 2.0]))
 
 
@@ -418,9 +420,77 @@ def test_solve_ivp_fails_on_nan_generator():
     M = M_L0.copy()
     M[3, 5] = np.nan
     start = time.perf_counter()
-    with pytest.raises(dynamics.CrossCheckError, match="integration failed"):
+    with pytest.raises(CrossCheckError, match="integration failed"):
         list(dynamics.solve_ivp(M, vec(np.array(singlet_density())), np.array([0.0, 1.0, 2.0])))
     assert time.perf_counter() - start < 5.0
+
+
+# ------------------------------------------------ the shared RK45 step control
+
+@pytest.mark.parametrize("err,message", [
+    (2.0, r"step size \S+ at t=0$"),
+    (math.nan, r"non-finite solution at t=0$"),
+], ids=["rejected", "non-finite"])
+def test_dormand_prince_fails_from_the_first_step(err, message):
+    # stages whose error estimate never passes: the sample at t = 0 is y
+    # itself, and the next() past it raises, after the rejections shrink h
+    # below 10 ulp(0) or at once on a non-finite estimate
+    y = [1.0]
+    steps = trajectory.dormand_prince(lambda y, k1, step: (y, k1, err), y, [-1.0], 1.0, 1.0,
+                                      [0.0, 1.0])
+    assert next(steps) is y
+    with pytest.raises(CrossCheckError, match="^RK45 cross-check integration failed: " + message):
+        next(steps)
+
+
+def test_solve_q0_lands_on_every_sample():
+    # y' = -y from y0: y0 itself at t = 0, then exp(-t) y0 at each sample,
+    # which a step that overshot or stopped short of a sample would miss
+    M = [[-1.0 if i == j else 0.0 for j in range(6)] for i in range(6)]
+    y0 = [1.0, 0.5, -0.25, 0.125, 2.0, 0.0]
+    times = [0.0, 1e-3, 0.7, 0.70001, 3.0, 10.0]
+    ys = trajectory.solve_q0(M, y0, times)
+    assert next(ys) is y0
+    for t, y in zip(times[1:], ys):
+        assert max(abs(a - math.exp(-t) * b) for a, b in zip(y, y0)) <= 1e-10, t
+    assert next(ys, None) is None
+
+
+def test_rk45_kernels_take_pinned_steps(monkeypatch):
+    # one fixed problem per kernel: the count of right-hand-side products and
+    # the bytes of the last sample, so a change to the step control or to
+    # either kernel's stages shows
+    class Counted:
+        """M, counting its products."""
+
+        def __init__(self, M):
+            self.M, self.products = M, 0
+
+        def __matmul__(self, y):
+            self.products += 1
+            return self.M @ y
+
+    params = ModelParams(beta_omega=2.0, omega_ell=0.7)
+    M = Counted(build_superoperator(params))
+    y0 = vec(np.array(ProductState((0.6, 0.8, 0.0), (0.0, 0.0, -1.0)).density()))
+    *_, last = dynamics.solve_ivp(M, y0, np.linspace(0.0, 5.0, 6))
+    assert M.products == 589
+    assert hashlib.sha256(last.tobytes()).hexdigest() == (
+        "a39669a3fa0e7299daa94ccb55555d9d2e9d4bb684197d0eabe142cca3339b47")
+
+    products, matvec = [], trajectory._matvec
+
+    def counting(A, y):
+        products.append(y)
+        return matvec(A, y)
+
+    monkeypatch.setattr(trajectory, "_matvec", counting)
+    *_, last = trajectory.solve_q0(spectral.generator_q0(params), [0.0, 0.0, 0.0, 0.0, 1.0, 0.0],
+                                   [0.0, 1.0, 2.5, 5.0])
+    assert len(products) == 631
+    assert [x.hex() for x in last] == [
+        "0x1.e96c9cff9265dp-7", "0x1.89ef9306797bbp-3", "-0x1.6d1d1e536b9abp-3",
+        "-0x1.6d1d1e536b9abp-3", "0x1.43a7646337cadp-2", "0x1.e8156d318ee44p-2"]
 
 
 def test_evolve_traj_rejects_bad_grid():

@@ -13,7 +13,8 @@ package imports only numpy and a short list of standard-library modules,
 which keeps its share of the start-up time small, and it reaches LAPACK only
 through numpy.linalg's Hermitian eigenvalue solver (and the vector norm).  It
 raises no bare RuntimeError: each failure the CLI maps to an exit code has
-its own exception class.  A module reads another module's `_`-prefixed
+its own exception class, and each message of the RK45 cross-check is
+written in one module, the one that holds its step control.  A module reads another module's `_`-prefixed
 names only where ALLOWED_PRIVATE lists them.  The modules that the phase
 diagram, the coefficients report, the asymptotic report and the evolve of
 a named state run on import numpy in no module-level statement, so those
@@ -44,8 +45,11 @@ ALLOWED_PRIVATE = {("spectral", "_sinc")}
 # `asymptotic` and the `evolve` of a named state import
 NUMPY_FREE = {"__init__", "__main__", "asymptotic", "cli", "entanglement", "generation",
               "spectral", "trajectory"}
-# the code lines of src/ when the CLI dropped argparse and dataclasses
-MAX_CODE_LINES = 903
+# the code lines of src/ when the two RK45 kernels came to share one step control
+MAX_CODE_LINES = 884
+# the RK45 cross-check's failure messages: the step control and the
+# agreement check that both of evolve's routes share raise them
+CROSS_CHECK_MESSAGES = ("RK45 cross-check integration failed", "trajectories disagree")
 
 
 def _references(node, skip=None) -> set:
@@ -242,6 +246,15 @@ def test_phase_diagram_modules_import_numpy_only_inside_functions():
             found += [f"{module}:{node.lineno}: {name}" for name in names
                       if name == "numpy" or name.startswith(".")]
     assert not found, f"module-level imports of numpy on the phase-diagram path: {found}"
+
+
+def test_each_cross_check_message_lives_in_one_module():
+    # a policy that two modules both have to know, such as a copy of the
+    # step control, would carry its messages into both
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    for message in CROSS_CHECK_MESSAGES:
+        modules = sorted(module for module, text in sources.items() if message in text)
+        assert len(modules) == 1, f"{message!r} in {modules}"
 
 
 def _code_lines(text: str) -> int:

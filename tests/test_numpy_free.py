@@ -236,11 +236,11 @@ def test_asymptotic_report_matches_its_numpy_route(bw, wl, n, include_hs, state)
 
 def _run_evolve(config: dict, dense: bool = False):
     """(exit code, standard error, rows, summary) of one in-process evolve,
-    rows and summary as floats; dense sends a named state to
+    rows and summary as floats; dense sends a state in Q0 to
     dynamics.evolve_traj, the route of the other states."""
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
         if dense:
-            patch.setattr(cli, "_Q0_STATES", ())
+            patch.setattr(trajectory, "in_q0", lambda rho: False)
         path, out = Path(tmp) / "config.json", Path(tmp) / "out"
         path.write_text(json.dumps(config), encoding="utf-8")
         err = io.StringIO()
@@ -256,10 +256,32 @@ def _run_evolve(config: dict, dense: bool = False):
 
 
 @st.composite
-def named_evolve_configs(draw):
-    """A named state at a corner, on a time grid of at most 12 samples whose
+def q0_states(draw, n):
+    """A state in Q0 with real entries at the axis n: a named state, a
+    product of the kets of +-n or a matrix state with a coherence |c| <=
+    sqrt(r11 r22).  The frame keeps a product or matrix state in Q0 at n =
+    +-e3 alone: at another axis a matrix state leaves Q0, and a product
+    state mostly leaves it by rounding."""
+    kind = draw(st.sampled_from(["canonical", "singlet", "product", "matrix"]))
+    if kind == "product":
+        signs = draw(st.sampled_from([(1, 1), (1, -1), (-1, 1), (-1, -1)]))
+        return {"product": {name: [sign * x for x in n]
+                            for name, sign in zip(("bloch1", "bloch2"), signs)}}
+    if kind == "matrix":
+        p = draw(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).filter(
+            lambda p: sum(p) > 0.1))
+        r00, r11, r22, r33 = (x / sum(p) for x in p)
+        c = draw(st.floats(-1.0, 1.0)) * math.sqrt(r11 * r22)
+        entries = {0: r00, 5: r11, 6: c, 9: c, 10: r22, 15: r33}
+        return {"matrix": [[entries.get(k, 0.0), 0.0] for k in range(16)]}
+    return {"named": kind}
+
+
+@st.composite
+def q0_evolve_configs(draw):
+    """A state in Q0 at a corner, on a time grid of at most 12 samples whose
     work t_max |M|_1 stays small."""
-    bw, wl = draw(beta_omega), draw(omega_ell)
+    bw, wl, n = draw(beta_omega), draw(omega_ell), draw(unit)
     work = draw(st.one_of(_log_uniform(1e-12, 1e-1), _log_uniform(1e-1, 300.0)))
     t_max = work / trajectory.work(ModelParams(beta_omega=bw, omega_ell=wl), 1.0)
     if draw(st.booleans()):
@@ -268,13 +290,13 @@ def named_evolve_configs(draw):
         fractions = sorted(set(draw(st.lists(st.floats(0.0, 1.0, exclude_max=True),
                                              min_size=1, max_size=11))))
         grid = {"times": [f * t_max for f in fractions] + [t_max]}
-    return {"beta": "inf" if math.isinf(bw) else bw, "ell": wl, "n": list(draw(unit)),
+    return {"beta": "inf" if math.isinf(bw) else bw, "ell": wl, "n": list(n),
             "include_hs": draw(st.booleans()), "time_grid": grid,
-            "initial_state": {"named": draw(st.sampled_from(["canonical", "singlet"]))}}
+            "initial_state": draw(q0_states(n))}
 
 
 @SETTINGS
-@given(named_evolve_configs())
+@given(q0_evolve_configs())
 @example({"beta": "inf", "ell": 0.0, "time_grid": {"t_max": 50.0, "n_samples": 11},
           "initial_state": {"named": "singlet"}})
 @example({"beta": 0.35, "ell": 0.0, "time_grid": {"t_max": 200.0, "n_samples": 5},
@@ -287,8 +309,9 @@ def test_named_trajectory_matches_the_dense_route(config):
     # the plain-Python trajectory on Q0 against dynamics.evolve_traj on the
     # same state: the same exit code and message, and every row and summary
     # value within NAMED_TRAJECTORY_TOL of it.  Over 5000 seeded configs like
-    # these the largest difference was 3.2e-14, no config failed a guard on
-    # either route, and both refused the same 129 grids with exit 2
+    # these (3164 named, 865 product and 971 matrix states) the largest
+    # difference was 2.6e-14, no config failed a guard on either route, and
+    # both refused the same 127 grids with exit 2
     code, err, rows, summary = _run_evolve(config)
     ref_code, ref_err, ref_rows, ref_summary = _run_evolve(config, dense=True)
     assert (code, err) == (ref_code, ref_err)
@@ -313,15 +336,30 @@ NAMED_ROWS = [
     ({"beta": 1e-3, "ell": 2.0, "time_grid": [1e-4, 0.5, 3.0],
       "initial_state": {"named": "singlet"}}, (0, 2), 4),
     ({"beta": 0.058, "ell": 0.053, "time_grid": {"t_max": 393.0, "n_samples": 4}}, (1, 3), 1024),
+    # product and matrix states in Q0, which take the named states' route:
+    # |++> and |--> from steps short enough for a Taylor series of degree 1
+    # or 2, |+-> at n = -e3, and a mixed X-state
+    ({"beta": "inf", "ell": 0.0, "time_grid": [0.0, 1e-9, 1e-8, 1e-6, 0.3, 5.0],
+      "initial_state": {"product": {"bloch1": [0, 0, 1], "bloch2": [0, 0, 1]}}}, range(6), 4),
+    ({"beta": 1.0, "ell": 0.0, "time_grid": [0.0, 3e-9, 1e-4, 2.0],
+      "initial_state": {"product": {"bloch1": [0, 0, -1], "bloch2": [0, 0, -1]}}}, range(4), 4),
+    ({"beta": 2.0, "ell": 0.7, "n": [0, 0, -1], "time_grid": {"t_max": 50.0, "n_samples": 11},
+      "initial_state": {"product": {"bloch1": [0, 0, 1], "bloch2": [0, 0, -1]}}}, range(11), 4),
+    ({"beta": 2.0, "ell": 0.7, "time_grid": {"t_max": 50.0, "n_samples": 11},
+      "initial_state": {"matrix": [[{0: 0.1, 5: 0.2, 6: 0.1, 9: 0.1, 10: 0.3, 15: 0.4}.get(k, 0.0),
+                                    0.0] for k in range(16)]}}, range(11), 4),
 ]
 
 
 def test_named_rows_against_mpmath():
-    # rows of the named trajectory against 40-digit mpmath: mp.expm of the
+    # rows of the trajectory on Q0 against 40-digit mpmath: mp.expm of the
     # same float Q0 block and the general routes for each column.  The worst
-    # errors are 1 eps on the first four configs and 444 eps (tau) on the
-    # long horizon, where the dense route of dynamics.evolve_traj is off by
-    # 214 and 2572 eps
+    # errors are 1 eps on the first four configs, 444 eps (tau) on the long
+    # horizon, where the dense route of dynamics.evolve_traj is off by 214
+    # and 2572 eps, and 1.7 eps on the product and matrix states, where the
+    # dense route is off by up to 4.5 eps.  A Taylor series of degree below 3
+    # left the concurrence of |++> and |--> 2.9e6 and 5.0e6 eps off at the
+    # sample 1e-9 or 3e-9
     for doc, samples, budget in NAMED_ROWS:
         code, _, rows, _ = _run_evolve(doc)
         assert code == 0, doc

@@ -745,7 +745,7 @@ def taylor_action_numpy(A: np.ndarray, v: np.ndarray) -> np.ndarray:
     steps, each a numpy matrix-vector product."""
     norm = np.abs(A).sum(axis=0).max()
     m, bound = 1, norm * norm / 2.0
-    while bound > 2.0**-53:
+    while m < 3 or bound > 2.0**-53:
         m += 1
         bound *= norm / (m + 1)
     y = v
