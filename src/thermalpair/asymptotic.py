@@ -15,12 +15,9 @@ The convergence guard reads M, the dissipator alone, as the 64 nonzero
 entries of `spectral.generator`, from which `dynamics` also fills the
 dense M it evolves with, so the guard checks that same M.  States are
 4x4 nested lists and the module is plain-Python arithmetic, with no
-numpy, so the CLI's `asymptotic` report loads numpy only for a matrix
-initial state, which the config parser validates with it, and for the
-concurrence of the state at beta = inf and ell = 0 with c != 0, the one
-limit that is not an X-state.  The SVD stationary projector (Albert &
-Jiang, PRA 89, 022118, 2014) these forms are checked against lives in
-the test suite.
+numpy (which runs load it is `cli`'s rule).  The SVD stationary
+projector (Albert & Jiang, PRA 89, 022118, 2014) these forms are checked
+against lives in the test suite.
 """
 
 from __future__ import annotations

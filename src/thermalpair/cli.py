@@ -26,13 +26,13 @@ grid point it evaluates the generation discriminant in closed form from
 K's coefficients (`generation.generation_test`) and checks the verdict
 against the small-time oracle.  That evolves the state by its own step and
 Taylor series in the charge-0 sector Q0 (`spectral.generator_q0`), where
-it is an X-state: its spectrum is r00, r33, (r11 + r22)/2 +-
-hypot((r11 - r22)/2, c), its partial transpose's r11, r22, (r00 + r33)/2 +-
-hypot((r00 - r33)/2, c).  `evolve` runs a state that the frame leaves in
-that sector with real entries there too (`trajectory.evolve_q0`), and any
-other by `dynamics.evolve_traj`, formatting each row as its state arrives
-and keeping only the text: no list of states or RK45 samples is held.
+it is an X-state whose spectra are closed forms (`generation`).  `evolve`
+runs a state that the frame leaves in that sector with real entries
+there too (`trajectory.evolve_q0`), and any other by
+`dynamics.evolve_traj`, formatting each row as its state arrives and
+keeping only the text: no list of states or RK45 samples is held.
 
+Which runs load numpy is decided here, and stated only here.
 `phase-diagram` and `coefficients` run in plain Python on `spectral` and
 `generation`, and `asymptotic` and the `evolve` of a state in Q0 on
 `asymptotic` and `entanglement` too: the closed-form stationary state, its
@@ -145,6 +145,15 @@ def _require(cond: bool, msg: str):
         raise ConfigError(msg)
 
 
+def _checked(what: str, check, *args):
+    """check(*args), a library check of the config, with its ValueError
+    raised as the ConfigError "what: message"."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{what}: {exc}") from None
+
+
 def _number(value, what: str, integral: bool = False):
     """A finite number (an integral one when integral is set), or ConfigError.
 
@@ -199,19 +208,13 @@ def _parse_initial_state(raw) -> tuple:
         _require(isinstance(value, dict) and set(value) == {"bloch1", "bloch2"},
                  "product initial state needs bloch1 and bloch2")
         blochs = {name: _parse_axis(value[name], name) for name in ("bloch1", "bloch2")}
-        try:
-            for name, b in blochs.items():
-                generation.check_unit(b, name)
-        except ValueError as exc:
-            raise ConfigError(f"invalid product state: {exc}") from None
+        for name, b in blochs.items():
+            _checked("invalid product state", generation.check_unit, b, name)
         return ("product", *blochs.values())
     _require(tag == "matrix", f"unknown initial_state tag {tag!r}")
     rho = _parse_complex_matrix(value)
     from .entanglement import validate_density_matrix
-    try:
-        validate_density_matrix(rho)
-    except ValueError as exc:
-        raise ConfigError(f"matrix initial state invalid: {exc}") from None
+    _checked("matrix initial state invalid", validate_density_matrix, rho)
     return ("matrix", rho)
 
 
@@ -298,15 +301,9 @@ def parse_config(doc: dict) -> RunConfig:
     _require(math.isfinite(beta_omega) or beta == math.inf,
              f"beta*omega = {beta_omega!r} is not finite")
     _require(math.isfinite(omega_ell), f"omega*ell = {omega_ell!r} is not finite")
-    try:
-        params = ModelParams(beta_omega=beta_omega, omega_ell=omega_ell)
-    except ValueError as exc:
-        raise ConfigError(f"invalid model parameters: {exc}") from None
+    params = _checked("invalid model parameters", ModelParams, beta_omega, omega_ell)
     n = _parse_axis(doc.get("n", [0.0, 0.0, 1.0]))
-    try:
-        generation.check_unit(n)
-    except ValueError as exc:
-        raise ConfigError(f"invalid axis n: {exc}") from None
+    _checked("invalid axis n", generation.check_unit, n)
 
     include_hs = doc.get("include_hs", False)
     _require(isinstance(include_hs, bool), "include_hs must be a boolean")

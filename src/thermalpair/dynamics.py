@@ -23,20 +23,16 @@ generators that advance together, one sample at a time.  The CLI takes
 this route for a state off the charge-0 sector Q0 (`dense_route`).  The
 phase diagram's small-time oracle has its own kernel, a Taylor series of
 matrix-vector products on the generator's Q0 block, in plain Python
-(`generation`, which also holds the guards `check_state` and `check_unit`
-and the exceptions raised here), and the trajectory of a state in Q0 runs
-on that kernel (`trajectory`, which also holds the RK45 step control and
-agreement check that solve_ivp and evolve_traj use, the tolerances, the
-Dormand-Prince table this module turns into arrays and `expm`'s
-THETA_T30).
+(`generation`, which also holds the guards `check_trace`, `check_state`
+and `check_unit` and the exceptions raised here), and the trajectory of a
+state in Q0 runs on that kernel (`trajectory`, which also holds the RK45
+step control and agreement check that solve_ivp and evolve_traj use, the
+tolerances, the Dormand-Prince table this module turns into arrays and
+`expm`'s THETA_T30).
 
 This is the one module of the package that imports numpy when it is
-imported.  The states, the frame, the stationary state and the
-concurrence of an X-state are plain Python (`entanglement`, `asymptotic`),
-so of the CLI's runs only the `evolve` of a state off Q0, a matrix
-initial state, which `entanglement.validate_density_matrix` checks where
-the config is parsed, and the concurrence of a state that is not an
-X-state load numpy; only that `evolve` imports this module.
+imported; which of the CLI's runs load numpy, and this module, is `cli`'s
+rule.
 """
 
 from __future__ import annotations
@@ -46,7 +42,7 @@ import math
 import numpy as np
 
 from . import asymptotic, entanglement
-from .generation import PositivityError, check_state
+from .generation import check_state, check_trace
 from .trajectory import DP_A, DP_B, DP_E, RK_ATOL, RK_RTOL, THETA_T30, agree, dormand_prince
 from .spectral import ModelParams, generator
 
@@ -153,8 +149,8 @@ def evolve(M: np.ndarray, rho0: np.ndarray, t: float, t0: float = 0.0) -> np.nda
     neither evolve_traj nor asymptotic_state checks it: the CLI's config
     parser validates a matrix state once, where it enters.  Raises
     PositivityError if the exponential's result is not finite (a generator
-    too large for its rounding) or has no positive trace, or if the state
-    dips below -generation._POS_TOL (`check_state`); smaller
+    too large for its rounding) or has no positive trace (`check_trace`),
+    or if the state dips below -generation._POS_TOL (`check_state`); smaller
     Hermiticity/trace deviations of a state that passes are repaired, with
     one standard-error line when either exceeds 1e-10.  Every message names
     the time t.
@@ -163,16 +159,14 @@ def evolve(M: np.ndarray, rho0: np.ndarray, t: float, t0: float = 0.0) -> np.nda
         raise ValueError(f"time must be finite and >= {t0:g}, got {t}")
     if t == t0:
         return rho0.copy()
-    # an overflow is reported once, as the PositivityError below
+    # an overflow is reported once, as check_trace's PositivityError; the
+    # trace of the real diagonal is the trace of the Hermitian part
     with np.errstate(over="ignore", invalid="ignore"):
         rho = unvec(expm((t - t0) * M) @ vec(rho0))
-    if not np.isfinite(rho).all():
-        raise PositivityError(f"evolved state is not finite at t={t}")
+        tr = np.trace(rho).real
+    check_trace(np.isfinite(rho).all(), tr, t)
     herm_dev = np.abs(rho - rho.conj().T).max()
     rho = 0.5 * (rho + rho.conj().T)
-    tr = np.trace(rho).real
-    if not 0 < tr < math.inf:
-        raise PositivityError(f"evolved state has trace {tr} at t={t}")
     rho = rho / tr
     check_state(np.linalg.eigvalsh(rho).min(), herm_dev, tr, t)
     return rho

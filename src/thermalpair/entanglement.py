@@ -26,8 +26,8 @@ A matrix state from a config is checked as given
 
 The module imports numpy only inside the functions that take an
 eigenvalue: that check, the partial transpose's spectrum and the
-concurrence of a state that is not an X-state.  The generation test at t = 0+ and its
-small-time oracle need none of these; they live in `generation`.
+concurrence of a state that is not an X-state; which runs call them is
+`cli`'s rule.
 """
 
 from __future__ import annotations

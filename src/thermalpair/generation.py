@@ -25,12 +25,12 @@ r22, (r00 + r33)/2 +- hypot((r00 - r33)/2, c) are closed forms.  The tests
 add the oracle's general route and the exact minimum of the initial
 entanglement-production rate over probe vectors.
 
-All of it is plain-Python float arithmetic, so the phase diagram and the
-coefficients report, which run on this module and `spectral` alone, never
-import numpy.  The module also holds what `dynamics` and `asymptotic`
-share with it: the state guards (`check_state`), the unit-vector check of
-an axis or Bloch vector (`check_unit`), and the three exception classes
-that the CLI maps to exit codes 3, 4 and 5.
+All of it is plain-Python float arithmetic, with no numpy (which runs
+load it is `cli`'s rule).  The module also holds what `dynamics` and
+`asymptotic` share with it: the evolved-state guards (`check_trace`,
+`check_state`), the unit-vector check of an axis or Bloch vector
+(`check_unit`), and the three exception classes that the CLI maps to
+exit codes 3, 4 and 5.
 """
 
 from __future__ import annotations
@@ -70,6 +70,16 @@ def check_state(min_eig: float, herm_dev: float, tr: float, t: float):
     if herm_dev > 1e-10 or trace_dev > 1e-10:
         print(f"evolve deviations at t={t:g}: hermiticity {herm_dev:.3g}, "
               f"trace {trace_dev:.3g}", file=sys.stderr)
+
+
+def check_trace(finite: bool, tr: float, t: float):
+    """dynamics.evolve's first two guards, which `checked_q0` applies on Q0
+    too: PositivityError unless the state evolved to time t is finite and
+    its trace tr positive and finite."""
+    if not finite:
+        raise PositivityError(f"evolved state is not finite at t={t}")
+    if not 0 < tr < math.inf:
+        raise PositivityError(f"evolved state has trace {tr} at t={t}")
 
 
 _UNIT_TOL = 1e-12
@@ -167,15 +177,13 @@ def x_min_eig(r00: float, r11: float, r22: float, r33: float, c: float) -> float
 def checked_q0(v, t: float) -> tuple:
     """dynamics.evolve's guards on the evolved Q0 entries v at time t, in
     closed form: a non-finite entry, or a trace that is not positive and
-    finite, raises PositivityError; the state is renormalized, its
-    coherence Hermitized, and `check_state` reads its least eigenvalue.
+    finite, raises PositivityError (`check_trace`); the state is
+    renormalized, its coherence Hermitized, and `check_state` reads its
+    least eigenvalue.
     Returns (r00, r11, r22, r33, c)."""
-    if not all(map(math.isfinite, v)):
-        raise PositivityError(f"evolved state is not finite at t={t}")
     r00, r11, c21, c12, r22, r33 = v
     tr = (r00 + r11) + (r22 + r33)  # in evolve's order: np.trace of a complex 4x4
-    if not 0 < tr < math.inf:
-        raise PositivityError(f"evolved state has trace {tr} at t={t}")
+    check_trace(all(map(math.isfinite, v)), tr, t)
     x = r00 / tr, r11 / tr, r22 / tr, r33 / tr, 0.5 * (c21 + c12) / tr
     check_state(x_min_eig(*x), abs(c12 - c21), tr, t)
     return x

@@ -19,9 +19,10 @@ trajectory (`evolve_q0`): the phase diagram oracle's Taylor kernel in
 substeps of 1-norm at most THETA_T30, so it never squares, the oracle's
 guards, and `solve_q0`.  The rows and the summary's trace distance are
 closed forms of an X-state (`x_columns`, `x_distance`).  Any other state
-evolves by `dynamics.evolve_traj`.  The module imports no numpy, and of
-the CLI's runs only `evolve` imports it: in `generation`, which every run
-compiles, this code raised a phase diagram's peak RSS.
+evolves by `dynamics.evolve_traj`.  The module imports no numpy (which
+runs load it is `cli`'s rule), and of the CLI's runs only `evolve`
+imports it: in `generation`, which every run compiles, this code raised a
+phase diagram's peak RSS.
 """
 
 from __future__ import annotations

@@ -1279,6 +1279,10 @@ def test_evolve_loads_numpy_where_it_must(tmp_path, state):
 
 
 @pytest.mark.parametrize("extra,message", [
+    ({"beta": 1e-200}, "error: invalid model parameters: beta_omega must be at least "
+                       "1.5e-154 (or inf), got 1e-200\n"),
+    ({"ell": -1}, "error: invalid model parameters: omega_ell must be finite and >= 0, "
+                  "got -1.0\n"),
     ({"n": [1, 1, 0]}, "error: invalid axis n: axis must be a unit vector, |n| = "),
     ({"initial_state": {"product": {"bloch1": [0, 0, 1], "bloch2": [0, 0.5, 0]}}},
      "error: invalid product state: bloch2 must be a unit vector, |bloch2| = 0.5\n"),
@@ -1289,10 +1293,13 @@ def test_evolve_loads_numpy_where_it_must(tmp_path, state):
     ({"initial_state": {"matrix": [[1.5, 0.0] if k == 0 else [-0.5, 0.0] if k == 5
                                    else [0.0, 0.0] for k in range(16)]}},
      "error: matrix initial state invalid: density matrix has negative eigenvalue "),
-], ids=["axis", "bloch-vector", "bloch-vector-length", "bloch-vector-entry", "matrix-not-psd"])
+], ids=["beta-too-small", "ell-negative", "axis", "bloch-vector", "bloch-vector-length",
+         "bloch-vector-entry", "matrix-not-psd"])
 def test_phase_diagram_still_validates_the_axis_and_the_state(tmp_path, extra, message):
-    # the phase diagram reads neither, but the parser checks them in plain
-    # Python, and a matrix state with numpy, as given and turned to the frame
+    # the phase diagram reads neither, nor the model parameters beside its
+    # sweep, but the parser checks them in plain Python, and a matrix state
+    # with numpy, as given and turned to the frame; each library check's
+    # ValueError reaches standard error as one line under its own prefix
     res = run_cli("phase-diagram", config={**SWEEP, **extra}, tmp_path=tmp_path)
     assert res.returncode == 2
     assert res.stdout == ""

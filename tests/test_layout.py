@@ -13,9 +13,10 @@ package imports only numpy and a short list of standard-library modules,
 which keeps its share of the start-up time small, and it reaches LAPACK only
 through numpy.linalg's Hermitian eigenvalue solver (and the vector norm).  It
 raises no bare RuntimeError: each failure the CLI maps to an exit code has
-its own exception class, and each message of the RK45 cross-check is
-written in one module, the one that holds its step control.  A module reads another module's `_`-prefixed
-names only where ALLOWED_PRIVATE lists them.  The modules that the phase
+its own exception class, and each message that a `raise` statement spells
+out is written in one module, the one that holds its policy.  A module
+reads another module's `_`-prefixed names only where ALLOWED_PRIVATE
+lists them.  The modules that the phase
 diagram, the coefficients report, the asymptotic report and the evolve of
 a named state run on import numpy in no module-level statement, so those
 runs start without it;
@@ -45,11 +46,9 @@ ALLOWED_PRIVATE = {("spectral", "_sinc")}
 # `asymptotic` and the `evolve` of a named state import
 NUMPY_FREE = {"__init__", "__main__", "asymptotic", "cli", "entanglement", "generation",
               "spectral", "trajectory"}
-# the code lines of src/ when the two RK45 kernels came to share one step control
-MAX_CODE_LINES = 884
-# the RK45 cross-check's failure messages: the step control and the
-# agreement check that both of evolve's routes share raise them
-CROSS_CHECK_MESSAGES = ("RK45 cross-check integration failed", "trajectories disagree")
+# the code lines of src/ when the library checks of the config came to share
+# one exit-2 rule and both evolve routes one evolved-state guard
+MAX_CODE_LINES = 876
 
 
 def _references(node, skip=None) -> set:
@@ -248,13 +247,34 @@ def test_phase_diagram_modules_import_numpy_only_inside_functions():
     assert not found, f"module-level imports of numpy on the phase-diagram path: {found}"
 
 
-def test_each_cross_check_message_lives_in_one_module():
+def _raised_message(node):
+    """The message of `raise E("...")` or `raise E(f"...")`, each replacement
+    field of an f-string as {}; None for any other statement."""
+    if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args):
+        return None
+    arg = node.exc.args[0]
+    if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+        return arg.value
+    if isinstance(arg, ast.JoinedStr):
+        return "".join(v.value if isinstance(v, ast.Constant) else "{}" for v in arg.values)
+    return None
+
+
+def test_each_exception_message_lives_in_one_module():
     # a policy that two modules both have to know, such as a copy of the
-    # step control, would carry its messages into both
-    sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
-    for message in CROSS_CHECK_MESSAGES:
-        modules = sorted(module for module, text in sources.items() if message in text)
-        assert len(modules) == 1, f"{message!r} in {modules}"
+    # RK45 step control or of the evolved-state guard, carries its messages
+    # into both
+    modules = {}
+    for module, tree in _trees().items():
+        for node in ast.walk(tree):
+            message = _raised_message(node)
+            if message is not None:
+                modules.setdefault(message, set()).add(module)
+    assert {"RK45 cross-check integration failed: step size {} at t={}",
+            "evolved state is not finite at t={}", "cannot write output: {}"} <= set(modules), \
+        "the lint no longer sees the raised messages"
+    shared = {message: sorted(found) for message, found in modules.items() if len(found) > 1}
+    assert not shared, f"exception messages raised in more than one module: {shared}"
 
 
 def _code_lines(text: str) -> int:
