@@ -16,10 +16,12 @@ route each way: every initial state goes in as V^dag rho0 V in
 V rho V^dag in `cmd_asymptotic`, both by `entanglement.turn`.  No other
 output changes under V, and the phase diagram ignores n.
 
-include_hs changes only `asymptotic`: at beta = inf and ell = 0 the free
-Hamiltonian turns the conserved coherence c = <S|rho0|--> forever, so the
-report drops c when 2|c| <= _CONV_TOL and refuses the state otherwise;
-`evolve`'s summary takes the limit of its own trajectory, which keeps c.
+include_hs is accepted as a boolean and changes nothing: the free
+Hamiltonian commutes with the dissipator and only turns both atoms by one
+local unitary, so every subcommand reports the dissipator's own limit.  At
+beta = inf and ell = 0 that limit keeps the conserved coherence
+c = <S|rho0|-->, in `asymptotic`'s report as in `evolve`'s summary.  The
+key is kept only so that configs which carry it still parse.
 
 The phase diagram starts from the canonical state |-> (x) |+>: at each
 grid point it evaluates the generation discriminant in closed form from
@@ -51,11 +53,10 @@ path, 3 an implementation-bug guard (discriminant/oracle disagreement, or
 a failed or disagreeing RK45 cross-check in `evolve`), 4 an evolved state
 that fails a positivity check, 5 convergence-check failure (the closed-form
 stationary state of `asymptotic` or of `evolve`'s summary fails its
-residual or tau guard, or the state has no limit).  `evolve` checks each
-sample with the exponential's guards, then with the RK45 cross-check, and
-stops at the first failure, so the earlier sample's failure sets the code;
-it writes its text only after every guard has passed, so exits 3, 4 and 5
-leave no output.  `main` maps each failure to its code in `_EXIT_CODES`.
+residual or tau guard).  `evolve` checks each sample with the exponential's
+guards, then with the RK45 cross-check, and stops at the first failure,
+so the earlier sample's failure sets the code; it writes its text only
+after every guard has passed, so exits 3, 4 and 5 leave no output.  `main` maps each failure to its code in `_EXIT_CODES`.
 
 In-process use: ``main(argv)`` may be called any number of times in one
 process.  It returns the exit code, except that a usage error (no or an
@@ -96,8 +97,6 @@ MAX_RK_WORK = 2e5
 # phase-diagram guard: the small-time oracle must agree with the discriminant
 # wherever |rs_margin| > _ORACLE_BAND
 _ORACLE_BAND = 1e-3
-# include_hs in asymptotic: a coherence c with 2|c| above this turns forever
-_CONV_TOL = 1e-8
 
 
 class ConfigError(ValueError):
@@ -107,16 +106,15 @@ class ConfigError(ValueError):
 class RunConfig:
     """A validated config: the model params, the unit axis n, the initial
     state as (kind, *values), the times omega*t or None, the sweep as its
-    beta*omega and omega*ell grids or None, and include_hs, which
-    cmd_asymptotic alone reads.  The axis n and the initial state are kept
-    as given, a matrix state as a 4x4 nested list, and the state is turned
-    into the frame of n only by `initial_state`."""
+    beta*omega and omega*ell grids or None.  The axis n and the initial
+    state are kept as given, a matrix state as a 4x4 nested list, and the
+    state is turned into the frame of n only by `initial_state`."""
 
-    __slots__ = ("params", "n", "state", "times", "sweep", "include_hs")
+    __slots__ = ("params", "n", "state", "times", "sweep")
 
-    def __init__(self, params, n, state, times, sweep, include_hs):
+    def __init__(self, params, n, state, times, sweep):
         self.params, self.n, self.state = params, n, state
-        self.times, self.sweep, self.include_hs = times, sweep, include_hs
+        self.times, self.sweep = times, sweep
 
     def initial_state(self) -> tuple:
         """(U, V^dag rho0 V) as nested lists: the frame U =
@@ -305,14 +303,12 @@ def parse_config(doc: dict) -> RunConfig:
     n = _parse_axis(doc.get("n", [0.0, 0.0, 1.0]))
     _checked("invalid axis n", generation.check_unit, n)
 
-    include_hs = doc.get("include_hs", False)
-    _require(isinstance(include_hs, bool), "include_hs must be a boolean")
+    _require(isinstance(doc.get("include_hs", False), bool), "include_hs must be a boolean")
 
     state = _parse_initial_state(doc.get("initial_state"))
     times = _parse_time_grid(doc["time_grid"]) if "time_grid" in doc else None
     sweep = _parse_sweep(doc["sweep"]) if "sweep" in doc else None
-    return RunConfig(params=params, n=n, state=state, times=times, sweep=sweep,
-                     include_hs=include_hs)
+    return RunConfig(params=params, n=n, state=state, times=times, sweep=sweep)
 
 
 def _reject_constant(name: str):
@@ -459,14 +455,6 @@ def cmd_asymptotic(config: RunConfig, out_path: str | None) -> int:
     from . import asymptotic, entanglement
     params, (U, rho0) = config.params, config.initial_state()
     rho_inf, dim = asymptotic.asymptotic_state(params, rho0)
-    if config.include_hs and dim == 4:
-        c = math.sqrt(2.0) * abs(rho_inf[1][3])  # |<S|rho0|-->|
-        if 2.0 * c > _CONV_TOL:
-            raise generation.ConvergenceError(
-                f"the singlet/ground coherence |c| = {c:.3e} turns forever under the "
-                f"free Hamiltonian: the state has no limit")
-        rho_inf[1][3] = rho_inf[2][3] = rho_inf[3][1] = rho_inf[3][2] = 0j
-        dim = 2
     doc = {"stationary_dim": dim,
            "rho_infinity": [[z.real, z.imag] for row in entanglement.turn(U, rho_inf)
                             for z in row],

@@ -13,8 +13,7 @@ dissipators, so completely positive by construction.  Those are the
 entries `asymptotic`'s convergence guard reads.  States reach this module
 already in the frame of e3, where `cli.RunConfig.initial_state` turns
 them.  The free Hamiltonian's -i[H_S, .] commutes with D, so it
-only turns both atoms by one local unitary, which no emitted quantity sees
-but `asymptotic`'s report with include_hs (`cli`).
+only turns both atoms by one local unitary, which no emitted quantity sees.
 
 Evolution multiplies vec(rho0) by the Taylor exponential exp(t M) (`expm`,
 no linear solve).  A trajectory steps from sample to sample and is

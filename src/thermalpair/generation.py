@@ -54,7 +54,7 @@ class PositivityError(RuntimeError):
 
 class ConvergenceError(RuntimeError):
     """The closed-form stationary state fails its guard (residual or
-    conserved tau), or the state has no limit."""
+    conserved tau)."""
 
 
 # check_state raises PositivityError below this state eigenvalue

@@ -47,6 +47,20 @@ phase diagram's oracle reads the block on the charge-0 sector,
 `generator_q0`, written out by hand because the sweep forms it once per
 grid point; it equals the table's rows there.  The module is
 plain-Python float arithmetic, with no numpy.
+
+The generator's spectrum, with the collective rates d, u, g (down, up,
+dephasing) and the relative ones a, b (down, up): M splits into charge
+blocks with no entry between them, Q0, the corners 3 and 12, and the
+4-blocks (1, 2, 7, 11) and (4, 8, 13, 14).  Each corner decays at
+-(a + b + d + u + 4g); both 4-blocks share one characteristic polynomial,
+a product of two quadratics; Q0's is lambda (lambda + a + b + d + u)^2
+times a cubic: the four Dicke populations form a closed chain with the
+roots 0 and the cubic's, and the |T0><S| coherence and its mirror decay
+alone at -(a + b + d + u).  At ell = 0 (a = b = 0) the cubic is
+lambda (lambda^2 + 4(d + u) lambda + 4(d^2 + du + u^2)), with the roots
+-2(d + u) +- 2 sqrt(du) beside 0, and at beta = inf (u = b = 0) Q0's
+roots are 0, -2a, -2d, -(a + d) twice and -2(a + d).
+`tests/test_exact.py` proves each of these from `DISSIPATORS`.
 """
 
 from __future__ import annotations

@@ -260,8 +260,8 @@ def test_asymptotic_state_convergence_check_fires(monkeypatch):
     # with the free Hamiltonian the singlet/ground coherence rotates at
     # omega forever: under the full generator, put in place of the one the
     # guard reads from spectral, the closed form that keeps it fails the
-    # residual guard (the CLI's refusal of that state with include_hs is
-    # test_cli's test_asymptotic_convergence_failure_exits_5)
+    # residual guard (the CLI's exit 5 on such a failure is test_cli's
+    # test_asymptotic_convergence_failure_exits_5)
     p = ModelParams(beta_omega=math.inf, omega_ell=0.0)
     M_h = generator_with_hamiltonian(p)
     monkeypatch.setattr(asymptotic, "generator",

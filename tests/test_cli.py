@@ -146,6 +146,8 @@ def test_malformed_json_exits_2(tmp_path):
     # rho - rho^dag overflows: no numpy overflow warning before the error line
     {"initial_state": {"matrix": [[1.7e308, 0.0] if k == 1 else [-1.7e308, 0.0] if k == 4
                                   else [0.25 * (k % 5 == 0), 0.0] for k in range(16)]}},
+    # include_hs changes nothing, but a value that is not a boolean is refused
+    {"include_hs": 1},
 ])
 def test_invalid_config_exits_2(tmp_path, config):
     res = run_cli("coefficients", config=config, tmp_path=tmp_path)
@@ -378,9 +380,9 @@ def test_rk45_work_cap_gives_the_same_verdict_at_every_axis(tmp_path, capsys):
 def test_rk45_work_cap_gives_the_same_verdict_with_and_without_include_hs(tmp_path, monkeypatch,
                                                                        capsys):
     # RK45 integrates the dissipator alone, so the cap reads its |M|_1 = 1.809
-    # here, t_max |M|_1 = 3.62e5, whatever include_hs says; a
-    # generator with the free Hamiltonian has |M|_1 = 2.049 and would
-    # give another figure.  Nothing is integrated.
+    # here, t_max |M|_1 = 3.62e5, and include_hs, which changes nothing,
+    # leaves the figure as it is; a generator with the free Hamiltonian has
+    # |M|_1 = 2.049 and would give another.  Nothing is integrated.
     def forbidden(*args):
         raise AssertionError("the RK45 work cap let an over-cap grid integrate")
 
@@ -718,9 +720,10 @@ COHERENT = {"omega": 1.0, "beta": "inf", "ell": 0.0,
 def test_asymptotic_and_evolve_agree_on_conserved_coherence(tmp_path):
     res = run_cli("asymptotic", config=COHERENT, tmp_path=tmp_path)
     assert res.returncode == 0, res.stderr
-    assert json.loads(res.stdout)["stationary_dim"] == 4
-    # evolve's summary takes the limit of its own trajectory, which keeps the
-    # coherence whatever include_hs says; the state without it is 0.7071 away
+    report = json.loads(res.stdout)
+    assert report["stationary_dim"] == 4
+    # evolve's summary takes the same limit, which keeps the coherence
+    # whatever include_hs says; the state without it is 0.7071 away
     out = tmp_path / "traj.csv"
     summaries = []
     for include_hs in (False, True):
@@ -733,6 +736,7 @@ def test_asymptotic_and_evolve_agree_on_conserved_coherence(tmp_path):
             encoding="utf-8")))
         assert summaries[-1]["trace_distance_to_asymptotic"] < 1e-8
     assert summaries[0] == summaries[1]
+    assert summaries[0]["asymptotic_concurrence"] == report["concurrence"]
 
 
 def test_asymptotic_state_at_an_axis_is_the_closed_form_equilibrium(tmp_path):
@@ -746,33 +750,24 @@ def test_asymptotic_state_at_an_axis_is_the_closed_form_equilibrium(tmp_path):
     np.testing.assert_allclose(rho, expected, rtol=0, atol=1e-12)
 
 
-# zero temperature and ell = 0 with the free Hamiltonian
-DARK_CORNER = {"omega": 1.0, "beta": "inf", "ell": 0.0, "include_hs": True,
-               "time_grid": {"t_max": 10.0, "n_samples": 3}}
-
-
-@pytest.mark.parametrize("bloch2,code,stderr", [
-    ([0, 0, 1], 0, ""),
-    ([0, 0, -1], 5, "error: the singlet/ground coherence |c| = 3.536e-01 turns forever under "
-                    "the free Hamiltonian: the state has no limit\n"),
-], ids=["e3", "minus-e3"])
-def test_dark_corner_with_the_free_hamiltonian(tmp_path, capsys, bloch2, code, stderr):
-    # |+x> (x) |-> carries the singlet/ground coherence, which the
-    # Hamiltonian turns forever, so asymptotic refuses it; every coherence
-    # of |+x> (x) |+> decays, and it settles on the rank-2 manifold.
-    # evolve's summary takes the dissipator's limit for both, whose
-    # concurrence is 1/4 (to bench/check.py's CONCURRENCE_TOL)
+@pytest.mark.parametrize("sub", SUBCOMMANDS)
+@pytest.mark.parametrize("config", [
+    COHERENT,
+    {"beta": 2.0, "ell": 0.7, "n": [0.6, 0.0, 0.8],
+     "initial_state": {"product": {"bloch1": [0.6, 0.8, 0.0], "bloch2": [0, 0, -1]}}},
+], ids=["dark-corner", "generic"])
+def test_include_hs_changes_nothing(tmp_path, capsys, config, sub):
+    # the free Hamiltonian commutes with the dissipator and only turns both
+    # atoms by one local unitary, so no subcommand reads the key: true, false
+    # or left out give the same bytes, standard error and exit code, also
+    # where the dissipator conserves the singlet/ground coherence
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({**DARK_CORNER, "initial_state": {
-        "product": {"bloch1": [1, 0, 0], "bloch2": bloch2}}}), encoding="utf-8")
-    out = tmp_path / "out"
-    assert cli.main(["asymptotic", "--config", str(path), "--out", str(out)]) == code
-    assert capsys.readouterr().err == stderr
-    if code == 0:
-        assert json.loads(out.read_text(encoding="utf-8"))["stationary_dim"] == 2
-    assert cli.main(["evolve", "--config", str(path), "--out", str(out)]) == 0
-    summary = json.loads((tmp_path / "out.summary.json").read_text(encoding="utf-8"))
-    assert abs(summary["asymptotic_concurrence"] - 0.25) <= 1e-7
+    results = []
+    for extra in ({}, {"include_hs": False}, {"include_hs": True}):
+        path.write_text(json.dumps({**EVERY_SUBCOMMAND, **config, **extra}), encoding="utf-8")
+        results.append((cli.main([sub, "--config", str(path)]), *capsys.readouterr()))
+    assert results[0][0] == 0 and results[0][1]
+    assert results[1] == results[0] and results[2] == results[0]
 
 
 def _bench_check():
@@ -812,13 +807,19 @@ def test_crossover_evolve_settles_on_a_separable_state(tmp_path):
     assert summary["asymptotic_concurrence"] == 0
 
 
-def test_asymptotic_convergence_failure_exits_5(tmp_path):
-    # with the free Hamiltonian the singlet/ground coherence rotates at omega
-    # and never settles, so the prediction fails the convergence check
-    res = run_cli("asymptotic", config={**COHERENT, "include_hs": True}, tmp_path=tmp_path)
-    assert res.returncode == 5
-    assert res.stdout == ""
-    assert "error: " in res.stderr and "Traceback" not in res.stderr
+def test_asymptotic_convergence_failure_exits_5(tmp_path, monkeypatch, capsys):
+    # the Gibbs state of beta*omega = 1 under the generator of beta*omega = 2,
+    # put in place of the one the guard reads: the prediction fails the
+    # convergence check, which main reports as exit 5 in one line
+    M_2 = spectral.generator(spectral.ModelParams(beta_omega=2.0, omega_ell=2.0))
+    monkeypatch.setattr(asymptotic, "generator", lambda params: M_2)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"beta": 1.0, "ell": 2.0}), encoding="utf-8")
+    assert cli.main(["asymptotic", "--config", str(path)]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the predicted state is not stationary: residual ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
 # --------------------------------------------------------- in-process calls

@@ -20,6 +20,11 @@ zero-frequency spectrum g0: A = B/R, A' = A S, B' = B S, C = g0 - A and
 C' = g0 - A S.  Each closed form of `asymptotic.asymptotic_state` is then
 annihilated by M identically, which seeded float draws cannot show where
 terms cancel (the ell -> 0+ crossover is such a place).
+
+The spectrum of M is pinned from `spectral.DISSIPATORS` itself, with
+symbolic rates: M splits into charge blocks, and each block's
+characteristic polynomial has the factors that `spectral`'s docstring
+states, with roots linear in the rates at beta = inf.
 """
 
 import math
@@ -28,7 +33,7 @@ from itertools import product
 import numpy as np
 import sympy as sp
 
-from thermalpair import ModelParams, canonical_state, generation_test
+from thermalpair import ModelParams, canonical_state, generation_test, spectral
 from thermalpair.spectral import KossakowskiCoefficients, kossakowski_eigenvalues
 
 from util import _DISSIPATORS_KRON, coefficient_rates, kossakowski_blocks, mp_rates, uv_vectors
@@ -176,3 +181,59 @@ def test_general_discriminant_at_the_canonical_state_is_the_closed_form():
     for point in product((1.0, 2.0, 3.0), repeat=6):
         margin, _ = generation_test(KossakowskiCoefficients(*point))
         assert margin == float(closed.subs(dict(zip((A, B, C, Ap, Bp, Cp), point)))), point
+
+
+# ------------------------------------------------ the generator's spectrum
+
+# the charge blocks of M in the vec basis, |a><b| at a + 4b: Q0, the corners
+# |++><--| and |--><++|, and the two blocks of charge +-1
+CHARGE_BLOCKS = ((0, 5, 6, 9, 10, 15), (3,), (12,), (1, 2, 7, 11), (4, 8, 13, 14))
+Q0 = CHARGE_BLOCKS[0]
+
+
+def test_generator_spectrum_in_closed_form():
+    # spectral.DISSIPATORS weighted by symbolic rates: the collective down,
+    # up and dephasing rates d, u, g and the relative down and up rates a, b
+    # (the relative dephasing rate is 0); the table's coefficients are
+    # dyadic, so each converts exactly
+    d, u, g, a, b = rates = sp.symbols("d u g a b", positive=True)
+    M = sp.zeros(16, 16)
+    for coeffs, entries in spectral.DISSIPATORS:
+        entry = sum(rate * sp.Rational(c) for rate, c in zip((*rates, 0), coeffs))
+        for i, j in entries:
+            M[i, j] += entry
+    block_of = {i: k for k, block in enumerate(CHARGE_BLOCKS) for i in block}
+    assert sorted(block_of) == list(range(16))
+    crossing = [(i, j) for i in range(16) for j in range(16)
+                if M[i, j] != 0 and block_of[i] != block_of[j]]
+    assert not crossing, crossing
+
+    def charpoly(block):
+        return M.extract(list(block), list(block)).charpoly(x).as_expr()
+
+    # each corner decays alone
+    assert M[3, 3] == M[12, 12] == -(a + b + d + u + 4 * g)
+    # the two 4-blocks share one characteristic polynomial, two quadratics
+    # (written out: sympy's multivariate factorization takes minutes under
+    # some hash seeds)
+    four = charpoly(CHARGE_BLOCKS[3])
+    assert sp.expand(four - charpoly(CHARGE_BLOCKS[4])) == 0
+    quadratics = (
+        x ** 2 + (3 * a + 3 * b + d + u + 2 * g) * x + 2 * a ** 2 + 2 * b ** 2 + a * b
+        + a * (d + 2 * u) + b * (2 * d + u) + g * (3 * a + 3 * b + d + u) + g ** 2 + d * u,
+        x ** 2 + (a + b + 3 * d + 3 * u + 2 * g) * x + 2 * d ** 2 + 2 * u ** 2 + d * u
+        + d * (a + 2 * b) + u * (2 * a + b) + g * (a + b + 3 * d + 3 * u) + g ** 2 + a * b)
+    assert sp.expand(four - quadratics[0] * quadratics[1]) == 0
+    # Q0: the four Dicke populations' chain, with the roots 0 and a cubic's,
+    # and the |T0><S| coherence and its mirror, decaying at a + b + d + u
+    cubic, rest = sp.div(charpoly(Q0), x * (x + a + b + d + u) ** 2, x)
+    assert rest == 0 and sp.degree(cubic, x) == 3
+    # ell = 0 (a = b = 0): the cubic is x (x^2 + 4(d + u) x + 4(d^2 + du + u^2)),
+    # whose roots are 0 and -2(d + u) +- 2 sqrt(du)
+    at_ell_0 = x * (x ** 2 + 4 * (d + u) * x + 4 * (d ** 2 + d * u + u ** 2))
+    assert sp.expand(cubic.subs({a: 0, b: 0}) - at_ell_0) == 0
+    roots = (0, -2 * (d + u) + 2 * sp.sqrt(d * u), -2 * (d + u) - 2 * sp.sqrt(d * u))
+    assert sp.expand(sp.prod([x - r for r in roots]) - at_ell_0) == 0
+    # beta = inf (u = b = 0): every root of Q0 is linear in the rates
+    roots = (0, -2 * a, -2 * d, -(a + d), -(a + d), -2 * (a + d))
+    assert sp.expand(charpoly(Q0).subs({u: 0, b: 0}) - sp.prod([x - r for r in roots])) == 0

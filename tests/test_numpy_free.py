@@ -215,7 +215,8 @@ def test_asymptotic_report_matches_its_numpy_route(bw, wl, n, include_hs, state)
     # the plain-Python report against the array routes it replaced: the same
     # exit code, message and stationary dimension, and rho_infinity, tau
     # and concurrence within 4 eps.  On bench seeds 1-3 of the asymptotic
-    # workloads the two differed by at most 1.5 eps in an entry
+    # workloads the two differed by at most 1.5 eps in an entry.  Neither
+    # reads include_hs: at beta = inf and ell = 0 both keep the coherence
     config = {"beta": "inf" if math.isinf(bw) else bw, "ell": wl, "n": list(n),
               "include_hs": include_hs, "initial_state": state}
     code, err, text = _run_asymptotic(config)

@@ -32,9 +32,8 @@ from hypothesis import example, given, settings, strategies as st
 from thermalpair import (ModelParams, ProductState, asymptotic_state, build_superoperator,
                          canonical_state, cli, concurrence, criterion_rs, evolve,
                          generation_test, kossakowski_coefficients, kossakowski_eigenvalues,
-                         local_frame, min_eig_pt, singlet_ket, small_time_ppt_oracle, tau,
-                         trace_norm, unvec, vec)
-from thermalpair.cli import _CONV_TOL
+                         local_frame, min_eig_pt, small_time_ppt_oracle, tau, trace_norm,
+                         unvec, vec)
 from thermalpair.entanglement import _wootters_l
 
 from util import (_AT_REST, _HORIZON, _NULLSPACE_REL_TOL, build_kossakowski_spectral,
@@ -302,7 +301,7 @@ def test_closed_form_asymptotic_state_is_the_projected_one(bw, wl, seed):
     rho_inf = np.array(rho_inf)
     assert dim == round(np.trace(P).real)
     assert np.abs(rho_inf - unvec(P @ vec(rho0))).max() <= 1e-11
-    assert trace_norm(evolve(M, rho0, _HORIZON / spectral_gap(M)) - rho_inf) <= _CONV_TOL
+    assert trace_norm(evolve(M, rho0, _HORIZON / spectral_gap(M)) - rho_inf) <= 1e-8
 
 
 # ------------------------------------------- the free Hamiltonian commutes
@@ -313,9 +312,9 @@ def test_closed_form_asymptotic_state_is_the_projected_one(bw, wl, seed):
 def test_free_hamiltonian_only_turns_the_dissipators_evolution(bw, wl, b1, b2, noise, omega_t):
     # the reference generator with -i[H_S, .] against the library's
     # dissipator M: they commute, the reference's stationary projector is
-    # M's masked to m_a = m_b, the closed form so masked (what asymptotic
-    # reports with include_hs) is the reference's projected state, and its
-    # evolution differs by a local unitary, which no emitted quantity sees
+    # M's masked to m_a = m_b, the closed form so masked is the reference's
+    # projected state, and its evolution differs by a local unitary, which
+    # no emitted quantity sees
     params = ModelParams(beta_omega=bw, omega_ell=wl)
     M = build_superoperator(params)
     M_h = generator_with_hamiltonian(params)
@@ -466,26 +465,16 @@ def initial_states(draw):
 @example(math.inf, 0.0, list(E3), True, {"named": "canonical"})
 @example(math.inf, 0.0, list(E3), True, {"product": {"bloch1": [1, 0, 0], "bloch2": [0, 0, -1]}})
 def test_evolve_summary_agrees_with_the_asymptotic_report(bw, wl, n, include_hs, state):
-    # evolve's summary exists exactly when asymptotic exits 0, and then its
-    # asymptotic_concurrence is the report's concurrence to bench/check.py's
-    # CONCURRENCE_TOL.  The one exception lasts as long as the include_hs
-    # key, which ROADMAP plans to delete: at beta = inf and ell = 0
-    # asymptotic refuses a coherence c with 2|c| > _CONV_TOL, which the free
-    # Hamiltonian turns forever, while the trajectory that evolve reports,
-    # in the frame turning with it, settles
+    # both exit 0, and evolve's asymptotic_concurrence is the report's
+    # concurrence to bench/check.py's CONCURRENCE_TOL, with or without
+    # include_hs, which changes nothing: at beta = inf and ell = 0 both keep
+    # the coherence c = <S|rho0|-->
     config = {"beta": "inf" if math.isinf(bw) else bw, "ell": wl, "n": n,
               "include_hs": include_hs, "initial_state": state, "time_grid": [0.0, 1.0]}
     code, report, _ = _run_cli("asymptotic", config)
     code_evolve, _, summary = _run_cli("evolve", config)
-    rho0 = np.array(cli.parse_config(config).initial_state()[1])
-    c = np.array(singlet_ket()).conj() @ rho0[:, 3]
-    leftover = include_hs and math.isinf(bw) and wl == 0 and 2.0 * abs(c) > _CONV_TOL
-    if leftover:
-        assert code == 5
-    assert (summary is not None) == (code == 0 or leftover), (code, code_evolve)
-    if code == 0:
-        assert abs(summary["asymptotic_concurrence"]
-                   - json.loads(report)["concurrence"]) <= 1e-7
+    assert code == code_evolve == 0, (code, code_evolve)
+    assert abs(summary["asymptotic_concurrence"] - json.loads(report)["concurrence"]) <= 1e-7
 
 
 # --------------------------------------------------------- omega is the unit

@@ -880,14 +880,6 @@ def asymptotic_report_numpy(doc: dict):
     M = np.tensordot(kossakowski_eigenvalues(params), _DISSIPATORS_KRON, axes=1)
     try:
         rho_inf, dim = asymptotic_state_numpy(M, rho0, params)
-        if config.include_hs and dim == 4:
-            c = np.array(singlet_ket()).conj() @ rho0[:, 3]
-            if 2.0 * abs(c) > cli._CONV_TOL:
-                raise ConvergenceError(
-                    f"the singlet/ground coherence |c| = {abs(c):.3e} turns forever under "
-                    f"the free Hamiltonian: the state has no limit")
-            rho_inf[1:3, 3] = rho_inf[3, 1:3] = 0.0
-            dim = 2
     except ConvergenceError as exc:
         return 5, f"error: {exc}\n", None
     return 0, "", {"stationary_dim": dim, "rho_infinity": V @ rho_inf @ V.conj().T,
