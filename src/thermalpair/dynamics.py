@@ -15,11 +15,13 @@ already in the frame of e3, where `cli.RunConfig.initial_state` turns
 them.  The free Hamiltonian's -i[H_S, .] commutes with D, so it
 only turns both atoms by one local unitary, which no emitted quantity sees.
 
-Evolution multiplies vec(rho0) by the Taylor exponential exp(t M) (`expm`,
-no linear solve).  A trajectory steps from sample to sample and is
-cross-checked from t = 0 by an adaptive RK45 (`solve_ivp`); both are
-generators that advance together, one sample at a time.  The CLI takes
-this route for a state off the charge-0 sector Q0 (`dense_route`).  The
+Evolution multiplies vec(rho) by the Taylor exponential exp(dt M) (`expm`,
+no linear solve).  A trajectory (`evolve_traj`) steps from sample to
+sample, with one exponential for each run of equal steps, guards each
+state and is cross-checked from t = 0 by an adaptive RK45 (`solve_ivp`);
+both are generators that advance together, one sample at a time.  The
+CLI takes this route for a state off the charge-0 sector Q0
+(`dense_route`).  The
 phase diagram's small-time oracle has its own kernel, a Taylor series of
 matrix-vector products on the generator's Q0 block, in plain Python
 (`generation`, which also holds the guards `check_trace`, `check_state`
@@ -139,76 +141,67 @@ def build_superoperator(params: ModelParams) -> np.ndarray:
     return M
 
 
-def evolve(M: np.ndarray, rho0: np.ndarray, t: float, t0: float = 0.0) -> np.ndarray:
-    """rho(t) = unvec(expm((t - t0) M) @ vec(rho0)), for the state rho0 at
-    time t0 <= t, re-Hermitized and renormalized.
-
-    rho0 must already be a valid 4x4 density matrix array, as
-    entanglement.validate_density_matrix checks; it is not checked here, and
-    neither evolve_traj nor asymptotic_state checks it: the CLI's config
-    parser validates a matrix state once, where it enters.  Raises
-    PositivityError if the exponential's result is not finite (a generator
-    too large for its rounding) or has no positive trace (`check_trace`),
-    or if the state dips below -generation._POS_TOL (`check_state`); smaller
-    Hermiticity/trace deviations of a state that passes are repaired, with
-    one standard-error line when either exceeds 1e-10.  Every message names
-    the time t.
-    """
-    if not (math.isfinite(t) and t >= t0):
-        raise ValueError(f"time must be finite and >= {t0:g}, got {t}")
-    if t == t0:
-        return rho0.copy()
-    # an overflow is reported once, as check_trace's PositivityError; the
-    # trace of the real diagonal is the trace of the Hermitian part
-    with np.errstate(over="ignore", invalid="ignore"):
-        rho = unvec(expm((t - t0) * M) @ vec(rho0))
-        tr = np.trace(rho).real
-    check_trace(np.isfinite(rho).all(), tr, t)
-    herm_dev = np.abs(rho - rho.conj().T).max()
-    rho = 0.5 * (rho + rho.conj().T)
-    rho = rho / tr
-    check_state(np.linalg.eigvalsh(rho).min(), herm_dev, tr, t)
-    return rho
-
-
 def evolve_traj(M: np.ndarray, rho0: np.ndarray, times):
-    """A generator of the states rho(t_k) on a sorted nonnegative time grid,
-    each one evolve step (a trace-norm contraction, with its guards) from
-    the one before, from rho0 at t = 0.  Beside it RK45 (solve_ivp)
-    integrates the same trajectory from rho0, and each state is yielded only
-    once the two routes agree at t_k in max-norm (`trajectory.agree`: two
-    independent numerical routes through a non-normal generator); the first
-    sample over its bound raises CrossCheckError.  At each t_k evolve runs
-    before RK45 advances to t_k, so a sample that fails both routes raises
-    evolve's PositivityError.  Only the last state is held.  The grid is
-    checked, with ValueError, on the first next().  rho0 is a valid density
-    matrix array, as for evolve."""
+    """A generator of (rho(t_k), its least eigenvalue) on a sorted
+    nonnegative time grid, from rho0 at t = 0, where the state is rho0
+    itself.  Each later state is the one before times exp((t_k - t_(k-1)) M)
+    (`expm`, formed again only where the step changes, so one 16x16 matrix
+    is held), a trace-norm contraction, re-Hermitized and renormalized.
+    Each state passes its guards: PositivityError if it is not finite (a
+    generator too large for its rounding) or has no positive trace
+    (`check_trace`), or if its least eigenvalue is below
+    -generation._POS_TOL (`check_state`); smaller Hermiticity/trace
+    deviations are repaired, with one standard-error line when either
+    exceeds 1e-10.  Every message names t_k.  Then RK45 (solve_ivp), which
+    integrates the same trajectory from rho0, advances to t_k, and the
+    state is yielded only once the two routes agree there in max-norm
+    (`trajectory.agree`: two independent numerical routes through a
+    non-normal generator); the first sample over its bound raises
+    CrossCheckError.  The grid is checked, with ValueError, on the first
+    next().  rho0 must already be a valid 4x4 density matrix array, as
+    entanglement.validate_density_matrix checks: the CLI's config parser
+    validates a matrix state once, where it enters.  Only the last state
+    is held."""
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
         raise ValueError("time grid must be a nonempty 1-d array")
     if times[0] < 0 or (len(times) > 1 and not np.all(np.diff(times) > 0)):
         raise ValueError("time grid must be sorted, strictly increasing and nonnegative")
     ys = solve_ivp(M, vec(rho0), times)
-    rho, t0 = rho0, 0.0
+    rho, t0, step = rho0, 0.0, 0.0
     for t in times.tolist():
-        rho, t0 = evolve(M, rho, t, t0), t
+        # an overflow is reported once, as check_trace's PositivityError; the
+        # trace of the real diagonal is the trace of the Hermitian part
+        with np.errstate(over="ignore", invalid="ignore"):
+            if t - t0 != step:
+                step = t - t0
+                E = expm(step * M)
+            new = unvec(E @ vec(rho)) if t > 0 else rho
+            tr = np.trace(new).real
+        check_trace(np.isfinite(new).all(), tr, t)
+        herm_dev = np.abs(new - new.conj().T).max()
+        rho = 0.5 * (new + new.conj().T) / tr if t > 0 else new
+        min_eig = np.linalg.eigvalsh(rho).min()
+        check_state(min_eig, herm_dev, tr, t)
         agree(np.abs(rho - unvec(next(ys))).max())
-        yield rho
+        yield rho, min_eig
+        t0 = t
 
 
 def dense_route(params: ModelParams, rho0: list, times) -> tuple:
     """(states, columns, distance) of the evolve of a state rho0 off Q0, a
-    4x4 nested list: the states of evolve_traj under
-    build_superoperator(params), the columns of a row after the time, trace,
-    min_eig, min_eig_pt, concurrence and tau, and the trace distance of a
-    state to the stationary state."""
-    def columns(rho):
+    4x4 nested list: the (state, least eigenvalue) pairs of evolve_traj
+    under build_superoperator(params), the columns of a row after the time,
+    trace, min_eig (the guard's), min_eig_pt, concurrence and tau, and the
+    trace distance of a state to the stationary state."""
+    def columns(state):
+        rho, min_eig = state
         r = rho.tolist()  # read by the plain-Python concurrence and tau
-        return (np.trace(rho).real, np.linalg.eigvalsh(rho).min(),
-                entanglement.min_eig_pt(rho), entanglement.concurrence(r), asymptotic.tau(r))
+        return (np.trace(rho).real, min_eig, entanglement.min_eig_pt(rho),
+                entanglement.concurrence(r), asymptotic.tau(r))
 
-    def distance(rho, rho_inf):
-        return trace_norm(rho - np.array(rho_inf))
+    def distance(state, rho_inf):
+        return trace_norm(state[0] - np.array(rho_inf))
 
     return evolve_traj(build_superoperator(params), np.array(rho0), times), columns, distance
 

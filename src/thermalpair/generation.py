@@ -13,7 +13,7 @@ against an independent oracle, the partial transpose of |-> (x) |+>
 evolved by a short time under the generator's charge-0 block
 `spectral.generator_q0` (`small_time_ppt_oracle`).  The oracle owns its
 kernel, the Taylor series of exp(t M) v in matrix-vector products, and
-its step, capped so that the series stays short; `dynamics.evolve`
+its step, capped so that the series stays short; `dynamics.evolve_traj`
 multiplies by `dynamics.expm` instead.  The named states' `evolve`
 trajectory (`trajectory.evolve_q0`) runs on the same six reals, with the
 same kernel (`taylor_action`), spectra (`x_min_eig`) and guards
@@ -62,8 +62,8 @@ _POS_TOL = 1e-8
 
 
 def check_state(min_eig: float, herm_dev: float, tr: float, t: float):
-    """dynamics.evolve's last two guards, on the state it Hermitized and
-    renormalized from trace tr; `checked_q0` applies them on Q0 too."""
+    """dynamics.evolve_traj's last two guards, on the state it Hermitized
+    and renormalized from trace tr; `checked_q0` applies them on Q0 too."""
     if min_eig < -_POS_TOL:
         raise PositivityError(f"state eigenvalue {min_eig} below -{_POS_TOL} at t={t}")
     trace_dev = abs(tr - 1.0)
@@ -73,7 +73,7 @@ def check_state(min_eig: float, herm_dev: float, tr: float, t: float):
 
 
 def check_trace(finite: bool, tr: float, t: float):
-    """dynamics.evolve's first two guards, which `checked_q0` applies on Q0
+    """dynamics.evolve_traj's first two guards, which `checked_q0` applies on Q0
     too: PositivityError unless the state evolved to time t is finite and
     its trace tr positive and finite."""
     if not finite:
@@ -175,14 +175,14 @@ def x_min_eig(r00: float, r11: float, r22: float, r33: float, c: float) -> float
 
 
 def checked_q0(v, t: float) -> tuple:
-    """dynamics.evolve's guards on the evolved Q0 entries v at time t, in
+    """dynamics.evolve_traj's guards on the evolved Q0 entries v at time t, in
     closed form: a non-finite entry, or a trace that is not positive and
     finite, raises PositivityError (`check_trace`); the state is
     renormalized, its coherence Hermitized, and `check_state` reads its
     least eigenvalue.
     Returns (r00, r11, r22, r33, c)."""
     r00, r11, c21, c12, r22, r33 = v
-    tr = (r00 + r11) + (r22 + r33)  # in evolve's order: np.trace of a complex 4x4
+    tr = (r00 + r11) + (r22 + r33)  # in evolve_traj's order: np.trace of a complex 4x4
     check_trace(all(map(math.isfinite, v)), tr, t)
     x = r00 / tr, r11 / tr, r22 / tr, r33 / tr, 0.5 * (c21 + c12) / tr
     check_state(x_min_eig(*x), abs(c12 - c21), tr, t)
@@ -192,7 +192,7 @@ def checked_q0(v, t: float) -> tuple:
 def small_time_ppt_oracle(params: ModelParams) -> bool:
     """Whether |-> (x) |+>, evolved by a short step in Q0 under the generator's
     Q0 block M (`generator_q0`), has a partial-transpose eigenvalue below
-    -_ORACLE_NEG_TOL; the state passes dynamics.evolve's guards with the
+    -_ORACLE_NEG_TOL; the state passes dynamics.evolve_traj's guards with the
     closed-form spectra of the module docstring (`checked_q0`).  The step is
     _ORACLE_DT, or _THETA_T / |M|_1 where that is shorter, and exp(step M)
     is the Taylor series (`taylor_action`); the guards' messages name the

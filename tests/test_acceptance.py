@@ -9,25 +9,12 @@ import math
 
 import numpy as np
 
-from thermalpair import (
-    ModelParams,
-    build_superoperator,
-    canonical_state,
-    concurrence,
-    criterion_rs,
-    evolve,
-    evolve_traj,
-    generation_test,
-    kossakowski_coefficients,
-    min_eig_pt,
-    tau,
-    temperature_ratio,
-    threshold_tau,
-    trace_norm,
-    unvec,
-    vec,
-)
-from thermalpair.spectral import KossakowskiCoefficients
+from thermalpair.asymptotic import tau, threshold_tau
+from thermalpair.dynamics import build_superoperator, evolve_traj, trace_norm, unvec, vec
+from thermalpair.entanglement import canonical_state, concurrence, min_eig_pt
+from thermalpair.generation import criterion_rs, generation_test
+from thermalpair.spectral import (KossakowskiCoefficients, ModelParams, kossakowski_coefficients,
+                                  temperature_ratio)
 
 from util import (_HORIZON, asymptotic_concurrence, build_kossakowski_spectral, choi_matrix,
                   dissipator_reference, equilibrium_closed_form, generation_discriminant,
@@ -197,7 +184,7 @@ def test_criterion_7_conservation_laws():
         rho0 = random_density(rng)
         states = evolve_traj(M, rho0, times)  # includes the RK45 cross-check
         tau0 = tau(rho0)
-        for rho in states:
+        for rho, _ in states:
             worst_tau = max(worst_tau, abs(tau(rho) - tau0))
             worst_trace = max(worst_trace, abs(np.trace(rho).real - 1.0))
             worst_eig = min(worst_eig, np.linalg.eigvalsh(rho).min())

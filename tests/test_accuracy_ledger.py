@@ -26,13 +26,17 @@ the other way.  A change that must widen a budget explains why.
 import json
 import math
 import random
+import re
 import sys
+from pathlib import Path
 
 import mpmath as mp
+import pytest
 
 from thermalpair import cli
 
 EPS = sys.float_info.epsilon
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 # beta*omega from the CLI's floor to zero temperature, past expm1's overflow;
 # omega*ell from 0 through both sides of the sinc series' switch at 1
@@ -280,22 +284,48 @@ def _over_budget(errors: dict) -> dict:
             if not err <= BUDGETS[column]}
 
 
-def test_coefficients_are_within_their_budgets(tmp_path):
-    errors = coefficient_errors(tmp_path)
+@pytest.fixture(scope="module")
+def worsts(tmp_path_factory) -> dict:
+    """{subcommand: its columns' worst errors}, measured once for the
+    module's tests."""
+    tmp = tmp_path_factory.mktemp("ledger")
+    return {"coefficients": coefficient_errors(tmp), "phase-diagram": phase_diagram_errors(tmp),
+            "asymptotic": asymptotic_errors(tmp)}
+
+
+def test_coefficients_are_within_their_budgets(worsts):
+    errors = worsts["coefficients"]
     assert set(errors) == {"A", "B", "C", "A'", "B'", "C'", "R", "S"}
     assert not _over_budget(errors), _over_budget(errors)
 
 
-def test_phase_diagram_columns_are_within_their_budgets(tmp_path):
-    errors = phase_diagram_errors(tmp_path)
+def test_phase_diagram_columns_are_within_their_budgets(worsts):
+    errors = worsts["phase-diagram"]
     assert set(errors) == {"R", "S", "rs_margin", "discriminant_margin"}
     assert not _over_budget(errors), _over_budget(errors)
 
 
-def test_asymptotic_report_is_within_its_budgets(tmp_path):
-    errors = asymptotic_errors(tmp_path)
+def test_asymptotic_report_is_within_its_budgets(worsts):
+    errors = worsts["asymptotic"]
     assert set(errors) == {"rho_infinity", "concurrence", "tau", "threshold_tau"}
     assert not _over_budget(errors), _over_budget(errors)
+
+
+def test_the_readme_states_the_worst_errors(worsts):
+    # the README's accuracy notes name the discriminant margin's worst
+    # error, rho_infinity's and the largest of the other columns', each to
+    # one decimal, as this ledger measures them
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    stated = re.search(r"The worst errors are ([\d.]+) `eps` \(the discriminant margin\), "
+                       r"([\d.]+) `eps` \(`rho_infinity`\) and at most ([\d.]+) `eps` "
+                       r"elsewhere\.", text)
+    assert stated, "the README no longer states the ledger's worst errors"
+    errors = {}
+    for measured in worsts.values():
+        for column, (err, _) in measured.items():
+            errors[column] = max(err, errors.get(column, err))
+    margin, rho = errors.pop("discriminant_margin"), errors.pop("rho_infinity")
+    assert [f"{err:.1f}" for err in (margin, rho, max(errors.values()))] == list(stated.groups())
 
 
 def test_discriminant_margin_at_the_high_temperature_corner(tmp_path):

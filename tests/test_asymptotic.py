@@ -7,27 +7,14 @@ import math
 import numpy as np
 import pytest
 
-from thermalpair import (
-    ConvergenceError,
-    ModelParams,
-    asymptotic_state,
-    build_superoperator,
-    canonical_state,
-    concurrence,
-    kossakowski_coefficients,
-    min_eig_pt,
-    singlet_density,
-    singlet_ket,
-    tau,
-    temperature_ratio,
-    threshold_tau,
-    trace_norm,
-    unvec,
-    validate_density_matrix,
-    vec,
-)
 from thermalpair import asymptotic, spectral
-from thermalpair.spectral import KossakowskiCoefficients
+from thermalpair.asymptotic import asymptotic_state, tau, threshold_tau
+from thermalpair.dynamics import build_superoperator, trace_norm, unvec, vec
+from thermalpair.entanglement import (canonical_state, concurrence, min_eig_pt, singlet_density,
+                                      singlet_ket, validate_density_matrix)
+from thermalpair.generation import ConvergenceError
+from thermalpair.spectral import (KossakowskiCoefficients, ModelParams, kossakowski_coefficients,
+                                  temperature_ratio)
 
 from util import (_AT_REST, asymptotic_concurrence, build_kossakowski_spectral,
                   dissipator_reference, equilibrium_closed_form, equilibrium_coefficients,

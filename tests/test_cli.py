@@ -465,17 +465,17 @@ def test_a_failed_rk45_cross_check_of_a_named_state_exits_3(tmp_path, monkeypatc
 @pytest.mark.parametrize("bad_time,code", [(0.5, 4), (1.0, 3)])
 def test_the_first_sample_that_fails_a_guard_sets_the_exit_code(tmp_path, monkeypatch, capsys,
                                                                  bad_time, code):
-    # at each sample evolve's guards run before RK45 advances to it: a
+    # at each sample evolve_traj's guards run before RK45 advances to it: a
     # positivity failure at the RK45 route's first failing sample exits 4,
     # one at a later sample never runs, and the failed integration exits 3
-    real_evolve = dynamics.evolve
+    real_check = dynamics.check_trace
 
-    def evolve(M, rho, t, t0=0.0):
+    def check_trace(finite, tr, t):
         if t == bad_time:
             raise generation.PositivityError(f"evolved state is not finite at t={t}")
-        return real_evolve(M, rho, t, t0)
+        return real_check(finite, tr, t)
 
-    monkeypatch.setattr(dynamics, "evolve", evolve)
+    monkeypatch.setattr(dynamics, "check_trace", check_trace)
     monkeypatch.setattr(dynamics, "solve_ivp", _failing(dynamics.solve_ivp))
     path, out = tmp_path / "config.json", tmp_path / "traj.csv"
     path.write_text(json.dumps({"time_grid": {"t_max": 1.0, "n_samples": 3},
@@ -483,6 +483,8 @@ def test_the_first_sample_that_fails_a_guard_sets_the_exit_code(tmp_path, monkey
     assert cli.main(["evolve", "--config", str(path), "--out", str(out)]) == code
     captured = capsys.readouterr()
     assert captured.out == "" and not out.exists() and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: evolved state is not finite at t=0.5\n" if code == 4
+                                   else "error: RK45 cross-check integration failed: ")
 
 
 @pytest.mark.parametrize("bad_time,code", [(0.5, 4), (1.0, 3)])
@@ -1005,9 +1007,10 @@ def test_trajectory_and_asymptotic_dense_factorizations(tmp_path, monkeypatch):
     # The exponential takes no linear solve, and concurrence and trace_norm
     # take no SVD and no eigh.  concurrence takes its closed form on an
     # X-state, and otherwise one eigvalsh, of the dilation in _wootters_l.
-    # evolve of a state off Q0 multiplies by one expm per positive step and
-    # never takes the Taylor series of Q0; a state in Q0 with real entries
-    # takes that series and neither expm nor eigvalsh; asymptotic takes none
+    # evolve of a state off Q0 multiplies by one expm per run of equal
+    # positive steps and never takes the Taylor series of Q0; a state in Q0
+    # with real entries takes that series and neither expm nor eigvalsh;
+    # asymptotic takes none
     calls = Counter()
     for module, name in ((np.linalg, "eigvalsh"), (np.linalg, "eigh"), (np.linalg, "svd"),
                          (np.linalg, "solve"), (dynamics, "expm"),
@@ -1030,7 +1033,7 @@ def test_trajectory_and_asymptotic_dense_factorizations(tmp_path, monkeypatch):
             assert cli.main([sub, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
             assert calls["svd"] == calls["solve"] == calls["eigh"] == 0, (sub, calls)
             assert calls["concurrence"] == concurrences, (sub, calls)
-            assert calls["expm"] == (20 if sub == "evolve" and dense else 0), (sub, calls)
+            assert calls["expm"] == (runs if sub == "evolve" and dense else 0), (sub, calls)
             assert (calls["taylor_action"] > 0) == (sub == "evolve" and not dense), (sub, calls)
             assert dense or calls["eigvalsh"] == 0, (sub, calls)
             found[sub] = calls["eigvalsh in _wootters_l"]
@@ -1039,8 +1042,12 @@ def test_trajectory_and_asymptotic_dense_factorizations(tmp_path, monkeypatch):
     # these states, their trajectories and their limits are X-states: the
     # product state and the named ones in Q0, the matrix state with its
     # |++><--| coherence off Q0; the 21-sample grid starts at t = 0, so it
-    # has 20 positive steps
+    # has 20 positive steps, all equal in floats: one run
     grid = {"t_max": 400, "n_samples": 21}
+    times = cli.parse_config({"time_grid": grid}).times
+    steps = [b - a for a, b in zip(times, times[1:])]
+    runs = 1 + sum(b != a for a, b in zip(steps, steps[1:]))
+    assert (len(steps), runs) == (20, 1)
     up_down = {"product": {"bloch1": [0, 0, 1], "bloch2": [0, 0, -1]}}
     for state in (up_down, {"named": "canonical"}, {"named": "singlet"}, X_MATRIX):
         assert dilations({"beta": 0.5, "ell": 0.5, "initial_state": state, "time_grid": grid},

@@ -7,28 +7,17 @@ import time
 import numpy as np
 import pytest
 
-from thermalpair import (
-    CrossCheckError,
-    ModelParams,
-    PositivityError,
-    ProductState,
-    bloch_ket,
-    build_superoperator,
-    canonical_state,
-    evolve,
-    evolve_traj,
-    local_frame,
-    singlet_density,
-    tau,
-    unvec,
-    validate_density_matrix,
-    vec,
-)
 from thermalpair import dynamics, spectral, trajectory
+from thermalpair.asymptotic import tau
+from thermalpair.dynamics import build_superoperator, evolve_traj, unvec, vec
+from thermalpair.entanglement import (ProductState, bloch_ket, canonical_state, local_frame,
+                                      singlet_density, validate_density_matrix)
+from thermalpair.generation import CrossCheckError, PositivityError
+from thermalpair.spectral import ModelParams
 
 from util import (SIGMA, build_kossakowski_spectral, choi_matrix, corner_generators,
-                  dissipator_reference, dissipators_dense, dissipators_kron,
-                  generator_with_hamiltonian,
+                  dense_rows_reference, dissipator_reference, dissipators_dense,
+                  dissipators_kron, generator_with_hamiltonian,
                   hamiltonian, pauli_op,
                   random_bloch, random_density, random_params, random_product_state,
                   random_unit_complex, superoperator_reference, tau_reference)
@@ -43,6 +32,12 @@ def ket(index):
     v = np.zeros(4, dtype=complex)
     v[index] = 1.0
     return v
+
+
+def evolve_to(M, rho0, t):
+    """The state evolve_traj reaches at time t from rho0, in one step."""
+    (rho, _), = evolve_traj(M, rho0, [t])
+    return rho
 
 
 # ------------------------------------------------------------- pauli algebra
@@ -93,7 +88,7 @@ def test_thermal_excitation_from_double_ground():
     assert drho[1, 1].real > 0.0
     assert drho[2, 2].real > 0.0
     assert abs(drho[0, 0]) < 1e-15
-    rho_t = evolve(M_L0, rho_gg, 0.5)
+    rho_t = evolve_to(M_L0, rho_gg, 0.5)
     assert rho_t[0, 0].real > 0.0
 
 
@@ -241,8 +236,8 @@ def test_superoperator_with_hamiltonian():
         assert np.abs(unvec(M_h @ vec(rho)) - expected).max() < 1e-13
         t = float(rng.uniform(0.0, 10.0))
         U = np.diag(np.exp(-1j * t * np.diag(h)))  # h is diagonal at e3
-        turned = U @ evolve(M, rho, t) @ U.conj().T
-        assert np.abs(evolve(M_h, rho, t) - turned).max() < 1e-13
+        turned = U @ evolve_to(M, rho, t) @ U.conj().T
+        assert np.abs(evolve_to(M_h, rho, t) - turned).max() < 1e-13
     ev = np.linalg.eigvals(M_h)
     assert ev.real.max() <= 1e-12 * np.abs(ev).max()
 
@@ -250,8 +245,12 @@ def test_superoperator_with_hamiltonian():
 # -------------------------------------------------------------------- evolve
 
 def test_evolve_identity_at_zero_time():
+    # the state at t = 0 is rho0 as given, and its guard's eigenvalue is
+    # rho0's
     rho0 = np.array(canonical_state().density())
-    np.testing.assert_array_equal(evolve(M_L0, rho0, 0.0), rho0)
+    (rho, min_eig), = evolve_traj(M_L0, rho0, [0.0])
+    np.testing.assert_array_equal(rho, rho0)
+    assert min_eig == np.linalg.eigvalsh(rho0).min()
 
 
 def test_evolve_semigroup_law():
@@ -259,40 +258,51 @@ def test_evolve_semigroup_law():
     for _ in range(10):
         rho0 = random_density(rng)
         t1, t2 = rng.uniform(0.1, 5.0, size=2)
-        via_steps = evolve(M_L0, evolve(M_L0, rho0, t1), t2)
-        direct = evolve(M_L0, rho0, t1 + t2)
+        *_, (via_steps, _) = evolve_traj(M_L0, rho0, [t1, t1 + t2])
+        direct = evolve_to(M_L0, rho0, t1 + t2)
         assert np.abs(via_steps - direct).max() < 1e-10
 
 
 def test_evolve_keeps_singlet_stationary():
-    for t in (0.5, 5.0, 50.0):
-        rho_t = evolve(M_L0, np.array(singlet_density()), t)
-        assert np.abs(rho_t - np.array(singlet_density())).max() < 1e-12
+    singlet = np.array(singlet_density())
+    for rho_t, _ in evolve_traj(M_L0, singlet, [0.5, 5.0, 50.0]):
+        assert np.abs(rho_t - singlet).max() < 1e-12
 
 
 def test_evolve_rejects_negative_time():
     with pytest.raises(ValueError):
-        evolve(M_L0, np.array(singlet_density()), -1.0)
+        evolve_to(M_L0, np.array(singlet_density()), -1.0)
 
 
 def test_evolve_flags_positivity_violation():
     # reversed generator drives a pure product state out of the state space
     with pytest.raises(PositivityError):
-        evolve(-M_L0, np.array(canonical_state().density()), 5.0)
+        evolve_to(-M_L0, np.array(canonical_state().density()), 5.0)
 
 
 def test_evolve_flags_nonpositive_trace():
     # exp(i pi) = -1 maps rho0 to -rho0, a finite result of trace -1
     with pytest.raises(PositivityError, match="trace"):
-        evolve(1j * math.pi * np.eye(16), np.array(singlet_density()), 1.0)
+        evolve_to(1j * math.pi * np.eye(16), np.array(singlet_density()), 1.0)
 
 
-def test_evolve_reports_a_repaired_trace_deviation_on_one_stderr_line(capsys):
+def test_evolve_reports_a_repaired_trace_deviation_on_one_stderr_line(capsys, monkeypatch):
     # at t = 1e5 the matrix exponential's 25 squarings leave a trace
-    # deviation of 5e-9, above 1e-10, which evolve repairs and reports
+    # deviation of 5e-9, above 1e-10, which evolve_traj repairs and reports.
+    # The guards run before RK45 advances, so an RK45 route that stops at
+    # its first sample spares the 1e5 time units of its integration
+    class Stopped(Exception):
+        pass
+
+    def stopped(*args):
+        raise Stopped
+        yield
+
+    monkeypatch.setattr(dynamics, "solve_ivp", stopped)
     p = ModelParams(beta_omega=0.001, omega_ell=1.0)
     M = build_superoperator(p)
-    evolve(M, np.array(canonical_state().density()), 1e5)
+    with pytest.raises(Stopped):
+        evolve_to(M, np.array(canonical_state().density()), 1e5)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1
@@ -306,7 +316,7 @@ def test_positivity_preserved_forward():
         M = build_superoperator(p)
         rho0 = random_density(rng)
         t = float(rng.uniform(0.0, 50.0))
-        rho_t = evolve(M, rho0, t)
+        rho_t = evolve_to(M, rho0, t)
         assert np.linalg.eigvalsh(rho_t).min() >= -1e-10
         assert abs(np.trace(rho_t).real - 1.0) < 1e-12
 
@@ -367,7 +377,7 @@ def test_evolve_traj_trivial_grid():
     rho0 = np.array(canonical_state().density())
     states = list(evolve_traj(M_L0, rho0, [0.0]))
     assert len(states) == 1
-    np.testing.assert_array_equal(states[0], rho0)
+    np.testing.assert_array_equal(states[0][0], rho0)
 
 
 def test_evolve_traj_agrees_with_rk_and_conserves():
@@ -376,7 +386,7 @@ def test_evolve_traj_agrees_with_rk_and_conserves():
     times = np.linspace(0.0, 40.0, 21)
     states = evolve_traj(M_L0, rho0, times)  # raises if expm/RK45 disagree > 1e-8
     tau0 = tau(rho0)
-    for rho in states:
+    for rho, _ in states:
         assert abs(np.trace(rho).real - 1.0) < 1e-12
         assert abs(tau(rho) - tau0) < 1e-9  # collective generator conserves tau
 
@@ -499,6 +509,77 @@ def test_evolve_traj_rejects_bad_grid():
         list(evolve_traj(M_L0, rho0, [0.0, 1.0, 0.5]))
     with pytest.raises(ValueError):
         list(evolve_traj(M_L0, rho0, [-1.0, 1.0]))
+
+
+def test_evolve_traj_forms_one_exponential_per_run_of_equal_steps(monkeypatch):
+    # linspace(0, 1, 11) has 10 positive steps in 5 runs of equal floats, 4
+    # distinct: the exponential is formed again where the step changes, and
+    # the one before is not kept
+    calls = []
+    real = dynamics.expm
+
+    def counting(A):
+        calls.append(A)
+        return real(A)
+
+    monkeypatch.setattr(dynamics, "expm", counting)
+    times = np.linspace(0.0, 1.0, 11).tolist()
+    steps = [b - a for a, b in zip(times, times[1:])]
+    runs = 1 + sum(b != a for a, b in zip(steps, steps[1:]))
+    assert (len(steps), runs, len(set(steps))) == (10, 5, 4)
+    list(evolve_traj(M_L0, np.array(canonical_state().density()), times))
+    assert len(calls) == runs
+
+
+def test_evolve_traj_takes_one_eigvalsh_per_state(monkeypatch):
+    # the guard's eigenvalue is yielded with the state and is the dense
+    # rows' min_eig column, so no row takes a second one of its state
+    calls = []
+    real = np.linalg.eigvalsh
+
+    def counting(a):
+        calls.append(a)
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    times = np.linspace(0.0, 5.0, 21)
+    rho0 = random_density(np.random.default_rng(30))
+    states, columns, _ = dynamics.dense_route(P_L0, rho0.tolist(), times)
+    for k, state in enumerate(states, 1):
+        rho, min_eig = state
+        assert len(calls) == k and calls[-1] is rho
+        assert columns(state)[1] == min_eig == real(rho).min()
+        assert sum(a is rho for a in calls) == 1
+        del calls[k:]  # min_eig_pt's and concurrence's, of other matrices
+
+
+# beta*omega and omega*ell at each corner: generic, ell = 0, zero
+# temperature, and both
+CORNERS = ((0.7, 1.3), (2.0, 0.0), (math.inf, 1.3), (math.inf, 0.0))
+ROW_GRIDS = {
+    "uniform": np.linspace(0.0, 7.3, 25),
+    "log": np.concatenate([[0.0], np.geomspace(1e-3, 50.0, 20)]),
+}
+
+
+@pytest.mark.parametrize("grid", sorted(ROW_GRIDS))
+@pytest.mark.parametrize("kind", ["product", "matrix"])
+def test_dense_rows_equal_the_one_step_reference(kind, grid):
+    # each state is one exponential step from the one before, re-formed
+    # only where the step changes: the same float products as one
+    # exponential per step, so every row and state has the same bytes
+    rng = np.random.default_rng(31)
+    times = ROW_GRIDS[grid]
+    for bw, wl in CORNERS:
+        params = ModelParams(beta_omega=bw, omega_ell=wl)
+        rho0 = (np.array(random_product_state(rng).density()) if kind == "product"
+                else random_density(rng))
+        states, columns, _ = dynamics.dense_route(params, rho0.tolist(), times)
+        ref = dense_rows_reference(build_superoperator(params), rho0, times)
+        for k, (state, (ref_rho, ref_row)) in enumerate(zip(states, ref, strict=True)):
+            assert state[0].tobytes() == ref_rho.tobytes(), (bw, wl, k)
+            assert ([float(x).hex() for x in columns(state)]
+                    == [float(x).hex() for x in ref_row]), (bw, wl, k)
 
 
 # -------------------------------------------------------- CP witness (Choi)

@@ -7,27 +7,13 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from thermalpair import (
-    ModelParams,
-    PositivityError,
-    ProductState,
-    build_superoperator,
-    canonical_state,
-    concurrence,
-    criterion_rs,
-    evolve_traj,
-    generation_test,
-    kossakowski_eigenvalues,
-    min_eig_pt,
-    partial_transpose,
-    singlet_density,
-    singlet_ket,
-    small_time_ppt_oracle,
-    vec,
-)
 from thermalpair import cli
-from thermalpair.generation import _THETA_T, taylor_action
-from thermalpair.spectral import kossakowski_coefficients
+from thermalpair.dynamics import build_superoperator, evolve_traj, vec
+from thermalpair.entanglement import (ProductState, canonical_state, concurrence, min_eig_pt,
+                                      partial_transpose, singlet_density, singlet_ket)
+from thermalpair.generation import (_THETA_T, PositivityError, criterion_rs, generation_test,
+                                    small_time_ppt_oracle, taylor_action)
+from thermalpair.spectral import ModelParams, kossakowski_coefficients, kossakowski_eigenvalues
 
 from util import (_DISSIPATORS_KRON, KossakowskiMatrix, build_kossakowski_spectral,
                   corner_generators, Q0, equilibrium_closed_form, generation_discriminant,
@@ -250,8 +236,9 @@ def test_concurrence_of_a_relaxing_state_against_mpmath():
     for doc, samples in ((RELAXING, ((54, 1e-14), (81, 1e-14), (257, 1e-14))),
                          (DECAYING, ((165, 1e-14),)), (RAISING, ((36, 1e-14),))):
         config = cli.parse_config(doc)
-        states = list(evolve_traj(build_superoperator(config.params), config.initial_state()[1],
-                                  config.times))
+        rho0 = np.array(config.initial_state()[1])
+        states = [rho for rho, _ in evolve_traj(build_superoperator(config.params), rho0,
+                                                config.times)]
         for k, tol in samples:
             exact = _mp_concurrence(config.params, config.initial_state()[1], config.times[k])
             assert abs(concurrence(states[k]) - exact) <= tol, (k, concurrence(states[k]), exact)

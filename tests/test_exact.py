@@ -33,8 +33,10 @@ from itertools import product
 import numpy as np
 import sympy as sp
 
-from thermalpair import ModelParams, canonical_state, generation_test, spectral
-from thermalpair.spectral import KossakowskiCoefficients, kossakowski_eigenvalues
+from thermalpair import spectral
+from thermalpair.entanglement import canonical_state
+from thermalpair.generation import generation_test
+from thermalpair.spectral import KossakowskiCoefficients, ModelParams, kossakowski_eigenvalues
 
 from util import _DISSIPATORS_KRON, coefficient_rates, kossakowski_blocks, mp_rates, uv_vectors
 

@@ -16,9 +16,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from thermalpair import (ModelParams, PositivityError, build_superoperator, cli, generation,
-                         spectral, trajectory)
-from thermalpair.spectral import MIN_BETA_OMEGA, kossakowski_eigenvalues
+from thermalpair import cli, generation, spectral, trajectory
+from thermalpair.dynamics import build_superoperator
+from thermalpair.generation import PositivityError
+from thermalpair.spectral import MIN_BETA_OMEGA, ModelParams, kossakowski_eigenvalues
 
 from util import (Q0, _DISSIPATORS_KRON, asymptotic_report_numpy, dissipators_dense, q0_row_mp,
                   polyval_rates, small_time_ppt_oracle_numpy, taylor_action_numpy)

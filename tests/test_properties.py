@@ -29,15 +29,17 @@ import mpmath as mp
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from thermalpair import (ModelParams, ProductState, asymptotic_state, build_superoperator,
-                         canonical_state, cli, concurrence, criterion_rs, evolve,
-                         generation_test, kossakowski_coefficients, kossakowski_eigenvalues,
-                         local_frame, min_eig_pt, small_time_ppt_oracle, tau, trace_norm,
-                         unvec, vec)
-from thermalpair.entanglement import _wootters_l
+from thermalpair import cli
+from thermalpair.asymptotic import asymptotic_state, tau
+from thermalpair.dynamics import build_superoperator, trace_norm, unvec, vec
+from thermalpair.entanglement import (ProductState, _wootters_l, canonical_state, concurrence,
+                                      local_frame, min_eig_pt)
+from thermalpair.generation import criterion_rs, generation_test, small_time_ppt_oracle
+from thermalpair.spectral import ModelParams, kossakowski_coefficients, kossakowski_eigenvalues
 
 from util import (_AT_REST, _HORIZON, _NULLSPACE_REL_TOL, build_kossakowski_spectral,
-                  concurrence_reference, generation_discriminant, generator_with_hamiltonian,
+                  concurrence_reference, evolve_step, generation_discriminant,
+                  generator_with_hamiltonian,
                   hamiltonian, kossakowski_6x6, kossakowski_from_coefficients, mp_concurrence,
                   oracle_step, random_density, random_product_state, random_unit_complex,
                   small_time_ppt_reference, spectral_gap, stationary_projector,
@@ -255,7 +257,7 @@ def test_concurrence_is_positive_exactly_when_partial_transpose_is_negative(mode
     # are full rank and keep their partial transpose away from 0
     params, _, M = model
     rho0 = (1.0 - noise) * np.array(canonical_state().density()) + noise * np.eye(4) / 4.0
-    rho = evolve(M, rho0, omega_t)
+    rho = evolve_step(M, rho0, omega_t)
     c, m = concurrence(rho), min_eig_pt(rho)
     if m < -1e-10:
         assert c > 0, (c, m)
@@ -301,7 +303,7 @@ def test_closed_form_asymptotic_state_is_the_projected_one(bw, wl, seed):
     rho_inf = np.array(rho_inf)
     assert dim == round(np.trace(P).real)
     assert np.abs(rho_inf - unvec(P @ vec(rho0))).max() <= 1e-11
-    assert trace_norm(evolve(M, rho0, _HORIZON / spectral_gap(M)) - rho_inf) <= 1e-8
+    assert trace_norm(evolve_step(M, rho0, _HORIZON / spectral_gap(M)) - rho_inf) <= 1e-8
 
 
 # ------------------------------------------- the free Hamiltonian commutes
@@ -329,7 +331,7 @@ def test_free_hamiltonian_only_turns_the_dissipators_evolution(bw, wl, b1, b2, n
     assert np.abs(P - P_h).max() <= tol
     assert round(np.trace(P).real) == round(np.trace(P_h).real)
     rho0 = (1.0 - noise) * np.array(ProductState(b1, b2).density()) + noise * np.eye(4) / 4.0
-    rho, rho_h = (evolve(G, rho0, omega_t) for G in (M, M_h))
+    rho, rho_h = (evolve_step(G, rho0, omega_t) for G in (M, M_h))
     for f in (lambda r: np.linalg.eigvalsh(r).min(), min_eig_pt, tau):
         assert abs(f(rho) - f(rho_h)) <= 1e-11
     rho_inf, _ = asymptotic_state(params, rho0.tolist())

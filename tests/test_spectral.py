@@ -11,8 +11,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from thermalpair import ModelParams, kossakowski_coefficients, temperature_ratio
-from thermalpair.spectral import KossakowskiCoefficients, _sinc
+from thermalpair.spectral import (KossakowskiCoefficients, ModelParams, _sinc,
+                                  kossakowski_coefficients, temperature_ratio)
 
 from util import (build_kossakowski_spectral, coefficient_rates, kossakowski_6x6,
                   kossakowski_from_coefficients, psi_tensors, random_params, random_rotation,

@@ -30,17 +30,18 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 
-from thermalpair import (ConvergenceError, KossakowskiCoefficients, ModelParams, ProductState,
-                         bloch_ket, build_superoperator, cli, concurrence, evolve,
-                         kossakowski_coefficients, kossakowski_eigenvalues, local_frame,
-                         min_eig_pt, partial_transpose, singlet_ket, tau, temperature_ratio,
-                         threshold_tau, unvec, vec)
-from thermalpair import PositivityError
-from thermalpair.dynamics import check_state, expm
-from thermalpair.entanglement import _unit_vector
+from thermalpair import cli
+from thermalpair.asymptotic import tau, threshold_tau
+from thermalpair.dynamics import build_superoperator, expm, unvec, vec
+from thermalpair.entanglement import (ProductState, _unit_vector, bloch_ket, concurrence,
+                                      local_frame, min_eig_pt, partial_transpose, singlet_ket)
 from thermalpair.generation import (_BOUNDARY_REL_TOL, _CANONICAL_Q0, _ORACLE_DT,
-                                    _ORACLE_NEG_TOL, _THETA_T)
-from thermalpair.spectral import _ONE_MINUS_SINC_SERIES, DISSIPATORS, TWO_PI, _sinc
+                                    _ORACLE_NEG_TOL, _THETA_T, ConvergenceError,
+                                    PositivityError, check_state, check_trace)
+from thermalpair.spectral import (_ONE_MINUS_SINC_SERIES, DISSIPATORS, TWO_PI,
+                                  KossakowskiCoefficients, ModelParams, _sinc,
+                                  kossakowski_coefficients, kossakowski_eigenvalues,
+                                  temperature_ratio)
 
 # the Pauli matrices sigma_x, sigma_y, sigma_z in the basis (|+>, |->)
 SIGMA = (
@@ -796,13 +797,46 @@ def q0_row_mp(M: list, v0: list, t: float) -> list:
         return [mp.mpf(1), min(mp.eighe(rho)[0]), min(mp.eighe(pt)[0]), mp_concurrence(rho), tau]
 
 
+def evolve_step(M: np.ndarray, rho0: np.ndarray, t: float, t0: float = 0.0) -> np.ndarray:
+    """One step of dynamics.evolve_traj, with its guards and without its
+    RK45 cross-check: the state rho0 at time t0 <= t (itself where t = t0),
+    stepped to unvec(expm((t - t0) M) @ vec(rho0)), re-Hermitized and
+    renormalized, with one exponential a step.  The library's dense rows
+    equal its rows byte for byte (dense_rows_reference), and the tests
+    reach long horizons with it, where RK45 would take too long."""
+    if t == t0:
+        return rho0.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho = unvec(expm((t - t0) * M) @ vec(rho0))
+        tr = np.trace(rho).real
+    check_trace(np.isfinite(rho).all(), tr, t)
+    herm_dev = np.abs(rho - rho.conj().T).max()
+    rho = 0.5 * (rho + rho.conj().T)
+    rho = rho / tr
+    check_state(np.linalg.eigvalsh(rho).min(), herm_dev, tr, t)
+    return rho
+
+
+def dense_rows_reference(M: np.ndarray, rho0: np.ndarray, times) -> list:
+    """(state, row) on the grid times, each state one evolve_step from the
+    one before, from rho0 at t = 0, and its row the dense route's columns
+    after the time: trace, min_eig, min_eig_pt, concurrence and tau."""
+    out, rho, t0 = [], rho0, 0.0
+    for t in times:
+        rho, t0 = evolve_step(M, rho, t, t0), t
+        r = rho.tolist()
+        out.append((rho, (np.trace(rho).real, np.linalg.eigvalsh(rho).min(), min_eig_pt(rho),
+                          concurrence(r), tau(r))))
+    return out
+
+
 def small_time_ppt_reference(M: np.ndarray, rho0: np.ndarray, dt: float) -> bool:
-    """Evolve any state rho0 under any 16x16 generator M by dt (dynamics.evolve,
-    with its guards) and report min_eig_pt < -_ORACLE_NEG_TOL: the route the
-    library's small_time_ppt_oracle is checked against."""
+    """Evolve any state rho0 under any 16x16 generator M by dt (evolve_step,
+    with the library's guards) and report min_eig_pt < -_ORACLE_NEG_TOL: the
+    route the library's small_time_ppt_oracle is checked against."""
     if not (dt > 0):
         raise ValueError(f"dt must be positive, got {dt}")
-    return min_eig_pt(evolve(M, rho0, dt)) < -_ORACLE_NEG_TOL
+    return min_eig_pt(evolve_step(M, rho0, dt)) < -_ORACLE_NEG_TOL
 
 
 # ---------------------------------------------------------------------------
